@@ -6,7 +6,7 @@
 //
 // A second table repeats the comparison on the REAL host: the naive
 // element loop against the cache-blocked transpose.hpp kernels that
-// fft2d.cpp and the four-step path actually use. On the host the strided
+// fft2d.cpp and the hierarchical path actually use. On the host the strided
 // stream folds onto a handful of L1 sets (the cache analogue of bank-0
 // hot-spotting — see fft_lint --cache-sets), so the same tiling fix
 // shows up as a wall-clock win instead of a bank-imbalance win.

@@ -30,7 +30,6 @@
 #include "fft/kernels/dispatch.hpp"
 #include "fft/real_fft.hpp"
 #include "fft/reference.hpp"
-#include "fft/stockham.hpp"
 #include "fft/transpose.hpp"
 #include "util/cpu_features.hpp"
 #include "util/prng.hpp"
@@ -319,15 +318,6 @@ void BM_HostFftCoarse(benchmark::State& state) {
 }
 BENCHMARK(BM_HostFftCoarse)->Arg(14);
 
-void BM_StockhamFft(benchmark::State& state) {
-  auto data = random_signal(std::uint64_t{1} << state.range(0), 7);
-  for (auto _ : state) {
-    auto out = fft::fft_stockham(data);
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-BENCHMARK(BM_StockhamFft)->Arg(14)->Arg(16);
-
 void BM_RealFft(benchmark::State& state) {
   const std::uint64_t n = std::uint64_t{1} << state.range(0);
   util::Xoshiro256 rng(8);
@@ -582,7 +572,8 @@ BENCHMARK(BM_ExecutorBatchSubmit)
 // the other by a power of two — the strided stream folds onto a handful
 // of cache sets (see fft_lint --cache-sets) and every line is evicted
 // before its neighbors are touched. The blocked kernels are what fft2d
-// and the four-step path use. Arg = log2 of the square matrix edge.
+// and the multi-level hierarchical gather use. Arg = log2 of the square
+// matrix edge.
 
 void BM_TransposeNaive(benchmark::State& state) {
   const std::uint64_t edge = std::uint64_t{1} << state.range(0);
@@ -624,32 +615,17 @@ void BM_TransposeInplaceSquare(benchmark::State& state) {
 }
 BENCHMARK(BM_TransposeInplaceSquare)->Arg(8)->Arg(9)->Arg(10);
 
-void BM_TransposeTwiddleBlocked(benchmark::State& state) {
-  const std::uint64_t edge = std::uint64_t{1} << state.range(0);
-  const auto src = random_signal(edge * edge, 13);
-  std::vector<cplx> dst(src.size());
-  for (auto _ : state) {
-    fft::transpose_twiddle_blocked(src, dst, edge, edge,
-                                   fft::TwiddleDirection::kForward);
-    benchmark::DoNotOptimize(dst.data());
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(2 * src.size() * sizeof(cplx)));
-}
-BENCHMARK(BM_TransposeTwiddleBlocked)->Arg(8)->Arg(9);
-
 // ---------------------------------------------------------------------------
-// Four-step vs classic at large N: the pair behind the executor's default
-// routing threshold (kDefaultFourStepThresholdLog2) and the
+// Classic vs hierarchical at large N: the pair behind the executor's
+// default routing threshold (kDefaultHierarchicalThresholdLog2) and the
 // BENCH_runtime.json large-N numbers. Both executors are warmed so the
 // steady state is measured; the classic executor pins the threshold to 0
-// (never four-step), the other to 2 (always four-step). Arg = log2 N.
+// (never hierarchical), the other to 2 (always hierarchical). Arg = log2 N.
 
 void BM_ClassicFftLargeN(benchmark::State& state) {
   auto data = random_signal(std::uint64_t{1} << state.range(0), 14);
   fft::ExecutorOptions eo;
   eo.workers = 2;
-  eo.four_step_threshold_log2 = 0;
   eo.hierarchical_threshold_log2 = 0;  // pin: measure the classic path only
   fft::FftExecutor ex(eo);
   fft::HostFftOptions opts;
@@ -666,35 +642,10 @@ BENCHMARK(BM_ClassicFftLargeN)
     ->Arg(14)->Arg(16)->Arg(18)->Arg(20)
     ->UseRealTime()->Unit(benchmark::kMillisecond);
 
-void BM_FourStepFftLargeN(benchmark::State& state) {
-  auto data = random_signal(std::uint64_t{1} << state.range(0), 14);
-  fft::ExecutorOptions eo;
-  eo.workers = 2;
-  eo.four_step_threshold_log2 = 2;
-  eo.hierarchical_threshold_log2 = 0;  // pin: measure four-step, not the
-                                       // hierarchical path that outranks it
-  fft::FftExecutor ex(eo);
-  fft::HostFftOptions opts;
-  opts.workers = 2;
-  ex.forward(data, opts);  // warm: sub-plans + scratch resident
-  for (auto _ : state) {
-    ex.forward(data, opts);
-    benchmark::DoNotOptimize(data.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(data.size()));
-}
-BENCHMARK(BM_FourStepFftLargeN)
-    ->Arg(14)->Arg(16)->Arg(18)->Arg(20)->Arg(22)
-    ->UseRealTime()->Unit(benchmark::kMillisecond);
-
-// Hierarchical pipelined path at enormous N: the row behind the executor's
-// default hierarchical routing threshold
-// (kDefaultHierarchicalThresholdLog2) and the 1.25x four-step ratio gate
-// at 2^22 (tools/CMakeLists.txt bench_check). Same warmed protocol as the
-// pair above; identical butterfly work to four-step at these sizes (the
-// default leaf gives the same split), so the delta is pure scheduling:
-// three pipelined streaming passes against five barrier-phased ones.
+// Hierarchical pipelined path, the only large-N route: /18 and /19 sit at
+// the default routing threshold, /20 is the denominator of the 1.25x
+// classic-vs-hierarchical ratio gate (RATIO2 in tools/CMakeLists.txt
+// bench_check). Same warmed protocol as the classic row above.
 void BM_HierarchicalFftLargeN(benchmark::State& state) {
   auto data = random_signal(std::uint64_t{1} << state.range(0), 14);
   fft::ExecutorOptions eo;
@@ -712,7 +663,7 @@ void BM_HierarchicalFftLargeN(benchmark::State& state) {
                           static_cast<int64_t>(data.size()));
 }
 BENCHMARK(BM_HierarchicalFftLargeN)
-    ->Arg(20)->Arg(22)->Arg(24)
+    ->Arg(18)->Arg(19)->Arg(20)->Arg(22)->Arg(24)
     ->UseRealTime()->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ CheckResult lint_banks(const PlanModel& model, const BankLintOptions& opts = {})
 /// folds onto bank 0. The late stages of a classic large-N plan stride by
 /// R^s elements; once stride_bytes/line_bytes is a multiple of `sets`,
 /// EVERY element of a chain lands in one set and the stage thrashes its
-/// associativity ways instead of using the whole cache. The four-step
+/// associativity ways instead of using the whole cache. The hierarchical
 /// path exists to avoid precisely this regime (its sub-FFTs and blocked
 /// transposes keep strides inside a tile).
 struct CacheSetLintOptions {

@@ -78,9 +78,6 @@ std::vector<LintBaselineRow> collect_lint_rows(unsigned workers) {
                "classic-hashed-n4096-r6" + suffix, workers);
     opts.layout = fft::TwiddleLayout::kLinear;
 
-    append_row(rows, build_four_step_pipeline(std::uint64_t{1} << 18, 6, opts),
-               "four-step-n262144-r6" + suffix, workers);
-
     // Hierarchical rows pin the leaf and block-rows knobs explicitly: the
     // builder's defaults derive both from the host L2 via cache_info(),
     // and baseline rows must stay pure plan algebra — identical on every

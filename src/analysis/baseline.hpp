@@ -20,7 +20,7 @@ namespace c64fft::analysis {
 
 /// One gated row: a shipped pipeline shape at one precision.
 struct LintBaselineRow {
-  /// Stable key, e.g. "four-step-n262144-r6-f64".
+  /// Stable key, e.g. "hierarchical-n262144-r6-f64".
   std::string key;
   /// Metric name -> value. Gated metrics: span_cost, total_work,
   /// makespan_bound, max_load_imbalance, bank_imbalance, errors (higher
@@ -31,9 +31,9 @@ struct LintBaselineRow {
 };
 
 /// The shipped verification matrix: classic (linear + hashed twiddles),
-/// four-step 2^18, hierarchical 2^18 (single-level) and 2^19 (forced
-/// three-level), batch of 8, square and rectangular fft2d, real-input —
-/// each at f64 (16-byte) and f32 (8-byte) element width.
+/// hierarchical 2^18 (single-level) and 2^19 (forced three-level), batch
+/// of 8, square and rectangular fft2d, real-input, mixed-radix and
+/// Bluestein — each at f64 (16-byte) and f32 (8-byte) element width.
 std::vector<LintBaselineRow> collect_lint_rows(unsigned workers = 4);
 
 /// Rows as a stable JSON document ({"lint_version":1,"rows":[...]}),

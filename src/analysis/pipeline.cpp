@@ -161,47 +161,12 @@ void append_classic_phases(PipelineModel& m, const fft::FftPlan& plan,
   }
 }
 
-/// Appends one row-sweep phase of the four-step path: `row_count`
-/// independent `plan.size()`-point transforms over consecutive rows of
-/// `buf`, grained into the executor's worker chunks
-/// (fft::four_step_sweep_grain). Each chunk streams its rows once per
-/// sub-plan stage (the fused stage-0+permutation pass plus the remaining
-/// stages), charged via `passes`.
-void append_row_sweep(PipelineModel& m, const fft::FftPlan& plan,
-                      std::uint32_t buf, std::uint64_t row_count,
-                      unsigned workers, std::string phase_name) {
-  const std::uint64_t row_len = plan.size();
-  const std::uint64_t per_row_flops = plan_total_flops(plan);
-  PhaseModel phase;
-  phase.name = std::move(phase_name);
-  phase.full_coverage.push_back(buf);
-  const fft::SweepGrain grain = fft::four_step_sweep_grain(row_count, workers);
-  for (std::uint64_t c = 0; c < grain.chunks; ++c) {
-    const std::uint64_t r_begin = c * grain.per;
-    if (r_begin >= row_count) break;
-    const std::uint64_t r_end =
-        std::min<std::uint64_t>(row_count, r_begin + grain.per);
-    PipelineTask task;
-    task.index = c;
-    for (std::uint64_t r = r_begin; r < r_end; ++r) {
-      for (std::uint64_t e = 0; e < row_len; ++e) {
-        task.reads.push_back({buf, r * row_len + e});
-        task.writes.push_back({buf, r * row_len + e});
-      }
-    }
-    task.flops = (r_end - r_begin) * per_row_flops;
-    task.passes = plan.stage_count();
-    phase.tasks.push_back(std::move(task));
-  }
-  m.phases.push_back(std::move(phase));
-}
-
 /// Out-of-place blocked transpose of an R x C row-major `src` into a
 /// C x R `dst`, one task per kTransposeTile tile; claims full coverage
-/// of `dst`. `flops_per_elem` > 0 models the fused twiddle multiply.
+/// of `dst`.
 void append_transpose(PipelineModel& m, std::uint32_t src, std::uint32_t dst,
                       std::uint64_t rows, std::uint64_t cols,
-                      std::uint64_t flops_per_elem, std::string phase_name) {
+                      std::string phase_name) {
   PhaseModel phase;
   phase.name = std::move(phase_name);
   phase.full_coverage.push_back(dst);
@@ -217,7 +182,6 @@ void append_transpose(PipelineModel& m, std::uint32_t src, std::uint32_t dst,
             task.reads.push_back({src, r * cols + c});
             task.writes.push_back({dst, c * rows + r});
           }
-        task.flops = (rmax - r0) * (cmax - c0) * flops_per_elem;
         phase.tasks.push_back(std::move(task));
       });
   m.phases.push_back(std::move(phase));
@@ -359,49 +323,6 @@ PipelineModel build_batch_pipeline(const fft::FftPlan& plan,
   return m;
 }
 
-PipelineModel build_four_step_pipeline(std::uint64_t n, unsigned radix_log2,
-                                       const PipelineBuildOptions& opts,
-                                       std::string name) {
-  const fft::FourStepSplit split = fft::four_step_split(n);
-  const fft::FftPlan col_plan(
-      split.n1, fft::validate_fft_shape(split.n1, radix_log2, true));
-  const fft::FftPlan row_plan(
-      split.n2, fft::validate_fft_shape(split.n2, radix_log2, true));
-
-  PipelineModel m = make_base(name.empty() ? "four-step" : std::move(name), n,
-                              radix_log2, opts);
-  const std::uint32_t data = m.add_buffer("data", n, /*input=*/true);
-  const std::uint32_t scratch = m.add_buffer("scratch", n, /*input=*/false);
-
-  // Pass 1: data (n1 x n2) -> scratch (n2 x n1).
-  append_transpose(m, data, scratch, split.n1, split.n2, 0, "transpose");
-  // Pass 2: n2 rows of n1-point FFTs over scratch.
-  append_row_sweep(m, col_plan, scratch, split.n2, opts.workers, "col-sweep");
-  // Pass 3: fused twiddle-transpose scratch (n2 x n1) -> data (n1 x n2).
-  append_transpose(m, scratch, data, split.n2, split.n1, kCplxMulFlops,
-                   "twiddle-transpose");
-  // Pass 4: n1 rows of n2-point FFTs over data.
-  append_row_sweep(m, row_plan, data, split.n1, opts.workers, "row-sweep");
-  // Pass 5: final transpose back to natural order.
-  if (split.n1 == split.n2) {
-    append_transpose_inplace(m, data, split.n1, "final-transpose");
-  } else {
-    append_transpose(m, data, scratch, split.n1, split.n2, 0,
-                     "final-transpose");
-    PhaseModel copy;
-    copy.name = "copy-back";
-    copy.full_coverage.push_back(data);
-    PipelineTask task;  // std::copy is one serial pass in the executor
-    for (std::uint64_t e = 0; e < n; ++e) {
-      task.reads.push_back({scratch, e});
-      task.writes.push_back({data, e});
-    }
-    copy.tasks.push_back(std::move(task));
-    m.phases.push_back(std::move(copy));
-  }
-  return m;
-}
-
 PipelineModel build_hierarchical_pipeline(std::uint64_t n, unsigned radix_log2,
                                           const PipelineBuildOptions& opts,
                                           std::string name) {
@@ -483,7 +404,7 @@ PipelineModel build_hierarchical_pipeline(std::uint64_t n, unsigned radix_log2,
     // row is charged through `passes`. Inner gather scratch is
     // cache-resident by the leaf policy and, like the per-worker T4
     // panels, not modelled.
-    append_transpose(m, data, s, n1, n2, 0, "gather");
+    append_transpose(m, data, s, n1, n2, "gather");
     PhaseModel col;
     col.name = "col-recursive";
     col.full_coverage.push_back(s);
@@ -619,6 +540,13 @@ PipelineModel build_bluestein_pipeline(std::uint64_t n, unsigned radix_log2,
   if (n < 2)
     throw std::invalid_argument("build_bluestein_pipeline: n >= 2 required");
   const std::uint64_t conv_n = fft::bluestein_fft_size(n);
+  const fft::PlanKind conv_kind =
+      fft::routed_plan_kind(conv_n, fft::kDefaultHierarchicalThresholdLog2);
+  if (conv_kind != fft::PlanKind::kClassic)
+    throw std::invalid_argument(
+        "build_bluestein_pipeline: convolution size " + std::to_string(conv_n) +
+        " routes " + fft::to_string(conv_kind) +
+        "; this model covers classic inner FFTs only");
   const fft::FftPlan conv_plan(
       conv_n, fft::validate_fft_shape(conv_n, radix_log2, true));
 
@@ -736,10 +664,10 @@ PipelineModel build_fft2d_pipeline(std::uint64_t rows, std::uint64_t cols,
   } else {
     const std::uint32_t scratch =
         m.add_buffer("scratch", rows * cols, /*input=*/false);
-    append_transpose(m, data, scratch, rows, cols, 0, "transpose");
+    append_transpose(m, data, scratch, rows, cols, "transpose");
     col_spec.data_buf = scratch;
     append_classic_phases(m, col_plan, col_spec);
-    append_transpose(m, scratch, data, cols, rows, 0, "transpose-back");
+    append_transpose(m, scratch, data, cols, rows, "transpose-back");
   }
   return m;
 }

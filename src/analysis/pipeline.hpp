@@ -3,14 +3,14 @@
 // static verifier.
 //
 // A PlanModel (model.hpp) describes ONE scheduled classic plan; shipped
-// execution paths are compositions: the four-step path is five
-// barrier-separated passes over two buffers, fft2d is row sweep +
+// execution paths are compositions: the hierarchical path is gather +
+// column sweep + fused row tail over two buffers, fft2d is row sweep +
 // transpose + column sweep, real_fft is pack + half-size FFT + untangle.
 // A PipelineModel makes that whole choreography explicit: an ordered list
 // of phases (the runtime's run_phase barriers), each a set of unordered
 // tasks with read/write footprints across named buffers. The builders
 // below derive every footprint from the same hooks the runtime executes —
-// fft::for_each_transpose_tile{,_pair}, fft::four_step_sweep_grain,
+// fft::for_each_transpose_tile{,_pair}, fft::hierarchical_grain,
 // fft::bitrev_sweep_grain, fft::fft2d_shape, fft::real_forward_shape,
 // fft::real_unpack_sources and the FftPlan index algebra — so the model
 // is the barrier hull of what actually runs, not a parallel description
@@ -33,7 +33,8 @@
 namespace c64fft::analysis {
 
 /// One named storage region of the pipeline (the data array, the
-/// four-step scratch, a twiddle table, the packed real-FFT buffer...).
+/// hierarchical gather matrix, a twiddle table, the packed real-FFT
+/// buffer...).
 struct BufferModel {
   std::string name;
   /// Element count (elements, not bytes).
@@ -54,7 +55,7 @@ struct Access {
   std::uint64_t element = 0;
 };
 
-/// One schedulable unit of a phase (a codelet, a transpose tile, a chunk
+/// One schedulable unit of a phase (a codelet, a transpose tile, a block
 /// of rows of a sub-FFT sweep).
 struct PipelineTask {
   std::uint64_t index = 0;
@@ -62,7 +63,7 @@ struct PipelineTask {
   std::vector<Access> writes;
   /// Real floating-point operations.
   std::uint64_t flops = 0;
-  /// How many times the task streams its footprint. A four-step row chunk
+  /// How many times the task streams its footprint. A sub-FFT row block
   /// re-reads and re-writes its rows once per sub-plan stage; modelling
   /// that as `passes` keeps the footprint (the coverage input) exact
   /// while the cost model still charges the repeated traffic.
@@ -71,8 +72,8 @@ struct PipelineTask {
   /// (transpose / gather / writeback / permutation) rather than in-place
   /// butterfly work — the input of the tile-traffic split. kAutoMovement
   /// derives it from the footprint: all passes for flop-free tasks, one
-  /// for a fused single-pass movement (the twiddle-transpose), zero for
-  /// in-place compute. Builders of fused multi-pass tasks (the
+  /// for an out-of-place single pass that computes (mixed-radix stage 0,
+  /// the Bluestein chirp modulation), zero for in-place compute. Builders of fused multi-pass tasks (the
   /// hierarchical tail: gather-in + sweep + writeback-out) set it
   /// explicitly.
   static constexpr std::uint64_t kAutoMovement = ~std::uint64_t{0};
@@ -117,8 +118,9 @@ struct PipelineModel {
 };
 
 struct PipelineBuildOptions {
-  /// Worker count the runtime grains its sweeps for (bitrev chunks, row
-  /// chunks) — part of the modelled shape, not an analysis knob.
+  /// Worker count the runtime grains its sweeps for (bitrev chunks,
+  /// hierarchical blocks) — part of the modelled shape, not an analysis
+  /// knob.
   unsigned workers = 4;
   /// 16 = f64 path, 8 = f32 path.
   unsigned element_bytes = 16;
@@ -148,19 +150,6 @@ PipelineModel build_batch_pipeline(const fft::FftPlan& plan,
                                    std::uint64_t batch,
                                    const PipelineBuildOptions& opts = {},
                                    std::string name = {});
-
-/// Four-step large-N pipeline (executor run_four_step_locked): blocked
-/// transpose -> n2-row sweep of n1-point FFTs -> fused twiddle-transpose
-/// -> n1-row sweep of n2-point FFTs -> final transpose (in place when
-/// n1 == n2, through scratch plus copy-back otherwise). Transpose tasks
-/// are the kTransposeTile tiles; sweep tasks are the worker-grained row
-/// chunks. Sub-sweep twiddle-table traffic is deliberately not modelled:
-/// the sub-tables are sized cache-resident (that is the point of the
-/// decomposition), so charging them to the banks would overstate off-chip
-/// traffic the shipped path never generates.
-PipelineModel build_four_step_pipeline(std::uint64_t n, unsigned radix_log2,
-                                       const PipelineBuildOptions& opts = {},
-                                       std::string name = {});
 
 /// Hierarchical large-N pipeline (executor run_hierarchical_locked): the
 /// barrier hull of the tile-pipelined level — gather-transpose blocks of
@@ -197,9 +186,11 @@ PipelineModel build_mixed_radix_pipeline(std::uint64_t n,
 /// convolution buffer (zero-filled tail), classic forward M-point FFT,
 /// serial pointwise multiply by the precomputed chirp-filter spectrum,
 /// classic inverse M-point FFT, serial demodulation back into data. The
-/// inner transforms are modelled on the classic path — the shipped
-/// routing for every M below the four-step threshold, which covers all
-/// lint/baseline sizes; bigger M would swap in the four-step hull.
+/// inner transforms are modelled on the classic path only, so the
+/// builder throws std::invalid_argument when the executor's default
+/// routing sends M anywhere else (M >= 2^kDefaultHierarchicalThresholdLog2,
+/// i.e. every N >= 65537 at the default threshold) rather than report
+/// phases that never run.
 PipelineModel build_bluestein_pipeline(std::uint64_t n, unsigned radix_log2,
                                        const PipelineBuildOptions& opts = {},
                                        std::string name = {});

@@ -10,8 +10,9 @@ namespace {
 /// Movement passes of one task: the explicit builder value when set,
 /// otherwise derived from the footprint — a task with no flops only
 /// moves data; a task with flops is in-place butterfly work unless it
-/// writes a buffer it never reads (the fused single-pass
-/// twiddle-transpose), which charges one movement pass.
+/// writes a buffer it never reads (an out-of-place single pass such as
+/// mixed-radix stage 0 or the Bluestein chirp modulation), which charges
+/// one movement pass.
 std::uint64_t movement_passes_of(const PipelineTask& task) {
   if (task.movement_passes != PipelineTask::kAutoMovement)
     return std::min(task.movement_passes, task.passes);

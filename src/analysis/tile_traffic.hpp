@@ -2,9 +2,9 @@
 // Per-level tile-traffic report over a PipelineModel.
 //
 // The memory-load-balance lens of the paper, applied to the composite
-// pipelines: for every barrier phase ("level" of the four-step /
-// hierarchical decompositions), the bytes its tasks stream, split into
-// data movement (transpose tiles, gathers, writebacks, permutations)
+// pipelines: for every barrier phase ("level" of the hierarchical
+// decomposition), the bytes its tasks stream, split into data movement
+// (transpose tiles, gathers, writebacks, permutations)
 // versus in-place butterfly traffic, plus a per-phase skew diagnostic —
 // one tile task moving far more bytes than its phase's mean is exactly
 // the imbalance a dependency-counted pipeline cannot hide behind a

@@ -72,35 +72,22 @@ void advise_huge_pages(void* p, std::size_t bytes) {
 
 }  // namespace
 
-SweepGrain four_step_sweep_grain(std::uint64_t row_count, unsigned workers) {
-  const std::uint64_t chunks =
-      std::min<std::uint64_t>(row_count, std::uint64_t{workers} * 4);
-  return {chunks, chunks ? util::ceil_div(row_count, chunks) : 0};
-}
-
 SweepGrain bitrev_sweep_grain(std::uint64_t n, unsigned workers) {
   const std::uint64_t chunks = std::uint64_t{workers} * 4;
   return {chunks, util::ceil_div(n, chunks)};
 }
 
-PlanKind routed_plan_kind(std::uint64_t n, unsigned threshold_log2) {
-  return routed_plan_kind(n, threshold_log2, kDefaultHierarchicalThresholdLog2);
-}
-
-PlanKind routed_plan_kind(std::uint64_t n, unsigned four_step_threshold_log2,
-                          unsigned hierarchical_threshold_log2) {
+PlanKind routed_plan_kind(std::uint64_t n, unsigned hierarchical_threshold_log2) {
   // Non-pow2 routing is factorization-driven and threshold-blind: every
   // 7-smooth composite runs the mixed-radix plan, everything else the
   // Bluestein chirp-z path (whose INTERNAL pow2 convolution FFTs re-enter
-  // here with M = next_pow2(2n-1) and do obey the thresholds).
+  // here with M = next_pow2(2n-1) and do obey the threshold).
   if (n >= 2 && !util::is_pow2(n))
     return factorize(n).smooth ? PlanKind::kMixedRadix : PlanKind::kBluestein;
   if (n < 4) return PlanKind::kClassic;
-  const unsigned log2n = util::ilog2(n);
-  if (hierarchical_threshold_log2 != 0 && log2n >= hierarchical_threshold_log2)
-    return PlanKind::kHierarchical;
-  return (four_step_threshold_log2 != 0 && log2n >= four_step_threshold_log2)
-             ? PlanKind::kFourStep
+  return (hierarchical_threshold_log2 != 0 &&
+          util::ilog2(n) >= hierarchical_threshold_log2)
+             ? PlanKind::kHierarchical
              : PlanKind::kClassic;
 }
 
@@ -149,8 +136,6 @@ ExecutorEnvSnapshot read_executor_env() {
   ExecutorEnvSnapshot snap;
   unsigned v = 0;
   if (env_unsigned("C64FFT_WORKERS", v)) snap.workers = v;
-  if (env_unsigned("C64FFT_FOURSTEP_THRESHOLD_LOG2", v))
-    snap.four_step_threshold_log2 = v;
   if (env_unsigned("C64FFT_HIERARCHICAL_THRESHOLD_LOG2", v))
     snap.hierarchical_threshold_log2 = v;
   if (const char* path = std::getenv("C64FFT_SCHEDULE");
@@ -166,10 +151,6 @@ void FftExecutor::apply_env_overrides() {
   // picked up at construction yet silently missed on reconfigure().
   const ExecutorEnvSnapshot env = read_executor_env();
   if (env.workers && *env.workers > 0) opts_.workers = *env.workers;
-  if (env.four_step_threshold_log2)
-    opts_.four_step_threshold_log2 = *env.four_step_threshold_log2;
-  four_step_threshold_log2_.store(opts_.four_step_threshold_log2,
-                                  std::memory_order_relaxed);
   if (env.hierarchical_threshold_log2)
     opts_.hierarchical_threshold_log2 = *env.hierarchical_threshold_log2;
   hierarchical_threshold_log2_.store(opts_.hierarchical_threshold_log2,
@@ -191,7 +172,6 @@ void FftExecutor::apply_env_overrides() {
 FftExecutor::FftExecutor(const ExecutorOptions& opts)
     : opts_(opts),
       cache_(opts.capacity),
-      four_step_threshold_log2_(opts.four_step_threshold_log2),
       hierarchical_threshold_log2_(opts.hierarchical_threshold_log2) {
   if (opts.workers == 0)
     throw std::invalid_argument("FftExecutor: zero workers");
@@ -309,8 +289,7 @@ void FftExecutor::run_t(std::span<const std::span<cplx_t<T>>> batch,
         n, /*radix_log2=*/1, TwiddleLayout::kLinear, PlanKind::kBluestein,
         precision_of<T>});
     const PlanKind conv_kind = routed_plan_kind(
-        m, four_step_threshold_log2_.load(std::memory_order_relaxed),
-        hierarchical_threshold_log2_.load(std::memory_order_relaxed));
+        m, hierarchical_threshold_log2_.load(std::memory_order_relaxed));
     unsigned conv_radix = validate_fft_shape(m, opts.radix_log2, true);
     unsigned conv_leaf = 0;
     if (const std::optional<TunedSchedule> tuned = cache_.tuned_for(
@@ -341,7 +320,7 @@ void FftExecutor::run_t(std::span<const std::span<cplx_t<T>>> batch,
   // caller left HostFftOptions::radix_log2 at its default: an explicit
   // per-call radix always wins over the tuner. (The matching fuse_log2 is
   // looked up again by the locked dispatch bodies, which see the actual
-  // plan size — for four-step that is the sub-FFT length, not N.)
+  // plan size — for hierarchical that is the sub-FFT length, not N.)
   unsigned radix_log2 = opts.radix_log2;
   if (radix_log2 == HostFftOptions{}.radix_log2) {
     if (const std::optional<TunedSchedule> tuned = cache_.tuned_for(
@@ -349,12 +328,10 @@ void FftExecutor::run_t(std::span<const std::span<cplx_t<T>>> batch,
       radix_log2 = validate_fft_shape(n, tuned->radix_log2, /*clamp_radix=*/true);
   }
 
-  // Large-N routing: the hierarchical check outranks four-step (it is the
-  // same decomposition with strictly better scheduling). Both paths' inner
-  // sweeps and recursion levels bypass this routing by construction.
+  // Large-N routing. The hierarchical path's inner sweeps and recursion
+  // levels bypass this routing by construction.
   const PlanKind kind = routed_plan_kind(
-      n, four_step_threshold_log2_.load(std::memory_order_relaxed),
-      hierarchical_threshold_log2_.load(std::memory_order_relaxed));
+      n, hierarchical_threshold_log2_.load(std::memory_order_relaxed));
   if (kind == PlanKind::kHierarchical) {
     // A tuned schedule steers both hierarchical knobs: the leaf is part of
     // the plan key (it fixes the level tree), the block rows are a pure
@@ -377,19 +354,6 @@ void FftExecutor::run_t(std::span<const std::span<cplx_t<T>>> batch,
     for (const std::span<cplx_t<T>>& t : batch)
       run_hierarchical_locked<T>(*entry, t, opts, dir, block_rows, /*depth=*/0);
     hierarchical_ += batch.size();
-    transforms_ += (batch.size() == 1) ? 1 : 0;
-    batched_ += (batch.size() == 1) ? 0 : batch.size();
-    return;
-  }
-  if (kind == PlanKind::kFourStep) {
-    std::shared_ptr<const PlanEntry> entry = cache_.acquire(
-        PlanKey{n, radix_log2, opts.layout, PlanKind::kFourStep,
-                precision_of<T>});
-    std::lock_guard lock(mutex_);
-    if (closed_.load(std::memory_order_relaxed)) throw ExecutorClosedError();
-    for (const std::span<cplx_t<T>>& t : batch)
-      run_four_step_locked<T>(*entry, t, opts, variant, dir);
-    four_step_ += batch.size();
     transforms_ += (batch.size() == 1) ? 1 : 0;
     batched_ += (batch.size() == 1) ? 0 : batch.size();
     return;
@@ -428,7 +392,7 @@ void FftExecutor::run_classic_locked(const PlanEntry& entry,
   // exercise — every variant degenerates to in-order execution — so
   // instead of the swap-based permutation phase plus a stage-0
   // gather/scatter round-trip per codelet, each transform runs the same
-  // fused split-complex stage 0 as the four-step row sweep (cached
+  // fused split-complex stage 0 as the hierarchical sub-FFT sweeps (cached
   // bit-reversal index table feeding the dispatched permuted gather),
   // then the remaining stages in order. Same butterflies in the same
   // order, so the output is bit-identical to the phased path under every
@@ -746,19 +710,12 @@ void FftExecutor::run_bluestein_locked(const PlanEntry& entry,
             cplx_t<T>{});
 
   const auto run_inner = [&](TwiddleDirection inner_dir) {
-    switch (conv.kind()) {
-      case PlanKind::kHierarchical:
-        run_hierarchical_locked<T>(conv, buf, opts, inner_dir,
-                                   /*tuned_block_rows=*/0, /*depth=*/0);
-        break;
-      case PlanKind::kFourStep:
-        run_four_step_locked<T>(conv, buf, opts, variant, inner_dir);
-        break;
-      default: {
-        const std::span<cplx_t<T>> one[1] = {buf};
-        run_classic_locked<T>(conv, one, opts, variant, inner_dir);
-        break;
-      }
+    if (conv.kind() == PlanKind::kHierarchical) {
+      run_hierarchical_locked<T>(conv, buf, opts, inner_dir,
+                                 /*tuned_block_rows=*/0, /*depth=*/0);
+    } else {
+      const std::span<cplx_t<T>> one[1] = {buf};
+      run_classic_locked<T>(conv, one, opts, variant, inner_dir);
     }
   };
   run_inner(TwiddleDirection::kForward);
@@ -780,8 +737,8 @@ void FftExecutor::run_bluestein_batch_locked(
 
   // Fall back to the per-transform path when there is nothing to amortize
   // (one-worker teams run no phases) or when the convolution size routes
-  // four-step/hierarchical — those paths schedule phases of their own,
-  // which cannot nest inside a codelet body.
+  // hierarchical — that path schedules phases of its own, which cannot
+  // nest inside a codelet body.
   if (rt.workers() == 1 || conv.kind() != PlanKind::kClassic) {
     for (const std::span<cplx_t<T>>& t : batch)
       run_bluestein_locked<T>(entry, conv, t, opts, variant, dir);
@@ -852,72 +809,6 @@ void FftExecutor::run_bluestein_batch_locked(
 }
 
 template <typename T>
-void FftExecutor::run_rows_locked(const PlanEntry& entry, std::span<cplx_t<T>> data,
-                                  std::uint64_t row_count,
-                                  const HostFftOptions& opts,
-                                  TwiddleDirection dir) {
-  // Sub-FFT sweep of the four-step path: `row_count` independent
-  // `plan.size()`-point transforms over consecutive rows of `data`. Each
-  // row is transformed completely — permutation, then every stage — while
-  // it is cache-resident, by one worker. Routing these rows through the
-  // batch path instead (per-transform dependency counters, root-codelet
-  // seeding, stages interleaving across rows) measures ~10% slower at
-  // 512 x 512 and evicts rows between their own stages; a row is the
-  // natural grain here precisely because the sub-sizes were chosen
-  // cache-resident. Chunks of rows seed the persistent team, so multi-
-  // worker teams still spread the sweep.
-  const FftPlan& plan = entry.plan();
-  const BasicTwiddleTable<T>& twiddles = entry.twiddles_for<T>(dir);
-  const std::uint64_t row_len = plan.size();
-  const std::uint32_t stages = plan.stage_count();
-  const std::uint64_t tasks = plan.tasks_per_stage();
-
-  codelet::HostRuntime& rt = team(opts.workers, opts.mode);
-  ensure_worker_buffers<T>(plan.radix(), rt.workers());
-  NumericState<T>& st = num<T>();
-
-  // The row permutation repeats row_count times, so computing
-  // bit_reverse(i) per element per row is pure waste: a cached per-length
-  // index table (a few KiB for the cache-resident sub-sizes) feeds
-  // run_stage0_bitrev's fused gather.
-  const std::span<const std::uint32_t> brev(
-      bitrev_table_locked(row_len, plan.log2_size()));
-
-  // Row-length split-complex scratch for the fused stage-0 pass, one per
-  // worker (the kernel scratch is only radix-sized).
-  if (st.row_split.size() < rt.workers()) st.row_split.resize(rt.workers());
-  for (unsigned w = 0; w < rt.workers(); ++w)
-    if (st.row_split[w].size() < 2 * row_len) st.row_split[w].resize(2 * row_len);
-
-  // Tuned schedules key on the executed plan's own size — here the
-  // sub-FFT row length, so a four-step transform picks up fusion tuned
-  // for its cache-resident sub-sizes, not for the composite N.
-  const unsigned fuse_log2 = tuned_fuse_locked<T>(row_len);
-
-  const SweepGrain grain = four_step_sweep_grain(row_count, rt.workers());
-  const std::uint64_t per = grain.per;
-  std::vector<CodeletKey> seeds;
-  seeds.reserve(grain.chunks);
-  for (std::uint64_t c = 0; c < grain.chunks; ++c) seeds.push_back({0, c});
-  rt.run_phase(
-      seeds, PoolPolicy::kFifo,
-      [&](CodeletKey key, unsigned worker, codelet::Pusher&) {
-        T* const re = st.row_split[worker].data();
-        T* const im = re + row_len;
-        const std::uint64_t end = std::min(row_count, (key.index + 1) * per);
-        for (std::uint64_t r = key.index * per; r < end; ++r) {
-          const std::span<cplx_t<T>> row = data.subspan(r * row_len, row_len);
-          run_stage0_bitrev(plan, row, twiddles, brev, re, im,
-                            st.scratch[worker], fuse_log2);
-          for (std::uint32_t stg = 1; stg < stages; ++stg)
-            for (std::uint64_t t = 0; t < tasks; ++t)
-              run_codelet(plan, stg, t, row, twiddles, st.scratch[worker],
-                          fuse_log2);
-        }
-      });
-}
-
-template <typename T>
 unsigned FftExecutor::tuned_fuse_locked(std::uint64_t n) {
   if (const std::optional<TunedSchedule> tuned =
           cache_.tuned_for(n, precision_of<T>, kernels::active_kernel_isa())) {
@@ -928,65 +819,23 @@ unsigned FftExecutor::tuned_fuse_locked(std::uint64_t n) {
 }
 
 template <typename T>
-void FftExecutor::run_four_step_locked(const PlanEntry& entry,
-                                       std::span<cplx_t<T>> data,
-                                       const HostFftOptions& opts,
-                                       Variant /*variant*/,
-                                       TwiddleDirection dir) {
-  // The scheduling variant is accepted for interface symmetry but does not
-  // alter the decomposition: the sub-FFT sweeps always use the row-serial
-  // chunk schedule of run_rows_locked (see its rationale), so every
-  // variant produces bit-identical output on this path.
-  //
-  // Index algebra (forward; kInverse conjugates every W below): with
-  // j = j1*n2 + j2 and k = k2*n1 + k1,
-  //   X[k2*n1 + k1] = sum_j2 W_n2^{j2*k2} * ( W_N^{j2*k1}
-  //                   * sum_j1 x[j1*n2 + j2] * W_n1^{j1*k1} ).
-  // Realized as five passes over the n1 x n2 row-major matrix view:
-  //   1. transpose data -> s            (s is n2 x n1; columns made rows)
-  //   2. n2 batched n1-point FFTs, one per row of s       (the inner sum)
-  //   3. fused twiddle-transpose s -> data:
-  //        data[k1*n2 + j2] = s[j2*n1 + k1] * W_N^{j2*k1}
-  //   4. n1 batched n2-point FFTs, one per row of data    (the outer sum)
-  //   5. data now holds X transposed (data[k1*n2 + k2] = X[k2*n1 + k1]);
-  //      a final transpose restores natural output order.
-  // No pass scales: the public inverse wrappers apply the single 1/N.
-  const FourStepSplit& split = entry.split();
-  const std::uint64_t n1 = split.n1;
-  const std::uint64_t n2 = split.n2;
-  const std::uint64_t n = n1 * n2;
-
-  NumericState<T>& st = num<T>();
-  if (st.four_step_scratch.size() < n) st.four_step_scratch.resize(n);
-  const std::span<cplx_t<T>> s(st.four_step_scratch.data(), n);
-
-  transpose_blocked(std::span<const cplx_t<T>>(data.data(), n), s, n1, n2);
-
-  run_rows_locked<T>(*entry.col_entry(), s, n2, opts, dir);
-
-  transpose_twiddle_blocked(std::span<const cplx_t<T>>(s.data(), n), data, n2,
-                            n1, dir);
-
-  run_rows_locked<T>(*entry.row_entry(), data, n1, opts, dir);
-
-  if (n1 == n2) {
-    transpose_inplace_square(data, n1);
-  } else {
-    transpose_blocked(std::span<const cplx_t<T>>(data.data(), n), s, n1, n2);
-    std::copy(s.begin(), s.end(), data.begin());
-  }
-}
-
-template <typename T>
 void FftExecutor::run_hierarchical_locked(const PlanEntry& entry,
                                           std::span<cplx_t<T>> data,
                                           const HostFftOptions& opts,
                                           TwiddleDirection dir,
                                           std::uint64_t tuned_block_rows,
                                           unsigned depth) {
-  // Same index algebra as run_four_step_locked (see its comment), but
-  // executed as ONE dependency-counted pipeline phase over tile BLOCKS
-  // instead of five barrier-separated full-array passes:
+  // Index algebra (forward; kInverse conjugates every W below): with
+  // j = j1*n2 + j2 and k = k2*n1 + k1,
+  //   X[k2*n1 + k1] = sum_j2 W_n2^{j2*k2} * ( W_N^{j2*k1}
+  //                   * sum_j1 x[j1*n2 + j2] * W_n1^{j1*k1} ).
+  // Over the n1 x n2 row-major view of `data` and its n2 x n1 mirror s:
+  // transpose data into s (columns become rows), n1-point FFTs over the
+  // rows of s (the inner sum), twiddle by W_N^{j2*k1} on the way back,
+  // n2-point FFTs over the n1 rows (the outer sum), and a final transpose
+  // into natural output order. Executed as ONE dependency-counted
+  // pipeline phase over tile BLOCKS instead of barrier-separated
+  // full-array passes:
   //
   //   T1[i]  gather-transpose of block i            data  -> s     (stage 0)
   //   T2[i]  column FFTs of block i, in place       s     -> s     (stage 1)
@@ -1004,28 +853,25 @@ void FftExecutor::run_hierarchical_locked(const PlanEntry& entry,
   // therefore overlaps the butterfly sweep of another with no full-array
   // sync point anywhere.
   //
-  // T4 is the fused heart of the path: the four-step's n1 x n2 scatter
-  // matrix (its pass-3 target) is never materialized. Each T4 twiddle-
-  // gathers its own block_rows2 rows into a per-worker L2-resident panel
-  // (transpose_twiddle_tile_panel — interleaved per-row recurrences, one
-  // strided walk of s), sweeps the panel rows while they are hot, and
-  // transposes the panel out to `data` in natural order. Against the
-  // barrier path that saves a full strided matrix write + read-for-
-  // ownership + re-read (the scatter matrix round-trip), which is where
-  // the measured large-N win comes from on one core; the dep-counted
-  // overlap adds on top once the team is real. Anti-dependence safety: T4
+  // T4 is the fused heart of the path: the twiddled n1 x n2 matrix is
+  // never materialized. Each T4 twiddle-gathers its own block_rows2 rows
+  // into a per-worker L2-resident panel (transpose_twiddle_tile_panel —
+  // interleaved per-row recurrences, one strided walk of s), sweeps the
+  // panel rows while they are hot, and transposes the panel out to `data`
+  // in natural order. Against a barrier-phased pass sequence that saves a
+  // full strided matrix write + read-for-ownership + re-read, which is
+  // where the measured large-N win comes from on one core; the
+  // dep-counted overlap adds on top once the team is real. Anti-dependence safety: T4
   // writes `data`, which T1 reads — but every T4 transitively waits on
   // all B1 T2s, and each T2 on its T1, so all reads of `data` complete
   // before the first writeback.
   //
-  // Bit-identity: block boundaries are kTransposeTile-aligned, so each
-  // stage enumerates exactly the tile grid of the corresponding
-  // full-matrix pass, through kernels whose per-element multiplication
-  // chains are those of the four-step passes (KernelDispatch::
-  // transpose_tile; transpose_twiddle_tile_panel with the same hoisted w1
-  // seed — see its header contract) and the same per-row FFT bodies — the
-  // output equals run_four_step_locked's for the same (n1, n2) split,
-  // butterfly for butterfly.
+  // Bit-identity: block boundaries are kTransposeTile-aligned and every
+  // twiddle is a fixed per-tile multiplication chain from the hoisted w1
+  // seed (transpose_twiddle_tile_panel's header contract), while each row
+  // FFT runs whole on one worker through the bit-exact kernel tables — so
+  // the output does not depend on the team size, the block grain, the
+  // schedule order or the kernel ISA tier.
   //
   // Multi-level entries (levels() > 1) recurse for the column transform —
   // the inner level runs its own pipeline phases, one per column row —
@@ -1185,8 +1031,7 @@ void FftExecutor::run_hierarchical_locked(const PlanEntry& entry,
     }
     // T4: twiddle-gather the block's rows — twiddled columns of s — into
     // this worker's panel, sweep the panel rows while they are hot, then
-    // writeback-transpose into `data` in natural output order (same
-    // destination addressing the four-step's final pass produces).
+    // writeback-transpose into `data` in natural output order.
     const std::uint64_t r0b = key.index * br2;
     const std::uint64_t rend = std::min(n1, r0b + br2);
     cplx_t<T>* const panel = st.hier_panel[worker].data();
@@ -1349,16 +1194,6 @@ void FftExecutor::reconfigure() {
   if (runtime_ && runtime_->workers() != opts_.workers) runtime_.reset();
 }
 
-void FftExecutor::set_four_step_threshold_log2(unsigned log2n) {
-  std::lock_guard lock(mutex_);
-  opts_.four_step_threshold_log2 = log2n;
-  four_step_threshold_log2_.store(log2n, std::memory_order_relaxed);
-}
-
-unsigned FftExecutor::four_step_threshold_log2() const {
-  return four_step_threshold_log2_.load(std::memory_order_relaxed);
-}
-
 void FftExecutor::set_hierarchical_threshold_log2(unsigned log2n) {
   std::lock_guard lock(mutex_);
   opts_.hierarchical_threshold_log2 = log2n;
@@ -1395,8 +1230,6 @@ void FftExecutor::shutdown_locked() {
   members_buf_.clear();
   keys_buf_.clear();
   f64_.scratch.clear();
-  f64_.four_step_scratch.clear();
-  f64_.four_step_scratch.shrink_to_fit();
   f64_.hier_scratch.clear();
   f64_.hier_scratch.shrink_to_fit();
   f64_.hier_panel.clear();
@@ -1412,8 +1245,6 @@ void FftExecutor::shutdown_locked() {
   f64_.row_split.clear();
   f64_.scratch_radix = 0;
   f32_.scratch.clear();
-  f32_.four_step_scratch.clear();
-  f32_.four_step_scratch.shrink_to_fit();
   f32_.hier_scratch.clear();
   f32_.hier_scratch.shrink_to_fit();
   f32_.hier_panel.clear();
@@ -1461,7 +1292,6 @@ ExecutorStats FftExecutor::stats() const {
   std::lock_guard lock(mutex_);
   s.transforms = transforms_;
   s.batched = batched_;
-  s.four_step = four_step_;
   s.hierarchical = hierarchical_;
   s.mixed_radix = mixed_radix_;
   s.bluestein = bluestein_;

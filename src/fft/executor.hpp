@@ -17,25 +17,19 @@
 // saturate the work-stealing deques instead of paying a phase (or, worse,
 // a team lifecycle) per call.
 //
-// Large transforms route through Bailey's four-step decomposition
-// (PlanKind::kFourStep): N = n1*n2 splits into an n2-wide batch of
-// n1-point column FFTs and an n1-wide batch of n2-point row FFTs, glued
-// together by the blocked transpose kernels of transpose.hpp — the middle
-// transpose applies the inter-step twiddles on the fly, so no O(N) table
-// is ever built for the large size. Each sub-batch runs as a row-serial
-// sweep on the persistent team (chunks of rows are the codelets; each
-// sub-FFT completes while cache-resident). The routing threshold is
-// env-overridable and read at construction only (see the constructor and
-// reconfigure()). See DESIGN.md "Four-step large-N path".
-//
-// Enormous transforms route through the hierarchical multi-level path
-// (PlanKind::kHierarchical): the same N = n1*n2 algebra, recursively
-// applied until every sub-FFT's working set fits the targeted cache
-// level, and executed as ONE tile-granular dependency-counted pipeline
-// phase instead of barrier-separated passes — the gather-transpose of one
-// tile block overlaps the butterfly sweep of another, and per-block
-// counter fan-ins replace every full-array sync point. See DESIGN.md
-// "Hierarchical multi-level path".
+// Large transforms route through the hierarchical multi-level path
+// (PlanKind::kHierarchical): Bailey's four-step algebra N = n1*n2 — an
+// n2-wide batch of n1-point column FFTs and an n1-wide batch of n2-point
+// row FFTs, glued together by tile transposes that apply the inter-step
+// twiddles on the fly, so no O(N) table is ever built for the large size
+// — recursively applied until every sub-FFT's working set fits the
+// targeted cache level, and executed as ONE tile-granular
+// dependency-counted pipeline phase per level: the gather-transpose of
+// one tile block overlaps the butterfly sweep of another, and per-block
+// counter fan-ins replace every full-array sync point. The routing
+// threshold is env-overridable and read at construction only (see the
+// constructor and reconfigure()). See DESIGN.md "Hierarchical
+// multi-level path".
 //
 // Precision: every entry point exists for cplx (f64) and cplx32 (f32).
 // The two precisions dispatch through one shared member-template body
@@ -67,29 +61,17 @@
 
 namespace c64fft::fft {
 
-/// Transforms with log2(N) >= this route through the four-step path by
-/// default. 2^18 = 4 MiB of cplx data: at that size the classic path's
-/// data + O(N) twiddle table are far beyond this host's L2, while both
-/// four-step sub-sweeps (512-point row FFTs) stay L1-resident — measured
-/// crossover (bench/micro_kernels BM_FourStepFftLargeN vs
-/// BM_ClassicFftLargeN): four-step is ~0.95x at 2^17, >= 1.35x at 2^18,
-/// and the gap widens with N (~1.9x at 2^20). (The f32 footprint at a
-/// given N is half this, moving the true crossover up one octave; the
+/// Pow2 transforms with log2(N) >= this route through the hierarchical
+/// multi-level path (PlanKind::kHierarchical) by default; smaller ones run
+/// the classic monolithic plan. 2^18 = 4 MiB of cplx data: at that size
+/// the classic path's data + O(N) twiddle table are far beyond a typical
+/// L2, while the decomposed sub-sweeps (512-point FFTs) stay
+/// cache-resident. Measured on a 4-vCPU Xeon, a 2-worker team runs the
+/// hierarchical route 1.14x faster than the classic plan at 2^18, while a
+/// one-worker team still runs the classic plan faster there (0.86x) —
+/// DESIGN.md §3.7. (The f32 footprint at a given N is half this; the
 /// shared default stays size-based for predictability.)
-inline constexpr unsigned kDefaultFourStepThresholdLog2 = 18;
-
-/// Transforms with log2(N) >= this route through the hierarchical
-/// multi-level path (PlanKind::kHierarchical) by default, taking
-/// precedence over the four-step routing. 2^20 = 16 MiB of cplx data: by
-/// then the four-step path's five barrier-phased full-array passes are
-/// memory-bound end to end, and the hierarchical pipeline — which fuses
-/// transpose, twiddle application, and butterfly sweeps into
-/// tile-granular dependency-counted tasks on one runtime phase — wins on
-/// traffic alone (three streaming passes instead of five, with every
-/// butterfly sweep running on a cache-hot block). At the default leaf the
-/// split equals the four-step factorization, so routing through this path
-/// changes scheduling only: the output stays bit-identical.
-inline constexpr unsigned kDefaultHierarchicalThresholdLog2 = 20;
+inline constexpr unsigned kDefaultHierarchicalThresholdLog2 = 18;
 
 /// Chunk decomposition of the executor's data-parallel utility phases
 /// (`chunks` codelets of `per` units each; the last chunk may be short).
@@ -100,10 +82,6 @@ struct SweepGrain {
   std::uint64_t chunks = 0;
   std::uint64_t per = 0;
 };
-
-/// Grain of the four-step sub-FFT row sweeps (run_rows_locked): row_count
-/// plan-sized rows spread over at most workers*4 row-chunk codelets.
-SweepGrain four_step_sweep_grain(std::uint64_t row_count, unsigned workers);
 
 /// Grain of the single-transform chunked bit-reversal phase
 /// (run_classic_locked): always workers*4 chunk codelets over n elements.
@@ -138,16 +116,13 @@ HierarchicalGrain hierarchical_grain(std::uint64_t n1, std::uint64_t n2,
 
 /// The PlanKind run_t routes an n-point transform to. Non-pow2 sizes are
 /// decided first, by factorization alone: 7-smooth composites run
-/// kMixedRadix, everything else kBluestein (the thresholds never apply —
-/// they govern only which pow2 decomposition runs, including Bluestein's
-/// internal convolution FFTs). Pow2 sizes fall through to the two
-/// log2-thresholds (each 0 disables its path; the hierarchical check wins
-/// when both match) — the executor's own routing predicate, shared with
-/// fft_lint --plan-kind=auto. The two-argument overload applies the
-/// default hierarchical threshold.
-PlanKind routed_plan_kind(std::uint64_t n, unsigned threshold_log2);
-PlanKind routed_plan_kind(std::uint64_t n, unsigned four_step_threshold_log2,
-                          unsigned hierarchical_threshold_log2);
+/// kMixedRadix, everything else kBluestein (the threshold never applies —
+/// it governs only which pow2 plan runs, including Bluestein's internal
+/// convolution FFTs). Pow2 sizes with log2(N) >= the hierarchical
+/// threshold run kHierarchical (0 disables the path), the rest kClassic —
+/// the executor's own routing predicate, shared with fft_lint
+/// --plan-kind=auto.
+PlanKind routed_plan_kind(std::uint64_t n, unsigned hierarchical_threshold_log2);
 
 struct ExecutorOptions {
   /// Team shape used by the option-less transform overloads (per-call
@@ -156,13 +131,9 @@ struct ExecutorOptions {
   codelet::SchedulerMode mode = codelet::SchedulerMode::kWorkStealing;
   /// Plan-cache capacity in entries (>= 1).
   std::size_t capacity = 16;
-  /// forward()/inverse() route transforms with log2(N) >= this value
-  /// through the four-step decomposition (PlanKind::kFourStep); 0 disables
-  /// the routing so every size runs the classic monolithic plan.
-  unsigned four_step_threshold_log2 = kDefaultFourStepThresholdLog2;
-  /// Transforms with log2(N) >= this value route through the hierarchical
-  /// pipelined path (PlanKind::kHierarchical) instead — checked before the
-  /// four-step rule; 0 disables hierarchical routing entirely.
+  /// Pow2 transforms with log2(N) >= this value route through the
+  /// hierarchical pipelined path (PlanKind::kHierarchical); 0 disables the
+  /// routing so every pow2 size runs the classic monolithic plan.
   unsigned hierarchical_threshold_log2 = kDefaultHierarchicalThresholdLog2;
 };
 
@@ -177,8 +148,6 @@ struct ExecutorOptions {
 struct ExecutorEnvSnapshot {
   /// C64FFT_WORKERS (>= 1; 0 parses but is rejected at apply time).
   std::optional<unsigned> workers;
-  /// C64FFT_FOURSTEP_THRESHOLD_LOG2 (0 disables the four-step path).
-  std::optional<unsigned> four_step_threshold_log2;
   /// C64FFT_HIERARCHICAL_THRESHOLD_LOG2 (0 disables the hierarchical
   /// path).
   std::optional<unsigned> hierarchical_threshold_log2;
@@ -205,9 +174,6 @@ struct ExecutorStats {
   /// precisions; the plan cache distinguishes them by key).
   std::uint64_t transforms = 0;
   std::uint64_t batched = 0;
-  /// Top-level transforms that took the four-step path (their internal
-  /// sub-batches are not double-counted in transforms/batched).
-  std::uint64_t four_step = 0;
   /// Top-level transforms that took the hierarchical pipelined path
   /// (recursive inner levels are not double-counted).
   std::uint64_t hierarchical = 0;
@@ -216,13 +182,13 @@ struct ExecutorStats {
   std::uint64_t mixed_radix = 0;
   /// Top-level transforms that ran the Bluestein chirp-z path (prime and
   /// non-7-smooth sizes); the two internal pow2 convolution FFTs are not
-  /// double-counted in transforms/four_step/hierarchical.
+  /// double-counted in transforms/hierarchical.
   std::uint64_t bluestein = 0;
   /// Worker teams this executor created over its lifetime.
   std::uint64_t teams_created = 0;
   /// Plan-shape lookups answered by a loaded tuned schedule (one per
-  /// classic dispatch or four-step row sweep whose size/precision/ISA
-  /// matched an entry — the observable proof a schedule file is live).
+  /// classic dispatch or hierarchical sub-FFT sweep whose size/precision/
+  /// ISA matched an entry — the observable proof a schedule file is live).
   std::uint64_t schedule_hits = 0;
 };
 
@@ -231,8 +197,6 @@ class FftExecutor {
   /// Environment overrides are applied ON TOP of `opts` here, at
   /// construction time ONLY (they are never re-read per transform):
   ///  * C64FFT_WORKERS                 — default team size (>= 1)
-  ///  * C64FFT_FOURSTEP_THRESHOLD_LOG2 — four-step routing threshold
-  ///                                     (0 disables the four-step path)
   ///  * C64FFT_HIERARCHICAL_THRESHOLD_LOG2 — hierarchical routing
   ///                                     threshold (0 disables the path)
   ///  * C64FFT_SCHEDULE                — path of a tuned-schedule JSON
@@ -297,18 +261,12 @@ class FftExecutor {
   void resize(unsigned workers);
 
   /// Re-read the environment overrides (see the constructor) and apply
-  /// them to a live executor: the four-step threshold changes take effect
-  /// on the next transform, and a team whose size no longer matches is
+  /// them to a live executor: a threshold change takes effect on the next
+  /// transform, and a team whose size no longer matches is
   /// dropped. This is the escape hatch for the first-use-only env
   /// snapshot — processes that mutate C64FFT_* after warming the executor
   /// up must call this for the change to be observed.
   void reconfigure();
-
-  /// Programmatic equivalent of C64FFT_FOURSTEP_THRESHOLD_LOG2
-  /// (0 disables four-step routing). Takes effect on the next transform;
-  /// cached plans of either kind stay valid.
-  void set_four_step_threshold_log2(unsigned log2n);
-  unsigned four_step_threshold_log2() const;
 
   /// Programmatic equivalent of C64FFT_HIERARCHICAL_THRESHOLD_LOG2
   /// (0 disables hierarchical routing). Takes effect on the next
@@ -362,15 +320,14 @@ class FftExecutor {
 
  private:
   /// Per-precision mutable working set: per-worker kernel scratch tiles,
-  /// the four-step ping buffer, and the per-worker row-length split
-  /// scratch of the fused stage-0 pass. One instance per element width so
+  /// the per-worker row-length split scratch of the fused stage-0 pass,
+  /// and the per-route ping buffers below. One instance per element width so
   /// alternating precisions never thrash each other's allocations; the
   /// worker team, key/member buffers, and bit-reversal index table stay
   /// shared (they are precision-independent).
   template <typename T>
   struct NumericState {
     std::vector<BasicKernelScratch<T>> scratch;
-    std::vector<cplx_t<T>> four_step_scratch;
     std::vector<std::vector<T>> row_split;
     std::uint64_t scratch_radix = 0;
     /// Hierarchical-path gather matrix (the n2 x n1 `s`), one buffer per
@@ -392,9 +349,9 @@ class FftExecutor {
     /// (stage 0 reads it back into `data`; later stages run in place).
     std::vector<cplx_t<T>> mixed_scratch;
     /// Bluestein convolution buffer of length M = next_pow2(2n-1). Its
-    /// inner pow2 FFTs may themselves route four-step/hierarchical, which
-    /// use four_step_scratch / hier_scratch — never this buffer — so the
-    /// chirp-modulated signal survives the inner transforms.
+    /// inner pow2 FFTs may themselves route hierarchical, which uses
+    /// hier_scratch — never this buffer — so the chirp-modulated signal
+    /// survives the inner transforms.
     std::vector<cplx_t<T>> bluestein_scratch;
     /// Per-worker whole-transform scratch of the BATCHED composite paths
     /// (one root codelet per transform, each transform serialized by the
@@ -428,23 +385,15 @@ class FftExecutor {
                           std::span<const std::span<cplx_t<T>>> batch,
                           const HostFftOptions& opts, Variant variant,
                           TwiddleDirection dir);
-  /// One four-step transform (mutex_ held): transpose, n2-row sub-sweep of
-  /// n1-point FFTs, fused twiddle-transpose, n1-row sub-sweep of n2-point
-  /// FFTs, final transpose. Sub-sweeps go straight to run_rows_locked, so
-  /// they never re-enter the routing (no recursion, any threshold).
-  template <typename T>
-  void run_four_step_locked(const PlanEntry& entry, std::span<cplx_t<T>> data,
-                            const HostFftOptions& opts, Variant variant,
-                            TwiddleDirection dir);
   /// One hierarchical transform (mutex_ held), recursive over the plan
   /// entry's column chain. The single-level body runs ONE runtime phase of
   /// dependency-counted tile-block tasks — gather-transpose of block i+1
   /// and the twiddle-scatter of block i overlap the butterfly sweep of
   /// block i-1, with a per-scatter-block counter fan-in gating each row
-  /// sweep — instead of the four-step path's five barrier-separated
-  /// full-array passes. Multi-level entries first recurse per column row,
-  /// then pipeline the scatter/row-sweep/writeback tail. Output is
-  /// bit-identical to run_four_step_locked for the same (n1, n2) split.
+  /// sweep — instead of five barrier-separated full-array passes.
+  /// Multi-level entries first recurse per column row, then pipeline the
+  /// scatter/row-sweep/writeback tail. Output is bit-identical across
+  /// team sizes, block grains and kernel ISA tiers.
   template <typename T>
   void run_hierarchical_locked(const PlanEntry& entry, std::span<cplx_t<T>> data,
                                const HostFftOptions& opts, TwiddleDirection dir,
@@ -489,22 +438,14 @@ class FftExecutor {
   /// fused-stage-0 serial classic body as the one-worker fast path (bit-
   /// identical to the phased inner transforms by the classic contract).
   /// Falls back to the per-transform path for one-worker teams and for
-  /// convolution sizes that route four-step/hierarchical (those pipelines
-  /// cannot nest inside a codelet).
+  /// convolution sizes that route hierarchical (its pipeline cannot nest
+  /// inside a codelet).
   template <typename T>
   void run_bluestein_batch_locked(const PlanEntry& entry,
                                   const PlanEntry& conv,
                                   std::span<const std::span<cplx_t<T>>> batch,
                                   const HostFftOptions& opts, Variant variant,
                                   TwiddleDirection dir);
-  /// Four-step sub-FFT sweep (mutex_ held): row_count consecutive
-  /// plan-sized rows of `data`, each transformed completely by one worker
-  /// while cache-resident; chunks of rows are the codelets of one phase on
-  /// the persistent team.
-  template <typename T>
-  void run_rows_locked(const PlanEntry& entry, std::span<cplx_t<T>> data,
-                       std::uint64_t row_count, const HostFftOptions& opts,
-                       TwiddleDirection dir);
   /// Tuned fuse_log2 for a plan of size `n` at precision T under the
   /// process-active kernel ISA (mutex_ held — bumps schedule_hits_);
   /// kernels::kDefaultFuseLog2 when no schedule matches.
@@ -525,7 +466,6 @@ class FftExecutor {
   ExecutorOptions opts_;
   PlanCache cache_;
   /// Atomic so the routing check in run() needs no lock; 0 = disabled.
-  std::atomic<unsigned> four_step_threshold_log2_;
   std::atomic<unsigned> hierarchical_threshold_log2_;
   /// Set by close(); checked (unlocked fast-fail plus the authoritative
   /// re-check under mutex_) by every transform dispatch.
@@ -545,7 +485,6 @@ class FftExecutor {
   codelet::PhaseHook phase_hook_;
   std::uint64_t transforms_ = 0;
   std::uint64_t batched_ = 0;
-  std::uint64_t four_step_ = 0;
   std::uint64_t hierarchical_ = 0;
   std::uint64_t mixed_radix_ = 0;
   std::uint64_t bluestein_ = 0;

@@ -69,9 +69,9 @@ void run_codelet(const FftPlan& plan, std::uint32_t stage, std::uint64_t task,
 /// transform-length split-complex scratch, applies every stage-0 chain
 /// there, and scatters back contiguously. One read and one write pass over
 /// the data replace the separate permutation pass plus stage 0's own pass;
-/// the four-step sub-sweeps (FftExecutor::run_rows_locked) run their rows
-/// through this. Bit-identical to bit-reversing `data` and then running
-/// every stage-0 codelet via run_codelet.
+/// the hierarchical sub-FFT sweeps (FftExecutor::run_hierarchical_locked)
+/// run their rows through this. Bit-identical to bit-reversing `data` and
+/// then running every stage-0 codelet via run_codelet.
 ///
 /// Requirements: `bitrev_idx[g]` is the log2_size()-bit reversal of g for
 /// g < plan.size(); `re`/`im` hold plan.size() scalars. (Stage 0 always

@@ -4,7 +4,7 @@
 // Every data-parallel inner loop of the hot path — the split-complex
 // butterfly levels, the fused radix-4/8 first pass, the complex
 // de/interleave of the codelet gather/scatter (strided and bit-reversal
-// permuted), the Stockham combine pass, and the tiled-transpose copy — is
+// permuted), and the tiled-transpose copy — is
 // reached through one KernelDispatch<T> of function pointers instead of
 // being compiled inline. Three tables
 // exist per precision:
@@ -14,7 +14,11 @@
 //             this is the oracle every other table is tested against.
 //   avx2    — 256-bit AVX2 kernels (kernels_avx2.cpp, compiled with
 //             -mavx2 for just that translation unit).
-//   avx512  — 512-bit AVX-512 F/DQ/VL kernels (kernels_avx512.cpp).
+//   avx512  — the AVX2 table's function pointers under the avx512 level
+//             and id (kernels_avx2.cpp): full 512-bit bodies measured
+//             slower than the 256-bit ones at codelet-sized working sets,
+//             so AVX-512 hosts run the AVX2 code while schedules, lint
+//             stamps and C64FFT_ISA keep naming the level they run at.
 //
 // Which table is *active* is decided once, lazily, from the cpuid probe
 // (util::best_supported_isa) narrowed by the C64FFT_ISA environment
@@ -76,14 +80,6 @@ struct KernelDispatch {
   /// Re-interleave re/im into dst[k * stride].
   void (*scatter_merge)(const T* re, const T* im, std::uint64_t count,
                         cplx_t<T>* dst, std::uint64_t stride);
-
-  /// One Stockham DIT combine pass (stockham.cpp): twiddles precomputed
-  /// per k into `tw` (len entries), src/dst of n elements,
-  ///   dst[2g*len + k]        = src[g*len + k] + tw[k] * src[g*len + k + n/2]
-  ///   dst[2g*len + k + len]  = src[g*len + k] - tw[k] * src[g*len + k + n/2]
-  void (*stockham_combine)(const cplx_t<T>* src, cplx_t<T>* dst,
-                           std::uint64_t n, std::uint64_t len,
-                           const cplx_t<T>* tw);
 
   /// Tiled-transpose micro-kernel: dst[c * dst_stride + r] =
   /// src[r * src_stride + c] for r < rows, c < cols (pointers pre-offset

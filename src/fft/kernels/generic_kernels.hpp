@@ -5,7 +5,7 @@
 // vector kernels), and the per-level twiddle-span materialization.
 //
 // These are the pre-existing autovectorized loops of kernel.cpp /
-// stockham.cpp / transpose.cpp, moved here verbatim so the scalar table
+// transpose.cpp, moved here verbatim so the scalar table
 // IS the historical path: C64FFT_ISA=scalar reproduces the previous
 // release bit-for-bit. The only addition is the fuse_log2 schedule knob,
 // which selects how many leading butterfly levels collapse into one
@@ -279,23 +279,6 @@ void scatter_merge_generic(const T* __restrict re, const T* __restrict im,
                            std::uint64_t stride) {
   for (std::uint64_t q = 0; q < count; ++q)
     dst[q * stride] = cplx_t<T>(re[q], im[q]);
-}
-
-template <typename T>
-void stockham_combine_generic(const cplx_t<T>* __restrict src,
-                              cplx_t<T>* __restrict dst, std::uint64_t n,
-                              std::uint64_t len, const cplx_t<T>* __restrict tw) {
-  const std::uint64_t half = n / 2;
-  const std::uint64_t groups = half / len;
-  for (std::uint64_t g = 0; g < groups; ++g) {
-    for (std::uint64_t k = 0; k < len; ++k) {
-      const cplx_t<T> a = src[g * len + k];
-      const cplx_t<T> b = src[g * len + k + half];
-      const cplx_t<T> t = tw[k] * b;
-      dst[2 * g * len + k] = a + t;
-      dst[2 * g * len + k + len] = a - t;
-    }
-  }
 }
 
 template <typename T>

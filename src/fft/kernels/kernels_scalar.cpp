@@ -19,7 +19,6 @@ constexpr KernelDispatch<T> make_scalar_table() {
       &gather_split_generic<T>,
       &permute_split_generic<T>,
       &scatter_merge_generic<T>,
-      &stockham_combine_generic<T>,
       &transpose_tile_generic<T>,
   };
 }

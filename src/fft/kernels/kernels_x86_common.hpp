@@ -1,17 +1,15 @@
 #pragma once
-// AVX2 intrinsic kernel bodies, shared by kernels_avx2.cpp and
-// kernels_avx512.cpp (AVX-512 implies AVX2; the 512-bit TU reuses these
-// for the register-blocked fused pass, the 256-bit butterfly widths, and
-// the transpose tiles). Everything lives in an anonymous namespace ON
-// PURPOSE: each including TU is compiled with different ISA flags, and
-// internal linkage guarantees each gets its own copy — an inline function
-// here would be COMDAT-folded by the linker, and the surviving copy could
-// be the one compiled with the wider ISA, crashing the narrower table on
-// hosts that lack it.
+// AVX2 intrinsic kernel bodies of kernels_avx2.cpp (the AVX-512 table
+// shares that table's function pointers, so these also serve AVX-512
+// hosts). Everything lives in an anonymous namespace ON PURPOSE: the
+// including TU is compiled with -mavx2, and internal linkage guarantees
+// no copy of these bodies is ever COMDAT-folded with a same-named
+// function built at the baseline ISA — which could otherwise install
+// AVX2 code behind a table that must run on hosts lacking it.
 //
 // Numerics: one butterfly (or one element) per lane, scalar operation
 // order — multiply, subtract, add, never FMA (the including TUs are built
-// with -ffp-contract=off, and neither -mavx2 nor -mavx512* enables -mfma
+// with -ffp-contract=off, and -mavx2 does not enable -mfma
 // codegen for these explicit mul/add intrinsics). Shuffles and
 // transposes only move lanes. Results are bit-identical to the portable
 // kernels for finite data.
@@ -496,78 +494,6 @@ void scatter_merge_avx2(const T* re, const T* im, std::uint64_t count,
       interleave4_pd(re + q, im + q, d + 2 * q);
   }
   for (; q < count; ++q) dst[q] = cplx_t<T>(re[q], im[q]);
-}
-
-// ---- Stockham combine: addsub-based complex multiply on interleaved
-// data. Lane 2k holds wr*br - wi*bi, lane 2k+1 holds wr*bi + wi*br — the
-// exact scalar operation sequence of cplx_t<T> multiplication. ----
-
-inline void stockham_combine_avx2_impl(const cplx_t<float>* src,
-                                       cplx_t<float>* dst, std::uint64_t n,
-                                       std::uint64_t len,
-                                       const cplx_t<float>* tw) {
-  const std::uint64_t half = n / 2;
-  const std::uint64_t groups = half / len;
-  const float* s = reinterpret_cast<const float*>(src);
-  const float* w = reinterpret_cast<const float*>(tw);
-  float* d = reinterpret_cast<float*>(dst);
-  for (std::uint64_t g = 0; g < groups; ++g) {
-    std::uint64_t k = 0;
-    for (; k + 4 <= len; k += 4) {
-      const __m256 wv = _mm256_loadu_ps(w + 2 * k);
-      const __m256 a = _mm256_loadu_ps(s + 2 * (g * len + k));
-      const __m256 b = _mm256_loadu_ps(s + 2 * (g * len + k + half));
-      const __m256 wr = _mm256_moveldup_ps(wv);
-      const __m256 wi = _mm256_movehdup_ps(wv);
-      const __m256 bsw = _mm256_permute_ps(b, 0xB1);
-      const __m256 t = _mm256_addsub_ps(_mm256_mul_ps(wr, b), _mm256_mul_ps(wi, bsw));
-      _mm256_storeu_ps(d + 2 * (2 * g * len + k), _mm256_add_ps(a, t));
-      _mm256_storeu_ps(d + 2 * (2 * g * len + k + len), _mm256_sub_ps(a, t));
-    }
-    for (; k < len; ++k) {
-      const cplx_t<float> a = src[g * len + k];
-      const cplx_t<float> t = tw[k] * src[g * len + k + half];
-      dst[2 * g * len + k] = a + t;
-      dst[2 * g * len + k + len] = a - t;
-    }
-  }
-}
-
-inline void stockham_combine_avx2_impl(const cplx_t<double>* src,
-                                       cplx_t<double>* dst, std::uint64_t n,
-                                       std::uint64_t len,
-                                       const cplx_t<double>* tw) {
-  const std::uint64_t half = n / 2;
-  const std::uint64_t groups = half / len;
-  const double* s = reinterpret_cast<const double*>(src);
-  const double* w = reinterpret_cast<const double*>(tw);
-  double* d = reinterpret_cast<double*>(dst);
-  for (std::uint64_t g = 0; g < groups; ++g) {
-    std::uint64_t k = 0;
-    for (; k + 2 <= len; k += 2) {
-      const __m256d wv = _mm256_loadu_pd(w + 2 * k);
-      const __m256d a = _mm256_loadu_pd(s + 2 * (g * len + k));
-      const __m256d b = _mm256_loadu_pd(s + 2 * (g * len + k + half));
-      const __m256d wr = _mm256_movedup_pd(wv);
-      const __m256d wi = _mm256_permute_pd(wv, 0xF);
-      const __m256d bsw = _mm256_permute_pd(b, 0x5);
-      const __m256d t = _mm256_addsub_pd(_mm256_mul_pd(wr, b), _mm256_mul_pd(wi, bsw));
-      _mm256_storeu_pd(d + 2 * (2 * g * len + k), _mm256_add_pd(a, t));
-      _mm256_storeu_pd(d + 2 * (2 * g * len + k + len), _mm256_sub_pd(a, t));
-    }
-    for (; k < len; ++k) {
-      const cplx_t<double> a = src[g * len + k];
-      const cplx_t<double> t = tw[k] * src[g * len + k + half];
-      dst[2 * g * len + k] = a + t;
-      dst[2 * g * len + k + len] = a - t;
-    }
-  }
-}
-
-template <typename T>
-void stockham_combine_avx2(const cplx_t<T>* src, cplx_t<T>* dst, std::uint64_t n,
-                           std::uint64_t len, const cplx_t<T>* tw) {
-  stockham_combine_avx2_impl(src, dst, n, len, tw);
 }
 
 // ---- Transpose tile micro-kernels (complex elements as 64-bit /

@@ -1,10 +1,11 @@
 #pragma once
 // Internal: per-ISA table accessors linked into dispatch.cpp. Each
-// translation unit (kernels_scalar.cpp / kernels_avx2.cpp /
-// kernels_avx512.cpp) owns its table so its function pointers are
-// compiled with that TU's ISA flags. The SIMD accessors exist only when
-// CMake compiled their TU (C64FFT_KERNELS_AVX2 / _AVX512 definitions);
-// dispatch.cpp aliases missing levels to the scalar table.
+// translation unit (kernels_scalar.cpp / kernels_avx2.cpp) owns its
+// tables so their function pointers are compiled with that TU's ISA
+// flags; kernels_avx2.cpp also owns the AVX-512 table, which shares the
+// AVX2 pointers. The SIMD accessors exist only when CMake compiled their
+// TU (C64FFT_KERNELS_AVX2 definition); dispatch.cpp aliases missing
+// levels to the scalar table.
 
 #include "fft/kernels/dispatch.hpp"
 
@@ -16,9 +17,6 @@ const KernelDispatch<T>& scalar_table();
 #if defined(C64FFT_KERNELS_AVX2)
 template <typename T>
 const KernelDispatch<T>& avx2_table();
-#endif
-
-#if defined(C64FFT_KERNELS_AVX512)
 template <typename T>
 const KernelDispatch<T>& avx512_table();
 #endif

@@ -25,8 +25,6 @@ unsigned validate_fft_shape(std::uint64_t n, unsigned radix_log2, bool clamp_rad
 
 const char* to_string(PlanKind kind) noexcept {
   switch (kind) {
-    case PlanKind::kFourStep:
-      return "four-step";
     case PlanKind::kHierarchical:
       return "hierarchical";
     case PlanKind::kMixedRadix:
@@ -37,15 +35,6 @@ const char* to_string(PlanKind kind) noexcept {
     default:
       return "classic";
   }
-}
-
-FourStepSplit four_step_split(std::uint64_t n) {
-  if (!util::is_pow2(n) || n < 4)
-    throw std::invalid_argument("four_step_split: N must be a power of two >= 4");
-  FourStepSplit split;
-  split.n1 = std::uint64_t{1} << (util::ilog2(n) / 2);
-  split.n2 = n / split.n1;
-  return split;
 }
 
 unsigned hierarchical_leaf_log2(std::uint64_t cache_bytes, unsigned element_bytes) {
@@ -69,11 +58,9 @@ HierarchicalSplit hierarchical_split(std::uint64_t n, unsigned leaf_log2) {
   const unsigned log2n = util::ilog2(n);
   HierarchicalSplit split;
   if (log2n <= 2 * leaf_log2) {
-    // Both halves of the balanced split already fit the leaf: one level,
-    // identical factors (and therefore identical numerics) to four-step.
-    const FourStepSplit base = four_step_split(n);
-    split.n1 = base.n1;
-    split.n2 = base.n2;
+    // Both halves of the balanced split already fit the leaf: one level.
+    split.n1 = std::uint64_t{1} << (log2n / 2);
+    split.n2 = n / split.n1;
   } else {
     split.n2 = std::uint64_t{1} << leaf_log2;
     split.n1 = n / split.n2;

@@ -42,50 +42,25 @@ struct StageInfo {
 
 /// How a transform of a given size is executed:
 ///  * kClassic  — the paper's stage/task codelet decomposition below.
-///  * kFourStep — Bailey's four-step decomposition for large N: the data
-///    is viewed as an N1 x N2 matrix, each sub-dimension is transformed
-///    as a batch of classic cache-resident FFTs, and the inter-step
-///    twiddle scaling is fused into a blocked transpose (transpose.hpp).
-///    The executor routes N at/above its threshold through this kind.
-///  * kHierarchical — the four-step decomposition applied recursively:
-///    the row sub-FFT is capped at a cache-resident leaf size and the
-///    column sub-FFT re-splits hierarchically until it fits too, so
-///    every butterfly sweep at every level runs on a working set sized
-///    for the targeted cache level. The executor drives it as a
-///    tile-granular dependency-counted pipeline instead of the
-///    four-step path's barrier-phased passes.
-///  * kMixedRadix — factorization-driven composite-N plan (mixed_radix
-///    .hpp): a factorize(n) stage vector of radix-2/3/4/5/7/8 codelets
-///    with generalized digit-reversal and per-stage twiddles. The
-///    executor routes every non-pow2 7-smooth size through this kind.
-///  * kBluestein — chirp-z for prime and non-7-smooth N: the transform
-///    becomes a circular convolution of length next_pow2(2n-1), executed
-///    through the shared pow2 plans of the same cache.
+///  * kHierarchical — Bailey's four-step decomposition for large N,
+///    applied recursively: the data is viewed as an n1 x n2 matrix, the
+///    row sub-FFT is capped at a cache-resident leaf size and the column
+///    sub-FFT re-splits hierarchically until it fits too, so every
+///    butterfly sweep at every level runs on a working set sized for the
+///    targeted cache level. The inter-step twiddles are fused into the
+///    tile transposes (transpose.hpp), and the executor drives each level
+///    as one tile-granular dependency-counted pipeline phase. The
+///    executor routes pow2 N at/above its threshold through this kind.
 enum class PlanKind {
   kClassic,
-  kFourStep,
   kHierarchical,
   kMixedRadix,
   kBluestein
 };
 
-/// Stable lower-case name ("classic" / "four-step" / "hierarchical" /
-/// "mixed-radix" / "bluestein") used by lint tooling and baseline metric
-/// keys.
+/// Stable lower-case name ("classic" / "hierarchical" / "mixed-radix" /
+/// "bluestein") used by lint tooling and baseline metric keys.
 const char* to_string(PlanKind kind) noexcept;
-
-/// Factorization N = n1 * n2 used by the four-step path. Balanced
-/// (n1 = 2^floor(log2(N)/2) <= n2) so both sub-transforms are as small —
-/// and as cache-resident — as possible; the matrix view has n1 rows of
-/// n2 columns.
-struct FourStepSplit {
-  std::uint64_t n1 = 0;
-  std::uint64_t n2 = 0;
-};
-
-/// Split for the four-step path. N must be a power of two >= 4 (both
-/// factors >= 2); throws std::invalid_argument otherwise.
-FourStepSplit four_step_split(std::uint64_t n);
 
 /// One level of the hierarchical decomposition: N = n1 * n2 viewed as an
 /// n1 x n2 matrix, where n2 is the row sub-FFT (always a classic
@@ -94,8 +69,8 @@ FourStepSplit four_step_split(std::uint64_t n);
 struct HierarchicalSplit {
   std::uint64_t n1 = 0;
   std::uint64_t n2 = 0;
-  /// Total decomposition levels at and below this node (1 == the split
-  /// degenerates to the balanced four-step factorization).
+  /// Total decomposition levels at and below this node (1 == one balanced
+  /// n1 x n2 split with classic children).
   unsigned levels = 1;
   /// True when the n1 sub-FFT is itself hierarchical (levels > 1).
   bool col_recursive = false;
@@ -108,16 +83,16 @@ struct HierarchicalSplit {
 unsigned hierarchical_leaf_log2(std::uint64_t cache_bytes, unsigned element_bytes);
 
 /// Split for the hierarchical path. While log2(N) <= 2 * leaf_log2 the
-/// split is balanced — identical to four_step_split(n), one level — so
-/// the default planner reproduces the four-step shape (and its bit-exact
-/// output) until N genuinely outgrows two leaf halves; beyond that the
-/// row factor is pinned to the leaf and the column factor recurses.
-/// N must be a power of two >= 4; leaf_log2 is clamped to [2, 30].
+/// split is balanced — n1 = 2^floor(log2(N)/2) <= n2, one level — so both
+/// sub-transforms are as small (and as cache-resident) as possible until
+/// N genuinely outgrows two leaf halves; beyond that the row factor is
+/// pinned to the leaf and the column factor recurses. N must be a power
+/// of two >= 4; leaf_log2 is clamped to [2, 30].
 HierarchicalSplit hierarchical_split(std::uint64_t n, unsigned leaf_log2);
 
 /// Shared shape validator for every FFT entry point (plan construction,
 /// the public api.cpp wrappers, the executor): any N >= 2 is accepted —
-/// pow2 sizes run the classic/four-step/hierarchical plans, composite
+/// pow2 sizes run the classic/hierarchical plans, composite
 /// sizes the mixed-radix plan, and everything else Bluestein — with
 /// radix_log2 in [1, 8]. Returns the radix_log2 to use. For pow2 N, when
 /// `clamp_radix` is true a radix wider than log2(N) is narrowed to

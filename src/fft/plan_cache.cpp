@@ -106,28 +106,11 @@ void PlanEntry::build_inverse_tables() const {
   }
 }
 
-PlanEntry::PlanEntry(const PlanKey& key, FourStepSplit split,
-                     std::shared_ptr<const PlanEntry> col_entry,
-                     std::shared_ptr<const PlanEntry> row_entry)
-    : key_(key),
-      split_(split),
-      col_entry_(std::move(col_entry)),
-      row_entry_(std::move(row_entry)) {
-  if (key.kind != PlanKind::kFourStep)
-    throw std::invalid_argument("PlanEntry: four-step constructor requires kFourStep key");
-  if (split_.n1 * split_.n2 != key.n || !col_entry_ || !row_entry_ ||
-      col_entry_->key().n != split_.n1 || row_entry_->key().n != split_.n2 ||
-      col_entry_->precision() != key.precision ||
-      row_entry_->precision() != key.precision)
-    throw std::invalid_argument("PlanEntry: four-step split/sub-entry mismatch");
-}
-
 PlanEntry::PlanEntry(const PlanKey& key, HierarchicalSplit split,
                      std::shared_ptr<const PlanEntry> col_entry,
                      std::shared_ptr<const PlanEntry> row_entry)
     : key_(key),
-      split_{split.n1, split.n2},
-      levels_(split.levels),
+      split_(split),
       col_entry_(std::move(col_entry)),
       row_entry_(std::move(row_entry)) {
   if (key.kind != PlanKind::kHierarchical)
@@ -151,10 +134,10 @@ const PlanEntry& PlanEntry::require_classic() const {
   return *this;
 }
 
-const PlanEntry& PlanEntry::require_composite() const {
-  if (key_.kind != PlanKind::kFourStep && key_.kind != PlanKind::kHierarchical)
+const PlanEntry& PlanEntry::require_hierarchical() const {
+  if (key_.kind != PlanKind::kHierarchical)
     throw std::logic_error(
-        "PlanEntry: composite accessor on a non-four-step/hierarchical entry");
+        "PlanEntry: hierarchical accessor on a non-hierarchical entry");
   return *this;
 }
 
@@ -277,21 +260,7 @@ std::shared_ptr<const PlanEntry> PlanCache::acquire(const PlanKey& key) {
   // O(N) plan + trig build runs unlocked; a losing racer adopts the entry
   // the winner inserted.
   std::shared_ptr<const PlanEntry> entry;
-  if (key.kind == PlanKind::kFourStep) {
-    // Recursion depth is exactly 1: sub-keys are always kClassic, with the
-    // radix narrowed when a sub-size is smaller than 2^radix_log2.
-    const FourStepSplit split = four_step_split(key.n);
-    // Sub-keys inherit the parent's precision: an f32 four-step transform
-    // pins f32 row/column sub-plans.
-    PlanKey col_key{split.n1, validate_fft_shape(split.n1, key.radix_log2, true),
-                    key.layout, PlanKind::kClassic, key.precision};
-    PlanKey row_key{split.n2, validate_fft_shape(split.n2, key.radix_log2, true),
-                    key.layout, PlanKind::kClassic, key.precision};
-    auto col = acquire(col_key);
-    auto row = split.n1 == split.n2 ? col : acquire(row_key);
-    entry = std::make_shared<const PlanEntry>(key, split, std::move(col),
-                                              std::move(row));
-  } else if (key.kind == PlanKind::kHierarchical) {
+  if (key.kind == PlanKind::kHierarchical) {
     // Recursion depth equals the level count: the row leaf is classic,
     // the column sub-key re-enters as kHierarchical (same leaf cap) until
     // the balanced split fits inside two leaves.

@@ -34,8 +34,8 @@ namespace c64fft::fft {
 /// scheduling variant is deliberately NOT part of the key: all three
 /// variants share the same plan/twiddles/counter shape, so one entry
 /// serves them all. `kind` IS part of the key — the classic and the
-/// four-step decomposition of one size are distinct entries, so toggling
-/// the executor threshold never invalidates either. `precision` is part of
+/// hierarchical decomposition of one size are distinct entries, so
+/// toggling the executor threshold never invalidates either. `precision` is part of
 /// the key too: an f32 and an f64 transform of the same shape share
 /// nothing but the index algebra, and the twiddle tables they pin differ
 /// in both element width and content, so they must age through the LRU as
@@ -67,7 +67,6 @@ struct PlanKeyHash {
          (std::uint64_t{k.hier_leaf_log2} << 40) ^
          (k.factor_digest * 0xff51afd7ed558ccdull) ^
          (k.layout == TwiddleLayout::kBitReversed ? 0x85ebca77ull : 0) ^
-         (k.kind == PlanKind::kFourStep ? 0xc2b2ae3d27d4eb4full : 0) ^
          (k.kind == PlanKind::kHierarchical ? 0x2545f4914f6cdd1dull : 0) ^
          (k.kind == PlanKind::kMixedRadix ? 0x94d049bb133111ebull : 0) ^
          (k.kind == PlanKind::kBluestein ? 0xbf58476d1ce4e5b9ull : 0) ^
@@ -92,20 +91,15 @@ class PlanEntry {
   /// clamping here — callers validate first).
   explicit PlanEntry(const PlanKey& key);
 
-  /// Builds a four-step entry: no plan/twiddles/counters of its own, just
-  /// the balanced split and pinned classic sub-entries for the column
-  /// (length n1) and row (length n2) batches. The inter-step twiddles are
-  /// generated on the fly by transpose_twiddle_blocked, so a four-step
-  /// entry is O(n1 + n2) where a classic entry would be O(N).
-  PlanEntry(const PlanKey& key, FourStepSplit split,
-            std::shared_ptr<const PlanEntry> col_entry,
-            std::shared_ptr<const PlanEntry> row_entry);
-
-  /// Builds a hierarchical entry: like the four-step constructor, but the
-  /// column sub-entry may itself be hierarchical (the recursive split of
-  /// a still-too-large n1); the row sub-entry is always a classic
-  /// cache-resident leaf. `split.levels` is the total level count of this
-  /// subtree, surfaced via levels().
+  /// Builds a hierarchical entry: no plan/twiddles/counters of its own,
+  /// just the split and pinned sub-entries for the column (length n1) and
+  /// row (length n2) transforms. The row sub-entry is always a classic
+  /// cache-resident leaf; the column sub-entry is classic too unless it
+  /// is the recursive split of a still-too-large n1. The inter-step
+  /// twiddles are generated on the fly by transpose_twiddle_tile_panel,
+  /// so a single-level entry is O(n1 + n2) where a classic entry would be
+  /// O(N). `split.levels` is the total level count of this subtree,
+  /// surfaced via levels().
   PlanEntry(const PlanKey& key, HierarchicalSplit split,
             std::shared_ptr<const PlanEntry> col_entry,
             std::shared_ptr<const PlanEntry> row_entry);
@@ -117,7 +111,7 @@ class PlanEntry {
   PlanKind kind() const noexcept { return key_.kind; }
   Precision precision() const noexcept { return key_.precision; }
 
-  /// Classic entries only (four-step entries have no monolithic plan).
+  /// Classic entries only (hierarchical entries have no monolithic plan).
   const FftPlan& plan() const { return *require_classic().plan_; }
 
   /// Forward table always exists; the conjugated inverse table is built on
@@ -147,19 +141,18 @@ class PlanEntry {
     return codelet::DependencyCounters(e.groups_, e.thresholds_);
   }
 
-  // ---- Composite (four-step / hierarchical) entries only ----
+  // ---- Hierarchical entries only ----
 
-  const FourStepSplit& split() const { return require_composite().split_; }
+  const HierarchicalSplit& split() const { return require_hierarchical().split_; }
   const std::shared_ptr<const PlanEntry>& col_entry() const {
-    return require_composite().col_entry_;
+    return require_hierarchical().col_entry_;
   }
   const std::shared_ptr<const PlanEntry>& row_entry() const {
-    return require_composite().row_entry_;
+    return require_hierarchical().row_entry_;
   }
-  /// Total decomposition levels of this subtree (1 for four-step and for
-  /// a single-level hierarchical entry; grows with each recursive column
-  /// split). Composite only.
-  unsigned levels() const { return require_composite().levels_; }
+  /// Total decomposition levels of this subtree (1 for a single-level
+  /// entry; grows with each recursive column split).
+  unsigned levels() const { return split().levels; }
 
   // ---- Mixed-radix entries only ----
 
@@ -207,7 +200,7 @@ class PlanEntry {
 
  private:
   const PlanEntry& require_classic() const;
-  const PlanEntry& require_composite() const;
+  const PlanEntry& require_hierarchical() const;
   const PlanEntry& require_mixed() const;
   const PlanEntry& require_bluestein() const;
   void build_bluestein(TwiddleDirection dir, std::vector<cplx>& chirp_out,
@@ -215,7 +208,7 @@ class PlanEntry {
   void build_inverse_tables() const;
 
   PlanKey key_;
-  // Classic state (null for four-step entries). Exactly one of the
+  // Classic state (null for hierarchical entries). Exactly one of the
   // forward_/forward32_ pair is populated, chosen by key_.precision.
   std::unique_ptr<FftPlan> plan_;
   std::unique_ptr<TwiddleTable> forward_;
@@ -225,9 +218,8 @@ class PlanEntry {
   mutable std::unique_ptr<TwiddleTableF> inverse32_;
   std::vector<std::uint64_t> groups_;
   std::vector<std::uint32_t> thresholds_;
-  // Composite state (empty for classic entries).
-  FourStepSplit split_;
-  unsigned levels_ = 1;
+  // Hierarchical state (empty for classic entries).
+  HierarchicalSplit split_;
   std::shared_ptr<const PlanEntry> col_entry_;
   std::shared_ptr<const PlanEntry> row_entry_;
   // Mixed-radix state (kMixedRadix only). One precision populated, like
@@ -270,14 +262,14 @@ class PlanCache {
 
   /// Return the cached entry for `key`, building and inserting it on miss
   /// (evicting the least recently used entry when over capacity). A
-  /// kFourStep key first acquires the two classic sub-entries (length n1
-  /// and n2, radix clamped per sub-size), so those stay independently
-  /// cached and shared with direct transforms of the same size. A
-  /// kHierarchical key does the same recursively: the row leaf is always
-  /// classic, and the column sub-entry re-acquires as kHierarchical (same
-  /// leaf cap) while it is still too large for the leaf. A kHierarchical
-  /// key with hier_leaf_log2 == 0 resolves the cap from the measured
-  /// cache hierarchy (util::cache_info) at acquire time.
+  /// kHierarchical key first acquires its sub-entries (length n1 and n2,
+  /// radix clamped per sub-size), so classic sub-entries stay
+  /// independently cached and shared with direct transforms of the same
+  /// size: the row leaf is always classic, and the column sub-entry
+  /// re-acquires as kHierarchical (same leaf cap) while it is still too
+  /// large for the leaf. A kHierarchical key with hier_leaf_log2 == 0
+  /// resolves the cap from the measured cache hierarchy
+  /// (util::cache_info) at acquire time.
   std::shared_ptr<const PlanEntry> acquire(const PlanKey& key);
 
   std::size_t size() const;

@@ -64,22 +64,6 @@ void inplace_square_impl(std::span<cplx_t<T>> data, std::uint64_t n) {
       });
 }
 
-template <typename T>
-void twiddle_blocked_impl(std::span<const cplx_t<T>> src, std::span<cplx_t<T>> dst,
-                          std::uint64_t rows, std::uint64_t cols,
-                          TwiddleDirection dir) {
-  check_shape(src.size(), dst.size(), rows, cols);
-  const std::uint64_t n = rows * cols;
-  const cplx_t<T> w1 = unit_root<T>(n, 1, dir);
-  for_each_transpose_tile(
-      rows, cols,
-      [&](std::uint64_t r0, std::uint64_t rmax, std::uint64_t c0,
-          std::uint64_t cmax) {
-        transpose_twiddle_tile<T>(src.data(), dst.data(), rows, cols, dir, r0,
-                                  rmax, c0, cmax, w1);
-      });
-}
-
 }  // namespace
 
 void transpose_blocked(std::span<const cplx> src, std::span<cplx> dst,
@@ -98,18 +82,6 @@ void transpose_inplace_square(std::span<cplx> data, std::uint64_t n) {
 
 void transpose_inplace_square(std::span<cplx32> data, std::uint64_t n) {
   inplace_square_impl<float>(data, n);
-}
-
-void transpose_twiddle_blocked(std::span<const cplx> src, std::span<cplx> dst,
-                               std::uint64_t rows, std::uint64_t cols,
-                               TwiddleDirection dir) {
-  twiddle_blocked_impl<double>(src, dst, rows, cols, dir);
-}
-
-void transpose_twiddle_blocked(std::span<const cplx32> src, std::span<cplx32> dst,
-                               std::uint64_t rows, std::uint64_t cols,
-                               TwiddleDirection dir) {
-  twiddle_blocked_impl<float>(src, dst, rows, cols, dir);
 }
 
 }  // namespace c64fft::fft

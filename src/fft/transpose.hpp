@@ -15,13 +15,14 @@
 //  * transpose_inplace_square — in-place square transpose: off-diagonal
 //    tile *pairs* are swap-transposed; diagonal tiles run a dedicated
 //    micro-kernel (upper-triangle swaps within one tile).
-//  * transpose_twiddle_blocked — the four-step FFT's fused inter-step
-//    pass: dst[c*rows + r] = src[r*cols + c] * W_N^(r*c) with
-//    N = rows*cols (conjugated for kInverse). The factors are generated
-//    per tile row from the twiddle.hpp unit-root primitive (one root +
-//    one per-row geometric recurrence), so the O(N) inter-step twiddle
-//    array of a huge transform is never materialized. The recurrences run
-//    in the element precision from double-rounded seeds.
+//  * transpose_twiddle_tile_panel — one tile of the hierarchical FFT's
+//    fused inter-step pass: dst[c*rows + r] = src[r*cols + c] * W_N^(r*c)
+//    with N = rows*cols (conjugated for kInverse), written into a panel
+//    of destination rows. The factors are generated per tile from the
+//    twiddle.hpp unit-root primitive (three roots + per-row geometric
+//    recurrences), so the O(N) inter-step twiddle array of a huge
+//    transform is never materialized. The recurrences run in the element
+//    precision from double-rounded seeds.
 
 #include <algorithm>
 #include <cstdint>
@@ -67,57 +68,29 @@ inline void for_each_transpose_tile_pair(std::uint64_t n, Fn&& fn) {
   }
 }
 
-/// One tile of the fused twiddle-transpose: for the row-major rows x cols
-/// `src` (full-matrix base pointer) and its cols x rows transpose `dst`,
-/// applies dst[c * rows + r] = src[r * cols + c] * W^(r*c) over the tile
-/// [r0, rmax) x [c0, cmax), where W = w1 is the (rows*cols)-th unit root
-/// of the pass direction. The factors W^(r*c) are geometric along both
+/// One tile of the fused twiddle-transpose, gathered into a panel: for
+/// the row-major rows x cols `src` (full-matrix base pointer), applies
+///   dst[(c - dst_col0) * rows + r] = src[r * cols + c] * W^(r*c)
+/// over the tile [r0, rmax) x [c0, cmax), where W = w1 is the
+/// (rows*cols)-th unit root of the pass direction. `dst` holds only the
+/// destination rows for source columns [dst_col0, ...) — the hierarchical
+/// pipeline's per-worker panel; dst_col0 = 0 addresses the full
+/// cols x rows transpose. The factors W^(r*c) are geometric along both
 /// tile axes: along a source row the ratio is W^r, and from one row to
 /// the next the row seed W^(r*c0) advances by W^c0 while the row ratio
 /// W^r advances by W^1. Three unit-root evaluations therefore seed the
 /// whole tile and recurrences of at most kTransposeTile multiplies cover
 /// the rest (r*c < rows*cols, so the exponents never need reduction).
-///
-/// This is the single twiddle-application kernel of the four-step AND
-/// hierarchical paths: transpose_twiddle_blocked iterates it over the
-/// whole matrix, and the executor's pipelined scatter calls it per tile —
-/// same seeds, same recurrence, bit-identical products either way. `w1`
-/// must be unit_root<T>(rows * cols, 1, dir), hoisted by the caller so a
-/// full-matrix sweep pays its sincos once.
-template <typename T>
-inline void transpose_twiddle_tile(const cplx_t<T>* src, cplx_t<T>* dst,
-                                   std::uint64_t rows, std::uint64_t cols,
-                                   TwiddleDirection dir, std::uint64_t r0,
-                                   std::uint64_t rmax, std::uint64_t c0,
-                                   std::uint64_t cmax, const cplx_t<T>& w1) {
-  const std::uint64_t n = rows * cols;
-  cplx_t<T> w_row = unit_root<T>(n, r0 * c0, dir);
-  cplx_t<T> step = unit_root<T>(n, r0, dir);
-  const cplx_t<T> w_col = unit_root<T>(n, c0, dir);
-  for (std::uint64_t r = r0; r < rmax; ++r) {
-    cplx_t<T> w = w_row;
-    for (std::uint64_t c = c0; c < cmax; ++c) {
-      dst[c * rows + r] = src[r * cols + c] * w;
-      w *= step;
-    }
-    w_row *= w_col;
-    step *= w1;
-  }
-}
-
-/// Panel-gather form of the same tile, used by the hierarchical pipeline's
-/// fused row stage: `dst` holds only source columns [dst_col0, ...) — a
-/// per-worker panel instead of the full cols x rows matrix — so the write
-/// lands at dst[(c - dst_col0) * rows + r]. The twiddles are generated by
-/// exactly the multiplication chains of transpose_twiddle_tile (the row
-/// seeds advance w_row *= w_col / step *= w1 in the same order, and each
-/// in-row value is the same sequence of rounded w *= step products), so
-/// every product is bit-identical to the full-matrix scatter; only the
-/// loop nest differs. The interchange (c outer, r inner) is the
+/// Each product depends only on the tile origin (r0, c0) and the
+/// element's offset inside the tile, never on which panel or block the
+/// tile is gathered into, so any block decomposition on the tile grid is
+/// bit-identical. `w1` must
+/// be unit_root<T>(rows * cols, 1, dir), hoisted by the caller so a sweep
+/// pays its sincos once. The loop nest (c outer, r inner) is the
 /// performance point: the per-row recurrences are independent chains, so
 /// running up to kTransposeTile of them abreast hides the serial
-/// complex-multiply latency that bounds the row-major order, and the
-/// panel writes of one c are contiguous.
+/// complex-multiply latency, and the panel writes of one c are
+/// contiguous.
 template <typename T>
 inline void transpose_twiddle_tile_panel(const cplx_t<T>* src, cplx_t<T>* dst,
                                          std::uint64_t rows, std::uint64_t cols,
@@ -160,15 +133,5 @@ void transpose_blocked(std::span<const cplx32> src, std::span<cplx32> dst,
 /// In-place transpose of a row-major n x n matrix.
 void transpose_inplace_square(std::span<cplx> data, std::uint64_t n);
 void transpose_inplace_square(std::span<cplx32> data, std::uint64_t n);
-
-/// Fused twiddle-transpose of the four-step decomposition:
-/// dst[c * rows + r] = src[r * cols + c] * W^(r*c) where W is the
-/// (rows*cols)-th unit root of `dir`. `dst` must not alias `src`.
-void transpose_twiddle_blocked(std::span<const cplx> src, std::span<cplx> dst,
-                               std::uint64_t rows, std::uint64_t cols,
-                               TwiddleDirection dir);
-void transpose_twiddle_blocked(std::span<const cplx32> src, std::span<cplx32> dst,
-                               std::uint64_t rows, std::uint64_t cols,
-                               TwiddleDirection dir);
 
 }  // namespace c64fft::fft

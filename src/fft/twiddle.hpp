@@ -37,7 +37,7 @@ enum class TwiddleDirection { kForward, kInverse };
 
 /// The N-th unit root W_N^t = exp(-2*pi*i * t / n) (conjugated for
 /// kInverse) — the primitive every BasicTwiddleTable entry is built from.
-/// Exposed so on-the-fly consumers (the four-step path's fused
+/// Exposed so on-the-fly consumers (the hierarchical path's fused
 /// twiddle-transpose) can generate inter-step factors per tile instead of
 /// materializing an O(N) table. Bit-identical to the corresponding table
 /// entry: the table constructor calls this. The trig always runs in

@@ -8,7 +8,7 @@ namespace c64fft::serve {
 namespace {
 
 /// Admission check: any length >= 2 is servable — the executor routes
-/// pow2 sizes through the classic/four-step/hierarchical plans and
+/// pow2 sizes through the classic/hierarchical plans and
 /// composite/prime sizes through mixed-radix/Bluestein.
 bool valid_size(std::uint64_t n) noexcept { return n >= 2; }
 

@@ -15,6 +15,7 @@
 #include "analysis/model.hpp"
 #include "fft/executor.hpp"
 #include "fft/kernels/dispatch.hpp"
+#include "fft/mixed_radix.hpp"
 #include "fft/plan.hpp"
 #include "util/cpu_features.hpp"
 #include "util/json.hpp"
@@ -40,6 +41,17 @@ const CheckResult& check_of(const AnalysisReport& report, const std::string& nam
     if (c.name == name) return c;
   throw std::logic_error("missing check " + name);
 }
+
+/// The named phase of a pipeline model (throws when absent).
+PhaseModel& phase_named(PipelineModel& m, const std::string& name) {
+  for (PhaseModel& p : m.phases)
+    if (p.name == name) return p;
+  throw std::logic_error("missing phase " + name);
+}
+
+/// A pipeline with an out-of-place tile transpose phase ("transpose",
+/// data -> scratch, full coverage of scratch): the rectangular fft2d.
+PipelineModel transpose_pipeline() { return build_fft2d_pipeline(32, 64, 6); }
 
 PlanModel clean_model(std::uint64_t n = 4096, unsigned r = 6,
                       TwiddleLayout layout = TwiddleLayout::kLinear,
@@ -345,8 +357,8 @@ TEST(Pipeline, EveryBuilderIsCleanAtBothPrecisions) {
     models.push_back(build_classic_pipeline(FftPlan(4096, 6), opts));
     opts.layout = TwiddleLayout::kLinear;
     models.push_back(build_batch_pipeline(FftPlan(256, 6), 8, opts));
-    models.push_back(build_four_step_pipeline(4096, 6, opts));   // 64 x 64
-    models.push_back(build_four_step_pipeline(8192, 6, opts));   // 64 x 128
+    opts.hier_leaf_log2 = 7;
+    models.push_back(build_hierarchical_pipeline(8192, 6, opts));  // 64 x 128
     opts.hier_leaf_log2 = 6;
     models.push_back(build_hierarchical_pipeline(4096, 6, opts));  // 64 x 64
     opts.hier_leaf_log2 = 5;
@@ -382,15 +394,6 @@ TEST(Pipeline, ModelMirrorsExecutorGrains) {
   EXPECT_EQ(classic.phases.front().tasks.size(),
             fft::bitrev_sweep_grain(4096, 4).chunks);
   EXPECT_EQ(classic.phases[1].tasks.size(), FftPlan(4096, 6).tasks_per_stage());
-
-  const PipelineModel fs = build_four_step_pipeline(4096, 6, opts);  // 64 x 64
-  ASSERT_EQ(fs.phases.size(), 5u);
-  EXPECT_EQ(fs.phases[1].name, "col-sweep");
-  EXPECT_EQ(fs.phases[1].tasks.size(), fft::four_step_sweep_grain(64, 4).chunks);
-  // Square split: the final transpose runs in place, no copy-back phase.
-  EXPECT_EQ(fs.phases.back().name, "final-transpose");
-  const PipelineModel rect = build_four_step_pipeline(8192, 6, opts);
-  EXPECT_EQ(rect.phases.back().name, "copy-back");
 
   // Hierarchical tasks are the dependency-counted blocks of the runtime
   // grain, not per-tile fictions.
@@ -444,13 +447,24 @@ TEST(Pipeline, TileTrafficSplitsTransposeFromButterfly) {
               metrics.at("total_bytes"), 0.5);
 }
 
+TEST(Pipeline, BluesteinModelRejectsConvolutionsItCannotModel) {
+  // The model runs the inner M-point FFTs as classic phases, which is the
+  // executor's routing only while M stays below the hierarchical
+  // threshold: from n = 65537 (M = 2^18) on, the builder refuses instead
+  // of reporting bit-reversal and stage phases that never run.
+  ASSERT_EQ(fft::bluestein_fft_size(65537), 1ULL << 18);
+  EXPECT_THROW(build_bluestein_pipeline(65537, 6), std::invalid_argument);
+  EXPECT_THROW(build_bluestein_pipeline(131101, 6), std::invalid_argument);
+  EXPECT_NO_THROW(build_bluestein_pipeline(101, 6));  // M = 256, classic
+}
+
 // ---- Seeded pipeline defects ----
 
 TEST(Pipeline, SeededTileOverlapIsCaught) {
-  PipelineModel m = build_four_step_pipeline(4096, 6);
+  PipelineModel m = transpose_pipeline();
   // A transpose tile that also writes its neighbour's first element — the
   // tile-bounds off-by-one the coverage proof exists for.
-  PhaseModel& transpose = m.phases.front();
+  PhaseModel& transpose = phase_named(m, "transpose");
   ASSERT_GE(transpose.tasks.size(), 2u);
   transpose.tasks[1].writes.push_back(transpose.tasks[0].writes.front());
   const auto report = analyze_pipeline(m);
@@ -459,18 +473,19 @@ TEST(Pipeline, SeededTileOverlapIsCaught) {
 }
 
 TEST(Pipeline, SeededDroppedTileIsACoverageGap) {
-  PipelineModel m = build_four_step_pipeline(4096, 6);
-  m.phases.front().tasks.pop_back();
+  PipelineModel m = transpose_pipeline();
+  phase_named(m, "transpose").tasks.pop_back();
   const auto report = analyze_pipeline(m);
   EXPECT_TRUE(has_code(report, "coverage", "coverage-gap")) << report.to_json();
   EXPECT_FALSE(report.passed());
 }
 
 TEST(Pipeline, SeededMissingProducerPhaseIsReadBeforeWrite) {
-  PipelineModel m = build_four_step_pipeline(4096, 6);
-  // Drop the initial transpose: the column sweep now reads scratch no
-  // phase ever wrote.
-  m.phases.erase(m.phases.begin());
+  PipelineModel m = transpose_pipeline();
+  // Drop the transpose: the column sweep now reads scratch no phase ever
+  // wrote.
+  std::erase_if(m.phases,
+                [](const PhaseModel& p) { return p.name == "transpose"; });
   const auto report = analyze_pipeline(m);
   EXPECT_TRUE(has_code(report, "coverage", "read-before-write"))
       << report.to_json();
@@ -478,10 +493,10 @@ TEST(Pipeline, SeededMissingProducerPhaseIsReadBeforeWrite) {
 }
 
 TEST(Pipeline, SeededIntraPhaseAliasIsCaught) {
-  PipelineModel m = build_four_step_pipeline(4096, 6);
+  PipelineModel m = transpose_pipeline();
   // A tile reading an element another tile of the same phase writes:
   // unordered tasks, so the read races the write (fused-stage aliasing).
-  PhaseModel& transpose = m.phases.front();
+  PhaseModel& transpose = phase_named(m, "transpose");
   transpose.tasks[0].reads.push_back(transpose.tasks[1].writes.front());
   const auto report = analyze_pipeline(m);
   EXPECT_TRUE(has_code(report, "coverage", "phase-aliasing")) << report.to_json();
@@ -575,7 +590,9 @@ TEST(Pipeline, SeededBankConcentrationIsFlagged) {
 }
 
 TEST(Pipeline, CostProfileIsConsistent) {
-  const PipelineModel m = build_four_step_pipeline(1 << 14, 6);
+  PipelineBuildOptions opts;
+  opts.hier_leaf_log2 = 7;  // 128 x 128, single level
+  const PipelineModel m = build_hierarchical_pipeline(1 << 14, 6, opts);
   const auto report = analyze_pipeline(m);
   const auto& metrics = check_of(report, "cost").metrics;
   const double span = metrics.at("span_cost");
@@ -608,7 +625,9 @@ TEST(Pipeline, ForcedIsaLevelsAreStampedAndVerifyClean) {
        {util::IsaLevel::kScalar, util::IsaLevel::kAvx2,
         util::IsaLevel::kAvx512}) {
     const util::IsaLevel active = fft::kernels::set_kernel_isa(level);
-    const PipelineModel m = build_four_step_pipeline(4096, 6);
+    PipelineBuildOptions opts;
+    opts.hier_leaf_log2 = 6;
+    const PipelineModel m = build_hierarchical_pipeline(4096, 6, opts);
     EXPECT_EQ(m.kernel_isa, util::to_string(active));
     const auto& check = check_of(analyze_pipeline(m), "kernel");
     EXPECT_EQ(check.status, "pass") << util::to_string(level);
@@ -658,7 +677,7 @@ TEST(Pipeline, HandBuiltModelsSkipTheKernelCheck) {
 
 TEST(LintBaseline, RowsRoundTripThroughJson) {
   const auto rows = collect_lint_rows();
-  ASSERT_EQ(rows.size(), 22u);  // 11 shapes x 2 precisions
+  ASSERT_EQ(rows.size(), 20u);  // 10 shapes x 2 precisions
   const std::string json = lint_rows_to_json(rows);
   const auto parsed = lint_rows_from_json(util::json_parse(json));
   ASSERT_EQ(parsed.size(), rows.size());

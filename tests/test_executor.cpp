@@ -274,34 +274,35 @@ TEST(Executor, EnvOverridesSnapshotAtConstructionOnly) {
   // The C64FFT_* variables are read exactly once, when the executor is
   // constructed; later environment mutations are invisible until
   // reconfigure() re-reads them (the documented first-use-only contract).
-  ::setenv("C64FFT_FOURSTEP_THRESHOLD_LOG2", "7", 1);
+  ::setenv("C64FFT_HIERARCHICAL_THRESHOLD_LOG2", "7", 1);
   ::setenv("C64FFT_WORKERS", "3", 1);
   FftExecutor ex;
-  EXPECT_EQ(ex.four_step_threshold_log2(), 7u);
+  EXPECT_EQ(ex.hierarchical_threshold_log2(), 7u);
   EXPECT_EQ(ex.default_workers(), 3u);
 
-  ::setenv("C64FFT_FOURSTEP_THRESHOLD_LOG2", "9", 1);
+  ::setenv("C64FFT_HIERARCHICAL_THRESHOLD_LOG2", "9", 1);
   ::setenv("C64FFT_WORKERS", "2", 1);
   auto warm = random_signal(1ULL << 6, 1);  // below the threshold: classic
   ex.forward(warm);  // warm up: team spawned, plan cached
-  EXPECT_EQ(ex.four_step_threshold_log2(), 7u);
+  EXPECT_EQ(ex.hierarchical_threshold_log2(), 7u);
   EXPECT_EQ(ex.default_workers(), 3u);
-  EXPECT_EQ(ex.stats().four_step, 0u);
+  EXPECT_EQ(ex.stats().hierarchical, 0u);
 
   ex.reconfigure();
-  EXPECT_EQ(ex.four_step_threshold_log2(), 9u);
+  EXPECT_EQ(ex.hierarchical_threshold_log2(), 9u);
   EXPECT_EQ(ex.default_workers(), 2u);
   // The re-read threshold takes effect on the very next transform.
   auto large = random_signal(1ULL << 10, 2);
   ex.forward(large);
-  EXPECT_EQ(ex.stats().four_step, 1u);
+  EXPECT_EQ(ex.stats().hierarchical, 1u);
 
   ::unsetenv("C64FFT_WORKERS");
   // Malformed or empty values leave the corresponding option untouched.
-  ::setenv("C64FFT_FOURSTEP_THRESHOLD_LOG2", "banana", 1);
+  ::setenv("C64FFT_HIERARCHICAL_THRESHOLD_LOG2", "banana", 1);
   FftExecutor defaults;
-  EXPECT_EQ(defaults.four_step_threshold_log2(), kDefaultFourStepThresholdLog2);
-  ::unsetenv("C64FFT_FOURSTEP_THRESHOLD_LOG2");
+  EXPECT_EQ(defaults.hierarchical_threshold_log2(),
+            kDefaultHierarchicalThresholdLog2);
+  ::unsetenv("C64FFT_HIERARCHICAL_THRESHOLD_LOG2");
 }
 
 }  // namespace

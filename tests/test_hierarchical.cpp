@@ -1,9 +1,10 @@
-// Hierarchical multi-level large-N path (PlanKind::kHierarchical): split
-// algebra and cache-driven leaf selection, plan-cache pinning of the
-// recursive sub-plan chain, bit-identity of the tile-pipelined execution
-// with the barrier-phased four-step path at N in {2^18, 2^20, 2^22} (both
-// precisions), numerical agreement with the classic path and the O(N^2)
-// reference, batch-vs-loop identity, forced multi-level recursion, tuned
+// Hierarchical multi-level large-N path (PlanKind::kHierarchical), the
+// only large-N route: split algebra and cache-driven leaf selection,
+// plan-cache pinning of the recursive sub-plan chain, default routing,
+// bit-identity of the output across kernel ISA tiers and team sizes at
+// N in {2^18, 2^19} (both precisions, both directions), numerical
+// agreement with the classic path and the O(N^2) reference,
+// batch-vs-loop and variant identity, forced multi-level recursion, tuned
 // block-row overrides, and the consolidated env snapshot that feeds the
 // constructor and reconfigure(). Registered under the `large_n` ctest
 // label:
@@ -12,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <vector>
 
 #include "fft/executor.hpp"
@@ -38,16 +40,7 @@ std::vector<cplx_t<T>> random_signal(std::uint64_t n, std::uint64_t seed) {
 ExecutorOptions classic_opts() {
   ExecutorOptions o;
   o.workers = 2;
-  o.four_step_threshold_log2 = 0;    // never route four-step
   o.hierarchical_threshold_log2 = 0;  // never route hierarchical
-  return o;
-}
-
-ExecutorOptions four_step_opts() {
-  ExecutorOptions o;
-  o.workers = 2;
-  o.four_step_threshold_log2 = 2;     // always route four-step
-  o.hierarchical_threshold_log2 = 0;  // hierarchical disabled
   return o;
 }
 
@@ -75,16 +68,18 @@ ScheduleSet forced_schedule(std::uint64_t n, std::uint32_t leaf_log2,
 }
 
 TEST(HierarchicalSplitAlgebra, BalancedBelowTwiceLeaf) {
-  // While log2(n) <= 2*leaf the split IS the four-step split: one level,
-  // classic children — the bit-identity anchor of the whole path.
-  for (unsigned logn : {14u, 18u, 22u, 28u}) {
+  // While log2(n) <= 2*leaf the split is balanced: one level, classic
+  // children, n1 = 2^floor(log2(n)/2) <= n2 with the product preserved.
+  for (unsigned logn : {2u, 13u, 14u, 16u, 18u, 19u, 22u, 28u}) {
     const HierarchicalSplit h = hierarchical_split(1ULL << logn, 14);
-    const FourStepSplit f = four_step_split(1ULL << logn);
-    EXPECT_EQ(h.n1, f.n1) << logn;
-    EXPECT_EQ(h.n2, f.n2) << logn;
+    EXPECT_EQ(h.n1, 1ULL << (logn / 2)) << logn;
+    EXPECT_EQ(h.n2, 1ULL << (logn - logn / 2)) << logn;
     EXPECT_EQ(h.levels, 1u) << logn;
     EXPECT_FALSE(h.col_recursive) << logn;
   }
+  EXPECT_EQ(hierarchical_split(1ULL << 18, 14).n2, 512u);
+  EXPECT_EQ(hierarchical_split(1ULL << 13, 14).n1, 64u);
+  EXPECT_EQ(hierarchical_split(1ULL << 13, 14).n2, 128u);
 }
 
 TEST(HierarchicalSplitAlgebra, RecursiveAboveTwiceLeaf) {
@@ -152,81 +147,128 @@ TEST(HierarchicalPlanCache, EntryPinsSubEntriesRecursively) {
   // Sub-keys carry the radix clamped to the sub-size (16 points -> 4).
   auto direct = cache.acquire(PlanKey{16, 4, TwiddleLayout::kLinear});
   EXPECT_EQ(direct.get(), entry->col_entry()->row_entry().get());
-  // Classic-only accessors stay fenced off on composite entries.
+  // Classic-only accessors stay fenced off on hierarchical entries, and
+  // vice versa.
   EXPECT_THROW(entry->plan(), std::logic_error);
+  EXPECT_THROW(entry->twiddles(TwiddleDirection::kForward), std::logic_error);
+  EXPECT_THROW(entry->row_entry()->split(), std::logic_error);
   // Distinct leaves build distinct plan trees (the leaf is in the key).
   auto other = cache.acquire(PlanKey{1ULL << 12, 6, TwiddleLayout::kLinear,
                                      PlanKind::kHierarchical, Precision::kF64,
                                      6});
   EXPECT_NE(other.get(), entry.get());
   EXPECT_EQ(other->levels(), 1u);
+  // A rectangular single-level split pins two distinct classic
+  // sub-entries, the narrower one shared with a direct acquire.
+  auto rect = cache.acquire(PlanKey{1ULL << 13, 6, TwiddleLayout::kLinear,
+                                    PlanKind::kHierarchical, Precision::kF64,
+                                    14});
+  EXPECT_EQ(rect->split().n1, 64u);
+  EXPECT_EQ(rect->split().n2, 128u);
+  EXPECT_EQ(rect->col_entry()->kind(), PlanKind::kClassic);
+  EXPECT_NE(rect->col_entry().get(), rect->row_entry().get());
+  auto col = cache.acquire(PlanKey{64, 6, TwiddleLayout::kLinear});
+  EXPECT_EQ(col.get(), rect->col_entry().get());
 }
 
-TEST(Hierarchical, RoutingPrecedence) {
-  // The hierarchical check outranks four-step; 0 disables each path.
-  EXPECT_EQ(routed_plan_kind(1ULL << 20, 18, 20), PlanKind::kHierarchical);
-  EXPECT_EQ(routed_plan_kind(1ULL << 19, 18, 20), PlanKind::kFourStep);
-  EXPECT_EQ(routed_plan_kind(1ULL << 19, 0, 20), PlanKind::kClassic);
-  EXPECT_EQ(routed_plan_kind(1ULL << 20, 18, 0), PlanKind::kFourStep);
-  EXPECT_EQ(routed_plan_kind(1ULL << 10, 18, 20), PlanKind::kClassic);
-  // The 2-arg overload applies the default hierarchical threshold.
-  EXPECT_EQ(routed_plan_kind(1ULL << kDefaultHierarchicalThresholdLog2, 18),
+TEST(Hierarchical, Routing) {
+  // Pow2 sizes at/above the threshold route hierarchical; 0 disables it;
+  // non-pow2 sizes ignore it.
+  EXPECT_EQ(routed_plan_kind(1ULL << 20, 20), PlanKind::kHierarchical);
+  EXPECT_EQ(routed_plan_kind(1ULL << 19, 20), PlanKind::kClassic);
+  EXPECT_EQ(routed_plan_kind(1ULL << 20, 0), PlanKind::kClassic);
+  EXPECT_EQ(routed_plan_kind(1ULL << 10, 18), PlanKind::kClassic);
+  EXPECT_EQ(routed_plan_kind(1000000, 18), PlanKind::kMixedRadix);
+  // Default routing: the classic plan up to 2^17, hierarchical from 2^18.
+  EXPECT_EQ(routed_plan_kind(1ULL << 17, kDefaultHierarchicalThresholdLog2),
+            PlanKind::kClassic);
+  EXPECT_EQ(routed_plan_kind(1ULL << 18, kDefaultHierarchicalThresholdLog2),
             PlanKind::kHierarchical);
 }
 
-TEST(Hierarchical, ForwardBitIdenticalToFourStepLargeN) {
-  // The tentpole equivalence: at the default leaf the hierarchical split
-  // equals the four-step split, the tile grids align, and the kernels are
-  // shared — so the pipelined execution must reproduce the barrier-phased
-  // four-step output BIT FOR BIT, forward and inverse.
-  for (unsigned logn : {18u, 20u, 22u}) {
+/// Restores the process-wide kernel ISA on scope exit.
+struct IsaGuard {
+  util::IsaLevel saved = kernels::active_kernel_isa();
+  ~IsaGuard() { kernels::set_kernel_isa(saved); }
+};
+
+template <typename T>
+void check_bit_identical_across_isas_and_teams(std::uint64_t seed) {
+  // The only large-N route's bit-exact oracle: the scalar kernel table on
+  // a one-worker team is the reference, and every (ISA tier, team size)
+  // must reproduce it byte for byte, forward and inverse.
+  IsaGuard guard;
+  for (unsigned logn : {18u, 19u}) {
     const std::uint64_t n = 1ULL << logn;
-    const auto input = random_signal<double>(n, logn);
-    FftExecutor four(four_step_opts());
-    FftExecutor hier(hier_opts());
+    const auto input = random_signal<T>(n, seed + logn);
+    const std::size_t bytes = n * sizeof(cplx_t<T>);
+    // Executor construction re-reads C64FFT_ISA, so force each tier only
+    // after constructing the executor that runs under it.
+    FftExecutor ref(hier_opts());
+    kernels::set_kernel_isa(util::IsaLevel::kScalar);
+    HostFftOptions one;
+    one.workers = 1;
+    auto want_fwd = input;
+    ref.forward(std::span<cplx_t<T>>(want_fwd), one);
+    auto want_inv = want_fwd;
+    ref.inverse(std::span<cplx_t<T>>(want_inv), one);
 
-    auto want = input;
-    four.forward(want);
-    auto got = input;
-    hier.forward(got);
-    EXPECT_EQ(hier.stats().hierarchical, 1u);
-    EXPECT_EQ(hier.stats().four_step, 0u);
-    EXPECT_EQ(got, want) << "forward n=" << n;
-
-    auto want_inv = want;
-    four.inverse(want_inv);
-    auto got_inv = want;
-    hier.inverse(got_inv);
-    EXPECT_EQ(got_inv, want_inv) << "inverse n=" << n;
+    for (const util::IsaLevel isa :
+         {util::IsaLevel::kScalar, util::best_supported_isa()}) {
+      for (unsigned workers : {1u, 2u, 3u, 4u}) {
+        FftExecutor hier(hier_opts());
+        ASSERT_EQ(kernels::set_kernel_isa(isa), isa);
+        HostFftOptions opts;
+        opts.workers = workers;
+        auto got = input;
+        hier.forward(std::span<cplx_t<T>>(got), opts);
+        EXPECT_EQ(std::memcmp(got.data(), want_fwd.data(), bytes), 0)
+            << "forward n=" << n << " isa=" << util::to_string(isa)
+            << " workers=" << workers;
+        hier.inverse(std::span<cplx_t<T>>(got), opts);
+        EXPECT_EQ(std::memcmp(got.data(), want_inv.data(), bytes), 0)
+            << "inverse n=" << n << " isa=" << util::to_string(isa)
+            << " workers=" << workers;
+        EXPECT_EQ(hier.stats().hierarchical, 2u);
+      }
+    }
   }
 }
 
-TEST(Hierarchical, ForwardBitIdenticalToFourStepF32) {
-  for (unsigned logn : {18u, 20u, 22u}) {
-    const std::uint64_t n = 1ULL << logn;
-    const auto input = random_signal<float>(n, 40 + logn);
-    FftExecutor four(four_step_opts());
-    FftExecutor hier(hier_opts());
-    auto want = input;
-    four.forward(want);
-    auto got = input;
-    hier.forward(got);
-    EXPECT_EQ(got, want) << "n=" << n;
-  }
+TEST(Hierarchical, BitIdenticalAcrossIsasAndTeamSizesF64) {
+  check_bit_identical_across_isas_and_teams<double>(500);
+}
+
+TEST(Hierarchical, BitIdenticalAcrossIsasAndTeamSizesF32) {
+  check_bit_identical_across_isas_and_teams<float>(600);
 }
 
 TEST(Hierarchical, MatchesClassicAndReference) {
-  // Independent anchors: the classic monolithic plan at 2^18 and the
-  // O(N^2) DFT at 2^12 (where that is still affordable).
-  const std::uint64_t n = 1ULL << 18;
-  const auto input = random_signal<double>(n, 7);
+  // Independent anchors: the classic monolithic plan (forward, inverse
+  // and round trip) at 2^14..2^18 and the O(N^2) DFT at 2^12 (where that
+  // is still affordable).
   FftExecutor classic(classic_opts());
   FftExecutor hier(hier_opts());
-  auto want = input;
-  classic.forward(want);
-  auto got = input;
-  hier.forward(got);
-  EXPECT_LT(rel_l2_error(got, want), 1e-12);
+  for (unsigned logn : {14u, 16u, 18u}) {
+    const std::uint64_t n = 1ULL << logn;
+    const auto input = random_signal<double>(n, 7 + logn);
+    auto want = input;
+    classic.forward(want);
+    auto got = input;
+    hier.forward(got);
+    // Output magnitudes grow like sqrt(N); compare relative to that scale.
+    EXPECT_LT(rel_l2_error(got, want), 1e-12) << "n=" << n;
+    EXPECT_LT(max_abs_error(got, want), 1e-8) << "n=" << n;
+
+    // Inverse parity: both paths invert the same spectrum, and the round
+    // trip on the hierarchical path alone recovers the input.
+    auto want_inv = want;
+    classic.inverse(want_inv);
+    hier.inverse(got);
+    EXPECT_LT(max_abs_error(got, want_inv), 1e-10) << "n=" << n;
+    EXPECT_LT(max_abs_error(got, input), 1e-10) << "n=" << n;
+  }
+  EXPECT_EQ(classic.stats().hierarchical, 0u);
 
   const auto small = random_signal<double>(1ULL << 12, 8);
   auto hgot = small;
@@ -267,11 +309,29 @@ TEST(Hierarchical, BatchMatchesLoopBitIdentically) {
   for (std::size_t i = 0; i < b; ++i) EXPECT_EQ(batch[i], singles[i]) << i;
 }
 
+TEST(Hierarchical, AllVariantsAgreeBitIdentically) {
+  // The scheduling variant steers only the classic stage/task dispatch;
+  // the hierarchical route ignores it, so every variant gives one answer.
+  const std::uint64_t n = 1ULL << 14;
+  const auto input = random_signal<double>(n, 9);
+  FftExecutor hier(hier_opts());
+  HostFftOptions opts;
+  opts.workers = 2;
+  auto want = input;
+  hier.forward(want, opts, Variant::kFine);
+  for (Variant v : {Variant::kCoarse, Variant::kGuided}) {
+    auto got = input;
+    hier.forward(got, opts, v);
+    EXPECT_EQ(got, want) << static_cast<int>(v);
+  }
+  EXPECT_EQ(hier.stats().hierarchical, 3u);
+}
+
 TEST(Hierarchical, ForcedMultiLevelRecursionIsCorrect) {
   // A tuned leaf far below the cache-derived default forces real
   // recursion (3 levels at 2^18 with leaf 5). The split now differs from
-  // four-step's, so the anchor is numerical agreement with the classic
-  // path, not bit-identity.
+  // the default single-level one, so the anchor is numerical agreement
+  // with the classic path, not bit-identity.
   const std::uint64_t n = 1ULL << 18;
   const auto input = random_signal<double>(n, 13);
   FftExecutor classic(classic_opts());
@@ -320,7 +380,6 @@ TEST(Hierarchical, TunedBlockRowsIsPureScheduling) {
 TEST(Hierarchical, ThresholdRoutesOnlyEnormousTransforms) {
   ExecutorOptions o;
   o.workers = 2;
-  o.four_step_threshold_log2 = 0;
   o.hierarchical_threshold_log2 = 14;
   FftExecutor ex(o);
   auto small = random_signal<double>(1ULL << 12, 1);
@@ -341,17 +400,13 @@ TEST(HierarchicalEnvSnapshot, OneStructFeedsConstructorAndReconfigure) {
   // struct, and BOTH construction and reconfigure() apply from it — so a
   // post-warm-up env change is either fully observed or not at all.
   ::setenv("C64FFT_HIERARCHICAL_THRESHOLD_LOG2", "13", 1);
-  ::setenv("C64FFT_FOURSTEP_THRESHOLD_LOG2", "11", 1);
   const ExecutorEnvSnapshot snap = read_executor_env();
   ASSERT_TRUE(snap.hierarchical_threshold_log2.has_value());
   EXPECT_EQ(*snap.hierarchical_threshold_log2, 13u);
-  ASSERT_TRUE(snap.four_step_threshold_log2.has_value());
-  EXPECT_EQ(*snap.four_step_threshold_log2, 11u);
   EXPECT_FALSE(snap.schedule_path.has_value());
 
   FftExecutor ex(classic_opts());  // ctor applies the env snapshot
   EXPECT_EQ(ex.hierarchical_threshold_log2(), 13u);
-  EXPECT_EQ(ex.four_step_threshold_log2(), 11u);
 
   ::setenv("C64FFT_HIERARCHICAL_THRESHOLD_LOG2", "15", 1);
   ex.reconfigure();
@@ -363,10 +418,8 @@ TEST(HierarchicalEnvSnapshot, OneStructFeedsConstructorAndReconfigure) {
   EXPECT_EQ(ex.hierarchical_threshold_log2(), 15u);
 
   ::unsetenv("C64FFT_HIERARCHICAL_THRESHOLD_LOG2");
-  ::unsetenv("C64FFT_FOURSTEP_THRESHOLD_LOG2");
   const ExecutorEnvSnapshot clear = read_executor_env();
   EXPECT_FALSE(clear.hierarchical_threshold_log2.has_value());
-  EXPECT_FALSE(clear.four_step_threshold_log2.has_value());
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // The precision-generic core's contract: the f32 path is a first-class
 // citizen of every shipped variant and layout (round trip + vs the f64
-// reference, classic and four-step), the two widths are bit-independent
+// reference, classic and hierarchical), the two widths are bit-independent
 // (interleaving f64 work never changes an f32 result), the plan cache
 // keys entries by Precision (distinct entries, LRU accounting, and the
 // wrong-width twiddle accessor throws), and a precision switch never
@@ -26,9 +26,9 @@ namespace c64fft::fft {
 namespace {
 
 constexpr double kF32RelL2Tol = 2e-6;
-// The four-step decomposition adds the fused twiddle-transpose's extra
+// The hierarchical decomposition adds the fused twiddle-transpose's extra
 // rounding per element per pass; a forward+inverse pair crosses it twice.
-constexpr double kF32FourStepRelL2Tol = 1e-5;
+constexpr double kF32HierarchicalRelL2Tol = 1e-5;
 
 std::vector<cplx32> random_signal32(std::uint64_t n, std::uint64_t seed) {
   util::Xoshiro256 rng(seed);
@@ -84,9 +84,9 @@ TEST(Precision, F32RoundTripAllVariantsAndLayouts) {
   }
 }
 
-TEST(Precision, F32FourStepRoundTripAndReference) {
+TEST(Precision, F32HierarchicalRoundTripAndReference) {
   ExecutorOptions eopts;
-  eopts.four_step_threshold_log2 = 10;
+  eopts.hierarchical_threshold_log2 = 10;
   FftExecutor ex(eopts);
   const std::uint64_t n = 1ULL << 12;
   const auto input = random_signal32(n, 53);
@@ -95,11 +95,11 @@ TEST(Precision, F32FourStepRoundTripAndReference) {
 
   auto got = input;
   ex.forward(std::span<cplx32>(got));
-  EXPECT_GE(ex.stats().four_step, 1u);
-  EXPECT_LT(rel_l2_error(got, want), kF32FourStepRelL2Tol);
+  EXPECT_GE(ex.stats().hierarchical, 1u);
+  EXPECT_LT(rel_l2_error(got, want), kF32HierarchicalRelL2Tol);
 
   ex.inverse(std::span<cplx32>(got));
-  EXPECT_LT(rel_l2_error(got, widen(input)), kF32FourStepRelL2Tol);
+  EXPECT_LT(rel_l2_error(got, widen(input)), kF32HierarchicalRelL2Tol);
 }
 
 TEST(Precision, F32ResultsBitIndependentOfF64Interleaving) {

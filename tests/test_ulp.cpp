@@ -1,12 +1,12 @@
 // Accuracy harness of the precision-generic core: the fp32 pipeline is
 // judged against the fp64 serial reference in peak-ULPs (util/ulp.hpp)
 // and relative L2, across every size from 2^4 to 2^16, and the fp64
-// four-step path gets the same treatment. The tolerances are the
+// hierarchical path gets the same treatment. The tolerances are the
 // documented accuracy contract of the f32 path:
 //   * forward f32 vs f64 reference:  <= 24 peak-ULPs, rel-L2 <= 2e-6
 //   * f32 round trip vs input:       <= 24 peak-ULPs, rel-L2 <= 2e-6
-//   * f64 four-step vs reference:    <= 64 peak-ULPs, rel-L2 <= 1e-13
-// The four-step budget is larger than the classic one: the fused
+//   * f64 hierarchical vs reference: <= 64 peak-ULPs, rel-L2 <= 1e-13
+// The hierarchical budget is larger than the classic one: the fused
 // twiddle-transpose multiplies every element by an inter-step factor the
 // classic path never applies, adding one rounding per element per pass.
 // Everything is seeded and bit-deterministic, so the margins (measured
@@ -34,7 +34,7 @@ using fft::cplx32;
 
 constexpr double kF32UlpTol = 24.0;
 constexpr double kF32RelL2Tol = 2e-6;
-constexpr double kF64FourStepUlpTol = 64.0;
+constexpr double kF64HierarchicalUlpTol = 64.0;
 constexpr double kF64RelL2Tol = 1e-13;
 
 std::vector<cplx32> random_signal32(std::uint64_t n, std::uint64_t seed) {
@@ -146,13 +146,13 @@ TEST(Ulp, F32CompositeRoundTripWithinBudget) {
   }
 }
 
-TEST(Ulp, F64FourStepWithinBudget) {
-  // Route mid sizes through the four-step decomposition and hold it to
+TEST(Ulp, F64HierarchicalWithinBudget) {
+  // Route mid sizes through the hierarchical decomposition and hold it to
   // the same peak-ULP discipline at double precision: the transpose
   // twiddles and the two sub-sweeps must not cost more than the classic
   // path's noise budget.
   fft::ExecutorOptions eopts;
-  eopts.four_step_threshold_log2 = 10;
+  eopts.hierarchical_threshold_log2 = 10;
   fft::FftExecutor ex(eopts);
   for (unsigned logn : {10u, 12u, 14u}) {
     const std::uint64_t n = std::uint64_t{1} << logn;
@@ -165,9 +165,10 @@ TEST(Ulp, F64FourStepWithinBudget) {
 
     auto got = input;
     ex.forward(std::span<cplx>(got));
-    ASSERT_GE(ex.stats().four_step, 1u);
+    ASSERT_GE(ex.stats().hierarchical, 1u);
     std::vector<std::complex<double>> got_d(got.begin(), got.end());
-    EXPECT_LT(util::max_ulp_error(got_d, want), kF64FourStepUlpTol) << "n=" << n;
+    EXPECT_LT(util::max_ulp_error(got_d, want), kF64HierarchicalUlpTol)
+        << "n=" << n;
     EXPECT_LT(fft::rel_l2_error(got, want), kF64RelL2Tol) << "n=" << n;
 
     auto trip = got;

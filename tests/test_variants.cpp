@@ -114,10 +114,14 @@ TEST(Variants, SmallerRadixAndPartialStages) {
 }
 
 TEST(Variants, GuidedMinimumThreeStagePath) {
+  // Sizes small enough to stay on the classic plan (the large-N route
+  // ignores the variant), with a radix that still yields Alg. 3's minimum
+  // stage count: 3 stages runs phase 1 with last_early = 0.
   HostFftOptions opts;
   opts.workers = 4;
-  expect_matches_reference(1ULL << 18, Variant::kGuided, opts);  // exactly 3 full stages
-  expect_matches_reference(1ULL << 19, Variant::kGuided, opts);  // 3 full + 1 partial
+  opts.radix_log2 = 4;
+  expect_matches_reference(1ULL << 12, Variant::kGuided, opts);  // exactly 3 full stages
+  expect_matches_reference(1ULL << 13, Variant::kGuided, opts);  // 3 full + 1 partial
 }
 
 TEST(Variants, InvalidSizesThrow) {

@@ -12,8 +12,8 @@
 // hooks the executor runs, plus the per-level tile-traffic report
 // (transpose vs butterfly bytes per phase). --all statically verifies the
 // full shipped matrix: every Table-I schedule/layout variant plus every
-// composite kind (classic, four-step, hierarchical — single- and
-// multi-level, batch, 2-D, real, mixed-radix, bluestein) at both
+// composite kind (classic, hierarchical — single- and multi-level,
+// batch, 2-D, real, mixed-radix, bluestein) at both
 // precisions. --size lints an exact (possibly composite) length, which
 // the auto routing sends down the factorization-driven paths.
 //
@@ -37,7 +37,7 @@
 //
 //   fft_lint --logn=12 --layout=linear --schedule=fine --json
 //   fft_lint --all-variants             # every shipped Table-I variant
-//   fft_lint --plan-kind=four-step --logn=18 --coverage --critical-path
+//   fft_lint --plan-kind=hierarchical --logn=18 --coverage --critical-path
 //   fft_lint --all                      # full shipped matrix, all checks
 
 #include <algorithm>
@@ -139,9 +139,9 @@ int main(int argc, char** argv) {
   cli.add_string("layout", "linear", "twiddle layout: linear | hashed");
   cli.add_string("schedule", "fine", "scheduler: coarse | fine | guided");
   cli.add_string("plan-kind", "classic",
-                 "pipeline shape: classic | four-step | hierarchical | "
-                 "batch | fft2d | real | mixed-radix | bluestein | auto "
-                 "(executor routing for the linted size)");
+                 "pipeline shape: classic | hierarchical | batch | fft2d | "
+                 "real | mixed-radix | bluestein | auto (executor routing "
+                 "for the linted size)");
   cli.add_int("batch", 8, "transforms per batch for --plan-kind=batch");
   cli.add_int("leaf-log2", 0,
               "hierarchical leaf cap (log2 points); 0 derives it from the "
@@ -149,8 +149,12 @@ int main(int argc, char** argv) {
   cli.add_int("block-rows", 0,
               "rows per hierarchical pipeline block; 0 = the executor's "
               "grain policy");
-  cli.add_int("rows-log2", 6, "log2 of the matrix rows for --plan-kind=fft2d");
-  cli.add_int("cols-log2", 6, "log2 of the matrix cols for --plan-kind=fft2d");
+  cli.add_int("rows-log2", 6,
+              "log2 of the matrix rows for --plan-kind=fft2d and "
+              "--seed-defect=tile-overlap");
+  cli.add_int("cols-log2", 6,
+              "log2 of the matrix cols for --plan-kind=fft2d and "
+              "--seed-defect=tile-overlap");
   cli.add_int("workers", 4,
               "worker count the pipeline model grains its sweeps for");
   cli.add_string("isa", "auto",
@@ -277,11 +281,15 @@ int main(int argc, char** argv) {
         m.codelets[1].writes.push_back(m.codelets[0].writes.front());
         reports.push_back(analysis::analyze(m, opts));
       } else if (defect == "tile-overlap") {
-        analysis::PipelineModel m = analysis::build_four_step_pipeline(
-            std::max<std::uint64_t>(n, 4), radix_log2, build, "seeded-overlap");
+        analysis::PipelineModel m = analysis::build_fft2d_pipeline(
+            std::uint64_t{1} << cli.get_int("rows-log2"),
+            std::uint64_t{1} << cli.get_int("cols-log2"), radix_log2, build,
+            "seeded-overlap");
         // Second transpose tile re-writes the first tile's first element.
-        analysis::PhaseModel& phase = m.phases.front();
-        phase.tasks[1].writes.push_back(phase.tasks[0].writes.front());
+        auto phase = std::find_if(
+            m.phases.begin(), m.phases.end(),
+            [](const analysis::PhaseModel& p) { return p.name == "transpose"; });
+        phase->tasks.at(1).writes.push_back(phase->tasks.at(0).writes.front());
         reports.push_back(analysis::analyze_pipeline(m, pipe_opts));
       } else if (defect == "skew") {
         analysis::PipelineModel m = analysis::build_classic_pipeline(
@@ -315,10 +323,6 @@ int main(int argc, char** argv) {
             analysis::build_classic_pipeline(plan, b, "classic/hashed" + prec),
             pipe_opts));
         b.layout = fft::TwiddleLayout::kLinear;
-        reports.push_back(analysis::analyze_pipeline(
-            analysis::build_four_step_pipeline(std::uint64_t{1} << 18, 6, b,
-                                               "four-step" + prec),
-            pipe_opts));
         reports.push_back(analysis::analyze_pipeline(
             analysis::build_hierarchical_pipeline(
                 std::uint64_t{1} << 18, 6, b, "hierarchical" + prec),
@@ -362,10 +366,8 @@ int main(int argc, char** argv) {
     } else {
       std::string kind = cli.get_string("plan-kind");
       if (kind == "auto") {
-        switch (fft::routed_plan_kind(n, fft::kDefaultFourStepThresholdLog2,
-                                      fft::kDefaultHierarchicalThresholdLog2)) {
+        switch (fft::routed_plan_kind(n, fft::kDefaultHierarchicalThresholdLog2)) {
           case fft::PlanKind::kHierarchical: kind = "hierarchical"; break;
-          case fft::PlanKind::kFourStep: kind = "four-step"; break;
           case fft::PlanKind::kMixedRadix: kind = "mixed-radix"; break;
           case fft::PlanKind::kBluestein: kind = "bluestein"; break;
           default: kind = "classic"; break;
@@ -409,10 +411,6 @@ int main(int argc, char** argv) {
         if (want_pipeline)
           reports.push_back(analysis::analyze_pipeline(
               analysis::build_classic_pipeline(plan, build), pipe_opts));
-      } else if (kind == "four-step") {
-        reports.push_back(analysis::analyze_pipeline(
-            analysis::build_four_step_pipeline(n, radix_log2, build),
-            pipe_opts));
       } else if (kind == "hierarchical") {
         reports.push_back(analysis::analyze_pipeline(
             analysis::build_hierarchical_pipeline(n, radix_log2, build),

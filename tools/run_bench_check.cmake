@@ -62,8 +62,8 @@ endif()
 # RATIO2_*/RATIO3_* (same four variables each) add independent further
 # gates with their own filtered runs — one bench_check ctest can then pin
 # several unrelated speedup pairs (the SIMD payoff, the hierarchical-vs-
-# four-step scheduling payoff, the exact-N mixed-radix-vs-padded-pow2
-# payoff) without paying the full baseline sweep repeatedly.
+# classic large-N payoff, the exact-N mixed-radix-vs-padded-pow2 payoff)
+# without paying the full baseline sweep repeatedly.
 foreach(gate "" "2" "3")
   if(DEFINED RATIO${gate}_MIN)
     execute_process(
