@@ -299,24 +299,13 @@ void BM_HostFftFine(benchmark::State& state) {
   fft::HostFftOptions opts;
   opts.workers = static_cast<unsigned>(state.range(1));
   for (auto _ : state) {
-    fft::forward(data, opts, fft::Variant::kFine);
+    fft::forward(data, opts);
     benchmark::DoNotOptimize(data.data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(data.size()));
 }
 BENCHMARK(BM_HostFftFine)->Args({14, 1})->Args({14, 2})->Args({16, 2});
-
-void BM_HostFftCoarse(benchmark::State& state) {
-  auto data = random_signal(std::uint64_t{1} << state.range(0), 5);
-  fft::HostFftOptions opts;
-  opts.workers = 2;
-  for (auto _ : state) {
-    fft::forward(data, opts, fft::Variant::kCoarse);
-    benchmark::DoNotOptimize(data.data());
-  }
-}
-BENCHMARK(BM_HostFftCoarse)->Arg(14);
 
 void BM_RealFft(benchmark::State& state) {
   const std::uint64_t n = std::uint64_t{1} << state.range(0);

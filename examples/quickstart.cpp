@@ -8,6 +8,7 @@
 
 #include "fft/api.hpp"
 #include "fft/reference.hpp"
+#include "fft/variants.hpp"
 
 using c64fft::fft::cplx;
 
@@ -40,10 +41,13 @@ int main() {
   std::cout << "quickstart: round-trip max error = "
             << c64fft::fft::max_abs_error(back, signal) << '\n';
 
-  // 5. The same call can run the coarse (Alg. 1) or guided (Alg. 3)
-  //    scheduler — results are identical, only scheduling differs.
+  // 5. The paper's other schedulers (coarse Alg. 1, guided Alg. 3) run on
+  //    the reproduction driver fft_host; results are identical, only
+  //    scheduling differs.
   auto guided = signal;
-  c64fft::fft::forward(guided, opts, c64fft::fft::Variant::kGuided);
+  c64fft::fft::PaperFftOptions paper;
+  paper.workers = 4;
+  c64fft::fft::fft_host(guided, c64fft::fft::Variant::kGuided, paper);
   std::cout << "quickstart: guided vs fine max diff = "
             << c64fft::fft::max_abs_error(guided, spectrum) << '\n';
   return 0;

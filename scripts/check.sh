@@ -22,8 +22,9 @@ run_config() {
   ctest --test-dir "$dir" --output-on-failure -j
 }
 
+# The tier-1 tree builds with -Werror, like both CI build jobs.
 echo "== tier-1 (normal build) =="
-run_config build
+run_config build -DC64FFT_WERROR=ON
 
 if [[ $fast -eq 0 ]]; then
   echo "== tier-1 under ASan + LSan =="
@@ -38,15 +39,16 @@ if [[ $fast -eq 0 ]]; then
   # TSan watches the concurrency surface: the work-stealing deques, the
   # runtime's phase/counter machinery, the executor's batched dispatch and
   # the hierarchical tile pipeline (dependency-counted cross-stage pushes
-  # are exactly where a missed release order would race). Only the
-  # threaded tests run here — TSan is slow, and the numeric tests add no
-  # thread interleavings it could observe. (ASan and TSan are mutually
+  # are exactly where a missed release order would race), and the paper
+  # reproduction harness (fft_host), which runs its own threaded phases.
+  # Only the threaded tests run here — TSan is slow, and the numeric tests
+  # add no thread interleavings it could observe. (ASan and TSan are mutually
   # exclusive instrumentations, hence the separate tree.)
   echo "== concurrency tests under TSan =="
   cmake -B build-tsan -S . -DC64FFT_TSAN=ON >/dev/null
   cmake --build build-tsan -j
   ctest --test-dir build-tsan --output-on-failure -j \
-    -R 'test_executor|test_ws_deque|test_ws_runtime|test_host_runtime|test_serve|test_hierarchical'
+    -R 'test_executor|test_ws_deque|test_ws_runtime|test_host_runtime|test_serve|test_hierarchical|test_variants'
 fi
 
 echo "check.sh: all configurations passed"

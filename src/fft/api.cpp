@@ -20,50 +20,48 @@ HostFftOptions clamp_radix(std::size_t n, HostFftOptions opts) {
 }
 }  // namespace
 
-void forward(std::span<cplx> data, const HostFftOptions& opts, Variant variant) {
-  default_executor().forward(data, clamp_radix(data.size(), opts), variant);
+void forward(std::span<cplx> data, const HostFftOptions& opts) {
+  default_executor().forward(data, clamp_radix(data.size(), opts));
 }
 
-void forward(std::span<cplx32> data, const HostFftOptions& opts, Variant variant) {
-  default_executor().forward(data, clamp_radix(data.size(), opts), variant);
+void forward(std::span<cplx32> data, const HostFftOptions& opts) {
+  default_executor().forward(data, clamp_radix(data.size(), opts));
 }
 
-void inverse(std::span<cplx> data, const HostFftOptions& opts, Variant variant) {
+void inverse(std::span<cplx> data, const HostFftOptions& opts) {
   // The executor's inverse runs the forward stage kernels against the
   // cached conjugated twiddle table, so the old pre-conjugation pass over
   // the input is gone; only the 1/N scale epilogue remains.
-  default_executor().inverse(data, clamp_radix(data.size(), opts), variant);
+  default_executor().inverse(data, clamp_radix(data.size(), opts));
 }
 
-void inverse(std::span<cplx32> data, const HostFftOptions& opts, Variant variant) {
-  default_executor().inverse(data, clamp_radix(data.size(), opts), variant);
+void inverse(std::span<cplx32> data, const HostFftOptions& opts) {
+  default_executor().inverse(data, clamp_radix(data.size(), opts));
 }
 
-std::vector<cplx> forward_copy(std::span<const cplx> data, const HostFftOptions& opts,
-                               Variant variant) {
+std::vector<cplx> forward_copy(std::span<const cplx> data, const HostFftOptions& opts) {
   std::vector<cplx> out(data.begin(), data.end());
-  forward(out, opts, variant);
+  forward(out, opts);
   return out;
 }
 
 std::vector<cplx32> forward_copy(std::span<const cplx32> data,
-                                 const HostFftOptions& opts, Variant variant) {
+                                 const HostFftOptions& opts) {
   std::vector<cplx32> out(data.begin(), data.end());
-  forward(out, opts, variant);
+  forward(out, opts);
   return out;
 }
 
-std::vector<cplx> inverse_copy(std::span<const cplx> data, const HostFftOptions& opts,
-                               Variant variant) {
+std::vector<cplx> inverse_copy(std::span<const cplx> data, const HostFftOptions& opts) {
   std::vector<cplx> out(data.begin(), data.end());
-  inverse(out, opts, variant);
+  inverse(out, opts);
   return out;
 }
 
 std::vector<cplx32> inverse_copy(std::span<const cplx32> data,
-                                 const HostFftOptions& opts, Variant variant) {
+                                 const HostFftOptions& opts) {
   std::vector<cplx32> out(data.begin(), data.end());
-  inverse(out, opts, variant);
+  inverse(out, opts);
   return out;
 }
 

@@ -7,38 +7,33 @@
 #include <span>
 #include <vector>
 
-#include "fft/variants.hpp"
+#include "fft/plan.hpp"
+#include "fft/types.hpp"
 
 namespace c64fft::fft {
 
-/// In-place forward FFT. Defaults: fine-grain algorithm (Alg. 2), radix
-/// 64, LIFO/natural ordering, linear twiddles. The cplx32 overloads run
-/// the single-precision engine (same plan algebra, f32 twiddles/kernels,
-/// distinct plan-cache entries) on the same process-wide executor.
-void forward(std::span<cplx> data, const HostFftOptions& opts = {},
-             Variant variant = Variant::kFine);
-void forward(std::span<cplx32> data, const HostFftOptions& opts = {},
-             Variant variant = Variant::kFine);
+/// In-place forward FFT on the process-wide executor: radix 64 by default,
+/// pow2 sizes on the paper's fine-grain schedule (Alg. 2), composites
+/// mixed-radix, everything else Bluestein. The cplx32 overloads run the
+/// single-precision engine (same plan algebra, f32 twiddles/kernels,
+/// distinct plan-cache entries). The paper's other schedules and twiddle
+/// layouts live behind fft_host, the reproduction driver.
+void forward(std::span<cplx> data, const HostFftOptions& opts = {});
+void forward(std::span<cplx32> data, const HostFftOptions& opts = {});
 
 /// In-place inverse FFT (unitary 1/N scaling), same engine.
-void inverse(std::span<cplx> data, const HostFftOptions& opts = {},
-             Variant variant = Variant::kFine);
-void inverse(std::span<cplx32> data, const HostFftOptions& opts = {},
-             Variant variant = Variant::kFine);
+void inverse(std::span<cplx> data, const HostFftOptions& opts = {});
+void inverse(std::span<cplx32> data, const HostFftOptions& opts = {});
 
 /// Out-of-place convenience forms.
 std::vector<cplx> forward_copy(std::span<const cplx> data,
-                               const HostFftOptions& opts = {},
-                               Variant variant = Variant::kFine);
+                               const HostFftOptions& opts = {});
 std::vector<cplx32> forward_copy(std::span<const cplx32> data,
-                                 const HostFftOptions& opts = {},
-                                 Variant variant = Variant::kFine);
+                                 const HostFftOptions& opts = {});
 std::vector<cplx> inverse_copy(std::span<const cplx> data,
-                               const HostFftOptions& opts = {},
-                               Variant variant = Variant::kFine);
+                               const HostFftOptions& opts = {});
 std::vector<cplx32> inverse_copy(std::span<const cplx32> data,
-                                 const HostFftOptions& opts = {},
-                                 Variant variant = Variant::kFine);
+                                 const HostFftOptions& opts = {});
 
 /// Power spectrum |X[k]|^2 / N of a real-valued signal (returns N/2+1
 /// bins). Pads to the next power of two >= max(n, radix).

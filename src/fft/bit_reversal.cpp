@@ -2,9 +2,7 @@
 
 #include <stdexcept>
 #include <utility>
-#include <vector>
 
-#include "codelet/host_runtime.hpp"
 #include "util/bit_ops.hpp"
 
 namespace c64fft::fft {
@@ -21,48 +19,9 @@ void permute_impl(std::span<cplx_t<T>> data) {
   }
 }
 
-template <typename T>
-void permute_parallel_impl(std::span<cplx_t<T>> data, unsigned workers,
-                           unsigned chunks) {
-  const std::uint64_t n = data.size();
-  if (!util::is_pow2(n)) throw std::invalid_argument("bit_reverse_permute: non-power-of-two");
-  if (workers <= 1 || n < 2) {
-    permute_impl<T>(data);
-    return;
-  }
-  if (chunks == 0) chunks = workers * 4;
-  const unsigned bits = util::ilog2(n);
-  const std::uint64_t chunk = std::max<std::uint64_t>(1, n / chunks);
-
-  // Each codelet handles an index range; the i < j guard makes every swap
-  // owned by exactly one codelet, so chunks are disjoint.
-  codelet::HostRuntime rt(workers);
-  std::vector<codelet::CodeletKey> seeds;
-  for (std::uint64_t start = 0; start < n; start += chunk)
-    seeds.push_back({0, start});
-  rt.run_phase(seeds, codelet::PoolPolicy::kFifo,
-               [&](codelet::CodeletKey key, unsigned, codelet::Pusher&) {
-                 const std::uint64_t end = std::min(n, key.index + chunk);
-                 for (std::uint64_t i = key.index; i < end; ++i) {
-                   const std::uint64_t j = util::bit_reverse(i, bits);
-                   if (i < j) std::swap(data[i], data[j]);
-                 }
-               });
-}
-
 }  // namespace
 
 void bit_reverse_permute(std::span<cplx> data) { permute_impl<double>(data); }
 void bit_reverse_permute(std::span<cplx32> data) { permute_impl<float>(data); }
-
-void bit_reverse_permute_parallel(std::span<cplx> data, unsigned workers,
-                                  unsigned chunks) {
-  permute_parallel_impl<double>(data, workers, chunks);
-}
-
-void bit_reverse_permute_parallel(std::span<cplx32> data, unsigned workers,
-                                  unsigned chunks) {
-  permute_parallel_impl<float>(data, workers, chunks);
-}
 
 }  // namespace c64fft::fft

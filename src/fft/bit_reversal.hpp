@@ -16,12 +16,4 @@ namespace c64fft::fft {
 void bit_reverse_permute(std::span<cplx> data);
 void bit_reverse_permute(std::span<cplx32> data);
 
-/// Parallel variant: the permutation is split into `chunks` independent
-/// codelets executed on `workers` threads (the paper's
-/// "Bit_reversal(D) in parallel"). Equivalent to the serial form.
-void bit_reverse_permute_parallel(std::span<cplx> data, unsigned workers,
-                                  unsigned chunks = 0);
-void bit_reverse_permute_parallel(std::span<cplx32> data, unsigned workers,
-                                  unsigned chunks = 0);
-
 }  // namespace c64fft::fft

@@ -182,12 +182,11 @@ FftExecutor::FftExecutor(const ExecutorOptions& opts)
 
 FftExecutor::~FftExecutor() = default;
 
-codelet::HostRuntime& FftExecutor::team(unsigned workers,
-                                        codelet::SchedulerMode mode) {
+codelet::HostRuntime& FftExecutor::team(unsigned workers) {
   if (workers == 0) throw std::invalid_argument("FftExecutor: zero workers");
-  if (!runtime_ || runtime_->workers() != workers || runtime_->mode() != mode) {
+  if (!runtime_ || runtime_->workers() != workers) {
     runtime_.reset();  // join the old team before spawning its replacement
-    runtime_ = std::make_unique<codelet::HostRuntime>(workers, mode);
+    runtime_ = std::make_unique<codelet::HostRuntime>(workers);
     runtime_->set_phase_hook(phase_hook_);
     ++teams_created_;
   }
@@ -241,8 +240,7 @@ void FftExecutor::ensure_worker_buffers(std::uint64_t radix, unsigned workers) {
 
 template <typename T>
 void FftExecutor::run_t(std::span<const std::span<cplx_t<T>>> batch,
-                        const HostFftOptions& opts, Variant variant,
-                        TwiddleDirection dir) {
+                        const HostFftOptions& opts, TwiddleDirection dir) {
   if (batch.empty()) return;
   // Unlocked fast-fail; the authoritative re-check happens under mutex_
   // below (close() flips the flag while holding the same mutex, so a
@@ -255,20 +253,20 @@ void FftExecutor::run_t(std::span<const std::span<cplx_t<T>>> batch,
           "FftExecutor: batch transforms must share one length");
 
   // Shape errors surface before any cache/team work; no clamping here —
-  // this is the fft_host contract (api.cpp clamps on its own behalf).
+  // this is the plan contract (api.cpp clamps on its own behalf).
   validate_fft_shape(n, opts.radix_log2, /*clamp_radix=*/false);
 
   // Non-pow2 sizes dispatch on factorization alone, before the tuned
   // schedules and size thresholds below (those steer the pow2 plans only).
-  // Mixed-radix and Bluestein keys pin radix_log2 = 1 and the linear
-  // layout: neither knob shapes these plans, and canonical values keep one
-  // cache entry per (n, precision) no matter what options callers pass.
+  // Mixed-radix and Bluestein keys pin radix_log2 = 1: the radix does not
+  // shape these plans, and a canonical value keeps one cache entry per
+  // (n, precision) no matter what options callers pass.
   if (!util::is_pow2(n)) {
     const Factorization f = factorize(n);
     if (f.smooth) {
       std::shared_ptr<const PlanEntry> entry = cache_.acquire(PlanKey{
-          n, /*radix_log2=*/1, TwiddleLayout::kLinear, PlanKind::kMixedRadix,
-          precision_of<T>, /*hier_leaf_log2=*/0, factorization_digest(f)});
+          n, /*radix_log2=*/1, PlanKind::kMixedRadix, precision_of<T>,
+          /*hier_leaf_log2=*/0, factorization_digest(f)});
       std::lock_guard lock(mutex_);
       if (closed_.load(std::memory_order_relaxed)) throw ExecutorClosedError();
       if (batch.size() > 1)
@@ -286,8 +284,7 @@ void FftExecutor::run_t(std::span<const std::span<cplx_t<T>>> batch,
     // prime and pow2 sizes shares plans instead of duplicating them.
     const std::uint64_t m = bluestein_fft_size(n);
     std::shared_ptr<const PlanEntry> entry = cache_.acquire(PlanKey{
-        n, /*radix_log2=*/1, TwiddleLayout::kLinear, PlanKind::kBluestein,
-        precision_of<T>});
+        n, /*radix_log2=*/1, PlanKind::kBluestein, precision_of<T>});
     const PlanKind conv_kind = routed_plan_kind(
         m, hierarchical_threshold_log2_.load(std::memory_order_relaxed));
     unsigned conv_radix = validate_fft_shape(m, opts.radix_log2, true);
@@ -303,13 +300,13 @@ void FftExecutor::run_t(std::span<const std::span<cplx_t<T>>> batch,
                                          sizeof(cplx_t<T>));
     if (conv_kind != PlanKind::kHierarchical) conv_leaf = 0;
     std::shared_ptr<const PlanEntry> conv = cache_.acquire(PlanKey{
-        m, conv_radix, opts.layout, conv_kind, precision_of<T>, conv_leaf});
+        m, conv_radix, conv_kind, precision_of<T>, conv_leaf});
     std::lock_guard lock(mutex_);
     if (closed_.load(std::memory_order_relaxed)) throw ExecutorClosedError();
     if (batch.size() > 1)
-      run_bluestein_batch_locked<T>(*entry, *conv, batch, opts, variant, dir);
+      run_bluestein_batch_locked<T>(*entry, *conv, batch, opts, dir);
     else
-      run_bluestein_locked<T>(*entry, *conv, batch.front(), opts, variant, dir);
+      run_bluestein_locked<T>(*entry, *conv, batch.front(), opts, dir);
     bluestein_ += batch.size();
     transforms_ += (batch.size() == 1) ? 1 : 0;
     batched_ += (batch.size() == 1) ? 0 : batch.size();
@@ -347,8 +344,7 @@ void FftExecutor::run_t(std::span<const std::span<cplx_t<T>>> batch,
       leaf = hierarchical_leaf_log2(util::cache_info().l2_bytes,
                                     sizeof(cplx_t<T>));
     std::shared_ptr<const PlanEntry> entry = cache_.acquire(
-        PlanKey{n, radix_log2, opts.layout, PlanKind::kHierarchical,
-                precision_of<T>, leaf});
+        PlanKey{n, radix_log2, PlanKind::kHierarchical, precision_of<T>, leaf});
     std::lock_guard lock(mutex_);
     if (closed_.load(std::memory_order_relaxed)) throw ExecutorClosedError();
     for (const std::span<cplx_t<T>>& t : batch)
@@ -360,11 +356,10 @@ void FftExecutor::run_t(std::span<const std::span<cplx_t<T>>> batch,
   }
 
   std::shared_ptr<const PlanEntry> entry = cache_.acquire(
-      PlanKey{n, radix_log2, opts.layout, PlanKind::kClassic,
-              precision_of<T>});
+      PlanKey{n, radix_log2, PlanKind::kClassic, precision_of<T>});
   std::lock_guard lock(mutex_);
   if (closed_.load(std::memory_order_relaxed)) throw ExecutorClosedError();
-  run_classic_locked<T>(*entry, batch, opts, variant, dir);
+  run_classic_locked<T>(*entry, batch, opts, dir);
   transforms_ += (batch.size() == 1) ? 1 : 0;
   batched_ += (batch.size() == 1) ? 0 : batch.size();
 }
@@ -373,7 +368,7 @@ template <typename T>
 void FftExecutor::run_classic_locked(const PlanEntry& entry,
                                      std::span<const std::span<cplx_t<T>>> batch,
                                      const HostFftOptions& opts,
-                                     Variant variant, TwiddleDirection dir) {
+                                     TwiddleDirection dir) {
   const std::uint64_t n = batch.front().size();
   const FftPlan& plan = entry.plan();
   const BasicTwiddleTable<T>& twiddles = entry.twiddles_for<T>(dir);
@@ -381,7 +376,7 @@ void FftExecutor::run_classic_locked(const PlanEntry& entry,
   const std::uint64_t b_count = batch.size();
   const std::uint32_t stages = plan.stage_count();
 
-  codelet::HostRuntime& rt = team(opts.workers, opts.mode);
+  codelet::HostRuntime& rt = team(opts.workers);
   ensure_worker_buffers<T>(plan.radix(), rt.workers());
   std::vector<BasicKernelScratch<T>>& scratch = num<T>().scratch;
 
@@ -389,14 +384,13 @@ void FftExecutor::run_classic_locked(const PlanEntry& entry,
   const unsigned fuse_log2 = tuned_fuse_locked<T>(n);
 
   // Serial fast path: on a one-worker team there is no scheduling to
-  // exercise — every variant degenerates to in-order execution — so
-  // instead of the swap-based permutation phase plus a stage-0
-  // gather/scatter round-trip per codelet, each transform runs the same
-  // fused split-complex stage 0 as the hierarchical sub-FFT sweeps (cached
-  // bit-reversal index table feeding the dispatched permuted gather),
-  // then the remaining stages in order. Same butterflies in the same
-  // order, so the output is bit-identical to the phased path under every
-  // variant. Whole batches take this path too (not just b_count == 1):
+  // exercise, so instead of the swap-based permutation phase plus a
+  // stage-0 gather/scatter round-trip per codelet, each transform runs
+  // the same fused split-complex stage 0 as the hierarchical sub-FFT
+  // sweeps (cached bit-reversal index table feeding the dispatched
+  // permuted gather), then the remaining stages in order. Same butterflies
+  // in the same order, so the output is bit-identical to the phased path.
+  // Whole batches take this path too (not just b_count == 1):
   // a coalesced batch of B small transforms on a one-worker team then
   // pays the plan/twiddle/tuned-schedule lookups and the executor lock
   // once for all B, with per-transform work identical to B single calls —
@@ -421,11 +415,10 @@ void FftExecutor::run_classic_locked(const PlanEntry& entry,
   }
 
   // Single transforms bit-reverse as a chunked phase on the persistent
-  // team (the old free function spawned its own team per call); batches
-  // instead fold the permutation into per-transform root codelets below —
-  // one phase and one injection-queue pop per transform instead of one
-  // per stage-0 codelet, and each transform's butterflies start cache-warm
-  // right after its own permutation.
+  // team; batches instead fold the permutation into per-transform root
+  // codelets below — one phase and one injection-queue pop per transform
+  // instead of one per stage-0 codelet, and each transform's butterflies
+  // start cache-warm right after its own permutation.
   if (b_count == 1) {
     const SweepGrain grain = bitrev_sweep_grain(n, rt.workers());
     const std::uint64_t chunk = grain.per;
@@ -443,145 +436,58 @@ void FftExecutor::run_classic_locked(const PlanEntry& entry,
                  });
   }
 
-  // Batch seeding: a root codelet per transform (sentinel stage) that
-  // optionally bit-reverses its whole transform, then releases that
-  // transform's `order`-ordered codelets of `target_stage` onto the
-  // executing worker's own lock-free deque.
+  // Alg. 2 over the batch-encoded key space (index = b * tasks + t): one
+  // DependencyCounters instance per transform, all stamped from the cached
+  // template; the codelet that fills a sibling group's counter pushes the
+  // whole group onto its own worker's deque. A batch seeds one root
+  // codelet per transform (sentinel stage) that bit-reverses it and
+  // releases its stage-0 codelets in natural order.
   constexpr std::uint32_t kRootStage = 0xFFFFFFFFu;
-  std::vector<CodeletKey> root_seeds;
-  if (b_count > 1) {
-    root_seeds.reserve(b_count);
-    for (std::uint64_t b = 0; b < b_count; ++b) root_seeds.push_back({kRootStage, b});
-  }
-  auto rooted = [&](const std::vector<std::uint64_t>& order,
-                    std::uint32_t target_stage, bool do_bitrev,
-                    codelet::CodeletBody inner) -> codelet::CodeletBody {
-    return [&, target_stage, do_bitrev, inner](CodeletKey key, unsigned worker,
-                                               codelet::Pusher& pusher) {
-      if (key.stage != kRootStage) {
-        inner(key, worker, pusher);
-        return;
-      }
-      const std::uint64_t b = key.index;
-      if (do_bitrev) {
-        std::span<cplx_t<T>> data = batch[b];
-        for (std::uint64_t i = 0; i < n; ++i) {
-          const std::uint64_t j = util::bit_reverse(i, bits);
-          if (i < j) std::swap(data[i], data[j]);
-        }
-      }
-      std::vector<CodeletKey>& keys = keys_buf_[worker];
-      keys.clear();
-      keys.reserve(order.size());
-      for (std::uint64_t t : order) keys.push_back({target_stage, b * tasks + t});
-      pusher.push_batch(keys);
-    };
-  };
-
-  std::vector<std::uint64_t> natural(tasks);
-  for (std::uint64_t t = 0; t < tasks; ++t) natural[t] = t;
-
-  if (variant == Variant::kCoarse) {
-    // Algorithm 1 over the whole batch: one phase per stage; every
-    // transform's stage-s codelets run inside the same phase.
-    const codelet::CodeletBody exec = [&](CodeletKey key, unsigned worker,
-                                          codelet::Pusher&) {
-      run_codelet(plan, key.stage, key.index % tasks, batch[key.index / tasks],
-                  twiddles, scratch[worker], fuse_log2);
-    };
-    std::uint32_t first = 0;
-    if (b_count > 1) {
-      rt.run_phase(root_seeds, PoolPolicy::kFifo, rooted(natural, 0, true, exec));
-      first = 1;
-    }
-    std::vector<CodeletKey> seeds(tasks * b_count);
-    for (std::uint32_t s = first; s < stages; ++s) {
-      for (std::uint64_t i = 0; i < seeds.size(); ++i) seeds[i] = {s, i};
-      rt.run_phase(seeds, PoolPolicy::kFifo, exec);
-    }
-    return;
-  }
-
-  // Fine/guided: one DependencyCounters instance per transform, all
-  // stamped from the cached template.
   std::vector<codelet::DependencyCounters> counters;
   counters.reserve(b_count);
   for (std::uint64_t b = 0; b < b_count; ++b)
     counters.push_back(entry.make_counters());
 
-  // Kernel + readiness propagation over the batch-encoded key space;
-  // mirrors the single-transform fine body of the paper's Alg. 2/3.
-  auto fine_body = [&](std::uint32_t last_propagated) -> codelet::CodeletBody {
-    return [&, last_propagated](CodeletKey key, unsigned worker,
-                                codelet::Pusher& pusher) {
-      const std::uint64_t b = key.index / tasks;
-      const std::uint64_t t = key.index % tasks;
-      run_codelet(plan, key.stage, t, batch[b], twiddles, scratch[worker],
-                  fuse_log2);
-      if (key.stage >= last_propagated || key.stage + 1 >= stages) return;
-      const std::uint64_t g = plan.child_group(key.stage, t);
-      if (counters[b].arrive(key.stage + 1, g)) {
-        std::vector<std::uint64_t>& members = members_buf_[worker];
-        plan.group_members(key.stage + 1, g, members);
-        std::vector<CodeletKey>& keys = keys_buf_[worker];
-        keys.clear();
-        keys.reserve(members.size());
-        for (std::uint64_t m : members)
-          keys.push_back({key.stage + 1, b * tasks + m});
-        pusher.push_batch(keys);
+  const auto body = [&](CodeletKey key, unsigned worker,
+                        codelet::Pusher& pusher) {
+    std::vector<CodeletKey>& keys = keys_buf_[worker];
+    if (key.stage == kRootStage) {
+      const std::uint64_t b = key.index;
+      std::span<cplx_t<T>> data = batch[b];
+      for (std::uint64_t i = 0; i < n; ++i) {
+        const std::uint64_t j = util::bit_reverse(i, bits);
+        if (i < j) std::swap(data[i], data[j]);
       }
-    };
+      keys.clear();
+      keys.reserve(tasks);
+      for (std::uint64_t t = 0; t < tasks; ++t) keys.push_back({0, b * tasks + t});
+      pusher.push_batch(keys);
+      return;
+    }
+    const std::uint64_t b = key.index / tasks;
+    const std::uint64_t t = key.index % tasks;
+    run_codelet(plan, key.stage, t, batch[b], twiddles, scratch[worker],
+                fuse_log2);
+    if (key.stage + 1 >= stages) return;
+    const std::uint64_t g = plan.child_group(key.stage, t);
+    if (!counters[b].arrive(key.stage + 1, g)) return;
+    std::vector<std::uint64_t>& members = members_buf_[worker];
+    plan.group_members(key.stage + 1, g, members);
+    keys.clear();
+    keys.reserve(members.size());
+    for (std::uint64_t m : members) keys.push_back({key.stage + 1, b * tasks + m});
+    pusher.push_batch(keys);
   };
 
-  FineOrdering ordering = opts.ordering;
-  bool fine = variant == Variant::kFine;
-  if (variant == Variant::kGuided && stages < 3) {
-    // Degenerate guided input: Alg. 3 reduces to fine with its LIFO pool.
-    fine = true;
-    ordering = FineOrdering{PoolPolicy::kLifo, SeedOrder::kNatural, 1};
-  }
-
-  if (fine) {
-    const std::vector<std::uint64_t> order =
-        make_seed_order(ordering.order, tasks, ordering.seed);
-    if (b_count > 1) {
-      rt.run_phase(root_seeds, ordering.policy,
-                   rooted(order, 0, true, fine_body(stages - 1)));
-    } else {
-      std::vector<CodeletKey> seeds;
-      seeds.reserve(order.size());
-      for (std::uint64_t t : order) seeds.push_back({0, t});
-      rt.run_phase(seeds, ordering.policy, fine_body(stages - 1));
-    }
+  std::vector<CodeletKey> seeds;
+  if (b_count == 1) {
+    seeds.reserve(tasks);
+    for (std::uint64_t t = 0; t < tasks; ++t) seeds.push_back({0, t});
   } else {
-    // Algorithm 3, phase 1: fine-grain over the early stages; the last
-    // early stage does not propagate readiness.
-    const std::uint32_t last_early = stages - 3;
-    if (b_count > 1) {
-      rt.run_phase(root_seeds, PoolPolicy::kLifo,
-                   rooted(natural, 0, true, fine_body(last_early)));
-    } else {
-      std::vector<CodeletKey> seeds;
-      seeds.reserve(tasks);
-      for (std::uint64_t i = 0; i < tasks; ++i) seeds.push_back({0, i});
-      rt.run_phase(seeds, PoolPolicy::kLifo, fine_body(last_early));
-    }
-    // Phase 2: per transform, the simulator's column-batched seed order of
-    // the penultimate stage.
-    const std::uint32_t penultimate = stages - 2;
-    const std::vector<std::uint64_t> order = guided_phase2_order(plan);
-    if (order.size() != tasks)
-      throw std::logic_error("guided: phase-2 seeding does not cover the stage");
-    if (b_count > 1) {
-      rt.run_phase(root_seeds, PoolPolicy::kLifo,
-                   rooted(order, penultimate, false, fine_body(stages - 1)));
-    } else {
-      std::vector<CodeletKey> phase2;
-      phase2.reserve(tasks);
-      for (std::uint64_t p : order) phase2.push_back({penultimate, p});
-      rt.run_phase(phase2, PoolPolicy::kLifo, fine_body(stages - 1));
-    }
+    seeds.reserve(b_count);
+    for (std::uint64_t b = 0; b < b_count; ++b) seeds.push_back({kRootStage, b});
   }
+  rt.run_phase(seeds, PoolPolicy::kLifo, body);
 }
 
 template <typename T>
@@ -593,7 +499,7 @@ void FftExecutor::run_mixed_radix_locked(const PlanEntry& entry,
   const std::uint64_t n = plan.size();
   const std::span<const cplx_t<T>> tw = entry.mixed_twiddles_for<T>(dir);
 
-  codelet::HostRuntime& rt = team(opts.workers, opts.mode);
+  codelet::HostRuntime& rt = team(opts.workers);
   NumericState<T>& st = num<T>();
   if (st.mixed_scratch.size() < n) st.mixed_scratch.resize(n);
 
@@ -655,7 +561,7 @@ void FftExecutor::run_mixed_radix_batch_locked(
   const MixedRadixPlan& plan = entry.mixed_plan();
   const std::span<const cplx_t<T>> tw = entry.mixed_twiddles_for<T>(dir);
 
-  codelet::HostRuntime& rt = team(opts.workers, opts.mode);
+  codelet::HostRuntime& rt = team(opts.workers);
   NumericState<T>& st = num<T>();
 
   // One-worker teams have no phases to amortize: loop the serial body
@@ -689,7 +595,7 @@ void FftExecutor::run_bluestein_locked(const PlanEntry& entry,
                                        const PlanEntry& conv,
                                        std::span<cplx_t<T>> data,
                                        const HostFftOptions& opts,
-                                       Variant variant, TwiddleDirection dir) {
+                                       TwiddleDirection dir) {
   // Chirp-z: X[k] = c[k] * (1/M) * IFFT_M( FFT_M(x .* c) .* B )[k] with
   // c the length-n chirp and B the precomputed FFT of the chirp filter,
   // both direction-resolved tables of `entry`. The two M-point transforms
@@ -715,7 +621,7 @@ void FftExecutor::run_bluestein_locked(const PlanEntry& entry,
                                  /*tuned_block_rows=*/0, /*depth=*/0);
     } else {
       const std::span<cplx_t<T>> one[1] = {buf};
-      run_classic_locked<T>(conv, one, opts, variant, inner_dir);
+      run_classic_locked<T>(conv, one, opts, inner_dir);
     }
   };
   run_inner(TwiddleDirection::kForward);
@@ -732,8 +638,8 @@ template <typename T>
 void FftExecutor::run_bluestein_batch_locked(
     const PlanEntry& entry, const PlanEntry& conv,
     std::span<const std::span<cplx_t<T>>> batch, const HostFftOptions& opts,
-    Variant variant, TwiddleDirection dir) {
-  codelet::HostRuntime& rt = team(opts.workers, opts.mode);
+    TwiddleDirection dir) {
+  codelet::HostRuntime& rt = team(opts.workers);
 
   // Fall back to the per-transform path when there is nothing to amortize
   // (one-worker teams run no phases) or when the convolution size routes
@@ -741,7 +647,7 @@ void FftExecutor::run_bluestein_batch_locked(
   // nest inside a codelet body.
   if (rt.workers() == 1 || conv.kind() != PlanKind::kClassic) {
     for (const std::span<cplx_t<T>>& t : batch)
-      run_bluestein_locked<T>(entry, conv, t, opts, variant, dir);
+      run_bluestein_locked<T>(entry, conv, t, opts, dir);
     return;
   }
 
@@ -882,7 +788,7 @@ void FftExecutor::run_hierarchical_locked(const PlanEntry& entry,
   const std::uint64_t n = n1 * n2;
   const bool single_level = entry.levels() == 1;
 
-  codelet::HostRuntime& rt = team(opts.workers, opts.mode);
+  codelet::HostRuntime& rt = team(opts.workers);
   const unsigned workers = rt.workers();
   NumericState<T>& st = num<T>();
 
@@ -1071,114 +977,82 @@ void FftExecutor::run_hierarchical_locked(const PlanEntry& entry,
   });
 }
 
-void FftExecutor::forward(std::span<cplx> data, const HostFftOptions& opts,
-                          Variant variant) {
+void FftExecutor::forward(std::span<cplx> data, const HostFftOptions& opts) {
   const std::span<cplx> one[1] = {data};
-  run_t<double>(one, opts, variant, TwiddleDirection::kForward);
+  run_t<double>(one, opts, TwiddleDirection::kForward);
 }
 
-void FftExecutor::forward(std::span<cplx> data, Variant variant) {
-  HostFftOptions opts;
-  opts.workers = opts_.workers;
-  opts.mode = opts_.mode;
-  forward(data, opts, variant);
+void FftExecutor::forward(std::span<cplx> data) {
+  forward(data, HostFftOptions{default_workers()});
 }
 
-void FftExecutor::forward(std::span<cplx32> data, const HostFftOptions& opts,
-                          Variant variant) {
+void FftExecutor::forward(std::span<cplx32> data, const HostFftOptions& opts) {
   const std::span<cplx32> one[1] = {data};
-  run_t<float>(one, opts, variant, TwiddleDirection::kForward);
+  run_t<float>(one, opts, TwiddleDirection::kForward);
 }
 
-void FftExecutor::forward(std::span<cplx32> data, Variant variant) {
-  HostFftOptions opts;
-  opts.workers = opts_.workers;
-  opts.mode = opts_.mode;
-  forward(data, opts, variant);
+void FftExecutor::forward(std::span<cplx32> data) {
+  forward(data, HostFftOptions{default_workers()});
 }
 
-void FftExecutor::inverse(std::span<cplx> data, const HostFftOptions& opts,
-                          Variant variant) {
+void FftExecutor::inverse(std::span<cplx> data, const HostFftOptions& opts) {
   const std::span<cplx> one[1] = {data};
-  run_t<double>(one, opts, variant, TwiddleDirection::kInverse);
+  run_t<double>(one, opts, TwiddleDirection::kInverse);
   scale_by<double>(data, 1.0 / static_cast<double>(data.size()));
 }
 
-void FftExecutor::inverse(std::span<cplx> data, Variant variant) {
-  HostFftOptions opts;
-  opts.workers = opts_.workers;
-  opts.mode = opts_.mode;
-  inverse(data, opts, variant);
+void FftExecutor::inverse(std::span<cplx> data) {
+  inverse(data, HostFftOptions{default_workers()});
 }
 
-void FftExecutor::inverse(std::span<cplx32> data, const HostFftOptions& opts,
-                          Variant variant) {
+void FftExecutor::inverse(std::span<cplx32> data, const HostFftOptions& opts) {
   const std::span<cplx32> one[1] = {data};
-  run_t<float>(one, opts, variant, TwiddleDirection::kInverse);
+  run_t<float>(one, opts, TwiddleDirection::kInverse);
   scale_by<float>(data, 1.0 / static_cast<double>(data.size()));
 }
 
-void FftExecutor::inverse(std::span<cplx32> data, Variant variant) {
-  HostFftOptions opts;
-  opts.workers = opts_.workers;
-  opts.mode = opts_.mode;
-  inverse(data, opts, variant);
+void FftExecutor::inverse(std::span<cplx32> data) {
+  inverse(data, HostFftOptions{default_workers()});
 }
 
 void FftExecutor::forward_batch(std::span<const std::span<cplx>> batch,
-                                const HostFftOptions& opts, Variant variant) {
-  run_t<double>(batch, opts, variant, TwiddleDirection::kForward);
+                                const HostFftOptions& opts) {
+  run_t<double>(batch, opts, TwiddleDirection::kForward);
 }
 
-void FftExecutor::forward_batch(std::span<const std::span<cplx>> batch,
-                                Variant variant) {
-  HostFftOptions opts;
-  opts.workers = opts_.workers;
-  opts.mode = opts_.mode;
-  forward_batch(batch, opts, variant);
+void FftExecutor::forward_batch(std::span<const std::span<cplx>> batch) {
+  forward_batch(batch, HostFftOptions{default_workers()});
 }
 
 void FftExecutor::forward_batch(std::span<const std::span<cplx32>> batch,
-                                const HostFftOptions& opts, Variant variant) {
-  run_t<float>(batch, opts, variant, TwiddleDirection::kForward);
+                                const HostFftOptions& opts) {
+  run_t<float>(batch, opts, TwiddleDirection::kForward);
 }
 
-void FftExecutor::forward_batch(std::span<const std::span<cplx32>> batch,
-                                Variant variant) {
-  HostFftOptions opts;
-  opts.workers = opts_.workers;
-  opts.mode = opts_.mode;
-  forward_batch(batch, opts, variant);
+void FftExecutor::forward_batch(std::span<const std::span<cplx32>> batch) {
+  forward_batch(batch, HostFftOptions{default_workers()});
 }
 
 void FftExecutor::inverse_batch(std::span<const std::span<cplx>> batch,
-                                const HostFftOptions& opts, Variant variant) {
-  run_t<double>(batch, opts, variant, TwiddleDirection::kInverse);
+                                const HostFftOptions& opts) {
+  run_t<double>(batch, opts, TwiddleDirection::kInverse);
   for (const std::span<cplx>& t : batch)
     scale_by<double>(t, 1.0 / static_cast<double>(t.size()));
 }
 
-void FftExecutor::inverse_batch(std::span<const std::span<cplx>> batch,
-                                Variant variant) {
-  HostFftOptions opts;
-  opts.workers = opts_.workers;
-  opts.mode = opts_.mode;
-  inverse_batch(batch, opts, variant);
+void FftExecutor::inverse_batch(std::span<const std::span<cplx>> batch) {
+  inverse_batch(batch, HostFftOptions{default_workers()});
 }
 
 void FftExecutor::inverse_batch(std::span<const std::span<cplx32>> batch,
-                                const HostFftOptions& opts, Variant variant) {
-  run_t<float>(batch, opts, variant, TwiddleDirection::kInverse);
+                                const HostFftOptions& opts) {
+  run_t<float>(batch, opts, TwiddleDirection::kInverse);
   for (const std::span<cplx32>& t : batch)
     scale_by<float>(t, 1.0 / static_cast<double>(t.size()));
 }
 
-void FftExecutor::inverse_batch(std::span<const std::span<cplx32>> batch,
-                                Variant variant) {
-  HostFftOptions opts;
-  opts.workers = opts_.workers;
-  opts.mode = opts_.mode;
-  inverse_batch(batch, opts, variant);
+void FftExecutor::inverse_batch(std::span<const std::span<cplx32>> batch) {
+  inverse_batch(batch, HostFftOptions{default_workers()});
 }
 
 void FftExecutor::resize(unsigned workers) {

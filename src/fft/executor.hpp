@@ -1,13 +1,12 @@
 #pragma once
 // Cached-plan FFT executor: the steady-state entry point of the library.
-//
-// Every fft_host call used to rebuild the FftPlan, recompute the O(N)
-// trig TwiddleTable, and spawn + join a fresh HostRuntime worker team.
-// FftExecutor amortizes all three: plans/twiddles/counter templates live
-// in a thread-safe LRU PlanCache, and one lazily created persistent
-// worker team is reused across transforms (and resized only when a call
-// asks for a different team shape). Steady-state forward() therefore does
-// zero thread spawns and zero trig recomputation.
+// Plans, twiddles and counter templates live in a thread-safe LRU
+// PlanCache, and one lazily created persistent worker team is reused
+// across transforms (and resized only when a call asks for a different
+// team size), so a steady-state forward() spawns no thread and recomputes
+// no trig. Every pow2 classic transform runs one schedule: the paper's
+// Alg. 2 (dependency-counted fine grain), stage-0 codelets seeded in
+// natural order into a LIFO pool.
 //
 // forward_batch()/inverse_batch() submit many independent equal-length
 // transforms as codelets of ONE runtime phase: CodeletKey::index encodes
@@ -57,7 +56,6 @@
 #include "codelet/host_runtime.hpp"
 #include "fft/kernel.hpp"
 #include "fft/plan_cache.hpp"
-#include "fft/variants.hpp"
 
 namespace c64fft::fft {
 
@@ -128,7 +126,6 @@ struct ExecutorOptions {
   /// Team shape used by the option-less transform overloads (per-call
   /// HostFftOptions override it, recreating the team when they differ).
   unsigned workers = 4;
-  codelet::SchedulerMode mode = codelet::SchedulerMode::kWorkStealing;
   /// Plan-cache capacity in entries (>= 1).
   std::size_t capacity = 16;
   /// Pow2 transforms with log2(N) >= this value route through the
@@ -214,47 +211,39 @@ class FftExecutor {
   FftExecutor(const FftExecutor&) = delete;
   FftExecutor& operator=(const FftExecutor&) = delete;
 
-  /// In-place transforms. Shape validation matches fft_host: bad sizes
-  /// throw std::invalid_argument, the radix is NOT clamped (the api.cpp
-  /// wrappers clamp before calling). opts.workers/opts.mode select the
-  /// team; the option-less overloads use the ExecutorOptions defaults.
-  /// The cplx32 overloads are the f32 path — same plan algebra, f32
-  /// twiddles/kernels, separate plan-cache entries.
-  void forward(std::span<cplx> data, const HostFftOptions& opts,
-               Variant variant = Variant::kFine);
-  void forward(std::span<cplx> data, Variant variant = Variant::kFine);
-  void forward(std::span<cplx32> data, const HostFftOptions& opts,
-               Variant variant = Variant::kFine);
-  void forward(std::span<cplx32> data, Variant variant = Variant::kFine);
-  void inverse(std::span<cplx> data, const HostFftOptions& opts,
-               Variant variant = Variant::kFine);
-  void inverse(std::span<cplx> data, Variant variant = Variant::kFine);
-  void inverse(std::span<cplx32> data, const HostFftOptions& opts,
-               Variant variant = Variant::kFine);
-  void inverse(std::span<cplx32> data, Variant variant = Variant::kFine);
+  /// In-place transforms. Bad sizes throw std::invalid_argument; the
+  /// radix is NOT clamped (the api.cpp wrappers clamp before calling).
+  /// opts.workers selects the team; the option-less overloads use the
+  /// ExecutorOptions default. The cplx32 overloads are the f32 path — same
+  /// plan algebra, f32 twiddles/kernels, separate plan-cache entries.
+  void forward(std::span<cplx> data, const HostFftOptions& opts);
+  void forward(std::span<cplx> data);
+  void forward(std::span<cplx32> data, const HostFftOptions& opts);
+  void forward(std::span<cplx32> data);
+  void inverse(std::span<cplx> data, const HostFftOptions& opts);
+  void inverse(std::span<cplx> data);
+  void inverse(std::span<cplx32> data, const HostFftOptions& opts);
+  void inverse(std::span<cplx32> data);
 
   /// Batched transforms: every span is one independent transform; all must
   /// share one length >= 2 (throws std::invalid_argument otherwise). A
-  /// pow2 batch runs as one bit-reversal phase plus the variant's stage
-  /// phases; composite/prime lengths run their mixed-radix or Bluestein
-  /// plan per transform with the plan/twiddle lookups amortized across the
-  /// batch. Bit-identical per transform to a loop of single calls.
+  /// pow2 batch runs as one phase with a root codelet per transform that
+  /// bit-reverses it and releases its stage-0 codelets; composite/prime
+  /// lengths run their mixed-radix or Bluestein plan per transform with
+  /// the plan/twiddle lookups amortized across the batch. Bit-identical
+  /// per transform to a loop of single calls.
   void forward_batch(std::span<const std::span<cplx>> batch,
-                     const HostFftOptions& opts, Variant variant = Variant::kFine);
-  void forward_batch(std::span<const std::span<cplx>> batch,
-                     Variant variant = Variant::kFine);
+                     const HostFftOptions& opts);
+  void forward_batch(std::span<const std::span<cplx>> batch);
   void forward_batch(std::span<const std::span<cplx32>> batch,
-                     const HostFftOptions& opts, Variant variant = Variant::kFine);
-  void forward_batch(std::span<const std::span<cplx32>> batch,
-                     Variant variant = Variant::kFine);
+                     const HostFftOptions& opts);
+  void forward_batch(std::span<const std::span<cplx32>> batch);
   void inverse_batch(std::span<const std::span<cplx>> batch,
-                     const HostFftOptions& opts, Variant variant = Variant::kFine);
-  void inverse_batch(std::span<const std::span<cplx>> batch,
-                     Variant variant = Variant::kFine);
+                     const HostFftOptions& opts);
+  void inverse_batch(std::span<const std::span<cplx>> batch);
   void inverse_batch(std::span<const std::span<cplx32>> batch,
-                     const HostFftOptions& opts, Variant variant = Variant::kFine);
-  void inverse_batch(std::span<const std::span<cplx32>> batch,
-                     Variant variant = Variant::kFine);
+                     const HostFftOptions& opts);
+  void inverse_batch(std::span<const std::span<cplx32>> batch);
 
   /// Default team size for the option-less overloads; an existing team of
   /// a different size is dropped (and respawned lazily at next use).
@@ -288,7 +277,8 @@ class FftExecutor {
   std::size_t load_schedules(const std::string& path);
 
   /// Team size the option-less overloads currently use (after the
-  /// constructor/reconfigure() env snapshot).
+  /// constructor/reconfigure() env snapshot). Read under the executor
+  /// lock, so it never races resize()/reconfigure().
   unsigned default_workers() const;
 
   /// Join and destroy the worker team (the plan cache survives). The next
@@ -372,19 +362,18 @@ class FftExecutor {
       return f64_;
   }
 
-  codelet::HostRuntime& team(unsigned workers, codelet::SchedulerMode mode);
+  codelet::HostRuntime& team(unsigned workers);
   template <typename T>
   void ensure_worker_buffers(std::uint64_t radix, unsigned workers);
   template <typename T>
   void run_t(std::span<const std::span<cplx_t<T>>> batch,
-             const HostFftOptions& opts, Variant variant, TwiddleDirection dir);
+             const HostFftOptions& opts, TwiddleDirection dir);
   /// The classic stage/task dispatch (mutex_ held by the caller). Never
   /// scales — inverse normalization lives in the public wrappers only.
   template <typename T>
   void run_classic_locked(const PlanEntry& entry,
                           std::span<const std::span<cplx_t<T>>> batch,
-                          const HostFftOptions& opts, Variant variant,
-                          TwiddleDirection dir);
+                          const HostFftOptions& opts, TwiddleDirection dir);
   /// One hierarchical transform (mutex_ held), recursive over the plan
   /// entry's column chain. The single-level body runs ONE runtime phase of
   /// dependency-counted tile-block tasks — gather-transpose of block i+1
@@ -428,8 +417,7 @@ class FftExecutor {
   template <typename T>
   void run_bluestein_locked(const PlanEntry& entry, const PlanEntry& conv,
                             std::span<cplx_t<T>> data,
-                            const HostFftOptions& opts, Variant variant,
-                            TwiddleDirection dir);
+                            const HostFftOptions& opts, TwiddleDirection dir);
   /// A batch of Bluestein transforms (mutex_ held): when the inner
   /// convolution is a classic plan, ONE phase with one codelet per
   /// transform — each worker runs the whole chirp-z chain (modulate,
@@ -444,7 +432,7 @@ class FftExecutor {
   void run_bluestein_batch_locked(const PlanEntry& entry,
                                   const PlanEntry& conv,
                                   std::span<const std::span<cplx_t<T>>> batch,
-                                  const HostFftOptions& opts, Variant variant,
+                                  const HostFftOptions& opts,
                                   TwiddleDirection dir);
   /// Tuned fuse_log2 for a plan of size `n` at precision T under the
   /// process-active kernel ISA (mutex_ held — bumps schedule_hits_);
@@ -492,8 +480,7 @@ class FftExecutor {
   std::uint64_t schedule_hits_ = 0;
 };
 
-/// The process-wide executor the api.cpp wrappers (and the fft_host
-/// compatibility shim) dispatch through.
+/// The process-wide executor the api.cpp wrappers dispatch through.
 FftExecutor& default_executor();
 
 }  // namespace c64fft::fft

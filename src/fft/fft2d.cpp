@@ -18,47 +18,44 @@ namespace {
 // same work-stealing deques.
 template <typename T>
 void rows_pass(std::span<cplx_t<T>> data, std::uint64_t rows, std::uint64_t cols,
-               unsigned radix_log2, const HostFftOptions& opts, Variant variant) {
+               unsigned radix_log2, const HostFftOptions& opts) {
   std::vector<std::span<cplx_t<T>>> row_spans;
   row_spans.reserve(rows);
   for (std::uint64_t r = 0; r < rows; ++r)
     row_spans.push_back(data.subspan(r * cols, cols));
   HostFftOptions clamped = opts;
   clamped.radix_log2 = radix_log2;
-  default_executor().forward_batch(row_spans, clamped, variant);
+  default_executor().forward_batch(row_spans, clamped);
 }
 
 template <typename T>
 void forward_2d_impl(std::span<cplx_t<T>> data, std::uint64_t rows,
-                     std::uint64_t cols, const HostFftOptions& opts,
-                     Variant variant) {
+                     std::uint64_t cols, const HostFftOptions& opts) {
   const Fft2dShape shape = fft2d_shape(data.size(), rows, cols, opts.radix_log2);
-  rows_pass<T>(data, rows, cols, shape.row_radix_log2, opts, variant);
+  rows_pass<T>(data, rows, cols, shape.row_radix_log2, opts);
   // Column pass via the cache-blocked transpose kernels (transpose.hpp):
   // square matrices flip in place, rectangular ones bounce through one
   // scratch buffer.
   if (shape.square) {
     transpose_inplace_square(data, rows);
-    rows_pass<T>(data, cols, rows, shape.col_radix_log2, opts, variant);
+    rows_pass<T>(data, cols, rows, shape.col_radix_log2, opts);
     transpose_inplace_square(data, rows);
     return;
   }
   std::vector<cplx_t<T>> t(data.size());
   transpose_blocked(std::span<const cplx_t<T>>(data.data(), data.size()), t,
                     rows, cols);
-  rows_pass<T>(std::span<cplx_t<T>>(t), cols, rows, shape.col_radix_log2, opts,
-               variant);
+  rows_pass<T>(std::span<cplx_t<T>>(t), cols, rows, shape.col_radix_log2, opts);
   transpose_blocked(std::span<const cplx_t<T>>(t.data(), t.size()), data, cols,
                     rows);
 }
 
 template <typename T>
 void inverse_2d_impl(std::span<cplx_t<T>> data, std::uint64_t rows,
-                     std::uint64_t cols, const HostFftOptions& opts,
-                     Variant variant) {
+                     std::uint64_t cols, const HostFftOptions& opts) {
   (void)fft2d_shape(data.size(), rows, cols, opts.radix_log2);
   for (auto& v : data) v = std::conj(v);
-  forward_2d_impl<T>(data, rows, cols, opts, variant);
+  forward_2d_impl<T>(data, rows, cols, opts);
   const T inv = static_cast<T>(1.0 / static_cast<double>(data.size()));
   for (auto& v : data) v = std::conj(v) * inv;
 }
@@ -80,23 +77,23 @@ Fft2dShape fft2d_shape(std::size_t size, std::uint64_t rows, std::uint64_t cols,
 }
 
 void forward_2d(std::span<cplx> data, std::uint64_t rows, std::uint64_t cols,
-                const HostFftOptions& opts, Variant variant) {
-  forward_2d_impl<double>(data, rows, cols, opts, variant);
+                const HostFftOptions& opts) {
+  forward_2d_impl<double>(data, rows, cols, opts);
 }
 
 void forward_2d(std::span<cplx32> data, std::uint64_t rows, std::uint64_t cols,
-                const HostFftOptions& opts, Variant variant) {
-  forward_2d_impl<float>(data, rows, cols, opts, variant);
+                const HostFftOptions& opts) {
+  forward_2d_impl<float>(data, rows, cols, opts);
 }
 
 void inverse_2d(std::span<cplx> data, std::uint64_t rows, std::uint64_t cols,
-                const HostFftOptions& opts, Variant variant) {
-  inverse_2d_impl<double>(data, rows, cols, opts, variant);
+                const HostFftOptions& opts) {
+  inverse_2d_impl<double>(data, rows, cols, opts);
 }
 
 void inverse_2d(std::span<cplx32> data, std::uint64_t rows, std::uint64_t cols,
-                const HostFftOptions& opts, Variant variant) {
-  inverse_2d_impl<float>(data, rows, cols, opts, variant);
+                const HostFftOptions& opts) {
+  inverse_2d_impl<float>(data, rows, cols, opts);
 }
 
 }  // namespace c64fft::fft

@@ -1,5 +1,5 @@
 #pragma once
-// 2-D FFT (row-column decomposition) built on the 1-D codelet variants —
+// 2-D FFT (row-column decomposition) built on the 1-D codelet FFT —
 // the extension direction the paper inherits from Chen et al.'s 1-D/2-D
 // C64 study. Rows and columns are independent 1-D transforms, so each
 // pass is itself a pool of parallel codelets. Both precisions are served
@@ -9,7 +9,8 @@
 #include <cstdint>
 #include <span>
 
-#include "fft/variants.hpp"
+#include "fft/plan.hpp"
+#include "fft/types.hpp"
 
 namespace c64fft::fft {
 
@@ -35,14 +36,14 @@ Fft2dShape fft2d_shape(std::size_t size, std::uint64_t rows, std::uint64_t cols,
 /// In-place 2-D forward FFT of a row-major `rows x cols` matrix; both
 /// dimensions must be powers of two >= 2.
 void forward_2d(std::span<cplx> data, std::uint64_t rows, std::uint64_t cols,
-                const HostFftOptions& opts = {}, Variant variant = Variant::kFine);
+                const HostFftOptions& opts = {});
 void forward_2d(std::span<cplx32> data, std::uint64_t rows, std::uint64_t cols,
-                const HostFftOptions& opts = {}, Variant variant = Variant::kFine);
+                const HostFftOptions& opts = {});
 
 /// In-place 2-D inverse FFT (1/(rows*cols) scaling).
 void inverse_2d(std::span<cplx> data, std::uint64_t rows, std::uint64_t cols,
-                const HostFftOptions& opts = {}, Variant variant = Variant::kFine);
+                const HostFftOptions& opts = {});
 void inverse_2d(std::span<cplx32> data, std::uint64_t rows, std::uint64_t cols,
-                const HostFftOptions& opts = {}, Variant variant = Variant::kFine);
+                const HostFftOptions& opts = {});
 
 }  // namespace c64fft::fft

@@ -102,6 +102,15 @@ HierarchicalSplit hierarchical_split(std::uint64_t n, unsigned leaf_log2);
 /// (against floor(log2 N)) and never throws on width.
 unsigned validate_fft_shape(std::uint64_t n, unsigned radix_log2, bool clamp_radix);
 
+/// Per-call options of the production transforms (fft/api.hpp,
+/// FftExecutor, fft2d, real_fft): the worker-team size and the codelet
+/// radix. The paper's scheduling knobs live in PaperFftOptions
+/// (fft/variants.hpp), which only fft_host accepts.
+struct HostFftOptions {
+  unsigned workers = 4;
+  unsigned radix_log2 = 6;
+};
+
 class FftPlan {
  public:
   /// N must be a power of two with N >= R = 2^radix_log2, radix_log2 in

@@ -53,9 +53,9 @@ PlanEntry::PlanEntry(const PlanKey& key) : key_(key) {
         "or kBluestein");
   plan_ = std::make_unique<FftPlan>(key.n, key.radix_log2);
   if (key.precision == Precision::kF32)
-    forward32_ = std::make_unique<TwiddleTableF>(key.n, key.layout);
+    forward32_ = std::make_unique<TwiddleTableF>(key.n, TwiddleLayout::kLinear);
   else
-    forward_ = std::make_unique<TwiddleTable>(key.n, key.layout);
+    forward_ = std::make_unique<TwiddleTable>(key.n, TwiddleLayout::kLinear);
   const std::uint32_t stages = plan_->stage_count();
   groups_.assign(stages, 0);
   thresholds_.assign(stages, 1);
@@ -224,7 +224,7 @@ const TwiddleTable& PlanEntry::twiddles(TwiddleDirection dir) const {
     throw std::logic_error("PlanEntry: f64 twiddle accessor on an f32 entry");
   if (dir == TwiddleDirection::kForward) return *e.forward_;
   std::call_once(inverse_once_, [this] {
-    inverse_ = std::make_unique<TwiddleTable>(key_.n, key_.layout,
+    inverse_ = std::make_unique<TwiddleTable>(key_.n, TwiddleLayout::kLinear,
                                               TwiddleDirection::kInverse);
   });
   return *inverse_;
@@ -236,8 +236,8 @@ const TwiddleTableF& PlanEntry::twiddles_f32(TwiddleDirection dir) const {
     throw std::logic_error("PlanEntry: f32 twiddle accessor on an f64 entry");
   if (dir == TwiddleDirection::kForward) return *e.forward32_;
   std::call_once(inverse_once_, [this] {
-    inverse32_ = std::make_unique<TwiddleTableF>(key_.n, key_.layout,
-                                                 TwiddleDirection::kInverse);
+    inverse32_ = std::make_unique<TwiddleTableF>(
+        key_.n, TwiddleLayout::kLinear, TwiddleDirection::kInverse);
   });
   return *inverse32_;
 }
@@ -272,16 +272,16 @@ std::shared_ptr<const PlanEntry> PlanCache::acquire(const PlanKey& key) {
                   key.precision == Precision::kF32 ? 8 : 16);
     const HierarchicalSplit split = hierarchical_split(key.n, leaf);
     PlanKey row_key{split.n2, validate_fft_shape(split.n2, key.radix_log2, true),
-                    key.layout, PlanKind::kClassic, key.precision};
+                    PlanKind::kClassic, key.precision};
     std::shared_ptr<const PlanEntry> col;
     if (split.col_recursive) {
-      PlanKey col_key{split.n1, key.radix_log2, key.layout,
-                      PlanKind::kHierarchical, key.precision, leaf};
+      PlanKey col_key{split.n1, key.radix_log2, PlanKind::kHierarchical,
+                      key.precision, leaf};
       col = acquire(col_key);
     } else {
       PlanKey col_key{split.n1,
                       validate_fft_shape(split.n1, key.radix_log2, true),
-                      key.layout, PlanKind::kClassic, key.precision};
+                      PlanKind::kClassic, key.precision};
       col = split.n1 == split.n2 ? nullptr : acquire(col_key);
     }
     auto row = acquire(row_key);

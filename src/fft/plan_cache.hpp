@@ -30,20 +30,17 @@
 
 namespace c64fft::fft {
 
-/// Everything that distinguishes one cached plan from another. The
-/// scheduling variant is deliberately NOT part of the key: all three
-/// variants share the same plan/twiddles/counter shape, so one entry
-/// serves them all. `kind` IS part of the key — the classic and the
-/// hierarchical decomposition of one size are distinct entries, so
-/// toggling the executor threshold never invalidates either. `precision` is part of
-/// the key too: an f32 and an f64 transform of the same shape share
-/// nothing but the index algebra, and the twiddle tables they pin differ
-/// in both element width and content, so they must age through the LRU as
-/// separate entries.
+/// Everything that distinguishes one cached plan from another. Twiddle
+/// tables are always stored in the linear layout. `kind` is part of the
+/// key — the classic and the hierarchical decomposition of one size are
+/// distinct entries, so toggling the executor threshold never invalidates
+/// either. `precision` is part of the key too: an f32 and an f64
+/// transform of the same shape share nothing but the index algebra, and
+/// the twiddle tables they pin differ in both element width and content,
+/// so they must age through the LRU as separate entries.
 struct PlanKey {
   std::uint64_t n = 0;
   unsigned radix_log2 = 6;
-  TwiddleLayout layout = TwiddleLayout::kLinear;
   PlanKind kind = PlanKind::kClassic;
   Precision precision = Precision::kF64;
   /// kHierarchical only: the leaf cap (log2 points) the planner split this
@@ -66,7 +63,6 @@ struct PlanKeyHash {
     h ^= (std::uint64_t{k.radix_log2} << 1) ^
          (std::uint64_t{k.hier_leaf_log2} << 40) ^
          (k.factor_digest * 0xff51afd7ed558ccdull) ^
-         (k.layout == TwiddleLayout::kBitReversed ? 0x85ebca77ull : 0) ^
          (k.kind == PlanKind::kHierarchical ? 0x2545f4914f6cdd1dull : 0) ^
          (k.kind == PlanKind::kMixedRadix ? 0x94d049bb133111ebull : 0) ^
          (k.kind == PlanKind::kBluestein ? 0xbf58476d1ce4e5b9ull : 0) ^
@@ -134,8 +130,8 @@ class PlanEntry {
 
   /// Fresh per-transform counter set matching this plan (stage 0 has no
   /// producers; stages 1..S-1 use the plan's sibling-group algebra). Both
-  /// the fine and guided drivers consume this full-range shape. Classic
-  /// only.
+  /// the executor's phased classic path consumes this full-range shape.
+  /// Classic only.
   codelet::DependencyCounters make_counters() const {
     const PlanEntry& e = require_classic();
     return codelet::DependencyCounters(e.groups_, e.thresholds_);

@@ -20,8 +20,7 @@ HostFftOptions clamp_for(std::uint64_t n, HostFftOptions opts) {
 
 template <typename T>
 std::vector<cplx_t<T>> real_forward_impl(std::span<const T> signal,
-                                         const HostFftOptions& opts,
-                                         Variant variant) {
+                                         const HostFftOptions& opts) {
   const RealFftShape shape = real_forward_shape(signal.size(), opts.radix_log2);
   const std::uint64_t n = shape.n;
   const std::uint64_t half = shape.half;
@@ -34,7 +33,7 @@ std::vector<cplx_t<T>> real_forward_impl(std::span<const T> signal,
   if (half >= 2) {
     HostFftOptions sub = opts;
     sub.radix_log2 = shape.radix_log2;
-    default_executor().forward(std::span<cplx_t<T>>(packed), sub, variant);
+    default_executor().forward(std::span<cplx_t<T>>(packed), sub);
   } else {
     packed[0] = cplx_t<T>(signal[0], signal[1]);
   }
@@ -60,7 +59,7 @@ std::vector<cplx_t<T>> real_forward_impl(std::span<const T> signal,
 
 template <typename T>
 std::vector<T> real_inverse_impl(std::span<const cplx_t<T>> half_spectrum,
-                                 const HostFftOptions& opts, Variant variant) {
+                                 const HostFftOptions& opts) {
   if (half_spectrum.size() < 2)
     throw std::invalid_argument("real_inverse: need at least 2 bins");
   const std::uint64_t half = half_spectrum.size() - 1;
@@ -83,7 +82,7 @@ std::vector<T> real_inverse_impl(std::span<const cplx_t<T>> half_spectrum,
     packed[k] = even + cplx_t<T>(0, 1) * odd;
   }
   if (half >= 2) default_executor().inverse(std::span<cplx_t<T>>(packed),
-                                            clamp_for(half, opts), variant);
+                                            clamp_for(half, opts));
 
   std::vector<T> out(n);
   for (std::uint64_t i = 0; i < half; ++i) {
@@ -108,23 +107,23 @@ RealFftShape real_forward_shape(std::uint64_t n, unsigned radix_log2) {
 }
 
 std::vector<cplx> real_forward(std::span<const double> signal,
-                               const HostFftOptions& opts, Variant variant) {
-  return real_forward_impl<double>(signal, opts, variant);
+                               const HostFftOptions& opts) {
+  return real_forward_impl<double>(signal, opts);
 }
 
 std::vector<cplx32> real_forward(std::span<const float> signal,
-                                 const HostFftOptions& opts, Variant variant) {
-  return real_forward_impl<float>(signal, opts, variant);
+                                 const HostFftOptions& opts) {
+  return real_forward_impl<float>(signal, opts);
 }
 
 std::vector<double> real_inverse(std::span<const cplx> half_spectrum,
-                                 const HostFftOptions& opts, Variant variant) {
-  return real_inverse_impl<double>(half_spectrum, opts, variant);
+                                 const HostFftOptions& opts) {
+  return real_inverse_impl<double>(half_spectrum, opts);
 }
 
 std::vector<float> real_inverse(std::span<const cplx32> half_spectrum,
-                                const HostFftOptions& opts, Variant variant) {
-  return real_inverse_impl<float>(half_spectrum, opts, variant);
+                                const HostFftOptions& opts) {
+  return real_inverse_impl<float>(half_spectrum, opts);
 }
 
 }  // namespace c64fft::fft

@@ -11,7 +11,8 @@
 #include <span>
 #include <vector>
 
-#include "fft/variants.hpp"
+#include "fft/plan.hpp"
+#include "fft/types.hpp"
 
 namespace c64fft::fft {
 
@@ -39,22 +40,18 @@ inline std::array<std::uint64_t, 2> real_unpack_sources(std::uint64_t k,
 
 /// Forward transform of a real sequence (power-of-two length N >= 2).
 /// Returns the N/2+1 non-redundant spectrum bins X[0..N/2]; the remaining
-/// bins are their conjugate mirror. Runs on the host codelet engine with
-/// `opts` / `variant` (same knobs as fft::forward).
+/// bins are their conjugate mirror. Runs the N/2-point packed transform on
+/// the process-wide executor with `opts` (same options as fft::forward).
 std::vector<cplx> real_forward(std::span<const double> signal,
-                               const HostFftOptions& opts = {},
-                               Variant variant = Variant::kFine);
+                               const HostFftOptions& opts = {});
 std::vector<cplx32> real_forward(std::span<const float> signal,
-                                 const HostFftOptions& opts = {},
-                                 Variant variant = Variant::kFine);
+                                 const HostFftOptions& opts = {});
 
 /// Inverse of real_forward: reconstructs the N-sample real sequence from
 /// its N/2+1 half-spectrum.
 std::vector<double> real_inverse(std::span<const cplx> half_spectrum,
-                                 const HostFftOptions& opts = {},
-                                 Variant variant = Variant::kFine);
+                                 const HostFftOptions& opts = {});
 std::vector<float> real_inverse(std::span<const cplx32> half_spectrum,
-                                const HostFftOptions& opts = {},
-                                Variant variant = Variant::kFine);
+                                const HostFftOptions& opts = {});
 
 }  // namespace c64fft::fft

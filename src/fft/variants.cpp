@@ -1,17 +1,95 @@
 #include "fft/variants.hpp"
 
-#include "fft/executor.hpp"
+#include <algorithm>
+#include <stdexcept>
+#include <utility>
+#include <vector>
+
+#include "codelet/host_runtime.hpp"
+#include "fft/kernel.hpp"
+#include "fft/plan_cache.hpp"
+#include "util/bit_ops.hpp"
 
 namespace c64fft::fft {
 
-// Compatibility shim. The per-call Driver (plan + twiddle + worker-team
-// construction on every invocation) moved into FftExecutor, which caches
-// the plan/twiddles and keeps one persistent team; this free function now
-// just dispatches a single-transform batch through the process-wide
-// executor. Shape validation is unchanged: bad sizes throw
-// std::invalid_argument and the radix is not clamped.
-void fft_host(std::span<cplx> data, Variant variant, const HostFftOptions& opts) {
-  default_executor().forward(data, opts, variant);
+using codelet::CodeletKey;
+using codelet::PoolPolicy;
+
+void fft_host(std::span<cplx> data, Variant variant, const PaperFftOptions& opts) {
+  const std::uint64_t n = data.size();
+  if (!util::is_pow2(n))
+    throw std::invalid_argument("fft_host: N must be a power of two");
+  validate_fft_shape(n, opts.radix_log2, /*clamp_radix=*/false);
+
+  // An uncached entry supplies the plan and its counter shape; the
+  // twiddles are built in the requested layout.
+  const PlanEntry entry(PlanKey{n, opts.radix_log2});
+  const FftPlan& plan = entry.plan();
+  const TwiddleTable twiddles(n, opts.layout);
+  const std::uint32_t stages = plan.stage_count();
+  const std::uint64_t tasks = plan.tasks_per_stage();
+  codelet::DependencyCounters counters = entry.make_counters();
+  codelet::HostRuntime rt(opts.workers, opts.mode);
+  std::vector<KernelScratch> scratch;
+  for (unsigned w = 0; w < rt.workers(); ++w) scratch.emplace_back(plan.radix());
+  std::vector<std::vector<std::uint64_t>> members(rt.workers());
+  std::vector<std::vector<CodeletKey>> released(rt.workers());
+
+  // Bit reversal in parallel (the algorithms' first step): workers*4
+  // chunks; the i < j guard gives every swap exactly one owner.
+  const unsigned bits = plan.log2_size();
+  const std::uint64_t chunks = std::uint64_t{rt.workers()} * 4;
+  const std::uint64_t per = util::ceil_div(n, chunks);
+  std::vector<CodeletKey> seeds;
+  for (std::uint64_t c = 0; c < chunks; ++c) seeds.push_back({0, c});
+  rt.run_phase(seeds, PoolPolicy::kFifo, [&](CodeletKey key, unsigned, codelet::Pusher&) {
+    const std::uint64_t end = std::min(n, (key.index + 1) * per);
+    for (std::uint64_t i = key.index * per; i < end; ++i) {
+      const std::uint64_t j = util::bit_reverse(i, bits);
+      if (i < j) std::swap(data[i], data[j]);
+    }
+  });
+
+  // One phase seeded with `order`'s tasks of `stage`. Codelets of stages
+  // below `last_propagated` arrive at their child sibling group's counter
+  // and release the group once it fills.
+  const auto phase = [&](std::uint32_t stage, const std::vector<std::uint64_t>& order,
+                         PoolPolicy policy, std::uint32_t last_propagated) {
+    seeds.clear();
+    for (std::uint64_t t : order) seeds.push_back({stage, t});
+    rt.run_phase(seeds, policy, [&](CodeletKey key, unsigned w, codelet::Pusher& pusher) {
+      run_codelet(plan, key.stage, key.index, data, twiddles, scratch[w]);
+      if (key.stage >= last_propagated) return;
+      const std::uint64_t g = plan.child_group(key.stage, key.index);
+      if (!counters.arrive(key.stage + 1, g)) return;
+      plan.group_members(key.stage + 1, g, members[w]);
+      released[w].clear();
+      for (std::uint64_t m : members[w]) released[w].push_back({key.stage + 1, m});
+      pusher.push_batch(released[w]);
+    });
+  };
+
+  const std::vector<std::uint64_t> natural =
+      make_seed_order(SeedOrder::kNatural, tasks, 1);
+  if (variant == Variant::kCoarse) {
+    // Algorithm 1: a barrier after every stage.
+    for (std::uint32_t s = 0; s < stages; ++s) phase(s, natural, PoolPolicy::kFifo, 0);
+  } else if (variant == Variant::kFine) {
+    const FineOrdering& o = opts.ordering;
+    phase(0, make_seed_order(o.order, tasks, o.seed), o.policy, stages - 1);
+  } else if (stages < 3) {
+    // Degenerate guided input: Alg. 3 reduces to fine with its LIFO pool.
+    phase(0, natural, PoolPolicy::kLifo, stages - 1);
+  } else {
+    // Algorithm 3: fine-grain up to stage S-3 (which does not propagate),
+    // one barrier, then stage S-2 seeded column-batched so the last
+    // stage's sibling groups complete early.
+    phase(0, natural, PoolPolicy::kLifo, stages - 3);
+    const std::vector<std::uint64_t> order = guided_phase2_order(plan);
+    if (order.size() != tasks)
+      throw std::logic_error("guided: phase-2 seeding does not cover the stage");
+    phase(stages - 2, order, PoolPolicy::kLifo, stages - 1);
+  }
 }
 
 std::string to_string(Variant v) {

@@ -1,5 +1,5 @@
 #pragma once
-// Host (real-thread) implementations of the paper's FFT algorithms:
+// Reproduction driver for the paper's host FFT algorithms:
 //
 //   kCoarse — Algorithm 1: barrier after every stage (one runtime phase
 //             per stage).
@@ -13,14 +13,17 @@
 //
 // The hashed-twiddle versions of each are obtained by passing
 // TwiddleLayout::kBitReversed (the "coarse hash"/"fine hash" rows of
-// Table I). All variants compute bit-identical results to the serial
-// in-place FFT: only scheduling differs.
+// Table I). Every knob changes scheduling only: each combination computes
+// output bit-identical to FftExecutor::forward, which runs the one
+// production schedule (Alg. 2, natural LIFO seeding, linear twiddles).
+// The paper's timing claims come from the simulator (src/simfft); this
+// driver is their functional counterpart on real threads.
 
 #include <span>
 #include <string>
 
+#include "codelet/codelet.hpp"
 #include "fft/ordering.hpp"
-#include "fft/plan.hpp"
 #include "fft/twiddle.hpp"
 #include "fft/types.hpp"
 
@@ -28,23 +31,28 @@ namespace c64fft::fft {
 
 enum class Variant { kCoarse, kFine, kGuided };
 
-struct HostFftOptions {
+/// Options of fft_host. Deliberately not related to HostFftOptions, so a
+/// paper configuration cannot be passed (or sliced) into a production
+/// call.
+struct PaperFftOptions {
   unsigned workers = 4;
   unsigned radix_log2 = 6;
   TwiddleLayout layout = TwiddleLayout::kLinear;
-  /// Pool ordering for kFine (ignored by kCoarse; kGuided always follows
-  /// Alg. 3's LIFO grouped seeding).
+  /// Seed order and pool discipline of kFine (ignored by kCoarse; kGuided
+  /// always follows Alg. 3's LIFO grouped seeding).
   FineOrdering ordering = {};
-  /// kWorkStealing (default) runs on the lock-free per-worker deques with
-  /// free steal order; kSequential reproduces the exact paper-order
-  /// execution sequence of the single-pool runtime on one thread (use it
-  /// for the "fine best"/"fine worst" ordering experiments).
+  /// kWorkStealing runs on the lock-free per-worker deques with free
+  /// steal order; kSequential reproduces the exact paper-order execution
+  /// sequence of the single-pool runtime on one thread (the "fine
+  /// best"/"fine worst" ordering experiments).
   codelet::SchedulerMode mode = codelet::SchedulerMode::kWorkStealing;
 };
 
-/// In-place forward FFT of `data` (power-of-two length >= radix) with the
-/// chosen algorithm. Throws std::invalid_argument on bad sizes.
-void fft_host(std::span<cplx> data, Variant variant, const HostFftOptions& opts);
+/// In-place forward FFT of `data` with the chosen algorithm. Every call
+/// builds its own plan, twiddle table, counters and worker team, so it is
+/// a reproduction tool, not a fast path. Throws std::invalid_argument
+/// unless N is a power of two >= 2^radix_log2.
+void fft_host(std::span<cplx> data, Variant variant, const PaperFftOptions& opts);
 
 std::string to_string(Variant v);
 

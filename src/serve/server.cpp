@@ -262,16 +262,16 @@ std::uint64_t FftServer::process_batch(std::size_t count) {
         const std::span<const std::span<fft::cplx>> b(spans64_.data(),
                                                       spans64_.size());
         if (lead.dir == Direction::kForward)
-          exec_->forward_batch(b, hopts, opts_.variant);
+          exec_->forward_batch(b, hopts);
         else
-          exec_->inverse_batch(b, hopts, opts_.variant);
+          exec_->inverse_batch(b, hopts);
       } else {
         const std::span<const std::span<fft::cplx32>> b(spans32_.data(),
                                                         spans32_.size());
         if (lead.dir == Direction::kForward)
-          exec_->forward_batch(b, hopts, opts_.variant);
+          exec_->forward_batch(b, hopts);
         else
-          exec_->inverse_batch(b, hopts, opts_.variant);
+          exec_->inverse_batch(b, hopts);
       }
     } catch (const fft::ExecutorClosedError&) {
       // The executor was closed underneath us (shared-executor process

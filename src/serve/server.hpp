@@ -43,7 +43,6 @@
 
 #include "fft/executor.hpp"
 #include "fft/types.hpp"
-#include "fft/variants.hpp"
 #include "serve/arena.hpp"
 #include "serve/metrics.hpp"
 
@@ -127,7 +126,6 @@ struct ServerOptions {
   /// executor's serial fast path, which this host's single hardware
   /// thread wants; the coalescing win is then purely amortized dispatch.
   unsigned workers = 1;
-  fft::Variant variant = fft::Variant::kFine;
   /// Borrowed executor; nullptr makes the server own a private one
   /// (closed on shutdown — a borrowed executor is never closed).
   fft::FftExecutor* executor = nullptr;

@@ -57,16 +57,6 @@ TEST(Api, CompositeSizesRoundTrip) {
   }
 }
 
-TEST(Api, RoundTripAllVariants) {
-  const auto input = random_signal(1ULL << 12, 5);
-  for (Variant v : {Variant::kCoarse, Variant::kFine, Variant::kGuided}) {
-    auto data = input;
-    forward(data, {}, v);
-    inverse(data, {}, v);
-    EXPECT_LT(max_abs_error(data, input), 1e-10) << to_string(v);
-  }
-}
-
 TEST(Api, OutOfPlaceFormsLeaveInputIntact) {
   const auto input = random_signal(256, 8);
   const auto copy = input;

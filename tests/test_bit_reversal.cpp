@@ -55,28 +55,5 @@ TEST(BitReversal, TrivialSizes) {
   EXPECT_DOUBLE_EQ(two[1].real(), 2.0);
 }
 
-class ParallelBitReversal : public ::testing::TestWithParam<unsigned> {};
-
-TEST_P(ParallelBitReversal, MatchesSerial) {
-  const unsigned workers = GetParam();
-  for (std::uint64_t n : {2ULL, 64ULL, 1024ULL, 1ULL << 14}) {
-    auto serial = iota(n);
-    auto parallel = serial;
-    bit_reverse_permute(serial);
-    bit_reverse_permute_parallel(parallel, workers);
-    ASSERT_EQ(serial, parallel) << "n=" << n << " workers=" << workers;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Workers, ParallelBitReversal, ::testing::Values(1, 2, 3, 8));
-
-TEST(BitReversal, ParallelOddChunkCounts) {
-  auto serial = iota(1 << 12);
-  auto parallel = serial;
-  bit_reverse_permute(serial);
-  bit_reverse_permute_parallel(parallel, 4, 7);
-  EXPECT_EQ(serial, parallel);
-}
-
 }  // namespace
 }  // namespace c64fft::fft

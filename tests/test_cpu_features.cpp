@@ -39,8 +39,12 @@ TEST(CpuFeatures, LadderIsConsistent) {
   // support is monotone down the ladder (a level implies every lower one).
   EXPECT_TRUE(isa_supported(IsaLevel::kScalar));
   EXPECT_TRUE(isa_supported(best_supported_isa()));
-  if (isa_supported(IsaLevel::kAvx512)) EXPECT_TRUE(isa_supported(IsaLevel::kAvx2));
-  if (cpu_features().avx512) EXPECT_TRUE(cpu_features().avx2);
+  if (isa_supported(IsaLevel::kAvx512)) {
+    EXPECT_TRUE(isa_supported(IsaLevel::kAvx2));
+  }
+  if (cpu_features().avx512) {
+    EXPECT_TRUE(cpu_features().avx2);
+  }
 }
 
 TEST(CpuFeatures, FeatureBitsMatchSupportedLevels) {

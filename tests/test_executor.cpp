@@ -1,14 +1,15 @@
 // FftExecutor: the cached-plan / persistent-team layer. These tests pin
 // down the amortization contract (steady state spawns no worker teams, no
 // trig is recomputed), the batch semantics (bit-identical to a loop of
-// single calls for every variant and layout), the conjugated-twiddle
-// inverse path, LRU cache accounting, shutdown/re-create, and concurrent
-// callers (run under TSan via C64FFT_TSAN).
+// single calls), the conjugated-twiddle inverse path, LRU cache
+// accounting, shutdown/re-create, and concurrent callers (run under TSan
+// via C64FFT_TSAN).
 
 #include "fft/executor.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <thread>
 #include <vector>
@@ -45,26 +46,23 @@ TEST(Executor, ForwardMatchesSerialReference) {
 TEST(Executor, InverseBitIdenticalToConjugateForwardPath) {
   // The conjugated-twiddle inverse must reproduce the classic
   // conj -> forward -> conj * 1/N path exactly (every rounding in the
-  // butterflies is sign-symmetric), for both twiddle layouts.
-  for (TwiddleLayout layout : {TwiddleLayout::kLinear, TwiddleLayout::kBitReversed}) {
-    const std::uint64_t n = 1ULL << 12;
-    const auto input = random_signal(n, 7 + static_cast<int>(layout));
-    HostFftOptions opts;
-    opts.workers = 3;
-    opts.layout = layout;
+  // butterflies is sign-symmetric).
+  const std::uint64_t n = 1ULL << 12;
+  const auto input = random_signal(n, 7);
+  HostFftOptions opts;
+  opts.workers = 3;
 
-    FftExecutor ex;
-    auto got = input;
-    ex.inverse(got, opts);
+  FftExecutor ex;
+  auto got = input;
+  ex.inverse(got, opts);
 
-    auto want = input;
-    for (auto& v : want) v = std::conj(v);
-    ex.forward(want, opts);
-    const double inv = 1.0 / static_cast<double>(n);
-    for (auto& v : want) v = std::conj(v) * inv;
+  auto want = input;
+  for (auto& v : want) v = std::conj(v);
+  ex.forward(want, opts);
+  const double inv = 1.0 / static_cast<double>(n);
+  for (auto& v : want) v = std::conj(v) * inv;
 
-    ASSERT_EQ(max_abs_error(got, want), 0.0);
-  }
+  ASSERT_EQ(max_abs_error(got, want), 0.0);
 }
 
 TEST(Executor, RoundTripRestoresInput) {
@@ -79,34 +77,27 @@ TEST(Executor, RoundTripRestoresInput) {
   ASSERT_LT(max_abs_error(data, input), 1e-9);
 }
 
-TEST(Executor, BatchMatchesLoopBitExactlyAllVariantsAndLayouts) {
-  const std::uint64_t n = 1ULL << 13;  // 3 stages at radix 64: real guided path
+TEST(Executor, BatchMatchesLoopBitExactly) {
+  const std::uint64_t n = 1ULL << 13;  // 3 stages at radix 64, the last partial
   const std::size_t batch_size = 4;
-  for (Variant variant : {Variant::kCoarse, Variant::kFine, Variant::kGuided}) {
-    for (TwiddleLayout layout : {TwiddleLayout::kLinear, TwiddleLayout::kBitReversed}) {
-      HostFftOptions opts;
-      opts.workers = 4;
-      opts.layout = layout;
+  HostFftOptions opts;
+  opts.workers = 4;
 
-      std::vector<std::vector<cplx>> loop_bufs, batch_bufs;
-      for (std::size_t b = 0; b < batch_size; ++b) {
-        loop_bufs.push_back(random_signal(n, 1000 + b));
-        batch_bufs.push_back(loop_bufs.back());
-      }
-
-      FftExecutor ex;
-      for (auto& buf : loop_bufs) ex.forward(buf, opts, variant);
-
-      std::vector<std::span<cplx>> spans;
-      for (auto& buf : batch_bufs) spans.emplace_back(buf);
-      ex.forward_batch(spans, opts, variant);
-
-      for (std::size_t b = 0; b < batch_size; ++b)
-        ASSERT_EQ(max_abs_error(batch_bufs[b], loop_bufs[b]), 0.0)
-            << to_string(variant) << " layout=" << static_cast<int>(layout)
-            << " b=" << b;
-    }
+  std::vector<std::vector<cplx>> loop_bufs, batch_bufs;
+  for (std::size_t b = 0; b < batch_size; ++b) {
+    loop_bufs.push_back(random_signal(n, 1000 + b));
+    batch_bufs.push_back(loop_bufs.back());
   }
+
+  FftExecutor ex;
+  for (auto& buf : loop_bufs) ex.forward(buf, opts);
+
+  std::vector<std::span<cplx>> spans;
+  for (auto& buf : batch_bufs) spans.emplace_back(buf);
+  ex.forward_batch(spans, opts);
+
+  for (std::size_t b = 0; b < batch_size; ++b)
+    ASSERT_EQ(max_abs_error(batch_bufs[b], loop_bufs[b]), 0.0) << "b=" << b;
 }
 
 TEST(Executor, InverseBatchMatchesLoop) {
@@ -183,11 +174,6 @@ TEST(Executor, CacheHitMissAndLruEvictionAccounting) {
   EXPECT_EQ(s.cache.misses, 4u);
   EXPECT_EQ(s.cache.evictions, 2u);
   EXPECT_EQ(s.transforms, 5u);
-
-  // Layout is part of the key: same n, other layout must miss.
-  opts.layout = TwiddleLayout::kBitReversed;
-  ex.forward(a, opts);
-  EXPECT_EQ(ex.stats().cache.misses, 5u);
 }
 
 TEST(Executor, ShutdownThenRecreate) {
@@ -247,12 +233,36 @@ TEST(Executor, ResizeChangesDefaultTeam) {
   EXPECT_EQ(ex.stats().teams_created, 2u);
 }
 
+TEST(Executor, OptionlessCallsDoNotRaceResize) {
+  // The option-less overloads read the default team size under the
+  // executor lock, the same lock resize() writes it under (TSan checks
+  // this case: see scripts/check.sh).
+  FftExecutor ex;
+  const auto input = random_signal(256, 19);
+  auto want = input;
+  fft_serial_inplace(want);
+  std::atomic<bool> stop{false};
+  std::thread resizer([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      ex.resize(1);
+      ex.resize(2);
+    }
+  });
+  for (int i = 0; i < 50; ++i) {
+    auto got = input;
+    ex.forward(got);
+    EXPECT_LT(max_abs_error(got, want), 1e-8) << i;
+  }
+  stop.store(true, std::memory_order_relaxed);
+  resizer.join();
+}
+
 TEST(PlanCache, SharedEntriesSurviveEviction) {
   PlanCache cache(1);
-  auto a = cache.acquire(PlanKey{1024, 6, TwiddleLayout::kLinear});
-  auto a2 = cache.acquire(PlanKey{1024, 6, TwiddleLayout::kLinear});
+  auto a = cache.acquire(PlanKey{1024, 6});
+  auto a2 = cache.acquire(PlanKey{1024, 6});
   EXPECT_EQ(a.get(), a2.get());  // one immutable entry, shared
-  auto b = cache.acquire(PlanKey{2048, 6, TwiddleLayout::kLinear});  // evicts a
+  auto b = cache.acquire(PlanKey{2048, 6});  // evicts a
   EXPECT_EQ(cache.size(), 1u);
   // The evicted entry stays valid for holders — eviction only drops the
   // cache's reference.
@@ -263,9 +273,9 @@ TEST(PlanCache, SharedEntriesSurviveEviction) {
 
 TEST(PlanCache, BadShapesAreNotCached) {
   PlanCache cache(4);
-  EXPECT_THROW(cache.acquire(PlanKey{100, 6, TwiddleLayout::kLinear}),
+  EXPECT_THROW(cache.acquire(PlanKey{100, 6}),
                std::invalid_argument);
-  EXPECT_THROW(cache.acquire(PlanKey{16, 6, TwiddleLayout::kLinear}),
+  EXPECT_THROW(cache.acquire(PlanKey{16, 6}),
                std::invalid_argument);  // N < radix: no clamping on this path
   EXPECT_EQ(cache.size(), 0u);
 }

@@ -128,8 +128,7 @@ TEST(HierarchicalGrainPolicy, TileAlignedBlocksCoverAllRows) {
 TEST(HierarchicalPlanCache, EntryPinsSubEntriesRecursively) {
   PlanCache cache(8);
   // Forced leaf 4 at 2^12: 16 x 256 with a recursive 256-point column.
-  const PlanKey key{1ULL << 12, 6, TwiddleLayout::kLinear,
-                    PlanKind::kHierarchical, Precision::kF64, 4};
+  const PlanKey key{1ULL << 12, 6, PlanKind::kHierarchical, Precision::kF64, 4};
   auto entry = cache.acquire(key);
   ASSERT_EQ(entry->kind(), PlanKind::kHierarchical);
   EXPECT_EQ(entry->levels(), 2u);
@@ -145,7 +144,7 @@ TEST(HierarchicalPlanCache, EntryPinsSubEntriesRecursively) {
   EXPECT_EQ(entry->col_entry()->col_entry().get(),
             entry->col_entry()->row_entry().get());
   // Sub-keys carry the radix clamped to the sub-size (16 points -> 4).
-  auto direct = cache.acquire(PlanKey{16, 4, TwiddleLayout::kLinear});
+  auto direct = cache.acquire(PlanKey{16, 4});
   EXPECT_EQ(direct.get(), entry->col_entry()->row_entry().get());
   // Classic-only accessors stay fenced off on hierarchical entries, and
   // vice versa.
@@ -153,21 +152,19 @@ TEST(HierarchicalPlanCache, EntryPinsSubEntriesRecursively) {
   EXPECT_THROW(entry->twiddles(TwiddleDirection::kForward), std::logic_error);
   EXPECT_THROW(entry->row_entry()->split(), std::logic_error);
   // Distinct leaves build distinct plan trees (the leaf is in the key).
-  auto other = cache.acquire(PlanKey{1ULL << 12, 6, TwiddleLayout::kLinear,
-                                     PlanKind::kHierarchical, Precision::kF64,
-                                     6});
+  auto other = cache.acquire(
+      PlanKey{1ULL << 12, 6, PlanKind::kHierarchical, Precision::kF64, 6});
   EXPECT_NE(other.get(), entry.get());
   EXPECT_EQ(other->levels(), 1u);
   // A rectangular single-level split pins two distinct classic
   // sub-entries, the narrower one shared with a direct acquire.
-  auto rect = cache.acquire(PlanKey{1ULL << 13, 6, TwiddleLayout::kLinear,
-                                    PlanKind::kHierarchical, Precision::kF64,
-                                    14});
+  auto rect = cache.acquire(
+      PlanKey{1ULL << 13, 6, PlanKind::kHierarchical, Precision::kF64, 14});
   EXPECT_EQ(rect->split().n1, 64u);
   EXPECT_EQ(rect->split().n2, 128u);
   EXPECT_EQ(rect->col_entry()->kind(), PlanKind::kClassic);
   EXPECT_NE(rect->col_entry().get(), rect->row_entry().get());
-  auto col = cache.acquire(PlanKey{64, 6, TwiddleLayout::kLinear});
+  auto col = cache.acquire(PlanKey{64, 6});
   EXPECT_EQ(col.get(), rect->col_entry().get());
 }
 
@@ -307,24 +304,6 @@ TEST(Hierarchical, BatchMatchesLoopBitIdentically) {
   for (auto& t : singles) hier.inverse(t);
   hier.inverse_batch(spans);
   for (std::size_t i = 0; i < b; ++i) EXPECT_EQ(batch[i], singles[i]) << i;
-}
-
-TEST(Hierarchical, AllVariantsAgreeBitIdentically) {
-  // The scheduling variant steers only the classic stage/task dispatch;
-  // the hierarchical route ignores it, so every variant gives one answer.
-  const std::uint64_t n = 1ULL << 14;
-  const auto input = random_signal<double>(n, 9);
-  FftExecutor hier(hier_opts());
-  HostFftOptions opts;
-  opts.workers = 2;
-  auto want = input;
-  hier.forward(want, opts, Variant::kFine);
-  for (Variant v : {Variant::kCoarse, Variant::kGuided}) {
-    auto got = input;
-    hier.forward(got, opts, v);
-    EXPECT_EQ(got, want) << static_cast<int>(v);
-  }
-  EXPECT_EQ(hier.stats().hierarchical, 3u);
 }
 
 TEST(Hierarchical, ForcedMultiLevelRecursionIsCorrect) {

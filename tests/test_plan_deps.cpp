@@ -9,6 +9,7 @@
 
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "codelet/graph.hpp"
@@ -157,8 +158,11 @@ INSTANTIATE_TEST_SUITE_P(
         std::pair<std::uint64_t, unsigned>{1ULL << 8, 1},   // radix 2 (EARTH-like)
         std::pair<std::uint64_t, unsigned>{1ULL << 14, 7}), // radix 128
     [](const auto& info) {
-      return "N" + std::to_string(info.param.first) + "_r" +
-             std::to_string(info.param.second);
+      std::string name = "N";
+      name += std::to_string(info.param.first);
+      name += "_r";
+      name += std::to_string(info.param.second);
+      return name;
     });
 
 }  // namespace

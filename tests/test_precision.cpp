@@ -1,6 +1,6 @@
 // The precision-generic core's contract: the f32 path is a first-class
-// citizen of every shipped variant and layout (round trip + vs the f64
-// reference, classic and hierarchical), the two widths are bit-independent
+// citizen of every route (round trip + vs the f64 reference, classic and
+// hierarchical), the two widths are bit-independent
 // (interleaving f64 work never changes an f32 result), the plan cache
 // keys entries by Precision (distinct entries, LRU accounting, and the
 // wrong-width twiddle accessor throws), and a precision switch never
@@ -46,42 +46,30 @@ std::vector<cplx> widen(const std::vector<cplx32>& v) {
   return out;
 }
 
-TEST(Precision, F32MatchesReferenceAllVariantsAndLayouts) {
+TEST(Precision, F32MatchesReference) {
   const std::uint64_t n = 1ULL << 12;
   const auto input = random_signal32(n, 31);
   auto want = widen(input);
   fft_serial_inplace(want);
   FftExecutor ex;
-  for (Variant variant : {Variant::kCoarse, Variant::kFine, Variant::kGuided}) {
-    for (TwiddleLayout layout : {TwiddleLayout::kLinear, TwiddleLayout::kBitReversed}) {
-      HostFftOptions opts;
-      opts.workers = 3;
-      opts.layout = layout;
-      auto got = input;
-      ex.forward(std::span<cplx32>(got), opts, variant);
-      EXPECT_LT(rel_l2_error(got, want), kF32RelL2Tol)
-          << to_string(variant) << " layout=" << static_cast<int>(layout);
-    }
-  }
+  HostFftOptions opts;
+  opts.workers = 3;
+  auto got = input;
+  ex.forward(std::span<cplx32>(got), opts);
+  EXPECT_LT(rel_l2_error(got, want), kF32RelL2Tol);
 }
 
-TEST(Precision, F32RoundTripAllVariantsAndLayouts) {
+TEST(Precision, F32RoundTrip) {
   const std::uint64_t n = 1ULL << 11;
   const auto input = random_signal32(n, 47);
   const auto want = widen(input);
   FftExecutor ex;
-  for (Variant variant : {Variant::kCoarse, Variant::kFine, Variant::kGuided}) {
-    for (TwiddleLayout layout : {TwiddleLayout::kLinear, TwiddleLayout::kBitReversed}) {
-      HostFftOptions opts;
-      opts.workers = 2;
-      opts.layout = layout;
-      auto data = input;
-      ex.forward(std::span<cplx32>(data), opts, variant);
-      ex.inverse(std::span<cplx32>(data), opts, variant);
-      EXPECT_LT(rel_l2_error(data, want), kF32RelL2Tol)
-          << to_string(variant) << " layout=" << static_cast<int>(layout);
-    }
-  }
+  HostFftOptions opts;
+  opts.workers = 2;
+  auto data = input;
+  ex.forward(std::span<cplx32>(data), opts);
+  ex.inverse(std::span<cplx32>(data), opts);
+  EXPECT_LT(rel_l2_error(data, want), kF32RelL2Tol);
 }
 
 TEST(Precision, F32HierarchicalRoundTripAndReference) {
@@ -210,13 +198,13 @@ TEST(Precision, LruAccountingCountsPrecisionKeysSeparately) {
 
 TEST(Precision, PlanEntryRejectsWrongWidthTwiddleAccessor) {
   PlanCache cache(4);
-  PlanKey k32{1024, 6, TwiddleLayout::kLinear, PlanKind::kClassic, Precision::kF32};
+  PlanKey k32{1024, 6, PlanKind::kClassic, Precision::kF32};
   auto e32 = cache.acquire(k32);
   EXPECT_EQ(e32->precision(), Precision::kF32);
   EXPECT_EQ(e32->twiddles_f32(TwiddleDirection::kForward).fft_size(), 1024u);
   EXPECT_THROW(e32->twiddles(TwiddleDirection::kForward), std::logic_error);
 
-  PlanKey k64{1024, 6, TwiddleLayout::kLinear, PlanKind::kClassic, Precision::kF64};
+  PlanKey k64{1024, 6, PlanKind::kClassic, Precision::kF64};
   auto e64 = cache.acquire(k64);
   EXPECT_NE(e32.get(), e64.get());
   EXPECT_EQ(e64->precision(), Precision::kF64);

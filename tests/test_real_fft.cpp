@@ -81,17 +81,5 @@ TEST(RealFft, PureToneLandsInOneBin) {
   }
 }
 
-TEST(RealFft, WorksOnEverySchedulerVariant) {
-  const auto signal = random_real(4096, 9);
-  const auto want = real_forward(signal);
-  for (Variant v : {Variant::kCoarse, Variant::kGuided}) {
-    HostFftOptions opts;
-    opts.workers = 3;
-    const auto got = real_forward(signal, opts, v);
-    for (std::size_t k = 0; k < want.size(); ++k)
-      ASSERT_LT(std::abs(got[k] - want[k]), 1e-10) << to_string(v);
-  }
-}
-
 }  // namespace
 }  // namespace c64fft::fft

@@ -44,8 +44,11 @@ TEST(Reference, DftOfPureToneIsSingleBin) {
   }
   const auto X = dft_reference(x);
   EXPECT_NEAR(std::abs(X[tone]), static_cast<double>(n), 1e-9);
-  for (std::size_t k = 0; k < n; ++k)
-    if (k != tone) EXPECT_NEAR(std::abs(X[k]), 0.0, 1e-9) << k;
+  for (std::size_t k = 0; k < n; ++k) {
+    if (k != tone) {
+      EXPECT_NEAR(std::abs(X[k]), 0.0, 1e-9) << k;
+    }
+  }
 }
 
 TEST(Reference, RecursiveMatchesDft) {

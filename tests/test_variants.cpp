@@ -1,14 +1,18 @@
 // The heart of the functional claims: every scheduling variant — coarse,
-// fine (all orderings), guided, with either twiddle layout and any worker
-// count — computes exactly the same FFT as the serial reference. This is
-// the "well-behaved CDGs are determinate" property of Section III-C3.
+// fine (all orderings), guided, with either twiddle layout, either
+// scheduler mode and any worker count — computes exactly the same FFT as
+// the serial reference, and byte for byte the same output as the
+// production executor. This is the "well-behaved CDGs are determinate"
+// property of Section III-C3.
 
 #include "fft/variants.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
+#include "fft/executor.hpp"
 #include "fft/reference.hpp"
 #include "util/prng.hpp"
 
@@ -23,7 +27,7 @@ std::vector<cplx> random_signal(std::uint64_t n, std::uint64_t seed) {
 }
 
 void expect_matches_reference(std::uint64_t n, Variant variant,
-                              const HostFftOptions& opts) {
+                              const PaperFftOptions& opts) {
   auto data = random_signal(n, n ^ 0x5EED);
   auto want = data;
   fft_serial_inplace(want);
@@ -40,7 +44,7 @@ class VariantCorrectness
 
 TEST_P(VariantCorrectness, MatchesSerialReference) {
   const auto [variant, workers, n] = GetParam();
-  HostFftOptions opts;
+  PaperFftOptions opts;
   opts.workers = workers;
   expect_matches_reference(n, variant, opts);
 }
@@ -60,7 +64,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Variants, HashedTwiddlesMatchReference) {
   for (Variant v : {Variant::kCoarse, Variant::kFine}) {
-    HostFftOptions opts;
+    PaperFftOptions opts;
     opts.workers = 3;
     opts.layout = TwiddleLayout::kBitReversed;
     expect_matches_reference(1ULL << 13, v, opts);
@@ -74,7 +78,7 @@ TEST(Variants, AllFineOrderingsAgreeBitExactly) {
   std::vector<cplx> first;
   for (const auto& ordering : ordering_sweep()) {
     auto data = input;
-    HostFftOptions opts;
+    PaperFftOptions opts;
     opts.workers = 4;
     opts.ordering = ordering;
     fft_host(data, Variant::kFine, opts);
@@ -91,7 +95,7 @@ TEST(Variants, RepeatedRunsAreBitIdentical) {
   // deterministic (each element has a unique writer per stage).
   const std::uint64_t n = 1ULL << 13;
   const auto input = random_signal(n, 123);
-  HostFftOptions opts;
+  PaperFftOptions opts;
   opts.workers = 4;
   std::vector<cplx> first;
   for (int run = 0; run < 3; ++run) {
@@ -103,7 +107,7 @@ TEST(Variants, RepeatedRunsAreBitIdentical) {
 }
 
 TEST(Variants, SmallerRadixAndPartialStages) {
-  HostFftOptions opts;
+  PaperFftOptions opts;
   opts.workers = 2;
   opts.radix_log2 = 3;
   expect_matches_reference(1ULL << 10, Variant::kGuided, opts);  // 4 stages: 3+1 partial
@@ -114,10 +118,9 @@ TEST(Variants, SmallerRadixAndPartialStages) {
 }
 
 TEST(Variants, GuidedMinimumThreeStagePath) {
-  // Sizes small enough to stay on the classic plan (the large-N route
-  // ignores the variant), with a radix that still yields Alg. 3's minimum
-  // stage count: 3 stages runs phase 1 with last_early = 0.
-  HostFftOptions opts;
+  // A radix that yields Alg. 3's minimum stage count: 3 stages runs
+  // phase 1 with last_early = 0.
+  PaperFftOptions opts;
   opts.workers = 4;
   opts.radix_log2 = 4;
   expect_matches_reference(1ULL << 12, Variant::kGuided, opts);  // exactly 3 full stages
@@ -125,11 +128,55 @@ TEST(Variants, GuidedMinimumThreeStagePath) {
 }
 
 TEST(Variants, InvalidSizesThrow) {
-  HostFftOptions opts;
+  PaperFftOptions opts;
   std::vector<cplx> one(1);  // any N >= 2 is valid now; N < 2 never is
   EXPECT_THROW(fft_host(one, Variant::kFine, opts), std::invalid_argument);
   std::vector<cplx> small(16);  // pow2 smaller than radix 64: strict path
   EXPECT_THROW(fft_host(small, Variant::kFine, opts), std::invalid_argument);
+  std::vector<cplx> composite(96);  // the harness is radix-2^r only
+  EXPECT_THROW(fft_host(composite, Variant::kFine, opts), std::invalid_argument);
+}
+
+TEST(Variants, HarnessMatchesExecutorBitExactly) {
+  // One oracle between the reproduction harness and production: every
+  // paper configuration must produce exactly the bytes FftExecutor::forward
+  // produces with its one schedule, at every worker count (one worker
+  // takes the executor's serial path but the harness's phased one).
+  struct Shape {
+    std::uint64_t n;
+    unsigned radix_log2;
+  };
+  const Shape shapes[] = {
+      {1u << 8, 6},   // 2 stages: guided degenerates to fine
+      {1u << 12, 4},  // exactly 3 stages: Alg. 3's minimum
+      {1u << 13, 6},  // 3 stages, the last one partial
+      {1u << 13, 4},  // 3 full stages + 1 partial: guided phase 1 propagates
+  };
+  FftExecutor ex;
+  for (const Shape& shape : shapes) {
+    const auto input = random_signal(shape.n, shape.n + shape.radix_log2);
+    for (unsigned workers : {1u, 3u}) {
+      auto want = input;
+      ex.forward(want, HostFftOptions{workers, shape.radix_log2});
+      for (Variant variant : {Variant::kCoarse, Variant::kFine, Variant::kGuided})
+        for (TwiddleLayout layout : {TwiddleLayout::kLinear, TwiddleLayout::kBitReversed})
+          for (const FineOrdering& ordering : ordering_sweep())
+            for (codelet::SchedulerMode mode : {codelet::SchedulerMode::kWorkStealing,
+                                                codelet::SchedulerMode::kSequential}) {
+              const PaperFftOptions opts{workers, shape.radix_log2, layout,
+                                         ordering, mode};
+              auto got = input;
+              fft_host(got, variant, opts);
+              ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                                    got.size() * sizeof(cplx)),
+                        0)
+                  << to_string(variant) << " n=" << shape.n << " r=" << shape.radix_log2
+                  << " workers=" << workers << " layout=" << static_cast<int>(layout)
+                  << " ordering=" << to_string(ordering)
+                  << " sequential=" << (mode == codelet::SchedulerMode::kSequential);
+            }
+    }
+  }
 }
 
 }  // namespace

@@ -182,13 +182,13 @@ TEST(WsRuntime, AnyPopOrderProofLicensesStealing) {
   for (auto& x : input)
     x = fft::cplx(rng.next_double() * 2 - 1, rng.next_double() * 2 - 1);
 
-  fft::HostFftOptions seq_opts;
+  fft::PaperFftOptions seq_opts;
   seq_opts.workers = 1;
   seq_opts.mode = SchedulerMode::kSequential;
   auto want = input;
   fft::fft_host(want, fft::Variant::kFine, seq_opts);
 
-  fft::HostFftOptions ws_opts;
+  fft::PaperFftOptions ws_opts;
   ws_opts.workers = 4;  // default kWorkStealing
   for (int run = 0; run < 3; ++run) {
     auto got = input;
