@@ -470,7 +470,7 @@ BENCHMARK(BM_ExecutorForwardCachedScalarF64)
     ->Arg(4096)->UseRealTime()->Unit(benchmark::kMicrosecond);
 
 // f32 batched dispatch, mirroring BM_ExecutorBatchSubmit: the batch
-// machinery (shared counter templates, one phase per batch) is
+// machinery (one phase of whole-transform codelets per batch) is
 // precision-independent, so the f32 row should show the same
 // batch-vs-loop shape at half the per-transform bandwidth.
 void BM_ExecutorBatchSubmitF32(benchmark::State& state) {
@@ -501,10 +501,10 @@ BENCHMARK(BM_ExecutorBatchSubmitF32)
 
 // Batched dispatch: one forward_batch submission vs a loop of cached
 // single calls over the same buffers. Arg = per-transform size N, with
-// a fixed batch of 256 transforms. The batch path seeds one root
-// codelet per transform (bit-reversal + stage-seed fan-out on the
-// owning worker), replacing ~stages phase barriers per transform with
-// one phase for the whole batch.
+// a fixed batch of 256 transforms. The batch path runs ONE phase with
+// one whole-transform codelet per transform (fused bit-reversal + every
+// stage on the claiming worker's scratch), replacing the loop's two
+// phases per transform with one phase for the whole batch.
 constexpr std::size_t kBatchCount = 256;
 
 std::vector<std::vector<cplx>> batch_signals(std::uint64_t n) {

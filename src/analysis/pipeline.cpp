@@ -60,71 +60,46 @@ std::uint64_t twiddle_slot(std::uint64_t t, fft::TwiddleLayout layout,
                                                     : t;
 }
 
-constexpr std::uint32_t kNoBuffer = 0xFFFFFFFFu;
-
-/// One classic plan executed over `batch` transforms stored at
-/// consecutive offsets of `data_buf` starting at `base`.
+/// One classic plan executed as the executor's phased single-transform
+/// body over all of `data_buf`.
 struct ClassicPhaseSpec {
   std::uint32_t data_buf = 0;
-  std::uint64_t base = 0;
-  std::uint64_t batch = 1;
-  std::uint32_t twiddle_buf = kNoBuffer;
+  std::uint32_t twiddle_buf = 0;
   fft::TwiddleLayout layout = fft::TwiddleLayout::kLinear;
   unsigned workers = 4;
   std::string prefix;
 };
 
-/// Appends the classic phases of one (possibly batched) plan execution:
-/// the permutation phase exactly as the executor grains it — chunked
-/// bit-reversal sweep (fft::bitrev_sweep_grain) for a single transform,
-/// one whole-transform root codelet per transform for a batch — then one
-/// phase per plan stage with the FftPlan footprint algebra. Stage phases
-/// claim full coverage of the data buffer when the batch tiles it
-/// exactly; the permutation phase never does (palindromic indices are
+/// Appends the phases of one phased classic transform exactly as the
+/// executor grains them: the chunked bit-reversal sweep
+/// (fft::bitrev_sweep_grain), then one phase per plan stage with the
+/// FftPlan footprint algebra. Stage phases claim full coverage of the
+/// data buffer; the permutation phase never does (palindromic indices are
 /// not touched).
 void append_classic_phases(PipelineModel& m, const fft::FftPlan& plan,
                            const ClassicPhaseSpec& spec) {
   const std::uint64_t n = plan.size();
   const unsigned bits = plan.log2_size();
   const std::uint64_t tasks = plan.tasks_per_stage();
-  const bool covers_buffer =
-      spec.base == 0 && spec.batch * n == m.buffers.at(spec.data_buf).elements;
 
-  auto bitrev_pairs = [&](PipelineTask& task, std::uint64_t t0,
-                          std::uint64_t offset, std::uint64_t i_begin,
-                          std::uint64_t i_end) {
-    (void)t0;
-    for (std::uint64_t i = i_begin; i < i_end; ++i) {
-      const std::uint64_t j = util::bit_reverse(i, bits);
-      if (i >= j) continue;
-      task.reads.push_back({spec.data_buf, offset + i});
-      task.reads.push_back({spec.data_buf, offset + j});
-      task.writes.push_back({spec.data_buf, offset + i});
-      task.writes.push_back({spec.data_buf, offset + j});
-    }
-  };
-
-  if (spec.batch == 1) {
+  {
     PhaseModel phase;
     phase.name = spec.prefix + "bitrev";
     const fft::SweepGrain grain = fft::bitrev_sweep_grain(n, spec.workers);
     for (std::uint64_t c = 0; c < grain.chunks; ++c) {
       const std::uint64_t begin = c * grain.per;
       if (begin >= n) break;
+      const std::uint64_t end = std::min<std::uint64_t>(n, begin + grain.per);
       PipelineTask task;
       task.index = c;
-      bitrev_pairs(task, c, spec.base, begin,
-                   std::min<std::uint64_t>(n, begin + grain.per));
-      phase.tasks.push_back(std::move(task));
-    }
-    m.phases.push_back(std::move(phase));
-  } else {
-    PhaseModel phase;
-    phase.name = spec.prefix + "root";
-    for (std::uint64_t b = 0; b < spec.batch; ++b) {
-      PipelineTask task;
-      task.index = b;
-      bitrev_pairs(task, b, spec.base + b * n, 0, n);
+      for (std::uint64_t i = begin; i < end; ++i) {
+        const std::uint64_t j = util::bit_reverse(i, bits);
+        if (i >= j) continue;
+        task.reads.push_back({spec.data_buf, i});
+        task.reads.push_back({spec.data_buf, j});
+        task.writes.push_back({spec.data_buf, i});
+        task.writes.push_back({spec.data_buf, j});
+      }
       phase.tasks.push_back(std::move(task));
     }
     m.phases.push_back(std::move(phase));
@@ -136,29 +111,50 @@ void append_classic_phases(PipelineModel& m, const fft::FftPlan& plan,
   for (std::uint32_t s = 0; s < plan.stage_count(); ++s) {
     PhaseModel phase;
     phase.name = spec.prefix + "stage" + std::to_string(s);
-    if (covers_buffer) phase.full_coverage.push_back(spec.data_buf);
-    for (std::uint64_t b = 0; b < spec.batch; ++b) {
-      for (std::uint64_t t = 0; t < tasks; ++t) {
-        PipelineTask task;
-        task.index = b * tasks + t;
-        plan.task_elements(s, t, elems);
-        const std::uint64_t offset = spec.base + b * n;
-        for (std::uint64_t e : elems) {
-          task.reads.push_back({spec.data_buf, offset + e});
-          task.writes.push_back({spec.data_buf, offset + e});
-        }
-        if (spec.twiddle_buf != kNoBuffer) {
-          plan.task_twiddles(s, t, twiddles);
-          for (std::uint64_t tw : twiddles)
-            task.reads.push_back(
-                {spec.twiddle_buf, twiddle_slot(tw, spec.layout, tw_bits)});
-        }
-        task.flops = plan.flops_per_task(s);
-        phase.tasks.push_back(std::move(task));
+    phase.full_coverage.push_back(spec.data_buf);
+    for (std::uint64_t t = 0; t < tasks; ++t) {
+      PipelineTask task;
+      task.index = t;
+      plan.task_elements(s, t, elems);
+      for (std::uint64_t e : elems) {
+        task.reads.push_back({spec.data_buf, e});
+        task.writes.push_back({spec.data_buf, e});
       }
+      plan.task_twiddles(s, t, twiddles);
+      for (std::uint64_t tw : twiddles)
+        task.reads.push_back(
+            {spec.twiddle_buf, twiddle_slot(tw, spec.layout, tw_bits)});
+      task.flops = plan.flops_per_task(s);
+      phase.tasks.push_back(std::move(task));
     }
     m.phases.push_back(std::move(phase));
   }
+}
+
+/// One phase of `count` whole-transform tasks: the shape the executor's
+/// serial body runs a batch as (one codelet per transform). Task b owns
+/// the n elements of transform b, consecutive in `data_buf`, which the
+/// transforms tile exactly; it streams them once per plan stage (the
+/// bit-reversal fuses into stage 0) and carries the whole plan's flops.
+void append_batch_phase(PipelineModel& m, const fft::FftPlan& plan,
+                        std::uint32_t data_buf, std::uint64_t count,
+                        std::string phase_name) {
+  const std::uint64_t n = plan.size();
+  PhaseModel phase;
+  phase.name = std::move(phase_name);
+  phase.full_coverage.push_back(data_buf);
+  for (std::uint64_t b = 0; b < count; ++b) {
+    PipelineTask task;
+    task.index = b;
+    for (std::uint64_t e = b * n; e < (b + 1) * n; ++e) {
+      task.reads.push_back({data_buf, e});
+      task.writes.push_back({data_buf, e});
+    }
+    task.flops = plan_total_flops(plan);
+    task.passes = plan.stage_count();
+    phase.tasks.push_back(std::move(task));
+  }
+  m.phases.push_back(std::move(phase));
 }
 
 /// Out-of-place blocked transpose of an R x C row-major `src` into a
@@ -309,17 +305,15 @@ PipelineModel build_batch_pipeline(const fft::FftPlan& plan,
                                    std::uint64_t batch,
                                    const PipelineBuildOptions& opts,
                                    std::string name) {
-  if (batch < 1) throw std::invalid_argument("build_batch_pipeline: batch >= 1");
+  if (batch < 2)
+    throw std::invalid_argument(
+        "build_batch_pipeline: batch >= 2 (one transform runs the classic "
+        "pipeline)");
   PipelineModel m = make_base(name.empty() ? "batch" : std::move(name),
                               plan.size(), plan.radix_log2(), opts);
-  ClassicPhaseSpec spec;
-  spec.data_buf = m.add_buffer("data", batch * plan.size(), /*input=*/true);
-  spec.twiddle_buf =
-      m.add_buffer("twiddles", plan.size() / 2, /*input=*/true);
-  spec.batch = batch;
-  spec.layout = opts.layout;
-  spec.workers = opts.workers;
-  append_classic_phases(m, plan, spec);
+  append_batch_phase(
+      m, plan, m.add_buffer("data", batch * plan.size(), /*input=*/true),
+      batch, "batch");
   return m;
 }
 
@@ -634,39 +628,18 @@ PipelineModel build_fft2d_pipeline(std::uint64_t rows, std::uint64_t cols,
   PipelineModel m = make_base(name.empty() ? "fft2d" : std::move(name),
                               rows * cols, radix_log2, opts);
   const std::uint32_t data = m.add_buffer("data", rows * cols, /*input=*/true);
-  const std::uint32_t tw_row =
-      m.add_buffer("twiddles-row", cols / 2, /*input=*/true);
 
-  // Row pass: the executor's batch path, one transform per matrix row.
-  ClassicPhaseSpec row_spec;
-  row_spec.data_buf = data;
-  row_spec.twiddle_buf = tw_row;
-  row_spec.batch = rows;
-  row_spec.layout = opts.layout;
-  row_spec.workers = opts.workers;
-  row_spec.prefix = "rows-";
-  append_classic_phases(m, row_plan, row_spec);
-
-  const std::uint32_t tw_col =
-      rows == cols ? tw_row : m.add_buffer("twiddles-col", rows / 2, true);
-  ClassicPhaseSpec col_spec;
-  col_spec.twiddle_buf = tw_col;
-  col_spec.batch = cols;
-  col_spec.layout = opts.layout;
-  col_spec.workers = opts.workers;
-  col_spec.prefix = "cols-";
-
+  // Both sweeps are executor batches: one whole-transform task per row.
+  append_batch_phase(m, row_plan, data, rows, "rows");
   if (shape.square) {
     append_transpose_inplace(m, data, rows, "transpose");
-    col_spec.data_buf = data;
-    append_classic_phases(m, col_plan, col_spec);
+    append_batch_phase(m, col_plan, data, cols, "cols");
     append_transpose_inplace(m, data, rows, "transpose-back");
   } else {
     const std::uint32_t scratch =
         m.add_buffer("scratch", rows * cols, /*input=*/false);
     append_transpose(m, data, scratch, rows, cols, "transpose");
-    col_spec.data_buf = scratch;
-    append_classic_phases(m, col_plan, col_spec);
+    append_batch_phase(m, col_plan, scratch, cols, "cols");
     append_transpose(m, scratch, data, cols, rows, "transpose-back");
   }
   return m;

@@ -142,10 +142,13 @@ PipelineModel build_classic_pipeline(const fft::FftPlan& plan,
                                      const PipelineBuildOptions& opts = {},
                                      std::string name = {});
 
-/// Batched pipeline (executor forward_batch/inverse_batch): a root phase
-/// with one codelet per transform (whole-transform bit-reversal) followed
-/// by one phase per stage over all transforms. Transforms are modelled at
-/// consecutive offsets of one data buffer.
+/// Batched pipeline (executor forward_batch/inverse_batch, batch >= 2):
+/// ONE phase of whole-transform tasks, one per transform — the codelet
+/// the executor's serial body runs. Each task owns its n elements
+/// (transforms at consecutive offsets of one data buffer), streams them
+/// once per plan stage (`passes`) and carries the plan's total flops.
+/// Throws std::invalid_argument for batch < 2: one transform runs the
+/// classic pipeline.
 PipelineModel build_batch_pipeline(const fft::FftPlan& plan,
                                    std::uint64_t batch,
                                    const PipelineBuildOptions& opts = {},
@@ -195,9 +198,10 @@ PipelineModel build_bluestein_pipeline(std::uint64_t n, unsigned radix_log2,
                                        const PipelineBuildOptions& opts = {},
                                        std::string name = {});
 
-/// 2-D row-column pipeline (fft::forward_2d): batched row sweep,
-/// transpose (in place when square, through scratch otherwise), batched
-/// column sweep, transpose back.
+/// 2-D row-column pipeline (fft::forward_2d): row sweep, transpose (in
+/// place when square, through scratch otherwise), column sweep, transpose
+/// back. Each sweep is one executor batch, modelled like
+/// build_batch_pipeline: one phase with one whole-transform task per row.
 PipelineModel build_fft2d_pipeline(std::uint64_t rows, std::uint64_t cols,
                                    unsigned radix_log2,
                                    const PipelineBuildOptions& opts = {},

@@ -238,6 +238,123 @@ void FftExecutor::ensure_worker_buffers(std::uint64_t radix, unsigned workers) {
   st.scratch_radix = alloc_radix;
 }
 
+namespace {
+
+/// A pow2 plan resolved for one call: its cache key plus the tuned
+/// hierarchical block rows (a runtime grain, not part of the key).
+struct Pow2Key {
+  PlanKey key;
+  std::uint64_t block_rows = 0;
+};
+
+/// The one pow2 key resolver, shared by the direct route and Bluestein's
+/// M-point convolution, so a prime's inner plan IS the entry a direct
+/// M-point call builds. A loaded tuned schedule steers the radix only when
+/// the caller left HostFftOptions::radix_log2 at its default (an explicit
+/// per-call radix always wins); a hierarchical key takes the tuned leaf
+/// (else the L2-derived one) and the tuned block rows. The matching
+/// fuse_log2 is looked up by the bodies, which see the actual sweep size
+/// (for hierarchical that is the sub-FFT length, not N).
+template <typename T>
+Pow2Key resolve_pow2_key(const PlanCache& cache, std::uint64_t n,
+                         unsigned radix_log2, unsigned threshold_log2) {
+  Pow2Key r;
+  r.key.n = n;
+  r.key.kind = routed_plan_kind(n, threshold_log2);
+  r.key.precision = precision_of<T>;
+  const std::optional<TunedSchedule> tuned =
+      cache.tuned_for(n, precision_of<T>, kernels::active_kernel_isa());
+  if (tuned && radix_log2 == HostFftOptions{}.radix_log2)
+    radix_log2 = tuned->radix_log2;
+  r.key.radix_log2 = validate_fft_shape(n, radix_log2, /*clamp_radix=*/true);
+  if (r.key.kind == PlanKind::kHierarchical) {
+    r.key.hier_leaf_log2 =
+        tuned && tuned->hier_leaf_log2 != 0
+            ? tuned->hier_leaf_log2
+            : hierarchical_leaf_log2(util::cache_info().l2_bytes,
+                                     sizeof(cplx_t<T>));
+    r.block_rows = tuned ? tuned->hier_block_rows : 0;
+  }
+  return r;
+}
+
+/// Grows `bufs` to at least `workers` per-worker buffers of at least `len`
+/// elements each. Never shrinks: traffic alternating sizes must not
+/// reallocate on every switch.
+template <typename V>
+void size_per_worker(std::vector<V>& bufs, unsigned workers, std::size_t len) {
+  if (bufs.size() < workers) bufs.resize(workers);
+  for (unsigned w = 0; w < workers; ++w)
+    if (bufs[w].size() < len) bufs[w].resize(len);
+}
+
+/// One whole pow2 transform on the calling thread: the fused bit-reversal
+/// + stage-0 sweep (the cached index table feeds the dispatched permuted
+/// gather through `split`, 2 * plan.size() scalars), then the remaining
+/// stages in order. Same butterflies in the same order as the phased
+/// Alg. 2 body, so bit-identical to it. Serves the serial classic body,
+/// Bluestein's serial convolutions and the hierarchical column/row sweeps.
+template <typename T>
+void classic_serial(const FftPlan& plan, std::span<cplx_t<T>> data,
+                    const BasicTwiddleTable<T>& twiddles,
+                    std::span<const std::uint32_t> brev, T* split,
+                    BasicKernelScratch<T>& scratch, unsigned fuse_log2) {
+  run_stage0_bitrev(plan, data, twiddles, brev, split, split + plan.size(),
+                    scratch, fuse_log2);
+  for (std::uint32_t s = 1; s < plan.stage_count(); ++s)
+    for (std::uint64_t t = 0; t < plan.tasks_per_stage(); ++t)
+      run_codelet(plan, s, t, data, twiddles, scratch, fuse_log2);
+}
+
+/// Bluestein's chirp-z chain for one transform: X[k] = c[k] * (1/M) *
+/// IFFT_M( FFT_M(x .* c) .* B )[k], with c the length-n chirp and B the
+/// precomputed FFT of the chirp filter (both direction-resolved tables of
+/// the plan entry). `inner(dir)` runs one in-place M-point pow2 FFT over
+/// `buf`: always one forward plus one inverse, whatever the outer
+/// direction, which lives entirely in the chirp tables. The O(M)
+/// modulate/pointwise/demodulate passes run on the calling thread; they
+/// are noise against the inner FFTs they bracket.
+template <typename T, typename InnerFft>
+void bluestein_chain(std::span<cplx_t<T>> data,
+                     std::span<const cplx_t<T>> chirp,
+                     std::span<const cplx_t<T>> bfft, std::span<cplx_t<T>> buf,
+                     const InnerFft& inner) {
+  const std::uint64_t n = data.size();
+  const std::uint64_t m = buf.size();
+  for (std::uint64_t j = 0; j < n; ++j) buf[j] = data[j] * chirp[j];
+  std::fill(buf.begin() + static_cast<std::ptrdiff_t>(n), buf.end(),
+            cplx_t<T>{});
+  inner(TwiddleDirection::kForward);
+  for (std::uint64_t j = 0; j < m; ++j) buf[j] *= bfft[j];
+  inner(TwiddleDirection::kInverse);
+  // Demodulate, folding in the inner inverse's 1/M (the locked bodies
+  // never scale; the public inverse wrappers add the outer 1/n on top).
+  const T inv_m = static_cast<T>(1.0 / static_cast<double>(m));
+  for (std::uint64_t j = 0; j < n; ++j) data[j] = buf[j] * chirp[j] * inv_m;
+}
+
+/// Runs `one(data, worker)` once per transform of `batch`: a plain loop on
+/// a one-worker team, otherwise ONE FIFO phase with one whole-transform
+/// codelet per transform.
+template <typename T, typename One>
+void for_each_transform(codelet::HostRuntime& rt,
+                        std::span<const std::span<cplx_t<T>>> batch,
+                        const One& one) {
+  if (rt.workers() == 1) {
+    for (const std::span<cplx_t<T>>& data : batch) one(data, 0u);
+    return;
+  }
+  std::vector<CodeletKey> seeds;
+  seeds.reserve(batch.size());
+  for (std::uint64_t b = 0; b < batch.size(); ++b) seeds.push_back({0, b});
+  rt.run_phase(seeds, PoolPolicy::kFifo,
+               [&](CodeletKey key, unsigned worker, codelet::Pusher&) {
+                 one(batch[key.index], worker);
+               });
+}
+
+}  // namespace
+
 template <typename T>
 void FftExecutor::run_t(std::span<const std::span<cplx_t<T>>> batch,
                         const HostFftOptions& opts, TwiddleDirection dir) {
@@ -256,263 +373,194 @@ void FftExecutor::run_t(std::span<const std::span<cplx_t<T>>> batch,
   // this is the plan contract (api.cpp clamps on its own behalf).
   validate_fft_shape(n, opts.radix_log2, /*clamp_radix=*/false);
 
-  // Non-pow2 sizes dispatch on factorization alone, before the tuned
-  // schedules and size thresholds below (those steer the pow2 plans only).
-  // Mixed-radix and Bluestein keys pin radix_log2 = 1: the radix does not
-  // shape these plans, and a canonical value keeps one cache entry per
-  // (n, precision) no matter what options callers pass.
-  if (!util::is_pow2(n)) {
-    const Factorization f = factorize(n);
-    if (f.smooth) {
-      std::shared_ptr<const PlanEntry> entry = cache_.acquire(PlanKey{
-          n, /*radix_log2=*/1, PlanKind::kMixedRadix, precision_of<T>,
-          /*hier_leaf_log2=*/0, factorization_digest(f)});
-      std::lock_guard lock(mutex_);
-      if (closed_.load(std::memory_order_relaxed)) throw ExecutorClosedError();
-      if (batch.size() > 1)
-        run_mixed_radix_batch_locked<T>(*entry, batch, opts, dir);
-      else
-        run_mixed_radix_locked<T>(*entry, batch.front(), opts, dir);
-      mixed_radix_ += batch.size();
-      transforms_ += (batch.size() == 1) ? 1 : 0;
-      batched_ += (batch.size() == 1) ? 0 : batch.size();
-      return;
-    }
-    // Bluestein: the chirp entry plus the inner pow2 convolution plan,
-    // both from the shared cache — the inner entry IS the entry a direct
-    // M-point transform builds (same key), so a mixed traffic stream of
-    // prime and pow2 sizes shares plans instead of duplicating them.
-    const std::uint64_t m = bluestein_fft_size(n);
-    std::shared_ptr<const PlanEntry> entry = cache_.acquire(PlanKey{
-        n, /*radix_log2=*/1, PlanKind::kBluestein, precision_of<T>});
-    const PlanKind conv_kind = routed_plan_kind(
-        m, hierarchical_threshold_log2_.load(std::memory_order_relaxed));
-    unsigned conv_radix = validate_fft_shape(m, opts.radix_log2, true);
-    unsigned conv_leaf = 0;
-    if (const std::optional<TunedSchedule> tuned = cache_.tuned_for(
-            m, precision_of<T>, kernels::active_kernel_isa())) {
-      if (opts.radix_log2 == HostFftOptions{}.radix_log2)
-        conv_radix = validate_fft_shape(m, tuned->radix_log2, true);
-      conv_leaf = tuned->hier_leaf_log2;
-    }
-    if (conv_kind == PlanKind::kHierarchical && conv_leaf == 0)
-      conv_leaf = hierarchical_leaf_log2(util::cache_info().l2_bytes,
-                                         sizeof(cplx_t<T>));
-    if (conv_kind != PlanKind::kHierarchical) conv_leaf = 0;
-    std::shared_ptr<const PlanEntry> conv = cache_.acquire(PlanKey{
-        m, conv_radix, conv_kind, precision_of<T>, conv_leaf});
-    std::lock_guard lock(mutex_);
-    if (closed_.load(std::memory_order_relaxed)) throw ExecutorClosedError();
-    if (batch.size() > 1)
-      run_bluestein_batch_locked<T>(*entry, *conv, batch, opts, dir);
-    else
-      run_bluestein_locked<T>(*entry, *conv, batch.front(), opts, dir);
-    bluestein_ += batch.size();
-    transforms_ += (batch.size() == 1) ? 1 : 0;
-    batched_ += (batch.size() == 1) ? 0 : batch.size();
-    return;
+  // Resolve the route and its plan entries before taking the lock (the
+  // cache has its own finer lock). Non-pow2 sizes route on factorization
+  // alone; their mixed-radix and Bluestein keys pin radix_log2 = 1 — the
+  // radix does not shape these plans, and a canonical value keeps one
+  // cache entry per (n, precision) whatever options callers pass.
+  const unsigned threshold =
+      hierarchical_threshold_log2_.load(std::memory_order_relaxed);
+  const PlanKind kind = routed_plan_kind(n, threshold);
+  std::shared_ptr<const PlanEntry> entry;
+  std::shared_ptr<const PlanEntry> conv;
+  std::uint64_t block_rows = 0;
+  if (kind == PlanKind::kMixedRadix) {
+    entry = cache_.acquire(PlanKey{n, /*radix_log2=*/1, PlanKind::kMixedRadix,
+                                   precision_of<T>, /*hier_leaf_log2=*/0,
+                                   factorization_digest(factorize(n))});
+  } else if (kind == PlanKind::kBluestein) {
+    entry = cache_.acquire(
+        PlanKey{n, /*radix_log2=*/1, PlanKind::kBluestein, precision_of<T>});
+    const Pow2Key inner = resolve_pow2_key<T>(cache_, bluestein_fft_size(n),
+                                              opts.radix_log2, threshold);
+    conv = cache_.acquire(inner.key);
+    block_rows = inner.block_rows;
+  } else {
+    const Pow2Key direct =
+        resolve_pow2_key<T>(cache_, n, opts.radix_log2, threshold);
+    entry = cache_.acquire(direct.key);
+    block_rows = direct.block_rows;
   }
+  // A hierarchical plan (direct, or as Bluestein's convolution) schedules
+  // its own tile pipeline, which cannot nest inside a codelet, so it runs
+  // phased one transform at a time on every team.
+  const bool pipelined =
+      kind == PlanKind::kHierarchical ||
+      (conv != nullptr && conv->kind() == PlanKind::kHierarchical);
 
-  // A loaded tuned schedule steers the plan radix — but only when the
-  // caller left HostFftOptions::radix_log2 at its default: an explicit
-  // per-call radix always wins over the tuner. (The matching fuse_log2 is
-  // looked up again by the locked dispatch bodies, which see the actual
-  // plan size — for hierarchical that is the sub-FFT length, not N.)
-  unsigned radix_log2 = opts.radix_log2;
-  if (radix_log2 == HostFftOptions{}.radix_log2) {
-    if (const std::optional<TunedSchedule> tuned = cache_.tuned_for(
-            n, precision_of<T>, kernels::active_kernel_isa()))
-      radix_log2 = validate_fft_shape(n, tuned->radix_log2, /*clamp_radix=*/true);
-  }
-
-  // Large-N routing. The hierarchical path's inner sweeps and recursion
-  // levels bypass this routing by construction.
-  const PlanKind kind = routed_plan_kind(
-      n, hierarchical_threshold_log2_.load(std::memory_order_relaxed));
-  if (kind == PlanKind::kHierarchical) {
-    // A tuned schedule steers both hierarchical knobs: the leaf is part of
-    // the plan key (it fixes the level tree), the block rows are a pure
-    // runtime grain threaded to the pipeline.
-    unsigned leaf = 0;
-    std::uint64_t block_rows = 0;
-    if (const std::optional<TunedSchedule> tuned = cache_.tuned_for(
-            n, precision_of<T>, kernels::active_kernel_isa())) {
-      leaf = tuned->hier_leaf_log2;
-      block_rows = tuned->hier_block_rows;
-    }
-    if (leaf == 0)
-      leaf = hierarchical_leaf_log2(util::cache_info().l2_bytes,
-                                    sizeof(cplx_t<T>));
-    std::shared_ptr<const PlanEntry> entry = cache_.acquire(
-        PlanKey{n, radix_log2, PlanKind::kHierarchical, precision_of<T>, leaf});
-    std::lock_guard lock(mutex_);
-    if (closed_.load(std::memory_order_relaxed)) throw ExecutorClosedError();
-    for (const std::span<cplx_t<T>>& t : batch)
-      run_hierarchical_locked<T>(*entry, t, opts, dir, block_rows, /*depth=*/0);
-    hierarchical_ += batch.size();
-    transforms_ += (batch.size() == 1) ? 1 : 0;
-    batched_ += (batch.size() == 1) ? 0 : batch.size();
-    return;
-  }
-
-  std::shared_ptr<const PlanEntry> entry = cache_.acquire(
-      PlanKey{n, radix_log2, PlanKind::kClassic, precision_of<T>});
   std::lock_guard lock(mutex_);
   if (closed_.load(std::memory_order_relaxed)) throw ExecutorClosedError();
-  run_classic_locked<T>(*entry, batch, opts, dir);
-  transforms_ += (batch.size() == 1) ? 1 : 0;
-  batched_ += (batch.size() == 1) ? 0 : batch.size();
+  codelet::HostRuntime& rt = team(opts.workers);
+  if (!pipelined && (rt.workers() == 1 || batch.size() > 1)) {
+    run_serial_locked<T>(*entry, conv.get(), batch, rt, dir);
+  } else {
+    for (const std::span<cplx_t<T>>& data : batch) {
+      switch (kind) {
+        case PlanKind::kHierarchical:
+          run_hierarchical_locked<T>(*entry, data, rt, dir, block_rows,
+                                     /*depth=*/0);
+          break;
+        case PlanKind::kMixedRadix:
+          run_mixed_radix_locked<T>(*entry, data, rt, dir);
+          break;
+        case PlanKind::kBluestein:
+          run_bluestein_locked<T>(*entry, *conv, data, rt, dir, block_rows);
+          break;
+        default:
+          run_classic_locked<T>(*entry, data, rt, dir);
+      }
+    }
+  }
+  const std::uint64_t count = batch.size();
+  (count == 1 ? transforms_ : batched_) += count;
+  if (kind == PlanKind::kHierarchical) hierarchical_ += count;
+  if (kind == PlanKind::kMixedRadix) mixed_radix_ += count;
+  if (kind == PlanKind::kBluestein) bluestein_ += count;
+}
+
+template <typename T>
+void FftExecutor::run_serial_locked(const PlanEntry& entry,
+                                    const PlanEntry* conv,
+                                    std::span<const std::span<cplx_t<T>>> batch,
+                                    codelet::HostRuntime& rt,
+                                    TwiddleDirection dir) {
+  const unsigned workers = rt.workers();
+  NumericState<T>& st = num<T>();
+  if (entry.kind() == PlanKind::kMixedRadix) {
+    const MixedRadixPlan& plan = entry.mixed_plan();
+    const std::span<const cplx_t<T>> tw = entry.mixed_twiddles_for<T>(dir);
+    size_per_worker(st.work, workers, plan.size());
+    for_each_transform<T>(rt, batch,
+                          [&](std::span<cplx_t<T>> data, unsigned w) {
+                            mixed_radix_serial<T>(plan, tw, data, st.work[w],
+                                                  dir);
+                          });
+    return;
+  }
+
+  // Classic transforms and Bluestein's convolutions: one pow2 plan swept
+  // by classic_serial on per-worker kernel and split scratch. Every table
+  // is resolved here, before any codelet runs.
+  const PlanEntry& pow2 = conv != nullptr ? *conv : entry;
+  const FftPlan& plan = pow2.plan();
+  ensure_worker_buffers<T>(plan.radix(), workers);
+  size_per_worker(st.row_split, workers, 2 * plan.size());
+  const std::span<const std::uint32_t> brev(
+      bitrev_table_locked(plan.size(), plan.log2_size()));
+  const unsigned fuse_log2 = tuned_fuse_locked<T>(plan.size());
+  const auto fft = [&](std::span<cplx_t<T>> data,
+                       const BasicTwiddleTable<T>& tw, unsigned w) {
+    classic_serial<T>(plan, data, tw, brev, st.row_split[w].data(),
+                      st.scratch[w], fuse_log2);
+  };
+  if (conv == nullptr) {
+    const BasicTwiddleTable<T>& tw = entry.twiddles_for<T>(dir);
+    for_each_transform<T>(rt, batch,
+                          [&](std::span<cplx_t<T>> data, unsigned w) {
+                            fft(data, tw, w);
+                          });
+    return;
+  }
+  const BasicTwiddleTable<T>& tw_fwd =
+      conv->twiddles_for<T>(TwiddleDirection::kForward);
+  const BasicTwiddleTable<T>& tw_inv =
+      conv->twiddles_for<T>(TwiddleDirection::kInverse);
+  const std::span<const cplx_t<T>> chirp = entry.chirp_for<T>(dir);
+  const std::span<const cplx_t<T>> bfft = entry.chirp_fft_for<T>(dir);
+  size_per_worker(st.work, workers, plan.size());
+  for_each_transform<T>(
+      rt, batch, [&](std::span<cplx_t<T>> data, unsigned w) {
+        const std::span<cplx_t<T>> buf(st.work[w].data(), plan.size());
+        bluestein_chain<T>(data, chirp, bfft, buf, [&](TwiddleDirection inner) {
+          fft(buf, inner == TwiddleDirection::kForward ? tw_fwd : tw_inv, w);
+        });
+      });
 }
 
 template <typename T>
 void FftExecutor::run_classic_locked(const PlanEntry& entry,
-                                     std::span<const std::span<cplx_t<T>>> batch,
-                                     const HostFftOptions& opts,
+                                     std::span<cplx_t<T>> data,
+                                     codelet::HostRuntime& rt,
                                      TwiddleDirection dir) {
-  const std::uint64_t n = batch.front().size();
   const FftPlan& plan = entry.plan();
+  const std::uint64_t n = plan.size();
   const BasicTwiddleTable<T>& twiddles = entry.twiddles_for<T>(dir);
   const std::uint64_t tasks = plan.tasks_per_stage();
-  const std::uint64_t b_count = batch.size();
   const std::uint32_t stages = plan.stage_count();
-
-  codelet::HostRuntime& rt = team(opts.workers);
+  const unsigned bits = plan.log2_size();
   ensure_worker_buffers<T>(plan.radix(), rt.workers());
   std::vector<BasicKernelScratch<T>>& scratch = num<T>().scratch;
-
-  const unsigned bits = plan.log2_size();
   const unsigned fuse_log2 = tuned_fuse_locked<T>(n);
 
-  // Serial fast path: on a one-worker team there is no scheduling to
-  // exercise, so instead of the swap-based permutation phase plus a
-  // stage-0 gather/scatter round-trip per codelet, each transform runs
-  // the same fused split-complex stage 0 as the hierarchical sub-FFT
-  // sweeps (cached bit-reversal index table feeding the dispatched
-  // permuted gather), then the remaining stages in order. Same butterflies
-  // in the same order, so the output is bit-identical to the phased path.
-  // Whole batches take this path too (not just b_count == 1):
-  // a coalesced batch of B small transforms on a one-worker team then
-  // pays the plan/twiddle/tuned-schedule lookups and the executor lock
-  // once for all B, with per-transform work identical to B single calls —
-  // the per-request dispatch overhead is what request coalescing exists
-  // to amortize.
-  if (rt.workers() == 1) {
-    const std::vector<std::uint32_t>& brev_table = bitrev_table_locked(n, bits);
-    NumericState<T>& st = num<T>();
-    if (st.row_split.empty()) st.row_split.resize(1);
-    if (st.row_split[0].size() < 2 * n) st.row_split[0].resize(2 * n);
-    T* const re = st.row_split[0].data();
-    T* const im = re + n;
-    for (const std::span<cplx_t<T>>& data : batch) {
-      run_stage0_bitrev(plan, data, twiddles,
-                        std::span<const std::uint32_t>(brev_table), re, im,
-                        scratch[0], fuse_log2);
-      for (std::uint32_t s = 1; s < stages; ++s)
-        for (std::uint64_t t = 0; t < tasks; ++t)
-          run_codelet(plan, s, t, data, twiddles, scratch[0], fuse_log2);
-    }
-    return;
-  }
+  // Bit-reversal as one chunked phase on the persistent team.
+  const SweepGrain grain = bitrev_sweep_grain(n, rt.workers());
+  std::vector<CodeletKey> seeds;
+  seeds.reserve(std::max(grain.chunks, tasks));
+  for (std::uint64_t c = 0; c < grain.chunks; ++c) seeds.push_back({0, c});
+  rt.run_phase(seeds, PoolPolicy::kFifo,
+               [&](CodeletKey key, unsigned, codelet::Pusher&) {
+                 const std::uint64_t end =
+                     std::min(n, (key.index + 1) * grain.per);
+                 for (std::uint64_t i = key.index * grain.per; i < end; ++i) {
+                   const std::uint64_t j = util::bit_reverse(i, bits);
+                   if (i < j) std::swap(data[i], data[j]);
+                 }
+               });
 
-  // Single transforms bit-reverse as a chunked phase on the persistent
-  // team; batches instead fold the permutation into per-transform root
-  // codelets below — one phase and one injection-queue pop per transform
-  // instead of one per stage-0 codelet, and each transform's butterflies
-  // start cache-warm right after its own permutation.
-  if (b_count == 1) {
-    const SweepGrain grain = bitrev_sweep_grain(n, rt.workers());
-    const std::uint64_t chunk = grain.per;
-    std::vector<CodeletKey> seeds;
-    seeds.reserve(grain.chunks);
-    for (std::uint64_t c = 0; c < grain.chunks; ++c) seeds.push_back({0, c});
-    rt.run_phase(seeds, PoolPolicy::kFifo,
-                 [&](CodeletKey key, unsigned, codelet::Pusher&) {
-                   std::span<cplx_t<T>> data = batch[0];
-                   const std::uint64_t end = std::min(n, (key.index + 1) * chunk);
-                   for (std::uint64_t i = key.index * chunk; i < end; ++i) {
-                     const std::uint64_t j = util::bit_reverse(i, bits);
-                     if (i < j) std::swap(data[i], data[j]);
-                   }
-                 });
-  }
-
-  // Alg. 2 over the batch-encoded key space (index = b * tasks + t): one
-  // DependencyCounters instance per transform, all stamped from the cached
-  // template; the codelet that fills a sibling group's counter pushes the
-  // whole group onto its own worker's deque. A batch seeds one root
-  // codelet per transform (sentinel stage) that bit-reverses it and
-  // releases its stage-0 codelets in natural order.
-  constexpr std::uint32_t kRootStage = 0xFFFFFFFFu;
-  std::vector<codelet::DependencyCounters> counters;
-  counters.reserve(b_count);
-  for (std::uint64_t b = 0; b < b_count; ++b)
-    counters.push_back(entry.make_counters());
-
-  const auto body = [&](CodeletKey key, unsigned worker,
-                        codelet::Pusher& pusher) {
-    std::vector<CodeletKey>& keys = keys_buf_[worker];
-    if (key.stage == kRootStage) {
-      const std::uint64_t b = key.index;
-      std::span<cplx_t<T>> data = batch[b];
-      for (std::uint64_t i = 0; i < n; ++i) {
-        const std::uint64_t j = util::bit_reverse(i, bits);
-        if (i < j) std::swap(data[i], data[j]);
-      }
-      keys.clear();
-      keys.reserve(tasks);
-      for (std::uint64_t t = 0; t < tasks; ++t) keys.push_back({0, b * tasks + t});
-      pusher.push_batch(keys);
-      return;
-    }
-    const std::uint64_t b = key.index / tasks;
-    const std::uint64_t t = key.index % tasks;
-    run_codelet(plan, key.stage, t, batch[b], twiddles, scratch[worker],
+  // Alg. 2: stage-0 codelets seeded in natural order into a LIFO pool;
+  // the codelet that fills a sibling group's counter (stamped from the
+  // cached template) pushes the whole group onto its own worker's deque.
+  codelet::DependencyCounters counters = entry.make_counters();
+  seeds.clear();
+  for (std::uint64_t t = 0; t < tasks; ++t) seeds.push_back({0, t});
+  rt.run_phase(seeds, PoolPolicy::kLifo, [&](CodeletKey key, unsigned worker,
+                                             codelet::Pusher& pusher) {
+    run_codelet(plan, key.stage, key.index, data, twiddles, scratch[worker],
                 fuse_log2);
     if (key.stage + 1 >= stages) return;
-    const std::uint64_t g = plan.child_group(key.stage, t);
-    if (!counters[b].arrive(key.stage + 1, g)) return;
+    const std::uint64_t g = plan.child_group(key.stage, key.index);
+    if (!counters.arrive(key.stage + 1, g)) return;
     std::vector<std::uint64_t>& members = members_buf_[worker];
     plan.group_members(key.stage + 1, g, members);
+    std::vector<CodeletKey>& keys = keys_buf_[worker];
     keys.clear();
     keys.reserve(members.size());
-    for (std::uint64_t m : members) keys.push_back({key.stage + 1, b * tasks + m});
+    for (std::uint64_t m : members) keys.push_back({key.stage + 1, m});
     pusher.push_batch(keys);
-  };
-
-  std::vector<CodeletKey> seeds;
-  if (b_count == 1) {
-    seeds.reserve(tasks);
-    for (std::uint64_t t = 0; t < tasks; ++t) seeds.push_back({0, t});
-  } else {
-    seeds.reserve(b_count);
-    for (std::uint64_t b = 0; b < b_count; ++b) seeds.push_back({kRootStage, b});
-  }
-  rt.run_phase(seeds, PoolPolicy::kLifo, body);
+  });
 }
 
 template <typename T>
 void FftExecutor::run_mixed_radix_locked(const PlanEntry& entry,
                                          std::span<cplx_t<T>> data,
-                                         const HostFftOptions& opts,
+                                         codelet::HostRuntime& rt,
                                          TwiddleDirection dir) {
   const MixedRadixPlan& plan = entry.mixed_plan();
   const std::uint64_t n = plan.size();
   const std::span<const cplx_t<T>> tw = entry.mixed_twiddles_for<T>(dir);
-
-  codelet::HostRuntime& rt = team(opts.workers);
   NumericState<T>& st = num<T>();
-  if (st.mixed_scratch.size() < n) st.mixed_scratch.resize(n);
-
-  // One-worker teams skip the phase machinery entirely: same permutation,
-  // same butterflies in the same order, so the output is bit-identical to
-  // the phased path (stage butterflies are disjoint — any schedule of one
-  // stage computes the same values).
-  if (rt.workers() == 1) {
-    mixed_radix_serial<T>(plan, tw, data, st.mixed_scratch, dir);
-    return;
-  }
-
-  const std::span<cplx_t<T>> scratch(st.mixed_scratch.data(), n);
+  size_per_worker(st.work, 1, n);
+  const std::span<cplx_t<T>> scratch(st.work[0].data(), n);
   const std::span<const cplx_t<T>> cdata(data.data(), n);
   const std::span<const cplx_t<T>> cscratch(scratch.data(), n);
 
@@ -555,162 +603,27 @@ void FftExecutor::run_mixed_radix_locked(const PlanEntry& entry,
 }
 
 template <typename T>
-void FftExecutor::run_mixed_radix_batch_locked(
-    const PlanEntry& entry, std::span<const std::span<cplx_t<T>>> batch,
-    const HostFftOptions& opts, TwiddleDirection dir) {
-  const MixedRadixPlan& plan = entry.mixed_plan();
-  const std::span<const cplx_t<T>> tw = entry.mixed_twiddles_for<T>(dir);
-
-  codelet::HostRuntime& rt = team(opts.workers);
-  NumericState<T>& st = num<T>();
-
-  // One-worker teams have no phases to amortize: loop the serial body
-  // directly, paying the plan/twiddle lookups and the lock once for the
-  // whole batch (the same degenerate shape as the classic batch path).
-  if (rt.workers() == 1) {
-    for (const std::span<cplx_t<T>>& data : batch)
-      mixed_radix_serial<T>(plan, tw, data, st.mixed_scratch, dir);
-    return;
-  }
-
-  // One phase, one whole-transform codelet per transform. Each codelet
-  // runs the same permutation and the same stage butterflies in the same
-  // order as the serial body — bit-identical to a loop of single calls —
-  // against its claiming worker's own scratch, so B coalesced transforms
-  // pay one phase instead of B * (stages + 1).
-  if (st.mixed_batch_scratch.size() < rt.workers())
-    st.mixed_batch_scratch.resize(rt.workers());
-  std::vector<CodeletKey> seeds;
-  seeds.reserve(batch.size());
-  for (std::uint64_t b = 0; b < batch.size(); ++b) seeds.push_back({0, b});
-  rt.run_phase(seeds, PoolPolicy::kFifo,
-               [&](CodeletKey key, unsigned worker, codelet::Pusher&) {
-                 mixed_radix_serial<T>(plan, tw, batch[key.index],
-                                       st.mixed_batch_scratch[worker], dir);
-               });
-}
-
-template <typename T>
 void FftExecutor::run_bluestein_locked(const PlanEntry& entry,
                                        const PlanEntry& conv,
                                        std::span<cplx_t<T>> data,
-                                       const HostFftOptions& opts,
-                                       TwiddleDirection dir) {
-  // Chirp-z: X[k] = c[k] * (1/M) * IFFT_M( FFT_M(x .* c) .* B )[k] with
-  // c the length-n chirp and B the precomputed FFT of the chirp filter,
-  // both direction-resolved tables of `entry`. The two M-point transforms
-  // are always one forward plus one inverse regardless of the outer
-  // direction. The O(M) modulate/pointwise passes run serially: they are
-  // noise against the inner FFTs they bracket.
-  const std::uint64_t n = data.size();
+                                       codelet::HostRuntime& rt,
+                                       TwiddleDirection dir,
+                                       std::uint64_t tuned_block_rows) {
+  // The convolution buffer is worker 0's `work`: an inner hierarchical
+  // pipeline uses hier_scratch, never `work`, so the chirp-modulated
+  // signal survives the inner transforms.
   const std::uint64_t m = entry.conv_size();
-  const std::span<const cplx_t<T>> chirp = entry.chirp_for<T>(dir);
-  const std::span<const cplx_t<T>> bfft = entry.chirp_fft_for<T>(dir);
-
   NumericState<T>& st = num<T>();
-  if (st.bluestein_scratch.size() < m) st.bluestein_scratch.resize(m);
-  const std::span<cplx_t<T>> buf(st.bluestein_scratch.data(), m);
-
-  for (std::uint64_t j = 0; j < n; ++j) buf[j] = data[j] * chirp[j];
-  std::fill(buf.begin() + static_cast<std::ptrdiff_t>(n), buf.end(),
-            cplx_t<T>{});
-
-  const auto run_inner = [&](TwiddleDirection inner_dir) {
-    if (conv.kind() == PlanKind::kHierarchical) {
-      run_hierarchical_locked<T>(conv, buf, opts, inner_dir,
-                                 /*tuned_block_rows=*/0, /*depth=*/0);
-    } else {
-      const std::span<cplx_t<T>> one[1] = {buf};
-      run_classic_locked<T>(conv, one, opts, inner_dir);
-    }
-  };
-  run_inner(TwiddleDirection::kForward);
-  for (std::uint64_t j = 0; j < m; ++j) buf[j] *= bfft[j];
-  run_inner(TwiddleDirection::kInverse);
-
-  // Demodulate, folding in the inner inverse's 1/M (the locked bodies
-  // never scale; the public inverse wrappers add the outer 1/n on top).
-  const T inv_m = static_cast<T>(1.0 / static_cast<double>(m));
-  for (std::uint64_t j = 0; j < n; ++j) data[j] = buf[j] * chirp[j] * inv_m;
-}
-
-template <typename T>
-void FftExecutor::run_bluestein_batch_locked(
-    const PlanEntry& entry, const PlanEntry& conv,
-    std::span<const std::span<cplx_t<T>>> batch, const HostFftOptions& opts,
-    TwiddleDirection dir) {
-  codelet::HostRuntime& rt = team(opts.workers);
-
-  // Fall back to the per-transform path when there is nothing to amortize
-  // (one-worker teams run no phases) or when the convolution size routes
-  // hierarchical — that path schedules phases of its own, which cannot
-  // nest inside a codelet body.
-  if (rt.workers() == 1 || conv.kind() != PlanKind::kClassic) {
-    for (const std::span<cplx_t<T>>& t : batch)
-      run_bluestein_locked<T>(entry, conv, t, opts, dir);
-    return;
-  }
-
-  const std::uint64_t n = batch.front().size();
-  const std::uint64_t m = entry.conv_size();
-  const std::span<const cplx_t<T>> chirp = entry.chirp_for<T>(dir);
-  const std::span<const cplx_t<T>> bfft = entry.chirp_fft_for<T>(dir);
-  const FftPlan& plan = conv.plan();
-  const BasicTwiddleTable<T>& tw_fwd =
-      conv.twiddles_for<T>(TwiddleDirection::kForward);
-  const BasicTwiddleTable<T>& tw_inv =
-      conv.twiddles_for<T>(TwiddleDirection::kInverse);
-  const std::uint32_t stages = plan.stage_count();
-  const std::uint64_t tasks = plan.tasks_per_stage();
-  const unsigned bits = plan.log2_size();
-  const unsigned fuse_log2 = tuned_fuse_locked<T>(m);
-  const std::span<const std::uint32_t> brev(bitrev_table_locked(m, bits));
-
-  ensure_worker_buffers<T>(plan.radix(), rt.workers());
-  NumericState<T>& st = num<T>();
-  std::vector<BasicKernelScratch<T>>& scratch = st.scratch;
-  if (st.row_split.size() < rt.workers()) st.row_split.resize(rt.workers());
-  if (st.bluestein_batch_scratch.size() < rt.workers())
-    st.bluestein_batch_scratch.resize(rt.workers());
-  for (unsigned w = 0; w < rt.workers(); ++w) {
-    if (st.row_split[w].size() < 2 * m) st.row_split[w].resize(2 * m);
-    if (st.bluestein_batch_scratch[w].size() < m)
-      st.bluestein_batch_scratch[w].resize(m);
-  }
-  const T inv_m = static_cast<T>(1.0 / static_cast<double>(m));
-
-  // One phase, one whole-chirp-z-chain codelet per transform: modulate,
-  // forward M-point FFT, pointwise filter, inverse M-point FFT,
-  // demodulate — the inner FFTs use the same fused-stage-0 serial classic
-  // body as the one-worker fast path, so each transform's output is
-  // bit-identical to a single run_bluestein_locked call, while B
-  // coalesced transforms pay one phase instead of B whole phased chains.
-  std::vector<CodeletKey> seeds;
-  seeds.reserve(batch.size());
-  for (std::uint64_t b = 0; b < batch.size(); ++b) seeds.push_back({0, b});
-  rt.run_phase(
-      seeds, PoolPolicy::kFifo,
-      [&](CodeletKey key, unsigned worker, codelet::Pusher&) {
-        std::span<cplx_t<T>> data = batch[key.index];
-        const std::span<cplx_t<T>> buf(st.bluestein_batch_scratch[worker].data(),
-                                       m);
-        T* const re = st.row_split[worker].data();
-        T* const im = re + m;
-        for (std::uint64_t j = 0; j < n; ++j) buf[j] = data[j] * chirp[j];
-        std::fill(buf.begin() + static_cast<std::ptrdiff_t>(n), buf.end(),
-                  cplx_t<T>{});
-        const auto serial_fft = [&](const BasicTwiddleTable<T>& tw) {
-          run_stage0_bitrev(plan, buf, tw, brev, re, im, scratch[worker],
-                            fuse_log2);
-          for (std::uint32_t s = 1; s < stages; ++s)
-            for (std::uint64_t t = 0; t < tasks; ++t)
-              run_codelet(plan, s, t, buf, tw, scratch[worker], fuse_log2);
-        };
-        serial_fft(tw_fwd);
-        for (std::uint64_t j = 0; j < m; ++j) buf[j] *= bfft[j];
-        serial_fft(tw_inv);
-        for (std::uint64_t j = 0; j < n; ++j)
-          data[j] = buf[j] * chirp[j] * inv_m;
+  size_per_worker(st.work, 1, m);
+  const std::span<cplx_t<T>> buf(st.work[0].data(), m);
+  bluestein_chain<T>(
+      data, entry.chirp_for<T>(dir), entry.chirp_fft_for<T>(dir), buf,
+      [&](TwiddleDirection inner) {
+        if (conv.kind() == PlanKind::kHierarchical)
+          run_hierarchical_locked<T>(conv, buf, rt, inner, tuned_block_rows,
+                                     /*depth=*/0);
+        else
+          run_classic_locked<T>(conv, buf, rt, inner);
       });
 }
 
@@ -727,7 +640,7 @@ unsigned FftExecutor::tuned_fuse_locked(std::uint64_t n) {
 template <typename T>
 void FftExecutor::run_hierarchical_locked(const PlanEntry& entry,
                                           std::span<cplx_t<T>> data,
-                                          const HostFftOptions& opts,
+                                          codelet::HostRuntime& rt,
                                           TwiddleDirection dir,
                                           std::uint64_t tuned_block_rows,
                                           unsigned depth) {
@@ -788,7 +701,6 @@ void FftExecutor::run_hierarchical_locked(const PlanEntry& entry,
   const std::uint64_t n = n1 * n2;
   const bool single_level = entry.levels() == 1;
 
-  codelet::HostRuntime& rt = team(opts.workers);
   const unsigned workers = rt.workers();
   NumericState<T>& st = num<T>();
 
@@ -811,7 +723,7 @@ void FftExecutor::run_hierarchical_locked(const PlanEntry& entry,
     transpose_blocked(std::span<const cplx_t<T>>(data.data(), n), s, n1, n2);
     for (std::uint64_t r = 0; r < n2; ++r)
       run_hierarchical_locked<T>(*entry.col_entry(), s.subspan(r * n1, n1),
-                                 opts, dir, tuned_block_rows, depth + 1);
+                                 rt, dir, tuned_block_rows, depth + 1);
   }
 
   // Per-worker buffer prep AFTER any recursion (the inner levels resize
@@ -836,11 +748,8 @@ void FftExecutor::run_hierarchical_locked(const PlanEntry& entry,
   const std::span<const std::uint32_t> brev2(
       bitrev_table_locked(n2, row_plan.log2_size()));
   const unsigned row_fuse = tuned_fuse_locked<T>(n2);
-  const std::uint64_t split_len = single_level ? std::max(n1, n2) : n2;
-  if (st.row_split.size() < workers) st.row_split.resize(workers);
-  for (unsigned w = 0; w < workers; ++w)
-    if (st.row_split[w].size() < 2 * split_len)
-      st.row_split[w].resize(2 * split_len);
+  size_per_worker(st.row_split, workers,
+                  2 * (single_level ? std::max(n1, n2) : n2));
 
   const HierarchicalGrain grain =
       hierarchical_grain(n1, n2, workers, sizeof(cplx_t<T>),
@@ -863,8 +772,6 @@ void FftExecutor::run_hierarchical_locked(const PlanEntry& entry,
 
   const cplx_t<T> w1 = unit_root<T>(n, 1, dir);
   const kernels::KernelDispatch<T>& K = kernels::active_kernels<T>();
-  const std::uint32_t row_stages = row_plan.stage_count();
-  const std::uint64_t row_tasks = row_plan.tasks_per_stage();
 
   // Stage layout {T1, T2, T4}: only T4 fans in through the counters (the
   // T1 -> T2 edge is a direct push), so stages 0/1 have zero groups. A
@@ -915,19 +822,10 @@ void FftExecutor::run_hierarchical_locked(const PlanEntry& entry,
       // T4 whose fan-in completes with this block.
       const std::uint64_t r0b = key.index * br1;
       const std::uint64_t rend = std::min(n2, r0b + br1);
-      T* const re = st.row_split[worker].data();
-      T* const im = re + n1;
-      for (std::uint64_t r = r0b; r < rend; ++r) {
-        const std::span<cplx_t<T>> row = s.subspan(r * n1, n1);
-        run_stage0_bitrev(*col_plan, row, *col_tw, brev1, re, im,
-                          st.scratch[worker], col_fuse);
-        const std::uint32_t col_stages = col_plan->stage_count();
-        const std::uint64_t col_tasks = col_plan->tasks_per_stage();
-        for (std::uint32_t stg = 1; stg < col_stages; ++stg)
-          for (std::uint64_t t = 0; t < col_tasks; ++t)
-            run_codelet(*col_plan, stg, t, row, *col_tw, st.scratch[worker],
-                        col_fuse);
-      }
+      for (std::uint64_t r = r0b; r < rend; ++r)
+        classic_serial<T>(*col_plan, s.subspan(r * n1, n1), *col_tw, brev1,
+                          st.row_split[worker].data(), st.scratch[worker],
+                          col_fuse);
       std::vector<CodeletKey>& keys = keys_buf_[worker];
       keys.clear();
       for (std::uint64_t j = 0; j < B2; ++j)
@@ -954,17 +852,11 @@ void FftExecutor::run_hierarchical_locked(const PlanEntry& entry,
                                         std::min(rend, c0 + kTransposeTile),
                                         w1, r0b);
     }
-    T* const re = st.row_split[worker].data();
-    T* const im = re + n2;
-    for (std::uint64_t r = r0b; r < rend; ++r) {
-      const std::span<cplx_t<T>> row(panel + (r - r0b) * n2, n2);
-      run_stage0_bitrev(row_plan, row, row_tw, brev2, re, im,
+    for (std::uint64_t r = r0b; r < rend; ++r)
+      classic_serial<T>(row_plan,
+                        std::span<cplx_t<T>>(panel + (r - r0b) * n2, n2),
+                        row_tw, brev2, st.row_split[worker].data(),
                         st.scratch[worker], row_fuse);
-      for (std::uint32_t stg = 1; stg < row_stages; ++stg)
-        for (std::uint64_t t = 0; t < row_tasks; ++t)
-          run_codelet(row_plan, stg, t, row, row_tw, st.scratch[worker],
-                      row_fuse);
-    }
     for (std::uint64_t r0 = r0b; r0 < rend; r0 += kTransposeTile) {
       const std::uint64_t rmax = std::min(rend, r0 + kTransposeTile);
       for (std::uint64_t c0 = 0; c0 < n2; c0 += kTransposeTile) {
@@ -1103,36 +995,8 @@ void FftExecutor::shutdown_locked() {
   runtime_.reset();
   members_buf_.clear();
   keys_buf_.clear();
-  f64_.scratch.clear();
-  f64_.hier_scratch.clear();
-  f64_.hier_scratch.shrink_to_fit();
-  f64_.hier_panel.clear();
-  f64_.hier_panel.shrink_to_fit();
-  f64_.mixed_scratch.clear();
-  f64_.mixed_scratch.shrink_to_fit();
-  f64_.bluestein_scratch.clear();
-  f64_.bluestein_scratch.shrink_to_fit();
-  f64_.mixed_batch_scratch.clear();
-  f64_.mixed_batch_scratch.shrink_to_fit();
-  f64_.bluestein_batch_scratch.clear();
-  f64_.bluestein_batch_scratch.shrink_to_fit();
-  f64_.row_split.clear();
-  f64_.scratch_radix = 0;
-  f32_.scratch.clear();
-  f32_.hier_scratch.clear();
-  f32_.hier_scratch.shrink_to_fit();
-  f32_.hier_panel.clear();
-  f32_.hier_panel.shrink_to_fit();
-  f32_.mixed_scratch.clear();
-  f32_.mixed_scratch.shrink_to_fit();
-  f32_.bluestein_scratch.clear();
-  f32_.bluestein_scratch.shrink_to_fit();
-  f32_.mixed_batch_scratch.clear();
-  f32_.mixed_batch_scratch.shrink_to_fit();
-  f32_.bluestein_batch_scratch.clear();
-  f32_.bluestein_batch_scratch.shrink_to_fit();
-  f32_.row_split.clear();
-  f32_.scratch_radix = 0;
+  f64_ = {};
+  f32_ = {};
   bitrev_tables_.clear();
   bitrev_tables_.shrink_to_fit();
 }

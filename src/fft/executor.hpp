@@ -4,17 +4,22 @@
 // PlanCache, and one lazily created persistent worker team is reused
 // across transforms (and resized only when a call asks for a different
 // team size), so a steady-state forward() spawns no thread and recomputes
-// no trig. Every pow2 classic transform runs one schedule: the paper's
-// Alg. 2 (dependency-counted fine grain), stage-0 codelets seeded in
-// natural order into a LIFO pool.
+// no trig.
 //
-// forward_batch()/inverse_batch() submit many independent equal-length
-// transforms as codelets of ONE runtime phase: CodeletKey::index encodes
-// (transform, task) as b * tasks_per_stage + t, each transform gets its
-// own DependencyCounters instance stamped from the shared template, and
-// all transforms share the plan/twiddles. Thousands of small FFTs then
-// saturate the work-stealing deques instead of paying a phase (or, worse,
-// a team lifecycle) per call.
+// Every call resolves its route and plan entries first, then runs one of
+// two bodies. The serial whole-transform body runs when the team has one
+// worker or the call carries two or more transforms: a plain loop on a
+// one-worker team, otherwise ONE FIFO phase with one codelet per
+// transform, each run start to finish by the worker that claims it on
+// that worker's scratch. That is the paper's codelet sized to what its
+// local store holds (a cache-resident transform IS that codelet), so a
+// coalesced batch of B small FFTs pays one phase instead of B phased
+// transforms. Otherwise the phased single-transform body runs: the
+// paper's Alg. 2 for pow2 (dependency-counted fine grain, stage-0
+// codelets seeded in natural order into a LIFO pool), digit-reversal plus
+// one phase per stage for mixed-radix, phased inner FFTs for Bluestein.
+// Both bodies compute the same butterflies in the same order, so a batch
+// is bit-identical to a loop of single calls on any team.
 //
 // Large transforms route through the hierarchical multi-level path
 // (PlanKind::kHierarchical): Bailey's four-step algebra N = n1*n2 — an
@@ -25,7 +30,8 @@
 // targeted cache level, and executed as ONE tile-granular
 // dependency-counted pipeline phase per level: the gather-transpose of
 // one tile block overlaps the butterfly sweep of another, and per-block
-// counter fan-ins replace every full-array sync point. The routing
+// counter fan-ins replace every full-array sync point. It has no serial
+// body: the pipeline runs once per transform on every team. The routing
 // threshold is env-overridable and read at construction only (see the
 // constructor and reconfigure()). See DESIGN.md "Hierarchical
 // multi-level path".
@@ -226,12 +232,12 @@ class FftExecutor {
   void inverse(std::span<cplx32> data);
 
   /// Batched transforms: every span is one independent transform; all must
-  /// share one length >= 2 (throws std::invalid_argument otherwise). A
-  /// pow2 batch runs as one phase with a root codelet per transform that
-  /// bit-reverses it and releases its stage-0 codelets; composite/prime
-  /// lengths run their mixed-radix or Bluestein plan per transform with
-  /// the plan/twiddle lookups amortized across the batch. Bit-identical
-  /// per transform to a loop of single calls.
+  /// share one length >= 2 (throws std::invalid_argument otherwise). Two
+  /// or more transforms run as ONE phase with one whole-transform codelet
+  /// per transform (a plain loop on a one-worker team), with the plan and
+  /// twiddle lookups amortized across the batch; hierarchical plans run
+  /// their pipeline per transform. Bit-identical per transform to a loop
+  /// of single calls.
   void forward_batch(std::span<const std::span<cplx>> batch,
                      const HostFftOptions& opts);
   void forward_batch(std::span<const std::span<cplx>> batch);
@@ -311,10 +317,11 @@ class FftExecutor {
  private:
   /// Per-precision mutable working set: per-worker kernel scratch tiles,
   /// the per-worker row-length split scratch of the fused stage-0 pass,
-  /// and the per-route ping buffers below. One instance per element width so
-  /// alternating precisions never thrash each other's allocations; the
-  /// worker team, key/member buffers, and bit-reversal index table stay
-  /// shared (they are precision-independent).
+  /// the hierarchical buffers and the per-worker `work` buffers below. One
+  /// instance per element width so alternating precisions never thrash
+  /// each other's allocations; the worker team, key/member buffers, and
+  /// bit-reversal index table stay shared (they are
+  /// precision-independent).
   template <typename T>
   struct NumericState {
     std::vector<BasicKernelScratch<T>> scratch;
@@ -335,23 +342,12 @@ class FftExecutor {
     /// transposed out to `data`. Sized for the largest (block_rows2 x n2)
     /// seen; L2-resident by the grain policy's construction.
     std::vector<std::vector<cplx_t<T>>> hier_panel;
-    /// Mixed-radix ping buffer: the digit-reversal permutation target
-    /// (stage 0 reads it back into `data`; later stages run in place).
-    std::vector<cplx_t<T>> mixed_scratch;
-    /// Bluestein convolution buffer of length M = next_pow2(2n-1). Its
-    /// inner pow2 FFTs may themselves route hierarchical, which uses
-    /// hier_scratch — never this buffer — so the chirp-modulated signal
-    /// survives the inner transforms.
-    std::vector<cplx_t<T>> bluestein_scratch;
-    /// Per-worker whole-transform scratch of the BATCHED composite paths
-    /// (one root codelet per transform, each transform serialized by the
-    /// worker that claims it — the same phase-amortization shape as the
-    /// pow2 batch path, so coalesced composite traffic pays one phase per
-    /// batch instead of several per transform). Each worker needs its own
-    /// permutation / convolution buffer because transforms run
-    /// concurrently.
-    std::vector<std::vector<cplx_t<T>>> mixed_batch_scratch;
-    std::vector<std::vector<cplx_t<T>>> bluestein_batch_scratch;
+    /// Per-worker route buffer: the mixed-radix digit-reversal target
+    /// (stage 0 reads it back into `data`) or the Bluestein convolution
+    /// buffer of length M = next_pow2(2n-1). The phased single-transform
+    /// bodies use worker 0's; the serial body gives every worker its own,
+    /// because whole transforms run concurrently.
+    std::vector<std::vector<cplx_t<T>>> work;
   };
 
   template <typename T>
@@ -368,12 +364,21 @@ class FftExecutor {
   template <typename T>
   void run_t(std::span<const std::span<cplx_t<T>>> batch,
              const HostFftOptions& opts, TwiddleDirection dir);
-  /// The classic stage/task dispatch (mutex_ held by the caller). Never
-  /// scales — inverse normalization lives in the public wrappers only.
+  /// The serial whole-transform body (mutex_ held) for classic,
+  /// mixed-radix and Bluestein plans whose convolution is classic (`conv`
+  /// is Bluestein's inner pow2 entry, else nullptr): a plain loop on a
+  /// one-worker team, otherwise ONE FIFO phase with one codelet per
+  /// transform on per-worker scratch. The bodies below never scale —
+  /// inverse normalization lives in the public wrappers only.
   template <typename T>
-  void run_classic_locked(const PlanEntry& entry,
-                          std::span<const std::span<cplx_t<T>>> batch,
-                          const HostFftOptions& opts, TwiddleDirection dir);
+  void run_serial_locked(const PlanEntry& entry, const PlanEntry* conv,
+                         std::span<const std::span<cplx_t<T>>> batch,
+                         codelet::HostRuntime& rt, TwiddleDirection dir);
+  /// One phased classic transform (mutex_ held): a chunked bit-reversal
+  /// phase, then Alg. 2 as one dependency-counted phase.
+  template <typename T>
+  void run_classic_locked(const PlanEntry& entry, std::span<cplx_t<T>> data,
+                          codelet::HostRuntime& rt, TwiddleDirection dir);
   /// One hierarchical transform (mutex_ held), recursive over the plan
   /// entry's column chain. The single-level body runs ONE runtime phase of
   /// dependency-counted tile-block tasks — gather-transpose of block i+1
@@ -385,55 +390,23 @@ class FftExecutor {
   /// team sizes, block grains and kernel ISA tiers.
   template <typename T>
   void run_hierarchical_locked(const PlanEntry& entry, std::span<cplx_t<T>> data,
-                               const HostFftOptions& opts, TwiddleDirection dir,
+                               codelet::HostRuntime& rt, TwiddleDirection dir,
                                std::uint64_t tuned_block_rows, unsigned depth);
-  /// One mixed-radix transform (mutex_ held): digit-reversal permutation
-  /// into the ping buffer as a chunked phase, then one data-parallel phase
-  /// per stage over its butterfly groups (butterflies of one stage touch
-  /// disjoint indices, so any schedule is race-free and bit-identical).
-  /// A one-worker team runs the same butterflies serially in order.
+  /// One phased mixed-radix transform (mutex_ held): digit-reversal
+  /// permutation into the ping buffer as a chunked phase, then one
+  /// data-parallel phase per stage over its butterfly groups (butterflies
+  /// of one stage touch disjoint indices, so any schedule is race-free and
+  /// bit-identical).
   template <typename T>
   void run_mixed_radix_locked(const PlanEntry& entry, std::span<cplx_t<T>> data,
-                              const HostFftOptions& opts, TwiddleDirection dir);
-  /// A batch of mixed-radix transforms (mutex_ held): ONE phase with one
-  /// codelet per transform, each running the serial whole-transform body
-  /// against a per-worker scratch buffer — same butterflies in the same
-  /// order as the phased single-transform path, so bit-identical, while a
-  /// coalesced batch of B composite transforms pays one phase instead of
-  /// B * (stages + 1). One-worker teams loop the serial body directly.
-  template <typename T>
-  void run_mixed_radix_batch_locked(const PlanEntry& entry,
-                                    std::span<const std::span<cplx_t<T>>> batch,
-                                    const HostFftOptions& opts,
-                                    TwiddleDirection dir);
-  /// One Bluestein chirp-z transform (mutex_ held): chirp-modulate into
-  /// the M-point convolution buffer, run the shared-cache pow2 forward
-  /// plan, pointwise-multiply by the precomputed chirp-filter spectrum,
-  /// run the pow2 inverse plan, then demodulate (folding the 1/M) back
-  /// into `data`. `conv` is the inner pow2 plan entry (kind = the routed
-  /// kind for M); both inner FFTs always run forward+inverse of M
-  /// regardless of the outer direction — the direction lives entirely in
-  /// the chirp tables.
+                              codelet::HostRuntime& rt, TwiddleDirection dir);
+  /// One phased Bluestein chirp-z transform (mutex_ held): the chirp chain
+  /// around two phased inner M-point FFTs on `conv` (the inner pow2 entry;
+  /// classic or hierarchical, the latter with `tuned_block_rows`).
   template <typename T>
   void run_bluestein_locked(const PlanEntry& entry, const PlanEntry& conv,
-                            std::span<cplx_t<T>> data,
-                            const HostFftOptions& opts, TwiddleDirection dir);
-  /// A batch of Bluestein transforms (mutex_ held): when the inner
-  /// convolution is a classic plan, ONE phase with one codelet per
-  /// transform — each worker runs the whole chirp-z chain (modulate,
-  /// serial M-point forward, pointwise, serial M-point inverse,
-  /// demodulate) against its own convolution buffer, using the same
-  /// fused-stage-0 serial classic body as the one-worker fast path (bit-
-  /// identical to the phased inner transforms by the classic contract).
-  /// Falls back to the per-transform path for one-worker teams and for
-  /// convolution sizes that route hierarchical (its pipeline cannot nest
-  /// inside a codelet).
-  template <typename T>
-  void run_bluestein_batch_locked(const PlanEntry& entry,
-                                  const PlanEntry& conv,
-                                  std::span<const std::span<cplx_t<T>>> batch,
-                                  const HostFftOptions& opts,
-                                  TwiddleDirection dir);
+                            std::span<cplx_t<T>> data, codelet::HostRuntime& rt,
+                            TwiddleDirection dir, std::uint64_t tuned_block_rows);
   /// Tuned fuse_log2 for a plan of size `n` at precision T under the
   /// process-active kernel ISA (mutex_ held — bumps schedule_hits_);
   /// kernels::kDefaultFuseLog2 when no schedule matches.

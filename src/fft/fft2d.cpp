@@ -12,10 +12,8 @@ namespace c64fft::fft {
 namespace {
 
 // Transform every row as one batched executor submission: the rows share
-// the cached plan/twiddles and run as codelets of one phase set on the
-// persistent team (the old per-call HostRuntime + serial-kernel-per-row
-// scheme is gone). Row-level and intra-row parallelism both land on the
-// same work-stealing deques.
+// the cached plan/twiddles and run as one phase of whole-row codelets on
+// the persistent team.
 template <typename T>
 void rows_pass(std::span<cplx_t<T>> data, std::uint64_t rows, std::uint64_t cols,
                unsigned radix_log2, const HostFftOptions& opts) {

@@ -122,9 +122,12 @@ struct ServerOptions {
   /// Largest number of requests drained per dispatch round (and the
   /// upper bound on the coalescing factor).
   std::uint32_t max_coalesce = 64;
-  /// Worker-team shape for the executor calls. 1 (default) rides the
-  /// executor's serial fast path, which this host's single hardware
-  /// thread wants; the coalescing win is then purely amortized dispatch.
+  /// Worker-team shape of the owned executor's calls (ignored when
+  /// borrowing: a borrowed executor's batches run with its own
+  /// default_workers(), so a server sharing it with direct callers never
+  /// respawns the team under them). 1 (default) runs every batch as a
+  /// plain loop of whole transforms, which a single hardware thread
+  /// wants; the coalescing win is then purely amortized dispatch.
   unsigned workers = 1;
   /// Borrowed executor; nullptr makes the server own a private one
   /// (closed on shutdown — a borrowed executor is never closed).

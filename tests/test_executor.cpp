@@ -11,6 +11,9 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
+#include <string>
+#include <utility>
 #include <thread>
 #include <vector>
 
@@ -77,45 +80,107 @@ TEST(Executor, RoundTripRestoresInput) {
   ASSERT_LT(max_abs_error(data, input), 1e-9);
 }
 
-TEST(Executor, BatchMatchesLoopBitExactly) {
-  const std::uint64_t n = 1ULL << 13;  // 3 stages at radix 64, the last partial
-  const std::size_t batch_size = 4;
-  HostFftOptions opts;
-  opts.workers = 4;
-
-  std::vector<std::vector<cplx>> loop_bufs, batch_bufs;
-  for (std::size_t b = 0; b < batch_size; ++b) {
-    loop_bufs.push_back(random_signal(n, 1000 + b));
-    batch_bufs.push_back(loop_bufs.back());
+/// One batch-contract case: `batch` transforms of length `n` at one
+/// precision and direction on the executor `ex`, run both as one batch
+/// and as a loop of single calls (the phased bodies when `ex` has more
+/// than one worker), each memcmp'd against a loop of single calls on the
+/// one-worker `ref`. Returns the phases and codelets the batch ran,
+/// observed through the phase hook.
+template <typename T>
+std::pair<std::uint64_t, std::uint64_t> check_batch_against_loop(
+    FftExecutor& ref, FftExecutor& ex, std::uint64_t n, std::size_t batch,
+    bool inverse, const std::string& label) {
+  std::vector<std::vector<std::complex<T>>> loop_bufs, batch_bufs;
+  for (std::size_t b = 0; b < batch; ++b) {
+    loop_bufs.emplace_back();
+    for (const cplx& v : random_signal(n, 1000 * n + b))
+      loop_bufs.back().emplace_back(static_cast<T>(v.real()),
+                                    static_cast<T>(v.imag()));
   }
+  batch_bufs = loop_bufs;
+  auto single_bufs = loop_bufs;
+  const auto run_one = [inverse](FftExecutor& e,
+                                 std::vector<std::complex<T>>& buf) {
+    if (inverse)
+      e.inverse(std::span<std::complex<T>>(buf));
+    else
+      e.forward(std::span<std::complex<T>>(buf));
+  };
+  for (auto& buf : loop_bufs) run_one(ref, buf);
+  for (auto& buf : single_bufs) run_one(ex, buf);
 
-  FftExecutor ex;
-  for (auto& buf : loop_bufs) ex.forward(buf, opts);
+  std::uint64_t phases = 0, codelets = 0;
+  ex.set_phase_hook([&](const codelet::PhaseStats& ps) {
+    ++phases;
+    codelets += ps.executed;
+  });
+  std::vector<std::span<std::complex<T>>> spans(batch_bufs.begin(),
+                                                batch_bufs.end());
+  if (inverse)
+    ex.inverse_batch(spans);
+  else
+    ex.forward_batch(spans);
+  ex.set_phase_hook({});
 
-  std::vector<std::span<cplx>> spans;
-  for (auto& buf : batch_bufs) spans.emplace_back(buf);
-  ex.forward_batch(spans, opts);
-
-  for (std::size_t b = 0; b < batch_size; ++b)
-    ASSERT_EQ(max_abs_error(batch_bufs[b], loop_bufs[b]), 0.0) << "b=" << b;
+  for (std::size_t b = 0; b < batch; ++b) {
+    EXPECT_EQ(0, std::memcmp(loop_bufs[b].data(), batch_bufs[b].data(),
+                             n * sizeof(std::complex<T>)))
+        << label << " batch b=" << b;
+    EXPECT_EQ(0, std::memcmp(loop_bufs[b].data(), single_bufs[b].data(),
+                             n * sizeof(std::complex<T>)))
+        << label << " single b=" << b;
+  }
+  return {phases, codelets};
 }
 
-TEST(Executor, InverseBatchMatchesLoop) {
-  const std::uint64_t n = 1ULL << 10;
-  HostFftOptions opts;
-  opts.workers = 2;
-  std::vector<std::vector<cplx>> loop_bufs, batch_bufs;
-  for (std::size_t b = 0; b < 3; ++b) {
-    loop_bufs.push_back(random_signal(n, 77 + b));
-    batch_bufs.push_back(loop_bufs.back());
+TEST(Executor, BatchContractMatchesLoopOnEveryRoute) {
+  // The batch contract over every route: forward_batch/inverse_batch are
+  // byte-identical per transform to a loop of single calls on a one-worker
+  // executor, at every team size, batch size, precision and direction. A
+  // multi-worker batch runs exactly ONE phase of exactly B whole-transform
+  // codelets and a one-worker batch runs none — except N = 257, whose
+  // M = 1024 convolution routes hierarchical (threshold 9) and so runs its
+  // tile pipeline per transform.
+  struct Case {
+    std::uint64_t n;
+    unsigned threshold_log2;
+  };
+  constexpr unsigned kDefault = kDefaultHierarchicalThresholdLog2;
+  const Case cases[] = {
+      {std::uint64_t{1} << 7, kDefault},
+      {std::uint64_t{1} << 13, kDefault},  // partial last stage
+      {96, kDefault},                      // mixed-radix
+      {360, kDefault},                     // mixed-radix with a radix-5 stage
+      {101, kDefault},                     // Bluestein
+      {257, 9},  // Bluestein over a hierarchical convolution
+  };
+  for (const Case& c : cases) {
+    FftExecutor ref(
+        {.workers = 1, .hierarchical_threshold_log2 = c.threshold_log2});
+    for (unsigned workers = 1; workers <= 4; ++workers) {
+      FftExecutor ex({.workers = workers,
+                      .hierarchical_threshold_log2 = c.threshold_log2});
+      for (const std::size_t batch : {2u, 3u, 8u}) {
+        for (const bool inverse : {false, true}) {
+          for (const bool f32 : {false, true}) {
+            const std::string label =
+                "n=" + std::to_string(c.n) +
+                " workers=" + std::to_string(workers) +
+                " B=" + std::to_string(batch) +
+                (inverse ? " inverse" : " forward") + (f32 ? " f32" : " f64");
+            const auto [phases, codelets] =
+                f32 ? check_batch_against_loop<float>(ref, ex, c.n, batch,
+                                                      inverse, label)
+                    : check_batch_against_loop<double>(ref, ex, c.n, batch,
+                                                       inverse, label);
+            if (c.n == 257) continue;
+            EXPECT_EQ(phases, workers == 1 ? 0u : 1u) << label;
+            EXPECT_EQ(codelets, workers == 1 ? 0u : batch) << label;
+          }
+        }
+      }
+    }
   }
-  FftExecutor ex;
-  for (auto& buf : loop_bufs) ex.inverse(buf, opts);
-  std::vector<std::span<cplx>> spans;
-  for (auto& buf : batch_bufs) spans.emplace_back(buf);
-  ex.inverse_batch(spans, opts);
-  for (std::size_t b = 0; b < 3; ++b)
-    ASSERT_EQ(max_abs_error(batch_bufs[b], loop_bufs[b]), 0.0) << b;
 }
 
 TEST(Executor, BatchRejectsMixedLengths) {

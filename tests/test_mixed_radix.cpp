@@ -246,30 +246,6 @@ TEST(MixedRadixExecutor, AcceptanceSizesMatchNaiveDftF32) {
   }
 }
 
-TEST(MixedRadixExecutor, BatchBitIdenticalToLoopAnyWorkerCount) {
-  // Stage butterflies touch disjoint indices, so the result must be
-  // bit-identical across batch-vs-loop AND across worker counts.
-  for (std::uint64_t n : {96ULL, 360ULL, 101ULL}) {
-    constexpr std::size_t kB = 3;
-    std::vector<std::vector<cplx>> loop_data, batch_data;
-    for (std::size_t b = 0; b < kB; ++b)
-      loop_data.push_back(random_signal(n, 100 * n + b));
-    batch_data = loop_data;
-
-    FftExecutor serial({.workers = 1});
-    for (auto& v : loop_data) serial.forward(v);
-
-    FftExecutor wide({.workers = 3});
-    std::vector<std::span<cplx>> spans(batch_data.begin(), batch_data.end());
-    wide.forward_batch(spans);
-
-    for (std::size_t b = 0; b < kB; ++b)
-      EXPECT_EQ(0, std::memcmp(loop_data[b].data(), batch_data[b].data(),
-                               n * sizeof(cplx)))
-          << "n=" << n << " b=" << b;
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Bluestein: primes and non-smooth sizes
 // ---------------------------------------------------------------------------

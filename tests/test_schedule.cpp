@@ -190,6 +190,25 @@ TEST(ScheduleExecutor, TunedRadixChangesTheExecutedPlanShape) {
   EXPECT_EQ(exec.stats().cache.misses, 2u);
 }
 
+TEST(ScheduleExecutor, BluesteinConvolutionSharesTheTunedPow2Entry) {
+  // One pow2 key resolver serves the direct route and Bluestein's
+  // convolution: with a radix-4 schedule for M = 256, a 101-point forward
+  // (Bluestein, M = next_pow2(201) = 256) and a direct 256-point forward
+  // build the Bluestein entry plus ONE shared 256-point entry.
+  FftExecutor exec;
+  ScheduleSet set;
+  set.insert(sched(256, Precision::kF64, kernels::active_kernel_isa(), 4, 3));
+  exec.set_schedules(std::move(set));
+
+  auto prime = random_signal(101, 5);
+  exec.forward(std::span<cplx>(prime));
+  EXPECT_EQ(exec.stats().cache.misses, 2u);
+  auto pow2 = random_signal(256, 6);
+  exec.forward(std::span<cplx>(pow2));
+  EXPECT_EQ(exec.stats().cache.misses, 2u);
+  EXPECT_EQ(exec.stats().bluestein, 1u);
+}
+
 TEST(ScheduleExecutor, EveryScheduleIsBitIdentical) {
   // fuse_log2/radix_log2 are pure scheduling: a tuned executor must give
   // bit-identical spectra to an untuned one.

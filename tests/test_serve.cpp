@@ -477,6 +477,28 @@ TEST(Serve, BorrowedExecutorClosedUnderneathIsTypedShutdown) {
   server.shutdown();
 }
 
+TEST(Serve, BorrowedExecutorKeepsItsTeam) {
+  // A borrowed executor's batches run with its own default_workers():
+  // ServerOptions::workers (default 1) sizes only an owned executor, so
+  // server traffic alternating with the executor's own option-less calls
+  // never joins and respawns the shared team.
+  fft::FftExecutor ex({.workers = 3});
+  ServerOptions so;
+  so.executor = &ex;
+  FftServer server(so);
+  const TenantId t = server.add_tenant(roomy_quota());
+  for (int i = 0; i < 10; ++i) {
+    auto served = random_signal<double>(256, 700 + i);
+    auto s = server.submit(t, std::span<fft::cplx>(served), Direction::kForward);
+    ASSERT_EQ(s.status, SubmitStatus::kAccepted);
+    ASSERT_EQ(s.ticket.wait().status, RequestStatus::kOk);
+    auto direct = random_signal<double>(256, 800 + i);
+    ex.forward(std::span<fft::cplx>(direct));
+  }
+  EXPECT_EQ(ex.stats().teams_created, 1u);
+  server.shutdown();
+}
+
 // ---- FftServer: multi-tenant stress (TSan lane) ----
 
 TEST(Serve, MultiTenantConcurrentMixedTraffic) {
