@@ -6,8 +6,8 @@
 // fig*/table* binaries, which measure simulated C64 cycles).
 //
 // The runtime comparison pair (BM_MutexPoolRuntime / BM_WorkStealingRuntime)
-// backs the BENCH_runtime.json numbers: same fan-out workload, same worker
-// counts; the legacy driver reproduces the pre-work-stealing architecture
+// runs the same fan-out workload at the same worker counts on both
+// architectures; the legacy driver reproduces the pre-work-stealing one
 // (std::thread respawn per phase + one mutex-guarded pool).
 
 #include <benchmark/benchmark.h>
@@ -386,8 +386,8 @@ BENCHMARK(BM_ExecutorForwardCached)
 // The f32 path at the same sizes, same warm-cache protocol: half the
 // element width means twice the butterflies per cache line and half the
 // twiddle-table bytes, so at cache-resident N the cached f32 transform
-// runs ~1.5x faster than the f64 row above (the BENCH_runtime.json
-// gate requires >= 1.3x at N=4096).
+// runs ~1.5x faster than the f64 row above (compare
+// BM_ExecutorForwardCachedF32/4096 with BM_ExecutorForwardCached/4096).
 void BM_ExecutorForwardCachedF32(benchmark::State& state) {
   auto data = random_signal32(static_cast<std::uint64_t>(state.range(0)), 9);
   fft::HostFftOptions opts;
@@ -502,9 +502,9 @@ BENCHMARK(BM_ExecutorBatchSubmitF32)
 // Batched dispatch: one forward_batch submission vs a loop of cached
 // single calls over the same buffers. Arg = per-transform size N, with
 // a fixed batch of 256 transforms. The batch path runs ONE phase with
-// one whole-transform codelet per transform (fused bit-reversal + every
-// stage on the claiming worker's scratch), replacing the loop's two
-// phases per transform with one phase for the whole batch.
+// one whole-transform codelet per transform (one split-complex sweep on
+// the claiming worker's scratch), replacing the loop's two phases per
+// transform with one phase for the whole batch.
 constexpr std::size_t kBatchCount = 256;
 
 std::vector<std::vector<cplx>> batch_signals(std::uint64_t n) {
@@ -606,10 +606,11 @@ BENCHMARK(BM_TransposeInplaceSquare)->Arg(8)->Arg(9)->Arg(10);
 
 // ---------------------------------------------------------------------------
 // Classic vs hierarchical at large N: the pair behind the executor's
-// default routing threshold (kDefaultHierarchicalThresholdLog2) and the
-// BENCH_runtime.json large-N numbers. Both executors are warmed so the
-// steady state is measured; the classic executor pins the threshold to 0
-// (never hierarchical), the other to 2 (always hierarchical). Arg = log2 N.
+// default routing threshold (kDefaultHierarchicalThresholdLog2), the
+// RATIO2 gate (tools/CMakeLists.txt) and DESIGN.md §3.7's speedup table.
+// Both executors are warmed so the steady state is measured; the classic
+// executor pins the threshold to 0 (never hierarchical), the other to 2
+// (always hierarchical). Arg = log2 N.
 
 void BM_ClassicFftLargeN(benchmark::State& state) {
   auto data = random_signal(std::uint64_t{1} << state.range(0), 14);

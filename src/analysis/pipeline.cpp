@@ -134,8 +134,9 @@ void append_classic_phases(PipelineModel& m, const fft::FftPlan& plan,
 /// One phase of `count` whole-transform tasks: the shape the executor's
 /// serial body runs a batch as (one codelet per transform). Task b owns
 /// the n elements of transform b, consecutive in `data_buf`, which the
-/// transforms tile exactly; it streams them once per plan stage (the
-/// bit-reversal fuses into stage 0) and carries the whole plan's flops.
+/// transforms tile exactly; it streams them once (run_transform_split:
+/// one permuted gather, every butterfly level in cache, one scatter) and
+/// carries the whole plan's flops.
 void append_batch_phase(PipelineModel& m, const fft::FftPlan& plan,
                         std::uint32_t data_buf, std::uint64_t count,
                         std::string phase_name) {
@@ -151,7 +152,6 @@ void append_batch_phase(PipelineModel& m, const fft::FftPlan& plan,
       task.writes.push_back({data_buf, e});
     }
     task.flops = plan_total_flops(plan);
-    task.passes = plan.stage_count();
     phase.tasks.push_back(std::move(task));
   }
   m.phases.push_back(std::move(phase));
@@ -240,25 +240,16 @@ std::uint64_t hier_total_flops(std::uint64_t n, unsigned radix_log2,
 }
 
 /// How many times one hierarchical transform of size `n` streams its own
-/// footprint end to end: the gather pass, the column transform (leaf
-/// stages, or the inner recursion's full pass count), and the fused tail
-/// (row sub-plan stages bracketed by the twiddle-gather and the
-/// writeback-transpose). The condensed multi-level column phase charges
-/// this via PipelineTask::passes.
-std::uint64_t hier_stream_passes(std::uint64_t n, unsigned radix_log2,
-                                 unsigned leaf_log2) {
+/// footprint end to end: the gather pass, the column transform (one
+/// whole-transform sweep per leaf row, or the inner recursion's full pass
+/// count), and the fused tail (one row sweep bracketed by the
+/// twiddle-gather and the writeback-transpose). The condensed multi-level
+/// column phase charges this via PipelineTask::passes.
+std::uint64_t hier_stream_passes(std::uint64_t n, unsigned leaf_log2) {
   const fft::HierarchicalSplit split = fft::hierarchical_split(n, leaf_log2);
-  const fft::FftPlan row_plan(
-      split.n2, fft::validate_fft_shape(split.n2, radix_log2, true));
-  std::uint64_t col;
-  if (split.col_recursive) {
-    col = hier_stream_passes(split.n1, radix_log2, leaf_log2);
-  } else {
-    const fft::FftPlan col_plan(
-        split.n1, fft::validate_fft_shape(split.n1, radix_log2, true));
-    col = col_plan.stage_count();
-  }
-  return 1 + col + row_plan.stage_count() + 2;
+  const std::uint64_t col =
+      split.col_recursive ? hier_stream_passes(split.n1, leaf_log2) : 1;
+  return 1 + col + 1 + 2;
 }
 
 /// The movement share of hier_stream_passes: the gather pass, the fused
@@ -368,7 +359,7 @@ PipelineModel build_hierarchical_pipeline(std::uint64_t n, unsigned radix_log2,
     m.phases.push_back(std::move(gather));
 
     // T2: in-place column FFTs over the block's rows of the gather
-    // matrix, one streaming pass per sub-plan stage.
+    // matrix, one whole-transform sweep (a single streaming pass) per row.
     PhaseModel col;
     col.name = "col-sweep";
     col.full_coverage.push_back(s);
@@ -385,7 +376,6 @@ PipelineModel build_hierarchical_pipeline(std::uint64_t n, unsigned radix_log2,
           task.writes.push_back({s, r * n1 + e});
         }
       task.flops = (rend - r0b) * per_row_flops;
-      task.passes = col_plan.stage_count();
       col.tasks.push_back(std::move(task));
     }
     m.phases.push_back(std::move(col));
@@ -405,7 +395,7 @@ PipelineModel build_hierarchical_pipeline(std::uint64_t n, unsigned radix_log2,
     const std::uint64_t per_row_flops =
         hier_total_flops(n1, radix_log2, leaf);
     const std::uint64_t per_row_passes =
-        hier_stream_passes(n1, radix_log2, leaf);
+        hier_stream_passes(n1, leaf);
     for (std::uint64_t r = 0; r < n2; ++r) {
       PipelineTask task;
       task.index = r;
@@ -424,7 +414,7 @@ PipelineModel build_hierarchical_pipeline(std::uint64_t n, unsigned radix_log2,
   // T4: the fused tail — twiddle-gather the block's columns of the
   // gather matrix into the worker panel, row FFTs over the hot panel,
   // writeback-transpose into natural output order. One streaming pass
-  // per row sub-plan stage plus the gather-in and writeback-out.
+  // for the row sweeps plus the gather-in and writeback-out.
   PhaseModel fused;
   fused.name = "fused-row";
   fused.full_coverage.push_back(data);
@@ -441,7 +431,7 @@ PipelineModel build_hierarchical_pipeline(std::uint64_t n, unsigned radix_log2,
       for (std::uint64_t r = r0b; r < rend; ++r)
         task.writes.push_back({data, c * n1 + r});
     task.flops = (rend - r0b) * (n2 * kCplxMulFlops + per_row_flops);
-    task.passes = row_plan.stage_count() + 2;
+    task.passes = 1 + 2;
     task.movement_passes = 2;  // the gather-in and the writeback-out
     fused.tasks.push_back(std::move(task));
   }

@@ -63,8 +63,9 @@ struct PipelineTask {
   std::vector<Access> writes;
   /// Real floating-point operations.
   std::uint64_t flops = 0;
-  /// How many times the task streams its footprint. A sub-FFT row block
-  /// re-reads and re-writes its rows once per sub-plan stage; modelling
+  /// How many times the task streams its footprint. A fused hierarchical
+  /// tail reads its block in, sweeps it and writes it out; a condensed
+  /// recursion phase re-streams its rows once per inner pass. Modelling
   /// that as `passes` keeps the footprint (the coverage input) exact
   /// while the cost model still charges the repeated traffic.
   std::uint64_t passes = 1;
@@ -146,7 +147,7 @@ PipelineModel build_classic_pipeline(const fft::FftPlan& plan,
 /// ONE phase of whole-transform tasks, one per transform — the codelet
 /// the executor's serial body runs. Each task owns its n elements
 /// (transforms at consecutive offsets of one data buffer), streams them
-/// once per plan stage (`passes`) and carries the plan's total flops.
+/// once (one whole-transform sweep) and carries the plan's total flops.
 /// Throws std::invalid_argument for batch < 2: one transform runs the
 /// classic pipeline.
 PipelineModel build_batch_pipeline(const fft::FftPlan& plan,

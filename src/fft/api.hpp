@@ -46,8 +46,8 @@ std::vector<double> power_spectrum(std::span<const double> signal,
 /// the factorization-driven mixed-radix plan, and prime/awkward lengths
 /// take Bluestein, whose pow2 padding is internal to the executor.
 /// Padding to the next pow2 at this layer would change the convolution's
-/// period — not merely its cost — so the exact-N plan is both the cheaper
-/// and the only correct choice.
+/// period — not merely its cost — so the exact-N plan is the only
+/// correct choice.
 std::vector<cplx> circular_convolve(std::span<const cplx> a, std::span<const cplx> b,
                                     const HostFftOptions& opts = {});
 

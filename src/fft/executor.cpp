@@ -194,7 +194,7 @@ codelet::HostRuntime& FftExecutor::team(unsigned workers) {
 }
 
 const std::vector<std::uint32_t>& FftExecutor::bitrev_table_locked(
-    std::uint64_t len, unsigned bits) {
+    std::uint64_t len) {
   for (auto it = bitrev_tables_.begin(); it != bitrev_tables_.end(); ++it) {
     if (it->first == len) {
       // Move-to-back on hit so eviction below is least-recently-used, not
@@ -214,6 +214,7 @@ const std::vector<std::uint32_t>& FftExecutor::bitrev_table_locked(
   if (bitrev_tables_.size() >= 32)
     bitrev_tables_.erase(bitrev_tables_.begin());
   auto& slot = bitrev_tables_.emplace_back(len, std::vector<std::uint32_t>(len));
+  const unsigned bits = util::ilog2(len);
   for (std::uint64_t i = 0; i < len; ++i)
     slot.second[i] = static_cast<std::uint32_t>(util::bit_reverse(i, bits));
   return slot.second;
@@ -280,30 +281,13 @@ Pow2Key resolve_pow2_key(const PlanCache& cache, std::uint64_t n,
 
 /// Grows `bufs` to at least `workers` per-worker buffers of at least `len`
 /// elements each. Never shrinks: traffic alternating sizes must not
-/// reallocate on every switch.
+/// reallocate on every switch. A grown buffer starts afresh: callers use
+/// these as scratch and never read back what an earlier call left.
 template <typename V>
 void size_per_worker(std::vector<V>& bufs, unsigned workers, std::size_t len) {
   if (bufs.size() < workers) bufs.resize(workers);
   for (unsigned w = 0; w < workers; ++w)
-    if (bufs[w].size() < len) bufs[w].resize(len);
-}
-
-/// One whole pow2 transform on the calling thread: the fused bit-reversal
-/// + stage-0 sweep (the cached index table feeds the dispatched permuted
-/// gather through `split`, 2 * plan.size() scalars), then the remaining
-/// stages in order. Same butterflies in the same order as the phased
-/// Alg. 2 body, so bit-identical to it. Serves the serial classic body,
-/// Bluestein's serial convolutions and the hierarchical column/row sweeps.
-template <typename T>
-void classic_serial(const FftPlan& plan, std::span<cplx_t<T>> data,
-                    const BasicTwiddleTable<T>& twiddles,
-                    std::span<const std::uint32_t> brev, T* split,
-                    BasicKernelScratch<T>& scratch, unsigned fuse_log2) {
-  run_stage0_bitrev(plan, data, twiddles, brev, split, split + plan.size(),
-                    scratch, fuse_log2);
-  for (std::uint32_t s = 1; s < plan.stage_count(); ++s)
-    for (std::uint64_t t = 0; t < plan.tasks_per_stage(); ++t)
-      run_codelet(plan, s, t, data, twiddles, scratch, fuse_log2);
+    if (bufs[w].size() < len) bufs[w] = V(len);
 }
 
 /// Bluestein's chirp-z chain for one transform: X[k] = c[k] * (1/M) *
@@ -458,20 +442,18 @@ void FftExecutor::run_serial_locked(const PlanEntry& entry,
     return;
   }
 
-  // Classic transforms and Bluestein's convolutions: one pow2 plan swept
-  // by classic_serial on per-worker kernel and split scratch. Every table
-  // is resolved here, before any codelet runs.
+  // Classic transforms and Bluestein's convolutions: one pow2 plan, each
+  // transform one split-complex sweep (run_transform_split) on its
+  // worker's split scratch. Every table is resolved here, before any
+  // codelet runs.
   const PlanEntry& pow2 = conv != nullptr ? *conv : entry;
   const FftPlan& plan = pow2.plan();
-  ensure_worker_buffers<T>(plan.radix(), workers);
-  size_per_worker(st.row_split, workers, 2 * plan.size());
-  const std::span<const std::uint32_t> brev(
-      bitrev_table_locked(plan.size(), plan.log2_size()));
+  size_per_worker(st.split, workers, 3 * plan.size());
+  const std::span<const std::uint32_t> brev(bitrev_table_locked(plan.size()));
   const unsigned fuse_log2 = tuned_fuse_locked<T>(plan.size());
   const auto fft = [&](std::span<cplx_t<T>> data,
                        const BasicTwiddleTable<T>& tw, unsigned w) {
-    classic_serial<T>(plan, data, tw, brev, st.row_split[w].data(),
-                      st.scratch[w], fuse_log2);
+    run_transform_split(data, tw, brev, st.split[w].data(), fuse_log2);
   };
   if (conv == nullptr) {
     const BasicTwiddleTable<T>& tw = entry.twiddles_for<T>(dir);
@@ -726,30 +708,23 @@ void FftExecutor::run_hierarchical_locked(const PlanEntry& entry,
                                  rt, dir, tuned_block_rows, depth + 1);
   }
 
-  // Per-worker buffer prep AFTER any recursion (the inner levels resize
-  // st.scratch / st.row_split for their own plan shapes).
-  const FftPlan& row_plan = entry.row_entry()->plan();
+  // Per-worker buffer prep AFTER any recursion (the inner levels grow
+  // st.split for their own sub-FFT lengths). Every column and row FFT is
+  // one run_transform_split sweep on the worker's split scratch.
   const BasicTwiddleTable<T>& row_tw = entry.row_entry()->twiddles_for<T>(dir);
-  const FftPlan* col_plan = nullptr;
   const BasicTwiddleTable<T>* col_tw = nullptr;
   std::span<const std::uint32_t> brev1;
   unsigned col_fuse = 0;
   if (single_level) {
-    col_plan = &entry.col_entry()->plan();
     col_tw = &entry.col_entry()->twiddles_for<T>(dir);
-    ensure_worker_buffers<T>(std::max(col_plan->radix(), row_plan.radix()),
-                             workers);
-    brev1 = std::span<const std::uint32_t>(
-        bitrev_table_locked(n1, col_plan->log2_size()));
+    brev1 = std::span<const std::uint32_t>(bitrev_table_locked(n1));
     col_fuse = tuned_fuse_locked<T>(n1);
-  } else {
-    ensure_worker_buffers<T>(row_plan.radix(), workers);
   }
-  const std::span<const std::uint32_t> brev2(
-      bitrev_table_locked(n2, row_plan.log2_size()));
+  const std::span<const std::uint32_t> brev2(bitrev_table_locked(n2));
   const unsigned row_fuse = tuned_fuse_locked<T>(n2);
-  size_per_worker(st.row_split, workers,
-                  2 * (single_level ? std::max(n1, n2) : n2));
+  size_per_worker(st.split, workers,
+                  3 * (single_level ? std::max(n1, n2) : n2));
+  if (keys_buf_.size() < workers) keys_buf_.resize(workers);
 
   const HierarchicalGrain grain =
       hierarchical_grain(n1, n2, workers, sizeof(cplx_t<T>),
@@ -823,9 +798,8 @@ void FftExecutor::run_hierarchical_locked(const PlanEntry& entry,
       const std::uint64_t r0b = key.index * br1;
       const std::uint64_t rend = std::min(n2, r0b + br1);
       for (std::uint64_t r = r0b; r < rend; ++r)
-        classic_serial<T>(*col_plan, s.subspan(r * n1, n1), *col_tw, brev1,
-                          st.row_split[worker].data(), st.scratch[worker],
-                          col_fuse);
+        run_transform_split(s.subspan(r * n1, n1), *col_tw, brev1,
+                            st.split[worker].data(), col_fuse);
       std::vector<CodeletKey>& keys = keys_buf_[worker];
       keys.clear();
       for (std::uint64_t j = 0; j < B2; ++j)
@@ -853,10 +827,8 @@ void FftExecutor::run_hierarchical_locked(const PlanEntry& entry,
                                         w1, r0b);
     }
     for (std::uint64_t r = r0b; r < rend; ++r)
-      classic_serial<T>(row_plan,
-                        std::span<cplx_t<T>>(panel + (r - r0b) * n2, n2),
-                        row_tw, brev2, st.row_split[worker].data(),
-                        st.scratch[worker], row_fuse);
+      run_transform_split(std::span<cplx_t<T>>(panel + (r - r0b) * n2, n2),
+                          row_tw, brev2, st.split[worker].data(), row_fuse);
     for (std::uint64_t r0 = r0b; r0 < rend; r0 += kTransposeTile) {
       const std::uint64_t rmax = std::min(rend, r0 + kTransposeTile);
       for (std::uint64_t c0 = 0; c0 < n2; c0 += kTransposeTile) {

@@ -62,6 +62,7 @@
 #include "codelet/host_runtime.hpp"
 #include "fft/kernel.hpp"
 #include "fft/plan_cache.hpp"
+#include "util/aligned_buffer.hpp"
 
 namespace c64fft::fft {
 
@@ -71,10 +72,10 @@ namespace c64fft::fft {
 /// the classic path's data + O(N) twiddle table are far beyond a typical
 /// L2, while the decomposed sub-sweeps (512-point FFTs) stay
 /// cache-resident. Measured on a 4-vCPU Xeon, a 2-worker team runs the
-/// hierarchical route 1.14x faster than the classic plan at 2^18, while a
-/// one-worker team still runs the classic plan faster there (0.86x) —
-/// DESIGN.md §3.7. (The f32 footprint at a given N is half this; the
-/// shared default stays size-based for predictability.)
+/// hierarchical route 1.14x faster than the classic plan at 2^18, and a
+/// one-worker team runs the two about equally there — DESIGN.md §3.7.
+/// (The f32 footprint at a given N is half this; the shared default
+/// stays size-based for predictability.)
 inline constexpr unsigned kDefaultHierarchicalThresholdLog2 = 18;
 
 /// Chunk decomposition of the executor's data-parallel utility phases
@@ -315,17 +316,26 @@ class FftExecutor {
   ExecutorStats stats() const;
 
  private:
-  /// Per-precision mutable working set: per-worker kernel scratch tiles,
-  /// the per-worker row-length split scratch of the fused stage-0 pass,
-  /// the hierarchical buffers and the per-worker `work` buffers below. One
+  /// Per-precision mutable working set: the per-worker split scratch of
+  /// the whole-transform sweep, the phased body's kernel tiles, the
+  /// hierarchical buffers and the per-worker `work` buffers below. One
   /// instance per element width so alternating precisions never thrash
   /// each other's allocations; the worker team, key/member buffers, and
   /// bit-reversal index table stay shared (they are
   /// precision-independent).
   template <typename T>
   struct NumericState {
+    /// Per-worker split scratch of run_transform_split: 3n scalars for the
+    /// largest transform length n the worker has swept (the re/im planes
+    /// plus the n/2-entry level twiddle span). Serves the serial pow2
+    /// body, Bluestein's serial convolutions and the hierarchical column
+    /// and row FFTs. Cache-line aligned, so the sweep's SIMD loads of the
+    /// planes and the span never straddle two lines.
+    std::vector<util::AlignedBuffer<T>> split;
+    /// Per-worker radix-wide codelet tiles (run_codelet), sized for
+    /// `scratch_radix`: only the phased Alg. 2 body (run_classic_locked)
+    /// uses them.
     std::vector<BasicKernelScratch<T>> scratch;
-    std::vector<std::vector<T>> row_split;
     std::uint64_t scratch_radix = 0;
     /// Hierarchical-path gather matrix (the n2 x n1 `s`), one buffer per
     /// recursion depth so an inner level's pipeline never clobbers the
@@ -417,12 +427,12 @@ class FftExecutor {
   /// shared body of shutdown() and close().
   void shutdown_locked();
 
-  /// Cached bit-reversal index table for row length `len` (mutex_ held):
-  /// one table per distinct length, so mixed multi-tenant traffic
-  /// alternating sizes does not rebuild (and reallocate) the table on
-  /// every size switch the way a single-slot cache did.
-  const std::vector<std::uint32_t>& bitrev_table_locked(std::uint64_t len,
-                                                        unsigned bits);
+  /// Cached log2(len)-bit reversal index table for pow2 transform length
+  /// `len` (mutex_ held): one table per distinct length, so mixed
+  /// multi-tenant traffic alternating sizes does not rebuild (and
+  /// reallocate) the table on every size switch the way a single-slot
+  /// cache did.
+  const std::vector<std::uint32_t>& bitrev_table_locked(std::uint64_t len);
 
   ExecutorOptions opts_;
   PlanCache cache_;

@@ -4,6 +4,7 @@
 
 #include "fft/kernels/dispatch.hpp"
 #include "fft/kernels/generic_kernels.hpp"
+#include "util/bit_ops.hpp"
 
 namespace c64fft::fft {
 namespace {
@@ -65,33 +66,33 @@ void run_codelet_impl(const FftPlan& plan, std::uint32_t stage, std::uint64_t ta
 }
 
 template <typename T>
-void run_stage0_bitrev_impl(const FftPlan& plan, std::span<cplx_t<T>> data,
-                            const BasicTwiddleTable<T>& twiddles,
-                            std::span<const std::uint32_t> bitrev_idx, T* re,
-                            T* im, BasicKernelScratch<T>& scratch,
-                            unsigned fuse_log2) {
-  const StageInfo& st = plan.stage(0);
-  const std::uint64_t n = plan.size();
-  assert(st.chain_stride == 1);
-  assert(data.size() == n);
+void run_transform_split_impl(std::span<cplx_t<T>> data,
+                              const BasicTwiddleTable<T>& twiddles,
+                              std::span<const std::uint32_t> bitrev_idx,
+                              T* split, unsigned fuse_log2) {
+  const std::uint64_t n = data.size();
+  assert(n >= 2 && util::is_pow2(n));
   assert(bitrev_idx.size() >= n);
   assert(twiddles.fft_size() == n);
+  T* const re = split;
+  T* const im = split + n;
+  T* const tw_re = split + 2 * n;
+  T* const tw_im = tw_re + n / 2;
 
   const kernels::KernelDispatch<T>& K = kernels::active_kernels<T>();
 
-  // Permuted gather: the whole row deinterleaves into the split scratch in
-  // one pass (scattered reads stay inside the cache-resident row).
+  // Permuted gather: the whole transform deinterleaves into the split
+  // planes in one pass (scattered reads stay inside the cache-resident
+  // transform).
   K.permute_split(data.data(), bitrev_idx.data(), n, re, im);
 
-  // Stage-0 chains are contiguous [base, base + chain_len) slices of the
-  // scratch (stride 1), so the butterflies run directly on it.
-  for (std::uint64_t t = 0; t < plan.tasks_per_stage(); ++t)
-    for (std::uint64_t c = 0; c < st.chains_per_task; ++c) {
-      const std::uint64_t base = plan.chain_base(0, t, c);
-      K.chain_split(re + base, im + base, st.chain_len, base, st.chain_stride,
-                    0, st.levels, plan.log2_size(), twiddles,
-                    scratch.tw_re.data(), scratch.tw_im.data(), fuse_log2);
-    }
+  // The whole transform is one chain: level L pairs g with g + 2^L under
+  // W[(g mod 2^L) << (log2n - L - 1)], exactly the butterfly each plan
+  // stage's strided chains apply, now on contiguous planes that stay hot
+  // from the first level to the last.
+  const unsigned log2n = util::ilog2(n);
+  K.chain_split(re, im, n, /*base=*/0, /*stride=*/1, /*first_level=*/0,
+                log2n, log2n, twiddles, tw_re, tw_im, fuse_log2);
 
   // Contiguous re-interleave of the whole transform.
   K.scatter_merge(re, im, n, data.data(), 1);
@@ -171,20 +172,18 @@ void run_codelet(const FftPlan& plan, std::uint32_t stage, std::uint64_t task,
   run_codelet_impl<float>(plan, stage, task, data, twiddles, scratch, fuse_log2);
 }
 
-void run_stage0_bitrev(const FftPlan& plan, std::span<cplx> data,
-                       const TwiddleTable& twiddles,
-                       std::span<const std::uint32_t> bitrev_idx, double* re,
-                       double* im, KernelScratch& scratch, unsigned fuse_log2) {
-  run_stage0_bitrev_impl<double>(plan, data, twiddles, bitrev_idx, re, im,
-                                 scratch, fuse_log2);
+void run_transform_split(std::span<cplx> data, const TwiddleTable& twiddles,
+                         std::span<const std::uint32_t> bitrev_idx,
+                         double* split, unsigned fuse_log2) {
+  run_transform_split_impl<double>(data, twiddles, bitrev_idx, split,
+                                   fuse_log2);
 }
 
-void run_stage0_bitrev(const FftPlan& plan, std::span<cplx32> data,
-                       const TwiddleTableF& twiddles,
-                       std::span<const std::uint32_t> bitrev_idx, float* re,
-                       float* im, KernelScratchF& scratch, unsigned fuse_log2) {
-  run_stage0_bitrev_impl<float>(plan, data, twiddles, bitrev_idx, re, im,
-                                scratch, fuse_log2);
+void run_transform_split(std::span<cplx32> data, const TwiddleTableF& twiddles,
+                         std::span<const std::uint32_t> bitrev_idx,
+                         float* split, unsigned fuse_log2) {
+  run_transform_split_impl<float>(data, twiddles, bitrev_idx, split,
+                                  fuse_log2);
 }
 
 void run_codelet_scalar(const FftPlan& plan, std::uint32_t stage, std::uint64_t task,

@@ -64,29 +64,31 @@ void run_codelet(const FftPlan& plan, std::uint32_t stage, std::uint64_t task,
                  KernelScratchF& scratch,
                  unsigned fuse_log2 = kernels::kDefaultFuseLog2);
 
-/// Fused bit-reversal + stage-0 sweep of one whole transform: gathers all
-/// of `data` through the precomputed bit-reversal index table into a
-/// transform-length split-complex scratch, applies every stage-0 chain
-/// there, and scatters back contiguously. One read and one write pass over
-/// the data replace the separate permutation pass plus stage 0's own pass;
-/// the hierarchical sub-FFT sweeps (FftExecutor::run_hierarchical_locked)
-/// run their rows through this. Bit-identical to bit-reversing `data` and
-/// then running every stage-0 codelet via run_codelet.
+/// One whole pow2 transform of n = data.size() points as ONE split-complex
+/// sweep: the bit-reversal permutation fused into the deinterleaving
+/// gather, then all log2(n) butterfly levels as a single chain (base 0,
+/// stride 1, first level 0 — the fused first pass included), then one
+/// contiguous re-interleave: one read and one write pass over `data`,
+/// where running the plan's stages through run_codelet gathers and
+/// scatters every element once per stage. Every butterfly keeps its
+/// level, its twiddle-table entry and its operation order, so the result
+/// is bit-identical to bit-reversing `data` and running every stage's
+/// codelets via run_codelet (or run_codelet_scalar) at any radix. The
+/// executor's serial pow2 body, Bluestein's serial convolutions and the
+/// hierarchical sub-FFT rows all run through this.
 ///
-/// Requirements: `bitrev_idx[g]` is the log2_size()-bit reversal of g for
-/// g < plan.size(); `re`/`im` hold plan.size() scalars. (Stage 0 always
-/// has chain_stride == 1, so the split scratch holds its chains
-/// contiguously — asserted.)
-void run_stage0_bitrev(const FftPlan& plan, std::span<cplx> data,
-                       const TwiddleTable& twiddles,
-                       std::span<const std::uint32_t> bitrev_idx, double* re,
-                       double* im, KernelScratch& scratch,
-                       unsigned fuse_log2 = kernels::kDefaultFuseLog2);
-void run_stage0_bitrev(const FftPlan& plan, std::span<cplx32> data,
-                       const TwiddleTableF& twiddles,
-                       std::span<const std::uint32_t> bitrev_idx, float* re,
-                       float* im, KernelScratchF& scratch,
-                       unsigned fuse_log2 = kernels::kDefaultFuseLog2);
+/// Requirements: n >= 2 is a power of two and twiddles.fft_size() == n;
+/// `bitrev_idx[g]` is the log2(n)-bit reversal of g for g < n; `split`
+/// holds 3n scalars — the re and im planes (n each), then the re and im
+/// halves of the per-level twiddle span (n/2 each).
+void run_transform_split(std::span<cplx> data, const TwiddleTable& twiddles,
+                         std::span<const std::uint32_t> bitrev_idx,
+                         double* split,
+                         unsigned fuse_log2 = kernels::kDefaultFuseLog2);
+void run_transform_split(std::span<cplx32> data, const TwiddleTableF& twiddles,
+                         std::span<const std::uint32_t> bitrev_idx,
+                         float* split,
+                         unsigned fuse_log2 = kernels::kDefaultFuseLog2);
 
 /// Reference scalar implementation on std::complex scratch (the original
 /// kernel): kept for unit tests and the vectorized-vs-old benchmark.

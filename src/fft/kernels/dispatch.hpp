@@ -4,7 +4,8 @@
 // Every data-parallel inner loop of the hot path — the split-complex
 // butterfly levels, the fused radix-4/8 first pass, the complex
 // de/interleave of the codelet gather/scatter (strided and bit-reversal
-// permuted), and the tiled-transpose copy — is
+// permuted), the mixed-radix stage butterflies, and the tiled-transpose
+// copy — is
 // reached through one KernelDispatch<T> of function pointers instead of
 // being compiled inline. Three tables
 // exist per precision:
@@ -39,6 +40,7 @@
 
 #include <cstdint>
 
+#include "fft/mixed_radix.hpp"
 #include "fft/twiddle.hpp"
 #include "fft/types.hpp"
 #include "util/cpu_features.hpp"
@@ -71,15 +73,24 @@ struct KernelDispatch {
                        std::uint64_t count, T* re, T* im);
 
   /// Permuted deinterleave: re/im[k] = src[idx[k]] — the bit-reversal
-  /// reorder fused with the split-complex gather that opens stage 0
-  /// (kernel.cpp run_stage0_bitrev). idx entries must be < 2^30 (the SIMD
-  /// tables address scalar components through i32 gather indices).
+  /// reorder fused with the split-complex gather that opens a
+  /// whole-transform sweep (kernel.cpp run_transform_split). idx entries
+  /// must be < 2^30 (the SIMD tables address scalar components through
+  /// i32 gather indices).
   void (*permute_split)(const cplx_t<T>* src, const std::uint32_t* idx,
                         std::uint64_t count, T* re, T* im);
 
   /// Re-interleave re/im into dst[k * stride].
   void (*scatter_merge)(const T* re, const T* im, std::uint64_t count,
                         cplx_t<T>* dst, std::uint64_t stride);
+
+  /// Butterflies [g_begin, g_end) of one mixed-radix stage: the semantics
+  /// of fft::run_mixed_radix_stage, with `tw` already offset to the
+  /// stage's slice of the flat twiddle vector.
+  void (*mixed_stage)(const MixedRadixStage& stage, const cplx_t<T>* tw,
+                      const cplx_t<T>* src, cplx_t<T>* dst,
+                      std::uint64_t g_begin, std::uint64_t g_end,
+                      bool inverse);
 
   /// Tiled-transpose micro-kernel: dst[c * dst_stride + r] =
   /// src[r * src_stride + c] for r < rows, c < cols (pointers pre-offset

@@ -22,6 +22,7 @@ constexpr KernelDispatch<T> kAvx2Table{
     &gather_split_avx2<T>,
     &permute_split_avx2<T>,
     &scatter_merge_avx2<T>,
+    &mixed_stage_avx2<T>,
     &transpose_tile_avx2<T>,
 };
 

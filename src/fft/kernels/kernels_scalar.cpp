@@ -19,6 +19,7 @@ constexpr KernelDispatch<T> make_scalar_table() {
       &gather_split_generic<T>,
       &permute_split_generic<T>,
       &scatter_merge_generic<T>,
+      &mixed_stage_scalar<T>,
       &transpose_tile_generic<T>,
   };
 }

@@ -21,9 +21,12 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <numbers>
 
 #include "fft/kernels/generic_kernels.hpp"
+#include "fft/mixed_radix.hpp"
 #include "fft/twiddle.hpp"
 #include "fft/types.hpp"
 
@@ -494,6 +497,285 @@ void scatter_merge_avx2(const T* re, const T* im, std::uint64_t count,
       interleave4_pd(re + q, im + q, d + 2 * q);
   }
   for (; q < count; ++q) dst[q] = cplx_t<T>(re[q], im[q]);
+}
+
+// ---- Mixed-radix stage butterflies ----
+//
+// One butterfly per lane on interleaved complex lanes (2 per __m256d, 4
+// per __m256), the lanes taking consecutive offsets j of one block so
+// every leg load and store stays contiguous. Each lane repeats the operation
+// sequence of mixed_stage_scalar; the complex product comes out as
+// (xr*wr - xi*wi, xi*wr + xr*wi) from one addsub — the scalar cmul's
+// products, with its imaginary sum's operands swapped, which IEEE
+// addition leaves exact.
+
+/// Interleaved complex lanes of one precision.
+template <typename T>
+struct CxLanes;
+
+template <>
+struct CxLanes<double> {
+  using V = __m256d;
+  static constexpr unsigned kLanes = 2;
+  static V load(const cplx_t<double>* p) {
+    return _mm256_loadu_pd(reinterpret_cast<const double*>(p));
+  }
+  static void store(cplx_t<double>* p, V v) {
+    _mm256_storeu_pd(reinterpret_cast<double*>(p), v);
+  }
+  /// Lane l takes p[l * stride] (stride 0 broadcasts *p).
+  static V load_strided(const cplx_t<double>* p, std::uint64_t stride) {
+    return _mm256_loadu2_m128d(reinterpret_cast<const double*>(p + stride),
+                               reinterpret_cast<const double*>(p));
+  }
+  /// Lane l goes to p[l * stride].
+  static void store_strided(cplx_t<double>* p, std::uint64_t stride, V v) {
+    _mm256_storeu2_m128d(reinterpret_cast<double*>(p + stride),
+                         reinterpret_cast<double*>(p), v);
+  }
+  static V set1(double c) { return _mm256_set1_pd(c); }
+  static V zero() { return _mm256_setzero_pd(); }
+  static V add(V a, V b) { return _mm256_add_pd(a, b); }
+  static V sub(V a, V b) { return _mm256_sub_pd(a, b); }
+  static V mul(V a, V b) { return _mm256_mul_pd(a, b); }
+  /// (re - re, im + im) lane pairs.
+  static V addsub(V a, V b) { return _mm256_addsub_pd(a, b); }
+  static V neg(V a) { return _mm256_xor_pd(a, _mm256_set1_pd(-0.0)); }
+  /// (im, re): the two parts of every complex lane swapped.
+  static V swap(V a) { return _mm256_permute_pd(a, 0x5); }
+  static V dup_re(V a) { return _mm256_movedup_pd(a); }
+  static V dup_im(V a) { return _mm256_permute_pd(a, 0xF); }
+  /// Real parts of a, imaginary parts of b.
+  static V re_im(V a, V b) { return _mm256_blend_pd(a, b, 0xA); }
+};
+
+template <>
+struct CxLanes<float> {
+  using V = __m256;
+  static constexpr unsigned kLanes = 4;
+  static V load(const cplx_t<float>* p) {
+    return _mm256_loadu_ps(reinterpret_cast<const float*>(p));
+  }
+  static void store(cplx_t<float>* p, V v) {
+    _mm256_storeu_ps(reinterpret_cast<float*>(p), v);
+  }
+  static V load_strided(const cplx_t<float>* p, std::uint64_t stride) {
+    const auto at = [&](std::uint64_t l) {
+      return reinterpret_cast<const __m64*>(p + l * stride);
+    };
+    const __m128 lo = _mm_loadh_pi(_mm_loadl_pi(_mm_setzero_ps(), at(0)), at(1));
+    const __m128 hi = _mm_loadh_pi(_mm_loadl_pi(_mm_setzero_ps(), at(2)), at(3));
+    return _mm256_set_m128(hi, lo);
+  }
+  static void store_strided(cplx_t<float>* p, std::uint64_t stride, V v) {
+    const auto at = [&](std::uint64_t l) {
+      return reinterpret_cast<__m64*>(p + l * stride);
+    };
+    const __m128 lo = _mm256_castps256_ps128(v);
+    const __m128 hi = _mm256_extractf128_ps(v, 1);
+    _mm_storel_pi(at(0), lo);
+    _mm_storeh_pi(at(1), lo);
+    _mm_storel_pi(at(2), hi);
+    _mm_storeh_pi(at(3), hi);
+  }
+  static V set1(float c) { return _mm256_set1_ps(c); }
+  static V zero() { return _mm256_setzero_ps(); }
+  static V add(V a, V b) { return _mm256_add_ps(a, b); }
+  static V sub(V a, V b) { return _mm256_sub_ps(a, b); }
+  static V mul(V a, V b) { return _mm256_mul_ps(a, b); }
+  static V addsub(V a, V b) { return _mm256_addsub_ps(a, b); }
+  static V neg(V a) { return _mm256_xor_ps(a, _mm256_set1_ps(-0.0f)); }
+  static V swap(V a) { return _mm256_permute_ps(a, 0xB1); }
+  static V dup_re(V a) { return _mm256_moveldup_ps(a); }
+  static V dup_im(V a) { return _mm256_movehdup_ps(a); }
+  static V re_im(V a, V b) { return _mm256_blend_ps(a, b, 0xAA); }
+};
+
+/// x * w with w given as its broadcast real and imaginary parts.
+template <typename X>
+inline typename X::V cx_mul(typename X::V x, typename X::V wr,
+                            typename X::V wi) {
+  return X::addsub(X::mul(x, wr), X::mul(X::swap(x), wi));
+}
+
+/// The closing pair of every radix-4 and odd-radix output:
+/// lo = (m.re + d.im, m.im - d.re), hi = (m.re - d.im, m.im + d.re), with
+/// d negated first for the inverse direction.
+template <typename X>
+inline void cx_cross(typename X::V m, typename X::V d, bool inverse,
+                     typename X::V& lo, typename X::V& hi) {
+  const typename X::V ds = X::swap(inverse ? X::neg(d) : d);
+  const typename X::V s = X::add(m, ds);
+  const typename X::V t = X::sub(m, ds);
+  lo = X::re_im(s, t);
+  hi = X::re_im(t, s);
+}
+
+template <typename X>
+inline void mixed_bfly4(typename X::V* v, bool inverse) {
+  const typename X::V a = X::add(v[0], v[2]);
+  const typename X::V b = X::sub(v[0], v[2]);
+  const typename X::V c = X::add(v[1], v[3]);
+  const typename X::V d = X::sub(v[1], v[3]);
+  v[0] = X::add(a, c);
+  v[2] = X::sub(a, c);
+  cx_cross<X>(b, d, inverse, v[1], v[3]);
+}
+
+template <typename X, typename T>
+inline void mixed_bfly8(typename X::V* v, bool inverse) {
+  using V = typename X::V;
+  V e[4] = {v[0], v[2], v[4], v[6]};
+  V o[4] = {v[1], v[3], v[5], v[7]};
+  mixed_bfly4<X>(e, inverse);
+  mixed_bfly4<X>(o, inverse);
+  const T c = static_cast<T>(std::numbers::sqrt2 / 2.0);
+  const T sgn = inverse ? T(1) : T(-1);
+  const V t1 = cx_mul<X>(o[1], X::set1(c), X::set1(sgn * c));
+  const V sw = X::swap(o[2]);
+  const V t2 = inverse ? X::re_im(X::neg(sw), sw) : X::re_im(sw, X::neg(sw));
+  const V t3 = cx_mul<X>(o[3], X::set1(-c), X::set1(sgn * c));
+  v[0] = X::add(e[0], o[0]);
+  v[4] = X::sub(e[0], o[0]);
+  v[1] = X::add(e[1], t1);
+  v[5] = X::sub(e[1], t1);
+  v[2] = X::add(e[2], t2);
+  v[6] = X::sub(e[2], t2);
+  v[3] = X::add(e[3], t3);
+  v[7] = X::sub(e[3], t3);
+}
+
+template <typename X, typename T, unsigned R>
+inline void mixed_bfly_odd(typename X::V* v, const OddRadixConstants<R>& C,
+                           bool inverse) {
+  using V = typename X::V;
+  constexpr unsigned kHalf = (R - 1) / 2;
+  const V t0 = v[0];
+  V a[kHalf], b[kHalf];
+  for (unsigned j = 1; j <= kHalf; ++j) {
+    a[j - 1] = X::add(v[j], v[R - j]);
+    b[j - 1] = X::sub(v[j], v[R - j]);
+  }
+  V y0 = t0;
+  for (unsigned j = 0; j < kHalf; ++j) y0 = X::add(y0, a[j]);
+  v[0] = y0;
+  for (unsigned k = 1; k <= kHalf; ++k) {
+    V m = t0;
+    V d = X::zero();
+    for (unsigned j = 1; j <= kHalf; ++j) {
+      m = X::add(m, X::mul(X::set1(static_cast<T>(C.c[k - 1][j - 1])),
+                           a[j - 1]));
+      d = X::add(d, X::mul(X::set1(static_cast<T>(C.s[k - 1][j - 1])),
+                           b[j - 1]));
+    }
+    cx_cross<X>(m, d, inverse, v[k], v[R - k]);
+  }
+}
+
+/// The DFT-matrix constants a radix-R stage needs: the odd radices' table,
+/// an empty tag for 2, 4 and 8. Fetched once per stage call.
+struct NoRadixConstants {};
+
+template <unsigned R>
+inline const auto& radix_constants() {
+  if constexpr (R % 2 == 1) {
+    return odd_radix_constants<R>();
+  } else {
+    static constexpr NoRadixConstants kNone{};
+    return kNone;
+  }
+}
+
+/// The radix-R DFT over register-resident legs v[0..R).
+template <typename X, typename T, unsigned R, typename C>
+inline void mixed_bfly(typename X::V* v, const C& constants, bool inverse) {
+  if constexpr (R == 2) {
+    const typename X::V sum = X::add(v[0], v[1]);
+    v[1] = X::sub(v[0], v[1]);
+    v[0] = sum;
+  } else if constexpr (R == 4) {
+    mixed_bfly4<X>(v, inverse);
+  } else if constexpr (R == 8) {
+    mixed_bfly8<X, T>(v, inverse);
+  } else {
+    mixed_bfly_odd<X, T, R>(v, constants, inverse);
+  }
+}
+
+/// One radix-R stage over butterflies [g_begin, g_end). Lanes run across
+/// consecutive offsets j of one block (contiguous legs, per-lane
+/// twiddles); at L_p = 1 — the first stage — across consecutive blocks
+/// (lane stride R, one shared twiddle set). Ragged block ends and an L_p
+/// between 1 and the vector width run mixed_stage_scalar.
+template <typename T, unsigned R>
+void mixed_stage_fixed_avx2(const MixedRadixStage& st, const cplx_t<T>* tw,
+                            const cplx_t<T>* src, cplx_t<T>* dst,
+                            std::uint64_t g_begin, std::uint64_t g_end,
+                            bool inverse) {
+  using X = CxLanes<T>;
+  using V = typename X::V;
+  constexpr unsigned kLanes = X::kLanes;
+  const std::uint64_t lp = st.prev_len;
+  const std::uint64_t len = st.len;
+  const auto& constants = radix_constants<R>();
+  std::uint64_t g = g_begin;
+  if (lp == 1) {
+    V wr[R], wi[R];
+    for (unsigned u = 1; u < R; ++u) {
+      const V w = X::load_strided(tw + (u - 1), 0);
+      wr[u] = X::dup_re(w);
+      wi[u] = X::dup_im(w);
+    }
+    for (; g + kLanes <= g_end; g += kLanes) {
+      const std::uint64_t base = g * R;
+      V v[R];
+      v[0] = X::load_strided(src + base, R);
+      for (unsigned u = 1; u < R; ++u)
+        v[u] = cx_mul<X>(X::load_strided(src + base + u, R), wr[u], wi[u]);
+      mixed_bfly<X, T, R>(v, constants, inverse);
+      for (unsigned k = 0; k < R; ++k) X::store_strided(dst + base + k, R, v[k]);
+    }
+  } else if (lp >= kLanes) {
+    while (g < g_end) {
+      const std::uint64_t b = g / lp;
+      const std::uint64_t stop = std::min(g_end, (b + 1) * lp);
+      std::uint64_t j = g - b * lp;
+      const std::uint64_t j_end = j + (stop - g);
+      for (; j + kLanes <= j_end; j += kLanes) {
+        const std::uint64_t base = b * len + j;
+        const cplx_t<T>* const wj = tw + j * (R - 1);
+        V v[R];
+        v[0] = X::load(src + base);
+        for (unsigned u = 1; u < R; ++u) {
+          const V w = X::load_strided(wj + (u - 1), R - 1);
+          v[u] = cx_mul<X>(X::load(src + base + u * lp), X::dup_re(w),
+                           X::dup_im(w));
+        }
+        mixed_bfly<X, T, R>(v, constants, inverse);
+        for (unsigned k = 0; k < R; ++k) X::store(dst + base + k * lp, v[k]);
+      }
+      g = b * lp + j;
+      if (g < stop) mixed_stage_scalar<T>(st, tw, src, dst, g, stop, inverse);
+      g = stop;
+    }
+  }
+  if (g < g_end) mixed_stage_scalar<T>(st, tw, src, dst, g, g_end, inverse);
+}
+
+template <typename T>
+void mixed_stage_avx2(const MixedRadixStage& st, const cplx_t<T>* tw,
+                      const cplx_t<T>* src, cplx_t<T>* dst,
+                      std::uint64_t g_begin, std::uint64_t g_end,
+                      bool inverse) {
+  switch (st.radix) {
+    case 2: mixed_stage_fixed_avx2<T, 2>(st, tw, src, dst, g_begin, g_end, inverse); break;
+    case 3: mixed_stage_fixed_avx2<T, 3>(st, tw, src, dst, g_begin, g_end, inverse); break;
+    case 4: mixed_stage_fixed_avx2<T, 4>(st, tw, src, dst, g_begin, g_end, inverse); break;
+    case 5: mixed_stage_fixed_avx2<T, 5>(st, tw, src, dst, g_begin, g_end, inverse); break;
+    case 7: mixed_stage_fixed_avx2<T, 7>(st, tw, src, dst, g_begin, g_end, inverse); break;
+    case 8: mixed_stage_fixed_avx2<T, 8>(st, tw, src, dst, g_begin, g_end, inverse); break;
+    default: break;
+  }
 }
 
 // ---- Transpose tile micro-kernels (complex elements as 64-bit /

@@ -5,6 +5,7 @@
 #include <numbers>
 #include <stdexcept>
 
+#include "fft/kernels/dispatch.hpp"
 #include "util/bit_ops.hpp"
 
 namespace c64fft::fft {
@@ -19,33 +20,6 @@ template <typename T>
 inline cplx_t<T> cmul(const cplx_t<T>& a, const cplx_t<T>& b) {
   return cplx_t<T>(a.real() * b.real() - a.imag() * b.imag(),
                    a.real() * b.imag() + a.imag() * b.real());
-}
-
-/// Codelet DFT-matrix constants of an odd radix R: c[k-1][j-1] =
-/// cos(2*pi*k*j/R), s[k-1][j-1] = sin(2*pi*k*j/R) for k, j in
-/// [1, (R-1)/2]. Evaluated once in double; the f32 codelet narrows at
-/// use, so both precisions share one correctly rounded constant set.
-template <unsigned R>
-struct OddRadixConstants {
-  double c[(R - 1) / 2][(R - 1) / 2];
-  double s[(R - 1) / 2][(R - 1) / 2];
-};
-
-template <unsigned R>
-const OddRadixConstants<R>& odd_radix_constants() {
-  static const OddRadixConstants<R> table = [] {
-    OddRadixConstants<R> t{};
-    constexpr unsigned kHalf = (R - 1) / 2;
-    for (unsigned k = 1; k <= kHalf; ++k)
-      for (unsigned j = 1; j <= kHalf; ++j) {
-        const double a =
-            2.0 * std::numbers::pi * static_cast<double>(k * j) / R;
-        t.c[k - 1][j - 1] = std::cos(a);
-        t.s[k - 1][j - 1] = std::sin(a);
-      }
-    return t;
-  }();
-  return table;
 }
 
 /// Odd-radix DFT via the real/imaginary pairing a_j = t_j + t_{R-j},
@@ -130,7 +104,7 @@ inline void butterfly8(cplx_t<T>* v, bool inverse) {
 /// results are bit-identical.
 template <typename T, unsigned R>
 void run_stage_fixed(const MixedRadixStage& st, const cplx_t<T>* tw,
-                     std::span<const cplx_t<T>> src, std::span<cplx_t<T>> dst,
+                     const cplx_t<T>* src, cplx_t<T>* dst,
                      std::uint64_t g_begin, std::uint64_t g_end,
                      bool inverse) {
   const std::uint64_t lp = st.prev_len;
@@ -168,6 +142,27 @@ void run_stage_fixed(const MixedRadixStage& st, const cplx_t<T>* tw,
 }
 
 }  // namespace
+
+template <unsigned R>
+const OddRadixConstants<R>& odd_radix_constants() {
+  static const OddRadixConstants<R> table = [] {
+    OddRadixConstants<R> t{};
+    constexpr unsigned kHalf = (R - 1) / 2;
+    for (unsigned k = 1; k <= kHalf; ++k)
+      for (unsigned j = 1; j <= kHalf; ++j) {
+        const double a =
+            2.0 * std::numbers::pi * static_cast<double>(k * j) / R;
+        t.c[k - 1][j - 1] = std::cos(a);
+        t.s[k - 1][j - 1] = std::sin(a);
+      }
+    return t;
+  }();
+  return table;
+}
+
+template const OddRadixConstants<3>& odd_radix_constants<3>();
+template const OddRadixConstants<5>& odd_radix_constants<5>();
+template const OddRadixConstants<7>& odd_radix_constants<7>();
 
 Factorization factorize(std::uint64_t n) {
   Factorization f;
@@ -320,14 +315,10 @@ void mixed_radix_permute(const MixedRadixPlan& plan,
 }
 
 template <typename T>
-void run_mixed_radix_stage(const MixedRadixPlan& plan, std::uint32_t stage,
-                           std::span<const cplx_t<T>> twiddles,
-                           std::span<const cplx_t<T>> src,
-                           std::span<cplx_t<T>> dst, std::uint64_t g_begin,
-                           std::uint64_t g_end, TwiddleDirection direction) {
-  const MixedRadixStage& st = plan.stages()[stage];
-  const bool inverse = direction == TwiddleDirection::kInverse;
-  const cplx_t<T>* const tw = twiddles.data() + st.twiddle_offset;
+void mixed_stage_scalar(const MixedRadixStage& st, const cplx_t<T>* tw,
+                        const cplx_t<T>* src, cplx_t<T>* dst,
+                        std::uint64_t g_begin, std::uint64_t g_end,
+                        bool inverse) {
   switch (st.radix) {
     case 2: run_stage_fixed<T, 2>(st, tw, src, dst, g_begin, g_end, inverse); break;
     case 3: run_stage_fixed<T, 3>(st, tw, src, dst, g_begin, g_end, inverse); break;
@@ -337,6 +328,18 @@ void run_mixed_radix_stage(const MixedRadixPlan& plan, std::uint32_t stage,
     case 8: run_stage_fixed<T, 8>(st, tw, src, dst, g_begin, g_end, inverse); break;
     default: break;
   }
+}
+
+template <typename T>
+void run_mixed_radix_stage(const MixedRadixPlan& plan, std::uint32_t stage,
+                           std::span<const cplx_t<T>> twiddles,
+                           std::span<const cplx_t<T>> src,
+                           std::span<cplx_t<T>> dst, std::uint64_t g_begin,
+                           std::uint64_t g_end, TwiddleDirection direction) {
+  const MixedRadixStage& st = plan.stages()[stage];
+  kernels::active_kernels<T>().mixed_stage(
+      st, twiddles.data() + st.twiddle_offset, src.data(), dst.data(),
+      g_begin, g_end, direction == TwiddleDirection::kInverse);
 }
 
 template <typename T>
@@ -385,6 +388,13 @@ template void mixed_radix_permute<float>(const MixedRadixPlan&,
                                          std::span<const cplx32>,
                                          std::span<cplx32>, std::uint64_t,
                                          std::uint64_t);
+template void mixed_stage_scalar<double>(const MixedRadixStage&,
+                                         const cplx*, const cplx*, cplx*,
+                                         std::uint64_t, std::uint64_t, bool);
+template void mixed_stage_scalar<float>(const MixedRadixStage&,
+                                        const cplx32*, const cplx32*,
+                                        cplx32*, std::uint64_t, std::uint64_t,
+                                        bool);
 template void run_mixed_radix_stage<double>(const MixedRadixPlan&,
                                             std::uint32_t,
                                             std::span<const cplx>,

@@ -121,14 +121,40 @@ void mixed_radix_permute(const MixedRadixPlan& plan,
 /// b = g / L_p, offset j = g % L_p). src and dst may alias exactly
 /// (in-place) or be fully disjoint buffers (the permuted-scratch ->
 /// data stage-0 pass); each butterfly writes the same indices it reads.
-/// Scalar bodies only — these are the bit-exact oracle the pow2 SIMD
-/// kernels are judged against, and the composite path's sole backend.
+/// Runs the active kernel table's `mixed_stage` entry: the SIMD tables
+/// put one butterfly per lane (consecutive offsets j, or consecutive
+/// blocks when L_p = 1) and keep the scalar operation order, so every
+/// table is bit-identical to mixed_stage_scalar.
 template <typename T>
 void run_mixed_radix_stage(const MixedRadixPlan& plan, std::uint32_t stage,
                            std::span<const cplx_t<T>> twiddles,
                            std::span<const cplx_t<T>> src,
                            std::span<cplx_t<T>> dst, std::uint64_t g_begin,
                            std::uint64_t g_end, TwiddleDirection direction);
+
+/// The scalar stage body with the radix fixed at compile time: the
+/// scalar table's `mixed_stage` entry, the SIMD tables' tail, and the
+/// bit-exact oracle both are tested against. `tw` points at the stage's
+/// slice of the flat twiddle vector (twiddles + stage.twiddle_offset).
+template <typename T>
+void mixed_stage_scalar(const MixedRadixStage& stage, const cplx_t<T>* tw,
+                        const cplx_t<T>* src, cplx_t<T>* dst,
+                        std::uint64_t g_begin, std::uint64_t g_end,
+                        bool inverse);
+
+/// Codelet DFT-matrix constants of an odd radix R in {3, 5, 7}:
+/// c[k-1][j-1] = cos(2*pi*k*j/R), s[k-1][j-1] = sin(2*pi*k*j/R) for k, j
+/// in [1, (R-1)/2]. Evaluated once in double; the f32 codelet narrows at
+/// use, so both precisions share one correctly rounded constant set. One
+/// definition (mixed_radix.cpp) serves every kernel table.
+template <unsigned R>
+struct OddRadixConstants {
+  double c[(R - 1) / 2][(R - 1) / 2];
+  double s[(R - 1) / 2][(R - 1) / 2];
+};
+
+template <unsigned R>
+const OddRadixConstants<R>& odd_radix_constants();
 
 /// Whole-transform serial convenience (tests, reference checks): permutes
 /// `data` through `scratch` (resized to plan size) and runs every stage.

@@ -629,7 +629,8 @@ TEST(Pipeline, ForcedIsaLevelsAreStampedAndVerifyClean) {
     opts.hier_leaf_log2 = 6;
     const PipelineModel m = build_hierarchical_pipeline(4096, 6, opts);
     EXPECT_EQ(m.kernel_isa, util::to_string(active));
-    const auto& check = check_of(analyze_pipeline(m), "kernel");
+    const auto report = analyze_pipeline(m);
+    const auto& check = check_of(report, "kernel");
     EXPECT_EQ(check.status, "pass") << util::to_string(level);
     EXPECT_EQ(check.metrics.at("isa_level"), static_cast<double>(active));
   }

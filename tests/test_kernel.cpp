@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <vector>
 
 #include "fft/bit_reversal.hpp"
+#include "fft/mixed_radix.hpp"
 #include "fft/reference.hpp"
 #include "fft/transpose.hpp"
 #include "util/bit_ops.hpp"
@@ -62,34 +65,83 @@ void check_split_matches_scalar(std::uint64_t n, unsigned radix_log2,
   ASSERT_EQ(max_abs_error(a, b), 0.0) << "n=" << n << " r=" << radix_log2;
 }
 
-// The fused bit-reversal + stage-0 sweep must be bit-identical to
-// bit-reversing the data and then running every stage-0 codelet — it is
-// the same butterflies in the same order, only the permutation is folded
-// into the gather.
-void check_stage0_bitrev_fused(std::uint64_t n, unsigned radix_log2) {
-  auto fused = random_signal(n, n ^ 0xB17E);
-  auto ref = fused;
-  const FftPlan plan(n, radix_log2);
-  const TwiddleTable tw(n, TwiddleLayout::kLinear);
-  KernelScratch scratch(plan.radix());
-
-  bit_reverse_permute(ref);
-  for (std::uint64_t i = 0; i < plan.tasks_per_stage(); ++i)
-    run_codelet(plan, 0, i, ref, tw, scratch);
-
-  std::vector<std::uint32_t> brev(n);
-  for (std::uint64_t i = 0; i < n; ++i)
-    brev[i] = static_cast<std::uint32_t>(util::bit_reverse(i, plan.log2_size()));
-  std::vector<double> split(2 * n);
-  run_stage0_bitrev(plan, fused, tw, brev, split.data(), split.data() + n,
-                    scratch);
-  ASSERT_EQ(max_abs_error(fused, ref), 0.0) << "n=" << n << " r=" << radix_log2;
+// Bit-reversal followed by every stage of the scalar std::complex
+// codelets: the stage-by-stage oracle of the whole-transform sweep.
+template <typename T>
+std::vector<cplx_t<T>> stagewise_scalar(std::vector<cplx_t<T>> data,
+                                        const BasicTwiddleTable<T>& tw,
+                                        unsigned radix_log2) {
+  const FftPlan plan(data.size(),
+                     validate_fft_shape(data.size(), radix_log2, true));
+  std::vector<cplx_t<T>> scratch(plan.radix());
+  bit_reverse_permute(std::span<cplx_t<T>>(data));
+  for (std::uint32_t s = 0; s < plan.stage_count(); ++s)
+    for (std::uint64_t i = 0; i < plan.tasks_per_stage(); ++i)
+      run_codelet_scalar(plan, s, i, std::span<cplx_t<T>>(data), tw, scratch);
+  return data;
 }
 
-TEST(Kernel, Stage0BitrevFusedMatchesUnfused) {
-  check_stage0_bitrev_fused(1ULL << 12, 6);
-  check_stage0_bitrev_fused(1ULL << 9, 6);   // partial last stage
-  check_stage0_bitrev_fused(1ULL << 10, 3);
+/// Restores the process-default kernel ISA (and scrubs C64FFT_ISA) no
+/// matter how a test exits, so ISA forcing never leaks across tests.
+struct IsaGuard {
+  ~IsaGuard() {
+    unsetenv("C64FFT_ISA");
+    kernels::reset_kernel_isa_from_env();
+  }
+};
+
+// The whole-transform sweep must be bit-identical to bit-reversal plus
+// every stage's scalar codelets at any radix: the same butterflies with
+// the same twiddle entries in the same operation order, only grouped into
+// one chain. Swept over every kernel table the host can install, both
+// twiddle directions and every fused-first-pass setting.
+template <typename T>
+void check_transform_split_matches_stagewise() {
+  IsaGuard guard;
+  std::vector<unsigned> logns;
+  for (unsigned logn = 1; logn <= 14; ++logn) logns.push_back(logn);
+  logns.push_back(17);
+  util::Xoshiro256 rng(0x5EEB);
+  for (const unsigned logn : logns) {
+    const std::uint64_t n = std::uint64_t{1} << logn;
+    std::vector<cplx_t<T>> input(n);
+    for (cplx_t<T>& v : input)
+      v = cplx_t<T>(static_cast<T>(rng.next_double() * 2 - 1),
+                    static_cast<T>(rng.next_double() * 2 - 1));
+    std::vector<std::uint32_t> brev(n);
+    for (std::uint64_t i = 0; i < n; ++i)
+      brev[i] = static_cast<std::uint32_t>(util::bit_reverse(i, logn));
+    std::vector<T> split(3 * n);
+    for (const TwiddleDirection dir :
+         {TwiddleDirection::kForward, TwiddleDirection::kInverse}) {
+      const BasicTwiddleTable<T> tw(n, TwiddleLayout::kLinear, dir);
+      for (const unsigned radix_log2 : {3u, 6u}) {
+        const std::vector<cplx_t<T>> want =
+            stagewise_scalar<T>(input, tw, radix_log2);
+        for (const util::IsaLevel isa :
+             {util::IsaLevel::kScalar, util::IsaLevel::kAvx2,
+              util::IsaLevel::kAvx512}) {
+          if (kernels::set_kernel_isa(isa) != isa) continue;
+          for (const unsigned fuse_log2 : {0u, 2u, 3u}) {
+            std::vector<cplx_t<T>> got = input;
+            run_transform_split(std::span<cplx_t<T>>(got), tw, brev,
+                                split.data(), fuse_log2);
+            ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                                  n * sizeof(cplx_t<T>)),
+                      0)
+                << "n=" << n << " r=" << radix_log2
+                << " inverse=" << (dir == TwiddleDirection::kInverse)
+                << " isa=" << util::to_string(isa) << " fuse=" << fuse_log2;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Kernel, TransformSplitMatchesStagewiseScalar) {
+  check_transform_split_matches_stagewise<double>();
+  check_transform_split_matches_stagewise<float>();
 }
 
 TEST(Kernel, Radix64FullStages) { check_stagewise(1ULL << 12, 6, TwiddleLayout::kLinear); }
@@ -181,15 +233,6 @@ TEST(ButterflyChain, SingleLevelMatchesDirectButterfly) {
 // every chain shape the codelet algebra produces at radix 64 (single
 // whole-transform task, full stages, 1..5-level partial last stages).
 
-/// Restores the process-default kernel ISA (and scrubs C64FFT_ISA) no
-/// matter how a test exits, so ISA forcing never leaks across tests.
-struct IsaGuard {
-  ~IsaGuard() {
-    unsetenv("C64FFT_ISA");
-    kernels::reset_kernel_isa_from_env();
-  }
-};
-
 constexpr double kF32SweepUlpTol = 24.0;  // matches test_ulp's pipeline tol
 constexpr double kF64SweepUlpTol = 64.0;  // two f64 orderings vs each other
 
@@ -275,6 +318,70 @@ TEST(KernelDispatch, TransposeMatchesScalarPerIsa) {
     transpose_blocked(matrix, got_t, rows, cols);
     ASSERT_EQ(max_abs_error(got_t, want_t), 0.0) << util::to_string(isa);
   }
+}
+
+// Each stage runs as mixed_stage_scalar once over all its butterflies and,
+// on every kernel table the host can install, as ragged chunks through
+// run_mixed_radix_stage (chunk ends fall mid-block and mid-vector, as the
+// executor's phased body cuts them). Stage 0 reads a separate buffer, as
+// it reads the permuted scratch at run time; later stages run in place.
+// Every radix, every L_p residue mod the vector width, both directions,
+// both precisions.
+template <typename T>
+void check_mixed_stage_matches_scalar() {
+  IsaGuard guard;
+  util::Xoshiro256 rng(0x57A6E);
+  std::vector<std::uint64_t> sizes;
+  for (std::uint64_t n = 2; n <= 1200; ++n)
+    if (factorize(n).smooth) sizes.push_back(n);
+  for (const std::uint64_t n : {3888ULL, 16807ULL, 100000ULL, 129600ULL})
+    sizes.push_back(n);
+  for (const std::uint64_t n : sizes) {
+    const MixedRadixPlan plan(n);
+    std::vector<cplx_t<T>> input(n);
+    for (cplx_t<T>& v : input)
+      v = cplx_t<T>(static_cast<T>(rng.next_double() * 2 - 1),
+                    static_cast<T>(rng.next_double() * 2 - 1));
+    for (const TwiddleDirection dir :
+         {TwiddleDirection::kForward, TwiddleDirection::kInverse}) {
+      const auto tw = mixed_radix_twiddles<T>(plan, dir);
+      const bool inverse = dir == TwiddleDirection::kInverse;
+      for (std::uint32_t s = 0; s < plan.stage_count(); ++s) {
+        const MixedRadixStage& st = plan.stages()[s];
+        const std::uint64_t g_count = n / st.radix;
+        std::vector<cplx_t<T>> want(n);
+        mixed_stage_scalar<T>(st, tw.data() + st.twiddle_offset,
+                              input.data(), want.data(), 0, g_count, inverse);
+        for (const util::IsaLevel isa :
+             {util::IsaLevel::kScalar, util::IsaLevel::kAvx2,
+              util::IsaLevel::kAvx512}) {
+          if (kernels::set_kernel_isa(isa) != isa) continue;
+          std::vector<cplx_t<T>> got =
+              s == 0 ? std::vector<cplx_t<T>>(n) : input;
+          const std::span<const cplx_t<T>> src =
+              s == 0 ? std::span<const cplx_t<T>>(input)
+                     : std::span<const cplx_t<T>>(got);
+          std::uint64_t g = 0;
+          while (g < g_count) {
+            const std::uint64_t end =
+                std::min(g_count, g + 1 + rng.next_below(37));
+            run_mixed_radix_stage<T>(plan, s, tw, src, got, g, end, dir);
+            g = end;
+          }
+          ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                                n * sizeof(cplx_t<T>)),
+                    0)
+              << "n=" << n << " stage=" << s << " radix=" << st.radix
+              << " inverse=" << inverse << " isa=" << util::to_string(isa);
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelDispatch, MixedStageMatchesScalarPerIsa) {
+  check_mixed_stage_matches_scalar<double>();
+  check_mixed_stage_matches_scalar<float>();
 }
 
 TEST(KernelDispatch, EnvForcedScalarFallback) {

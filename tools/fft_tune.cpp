@@ -8,6 +8,15 @@
 // candidate computes bit-identical results; only throughput differs, so
 // the search is purely a timing exercise.
 //
+// On a one-worker team (the --workers default) the executor runs each
+// transform as one whole-transform split-complex sweep that never walks
+// the plan's stages, so radix_log2 changes only the plan-cache key there
+// and its timings would differ by noise alone: the search then keeps the
+// heuristic radix (HostFftOptions' default, clamped to n) and times
+// fuse_log2 only, which still shapes the sweep's first pass. The radix
+// grid is searched for --workers > 1, where a single transform runs the
+// phased Alg. 2 body stage by stage.
+//
 // Each candidate is installed as a one-entry ScheduleSet on the executor
 // (exactly the mechanism production uses to consume a tuned file), so the
 // tuner measures — and therefore validates — the full plan-cache lookup
@@ -224,7 +233,9 @@ int main(int argc, char** argv) {
                  "kernel ISA to tune on: scalar | avx2 | avx512 | auto "
                  "(C64FFT_ISA if set, else best supported; requests above "
                  "the host clamp down)");
-  cli.add_string("radix", "4,5,6,7,8", "radix_log2 candidates");
+  cli.add_string("radix", "4,5,6,7,8",
+                 "radix_log2 candidates (searched only with --workers > 1; "
+                 "one worker keeps the heuristic radix)");
   cli.add_string("fuse", "0,2,3", "fuse_log2 candidates (0, 2, 3)");
   cli.add_flag("hierarchical",
                "search the hierarchical-path grid (leaf, block-rows) instead "
@@ -323,12 +334,19 @@ int main(int argc, char** argv) {
               reps, seed, cli.flag("verbose")));
         continue;
       }
+      // One worker: radix_log2 is timing noise (see the header), so the
+      // emitted schedule pins the radix the untuned executor would use.
+      const std::vector<std::uint64_t> radices =
+          opts.workers == 1
+              ? std::vector<std::uint64_t>{fft::validate_fft_shape(
+                    n, fft::HostFftOptions{}.radix_log2, /*clamp_radix=*/true)}
+              : radix_candidates;
       if (do_f32)
-        winners.insert(tune_one<float>(exec, n, isa, radix_candidates,
-                                       fuse_candidates, warmup, reps, seed,
+        winners.insert(tune_one<float>(exec, n, isa, radices, fuse_candidates,
+                                       warmup, reps, seed,
                                        cli.flag("verbose")));
       if (do_f64)
-        winners.insert(tune_one<double>(exec, n, isa, radix_candidates,
+        winners.insert(tune_one<double>(exec, n, isa, radices,
                                         fuse_candidates, warmup, reps, seed,
                                         cli.flag("verbose")));
     }
