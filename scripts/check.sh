@@ -18,8 +18,8 @@ fast=0
 run_config() {
   local dir="$1"; shift
   cmake -B "$dir" -S . "$@" >/dev/null
-  cmake --build "$dir" -j
-  ctest --test-dir "$dir" --output-on-failure -j
+  cmake --build "$dir" -j "$(nproc)"
+  ctest --test-dir "$dir" --output-on-failure -j "$(nproc)"
 }
 
 # The tier-1 tree builds with -Werror, like both CI build jobs.
@@ -46,8 +46,8 @@ if [[ $fast -eq 0 ]]; then
   # exclusive instrumentations, hence the separate tree.)
   echo "== concurrency tests under TSan =="
   cmake -B build-tsan -S . -DC64FFT_TSAN=ON >/dev/null
-  cmake --build build-tsan -j
-  ctest --test-dir build-tsan --output-on-failure -j \
+  cmake --build build-tsan -j "$(nproc)"
+  ctest --test-dir build-tsan --output-on-failure -j "$(nproc)" \
     -R 'test_executor|test_ws_deque|test_ws_runtime|test_host_runtime|test_serve|test_hierarchical|test_variants'
 fi
 

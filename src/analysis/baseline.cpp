@@ -86,28 +86,26 @@ std::vector<LintBaselineRow> collect_lint_rows(unsigned workers) {
     PipelineBuildOptions hier = opts;
     hier.hier_leaf_log2 = 9;
     hier.hier_block_rows = 64;
-    append_row(rows,
-               build_hierarchical_pipeline(std::uint64_t{1} << 18, 6, hier),
-               "hierarchical-n262144-r6" + suffix, workers);
+    append_row(rows, build_hierarchical_pipeline(std::uint64_t{1} << 18, hier),
+               "hierarchical-n262144" + suffix, workers);
     hier.hier_leaf_log2 = 6;
-    append_row(rows,
-               build_hierarchical_pipeline(std::uint64_t{1} << 19, 6, hier),
-               "hierarchical3l-n524288-r6" + suffix, workers);
-    append_row(rows, build_batch_pipeline(fft::FftPlan(256, 6), 8, opts),
-               "batch8-n256-r6" + suffix, workers);
-    append_row(rows, build_fft2d_pipeline(64, 64, 6, opts),
-               "fft2d-64x64-r6" + suffix, workers);
-    append_row(rows, build_fft2d_pipeline(32, 64, 6, opts),
-               "fft2d-32x64-r6" + suffix, workers);
-    append_row(rows, build_real_fft_pipeline(4096, 6, opts),
-               "real-n4096-r6" + suffix, workers);
+    append_row(rows, build_hierarchical_pipeline(std::uint64_t{1} << 19, hier),
+               "hierarchical3l-n524288" + suffix, workers);
+    append_row(rows, build_batch_pipeline(256, 8, opts),
+               "batch8-n256" + suffix, workers);
+    append_row(rows, build_fft2d_pipeline(64, 64, opts),
+               "fft2d-64x64" + suffix, workers);
+    append_row(rows, build_fft2d_pipeline(32, 64, opts),
+               "fft2d-32x64" + suffix, workers);
+    append_row(rows, build_real_fft_pipeline(4096, opts),
+               "real-n4096" + suffix, workers);
     // Arbitrary-N rows: one 7-smooth composite through the mixed-radix
     // hull and one prime through the Bluestein chirp-z hull. Both are
     // pure plan algebra (no cache_info dependence), so they gate like
     // the classic rows.
     append_row(rows, build_mixed_radix_pipeline(1000, opts),
                "mixed-radix-n1000" + suffix, workers);
-    append_row(rows, build_bluestein_pipeline(101, 6, opts),
+    append_row(rows, build_bluestein_pipeline(101, opts),
                "bluestein-n101" + suffix, workers);
   }
   return rows;

@@ -20,7 +20,7 @@ namespace c64fft::analysis {
 
 /// One gated row: a shipped pipeline shape at one precision.
 struct LintBaselineRow {
-  /// Stable key, e.g. "hierarchical-n262144-r6-f64".
+  /// Stable key, e.g. "hierarchical-n262144-f64".
   std::string key;
   /// Metric name -> value. Gated metrics: span_cost, total_work,
   /// makespan_bound, max_load_imbalance, bank_imbalance, errors (higher

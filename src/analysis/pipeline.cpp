@@ -47,11 +47,11 @@ constexpr std::uint64_t kCplxMulFlops = 6;
 /// everywhere else in the plan algebra).
 constexpr std::uint64_t kUntangleFlopsPerBin = 20;
 
-std::uint64_t plan_total_flops(const fft::FftPlan& plan) {
-  std::uint64_t total = 0;
-  for (std::uint32_t s = 0; s < plan.stage_count(); ++s)
-    total += plan.flops_per_task(s) * plan.tasks_per_stage();
-  return total;
+/// Real flops of one whole n-point pow2 transform: n/2 butterflies of 10
+/// flops on each of log2 n levels — the total every radix's stage
+/// decomposition sums to (FftPlan::flops_per_task).
+std::uint64_t transform_flops(std::uint64_t n) {
+  return 5 * n * util::ilog2(n);
 }
 
 std::uint64_t twiddle_slot(std::uint64_t t, fft::TwiddleLayout layout,
@@ -60,87 +60,15 @@ std::uint64_t twiddle_slot(std::uint64_t t, fft::TwiddleLayout layout,
                                                     : t;
 }
 
-/// One classic plan executed as the executor's phased single-transform
-/// body over all of `data_buf`.
-struct ClassicPhaseSpec {
-  std::uint32_t data_buf = 0;
-  std::uint32_t twiddle_buf = 0;
-  fft::TwiddleLayout layout = fft::TwiddleLayout::kLinear;
-  unsigned workers = 4;
-  std::string prefix;
-};
-
-/// Appends the phases of one phased classic transform exactly as the
-/// executor grains them: the chunked bit-reversal sweep
-/// (fft::bitrev_sweep_grain), then one phase per plan stage with the
-/// FftPlan footprint algebra. Stage phases claim full coverage of the
-/// data buffer; the permutation phase never does (palindromic indices are
-/// not touched).
-void append_classic_phases(PipelineModel& m, const fft::FftPlan& plan,
-                           const ClassicPhaseSpec& spec) {
-  const std::uint64_t n = plan.size();
-  const unsigned bits = plan.log2_size();
-  const std::uint64_t tasks = plan.tasks_per_stage();
-
-  {
-    PhaseModel phase;
-    phase.name = spec.prefix + "bitrev";
-    const fft::SweepGrain grain = fft::bitrev_sweep_grain(n, spec.workers);
-    for (std::uint64_t c = 0; c < grain.chunks; ++c) {
-      const std::uint64_t begin = c * grain.per;
-      if (begin >= n) break;
-      const std::uint64_t end = std::min<std::uint64_t>(n, begin + grain.per);
-      PipelineTask task;
-      task.index = c;
-      for (std::uint64_t i = begin; i < end; ++i) {
-        const std::uint64_t j = util::bit_reverse(i, bits);
-        if (i >= j) continue;
-        task.reads.push_back({spec.data_buf, i});
-        task.reads.push_back({spec.data_buf, j});
-        task.writes.push_back({spec.data_buf, i});
-        task.writes.push_back({spec.data_buf, j});
-      }
-      phase.tasks.push_back(std::move(task));
-    }
-    m.phases.push_back(std::move(phase));
-  }
-
-  const unsigned tw_bits = n / 2 > 1 ? util::ilog2(n / 2) : 0;
-  std::vector<std::uint64_t> elems;
-  std::vector<std::uint64_t> twiddles;
-  for (std::uint32_t s = 0; s < plan.stage_count(); ++s) {
-    PhaseModel phase;
-    phase.name = spec.prefix + "stage" + std::to_string(s);
-    phase.full_coverage.push_back(spec.data_buf);
-    for (std::uint64_t t = 0; t < tasks; ++t) {
-      PipelineTask task;
-      task.index = t;
-      plan.task_elements(s, t, elems);
-      for (std::uint64_t e : elems) {
-        task.reads.push_back({spec.data_buf, e});
-        task.writes.push_back({spec.data_buf, e});
-      }
-      plan.task_twiddles(s, t, twiddles);
-      for (std::uint64_t tw : twiddles)
-        task.reads.push_back(
-            {spec.twiddle_buf, twiddle_slot(tw, spec.layout, tw_bits)});
-      task.flops = plan.flops_per_task(s);
-      phase.tasks.push_back(std::move(task));
-    }
-    m.phases.push_back(std::move(phase));
-  }
-}
-
 /// One phase of `count` whole-transform tasks: the shape the executor's
 /// serial body runs a batch as (one codelet per transform). Task b owns
 /// the n elements of transform b, consecutive in `data_buf`, which the
 /// transforms tile exactly; it streams them once (run_transform_split:
 /// one permuted gather, every butterfly level in cache, one scatter) and
-/// carries the whole plan's flops.
-void append_batch_phase(PipelineModel& m, const fft::FftPlan& plan,
+/// carries the whole transform's flops.
+void append_batch_phase(PipelineModel& m, std::uint64_t n,
                         std::uint32_t data_buf, std::uint64_t count,
                         std::string phase_name) {
-  const std::uint64_t n = plan.size();
   PhaseModel phase;
   phase.name = std::move(phase_name);
   phase.full_coverage.push_back(data_buf);
@@ -151,7 +79,7 @@ void append_batch_phase(PipelineModel& m, const fft::FftPlan& plan,
       task.reads.push_back({data_buf, e});
       task.writes.push_back({data_buf, e});
     }
-    task.flops = plan_total_flops(plan);
+    task.flops = transform_flops(n);
     phase.tasks.push_back(std::move(task));
   }
   m.phases.push_back(std::move(phase));
@@ -222,21 +150,13 @@ void append_transpose_inplace(PipelineModel& m, std::uint32_t buf,
 /// Total real flops of one hierarchical transform of size `n`: the leaf
 /// sub-plan butterflies plus one twiddle multiply per point per level —
 /// the recursion mirrors fft::hierarchical_split exactly.
-std::uint64_t hier_total_flops(std::uint64_t n, unsigned radix_log2,
-                               unsigned leaf_log2) {
+std::uint64_t hier_total_flops(std::uint64_t n, unsigned leaf_log2) {
   const fft::HierarchicalSplit split = fft::hierarchical_split(n, leaf_log2);
-  const fft::FftPlan row_plan(
-      split.n2, fft::validate_fft_shape(split.n2, radix_log2, true));
-  std::uint64_t col;
-  if (split.col_recursive) {
-    col = hier_total_flops(split.n1, radix_log2, leaf_log2);
-  } else {
-    const fft::FftPlan col_plan(
-        split.n1, fft::validate_fft_shape(split.n1, radix_log2, true));
-    col = plan_total_flops(col_plan);
-  }
+  const std::uint64_t col = split.col_recursive
+                                ? hier_total_flops(split.n1, leaf_log2)
+                                : transform_flops(split.n1);
   return split.n2 * col + n * kCplxMulFlops +
-         split.n1 * plan_total_flops(row_plan);
+         split.n1 * transform_flops(split.n2);
 }
 
 /// How many times one hierarchical transform of size `n` streams its own
@@ -262,12 +182,11 @@ std::uint64_t hier_movement_passes(std::uint64_t n, unsigned leaf_log2) {
   return 1 + col + 2;
 }
 
-PipelineModel make_base(std::string name, std::uint64_t n, unsigned radix_log2,
+PipelineModel make_base(std::string name, std::uint64_t n,
                         const PipelineBuildOptions& opts) {
   PipelineModel m;
   m.name = std::move(name);
   m.n = n;
-  m.radix_log2 = radix_log2;
   m.element_bytes = opts.element_bytes;
   // The id of the table the executor would dispatch to right now; both
   // precisions share one active level, so either table's id works.
@@ -280,35 +199,81 @@ PipelineModel make_base(std::string name, std::uint64_t n, unsigned radix_log2,
 PipelineModel build_classic_pipeline(const fft::FftPlan& plan,
                                      const PipelineBuildOptions& opts,
                                      std::string name) {
-  PipelineModel m = make_base(name.empty() ? "classic" : std::move(name),
-                              plan.size(), plan.radix_log2(), opts);
-  ClassicPhaseSpec spec;
-  spec.data_buf = m.add_buffer("data", plan.size(), /*input=*/true);
-  spec.twiddle_buf =
-      m.add_buffer("twiddles", plan.size() / 2, /*input=*/true);
-  spec.layout = opts.layout;
-  spec.workers = opts.workers;
-  append_classic_phases(m, plan, spec);
+  const std::uint64_t n = plan.size();
+  PipelineModel m =
+      make_base(name.empty() ? "classic" : std::move(name), n, opts);
+  m.radix_log2 = plan.radix_log2();
+  const std::uint32_t data = m.add_buffer("data", n, /*input=*/true);
+  const std::uint32_t tw = m.add_buffer("twiddles", n / 2, /*input=*/true);
+
+  // The chunked bit-reversal sweep (fft::bitrev_sweep_grain). It never
+  // claims coverage: palindromic indices are not touched.
+  const unsigned bits = plan.log2_size();
+  {
+    PhaseModel phase;
+    phase.name = "bitrev";
+    const fft::SweepGrain grain = fft::bitrev_sweep_grain(n, opts.workers);
+    for (std::uint64_t c = 0; c < grain.chunks; ++c) {
+      const std::uint64_t begin = c * grain.per;
+      if (begin >= n) break;
+      const std::uint64_t end = std::min<std::uint64_t>(n, begin + grain.per);
+      PipelineTask task;
+      task.index = c;
+      for (std::uint64_t i = begin; i < end; ++i) {
+        const std::uint64_t j = util::bit_reverse(i, bits);
+        if (i >= j) continue;
+        task.reads.push_back({data, i});
+        task.reads.push_back({data, j});
+        task.writes.push_back({data, i});
+        task.writes.push_back({data, j});
+      }
+      phase.tasks.push_back(std::move(task));
+    }
+    m.phases.push_back(std::move(phase));
+  }
+
+  // One phase per plan stage with the FftPlan footprint algebra, each
+  // claiming full coverage of the data buffer.
+  const unsigned tw_bits = n / 2 > 1 ? util::ilog2(n / 2) : 0;
+  std::vector<std::uint64_t> elems;
+  std::vector<std::uint64_t> twiddles;
+  for (std::uint32_t s = 0; s < plan.stage_count(); ++s) {
+    PhaseModel phase;
+    phase.name = "stage" + std::to_string(s);
+    phase.full_coverage.push_back(data);
+    for (std::uint64_t t = 0; t < plan.tasks_per_stage(); ++t) {
+      PipelineTask task;
+      task.index = t;
+      plan.task_elements(s, t, elems);
+      for (std::uint64_t e : elems) {
+        task.reads.push_back({data, e});
+        task.writes.push_back({data, e});
+      }
+      plan.task_twiddles(s, t, twiddles);
+      for (std::uint64_t i : twiddles)
+        task.reads.push_back({tw, twiddle_slot(i, opts.layout, tw_bits)});
+      task.flops = plan.flops_per_task(s);
+      phase.tasks.push_back(std::move(task));
+    }
+    m.phases.push_back(std::move(phase));
+  }
   return m;
 }
 
-PipelineModel build_batch_pipeline(const fft::FftPlan& plan,
-                                   std::uint64_t batch,
+PipelineModel build_batch_pipeline(std::uint64_t n, std::uint64_t batch,
                                    const PipelineBuildOptions& opts,
                                    std::string name) {
-  if (batch < 2)
+  if (n < 2 || !util::is_pow2(n) || batch < 1)
     throw std::invalid_argument(
-        "build_batch_pipeline: batch >= 2 (one transform runs the classic "
-        "pipeline)");
-  PipelineModel m = make_base(name.empty() ? "batch" : std::move(name),
-                              plan.size(), plan.radix_log2(), opts);
-  append_batch_phase(
-      m, plan, m.add_buffer("data", batch * plan.size(), /*input=*/true),
-      batch, "batch");
+        "build_batch_pipeline: n must be a power of two >= 2 and batch >= 1");
+  PipelineModel m =
+      make_base(name.empty() ? "batch" : std::move(name), n, opts);
+  append_batch_phase(m, n, m.add_buffer("data", batch * n, /*input=*/true),
+                     batch, "batch");
   return m;
 }
 
-PipelineModel build_hierarchical_pipeline(std::uint64_t n, unsigned radix_log2,
+PipelineModel build_hierarchical_pipeline(std::uint64_t n,
                                           const PipelineBuildOptions& opts,
                                           std::string name) {
   const unsigned leaf =
@@ -319,11 +284,9 @@ PipelineModel build_hierarchical_pipeline(std::uint64_t n, unsigned radix_log2,
   const fft::HierarchicalSplit split = fft::hierarchical_split(n, leaf);
   const std::uint64_t n1 = split.n1;
   const std::uint64_t n2 = split.n2;
-  const fft::FftPlan row_plan(
-      n2, fft::validate_fft_shape(n2, radix_log2, true));
 
-  PipelineModel m = make_base(
-      name.empty() ? "hierarchical" : std::move(name), n, radix_log2, opts);
+  PipelineModel m =
+      make_base(name.empty() ? "hierarchical" : std::move(name), n, opts);
   const std::uint32_t data = m.add_buffer("data", n, /*input=*/true);
   const std::uint32_t s = m.add_buffer("gather", n, /*input=*/false);
 
@@ -336,8 +299,6 @@ PipelineModel build_hierarchical_pipeline(std::uint64_t n, unsigned radix_log2,
       opts.hier_block_rows);
 
   if (!split.col_recursive) {
-    const fft::FftPlan col_plan(
-        n1, fft::validate_fft_shape(n1, radix_log2, true));
     // T1: gather-transpose block i of data columns [c0b, cend) into
     // contiguous rows of the gather matrix.
     PhaseModel gather;
@@ -363,7 +324,7 @@ PipelineModel build_hierarchical_pipeline(std::uint64_t n, unsigned radix_log2,
     PhaseModel col;
     col.name = "col-sweep";
     col.full_coverage.push_back(s);
-    const std::uint64_t per_row_flops = plan_total_flops(col_plan);
+    const std::uint64_t per_row_flops = transform_flops(n1);
     for (std::uint64_t i = 0; i < grain.blocks1; ++i) {
       const std::uint64_t r0b = i * grain.block_rows1;
       const std::uint64_t rend =
@@ -392,8 +353,7 @@ PipelineModel build_hierarchical_pipeline(std::uint64_t n, unsigned radix_log2,
     PhaseModel col;
     col.name = "col-recursive";
     col.full_coverage.push_back(s);
-    const std::uint64_t per_row_flops =
-        hier_total_flops(n1, radix_log2, leaf);
+    const std::uint64_t per_row_flops = hier_total_flops(n1, leaf);
     const std::uint64_t per_row_passes =
         hier_stream_passes(n1, leaf);
     for (std::uint64_t r = 0; r < n2; ++r) {
@@ -418,7 +378,7 @@ PipelineModel build_hierarchical_pipeline(std::uint64_t n, unsigned radix_log2,
   PhaseModel fused;
   fused.name = "fused-row";
   fused.full_coverage.push_back(data);
-  const std::uint64_t per_row_flops = plan_total_flops(row_plan);
+  const std::uint64_t per_row_flops = transform_flops(n2);
   for (std::uint64_t j = 0; j < grain.blocks2; ++j) {
     const std::uint64_t r0b = j * grain.block_rows2;
     const std::uint64_t rend = std::min(n1, r0b + grain.block_rows2);
@@ -443,8 +403,8 @@ PipelineModel build_mixed_radix_pipeline(std::uint64_t n,
                                          const PipelineBuildOptions& opts,
                                          std::string name) {
   const fft::MixedRadixPlan plan(n);  // throws unless 2 <= n, 7-smooth
-  PipelineModel m = make_base(name.empty() ? "mixed-radix" : std::move(name),
-                              n, /*radix_log2=*/1, opts);
+  PipelineModel m =
+      make_base(name.empty() ? "mixed-radix" : std::move(name), n, opts);
   const std::uint32_t data = m.add_buffer("data", n, /*input=*/true);
   const std::uint32_t tw =
       m.add_buffer("twiddles", plan.twiddle_count(), /*input=*/true);
@@ -518,7 +478,7 @@ PipelineModel build_mixed_radix_pipeline(std::uint64_t n,
   return m;
 }
 
-PipelineModel build_bluestein_pipeline(std::uint64_t n, unsigned radix_log2,
+PipelineModel build_bluestein_pipeline(std::uint64_t n,
                                        const PipelineBuildOptions& opts,
                                        std::string name) {
   if (n < 2)
@@ -531,11 +491,9 @@ PipelineModel build_bluestein_pipeline(std::uint64_t n, unsigned radix_log2,
         "build_bluestein_pipeline: convolution size " + std::to_string(conv_n) +
         " routes " + fft::to_string(conv_kind) +
         "; this model covers classic inner FFTs only");
-  const fft::FftPlan conv_plan(
-      conv_n, fft::validate_fft_shape(conv_n, radix_log2, true));
 
-  PipelineModel m = make_base(name.empty() ? "bluestein" : std::move(name), n,
-                              conv_plan.radix_log2(), opts);
+  PipelineModel m =
+      make_base(name.empty() ? "bluestein" : std::move(name), n, opts);
   const std::uint32_t data = m.add_buffer("data", n, /*input=*/true);
   const std::uint32_t chirp = m.add_buffer("chirp", n, /*input=*/true);
   const std::uint32_t bfilter =
@@ -561,13 +519,9 @@ PipelineModel build_bluestein_pipeline(std::uint64_t n, unsigned radix_log2,
     m.phases.push_back(std::move(phase));
   }
 
-  ClassicPhaseSpec spec;
-  spec.data_buf = conv;
-  spec.twiddle_buf = m.add_buffer("twiddles", conv_n / 2, /*input=*/true);
-  spec.layout = opts.layout;
-  spec.workers = opts.workers;
-  spec.prefix = "fwd-";
-  append_classic_phases(m, conv_plan, spec);
+  // The inner forward FFT: one whole-transform task, as the executor's
+  // serial body runs it.
+  append_batch_phase(m, conv_n, conv, 1, "fwd-fft");
 
   // Pointwise convolution by the precomputed chirp-filter spectrum.
   {
@@ -585,8 +539,7 @@ PipelineModel build_bluestein_pipeline(std::uint64_t n, unsigned radix_log2,
     m.phases.push_back(std::move(phase));
   }
 
-  spec.prefix = "inv-";
-  append_classic_phases(m, conv_plan, spec);
+  append_batch_phase(m, conv_n, conv, 1, "inv-fft");
 
   // Demodulate back into the public buffer, folding in the inner 1/M.
   {
@@ -607,40 +560,36 @@ PipelineModel build_bluestein_pipeline(std::uint64_t n, unsigned radix_log2,
 }
 
 PipelineModel build_fft2d_pipeline(std::uint64_t rows, std::uint64_t cols,
-                                   unsigned radix_log2,
                                    const PipelineBuildOptions& opts,
                                    std::string name) {
-  const fft::Fft2dShape shape =
-      fft::fft2d_shape(rows * cols, rows, cols, radix_log2);
-  const fft::FftPlan row_plan(cols, shape.row_radix_log2);
-  const fft::FftPlan col_plan(rows, shape.col_radix_log2);
+  const fft::Fft2dShape shape = fft::fft2d_shape(rows * cols, rows, cols);
 
-  PipelineModel m = make_base(name.empty() ? "fft2d" : std::move(name),
-                              rows * cols, radix_log2, opts);
+  PipelineModel m =
+      make_base(name.empty() ? "fft2d" : std::move(name), rows * cols, opts);
   const std::uint32_t data = m.add_buffer("data", rows * cols, /*input=*/true);
 
   // Both sweeps are executor batches: one whole-transform task per row.
-  append_batch_phase(m, row_plan, data, rows, "rows");
+  append_batch_phase(m, cols, data, rows, "rows");
   if (shape.square) {
     append_transpose_inplace(m, data, rows, "transpose");
-    append_batch_phase(m, col_plan, data, cols, "cols");
+    append_batch_phase(m, rows, data, cols, "cols");
     append_transpose_inplace(m, data, rows, "transpose-back");
   } else {
     const std::uint32_t scratch =
         m.add_buffer("scratch", rows * cols, /*input=*/false);
     append_transpose(m, data, scratch, rows, cols, "transpose");
-    append_batch_phase(m, col_plan, scratch, cols, "cols");
+    append_batch_phase(m, rows, scratch, cols, "cols");
     append_transpose(m, scratch, data, cols, rows, "transpose-back");
   }
   return m;
 }
 
-PipelineModel build_real_fft_pipeline(std::uint64_t n, unsigned radix_log2,
+PipelineModel build_real_fft_pipeline(std::uint64_t n,
                                       const PipelineBuildOptions& opts,
                                       std::string name) {
-  const fft::RealFftShape shape = fft::real_forward_shape(n, radix_log2);
-  PipelineModel m = make_base(name.empty() ? "real" : std::move(name), n,
-                              radix_log2, opts);
+  const fft::RealFftShape shape = fft::real_forward_shape(n);
+  PipelineModel m =
+      make_base(name.empty() ? "real" : std::move(name), n, opts);
   // The input is real scalars: half the byte width of the complex
   // buffers, so the byte-level bank histogram stays honest.
   const std::uint32_t signal =
@@ -665,16 +614,8 @@ PipelineModel build_real_fft_pipeline(std::uint64_t n, unsigned radix_log2,
     m.phases.push_back(std::move(phase));
   }
 
-  if (shape.half >= 2) {
-    const fft::FftPlan half_plan(shape.half, shape.radix_log2);
-    ClassicPhaseSpec spec;
-    spec.data_buf = packed;
-    spec.twiddle_buf = m.add_buffer("twiddles", shape.half / 2, true);
-    spec.layout = opts.layout;
-    spec.workers = opts.workers;
-    spec.prefix = "half-";
-    append_classic_phases(m, half_plan, spec);
-  }
+  // The half-point packed transform: one whole-transform task.
+  if (shape.half >= 2) append_batch_phase(m, shape.half, packed, 1, "half-fft");
 
   // Untangle: one serial pass over the half+1 output bins; bin k reads
   // the conjugate-mirror pair of packed bins the kernel reads.

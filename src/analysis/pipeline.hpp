@@ -2,19 +2,21 @@
 // Multi-phase pipeline model — the composite-plan input language of the
 // static verifier.
 //
-// A PlanModel (model.hpp) describes ONE scheduled classic plan; shipped
-// execution paths are compositions: the hierarchical path is gather +
-// column sweep + fused row tail over two buffers, fft2d is row sweep +
-// transpose + column sweep, real_fft is pack + half-size FFT + untangle.
+// A PlanModel (model.hpp) describes ONE scheduled classic plan of the
+// paper; shipped execution paths are compositions: a batch (or a single
+// transform) is one phase of whole-transform tasks, the hierarchical path
+// is gather + column sweep + fused row tail over two buffers, fft2d is row
+// sweep + transpose + column sweep, real_fft is pack + half-size FFT +
+// untangle.
 // A PipelineModel makes that whole choreography explicit: an ordered list
 // of phases (the runtime's run_phase barriers), each a set of unordered
 // tasks with read/write footprints across named buffers. The builders
 // below derive every footprint from the same hooks the runtime executes —
 // fft::for_each_transpose_tile{,_pair}, fft::hierarchical_grain,
 // fft::bitrev_sweep_grain, fft::fft2d_shape, fft::real_forward_shape,
-// fft::real_unpack_sources and the FftPlan index algebra — so the model
-// is the barrier hull of what actually runs, not a parallel description
-// that can drift.
+// fft::real_unpack_sources and, for the paper's phased hull, the FftPlan
+// index algebra — so the model is the barrier hull of what actually runs,
+// not a parallel description that can drift.
 //
 // Within one phase tasks are unordered (they may run concurrently on any
 // worker); across phases the barrier orders everything. The fine/guided
@@ -98,6 +100,8 @@ struct PipelineModel {
   std::string name;
   /// Transform size (the public N, not a sub-plan size).
   std::uint64_t n = 0;
+  /// Codelet radix of the paper's phased hull (build_classic_pipeline);
+  /// 0 for the production pipelines, which take no radix.
   unsigned radix_log2 = 0;
   /// Stable id of the kernel dispatch table the runtime would execute
   /// this pipeline with ("scalar" / "avx2" / "avx512") — stamped by the
@@ -137,21 +141,22 @@ struct PipelineBuildOptions {
   std::uint64_t hier_block_rows = 0;
 };
 
-/// Classic single-transform pipeline: the chunked bit-reversal phase
-/// (fft::bitrev_sweep_grain) followed by one phase per plan stage.
+/// The paper's phased classic hull (fft_host, the simulator): the chunked
+/// bit-reversal phase (fft::bitrev_sweep_grain) followed by one phase per
+/// plan stage. No production route runs it; it is the barrier hull of the
+/// Alg. 1-3 schedules that fft_lint's per-plan checks refine.
 PipelineModel build_classic_pipeline(const fft::FftPlan& plan,
                                      const PipelineBuildOptions& opts = {},
                                      std::string name = {});
 
-/// Batched pipeline (executor forward_batch/inverse_batch, batch >= 2):
-/// ONE phase of whole-transform tasks, one per transform — the codelet
-/// the executor's serial body runs. Each task owns its n elements
-/// (transforms at consecutive offsets of one data buffer), streams them
-/// once (one whole-transform sweep) and carries the plan's total flops.
-/// Throws std::invalid_argument for batch < 2: one transform runs the
-/// classic pipeline.
-PipelineModel build_batch_pipeline(const fft::FftPlan& plan,
-                                   std::uint64_t batch,
+/// The executor's serial body over `batch` pow2 transforms of length n
+/// (forward_batch/inverse_batch, and a single call as batch = 1): ONE
+/// phase of whole-transform tasks, one per transform. Each task owns its
+/// n elements (transforms at consecutive offsets of one data buffer),
+/// streams them once (one whole-transform sweep) and carries the
+/// transform's 5 n log2 n flops. Throws std::invalid_argument unless n is
+/// a power of two >= 2 and batch >= 1.
+PipelineModel build_batch_pipeline(std::uint64_t n, std::uint64_t batch,
                                    const PipelineBuildOptions& opts = {},
                                    std::string name = {});
 
@@ -169,7 +174,7 @@ PipelineModel build_batch_pipeline(const fft::FftPlan& plan,
 /// streaming is charged via `passes`; the inner levels' own scratch —
 /// like the per-worker T4 panels — is deliberately not modelled (both
 /// are sized cache-resident by the leaf policy).
-PipelineModel build_hierarchical_pipeline(std::uint64_t n, unsigned radix_log2,
+PipelineModel build_hierarchical_pipeline(std::uint64_t n,
                                           const PipelineBuildOptions& opts = {},
                                           std::string name = {});
 
@@ -185,17 +190,17 @@ PipelineModel build_mixed_radix_pipeline(std::uint64_t n,
                                          const PipelineBuildOptions& opts = {},
                                          std::string name = {});
 
-/// Bluestein chirp-z pipeline (executor run_bluestein_locked) for
-/// arbitrary N: serial chirp modulation into the M = next_pow2(2N-1)
-/// convolution buffer (zero-filled tail), classic forward M-point FFT,
-/// serial pointwise multiply by the precomputed chirp-filter spectrum,
-/// classic inverse M-point FFT, serial demodulation back into data. The
-/// inner transforms are modelled on the classic path only, so the
-/// builder throws std::invalid_argument when the executor's default
-/// routing sends M anywhere else (M >= 2^kDefaultHierarchicalThresholdLog2,
-/// i.e. every N >= 65537 at the default threshold) rather than report
-/// phases that never run.
-PipelineModel build_bluestein_pipeline(std::uint64_t n, unsigned radix_log2,
+/// Bluestein chirp-z pipeline for arbitrary N over a classic convolution
+/// (the executor's serial body): serial chirp modulation into the
+/// M = next_pow2(2N-1) convolution buffer (zero-filled tail), the forward
+/// M-point FFT as one whole-transform task, serial pointwise multiply by
+/// the precomputed chirp-filter spectrum, the inverse M-point FFT as one
+/// whole-transform task, serial demodulation back into data. The builder
+/// throws std::invalid_argument when the executor's default routing sends
+/// M to the hierarchical pipeline instead
+/// (M >= 2^kDefaultHierarchicalThresholdLog2, i.e. every N >= 65537 at
+/// the default threshold) rather than report phases that never run.
+PipelineModel build_bluestein_pipeline(std::uint64_t n,
                                        const PipelineBuildOptions& opts = {},
                                        std::string name = {});
 
@@ -204,15 +209,15 @@ PipelineModel build_bluestein_pipeline(std::uint64_t n, unsigned radix_log2,
 /// back. Each sweep is one executor batch, modelled like
 /// build_batch_pipeline: one phase with one whole-transform task per row.
 PipelineModel build_fft2d_pipeline(std::uint64_t rows, std::uint64_t cols,
-                                   unsigned radix_log2,
                                    const PipelineBuildOptions& opts = {},
                                    std::string name = {});
 
 /// Real-input forward pipeline (fft::real_forward): pack phase (even/odd
-/// interleave into the half-length complex buffer), classic half-point
-/// FFT phases, untangling phase over the half+1 output bins with the
-/// exact conjugate-mirror read pattern (fft::real_unpack_sources).
-PipelineModel build_real_fft_pipeline(std::uint64_t n, unsigned radix_log2,
+/// interleave into the half-length complex buffer), the half-point FFT as
+/// one whole-transform task, untangling phase over the half+1 output bins
+/// with the exact conjugate-mirror read pattern
+/// (fft::real_unpack_sources).
+PipelineModel build_real_fft_pipeline(std::uint64_t n,
                                       const PipelineBuildOptions& opts = {},
                                       std::string name = {});
 

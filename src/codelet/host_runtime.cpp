@@ -42,9 +42,14 @@ struct HostRuntimeShared {
   // Always locked, never checked racily: the mutex total order is what
   // separates "worker saw the seeds" from "worker parked before they
   // arrived, so the seeder's signal bump lands after the worker's s0" —
-  // a lock-free emptiness hint here could park a worker forever.
+  // a lock-free emptiness hint here could park a worker forever. The
+  // queued seeds are inject[inject_head, size): a vector keeps its
+  // capacity across phases, so seeding a phase allocates nothing in
+  // steady state, where a std::deque cycled FIFO frees and re-allocates a
+  // node every phase.
   std::mutex inject_mutex;
-  std::deque<CodeletKey> inject;
+  std::vector<CodeletKey> inject;
+  std::size_t inject_head = 0;
   std::atomic<PoolPolicy> policy{PoolPolicy::kFifo};
 
   // Current phase. `pending` counts queued + executing codelets; the phase
@@ -79,13 +84,12 @@ struct HostRuntimeShared {
 
   bool pop_inject(CodeletKey& out) {
     std::lock_guard lock(inject_mutex);
-    if (inject.empty()) return false;
+    if (inject_head == inject.size()) return false;
     if (policy.load(std::memory_order_relaxed) == PoolPolicy::kLifo) {
       out = inject.back();
       inject.pop_back();
     } else {
-      out = inject.front();
-      inject.pop_front();
+      out = inject[inject_head++];
     }
     return true;
   }
@@ -302,6 +306,7 @@ void HostRuntime::run_phase_work_stealing(std::span<const CodeletKey> seeds,
   {
     std::lock_guard lock(sh.inject_mutex);
     sh.inject.assign(seeds.begin(), seeds.end());
+    sh.inject_head = 0;
   }
   sh.notify_work();
 

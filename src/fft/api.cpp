@@ -8,35 +8,23 @@
 
 namespace c64fft::fft {
 
-namespace {
-// The codelet decomposition needs at least one radix-R stage; tiny inputs
-// use a narrower radix transparently. Delegates to the shared validator
-// (plan.hpp) so the public wrappers, the plan, and the executor agree on
-// one set of checks and messages.
-HostFftOptions clamp_radix(std::size_t n, HostFftOptions opts) {
-  opts.radix_log2 = validate_fft_shape(n, opts.radix_log2,
-                                       /*clamp_radix=*/true);
-  return opts;
-}
-}  // namespace
-
 void forward(std::span<cplx> data, const HostFftOptions& opts) {
-  default_executor().forward(data, clamp_radix(data.size(), opts));
+  default_executor().forward(data, opts);
 }
 
 void forward(std::span<cplx32> data, const HostFftOptions& opts) {
-  default_executor().forward(data, clamp_radix(data.size(), opts));
+  default_executor().forward(data, opts);
 }
 
 void inverse(std::span<cplx> data, const HostFftOptions& opts) {
   // The executor's inverse runs the forward stage kernels against the
   // cached conjugated twiddle table, so the old pre-conjugation pass over
   // the input is gone; only the 1/N scale epilogue remains.
-  default_executor().inverse(data, clamp_radix(data.size(), opts));
+  default_executor().inverse(data, opts);
 }
 
 void inverse(std::span<cplx32> data, const HostFftOptions& opts) {
-  default_executor().inverse(data, clamp_radix(data.size(), opts));
+  default_executor().inverse(data, opts);
 }
 
 std::vector<cplx> forward_copy(std::span<const cplx> data, const HostFftOptions& opts) {
@@ -93,11 +81,10 @@ std::vector<cplx> circular_convolve(std::span<const cplx> a, std::span<const cpl
   // compute a different convolution. Both forwards go down as ONE batched
   // submission (shared plan/twiddle lookups for the pair), and `fa` is
   // reused as the output buffer of the pointwise product and the inverse.
-  const HostFftOptions clamped = clamp_radix(fa.size(), opts);
   const std::span<cplx> pair[2] = {fa, fb};
-  default_executor().forward_batch(pair, clamped);
+  default_executor().forward_batch(pair, opts);
   for (std::size_t i = 0; i < fa.size(); ++i) fa[i] *= fb[i];
-  default_executor().inverse(fa, clamped);
+  default_executor().inverse(fa, opts);
   return fa;
 }
 

@@ -12,12 +12,13 @@
 
 namespace c64fft::fft {
 
-/// In-place forward FFT on the process-wide executor: radix 64 by default,
-/// pow2 sizes on the paper's fine-grain schedule (Alg. 2), composites
-/// mixed-radix, everything else Bluestein. The cplx32 overloads run the
-/// single-precision engine (same plan algebra, f32 twiddles/kernels,
-/// distinct plan-cache entries). The paper's other schedules and twiddle
-/// layouts live behind fft_host, the reproduction driver.
+/// In-place forward FFT of any N >= 2 on the process-wide executor: pow2
+/// sizes as one whole-transform sweep (the hierarchical pipeline from
+/// 2^18), 7-smooth composites mixed-radix, everything else Bluestein. The
+/// cplx32 overloads run the single-precision engine (same plan algebra,
+/// f32 twiddles/kernels, distinct plan-cache entries). The paper's
+/// codelet radix, schedules and twiddle layouts live behind fft_host, the
+/// reproduction driver.
 void forward(std::span<cplx> data, const HostFftOptions& opts = {});
 void forward(std::span<cplx32> data, const HostFftOptions& opts = {});
 
@@ -36,7 +37,7 @@ std::vector<cplx32> inverse_copy(std::span<const cplx32> data,
                                  const HostFftOptions& opts = {});
 
 /// Power spectrum |X[k]|^2 / N of a real-valued signal (returns N/2+1
-/// bins). Pads to the next power of two >= max(n, radix).
+/// bins). Pads to the next power of two >= max(n, 2).
 std::vector<double> power_spectrum(std::span<const double> signal,
                                    const HostFftOptions& opts = {});
 

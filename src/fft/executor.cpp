@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "codelet/dep_counter.hpp"
+#include "fft/kernel.hpp"
 #include "fft/kernels/dispatch.hpp"
 #include "fft/mixed_radix.hpp"
 #include "fft/transpose.hpp"
@@ -220,25 +221,6 @@ const std::vector<std::uint32_t>& FftExecutor::bitrev_table_locked(
   return slot.second;
 }
 
-template <typename T>
-void FftExecutor::ensure_worker_buffers(std::uint64_t radix, unsigned workers) {
-  if (members_buf_.size() != workers) {
-    members_buf_.assign(workers, {});
-    keys_buf_.assign(workers, {});
-  }
-  NumericState<T>& st = num<T>();
-  // Oversized tiles are valid for any smaller radix (run_codelet asserts
-  // scratch >= plan.radix()), so keep the largest set seen: mixed traffic
-  // alternating a radix-16 with a radix-64 shape must not reallocate the
-  // scratch on every switch.
-  if (st.scratch_radix >= radix && st.scratch.size() == workers) return;
-  const std::uint64_t alloc_radix = std::max(radix, st.scratch_radix);
-  st.scratch.clear();
-  st.scratch.reserve(workers);
-  for (unsigned w = 0; w < workers; ++w) st.scratch.emplace_back(alloc_radix);
-  st.scratch_radix = alloc_radix;
-}
-
 namespace {
 
 /// A pow2 plan resolved for one call: its cache key plus the tuned
@@ -250,25 +232,20 @@ struct Pow2Key {
 
 /// The one pow2 key resolver, shared by the direct route and Bluestein's
 /// M-point convolution, so a prime's inner plan IS the entry a direct
-/// M-point call builds. A loaded tuned schedule steers the radix only when
-/// the caller left HostFftOptions::radix_log2 at its default (an explicit
-/// per-call radix always wins); a hierarchical key takes the tuned leaf
-/// (else the L2-derived one) and the tuned block rows. The matching
-/// fuse_log2 is looked up by the bodies, which see the actual sweep size
-/// (for hierarchical that is the sub-FFT length, not N).
+/// M-point call builds. A hierarchical key takes the tuned leaf (else the
+/// L2-derived one) and the tuned block rows. The matching fuse_log2 is
+/// looked up by the bodies, which see the actual sweep size (for
+/// hierarchical that is the sub-FFT length, not N).
 template <typename T>
 Pow2Key resolve_pow2_key(const PlanCache& cache, std::uint64_t n,
-                         unsigned radix_log2, unsigned threshold_log2) {
+                         unsigned threshold_log2) {
   Pow2Key r;
   r.key.n = n;
   r.key.kind = routed_plan_kind(n, threshold_log2);
   r.key.precision = precision_of<T>;
-  const std::optional<TunedSchedule> tuned =
-      cache.tuned_for(n, precision_of<T>, kernels::active_kernel_isa());
-  if (tuned && radix_log2 == HostFftOptions{}.radix_log2)
-    radix_log2 = tuned->radix_log2;
-  r.key.radix_log2 = validate_fft_shape(n, radix_log2, /*clamp_radix=*/true);
   if (r.key.kind == PlanKind::kHierarchical) {
+    const std::optional<TunedSchedule> tuned =
+        cache.tuned_for(n, precision_of<T>, kernels::active_kernel_isa());
     r.key.hier_leaf_log2 =
         tuned && tuned->hier_leaf_log2 != 0
             ? tuned->hier_leaf_log2
@@ -353,15 +330,12 @@ void FftExecutor::run_t(std::span<const std::span<cplx_t<T>>> batch,
       throw std::invalid_argument(
           "FftExecutor: batch transforms must share one length");
 
-  // Shape errors surface before any cache/team work; no clamping here —
-  // this is the plan contract (api.cpp clamps on its own behalf).
-  validate_fft_shape(n, opts.radix_log2, /*clamp_radix=*/false);
+  // Shape errors surface before any cache/team work.
+  validate_fft_shape(n);
 
   // Resolve the route and its plan entries before taking the lock (the
   // cache has its own finer lock). Non-pow2 sizes route on factorization
-  // alone; their mixed-radix and Bluestein keys pin radix_log2 = 1 — the
-  // radix does not shape these plans, and a canonical value keeps one
-  // cache entry per (n, precision) whatever options callers pass.
+  // alone.
   const unsigned threshold =
       hierarchical_threshold_log2_.load(std::memory_order_relaxed);
   const PlanKind kind = routed_plan_kind(n, threshold);
@@ -369,25 +343,25 @@ void FftExecutor::run_t(std::span<const std::span<cplx_t<T>>> batch,
   std::shared_ptr<const PlanEntry> conv;
   std::uint64_t block_rows = 0;
   if (kind == PlanKind::kMixedRadix) {
-    entry = cache_.acquire(PlanKey{n, /*radix_log2=*/1, PlanKind::kMixedRadix,
-                                   precision_of<T>, /*hier_leaf_log2=*/0,
+    entry = cache_.acquire(PlanKey{n, PlanKind::kMixedRadix, precision_of<T>,
+                                   /*hier_leaf_log2=*/0,
                                    factorization_digest(factorize(n))});
   } else if (kind == PlanKind::kBluestein) {
-    entry = cache_.acquire(
-        PlanKey{n, /*radix_log2=*/1, PlanKind::kBluestein, precision_of<T>});
-    const Pow2Key inner = resolve_pow2_key<T>(cache_, bluestein_fft_size(n),
-                                              opts.radix_log2, threshold);
+    entry = cache_.acquire(PlanKey{n, PlanKind::kBluestein, precision_of<T>});
+    const Pow2Key inner =
+        resolve_pow2_key<T>(cache_, bluestein_fft_size(n), threshold);
     conv = cache_.acquire(inner.key);
     block_rows = inner.block_rows;
   } else {
-    const Pow2Key direct =
-        resolve_pow2_key<T>(cache_, n, opts.radix_log2, threshold);
+    const Pow2Key direct = resolve_pow2_key<T>(cache_, n, threshold);
     entry = cache_.acquire(direct.key);
     block_rows = direct.block_rows;
   }
   // A hierarchical plan (direct, or as Bluestein's convolution) schedules
   // its own tile pipeline, which cannot nest inside a codelet, so it runs
-  // phased one transform at a time on every team.
+  // one transform at a time on every team. A single mixed-radix transform
+  // on a multi-worker team runs its per-stage phases. Everything else is
+  // the serial body, a single call being a batch of one.
   const bool pipelined =
       kind == PlanKind::kHierarchical ||
       (conv != nullptr && conv->kind() == PlanKind::kHierarchical);
@@ -395,24 +369,19 @@ void FftExecutor::run_t(std::span<const std::span<cplx_t<T>>> batch,
   std::lock_guard lock(mutex_);
   if (closed_.load(std::memory_order_relaxed)) throw ExecutorClosedError();
   codelet::HostRuntime& rt = team(opts.workers);
-  if (!pipelined && (rt.workers() == 1 || batch.size() > 1)) {
+  const bool phased_mixed = kind == PlanKind::kMixedRadix &&
+                            batch.size() == 1 && rt.workers() > 1;
+  if (!pipelined && !phased_mixed) {
     run_serial_locked<T>(*entry, conv.get(), batch, rt, dir);
   } else {
     for (const std::span<cplx_t<T>>& data : batch) {
-      switch (kind) {
-        case PlanKind::kHierarchical:
-          run_hierarchical_locked<T>(*entry, data, rt, dir, block_rows,
-                                     /*depth=*/0);
-          break;
-        case PlanKind::kMixedRadix:
-          run_mixed_radix_locked<T>(*entry, data, rt, dir);
-          break;
-        case PlanKind::kBluestein:
-          run_bluestein_locked<T>(*entry, *conv, data, rt, dir, block_rows);
-          break;
-        default:
-          run_classic_locked<T>(*entry, data, rt, dir);
-      }
+      if (kind == PlanKind::kHierarchical)
+        run_hierarchical_locked<T>(*entry, data, rt, dir, block_rows,
+                                   /*depth=*/0);
+      else if (kind == PlanKind::kMixedRadix)
+        run_mixed_radix_locked<T>(*entry, data, rt, dir);
+      else
+        run_bluestein_locked<T>(*entry, *conv, data, rt, dir, block_rows);
     }
   }
   const std::uint64_t count = batch.size();
@@ -446,11 +415,10 @@ void FftExecutor::run_serial_locked(const PlanEntry& entry,
   // transform one split-complex sweep (run_transform_split) on its
   // worker's split scratch. Every table is resolved here, before any
   // codelet runs.
-  const PlanEntry& pow2 = conv != nullptr ? *conv : entry;
-  const FftPlan& plan = pow2.plan();
-  size_per_worker(st.split, workers, 3 * plan.size());
-  const std::span<const std::uint32_t> brev(bitrev_table_locked(plan.size()));
-  const unsigned fuse_log2 = tuned_fuse_locked<T>(plan.size());
+  const std::uint64_t len = (conv != nullptr ? *conv : entry).key().n;
+  size_per_worker(st.split, workers, 3 * len);
+  const std::span<const std::uint32_t> brev(bitrev_table_locked(len));
+  const unsigned fuse_log2 = tuned_fuse_locked<T>(len);
   const auto fft = [&](std::span<cplx_t<T>> data,
                        const BasicTwiddleTable<T>& tw, unsigned w) {
     run_transform_split(data, tw, brev, st.split[w].data(), fuse_log2);
@@ -469,67 +437,14 @@ void FftExecutor::run_serial_locked(const PlanEntry& entry,
       conv->twiddles_for<T>(TwiddleDirection::kInverse);
   const std::span<const cplx_t<T>> chirp = entry.chirp_for<T>(dir);
   const std::span<const cplx_t<T>> bfft = entry.chirp_fft_for<T>(dir);
-  size_per_worker(st.work, workers, plan.size());
+  size_per_worker(st.work, workers, len);
   for_each_transform<T>(
       rt, batch, [&](std::span<cplx_t<T>> data, unsigned w) {
-        const std::span<cplx_t<T>> buf(st.work[w].data(), plan.size());
+        const std::span<cplx_t<T>> buf(st.work[w].data(), len);
         bluestein_chain<T>(data, chirp, bfft, buf, [&](TwiddleDirection inner) {
           fft(buf, inner == TwiddleDirection::kForward ? tw_fwd : tw_inv, w);
         });
       });
-}
-
-template <typename T>
-void FftExecutor::run_classic_locked(const PlanEntry& entry,
-                                     std::span<cplx_t<T>> data,
-                                     codelet::HostRuntime& rt,
-                                     TwiddleDirection dir) {
-  const FftPlan& plan = entry.plan();
-  const std::uint64_t n = plan.size();
-  const BasicTwiddleTable<T>& twiddles = entry.twiddles_for<T>(dir);
-  const std::uint64_t tasks = plan.tasks_per_stage();
-  const std::uint32_t stages = plan.stage_count();
-  const unsigned bits = plan.log2_size();
-  ensure_worker_buffers<T>(plan.radix(), rt.workers());
-  std::vector<BasicKernelScratch<T>>& scratch = num<T>().scratch;
-  const unsigned fuse_log2 = tuned_fuse_locked<T>(n);
-
-  // Bit-reversal as one chunked phase on the persistent team.
-  const SweepGrain grain = bitrev_sweep_grain(n, rt.workers());
-  std::vector<CodeletKey> seeds;
-  seeds.reserve(std::max(grain.chunks, tasks));
-  for (std::uint64_t c = 0; c < grain.chunks; ++c) seeds.push_back({0, c});
-  rt.run_phase(seeds, PoolPolicy::kFifo,
-               [&](CodeletKey key, unsigned, codelet::Pusher&) {
-                 const std::uint64_t end =
-                     std::min(n, (key.index + 1) * grain.per);
-                 for (std::uint64_t i = key.index * grain.per; i < end; ++i) {
-                   const std::uint64_t j = util::bit_reverse(i, bits);
-                   if (i < j) std::swap(data[i], data[j]);
-                 }
-               });
-
-  // Alg. 2: stage-0 codelets seeded in natural order into a LIFO pool;
-  // the codelet that fills a sibling group's counter (stamped from the
-  // cached template) pushes the whole group onto its own worker's deque.
-  codelet::DependencyCounters counters = entry.make_counters();
-  seeds.clear();
-  for (std::uint64_t t = 0; t < tasks; ++t) seeds.push_back({0, t});
-  rt.run_phase(seeds, PoolPolicy::kLifo, [&](CodeletKey key, unsigned worker,
-                                             codelet::Pusher& pusher) {
-    run_codelet(plan, key.stage, key.index, data, twiddles, scratch[worker],
-                fuse_log2);
-    if (key.stage + 1 >= stages) return;
-    const std::uint64_t g = plan.child_group(key.stage, key.index);
-    if (!counters.arrive(key.stage + 1, g)) return;
-    std::vector<std::uint64_t>& members = members_buf_[worker];
-    plan.group_members(key.stage + 1, g, members);
-    std::vector<CodeletKey>& keys = keys_buf_[worker];
-    keys.clear();
-    keys.reserve(members.size());
-    for (std::uint64_t m : members) keys.push_back({key.stage + 1, m});
-    pusher.push_batch(keys);
-  });
 }
 
 template <typename T>
@@ -591,22 +506,20 @@ void FftExecutor::run_bluestein_locked(const PlanEntry& entry,
                                        codelet::HostRuntime& rt,
                                        TwiddleDirection dir,
                                        std::uint64_t tuned_block_rows) {
-  // The convolution buffer is worker 0's `work`: an inner hierarchical
-  // pipeline uses hier_scratch, never `work`, so the chirp-modulated
-  // signal survives the inner transforms.
+  // The convolution buffer is worker 0's `work`: the inner pipeline uses
+  // hier_scratch, never `work`, so the chirp-modulated signal survives
+  // the inner transforms.
   const std::uint64_t m = entry.conv_size();
   NumericState<T>& st = num<T>();
   size_per_worker(st.work, 1, m);
   const std::span<cplx_t<T>> buf(st.work[0].data(), m);
-  bluestein_chain<T>(
-      data, entry.chirp_for<T>(dir), entry.chirp_fft_for<T>(dir), buf,
-      [&](TwiddleDirection inner) {
-        if (conv.kind() == PlanKind::kHierarchical)
-          run_hierarchical_locked<T>(conv, buf, rt, inner, tuned_block_rows,
-                                     /*depth=*/0);
-        else
-          run_classic_locked<T>(conv, buf, rt, inner);
-      });
+  bluestein_chain<T>(data, entry.chirp_for<T>(dir),
+                     entry.chirp_fft_for<T>(dir), buf,
+                     [&](TwiddleDirection inner) {
+                       run_hierarchical_locked<T>(conv, buf, rt, inner,
+                                                  tuned_block_rows,
+                                                  /*depth=*/0);
+                     });
 }
 
 template <typename T>
@@ -965,7 +878,6 @@ void FftExecutor::shutdown() {
 
 void FftExecutor::shutdown_locked() {
   runtime_.reset();
-  members_buf_.clear();
   keys_buf_.clear();
   f64_ = {};
   f32_ = {};

@@ -7,19 +7,21 @@
 // no trig.
 //
 // Every call resolves its route and plan entries first, then runs one of
-// two bodies. The serial whole-transform body runs when the team has one
-// worker or the call carries two or more transforms: a plain loop on a
-// one-worker team, otherwise ONE FIFO phase with one codelet per
-// transform, each run start to finish by the worker that claims it on
-// that worker's scratch. That is the paper's codelet sized to what its
-// local store holds (a cache-resident transform IS that codelet), so a
-// coalesced batch of B small FFTs pays one phase instead of B phased
-// transforms. Otherwise the phased single-transform body runs: the
-// paper's Alg. 2 for pow2 (dependency-counted fine grain, stage-0
-// codelets seeded in natural order into a LIFO pool), digit-reversal plus
-// one phase per stage for mixed-radix, phased inner FFTs for Bluestein.
+// two bodies. The serial whole-transform body runs every classic call and
+// every Bluestein call whose convolution is classic, on every team and
+// batch size: a plain loop on a one-worker team, otherwise ONE FIFO phase
+// with one codelet per transform, each run start to finish by the worker
+// that claims it on that worker's scratch. That is the paper's codelet
+// sized to what its local store holds (a cache-resident transform IS that
+// codelet), so a single call is the B = 1 case of a batch. Mixed-radix
+// calls take the same body unless one transform meets a multi-worker
+// team; that one runs phased (digit reversal, then one phase per stage),
+// kept for the large composites (N >= 10^5) where splitting one transform
+// across workers beats the serial body.
 // Both bodies compute the same butterflies in the same order, so a batch
-// is bit-identical to a loop of single calls on any team.
+// is bit-identical to a loop of single calls on any team. The paper's
+// Alg. 2 (dependency-counted radix-64 codelets) runs only in the fft_host
+// harness and the simulator.
 //
 // Large transforms route through the hierarchical multi-level path
 // (PlanKind::kHierarchical): Bailey's four-step algebra N = n1*n2 — an
@@ -60,7 +62,6 @@
 #include <vector>
 
 #include "codelet/host_runtime.hpp"
-#include "fft/kernel.hpp"
 #include "fft/plan_cache.hpp"
 #include "util/aligned_buffer.hpp"
 
@@ -88,8 +89,11 @@ struct SweepGrain {
   std::uint64_t per = 0;
 };
 
-/// Grain of the single-transform chunked bit-reversal phase
-/// (run_classic_locked): always workers*4 chunk codelets over n elements.
+/// Grain of a chunked permutation phase: always workers*4 chunk codelets
+/// over n elements. The phased mixed-radix body runs its digit-reversal
+/// gather at this grain (run_mixed_radix_locked), and fft_host its
+/// bit-reversal, which the paper's phased hull models
+/// (analysis::build_classic_pipeline).
 SweepGrain bitrev_sweep_grain(std::uint64_t n, unsigned workers);
 
 /// Tile-block grain of the hierarchical pipeline (run_hierarchical_locked)
@@ -218,11 +222,11 @@ class FftExecutor {
   FftExecutor(const FftExecutor&) = delete;
   FftExecutor& operator=(const FftExecutor&) = delete;
 
-  /// In-place transforms. Bad sizes throw std::invalid_argument; the
-  /// radix is NOT clamped (the api.cpp wrappers clamp before calling).
-  /// opts.workers selects the team; the option-less overloads use the
-  /// ExecutorOptions default. The cplx32 overloads are the f32 path — same
-  /// plan algebra, f32 twiddles/kernels, separate plan-cache entries.
+  /// In-place transforms of any N >= 2 (smaller sizes throw
+  /// std::invalid_argument). opts.workers selects the team; the
+  /// option-less overloads use the ExecutorOptions default. The cplx32
+  /// overloads are the f32 path — same plan algebra, f32
+  /// twiddles/kernels, separate plan-cache entries.
   void forward(std::span<cplx> data, const HostFftOptions& opts);
   void forward(std::span<cplx> data);
   void forward(std::span<cplx32> data, const HostFftOptions& opts);
@@ -271,10 +275,9 @@ class FftExecutor {
   unsigned hierarchical_threshold_log2() const;
 
   /// Install a tuned-schedule set (tools/fft_tune output): subsequent
-  /// transforms whose (size, precision, active kernel ISA) match an entry
-  /// use its radix_log2 — unless the caller passed a non-default
-  /// HostFftOptions::radix_log2, which always wins — and its fuse_log2.
-  /// Every schedule computes bit-identical results; only throughput moves.
+  /// sweeps whose (size, precision, active kernel ISA) match an entry use
+  /// its fuse_log2, and hierarchical sizes its leaf and block rows. Every
+  /// schedule computes bit-identical results; only throughput moves.
   void set_schedules(ScheduleSet schedules);
 
   /// load_file + set_schedules; returns the number of schedules loaded.
@@ -317,12 +320,11 @@ class FftExecutor {
 
  private:
   /// Per-precision mutable working set: the per-worker split scratch of
-  /// the whole-transform sweep, the phased body's kernel tiles, the
-  /// hierarchical buffers and the per-worker `work` buffers below. One
-  /// instance per element width so alternating precisions never thrash
-  /// each other's allocations; the worker team, key/member buffers, and
-  /// bit-reversal index table stay shared (they are
-  /// precision-independent).
+  /// the whole-transform sweep, the hierarchical buffers and the
+  /// per-worker `work` buffers below. One instance per element width so
+  /// alternating precisions never thrash each other's allocations; the
+  /// worker team, key buffers, and bit-reversal index tables stay shared
+  /// (they are precision-independent).
   template <typename T>
   struct NumericState {
     /// Per-worker split scratch of run_transform_split: 3n scalars for the
@@ -332,11 +334,6 @@ class FftExecutor {
     /// and row FFTs. Cache-line aligned, so the sweep's SIMD loads of the
     /// planes and the span never straddle two lines.
     std::vector<util::AlignedBuffer<T>> split;
-    /// Per-worker radix-wide codelet tiles (run_codelet), sized for
-    /// `scratch_radix`: only the phased Alg. 2 body (run_classic_locked)
-    /// uses them.
-    std::vector<BasicKernelScratch<T>> scratch;
-    std::uint64_t scratch_radix = 0;
     /// Hierarchical-path gather matrix (the n2 x n1 `s`), one buffer per
     /// recursion depth so an inner level's pipeline never clobbers the
     /// buffer its caller is mid-way through. There is no second (n1 x n2)
@@ -354,9 +351,10 @@ class FftExecutor {
     std::vector<std::vector<cplx_t<T>>> hier_panel;
     /// Per-worker route buffer: the mixed-radix digit-reversal target
     /// (stage 0 reads it back into `data`) or the Bluestein convolution
-    /// buffer of length M = next_pow2(2n-1). The phased single-transform
-    /// bodies use worker 0's; the serial body gives every worker its own,
-    /// because whole transforms run concurrently.
+    /// buffer of length M = next_pow2(2n-1). The phased mixed-radix and
+    /// hierarchical-convolution Bluestein bodies use worker 0's; the
+    /// serial body gives every worker its own, because whole transforms
+    /// run concurrently.
     std::vector<std::vector<cplx_t<T>>> work;
   };
 
@@ -370,25 +368,19 @@ class FftExecutor {
 
   codelet::HostRuntime& team(unsigned workers);
   template <typename T>
-  void ensure_worker_buffers(std::uint64_t radix, unsigned workers);
-  template <typename T>
   void run_t(std::span<const std::span<cplx_t<T>>> batch,
              const HostFftOptions& opts, TwiddleDirection dir);
   /// The serial whole-transform body (mutex_ held) for classic,
   /// mixed-radix and Bluestein plans whose convolution is classic (`conv`
   /// is Bluestein's inner pow2 entry, else nullptr): a plain loop on a
   /// one-worker team, otherwise ONE FIFO phase with one codelet per
-  /// transform on per-worker scratch. The bodies below never scale —
-  /// inverse normalization lives in the public wrappers only.
+  /// transform on per-worker scratch, for any batch size including one.
+  /// The bodies below never scale — inverse normalization lives in the
+  /// public wrappers only.
   template <typename T>
   void run_serial_locked(const PlanEntry& entry, const PlanEntry* conv,
                          std::span<const std::span<cplx_t<T>>> batch,
                          codelet::HostRuntime& rt, TwiddleDirection dir);
-  /// One phased classic transform (mutex_ held): a chunked bit-reversal
-  /// phase, then Alg. 2 as one dependency-counted phase.
-  template <typename T>
-  void run_classic_locked(const PlanEntry& entry, std::span<cplx_t<T>> data,
-                          codelet::HostRuntime& rt, TwiddleDirection dir);
   /// One hierarchical transform (mutex_ held), recursive over the plan
   /// entry's column chain. The single-level body runs ONE runtime phase of
   /// dependency-counted tile-block tasks — gather-transpose of block i+1
@@ -410,9 +402,10 @@ class FftExecutor {
   template <typename T>
   void run_mixed_radix_locked(const PlanEntry& entry, std::span<cplx_t<T>> data,
                               codelet::HostRuntime& rt, TwiddleDirection dir);
-  /// One phased Bluestein chirp-z transform (mutex_ held): the chirp chain
-  /// around two phased inner M-point FFTs on `conv` (the inner pow2 entry;
-  /// classic or hierarchical, the latter with `tuned_block_rows`).
+  /// One Bluestein chirp-z transform over a hierarchical convolution
+  /// (mutex_ held): the chirp chain around two inner M-point pipelines on
+  /// `conv` with `tuned_block_rows`. A classic convolution runs the serial
+  /// body instead.
   template <typename T>
   void run_bluestein_locked(const PlanEntry& entry, const PlanEntry& conv,
                             std::span<cplx_t<T>> data, codelet::HostRuntime& rt,
@@ -445,7 +438,7 @@ class FftExecutor {
   /// Guards the team, the per-worker buffers, and phase execution.
   mutable std::mutex mutex_;
   std::unique_ptr<codelet::HostRuntime> runtime_;
-  std::vector<std::vector<std::uint64_t>> members_buf_;
+  /// Per-worker release lists of the hierarchical pipeline's T2 tasks.
   std::vector<std::vector<codelet::CodeletKey>> keys_buf_;
   NumericState<double> f64_;
   NumericState<float> f32_;

@@ -16,34 +16,32 @@ namespace {
 // the persistent team.
 template <typename T>
 void rows_pass(std::span<cplx_t<T>> data, std::uint64_t rows, std::uint64_t cols,
-               unsigned radix_log2, const HostFftOptions& opts) {
+               const HostFftOptions& opts) {
   std::vector<std::span<cplx_t<T>>> row_spans;
   row_spans.reserve(rows);
   for (std::uint64_t r = 0; r < rows; ++r)
     row_spans.push_back(data.subspan(r * cols, cols));
-  HostFftOptions clamped = opts;
-  clamped.radix_log2 = radix_log2;
-  default_executor().forward_batch(row_spans, clamped);
+  default_executor().forward_batch(row_spans, opts);
 }
 
 template <typename T>
 void forward_2d_impl(std::span<cplx_t<T>> data, std::uint64_t rows,
                      std::uint64_t cols, const HostFftOptions& opts) {
-  const Fft2dShape shape = fft2d_shape(data.size(), rows, cols, opts.radix_log2);
-  rows_pass<T>(data, rows, cols, shape.row_radix_log2, opts);
+  const Fft2dShape shape = fft2d_shape(data.size(), rows, cols);
+  rows_pass<T>(data, rows, cols, opts);
   // Column pass via the cache-blocked transpose kernels (transpose.hpp):
   // square matrices flip in place, rectangular ones bounce through one
   // scratch buffer.
   if (shape.square) {
     transpose_inplace_square(data, rows);
-    rows_pass<T>(data, cols, rows, shape.col_radix_log2, opts);
+    rows_pass<T>(data, cols, rows, opts);
     transpose_inplace_square(data, rows);
     return;
   }
   std::vector<cplx_t<T>> t(data.size());
   transpose_blocked(std::span<const cplx_t<T>>(data.data(), data.size()), t,
                     rows, cols);
-  rows_pass<T>(std::span<cplx_t<T>>(t), cols, rows, shape.col_radix_log2, opts);
+  rows_pass<T>(std::span<cplx_t<T>>(t), cols, rows, opts);
   transpose_blocked(std::span<const cplx_t<T>>(t.data(), t.size()), data, cols,
                     rows);
 }
@@ -51,7 +49,7 @@ void forward_2d_impl(std::span<cplx_t<T>> data, std::uint64_t rows,
 template <typename T>
 void inverse_2d_impl(std::span<cplx_t<T>> data, std::uint64_t rows,
                      std::uint64_t cols, const HostFftOptions& opts) {
-  (void)fft2d_shape(data.size(), rows, cols, opts.radix_log2);
+  (void)fft2d_shape(data.size(), rows, cols);
   for (auto& v : data) v = std::conj(v);
   forward_2d_impl<T>(data, rows, cols, opts);
   const T inv = static_cast<T>(1.0 / static_cast<double>(data.size()));
@@ -60,8 +58,7 @@ void inverse_2d_impl(std::span<cplx_t<T>> data, std::uint64_t rows,
 
 }  // namespace
 
-Fft2dShape fft2d_shape(std::size_t size, std::uint64_t rows, std::uint64_t cols,
-                       unsigned radix_log2) {
+Fft2dShape fft2d_shape(std::size_t size, std::uint64_t rows, std::uint64_t cols) {
   if (!util::is_pow2(rows) || !util::is_pow2(cols) || rows < 2 || cols < 2)
     throw std::invalid_argument("fft2d: dimensions must be powers of two >= 2");
   if (size != rows * cols) throw std::invalid_argument("fft2d: size mismatch");
@@ -69,8 +66,6 @@ Fft2dShape fft2d_shape(std::size_t size, std::uint64_t rows, std::uint64_t cols,
   s.rows = rows;
   s.cols = cols;
   s.square = rows == cols;
-  s.row_radix_log2 = validate_fft_shape(cols, radix_log2, /*clamp_radix=*/true);
-  s.col_radix_log2 = validate_fft_shape(rows, radix_log2, /*clamp_radix=*/true);
   return s;
 }
 

@@ -14,9 +14,9 @@
 
 namespace c64fft::fft {
 
-/// Validated shape of one 2-D transform: the dimensions, whether the
+/// Validated shape of one 2-D transform: the dimensions and whether the
 /// column pass transposes in place (square) or bounces through a scratch
-/// buffer, and the per-pass clamped radices. This is the model-builder
+/// buffer. This is the model-builder
 /// hook shared between forward_2d/inverse_2d and the static pipeline
 /// model (analysis::build_fft2d_pipeline), so the verifier analyzes
 /// exactly the pass structure the runtime executes. Throws
@@ -25,13 +25,8 @@ struct Fft2dShape {
   std::uint64_t rows = 0;
   std::uint64_t cols = 0;
   bool square = false;
-  /// Radix of the cols-point row transforms / rows-point column
-  /// transforms after the public-API clamp.
-  unsigned row_radix_log2 = 0;
-  unsigned col_radix_log2 = 0;
 };
-Fft2dShape fft2d_shape(std::size_t size, std::uint64_t rows, std::uint64_t cols,
-                       unsigned radix_log2);
+Fft2dShape fft2d_shape(std::size_t size, std::uint64_t rows, std::uint64_t cols);
 
 /// In-place 2-D forward FFT of a row-major `rows x cols` matrix; both
 /// dimensions must be powers of two >= 2.

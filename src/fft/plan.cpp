@@ -7,20 +7,8 @@
 
 namespace c64fft::fft {
 
-unsigned validate_fft_shape(std::uint64_t n, unsigned radix_log2, bool clamp_radix) {
+void validate_fft_shape(std::uint64_t n) {
   if (n < 2) throw std::invalid_argument("fft: size must be >= 2");
-  if (radix_log2 < 1 || radix_log2 > 8)
-    throw std::invalid_argument("fft: radix_log2 must be in [1, 8]");
-  const unsigned bits = util::ilog2(n);
-  if (bits < radix_log2) {
-    // Non-pow2 sizes run mixed-radix/Bluestein plans, which ignore the
-    // radix entirely — a too-wide radix is never an error there, so the
-    // strict (clamp_radix=false) throw stays a pow2-only contract.
-    if (!clamp_radix && util::is_pow2(n))
-      throw std::invalid_argument("fft: size must be at least the radix");
-    return bits;
-  }
-  return radix_log2;
 }
 
 const char* to_string(PlanKind kind) noexcept {
@@ -70,14 +58,14 @@ HierarchicalSplit hierarchical_split(std::uint64_t n, unsigned leaf_log2) {
   return split;
 }
 
-FftPlan::FftPlan(std::uint64_t n, unsigned radix_log2)
-    : n_(n), r_(validate_fft_shape(n, radix_log2, /*clamp_radix=*/false)) {
-  // validate_fft_shape accepts any N >= 2 (composite sizes route to the
-  // mixed-radix/Bluestein plans before ever reaching here), but this
-  // stage/task algebra is pow2-only — keep the historical contract.
-  if (!util::is_pow2(n))
+FftPlan::FftPlan(std::uint64_t n, unsigned radix_log2) : n_(n), r_(radix_log2) {
+  if (n < 2 || !util::is_pow2(n))
     throw std::invalid_argument("FftPlan: size must be a power of two >= 2");
+  if (radix_log2 < 1 || radix_log2 > 8)
+    throw std::invalid_argument("FftPlan: radix_log2 must be in [1, 8]");
   log2n_ = util::ilog2(n);
+  if (log2n_ < radix_log2)
+    throw std::invalid_argument("FftPlan: size must be at least the radix");
   tasks_ = n_ >> r_;
   const std::uint32_t full = log2n_ / r_;
   const std::uint32_t rem = log2n_ % r_;

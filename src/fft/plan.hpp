@@ -90,31 +90,28 @@ unsigned hierarchical_leaf_log2(std::uint64_t cache_bytes, unsigned element_byte
 /// of two >= 4; leaf_log2 is clamped to [2, 30].
 HierarchicalSplit hierarchical_split(std::uint64_t n, unsigned leaf_log2);
 
-/// Shared shape validator for every FFT entry point (plan construction,
-/// the public api.cpp wrappers, the executor): any N >= 2 is accepted —
-/// pow2 sizes run the classic/hierarchical plans, composite
-/// sizes the mixed-radix plan, and everything else Bluestein — with
-/// radix_log2 in [1, 8]. Returns the radix_log2 to use. For pow2 N, when
-/// `clamp_radix` is true a radix wider than log2(N) is narrowed to
-/// log2(N) (the public-API convenience); when false it throws (the plan
-/// contract, relied on by tests). For non-pow2 N the radix is advisory —
-/// mixed-radix and Bluestein plans ignore it — so it is always clamped
-/// (against floor(log2 N)) and never throws on width.
-unsigned validate_fft_shape(std::uint64_t n, unsigned radix_log2, bool clamp_radix);
+/// Shape validator of the production transforms (every FftExecutor call,
+/// and through it fft::forward/inverse, fft2d, real_fft and the server):
+/// any N >= 2 is accepted — pow2 sizes run the classic/hierarchical
+/// plans, 7-smooth composites the mixed-radix plan, and everything else
+/// Bluestein. Throws std::invalid_argument for N < 2. No radix enters
+/// production: the paper's codelet radix is an FftPlan (and fft_host)
+/// parameter only.
+void validate_fft_shape(std::uint64_t n);
 
 /// Per-call options of the production transforms (fft/api.hpp,
-/// FftExecutor, fft2d, real_fft): the worker-team size and the codelet
-/// radix. The paper's scheduling knobs live in PaperFftOptions
+/// FftExecutor, fft2d, real_fft): the worker-team size. The paper's
+/// codelet radix and scheduling knobs live in PaperFftOptions
 /// (fft/variants.hpp), which only fft_host accepts.
 struct HostFftOptions {
   unsigned workers = 4;
-  unsigned radix_log2 = 6;
 };
 
 class FftPlan {
  public:
   /// N must be a power of two with N >= R = 2^radix_log2, radix_log2 in
-  /// [1, 8] (the paper uses 6; Fig. 7 sweeps 2..7).
+  /// [1, 8] (the paper uses 6; Fig. 7 sweeps 2..7); std::invalid_argument
+  /// otherwise.
   FftPlan(std::uint64_t n, unsigned radix_log2);
 
   std::uint64_t size() const noexcept { return n_; }

@@ -51,18 +51,11 @@ PlanEntry::PlanEntry(const PlanKey& key) : key_(key) {
     throw std::invalid_argument(
         "PlanEntry: single-key constructor requires kClassic, kMixedRadix, "
         "or kBluestein");
-  plan_ = std::make_unique<FftPlan>(key.n, key.radix_log2);
+  // The table constructor rejects sizes that are not a power of two >= 2.
   if (key.precision == Precision::kF32)
     forward32_ = std::make_unique<TwiddleTableF>(key.n, TwiddleLayout::kLinear);
   else
     forward_ = std::make_unique<TwiddleTable>(key.n, TwiddleLayout::kLinear);
-  const std::uint32_t stages = plan_->stage_count();
-  groups_.assign(stages, 0);
-  thresholds_.assign(stages, 1);
-  for (std::uint32_t s = 1; s < stages; ++s) {
-    groups_[s] = plan_->groups_in_stage(s);
-    thresholds_[s] = plan_->group_threshold(s);
-  }
 }
 
 void PlanEntry::build_bluestein(TwiddleDirection dir,
@@ -271,19 +264,13 @@ std::shared_ptr<const PlanEntry> PlanCache::acquire(const PlanKey& key) {
                   util::cache_info().l2_bytes,
                   key.precision == Precision::kF32 ? 8 : 16);
     const HierarchicalSplit split = hierarchical_split(key.n, leaf);
-    PlanKey row_key{split.n2, validate_fft_shape(split.n2, key.radix_log2, true),
-                    PlanKind::kClassic, key.precision};
+    const PlanKey row_key{split.n2, PlanKind::kClassic, key.precision};
     std::shared_ptr<const PlanEntry> col;
-    if (split.col_recursive) {
-      PlanKey col_key{split.n1, key.radix_log2, PlanKind::kHierarchical,
-                      key.precision, leaf};
-      col = acquire(col_key);
-    } else {
-      PlanKey col_key{split.n1,
-                      validate_fft_shape(split.n1, key.radix_log2, true),
-                      PlanKind::kClassic, key.precision};
-      col = split.n1 == split.n2 ? nullptr : acquire(col_key);
-    }
+    if (split.col_recursive)
+      col = acquire(
+          PlanKey{split.n1, PlanKind::kHierarchical, key.precision, leaf});
+    else if (split.n1 != split.n2)
+      col = acquire(PlanKey{split.n1, PlanKind::kClassic, key.precision});
     auto row = acquire(row_key);
     if (!col) col = row;  // square single-level split shares one sub-entry
     entry = std::make_shared<const PlanEntry>(key, split, std::move(col),

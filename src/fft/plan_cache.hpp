@@ -1,17 +1,15 @@
 #pragma once
 // Thread-safe LRU cache of immutable FFT plan entries.
 //
-// The paper's codelet model assumes the plan, twiddle table, and
-// dependency-counter shape exist once and transforms stream through them;
-// this cache is that amortization layer. A PlanEntry bundles everything a
-// transform of a given shape needs that does not depend on the data
-// buffer: the FftPlan index algebra, the forward (and lazily the
-// conjugated inverse) TwiddleTable, and the counter template
-// (groups/thresholds per stage) from which per-transform
-// DependencyCounters instances are stamped out. Entries are immutable and
-// handed out as shared_ptr<const PlanEntry>, so a cache eviction never
-// invalidates a transform in flight. See DESIGN.md "Executor & plan
-// cache".
+// The paper's codelet model assumes the plan and twiddle table exist once
+// and transforms stream through them; this cache is that amortization
+// layer. A PlanEntry bundles everything a transform of a given shape
+// needs that does not depend on the data buffer: for a classic pow2 size
+// the forward (and lazily the conjugated inverse) TwiddleTable, for the
+// other kinds their split, stage vector or chirp tables. Entries are
+// immutable and handed out as shared_ptr<const PlanEntry>, so a cache
+// eviction never invalidates a transform in flight. See DESIGN.md
+// "Executor & plan cache".
 
 #include <cstddef>
 #include <cstdint>
@@ -22,7 +20,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "codelet/dep_counter.hpp"
 #include "fft/mixed_radix.hpp"
 #include "fft/plan.hpp"
 #include "fft/schedule.hpp"
@@ -40,7 +37,6 @@ namespace c64fft::fft {
 /// so they must age through the LRU as separate entries.
 struct PlanKey {
   std::uint64_t n = 0;
-  unsigned radix_log2 = 6;
   PlanKind kind = PlanKind::kClassic;
   Precision precision = Precision::kF64;
   /// kHierarchical only: the leaf cap (log2 points) the planner split this
@@ -60,8 +56,7 @@ struct PlanKey {
 struct PlanKeyHash {
   std::size_t operator()(const PlanKey& k) const noexcept {
     std::uint64_t h = k.n * 0x9e3779b97f4a7c15ull;
-    h ^= (std::uint64_t{k.radix_log2} << 1) ^
-         (std::uint64_t{k.hier_leaf_log2} << 40) ^
+    h ^= (std::uint64_t{k.hier_leaf_log2} << 40) ^
          (k.factor_digest * 0xff51afd7ed558ccdull) ^
          (k.kind == PlanKind::kHierarchical ? 0x2545f4914f6cdd1dull : 0) ^
          (k.kind == PlanKind::kMixedRadix ? 0x94d049bb133111ebull : 0) ^
@@ -75,20 +70,21 @@ struct PlanKeyHash {
 class PlanEntry {
  public:
   /// Builds a classic, mixed-radix, or Bluestein entry from the key kind:
-  /// classic gets the FftPlan, forward twiddle table, and counter
-  /// template; mixed-radix gets the MixedRadixPlan (stage vector +
-  /// digit-reversal permutation) and its flat per-stage forward twiddles;
+  /// classic gets the forward twiddle table (every classic transform is
+  /// one whole-transform sweep, so no stage plan is kept); mixed-radix
+  /// gets the MixedRadixPlan (stage vector + digit-reversal permutation)
+  /// and its flat per-stage forward twiddles;
   /// Bluestein gets the length-n chirp and the length-M FFT of the chirp
   /// filter (M = bluestein_fft_size(n)) — the runtime convolution's pow2
   /// plans are acquired separately from the shared cache. All kinds build
   /// only the key's precision eagerly (f32 tables are narrowed images of
   /// the double-evaluated values) and the inverse-direction tables
-  /// lazily. Throws std::invalid_argument for bad shapes (no radix
-  /// clamping here — callers validate first).
+  /// lazily. Throws std::invalid_argument for bad shapes (a classic key
+  /// must be a power of two >= 2).
   explicit PlanEntry(const PlanKey& key);
 
-  /// Builds a hierarchical entry: no plan/twiddles/counters of its own,
-  /// just the split and pinned sub-entries for the column (length n1) and
+  /// Builds a hierarchical entry: no twiddles of its own, just the split
+  /// and pinned sub-entries for the column (length n1) and
   /// row (length n2) transforms. The row sub-entry is always a classic
   /// cache-resident leaf; the column sub-entry is classic too unless it
   /// is the recursive split of a still-too-large n1. The inter-step
@@ -107,9 +103,6 @@ class PlanEntry {
   PlanKind kind() const noexcept { return key_.kind; }
   Precision precision() const noexcept { return key_.precision; }
 
-  /// Classic entries only (hierarchical entries have no monolithic plan).
-  const FftPlan& plan() const { return *require_classic().plan_; }
-
   /// Forward table always exists; the conjugated inverse table is built on
   /// first request and cached for the entry's lifetime. Classic only.
   /// Only the key's precision is materialized: `twiddles` serves kF64
@@ -126,15 +119,6 @@ class PlanEntry {
       return twiddles_f32(dir);
     else
       return twiddles(dir);
-  }
-
-  /// Fresh per-transform counter set matching this plan (stage 0 has no
-  /// producers; stages 1..S-1 use the plan's sibling-group algebra). Both
-  /// the executor's phased classic path consumes this full-range shape.
-  /// Classic only.
-  codelet::DependencyCounters make_counters() const {
-    const PlanEntry& e = require_classic();
-    return codelet::DependencyCounters(e.groups_, e.thresholds_);
   }
 
   // ---- Hierarchical entries only ----
@@ -204,16 +188,13 @@ class PlanEntry {
   void build_inverse_tables() const;
 
   PlanKey key_;
-  // Classic state (null for hierarchical entries). Exactly one of the
+  // Classic state (null for the other kinds). Exactly one of the
   // forward_/forward32_ pair is populated, chosen by key_.precision.
-  std::unique_ptr<FftPlan> plan_;
   std::unique_ptr<TwiddleTable> forward_;
   std::unique_ptr<TwiddleTableF> forward32_;
   mutable std::once_flag inverse_once_;
   mutable std::unique_ptr<TwiddleTable> inverse_;
   mutable std::unique_ptr<TwiddleTableF> inverse32_;
-  std::vector<std::uint64_t> groups_;
-  std::vector<std::uint32_t> thresholds_;
   // Hierarchical state (empty for classic entries).
   HierarchicalSplit split_;
   std::shared_ptr<const PlanEntry> col_entry_;
@@ -258,14 +239,13 @@ class PlanCache {
 
   /// Return the cached entry for `key`, building and inserting it on miss
   /// (evicting the least recently used entry when over capacity). A
-  /// kHierarchical key first acquires its sub-entries (length n1 and n2,
-  /// radix clamped per sub-size), so classic sub-entries stay
-  /// independently cached and shared with direct transforms of the same
-  /// size: the row leaf is always classic, and the column sub-entry
-  /// re-acquires as kHierarchical (same leaf cap) while it is still too
-  /// large for the leaf. A kHierarchical key with hier_leaf_log2 == 0
-  /// resolves the cap from the measured cache hierarchy
-  /// (util::cache_info) at acquire time.
+  /// kHierarchical key first acquires its sub-entries (length n1 and n2),
+  /// so classic sub-entries stay independently cached and shared with
+  /// direct transforms of the same size: the row leaf is always classic,
+  /// and the column sub-entry re-acquires as kHierarchical (same leaf
+  /// cap) while it is still too large for the leaf. A kHierarchical key
+  /// with hier_leaf_log2 == 0 resolves the cap from the measured cache
+  /// hierarchy (util::cache_info) at acquire time.
   std::shared_ptr<const PlanEntry> acquire(const PlanKey& key);
 
   std::size_t size() const;

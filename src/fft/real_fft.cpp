@@ -10,18 +10,13 @@
 namespace c64fft::fft {
 
 namespace {
-// Half-size packed transforms go straight through the process-wide
-// executor (cached plan/twiddles, persistent team), with the same radix
-// clamping the api.cpp wrappers apply.
-HostFftOptions clamp_for(std::uint64_t n, HostFftOptions opts) {
-  opts.radix_log2 = validate_fft_shape(n, opts.radix_log2, /*clamp_radix=*/true);
-  return opts;
-}
 
+// Half-size packed transforms go straight through the process-wide
+// executor (cached plan/twiddles, persistent team).
 template <typename T>
 std::vector<cplx_t<T>> real_forward_impl(std::span<const T> signal,
                                          const HostFftOptions& opts) {
-  const RealFftShape shape = real_forward_shape(signal.size(), opts.radix_log2);
+  const RealFftShape shape = real_forward_shape(signal.size());
   const std::uint64_t n = shape.n;
   const std::uint64_t half = shape.half;
 
@@ -31,9 +26,7 @@ std::vector<cplx_t<T>> real_forward_impl(std::span<const T> signal,
   for (std::uint64_t i = 0; i < half; ++i)
     packed[i] = cplx_t<T>(signal[2 * i], signal[2 * i + 1]);
   if (half >= 2) {
-    HostFftOptions sub = opts;
-    sub.radix_log2 = shape.radix_log2;
-    default_executor().forward(std::span<cplx_t<T>>(packed), sub);
+    default_executor().forward(std::span<cplx_t<T>>(packed), opts);
   } else {
     packed[0] = cplx_t<T>(signal[0], signal[1]);
   }
@@ -81,8 +74,7 @@ std::vector<T> real_inverse_impl(std::span<const cplx_t<T>> half_spectrum,
     const cplx_t<T> odd = winv * odd_w;
     packed[k] = even + cplx_t<T>(0, 1) * odd;
   }
-  if (half >= 2) default_executor().inverse(std::span<cplx_t<T>>(packed),
-                                            clamp_for(half, opts));
+  if (half >= 2) default_executor().inverse(std::span<cplx_t<T>>(packed), opts);
 
   std::vector<T> out(n);
   for (std::uint64_t i = 0; i < half; ++i) {
@@ -94,15 +86,12 @@ std::vector<T> real_inverse_impl(std::span<const cplx_t<T>> half_spectrum,
 
 }  // namespace
 
-RealFftShape real_forward_shape(std::uint64_t n, unsigned radix_log2) {
+RealFftShape real_forward_shape(std::uint64_t n) {
   if (!util::is_pow2(n) || n < 2)
     throw std::invalid_argument("real_forward: length must be a power of two >= 2");
   RealFftShape s;
   s.n = n;
   s.half = n / 2;
-  s.radix_log2 =
-      s.half >= 2 ? validate_fft_shape(s.half, radix_log2, /*clamp_radix=*/true)
-                  : 0;
   return s;
 }
 

@@ -17,18 +17,17 @@
 namespace c64fft::fft {
 
 /// Validated shape of one real forward transform: the N/2-point packed
-/// complex sub-transform and its clamped radix. Model-builder hook shared
+/// complex sub-transform. Model-builder hook shared
 /// between real_forward and the static pipeline model
 /// (analysis::build_real_fft_pipeline). Throws std::invalid_argument when
 /// n is not a power of two >= 2.
 struct RealFftShape {
   std::uint64_t n = 0;
+  /// Length of the packed complex transform; 1 when n == 2, where no
+  /// sub-transform runs.
   std::uint64_t half = 0;
-  /// Radix of the half-point packed transform after the clamp; 0 when the
-  /// packed length is 1 (n == 2) and no sub-transform runs.
-  unsigned radix_log2 = 0;
 };
-RealFftShape real_forward_shape(std::uint64_t n, unsigned radix_log2);
+RealFftShape real_forward_shape(std::uint64_t n);
 
 /// Packed-spectrum elements bin k of the untangled half-spectrum reads:
 /// {k % half, (half - k) % half}. Exposed so the static verifier proves

@@ -61,8 +61,7 @@ std::string ScheduleSet::to_json() const {
     out << (i == 0 ? "\n" : ",\n");
     out << "    {\"n\": " << e.n << ", \"precision\": \""
         << fft::to_string(e.precision) << "\", \"isa\": \""
-        << util::to_string(e.isa) << "\", \"radix_log2\": " << e.radix_log2
-        << ", \"fuse_log2\": " << e.fuse_log2;
+        << util::to_string(e.isa) << "\", \"fuse_log2\": " << e.fuse_log2;
     // Emitted only when tuned: files without hierarchical knobs stay
     // byte-identical to the pre-hierarchical format.
     if (e.hier_leaf_log2 != 0)
@@ -120,13 +119,6 @@ ScheduleSet parse_schedule_doc(const util::JsonValue& doc) {
       throw std::invalid_argument("schedule entry " + std::to_string(index) +
                                   ": unknown isa \"" + isa->as_string() + "\"");
     s.isa = *level;
-
-    // Same range validate_fft_shape enforces, so a loaded schedule can
-    // never make a plan build throw that would not have thrown anyway.
-    s.radix_log2 = static_cast<std::uint32_t>(field_u64(entry, "radix_log2", index));
-    if (s.radix_log2 < 1 || s.radix_log2 > 8)
-      throw std::invalid_argument("schedule entry " + std::to_string(index) +
-                                  ": radix_log2 out of range [1, 8]");
 
     s.fuse_log2 = static_cast<std::uint32_t>(field_u64(entry, "fuse_log2", index));
     if (s.fuse_log2 != 0 && s.fuse_log2 != 2 && s.fuse_log2 != 3)

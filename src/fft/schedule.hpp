@@ -1,18 +1,15 @@
 #pragma once
 // Tuned execution schedules: the output of the offline autotuner
-// (tools/fft_tune) and the input the executor uses to pick a plan shape.
+// (tools/fft_tune) and the input the executor uses to shape its sweeps.
 //
 // A schedule is keyed by (transform size, precision, kernel ISA) and
-// carries the two searched knobs:
-//   radix_log2 — the plan's codelet radix (changes the stage
-//                decomposition, and with it the task graph, the chain
-//                algebra, and the memory-traffic census), and
-//   fuse_log2  — how many leading butterfly levels of each chain the
-//                kernel collapses into one fused pass (3 = radix-8,
-//                2 = radix-4, 0 = per-level loops only).
-// Both knobs are pure scheduling: every setting computes bit-identical
-// results, only the loop/stage structure (and therefore throughput)
-// changes.
+// carries the searched knob of the whole-transform sweep:
+//   fuse_log2  — how many leading butterfly levels the sweep collapses
+//                into one fused pass (3 = radix-8, 2 = radix-4, 0 =
+//                per-level loops only),
+// plus, for the hierarchical sizes, the leaf and block-row grain below.
+// Every knob is pure scheduling: every setting computes bit-identical
+// results, only the loop structure (and therefore throughput) changes.
 //
 // The on-disk form is JSON (see to_json); the executor loads it when
 // C64FFT_SCHEDULE names a file, and PlanCache serves lookups. An entry
@@ -35,7 +32,6 @@ struct TunedSchedule {
   std::uint64_t n = 0;
   Precision precision = Precision::kF64;
   util::IsaLevel isa = util::IsaLevel::kScalar;
-  std::uint32_t radix_log2 = 6;
   std::uint32_t fuse_log2 = 3;
   /// Hierarchical-path knobs (tools/fft_tune --hierarchical). 0 means
   /// "planner default" — derive the leaf from the measured cache
@@ -69,9 +65,11 @@ class ScheduleSet {
   /// one schedule per line — diff-friendly for committing tuned files).
   std::string to_json() const;
 
-  /// Parse the to_json() format. Unknown fields are ignored; a missing
-  /// required field, a bad enum name, or out-of-range knob values throw
-  /// std::invalid_argument naming the offending entry.
+  /// Parse the to_json() format. Unknown fields are ignored — including
+  /// the codelet radix that files written before the radix left
+  /// production still carry; a missing required field, a bad enum name,
+  /// or out-of-range knob values throw std::invalid_argument naming the
+  /// offending entry.
   static ScheduleSet from_json(const std::string& text);
 
   /// from_json() over a file's contents; std::runtime_error when

@@ -5,9 +5,10 @@
 #include <utility>
 #include <vector>
 
+#include "codelet/dep_counter.hpp"
 #include "codelet/host_runtime.hpp"
 #include "fft/kernel.hpp"
-#include "fft/plan_cache.hpp"
+#include "fft/plan.hpp"
 #include "util/bit_ops.hpp"
 
 namespace c64fft::fft {
@@ -17,18 +18,21 @@ using codelet::PoolPolicy;
 
 void fft_host(std::span<cplx> data, Variant variant, const PaperFftOptions& opts) {
   const std::uint64_t n = data.size();
-  if (!util::is_pow2(n))
-    throw std::invalid_argument("fft_host: N must be a power of two");
-  validate_fft_shape(n, opts.radix_log2, /*clamp_radix=*/false);
-
-  // An uncached entry supplies the plan and its counter shape; the
-  // twiddles are built in the requested layout.
-  const PlanEntry entry(PlanKey{n, opts.radix_log2});
-  const FftPlan& plan = entry.plan();
+  // Every call builds its own plan (which rejects anything but a power of
+  // two >= 2^radix_log2), its counter shape and the twiddles in the
+  // requested layout. Stage 0 has no producers; stages 1..S-1 use the
+  // plan's sibling-group algebra.
+  const FftPlan plan(n, opts.radix_log2);
   const TwiddleTable twiddles(n, opts.layout);
   const std::uint32_t stages = plan.stage_count();
   const std::uint64_t tasks = plan.tasks_per_stage();
-  codelet::DependencyCounters counters = entry.make_counters();
+  std::vector<std::uint64_t> groups(stages, 0);
+  std::vector<std::uint32_t> thresholds(stages, 1);
+  for (std::uint32_t s = 1; s < stages; ++s) {
+    groups[s] = plan.groups_in_stage(s);
+    thresholds[s] = plan.group_threshold(s);
+  }
+  codelet::DependencyCounters counters(groups, thresholds);
   codelet::HostRuntime rt(opts.workers, opts.mode);
   std::vector<KernelScratch> scratch;
   for (unsigned w = 0; w < rt.workers(); ++w) scratch.emplace_back(plan.radix());

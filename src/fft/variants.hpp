@@ -14,10 +14,11 @@
 // The hashed-twiddle versions of each are obtained by passing
 // TwiddleLayout::kBitReversed (the "coarse hash"/"fine hash" rows of
 // Table I). Every knob changes scheduling only: each combination computes
-// output bit-identical to FftExecutor::forward, which runs the one
-// production schedule (Alg. 2, natural LIFO seeding, linear twiddles).
-// The paper's timing claims come from the simulator (src/simfft); this
-// driver is their functional counterpart on real threads.
+// output bit-identical to FftExecutor::forward, which runs no stage
+// schedule at all — each pow2 transform is one whole-transform sweep over
+// the same butterflies in the same order, with linear twiddles and no
+// radix. The paper's timing claims come from the simulator (src/simfft);
+// this driver is their functional counterpart on real threads.
 
 #include <span>
 #include <string>

@@ -15,7 +15,7 @@
 // covers submit()/wait() without cross-thread noise, and passing
 // &thread_alloc_count as ServerOptions::alloc_probe has the dispatcher
 // bracket its executor calls with it, splitting that thread's count
-// into executor-internal allocations (the phased scheduler's task
+// into executor-internal allocations (the runtime phases' task
 // bookkeeping at workers >= 2) and the serving layer's own
 // drain/group/complete path — which is the count that must stay at
 // zero in steady state.

@@ -253,7 +253,6 @@ std::uint64_t FftServer::process_batch(std::size_t count) {
 
     fft::HostFftOptions hopts;
     hopts.workers = owned_exec_ ? opts_.workers : exec_->default_workers();
-    hopts.radix_log2 = fft::validate_fft_shape(lead.n, hopts.radix_log2, true);
     RequestStatus status = RequestStatus::kOk;
     const std::uint64_t probe0 =
         opts_.alloc_probe != nullptr ? opts_.alloc_probe() : 0;

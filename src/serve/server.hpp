@@ -138,7 +138,7 @@ struct ServerOptions {
   /// count; see serve/alloc_probe.hpp). When set, the dispatcher
   /// brackets every executor call with it and splits its own thread's
   /// allocations into ServerStats::executor_allocs (inside the
-  /// executor — at workers >= 2 the phased scheduler allocates task
+  /// executor — at workers >= 2 every phase allocates task
   /// bookkeeping) and ServerStats::dispatch_allocs (everything else:
   /// drain, group, complete, callbacks — the serving layer's own
   /// steady-state count, which the zero-allocation contract says must

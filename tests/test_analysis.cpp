@@ -51,7 +51,7 @@ PhaseModel& phase_named(PipelineModel& m, const std::string& name) {
 
 /// A pipeline with an out-of-place tile transpose phase ("transpose",
 /// data -> scratch, full coverage of scratch): the rectangular fft2d.
-PipelineModel transpose_pipeline() { return build_fft2d_pipeline(32, 64, 6); }
+PipelineModel transpose_pipeline() { return build_fft2d_pipeline(32, 64); }
 
 PlanModel clean_model(std::uint64_t n = 4096, unsigned r = 6,
                       TwiddleLayout layout = TwiddleLayout::kLinear,
@@ -356,20 +356,21 @@ TEST(Pipeline, EveryBuilderIsCleanAtBothPrecisions) {
     opts.layout = TwiddleLayout::kBitReversed;
     models.push_back(build_classic_pipeline(FftPlan(4096, 6), opts));
     opts.layout = TwiddleLayout::kLinear;
-    models.push_back(build_batch_pipeline(FftPlan(256, 6), 8, opts));
+    models.push_back(build_batch_pipeline(256, 8, opts));
+    models.push_back(build_batch_pipeline(256, 1, opts));  // a single call
     opts.hier_leaf_log2 = 7;
-    models.push_back(build_hierarchical_pipeline(8192, 6, opts));  // 64 x 128
+    models.push_back(build_hierarchical_pipeline(8192, opts));  // 64 x 128
     opts.hier_leaf_log2 = 6;
-    models.push_back(build_hierarchical_pipeline(4096, 6, opts));  // 64 x 64
+    models.push_back(build_hierarchical_pipeline(4096, opts));  // 64 x 64
     opts.hier_leaf_log2 = 5;
-    models.push_back(build_hierarchical_pipeline(4096, 6, opts));  // 2 levels
+    models.push_back(build_hierarchical_pipeline(4096, opts));  // 2 levels
     opts.hier_leaf_log2 = 0;
-    models.push_back(build_fft2d_pipeline(32, 32, 6, opts));
-    models.push_back(build_fft2d_pipeline(16, 32, 6, opts));
-    models.push_back(build_real_fft_pipeline(512, 6, opts));
+    models.push_back(build_fft2d_pipeline(32, 32, opts));
+    models.push_back(build_fft2d_pipeline(16, 32, opts));
+    models.push_back(build_real_fft_pipeline(512, opts));
     models.push_back(build_mixed_radix_pipeline(360, opts));   // [8, 5, 3, 3]
     models.push_back(build_mixed_radix_pipeline(1000, opts));  // [8, 5, 5, 5]
-    models.push_back(build_bluestein_pipeline(101, 6, opts));  // prime, conv 256
+    models.push_back(build_bluestein_pipeline(101, opts));  // prime, conv 256
     for (const PipelineModel& m : models) {
       const auto report = analyze_pipeline(m);
       EXPECT_EQ(report.errors(), 0u)
@@ -400,7 +401,7 @@ TEST(Pipeline, ModelMirrorsExecutorGrains) {
   PipelineBuildOptions hopts;
   hopts.workers = 4;
   hopts.hier_leaf_log2 = 6;
-  const PipelineModel hier = build_hierarchical_pipeline(4096, 6, hopts);
+  const PipelineModel hier = build_hierarchical_pipeline(4096, hopts);
   ASSERT_EQ(hier.phases.size(), 3u);
   EXPECT_EQ(hier.phases[0].name, "gather");
   EXPECT_EQ(hier.phases[1].name, "col-sweep");
@@ -414,7 +415,7 @@ TEST(Pipeline, ModelMirrorsExecutorGrains) {
   // A forced-small leaf recurses: the column transform condenses to one
   // task per gather row, charged the inner levels' full pass count.
   hopts.hier_leaf_log2 = 5;
-  const PipelineModel multi = build_hierarchical_pipeline(4096, 6, hopts);
+  const PipelineModel multi = build_hierarchical_pipeline(4096, hopts);
   ASSERT_EQ(multi.phases.size(), 3u);
   EXPECT_EQ(multi.phases[1].name, "col-recursive");
   EXPECT_EQ(multi.phases[1].tasks.size(),
@@ -425,7 +426,7 @@ TEST(Pipeline, ModelMirrorsExecutorGrains) {
 TEST(Pipeline, TileTrafficSplitsTransposeFromButterfly) {
   PipelineBuildOptions opts;
   opts.hier_leaf_log2 = 6;
-  const PipelineModel m = build_hierarchical_pipeline(4096, 6, opts);
+  const PipelineModel m = build_hierarchical_pipeline(4096, opts);
   const auto report = analyze_pipeline(m);
   const auto& metrics = check_of(report, "tile-traffic").metrics;
   // Gather is pure movement, the column sweep pure butterfly, and the
@@ -448,14 +449,14 @@ TEST(Pipeline, TileTrafficSplitsTransposeFromButterfly) {
 }
 
 TEST(Pipeline, BluesteinModelRejectsConvolutionsItCannotModel) {
-  // The model runs the inner M-point FFTs as classic phases, which is the
-  // executor's routing only while M stays below the hierarchical
-  // threshold: from n = 65537 (M = 2^18) on, the builder refuses instead
-  // of reporting bit-reversal and stage phases that never run.
+  // The model runs each inner M-point FFT as one whole-transform task,
+  // which is the executor's routing only while M stays below the
+  // hierarchical threshold: from n = 65537 (M = 2^18) on, the builder
+  // refuses instead of reporting phases that never run.
   ASSERT_EQ(fft::bluestein_fft_size(65537), 1ULL << 18);
-  EXPECT_THROW(build_bluestein_pipeline(65537, 6), std::invalid_argument);
-  EXPECT_THROW(build_bluestein_pipeline(131101, 6), std::invalid_argument);
-  EXPECT_NO_THROW(build_bluestein_pipeline(101, 6));  // M = 256, classic
+  EXPECT_THROW(build_bluestein_pipeline(65537), std::invalid_argument);
+  EXPECT_THROW(build_bluestein_pipeline(131101), std::invalid_argument);
+  EXPECT_NO_THROW(build_bluestein_pipeline(101));  // M = 256, classic
 }
 
 // ---- Seeded pipeline defects ----
@@ -542,7 +543,7 @@ TEST(Pipeline, SeededSkewIsFlaggedAndStrictPromotes) {
 TEST(Pipeline, SeededTileTrafficImbalanceIsFlaggedAndStrictPromotes) {
   PipelineBuildOptions opts;
   opts.hier_leaf_log2 = 6;
-  PipelineModel balanced = build_hierarchical_pipeline(4096, 6, opts);
+  PipelineModel balanced = build_hierarchical_pipeline(4096, opts);
   {
     const auto report = analyze_pipeline(balanced);
     EXPECT_FALSE(has_code(report, "tile-traffic", "tile-traffic-imbalance"))
@@ -592,7 +593,7 @@ TEST(Pipeline, SeededBankConcentrationIsFlagged) {
 TEST(Pipeline, CostProfileIsConsistent) {
   PipelineBuildOptions opts;
   opts.hier_leaf_log2 = 7;  // 128 x 128, single level
-  const PipelineModel m = build_hierarchical_pipeline(1 << 14, 6, opts);
+  const PipelineModel m = build_hierarchical_pipeline(1 << 14, opts);
   const auto report = analyze_pipeline(m);
   const auto& metrics = check_of(report, "cost").metrics;
   const double span = metrics.at("span_cost");
@@ -627,7 +628,7 @@ TEST(Pipeline, ForcedIsaLevelsAreStampedAndVerifyClean) {
     const util::IsaLevel active = fft::kernels::set_kernel_isa(level);
     PipelineBuildOptions opts;
     opts.hier_leaf_log2 = 6;
-    const PipelineModel m = build_hierarchical_pipeline(4096, 6, opts);
+    const PipelineModel m = build_hierarchical_pipeline(4096, opts);
     EXPECT_EQ(m.kernel_isa, util::to_string(active));
     const auto report = analyze_pipeline(m);
     const auto& check = check_of(report, "kernel");

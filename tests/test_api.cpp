@@ -28,7 +28,8 @@ TEST(Api, ForwardMatchesReference) {
 }
 
 TEST(Api, TinySizesClampRadix) {
-  // Sizes below 64 transparently use a narrower radix.
+  // Sizes below the paper's radix of 64 run like any other: production
+  // takes no radix.
   for (std::uint64_t n : {2ULL, 4ULL, 16ULL, 32ULL}) {
     auto data = random_signal(n, n);
     auto want = data;

@@ -19,6 +19,7 @@
 
 #include "codelet/host_runtime.hpp"
 #include "fft/api.hpp"
+#include "fft/mixed_radix.hpp"
 #include "fft/reference.hpp"
 #include "util/prng.hpp"
 
@@ -32,6 +33,16 @@ std::vector<cplx> random_signal(std::uint64_t n, std::uint64_t seed) {
   return v;
 }
 
+/// random_signal narrowed to precision T.
+template <typename T>
+std::vector<std::complex<T>> random_signal_as(std::uint64_t n,
+                                              std::uint64_t seed) {
+  std::vector<std::complex<T>> v;
+  for (const cplx& x : random_signal(n, seed))
+    v.emplace_back(static_cast<T>(x.real()), static_cast<T>(x.imag()));
+  return v;
+}
+
 TEST(Executor, ForwardMatchesSerialReference) {
   FftExecutor ex;
   for (std::uint64_t n : {std::uint64_t{64}, std::uint64_t{1} << 12}) {
@@ -40,7 +51,6 @@ TEST(Executor, ForwardMatchesSerialReference) {
     fft_serial_inplace(want);
     HostFftOptions opts;
     opts.workers = 2;
-    opts.radix_log2 = 6;
     ex.forward(data, opts);
     ASSERT_LT(max_abs_error(data, want), 1e-8) << n;
   }
@@ -82,21 +92,16 @@ TEST(Executor, RoundTripRestoresInput) {
 
 /// One batch-contract case: `batch` transforms of length `n` at one
 /// precision and direction on the executor `ex`, run both as one batch
-/// and as a loop of single calls (the phased bodies when `ex` has more
-/// than one worker), each memcmp'd against a loop of single calls on the
-/// one-worker `ref`. Returns the phases and codelets the batch ran,
-/// observed through the phase hook.
+/// and as a loop of single calls, each memcmp'd against a loop of single
+/// calls on the one-worker `ref`. Returns the phases and codelets the
+/// batch ran, observed through the phase hook.
 template <typename T>
 std::pair<std::uint64_t, std::uint64_t> check_batch_against_loop(
     FftExecutor& ref, FftExecutor& ex, std::uint64_t n, std::size_t batch,
     bool inverse, const std::string& label) {
   std::vector<std::vector<std::complex<T>>> loop_bufs, batch_bufs;
-  for (std::size_t b = 0; b < batch; ++b) {
-    loop_bufs.emplace_back();
-    for (const cplx& v : random_signal(n, 1000 * n + b))
-      loop_bufs.back().emplace_back(static_cast<T>(v.real()),
-                                    static_cast<T>(v.imag()));
-  }
+  for (std::size_t b = 0; b < batch; ++b)
+    loop_bufs.push_back(random_signal_as<T>(n, 1000 * n + b));
   batch_bufs = loop_bufs;
   auto single_bufs = loop_bufs;
   const auto run_one = [inverse](FftExecutor& e,
@@ -136,23 +141,27 @@ std::pair<std::uint64_t, std::uint64_t> check_batch_against_loop(
 TEST(Executor, BatchContractMatchesLoopOnEveryRoute) {
   // The batch contract over every route: forward_batch/inverse_batch are
   // byte-identical per transform to a loop of single calls on a one-worker
-  // executor, at every team size, batch size, precision and direction. A
-  // multi-worker batch runs exactly ONE phase of exactly B whole-transform
-  // codelets and a one-worker batch runs none — except N = 257, whose
-  // M = 1024 convolution routes hierarchical (threshold 9) and so runs its
-  // tile pipeline per transform.
+  // executor, at every team size, batch size (one included), precision and
+  // direction. A multi-worker batch runs exactly ONE phase of exactly B
+  // whole-transform codelets and a one-worker batch runs none — a single
+  // pow2 or Bluestein transform on a multi-worker team too. Two shapes
+  // differ: a single mixed-radix transform on a multi-worker team runs
+  // its digit-reversal phase plus one phase per stage, and N = 257, whose
+  // M = 1024 convolution routes hierarchical (threshold 9), runs its tile
+  // pipeline per transform.
   struct Case {
     std::uint64_t n;
     unsigned threshold_log2;
+    bool mixed_radix;
   };
   constexpr unsigned kDefault = kDefaultHierarchicalThresholdLog2;
   const Case cases[] = {
-      {std::uint64_t{1} << 7, kDefault},
-      {std::uint64_t{1} << 13, kDefault},  // partial last stage
-      {96, kDefault},                      // mixed-radix
-      {360, kDefault},                     // mixed-radix with a radix-5 stage
-      {101, kDefault},                     // Bluestein
-      {257, 9},  // Bluestein over a hierarchical convolution
+      {std::uint64_t{1} << 7, kDefault, false},
+      {std::uint64_t{1} << 13, kDefault, false},
+      {96, kDefault, true},
+      {360, kDefault, true},   // with a radix-5 stage
+      {101, kDefault, false},  // Bluestein
+      {257, 9, false},  // Bluestein over a hierarchical convolution
   };
   for (const Case& c : cases) {
     FftExecutor ref(
@@ -160,7 +169,7 @@ TEST(Executor, BatchContractMatchesLoopOnEveryRoute) {
     for (unsigned workers = 1; workers <= 4; ++workers) {
       FftExecutor ex({.workers = workers,
                       .hierarchical_threshold_log2 = c.threshold_log2});
-      for (const std::size_t batch : {2u, 3u, 8u}) {
+      for (const std::size_t batch : {1u, 2u, 3u, 8u}) {
         for (const bool inverse : {false, true}) {
           for (const bool f32 : {false, true}) {
             const std::string label =
@@ -174,12 +183,54 @@ TEST(Executor, BatchContractMatchesLoopOnEveryRoute) {
                     : check_batch_against_loop<double>(ref, ex, c.n, batch,
                                                        inverse, label);
             if (c.n == 257) continue;
+            if (c.mixed_radix && batch == 1 && workers > 1) {
+              EXPECT_EQ(phases, 1u + MixedRadixPlan(c.n).stage_count())
+                  << label;
+              continue;
+            }
             EXPECT_EQ(phases, workers == 1 ? 0u : 1u) << label;
             EXPECT_EQ(codelets, workers == 1 ? 0u : batch) << label;
           }
         }
       }
     }
+  }
+}
+
+/// Option-less single and batched calls at pow2 n: bytes equal to the
+/// public fft::forward / fft::inverse, both directions.
+template <typename T>
+void expect_optionless_matches_api(FftExecutor& ex, std::uint64_t n) {
+  const auto input = random_signal_as<T>(n, 31 * n);
+  for (const bool inverse : {false, true}) {
+    auto want = input, single = input, batched = input;
+    const std::span<std::complex<T>> one[1] = {batched};
+    if (inverse) {
+      fft::inverse(std::span<std::complex<T>>(want));
+      ex.inverse(std::span<std::complex<T>>(single));
+      ex.inverse_batch(one);
+    } else {
+      fft::forward(std::span<std::complex<T>>(want));
+      ex.forward(std::span<std::complex<T>>(single));
+      ex.forward_batch(one);
+    }
+    const std::size_t bytes = n * sizeof(std::complex<T>);
+    const std::string label = "n=" + std::to_string(n) +
+                              (inverse ? " inverse" : " forward") +
+                              (sizeof(T) == 4 ? " f32" : " f64");
+    EXPECT_EQ(0, std::memcmp(want.data(), single.data(), bytes)) << label;
+    EXPECT_EQ(0, std::memcmp(want.data(), batched.data(), bytes)) << label;
+  }
+}
+
+TEST(Executor, OptionlessCallsAcceptPow2SizesBelow64) {
+  // Regression: the option-less overloads used to validate a default
+  // radix of 64 strictly, so every pow2 N < 64 threw "size must be at
+  // least the radix". Production takes no radix now.
+  FftExecutor ex;
+  for (const std::uint64_t n : {2u, 4u, 8u, 16u, 32u}) {
+    expect_optionless_matches_api<double>(ex, n);
+    expect_optionless_matches_api<float>(ex, n);
   }
 }
 
@@ -324,24 +375,22 @@ TEST(Executor, OptionlessCallsDoNotRaceResize) {
 
 TEST(PlanCache, SharedEntriesSurviveEviction) {
   PlanCache cache(1);
-  auto a = cache.acquire(PlanKey{1024, 6});
-  auto a2 = cache.acquire(PlanKey{1024, 6});
+  auto a = cache.acquire(PlanKey{1024});
+  auto a2 = cache.acquire(PlanKey{1024});
   EXPECT_EQ(a.get(), a2.get());  // one immutable entry, shared
-  auto b = cache.acquire(PlanKey{2048, 6});  // evicts a
+  auto b = cache.acquire(PlanKey{2048});  // evicts a
   EXPECT_EQ(cache.size(), 1u);
   // The evicted entry stays valid for holders — eviction only drops the
   // cache's reference.
-  EXPECT_EQ(a->plan().size(), 1024u);
+  EXPECT_EQ(a->key().n, 1024u);
   EXPECT_EQ(a->twiddles(TwiddleDirection::kForward).fft_size(), 1024u);
-  EXPECT_EQ(b->plan().size(), 2048u);
+  EXPECT_EQ(b->twiddles(TwiddleDirection::kForward).fft_size(), 2048u);
 }
 
 TEST(PlanCache, BadShapesAreNotCached) {
   PlanCache cache(4);
-  EXPECT_THROW(cache.acquire(PlanKey{100, 6}),
-               std::invalid_argument);
-  EXPECT_THROW(cache.acquire(PlanKey{16, 6}),
-               std::invalid_argument);  // N < radix: no clamping on this path
+  EXPECT_THROW(cache.acquire(PlanKey{100}),
+               std::invalid_argument);  // a classic key must be pow2
   EXPECT_EQ(cache.size(), 0u);
 }
 

@@ -128,7 +128,7 @@ TEST(HierarchicalGrainPolicy, TileAlignedBlocksCoverAllRows) {
 TEST(HierarchicalPlanCache, EntryPinsSubEntriesRecursively) {
   PlanCache cache(8);
   // Forced leaf 4 at 2^12: 16 x 256 with a recursive 256-point column.
-  const PlanKey key{1ULL << 12, 6, PlanKind::kHierarchical, Precision::kF64, 4};
+  const PlanKey key{1ULL << 12, PlanKind::kHierarchical, Precision::kF64, 4};
   auto entry = cache.acquire(key);
   ASSERT_EQ(entry->kind(), PlanKind::kHierarchical);
   EXPECT_EQ(entry->levels(), 2u);
@@ -143,28 +143,27 @@ TEST(HierarchicalPlanCache, EntryPinsSubEntriesRecursively) {
   // ordinary cache resident.
   EXPECT_EQ(entry->col_entry()->col_entry().get(),
             entry->col_entry()->row_entry().get());
-  // Sub-keys carry the radix clamped to the sub-size (16 points -> 4).
-  auto direct = cache.acquire(PlanKey{16, 4});
+  // Sub-keys are the keys a direct call of the sub-size builds.
+  auto direct = cache.acquire(PlanKey{16});
   EXPECT_EQ(direct.get(), entry->col_entry()->row_entry().get());
   // Classic-only accessors stay fenced off on hierarchical entries, and
   // vice versa.
-  EXPECT_THROW(entry->plan(), std::logic_error);
   EXPECT_THROW(entry->twiddles(TwiddleDirection::kForward), std::logic_error);
   EXPECT_THROW(entry->row_entry()->split(), std::logic_error);
   // Distinct leaves build distinct plan trees (the leaf is in the key).
   auto other = cache.acquire(
-      PlanKey{1ULL << 12, 6, PlanKind::kHierarchical, Precision::kF64, 6});
+      PlanKey{1ULL << 12, PlanKind::kHierarchical, Precision::kF64, 6});
   EXPECT_NE(other.get(), entry.get());
   EXPECT_EQ(other->levels(), 1u);
   // A rectangular single-level split pins two distinct classic
   // sub-entries, the narrower one shared with a direct acquire.
   auto rect = cache.acquire(
-      PlanKey{1ULL << 13, 6, PlanKind::kHierarchical, Precision::kF64, 14});
+      PlanKey{1ULL << 13, PlanKind::kHierarchical, Precision::kF64, 14});
   EXPECT_EQ(rect->split().n1, 64u);
   EXPECT_EQ(rect->split().n2, 128u);
   EXPECT_EQ(rect->col_entry()->kind(), PlanKind::kClassic);
   EXPECT_NE(rect->col_entry().get(), rect->row_entry().get());
-  auto col = cache.acquire(PlanKey{64, 6});
+  auto col = cache.acquire(PlanKey{64});
   EXPECT_EQ(col.get(), rect->col_entry().get());
 }
 

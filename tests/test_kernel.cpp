@@ -72,7 +72,7 @@ std::vector<cplx_t<T>> stagewise_scalar(std::vector<cplx_t<T>> data,
                                         const BasicTwiddleTable<T>& tw,
                                         unsigned radix_log2) {
   const FftPlan plan(data.size(),
-                     validate_fft_shape(data.size(), radix_log2, true));
+                     std::min(radix_log2, util::ilog2(data.size())));
   std::vector<cplx_t<T>> scratch(plan.radix());
   bit_reverse_permute(std::span<cplx_t<T>>(data));
   for (std::uint32_t s = 0; s < plan.stage_count(); ++s)

@@ -198,13 +198,13 @@ TEST(Precision, LruAccountingCountsPrecisionKeysSeparately) {
 
 TEST(Precision, PlanEntryRejectsWrongWidthTwiddleAccessor) {
   PlanCache cache(4);
-  PlanKey k32{1024, 6, PlanKind::kClassic, Precision::kF32};
+  PlanKey k32{1024, PlanKind::kClassic, Precision::kF32};
   auto e32 = cache.acquire(k32);
   EXPECT_EQ(e32->precision(), Precision::kF32);
   EXPECT_EQ(e32->twiddles_f32(TwiddleDirection::kForward).fft_size(), 1024u);
   EXPECT_THROW(e32->twiddles(TwiddleDirection::kForward), std::logic_error);
 
-  PlanKey k64{1024, 6, PlanKind::kClassic, Precision::kF64};
+  PlanKey k64{1024, PlanKind::kClassic, Precision::kF64};
   auto e64 = cache.acquire(k64);
   EXPECT_NE(e32.get(), e64.get());
   EXPECT_EQ(e64->precision(), Precision::kF64);

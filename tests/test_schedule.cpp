@@ -16,24 +16,23 @@ namespace c64fft::fft {
 namespace {
 
 TunedSchedule sched(std::uint64_t n, Precision p, util::IsaLevel isa,
-                    std::uint32_t radix, std::uint32_t fuse) {
-  return TunedSchedule{n, p, isa, radix, fuse};
+                    std::uint32_t fuse) {
+  return TunedSchedule{n, p, isa, fuse};
 }
 
 TEST(ScheduleSet, InsertReplacesByKeyAndFindMatchesExactly) {
   ScheduleSet set;
-  set.insert(sched(4096, Precision::kF32, util::IsaLevel::kAvx2, 6, 3));
-  set.insert(sched(4096, Precision::kF64, util::IsaLevel::kAvx2, 5, 2));
-  set.insert(sched(4096, Precision::kF32, util::IsaLevel::kScalar, 4, 0));
+  set.insert(sched(4096, Precision::kF32, util::IsaLevel::kAvx2, 3));
+  set.insert(sched(4096, Precision::kF64, util::IsaLevel::kAvx2, 2));
+  set.insert(sched(4096, Precision::kF32, util::IsaLevel::kScalar, 0));
   EXPECT_EQ(set.size(), 3u);
 
   // Same key replaces in place.
-  set.insert(sched(4096, Precision::kF32, util::IsaLevel::kAvx2, 7, 0));
+  set.insert(sched(4096, Precision::kF32, util::IsaLevel::kAvx2, 2));
   EXPECT_EQ(set.size(), 3u);
   const auto hit = set.find(4096, Precision::kF32, util::IsaLevel::kAvx2);
   ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->radix_log2, 7u);
-  EXPECT_EQ(hit->fuse_log2, 0u);
+  EXPECT_EQ(hit->fuse_log2, 2u);
 
   // Every key component must match.
   EXPECT_FALSE(set.find(8192, Precision::kF32, util::IsaLevel::kAvx2));
@@ -43,16 +42,15 @@ TEST(ScheduleSet, InsertReplacesByKeyAndFindMatchesExactly) {
 
 TEST(ScheduleSet, JsonRoundTripPreservesEveryEntry) {
   ScheduleSet set;
-  set.insert(sched(1024, Precision::kF32, util::IsaLevel::kScalar, 5, 0));
-  set.insert(sched(4096, Precision::kF64, util::IsaLevel::kAvx2, 6, 3));
-  set.insert(sched(65536, Precision::kF32, util::IsaLevel::kAvx512, 8, 2));
+  set.insert(sched(1024, Precision::kF32, util::IsaLevel::kScalar, 0));
+  set.insert(sched(4096, Precision::kF64, util::IsaLevel::kAvx2, 3));
+  set.insert(sched(65536, Precision::kF32, util::IsaLevel::kAvx512, 2));
 
   const ScheduleSet back = ScheduleSet::from_json(set.to_json());
   ASSERT_EQ(back.size(), set.size());
   for (const TunedSchedule& e : set.entries()) {
     const auto hit = back.find(e.n, e.precision, e.isa);
     ASSERT_TRUE(hit.has_value()) << "n=" << e.n;
-    EXPECT_EQ(hit->radix_log2, e.radix_log2);
     EXPECT_EQ(hit->fuse_log2, e.fuse_log2);
   }
   EXPECT_TRUE(ScheduleSet::from_json(ScheduleSet().to_json()).empty());
@@ -64,13 +62,12 @@ TEST(ScheduleSet, JsonRoundTripPreservesHierarchicalKnobs) {
   // pre-hierarchical format) parse to the 0 = planner-default sentinel —
   // the serialized text must not even mention the fields, so old files
   // re-serialize byte-identically.
-  TunedSchedule hier = sched(1u << 20, Precision::kF64, util::IsaLevel::kAvx2,
-                             6, 3);
+  TunedSchedule hier = sched(1u << 20, Precision::kF64, util::IsaLevel::kAvx2, 3);
   hier.hier_leaf_log2 = 11;
   hier.hier_block_rows = 32;
   ScheduleSet set;
   set.insert(hier);
-  set.insert(sched(4096, Precision::kF32, util::IsaLevel::kScalar, 5, 2));
+  set.insert(sched(4096, Precision::kF32, util::IsaLevel::kScalar, 2));
 
   const std::string json = set.to_json();
   const ScheduleSet back = ScheduleSet::from_json(json);
@@ -100,16 +97,15 @@ TEST(ScheduleSet, FromJsonRejectsOutOfRangeHierarchicalKnobs) {
   };
   EXPECT_THROW(ScheduleSet::from_json(entry(
                    "{\"n\":1048576,\"precision\":\"f64\",\"isa\":\"avx2\","
-                   "\"radix_log2\":6,\"fuse_log2\":3,\"hier_leaf_log2\":3}")),
+                   "\"fuse_log2\":3,\"hier_leaf_log2\":3}")),
                std::invalid_argument);
   EXPECT_THROW(ScheduleSet::from_json(entry(
                    "{\"n\":1048576,\"precision\":\"f64\",\"isa\":\"avx2\","
-                   "\"radix_log2\":6,\"fuse_log2\":3,\"hier_leaf_log2\":17}")),
+                   "\"fuse_log2\":3,\"hier_leaf_log2\":17}")),
                std::invalid_argument);
   EXPECT_THROW(ScheduleSet::from_json(entry(
                    "{\"n\":1048576,\"precision\":\"f64\",\"isa\":\"avx2\","
-                   "\"radix_log2\":6,\"fuse_log2\":3,"
-                   "\"hier_block_rows\":8192}")),
+                   "\"fuse_log2\":3,\"hier_block_rows\":8192}")),
                std::invalid_argument);
 }
 
@@ -119,30 +115,25 @@ TEST(ScheduleSet, FromJsonRejectsMalformedDocuments) {
   const auto entry = [](const std::string& body) {
     return "{\"version\":1,\"schedules\":[" + body + "]}";
   };
-  // Missing field, bad enum, non-pow2 n, out-of-range knobs.
+  // Missing field, bad enum, non-pow2 n, out-of-range knob.
   EXPECT_THROW(ScheduleSet::from_json(entry(
-                   "{\"n\":4096,\"precision\":\"f32\",\"isa\":\"avx2\","
-                   "\"radix_log2\":6}")),
+                   "{\"n\":4096,\"precision\":\"f32\",\"isa\":\"avx2\"}")),
                std::invalid_argument);
   EXPECT_THROW(ScheduleSet::from_json(entry(
                    "{\"n\":4096,\"precision\":\"f16\",\"isa\":\"avx2\","
-                   "\"radix_log2\":6,\"fuse_log2\":3}")),
+                   "\"fuse_log2\":3}")),
                std::invalid_argument);
   EXPECT_THROW(ScheduleSet::from_json(entry(
                    "{\"n\":4096,\"precision\":\"f32\",\"isa\":\"auto\","
-                   "\"radix_log2\":6,\"fuse_log2\":3}")),
+                   "\"fuse_log2\":3}")),
                std::invalid_argument);
   EXPECT_THROW(ScheduleSet::from_json(entry(
                    "{\"n\":4095,\"precision\":\"f32\",\"isa\":\"avx2\","
-                   "\"radix_log2\":6,\"fuse_log2\":3}")),
+                   "\"fuse_log2\":3}")),
                std::invalid_argument);
   EXPECT_THROW(ScheduleSet::from_json(entry(
                    "{\"n\":4096,\"precision\":\"f32\",\"isa\":\"avx2\","
-                   "\"radix_log2\":9,\"fuse_log2\":3}")),
-               std::invalid_argument);
-  EXPECT_THROW(ScheduleSet::from_json(entry(
-                   "{\"n\":4096,\"precision\":\"f32\",\"isa\":\"avx2\","
-                   "\"radix_log2\":6,\"fuse_log2\":1}")),
+                   "\"fuse_log2\":1}")),
                std::invalid_argument);
 }
 
@@ -156,48 +147,35 @@ std::vector<cplx> random_signal(std::uint64_t n, std::uint64_t seed) {
   return v;
 }
 
-TEST(ScheduleExecutor, TunedRadixChangesTheExecutedPlanShape) {
-  // Install a radix-4 schedule for (256, f64, active ISA). The tuned
-  // transform must build the SAME plan-cache entry an explicit
-  // radix_log2=4 call uses (a cache hit proves the executed radix
-  // sequence changed), while the untuned default would have built a
-  // radix-6 entry.
+TEST(ScheduleExecutor, FilesCarryingARadixStillLoad) {
+  // Files tuned while the executor still took a radix carry "radix_log2".
+  // The loader ignores unknown fields, so such an entry parses, its
+  // fuse_log2 still steers the sweep, and re-serializing drops the field.
+  const util::IsaLevel isa = kernels::active_kernel_isa();
+  const ScheduleSet set = ScheduleSet::from_json(
+      "{\"version\":1,\"schedules\":[{\"n\":512,\"precision\":\"f64\","
+      "\"isa\":\"" + std::string(util::to_string(isa)) +
+      "\",\"radix_log2\":5,\"fuse_log2\":2}]}");
+  const auto hit = set.find(512, Precision::kF64, isa);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->fuse_log2, 2u);
+  EXPECT_EQ(set.to_json().find("radix_log2"), std::string::npos);
+
   FftExecutor exec;
-  ScheduleSet set;
-  set.insert(sched(256, Precision::kF64, kernels::active_kernel_isa(), 4, 3));
-  exec.set_schedules(std::move(set));
-
-  auto data = random_signal(256, 1);
+  exec.set_schedules(set);
+  auto data = random_signal(512, 4);
   exec.forward(std::span<cplx>(data));
-  ExecutorStats stats = exec.stats();
-  EXPECT_EQ(stats.cache.misses, 1u);
-  EXPECT_GE(stats.schedule_hits, 1u);
-
-  // Explicit radix-4 call: same PlanKey -> pure cache hit.
-  HostFftOptions opts;
-  opts.workers = 1;
-  opts.radix_log2 = 4;
-  exec.forward(std::span<cplx>(data), opts);
-  stats = exec.stats();
-  EXPECT_EQ(stats.cache.misses, 1u);
-  EXPECT_GE(stats.cache.hits, 1u);
-
-  // An explicit non-default radix always beats the schedule: radix 5 is a
-  // new key, so a second miss appears. (An explicit 6 is indistinguishable
-  // from the default and therefore still tuned — the documented contract.)
-  opts.radix_log2 = 5;
-  exec.forward(std::span<cplx>(data), opts);
-  EXPECT_EQ(exec.stats().cache.misses, 2u);
+  EXPECT_GE(exec.stats().schedule_hits, 1u);
 }
 
 TEST(ScheduleExecutor, BluesteinConvolutionSharesTheTunedPow2Entry) {
   // One pow2 key resolver serves the direct route and Bluestein's
-  // convolution: with a radix-4 schedule for M = 256, a 101-point forward
+  // convolution: with a schedule for M = 256, a 101-point forward
   // (Bluestein, M = next_pow2(201) = 256) and a direct 256-point forward
   // build the Bluestein entry plus ONE shared 256-point entry.
   FftExecutor exec;
   ScheduleSet set;
-  set.insert(sched(256, Precision::kF64, kernels::active_kernel_isa(), 4, 3));
+  set.insert(sched(256, Precision::kF64, kernels::active_kernel_isa(), 2));
   exec.set_schedules(std::move(set));
 
   auto prime = random_signal(101, 5);
@@ -210,29 +188,25 @@ TEST(ScheduleExecutor, BluesteinConvolutionSharesTheTunedPow2Entry) {
 }
 
 TEST(ScheduleExecutor, EveryScheduleIsBitIdentical) {
-  // fuse_log2/radix_log2 are pure scheduling: a tuned executor must give
-  // bit-identical spectra to an untuned one.
+  // fuse_log2 is pure scheduling: a tuned executor must give bit-identical
+  // spectra to an untuned one.
   const auto input = random_signal(1024, 7);
   std::vector<cplx> base = input;
   {
     FftExecutor plain;
     plain.forward(std::span<cplx>(base));
   }
-  for (const std::uint32_t radix : {4u, 5u, 6u}) {
-    for (const std::uint32_t fuse : {0u, 2u, 3u}) {
-      FftExecutor exec;
-      ScheduleSet set;
-      set.insert(
-          sched(1024, Precision::kF64, kernels::active_kernel_isa(), radix, fuse));
-      exec.set_schedules(std::move(set));
-      std::vector<cplx> data = input;
-      exec.forward(std::span<cplx>(data));
-      for (std::uint64_t i = 0; i < data.size(); ++i) {
-        ASSERT_EQ(data[i].real(), base[i].real())
-            << "radix=" << radix << " fuse=" << fuse << " i=" << i;
-        ASSERT_EQ(data[i].imag(), base[i].imag())
-            << "radix=" << radix << " fuse=" << fuse << " i=" << i;
-      }
+  for (const std::uint32_t fuse : {0u, 2u, 3u}) {
+    FftExecutor exec;
+    ScheduleSet set;
+    set.insert(sched(1024, Precision::kF64, kernels::active_kernel_isa(), fuse));
+    exec.set_schedules(std::move(set));
+    std::vector<cplx> data = input;
+    exec.forward(std::span<cplx>(data));
+    EXPECT_GE(exec.stats().schedule_hits, 1u) << "fuse=" << fuse;
+    for (std::uint64_t i = 0; i < data.size(); ++i) {
+      ASSERT_EQ(data[i].real(), base[i].real()) << "fuse=" << fuse << " i=" << i;
+      ASSERT_EQ(data[i].imag(), base[i].imag()) << "fuse=" << fuse << " i=" << i;
     }
   }
 }
@@ -241,7 +215,7 @@ TEST(ScheduleExecutor, LoadSchedulesRoundTripsThroughAFile) {
   const std::string path = ::testing::TempDir() + "c64fft_sched_test.json";
   {
     ScheduleSet set;
-    set.insert(sched(512, Precision::kF64, kernels::active_kernel_isa(), 5, 2));
+    set.insert(sched(512, Precision::kF64, kernels::active_kernel_isa(), 2));
     std::ofstream out(path);
     ASSERT_TRUE(out.good());
     out << set.to_json();
@@ -261,7 +235,7 @@ TEST(ScheduleExecutor, EnvScheduleLoadsAtConstruction) {
   const std::string path = ::testing::TempDir() + "c64fft_sched_env.json";
   {
     ScheduleSet set;
-    set.insert(sched(512, Precision::kF64, kernels::active_kernel_isa(), 4, 0));
+    set.insert(sched(512, Precision::kF64, kernels::active_kernel_isa(), 0));
     std::ofstream out(path);
     ASSERT_TRUE(out.good());
     out << set.to_json();

@@ -134,7 +134,6 @@ TEST(Serve, CoalescedBatchBitIdenticalToSingleCallLoop) {
   fft::FftExecutor reference;
   fft::HostFftOptions hopts;
   hopts.workers = 1;
-  hopts.radix_log2 = fft::validate_fft_shape(kN, hopts.radix_log2, true);
 
   // f64 round.
   {

@@ -76,8 +76,10 @@ constexpr VariantSpec kShippedVariants[] = {
 };
 
 void print_human(const analysis::AnalysisReport& report) {
-  std::cout << report.plan_name << ": n=" << report.n << " radix=2^" << report.radix_log2
-            << " stages=" << report.stages << " codelets=" << report.codelets;
+  std::cout << report.plan_name << ": n=" << report.n;
+  // Only the paper's plans carry a codelet radix.
+  if (report.radix_log2 != 0) std::cout << " radix=2^" << report.radix_log2;
+  std::cout << " stages=" << report.stages << " codelets=" << report.codelets;
   // Pipeline reports carry the kernel dispatch id in the layout slot.
   if (report.schedule == "pipeline" && !report.layout.empty())
     std::cout << " isa=" << report.layout;
@@ -135,14 +137,18 @@ int main(int argc, char** argv) {
   cli.add_int("size", 0,
               "exact transform size; overrides --logn (composite sizes "
               "route to mixed-radix, primes to bluestein under auto)");
-  cli.add_int("radix-log2", 6, "log2 of the codelet radix (paper: 6)");
+  cli.add_int("radix-log2", 6,
+              "log2 of the codelet radix of the paper's plans (--plan-kind="
+              "classic; paper: 6)");
   cli.add_string("layout", "linear", "twiddle layout: linear | hashed");
   cli.add_string("schedule", "fine", "scheduler: coarse | fine | guided");
   cli.add_string("plan-kind", "classic",
-                 "pipeline shape: classic | hierarchical | batch | fft2d | "
-                 "real | mixed-radix | bluestein | auto (executor routing "
-                 "for the linted size)");
-  cli.add_int("batch", 8, "transforms per batch for --plan-kind=batch");
+                 "pipeline shape: classic (the paper's phased plans) | "
+                 "hierarchical | batch | fft2d | real | mixed-radix | "
+                 "bluestein | auto (executor routing for the linted size: "
+                 "a classic size is a batch of one)");
+  cli.add_int("batch", 8,
+              "transforms per batch for --plan-kind=batch (>= 1)");
   cli.add_int("leaf-log2", 0,
               "hierarchical leaf cap (log2 points); 0 derives it from the "
               "host L2 like the executor");
@@ -283,7 +289,7 @@ int main(int argc, char** argv) {
       } else if (defect == "tile-overlap") {
         analysis::PipelineModel m = analysis::build_fft2d_pipeline(
             std::uint64_t{1} << cli.get_int("rows-log2"),
-            std::uint64_t{1} << cli.get_int("cols-log2"), radix_log2, build,
+            std::uint64_t{1} << cli.get_int("cols-log2"), build,
             "seeded-overlap");
         // Second transpose tile re-writes the first tile's first element.
         auto phase = std::find_if(
@@ -324,8 +330,8 @@ int main(int argc, char** argv) {
             pipe_opts));
         b.layout = fft::TwiddleLayout::kLinear;
         reports.push_back(analysis::analyze_pipeline(
-            analysis::build_hierarchical_pipeline(
-                std::uint64_t{1} << 18, 6, b, "hierarchical" + prec),
+            analysis::build_hierarchical_pipeline(std::uint64_t{1} << 18, b,
+                                                  "hierarchical" + prec),
             pipe_opts));
         {
           // Forced-small leaf so the multi-level (col-recursive) shape is
@@ -335,21 +341,20 @@ int main(int argc, char** argv) {
           ml.hier_leaf_log2 = 6;  // 2^19 -> 2^13 x 2^6 -> (2^7 x 2^6) x 2^6
           reports.push_back(analysis::analyze_pipeline(
               analysis::build_hierarchical_pipeline(
-                  std::uint64_t{1} << 19, 6, ml, "hierarchical-3l" + prec),
+                  std::uint64_t{1} << 19, ml, "hierarchical-3l" + prec),
               pipe_opts));
         }
         reports.push_back(analysis::analyze_pipeline(
-            analysis::build_batch_pipeline(fft::FftPlan(256, 6), 8, b,
-                                           "batch8" + prec),
+            analysis::build_batch_pipeline(256, 8, b, "batch8" + prec),
             pipe_opts));
         reports.push_back(analysis::analyze_pipeline(
-            analysis::build_fft2d_pipeline(64, 64, 6, b, "fft2d-64x64" + prec),
+            analysis::build_fft2d_pipeline(64, 64, b, "fft2d-64x64" + prec),
             pipe_opts));
         reports.push_back(analysis::analyze_pipeline(
-            analysis::build_fft2d_pipeline(32, 64, 6, b, "fft2d-32x64" + prec),
+            analysis::build_fft2d_pipeline(32, 64, b, "fft2d-32x64" + prec),
             pipe_opts));
         reports.push_back(analysis::analyze_pipeline(
-            analysis::build_real_fft_pipeline(4096, 6, b, "real" + prec),
+            analysis::build_real_fft_pipeline(4096, b, "real" + prec),
             pipe_opts));
         // The factorization-driven arbitrary-N paths: a 7-smooth
         // composite through the mixed-radix pipeline and a prime through
@@ -359,18 +364,20 @@ int main(int argc, char** argv) {
                                                  "mixed-radix-1000" + prec),
             pipe_opts));
         reports.push_back(analysis::analyze_pipeline(
-            analysis::build_bluestein_pipeline(101, 6, b,
-                                               "bluestein-101" + prec),
+            analysis::build_bluestein_pipeline(101, b, "bluestein-101" + prec),
             pipe_opts));
       }
     } else {
       std::string kind = cli.get_string("plan-kind");
+      std::uint64_t batch = static_cast<std::uint64_t>(cli.get_int("batch"));
       if (kind == "auto") {
+        // A classic size runs the executor's serial body: one
+        // whole-transform task, the batch model at B = 1.
         switch (fft::routed_plan_kind(n, fft::kDefaultHierarchicalThresholdLog2)) {
           case fft::PlanKind::kHierarchical: kind = "hierarchical"; break;
           case fft::PlanKind::kMixedRadix: kind = "mixed-radix"; break;
           case fft::PlanKind::kBluestein: kind = "bluestein"; break;
-          default: kind = "classic"; break;
+          default: kind = "batch"; batch = 1; break;
         }
       }
       const bool want_pipeline = cli.flag("coverage") || cli.flag("critical-path");
@@ -413,32 +420,25 @@ int main(int argc, char** argv) {
               analysis::build_classic_pipeline(plan, build), pipe_opts));
       } else if (kind == "hierarchical") {
         reports.push_back(analysis::analyze_pipeline(
-            analysis::build_hierarchical_pipeline(n, radix_log2, build),
-            pipe_opts));
+            analysis::build_hierarchical_pipeline(n, build), pipe_opts));
       } else if (kind == "batch") {
         reports.push_back(analysis::analyze_pipeline(
-            analysis::build_batch_pipeline(
-                fft::FftPlan(n, radix_log2),
-                static_cast<std::uint64_t>(cli.get_int("batch")), build),
-            pipe_opts));
+            analysis::build_batch_pipeline(n, batch, build), pipe_opts));
       } else if (kind == "fft2d") {
         reports.push_back(analysis::analyze_pipeline(
             analysis::build_fft2d_pipeline(
                 std::uint64_t{1} << cli.get_int("rows-log2"),
-                std::uint64_t{1} << cli.get_int("cols-log2"), radix_log2,
-                build),
+                std::uint64_t{1} << cli.get_int("cols-log2"), build),
             pipe_opts));
       } else if (kind == "real") {
         reports.push_back(analysis::analyze_pipeline(
-            analysis::build_real_fft_pipeline(n, radix_log2, build),
-            pipe_opts));
+            analysis::build_real_fft_pipeline(n, build), pipe_opts));
       } else if (kind == "mixed-radix") {
         reports.push_back(analysis::analyze_pipeline(
             analysis::build_mixed_radix_pipeline(n, build), pipe_opts));
       } else if (kind == "bluestein") {
         reports.push_back(analysis::analyze_pipeline(
-            analysis::build_bluestein_pipeline(n, radix_log2, build),
-            pipe_opts));
+            analysis::build_bluestein_pipeline(n, build), pipe_opts));
       } else {
         std::cerr << "fft_lint: unknown --plan-kind '" << kind << "'\n";
         return 2;
@@ -455,21 +455,19 @@ int main(int argc, char** argv) {
     // through a private executor (serial path — the cache behaves
     // identically) at both precisions, then report what the plan cache
     // retained. Distinct precisions are distinct entries by design, so
-    // `entries` should read 2x the unique (n, radix) shapes unless the
-    // LRU had to evict.
+    // `entries` should read 2x the unique sizes unless the LRU had to
+    // evict.
     try {
       fft::FftExecutor exec;
       fft::HostFftOptions hopts;
       hopts.workers = 1;
-      std::vector<std::pair<std::uint64_t, unsigned>> shapes;
-      for (const analysis::AnalysisReport& r : reports)
-        shapes.emplace_back(r.n, r.radix_log2);
+      std::vector<std::uint64_t> shapes;
+      for (const analysis::AnalysisReport& r : reports) shapes.push_back(r.n);
       std::sort(shapes.begin(), shapes.end());
       shapes.erase(std::unique(shapes.begin(), shapes.end()), shapes.end());
       std::vector<fft::cplx> buf64;
       std::vector<fft::cplx32> buf32;
-      for (const auto& [shape_n, shape_radix] : shapes) {
-        hopts.radix_log2 = fft::validate_fft_shape(shape_n, shape_radix, true);
+      for (const std::uint64_t shape_n : shapes) {
         buf64.assign(shape_n, fft::cplx{});
         exec.forward(std::span<fft::cplx>(buf64), hopts);
         buf32.assign(shape_n, fft::cplx32{});

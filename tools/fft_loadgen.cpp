@@ -25,7 +25,7 @@
 // is measured, not asserted from faith: this binary implements the
 // serve/alloc_probe.hpp operator-new counter and hands it to the server
 // as ServerOptions::alloc_probe, so the dispatcher splits its thread's
-// allocations into executor-internal (the phased scheduler's task
+// allocations into executor-internal (the runtime phases' task
 // bookkeeping at workers >= 2) and the serving layer's own. Since
 // submit, drain, group, execute, and complete ALL run on the dispatcher
 // thread in callback mode, a zero serving-layer delta across the

@@ -1,21 +1,14 @@
 // fft_tune — offline schedule autotuner for the executor's kernel layer.
 //
 // For every requested (transform size, precision) at the process-active
-// kernel ISA, benches the cartesian candidate grid of the two scheduling
-// knobs — radix_log2 (the plan's stage decomposition) and fuse_log2 (how
-// many leading butterfly levels each chain collapses into one fused
-// pass) — through the real FftExecutor path, and keeps the fastest. Every
-// candidate computes bit-identical results; only throughput differs, so
-// the search is purely a timing exercise.
-//
-// On a one-worker team (the --workers default) the executor runs each
-// transform as one whole-transform split-complex sweep that never walks
-// the plan's stages, so radix_log2 changes only the plan-cache key there
-// and its timings would differ by noise alone: the search then keeps the
-// heuristic radix (HostFftOptions' default, clamped to n) and times
-// fuse_log2 only, which still shapes the sweep's first pass. The radix
-// grid is searched for --workers > 1, where a single transform runs the
-// phased Alg. 2 body stage by stage.
+// kernel ISA, benches the candidates of the sweep's scheduling knob —
+// fuse_log2, how many leading butterfly levels the whole-transform
+// split-complex sweep collapses into one fused pass — through the real
+// FftExecutor path, and keeps the fastest. Every pow2 transform below the
+// hierarchical threshold runs that one sweep on every team size, so the
+// search is the same at every --workers. Every candidate computes
+// bit-identical results; only throughput differs, so the search is purely
+// a timing exercise.
 //
 // Each candidate is installed as a one-entry ScheduleSet on the executor
 // (exactly the mechanism production uses to consume a tuned file), so the
@@ -111,7 +104,6 @@ double median_forward_ns(fft::FftExecutor& exec, std::uint64_t n,
 template <typename T>
 fft::TunedSchedule tune_one(fft::FftExecutor& exec, std::uint64_t n,
                             util::IsaLevel isa,
-                            const std::vector<std::uint64_t>& radix_candidates,
                             const std::vector<std::uint64_t>& fuse_candidates,
                             unsigned warmup, unsigned reps, std::uint64_t seed,
                             bool verbose) {
@@ -119,38 +111,27 @@ fft::TunedSchedule tune_one(fft::FftExecutor& exec, std::uint64_t n,
   fft::TunedSchedule best;
   double best_ns = 0.0;
   bool have_best = false;
-  for (const std::uint64_t radix_log2 : radix_candidates) {
-    if (radix_log2 < 1 || radix_log2 > 8 || radix_log2 > util::ilog2(n))
-      continue;  // not a legal plan shape for this n
-    for (const std::uint64_t fuse_log2 : fuse_candidates) {
-      fft::TunedSchedule candidate{n, precision, isa,
-                                   static_cast<std::uint32_t>(radix_log2),
-                                   static_cast<std::uint32_t>(fuse_log2)};
-      fft::ScheduleSet one;
-      one.insert(candidate);
-      exec.set_schedules(std::move(one));
-      const double ns = median_forward_ns<T>(exec, n, warmup, reps, seed);
-      if (verbose)
-        std::cout << "  n=" << n << ' ' << to_string(precision)
-                  << " isa=" << util::to_string(isa)
-                  << " radix_log2=" << radix_log2 << " fuse_log2=" << fuse_log2
-                  << "  " << ns / 1e3 << " us\n";
-      if (!have_best || ns < best_ns) {
-        best = candidate;
-        best_ns = ns;
-        have_best = true;
-      }
+  for (const std::uint64_t fuse_log2 : fuse_candidates) {
+    const fft::TunedSchedule candidate{n, precision, isa,
+                                       static_cast<std::uint32_t>(fuse_log2)};
+    fft::ScheduleSet one;
+    one.insert(candidate);
+    exec.set_schedules(std::move(one));
+    const double ns = median_forward_ns<T>(exec, n, warmup, reps, seed);
+    if (verbose)
+      std::cout << "  n=" << n << ' ' << to_string(precision)
+                << " isa=" << util::to_string(isa) << " fuse_log2=" << fuse_log2
+                << "  " << ns / 1e3 << " us\n";
+    if (!have_best || ns < best_ns) {
+      best = candidate;
+      best_ns = ns;
+      have_best = true;
     }
   }
-  if (!have_best)
-    throw std::invalid_argument("fft_tune: no legal candidate for n=" +
-                                std::to_string(n));
   std::cout << "n=" << n << ' ' << to_string(precision)
             << " isa=" << util::to_string(isa)
-            << ": best radix_log2=" << best.radix_log2
-            << " fuse_log2=" << best.fuse_log2 << "  " << best_ns / 1e3
-            << " us (stages="
-            << fft::FftPlan(n, best.radix_log2).stage_count() << ")\n";
+            << ": best fuse_log2=" << best.fuse_log2 << "  " << best_ns / 1e3
+            << " us\n";
   return best;
 }
 
@@ -222,7 +203,7 @@ fft::TunedSchedule tune_hierarchical_one(
 
 int main(int argc, char** argv) {
   util::CliParser cli(
-      "fft_tune — searches the (radix_log2, fuse_log2) schedule grid per "
+      "fft_tune — searches the fuse_log2 schedule knob per "
       "(size, precision) on the active kernel ISA and emits the winners as "
       "a JSON schedule file for FftExecutor::load_schedules / "
       "C64FFT_SCHEDULE.\nExit codes: 0 success, 2 usage error.");
@@ -233,13 +214,10 @@ int main(int argc, char** argv) {
                  "kernel ISA to tune on: scalar | avx2 | avx512 | auto "
                  "(C64FFT_ISA if set, else best supported; requests above "
                  "the host clamp down)");
-  cli.add_string("radix", "4,5,6,7,8",
-                 "radix_log2 candidates (searched only with --workers > 1; "
-                 "one worker keeps the heuristic radix)");
   cli.add_string("fuse", "0,2,3", "fuse_log2 candidates (0, 2, 3)");
   cli.add_flag("hierarchical",
                "search the hierarchical-path grid (leaf, block-rows) instead "
-               "of (radix, fuse); sizes route through PlanKind::kHierarchical");
+               "of fuse; sizes route through PlanKind::kHierarchical");
   cli.add_string("leaf", "0,10,11,12,14",
                  "hier_leaf_log2 candidates (0 = planner default from the "
                  "measured cache hierarchy)");
@@ -262,8 +240,6 @@ int main(int argc, char** argv) {
       if (!util::is_pow2(n) || n < 2)
         throw std::invalid_argument("--sizes: " + std::to_string(n) +
                                     " is not a power of two >= 2");
-    const std::vector<std::uint64_t> radix_candidates =
-        parse_u64_list(cli.get_string("radix"), "--radix");
     const std::vector<std::uint64_t> fuse_candidates =
         parse_u64_list(cli.get_string("fuse"), "--fuse");
     for (const std::uint64_t f : fuse_candidates)
@@ -334,21 +310,12 @@ int main(int argc, char** argv) {
               reps, seed, cli.flag("verbose")));
         continue;
       }
-      // One worker: radix_log2 is timing noise (see the header), so the
-      // emitted schedule pins the radix the untuned executor would use.
-      const std::vector<std::uint64_t> radices =
-          opts.workers == 1
-              ? std::vector<std::uint64_t>{fft::validate_fft_shape(
-                    n, fft::HostFftOptions{}.radix_log2, /*clamp_radix=*/true)}
-              : radix_candidates;
       if (do_f32)
-        winners.insert(tune_one<float>(exec, n, isa, radices, fuse_candidates,
-                                       warmup, reps, seed,
-                                       cli.flag("verbose")));
+        winners.insert(tune_one<float>(exec, n, isa, fuse_candidates, warmup,
+                                       reps, seed, cli.flag("verbose")));
       if (do_f64)
-        winners.insert(tune_one<double>(exec, n, isa, radices,
-                                        fuse_candidates, warmup, reps, seed,
-                                        cli.flag("verbose")));
+        winners.insert(tune_one<double>(exec, n, isa, fuse_candidates, warmup,
+                                        reps, seed, cli.flag("verbose")));
     }
 
     const std::string emit = cli.get_string("emit");
