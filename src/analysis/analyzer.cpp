@@ -20,8 +20,8 @@ CheckResult check_kernel_dispatch(const PipelineModel& model) {
   // the kernels the runtime actually ships.
   bool known = false;
   util::IsaLevel level = util::IsaLevel::kScalar;
-  for (const util::IsaLevel l : {util::IsaLevel::kScalar, util::IsaLevel::kAvx2,
-                                 util::IsaLevel::kAvx512}) {
+  for (const util::IsaLevel l :
+       {util::IsaLevel::kScalar, util::IsaLevel::kAvx2}) {
     if (model.kernel_isa == fft::kernels::kernels_for<double>(l).id) {
       known = true;
       level = l;

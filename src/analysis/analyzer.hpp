@@ -55,7 +55,7 @@ struct PipelineAnalysisOptions {
 };
 
 /// The kernel-dispatch check on its own: the model's kernel_isa id must
-/// name a registered dispatch table ("scalar"/"avx2"/"avx512") whose ISA
+/// name a registered dispatch table ("scalar"/"avx2") whose ISA
 /// level this host can execute. Codes: "unknown-kernel-isa",
 /// "unsupported-kernel-isa".
 CheckResult check_kernel_dispatch(const PipelineModel& model);

@@ -78,14 +78,15 @@ std::vector<LintBaselineRow> collect_lint_rows(unsigned workers) {
                "classic-hashed-n4096-r6" + suffix, workers);
     opts.layout = fft::TwiddleLayout::kLinear;
 
-    // Hierarchical rows pin the leaf and block-rows knobs explicitly: the
-    // builder's defaults derive both from the host L2 via cache_info(),
-    // and baseline rows must stay pure plan algebra — identical on every
-    // machine that runs the gate. leaf=9 keeps 2^18 single-level
-    // (512x512); leaf=6 forces the three-level recursion at 2^19.
+    // Hierarchical rows pin the L2 and the leaf explicitly: the builder's
+    // defaults derive both from the host L2 via cache_info(), and
+    // baseline rows must stay pure plan algebra — identical on every
+    // machine that runs the gate. The block grain is the executor's
+    // policy at a 2 MiB L2. leaf=9 keeps 2^18 single-level (512x512);
+    // leaf=6 forces the three-level recursion at 2^19.
     PipelineBuildOptions hier = opts;
+    hier.l2_bytes = std::uint64_t{2} << 20;
     hier.hier_leaf_log2 = 9;
-    hier.hier_block_rows = 64;
     append_row(rows, build_hierarchical_pipeline(std::uint64_t{1} << 18, hier),
                "hierarchical-n262144" + suffix, workers);
     hier.hier_leaf_log2 = 6;

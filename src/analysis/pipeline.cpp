@@ -276,11 +276,12 @@ PipelineModel build_batch_pipeline(std::uint64_t n, std::uint64_t batch,
 PipelineModel build_hierarchical_pipeline(std::uint64_t n,
                                           const PipelineBuildOptions& opts,
                                           std::string name) {
+  const std::uint64_t l2 =
+      opts.l2_bytes != 0 ? opts.l2_bytes : util::cache_info().l2_bytes;
   const unsigned leaf =
       opts.hier_leaf_log2 != 0
           ? opts.hier_leaf_log2
-          : fft::hierarchical_leaf_log2(util::cache_info().l2_bytes,
-                                        opts.element_bytes);
+          : fft::hierarchical_leaf_log2(l2, opts.element_bytes);
   const fft::HierarchicalSplit split = fft::hierarchical_split(n, leaf);
   const std::uint64_t n1 = split.n1;
   const std::uint64_t n2 = split.n2;
@@ -295,8 +296,7 @@ PipelineModel build_hierarchical_pipeline(std::uint64_t n,
   // tasks are the pipeline's actual schedulable units, not a finer
   // fiction.
   const fft::HierarchicalGrain grain = fft::hierarchical_grain(
-      n1, n2, opts.workers, opts.element_bytes, util::cache_info().l2_bytes,
-      opts.hier_block_rows);
+      n1, n2, opts.workers, opts.element_bytes, l2);
 
   if (!split.col_recursive) {
     // T1: gather-transpose block i of data columns [c0b, cend) into

@@ -104,7 +104,7 @@ struct PipelineModel {
   /// 0 for the production pipelines, which take no radix.
   unsigned radix_log2 = 0;
   /// Stable id of the kernel dispatch table the runtime would execute
-  /// this pipeline with ("scalar" / "avx2" / "avx512") — stamped by the
+  /// this pipeline with ("scalar" / "avx2") — stamped by the
   /// builders from the process-active table (fft::kernels), so a model
   /// built under fft_lint --isa=X records X. The kernel check validates
   /// the id against the dispatch registry and host cpuid support.
@@ -131,14 +131,15 @@ struct PipelineBuildOptions {
   unsigned element_bytes = 16;
   /// Twiddle storage layout of the classic stage phases.
   fft::TwiddleLayout layout = fft::TwiddleLayout::kLinear;
-  /// Hierarchical leaf cap (log2 points); 0 derives it from the host L2
+  /// Hierarchical leaf cap (log2 points); 0 derives it from `l2_bytes`
   /// exactly like the executor (fft::hierarchical_leaf_log2). Forcing a
   /// small leaf is how tests model multi-level decompositions at sizes
   /// the element-exact footprints can afford.
   unsigned hier_leaf_log2 = 0;
-  /// Rows per pipelined hierarchical block; 0 = the executor's grain
-  /// policy (fft::hierarchical_grain).
-  std::uint64_t hier_block_rows = 0;
+  /// L2 capacity the hierarchical leaf and block grain derive from
+  /// (fft::hierarchical_grain, the executor's policy); 0 = the host's
+  /// (util::cache_info). Pinning it keeps a model machine-independent.
+  std::uint64_t l2_bytes = 0;
 };
 
 /// The paper's phased classic hull (fft_host, the simulator): the chunked

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
-#include "codelet/dep_counter.hpp"
 #include "fft/kernel.hpp"
 #include "fft/kernels/dispatch.hpp"
 #include "fft/mixed_radix.hpp"
@@ -25,7 +23,6 @@ namespace {
 
 using codelet::CodeletKey;
 using codelet::PoolPolicy;
-
 
 /// Scale pass of the inverse transform (the only O(N) epilogue left: the
 /// input-conjugation pass is gone — the conjugated twiddle table computes
@@ -49,6 +46,14 @@ bool env_unsigned(const char* name, unsigned& out) {
   if (end == raw || *end != '\0' || v > 0xFFFFFFFFul) return false;
   out = static_cast<unsigned>(v);
   return true;
+}
+
+/// True when n >= 1 has no prime factor above 7 — factorize(n).smooth
+/// without building the stage vector, so routing allocates nothing.
+bool seven_smooth(std::uint64_t n) {
+  for (const std::uint64_t p : {2u, 3u, 5u, 7u})
+    while (n % p == 0) n /= p;
+  return n == 1;
 }
 
 /// Ask the kernel for transparent huge pages over `bytes` at `p` (no-op
@@ -84,7 +89,7 @@ PlanKind routed_plan_kind(std::uint64_t n, unsigned hierarchical_threshold_log2)
   // Bluestein chirp-z path (whose INTERNAL pow2 convolution FFTs re-enter
   // here with M = next_pow2(2n-1) and do obey the threshold).
   if (n >= 2 && !util::is_pow2(n))
-    return factorize(n).smooth ? PlanKind::kMixedRadix : PlanKind::kBluestein;
+    return seven_smooth(n) ? PlanKind::kMixedRadix : PlanKind::kBluestein;
   if (n < 4) return PlanKind::kClassic;
   return (hierarchical_threshold_log2 != 0 &&
           util::ilog2(n) >= hierarchical_threshold_log2)
@@ -98,19 +103,13 @@ namespace {
 /// `rows` rows of `row_bytes` each (see hierarchical_grain's contract in
 /// the header).
 std::uint64_t block_rows_for(std::uint64_t rows, std::uint64_t row_bytes,
-                             unsigned workers, std::uint64_t l2_bytes,
-                             std::uint64_t tuned) {
+                             unsigned workers, std::uint64_t l2_bytes) {
   if (rows <= kTransposeTile) return rows;
-  std::uint64_t br;
-  if (tuned != 0) {
-    br = tuned;
-  } else {
-    br = row_bytes != 0 ? l2_bytes / (2 * row_bytes) : rows;
-    // Keep at least workers*4 blocks in flight so the pipeline has
-    // overlap to exploit even when L2 would hold a bigger panel.
-    br = std::min(br, std::max<std::uint64_t>(
-                          kTransposeTile, rows / (std::uint64_t{workers} * 4)));
-  }
+  std::uint64_t br = row_bytes != 0 ? l2_bytes / (2 * row_bytes) : rows;
+  // Keep at least workers*4 blocks in flight so the pipeline has overlap
+  // to exploit even when L2 would hold a bigger panel.
+  br = std::min(br, std::max<std::uint64_t>(
+                        kTransposeTile, rows / (std::uint64_t{workers} * 4)));
   br = std::max<std::uint64_t>(br / kTransposeTile, 1) * kTransposeTile;
   return std::min(br, rows);
 }
@@ -119,16 +118,13 @@ std::uint64_t block_rows_for(std::uint64_t rows, std::uint64_t row_bytes,
 
 HierarchicalGrain hierarchical_grain(std::uint64_t n1, std::uint64_t n2,
                                      unsigned workers, unsigned element_bytes,
-                                     std::uint64_t l2_bytes,
-                                     std::uint64_t tuned_block_rows) {
+                                     std::uint64_t l2_bytes) {
   HierarchicalGrain g;
   // Gather/column stages sweep the n2 x n1 gather matrix (n2 rows of n1
   // points); scatter/row stages sweep its n1 x n2 mirror.
-  g.block_rows1 = block_rows_for(n2, n1 * element_bytes, workers, l2_bytes,
-                                 tuned_block_rows);
+  g.block_rows1 = block_rows_for(n2, n1 * element_bytes, workers, l2_bytes);
   g.blocks1 = g.block_rows1 != 0 ? util::ceil_div(n2, g.block_rows1) : 0;
-  g.block_rows2 = block_rows_for(n1, n2 * element_bytes, workers, l2_bytes,
-                                 tuned_block_rows);
+  g.block_rows2 = block_rows_for(n1, n2 * element_bytes, workers, l2_bytes);
   g.blocks2 = g.block_rows2 != 0 ? util::ceil_div(n1, g.block_rows2) : 0;
   return g;
 }
@@ -139,9 +135,6 @@ ExecutorEnvSnapshot read_executor_env() {
   if (env_unsigned("C64FFT_WORKERS", v)) snap.workers = v;
   if (env_unsigned("C64FFT_HIERARCHICAL_THRESHOLD_LOG2", v))
     snap.hierarchical_threshold_log2 = v;
-  if (const char* path = std::getenv("C64FFT_SCHEDULE");
-      path != nullptr && *path != '\0')
-    snap.schedule_path = path;
   return snap;
 }
 
@@ -160,14 +153,6 @@ void FftExecutor::apply_env_overrides() {
   // the natural re-read point for C64FFT_ISA after a warm-up mutation
   // (same contract as the variables above).
   kernels::reset_kernel_isa_from_env();
-  if (env.schedule_path) {
-    try {
-      cache_.set_schedules(ScheduleSet::load_file(*env.schedule_path));
-    } catch (const std::exception&) {
-      // Env contract: a value that fails to parse changes nothing.
-      // load_schedules() is the strict, throwing alternative.
-    }
-  }
 }
 
 FftExecutor::FftExecutor(const ExecutorOptions& opts)
@@ -223,39 +208,6 @@ const std::vector<std::uint32_t>& FftExecutor::bitrev_table_locked(
 
 namespace {
 
-/// A pow2 plan resolved for one call: its cache key plus the tuned
-/// hierarchical block rows (a runtime grain, not part of the key).
-struct Pow2Key {
-  PlanKey key;
-  std::uint64_t block_rows = 0;
-};
-
-/// The one pow2 key resolver, shared by the direct route and Bluestein's
-/// M-point convolution, so a prime's inner plan IS the entry a direct
-/// M-point call builds. A hierarchical key takes the tuned leaf (else the
-/// L2-derived one) and the tuned block rows. The matching fuse_log2 is
-/// looked up by the bodies, which see the actual sweep size (for
-/// hierarchical that is the sub-FFT length, not N).
-template <typename T>
-Pow2Key resolve_pow2_key(const PlanCache& cache, std::uint64_t n,
-                         unsigned threshold_log2) {
-  Pow2Key r;
-  r.key.n = n;
-  r.key.kind = routed_plan_kind(n, threshold_log2);
-  r.key.precision = precision_of<T>;
-  if (r.key.kind == PlanKind::kHierarchical) {
-    const std::optional<TunedSchedule> tuned =
-        cache.tuned_for(n, precision_of<T>, kernels::active_kernel_isa());
-    r.key.hier_leaf_log2 =
-        tuned && tuned->hier_leaf_log2 != 0
-            ? tuned->hier_leaf_log2
-            : hierarchical_leaf_log2(util::cache_info().l2_bytes,
-                                     sizeof(cplx_t<T>));
-    r.block_rows = tuned ? tuned->hier_block_rows : 0;
-  }
-  return r;
-}
-
 /// Grows `bufs` to at least `workers` per-worker buffers of at least `len`
 /// elements each. Never shrinks: traffic alternating sizes must not
 /// reallocate on every switch. A grown buffer starts afresh: callers use
@@ -296,17 +248,18 @@ void bluestein_chain(std::span<cplx_t<T>> data,
 
 /// Runs `one(data, worker)` once per transform of `batch`: a plain loop on
 /// a one-worker team, otherwise ONE FIFO phase with one whole-transform
-/// codelet per transform.
+/// codelet per transform, seeded from `seeds` (the executor's reused
+/// buffer).
 template <typename T, typename One>
 void for_each_transform(codelet::HostRuntime& rt,
+                        std::vector<CodeletKey>& seeds,
                         std::span<const std::span<cplx_t<T>>> batch,
                         const One& one) {
   if (rt.workers() == 1) {
     for (const std::span<cplx_t<T>>& data : batch) one(data, 0u);
     return;
   }
-  std::vector<CodeletKey> seeds;
-  seeds.reserve(batch.size());
+  seeds.clear();
   for (std::uint64_t b = 0; b < batch.size(); ++b) seeds.push_back({0, b});
   rt.run_phase(seeds, PoolPolicy::kFifo,
                [&](CodeletKey key, unsigned worker, codelet::Pusher&) {
@@ -335,27 +288,20 @@ void FftExecutor::run_t(std::span<const std::span<cplx_t<T>>> batch,
 
   // Resolve the route and its plan entries before taking the lock (the
   // cache has its own finer lock). Non-pow2 sizes route on factorization
-  // alone.
+  // alone. Every key is a function of (n, kind, precision): a
+  // hierarchical key leaves its leaf to the cache, which derives it from
+  // the host L2. Bluestein's M-point convolution takes the key a direct
+  // M-point call builds, so the two share one entry.
   const unsigned threshold =
       hierarchical_threshold_log2_.load(std::memory_order_relaxed);
   const PlanKind kind = routed_plan_kind(n, threshold);
-  std::shared_ptr<const PlanEntry> entry;
+  const std::shared_ptr<const PlanEntry> entry =
+      cache_.acquire(PlanKey{n, kind, precision_of<T>});
   std::shared_ptr<const PlanEntry> conv;
-  std::uint64_t block_rows = 0;
-  if (kind == PlanKind::kMixedRadix) {
-    entry = cache_.acquire(PlanKey{n, PlanKind::kMixedRadix, precision_of<T>,
-                                   /*hier_leaf_log2=*/0,
-                                   factorization_digest(factorize(n))});
-  } else if (kind == PlanKind::kBluestein) {
-    entry = cache_.acquire(PlanKey{n, PlanKind::kBluestein, precision_of<T>});
-    const Pow2Key inner =
-        resolve_pow2_key<T>(cache_, bluestein_fft_size(n), threshold);
-    conv = cache_.acquire(inner.key);
-    block_rows = inner.block_rows;
-  } else {
-    const Pow2Key direct = resolve_pow2_key<T>(cache_, n, threshold);
-    entry = cache_.acquire(direct.key);
-    block_rows = direct.block_rows;
+  if (kind == PlanKind::kBluestein) {
+    const std::uint64_t m = bluestein_fft_size(n);
+    conv = cache_.acquire(
+        PlanKey{m, routed_plan_kind(m, threshold), precision_of<T>});
   }
   // A hierarchical plan (direct, or as Bluestein's convolution) schedules
   // its own tile pipeline, which cannot nest inside a codelet, so it runs
@@ -376,12 +322,11 @@ void FftExecutor::run_t(std::span<const std::span<cplx_t<T>>> batch,
   } else {
     for (const std::span<cplx_t<T>>& data : batch) {
       if (kind == PlanKind::kHierarchical)
-        run_hierarchical_locked<T>(*entry, data, rt, dir, block_rows,
-                                   /*depth=*/0);
+        run_hierarchical_locked<T>(*entry, data, rt, dir, /*depth=*/0);
       else if (kind == PlanKind::kMixedRadix)
         run_mixed_radix_locked<T>(*entry, data, rt, dir);
       else
-        run_bluestein_locked<T>(*entry, *conv, data, rt, dir, block_rows);
+        run_bluestein_locked<T>(*entry, *conv, data, rt, dir);
     }
   }
   const std::uint64_t count = batch.size();
@@ -403,7 +348,7 @@ void FftExecutor::run_serial_locked(const PlanEntry& entry,
     const MixedRadixPlan& plan = entry.mixed_plan();
     const std::span<const cplx_t<T>> tw = entry.mixed_twiddles_for<T>(dir);
     size_per_worker(st.work, workers, plan.size());
-    for_each_transform<T>(rt, batch,
+    for_each_transform<T>(rt, seeds_, batch,
                           [&](std::span<cplx_t<T>> data, unsigned w) {
                             mixed_radix_serial<T>(plan, tw, data, st.work[w],
                                                   dir);
@@ -418,14 +363,13 @@ void FftExecutor::run_serial_locked(const PlanEntry& entry,
   const std::uint64_t len = (conv != nullptr ? *conv : entry).key().n;
   size_per_worker(st.split, workers, 3 * len);
   const std::span<const std::uint32_t> brev(bitrev_table_locked(len));
-  const unsigned fuse_log2 = tuned_fuse_locked<T>(len);
   const auto fft = [&](std::span<cplx_t<T>> data,
                        const BasicTwiddleTable<T>& tw, unsigned w) {
-    run_transform_split(data, tw, brev, st.split[w].data(), fuse_log2);
+    run_transform_split(data, tw, brev, st.split[w].data());
   };
   if (conv == nullptr) {
     const BasicTwiddleTable<T>& tw = entry.twiddles_for<T>(dir);
-    for_each_transform<T>(rt, batch,
+    for_each_transform<T>(rt, seeds_, batch,
                           [&](std::span<cplx_t<T>> data, unsigned w) {
                             fft(data, tw, w);
                           });
@@ -439,7 +383,7 @@ void FftExecutor::run_serial_locked(const PlanEntry& entry,
   const std::span<const cplx_t<T>> bfft = entry.chirp_fft_for<T>(dir);
   size_per_worker(st.work, workers, len);
   for_each_transform<T>(
-      rt, batch, [&](std::span<cplx_t<T>> data, unsigned w) {
+      rt, seeds_, batch, [&](std::span<cplx_t<T>> data, unsigned w) {
         const std::span<cplx_t<T>> buf(st.work[w].data(), len);
         bluestein_chain<T>(data, chirp, bfft, buf, [&](TwiddleDirection inner) {
           fft(buf, inner == TwiddleDirection::kForward ? tw_fwd : tw_inv, w);
@@ -465,10 +409,9 @@ void FftExecutor::run_mixed_radix_locked(const PlanEntry& entry,
   {
     const SweepGrain grain = bitrev_sweep_grain(n, rt.workers());
     const std::uint64_t per = grain.per;
-    std::vector<CodeletKey> seeds;
-    seeds.reserve(grain.chunks);
-    for (std::uint64_t c = 0; c < grain.chunks; ++c) seeds.push_back({0, c});
-    rt.run_phase(seeds, PoolPolicy::kFifo,
+    seeds_.clear();
+    for (std::uint64_t c = 0; c < grain.chunks; ++c) seeds_.push_back({0, c});
+    rt.run_phase(seeds_, PoolPolicy::kFifo,
                  [&](CodeletKey key, unsigned, codelet::Pusher&) {
                    const std::uint64_t b = key.index * per;
                    mixed_radix_permute<T>(plan, cdata, scratch, b,
@@ -486,11 +429,10 @@ void FftExecutor::run_mixed_radix_locked(const PlanEntry& entry,
     const std::uint64_t chunks =
         std::min<std::uint64_t>(g_count, std::uint64_t{rt.workers()} * 4);
     const std::uint64_t per = util::ceil_div(g_count, chunks);
-    std::vector<CodeletKey> seeds;
-    seeds.reserve(chunks);
-    for (std::uint64_t c = 0; c < chunks; ++c) seeds.push_back({s, c});
+    seeds_.clear();
+    for (std::uint64_t c = 0; c < chunks; ++c) seeds_.push_back({s, c});
     const std::span<const cplx_t<T>> src = (s == 0) ? cscratch : cdata;
-    rt.run_phase(seeds, PoolPolicy::kFifo,
+    rt.run_phase(seeds_, PoolPolicy::kFifo,
                  [&](CodeletKey key, unsigned, codelet::Pusher&) {
                    const std::uint64_t b = key.index * per;
                    run_mixed_radix_stage<T>(plan, s, tw, src, data, b,
@@ -504,8 +446,7 @@ void FftExecutor::run_bluestein_locked(const PlanEntry& entry,
                                        const PlanEntry& conv,
                                        std::span<cplx_t<T>> data,
                                        codelet::HostRuntime& rt,
-                                       TwiddleDirection dir,
-                                       std::uint64_t tuned_block_rows) {
+                                       TwiddleDirection dir) {
   // The convolution buffer is worker 0's `work`: the inner pipeline uses
   // hier_scratch, never `work`, so the chirp-modulated signal survives
   // the inner transforms.
@@ -517,19 +458,8 @@ void FftExecutor::run_bluestein_locked(const PlanEntry& entry,
                      entry.chirp_fft_for<T>(dir), buf,
                      [&](TwiddleDirection inner) {
                        run_hierarchical_locked<T>(conv, buf, rt, inner,
-                                                  tuned_block_rows,
                                                   /*depth=*/0);
                      });
-}
-
-template <typename T>
-unsigned FftExecutor::tuned_fuse_locked(std::uint64_t n) {
-  if (const std::optional<TunedSchedule> tuned =
-          cache_.tuned_for(n, precision_of<T>, kernels::active_kernel_isa())) {
-    ++schedule_hits_;
-    return tuned->fuse_log2;
-  }
-  return kernels::kDefaultFuseLog2;
 }
 
 template <typename T>
@@ -537,7 +467,6 @@ void FftExecutor::run_hierarchical_locked(const PlanEntry& entry,
                                           std::span<cplx_t<T>> data,
                                           codelet::HostRuntime& rt,
                                           TwiddleDirection dir,
-                                          std::uint64_t tuned_block_rows,
                                           unsigned depth) {
   // Index algebra (forward; kInverse conjugates every W below): with
   // j = j1*n2 + j2 and k = k2*n1 + k1,
@@ -561,11 +490,13 @@ void FftExecutor::run_hierarchical_locked(const PlanEntry& entry,
   //
   // T1[i] -> T2[i] is a direct LIFO push (the worker that gathered the
   // panel immediately sweeps it while it is cache-hot), while every T4[j]
-  // fans in from all B1 column blocks through a per-block dependency
-  // counter — a T4 row is a twiddled COLUMN of s, so a row block is ready
-  // only once every column sweep has landed. The transpose of one block
-  // therefore overlaps the butterfly sweep of another with no full-array
-  // sync point anywhere.
+  // fans in from all B1 column blocks — a T4 row is a twiddled COLUMN of
+  // s, so a row block is ready only once every column sweep has landed.
+  // Since every T4 waits on the same B1 arrivals, the paper's shared
+  // sibling counter (§IV-A2) holds at its limit: ONE counter serves all
+  // B2 T4s, and the T2 that completes it releases them together. The
+  // transpose of one block therefore overlaps the butterfly sweep of
+  // another, and the only sync point is that one fan-in.
   //
   // T4 is the fused heart of the path: the twiddled n1 x n2 matrix is
   // never materialized. Each T4 twiddle-gathers its own block_rows2 rows
@@ -618,7 +549,7 @@ void FftExecutor::run_hierarchical_locked(const PlanEntry& entry,
     transpose_blocked(std::span<const cplx_t<T>>(data.data(), n), s, n1, n2);
     for (std::uint64_t r = 0; r < n2; ++r)
       run_hierarchical_locked<T>(*entry.col_entry(), s.subspan(r * n1, n1),
-                                 rt, dir, tuned_block_rows, depth + 1);
+                                 rt, dir, depth + 1);
   }
 
   // Per-worker buffer prep AFTER any recursion (the inner levels grow
@@ -627,29 +558,24 @@ void FftExecutor::run_hierarchical_locked(const PlanEntry& entry,
   const BasicTwiddleTable<T>& row_tw = entry.row_entry()->twiddles_for<T>(dir);
   const BasicTwiddleTable<T>* col_tw = nullptr;
   std::span<const std::uint32_t> brev1;
-  unsigned col_fuse = 0;
   if (single_level) {
     col_tw = &entry.col_entry()->twiddles_for<T>(dir);
     brev1 = std::span<const std::uint32_t>(bitrev_table_locked(n1));
-    col_fuse = tuned_fuse_locked<T>(n1);
   }
   const std::span<const std::uint32_t> brev2(bitrev_table_locked(n2));
-  const unsigned row_fuse = tuned_fuse_locked<T>(n2);
   size_per_worker(st.split, workers,
                   3 * (single_level ? std::max(n1, n2) : n2));
-  if (keys_buf_.size() < workers) keys_buf_.resize(workers);
 
   const HierarchicalGrain grain =
       hierarchical_grain(n1, n2, workers, sizeof(cplx_t<T>),
-                         util::cache_info().l2_bytes, tuned_block_rows);
+                         util::cache_info().l2_bytes);
   const std::uint64_t br1 = grain.block_rows1;
   const std::uint64_t B1 = grain.blocks1;
   const std::uint64_t br2 = grain.block_rows2;
   const std::uint64_t B2 = grain.blocks2;
 
   // Per-worker T4 panel: block_rows2 contiguous n2-point rows. Sized to
-  // the largest grain seen (tuned block rows included) and huge-page
-  // advised like s.
+  // the largest grain seen and huge-page advised like s.
   if (st.hier_panel.size() < workers) st.hier_panel.resize(workers);
   for (unsigned w = 0; w < workers; ++w)
     if (st.hier_panel[w].size() < br2 * n2) {
@@ -661,21 +587,18 @@ void FftExecutor::run_hierarchical_locked(const PlanEntry& entry,
   const cplx_t<T> w1 = unit_root<T>(n, 1, dir);
   const kernels::KernelDispatch<T>& K = kernels::active_kernels<T>();
 
-  // Stage layout {T1, T2, T4}: only T4 fans in through the counters (the
-  // T1 -> T2 edge is a direct push), so stages 0/1 have zero groups. A
-  // multi-level tail has no T1/T2 tasks at all — the recursion finished s
-  // before the phase — so its T4s seed unguarded.
-  const std::uint64_t groups_per_stage[3] = {0, 0, single_level ? B2 : 0};
-  const std::uint32_t thresholds[3] = {1, 1, static_cast<std::uint32_t>(B1)};
-  codelet::DependencyCounters counters(groups_per_stage, thresholds);
-
-  std::vector<CodeletKey> seeds;
-  seeds.reserve(single_level ? B1 : B2);
-  if (single_level) {
-    for (std::uint64_t i = 0; i < B1; ++i) seeds.push_back({0, i});
-  } else {
-    for (std::uint64_t j = 0; j < B2; ++j) seeds.push_back({2, j});
-  }
+  // Stage layout {T1, T2, T4}. seeds_ holds the B1 T1 seeds followed by
+  // the B2 T4 keys, which the T2 completing the fan-in releases in j
+  // order. A multi-level tail has no T1/T2 tasks at all — the recursion
+  // finished s before the phase — so its T4s seed unguarded.
+  seeds_.clear();
+  if (single_level)
+    for (std::uint64_t i = 0; i < B1; ++i) seeds_.push_back({0, i});
+  for (std::uint64_t j = 0; j < B2; ++j) seeds_.push_back({2, j});
+  const std::span<const CodeletKey> all(seeds_);
+  const std::span<const CodeletKey> t4 = all.last(B2);
+  const std::span<const CodeletKey> seeds = single_level ? all.first(B1) : t4;
+  std::atomic<std::uint64_t> columns_done{0};
 
   rt.run_phase(seeds, PoolPolicy::kLifo, [&](CodeletKey key, unsigned worker,
                                              codelet::Pusher& pusher) {
@@ -706,18 +629,16 @@ void FftExecutor::run_hierarchical_locked(const PlanEntry& entry,
     }
     if (key.stage == 1) {
       // T2: column FFTs over the block's rows of s, in place (single-level
-      // only; a multi-level tail has no stage-1 tasks), then release every
-      // T4 whose fan-in completes with this block.
+      // only; a multi-level tail has no stage-1 tasks). The last column
+      // block to land releases every T4; acq_rel orders every T2's sweep
+      // before the release.
       const std::uint64_t r0b = key.index * br1;
       const std::uint64_t rend = std::min(n2, r0b + br1);
       for (std::uint64_t r = r0b; r < rend; ++r)
         run_transform_split(s.subspan(r * n1, n1), *col_tw, brev1,
-                            st.split[worker].data(), col_fuse);
-      std::vector<CodeletKey>& keys = keys_buf_[worker];
-      keys.clear();
-      for (std::uint64_t j = 0; j < B2; ++j)
-        if (counters.arrive(2, j)) keys.push_back({2, j});
-      if (!keys.empty()) pusher.push_batch(keys);
+                            st.split[worker].data());
+      if (columns_done.fetch_add(1, std::memory_order_acq_rel) + 1 == B1)
+        pusher.push_batch(t4);
       return;
     }
     // T4: twiddle-gather the block's rows — twiddled columns of s — into
@@ -741,7 +662,7 @@ void FftExecutor::run_hierarchical_locked(const PlanEntry& entry,
     }
     for (std::uint64_t r = r0b; r < rend; ++r)
       run_transform_split(std::span<cplx_t<T>>(panel + (r - r0b) * n2, n2),
-                          row_tw, brev2, st.split[worker].data(), row_fuse);
+                          row_tw, brev2, st.split[worker].data());
     for (std::uint64_t r0 = r0b; r0 < rend; r0 += kTransposeTile) {
       const std::uint64_t rmax = std::min(rend, r0 + kTransposeTile);
       for (std::uint64_t c0 = 0; c0 < n2; c0 += kTransposeTile) {
@@ -753,6 +674,14 @@ void FftExecutor::run_hierarchical_locked(const PlanEntry& entry,
     }
   });
 }
+
+// The test peer (FftExecutorTestPeer) drives this body directly.
+template void FftExecutor::run_hierarchical_locked<double>(
+    const PlanEntry&, std::span<cplx>, codelet::HostRuntime&, TwiddleDirection,
+    unsigned);
+template void FftExecutor::run_hierarchical_locked<float>(
+    const PlanEntry&, std::span<cplx32>, codelet::HostRuntime&,
+    TwiddleDirection, unsigned);
 
 void FftExecutor::forward(std::span<cplx> data, const HostFftOptions& opts) {
   const std::span<cplx> one[1] = {data};
@@ -855,17 +784,6 @@ unsigned FftExecutor::hierarchical_threshold_log2() const {
   return hierarchical_threshold_log2_.load(std::memory_order_relaxed);
 }
 
-void FftExecutor::set_schedules(ScheduleSet schedules) {
-  cache_.set_schedules(std::move(schedules));
-}
-
-std::size_t FftExecutor::load_schedules(const std::string& path) {
-  ScheduleSet schedules = ScheduleSet::load_file(path);
-  const std::size_t count = schedules.size();
-  cache_.set_schedules(std::move(schedules));
-  return count;
-}
-
 unsigned FftExecutor::default_workers() const {
   std::lock_guard lock(mutex_);
   return opts_.workers;
@@ -878,7 +796,7 @@ void FftExecutor::shutdown() {
 
 void FftExecutor::shutdown_locked() {
   runtime_.reset();
-  keys_buf_.clear();
+  seeds_ = {};
   f64_ = {};
   f32_ = {};
   bitrev_tables_.clear();
@@ -918,7 +836,6 @@ ExecutorStats FftExecutor::stats() const {
   s.mixed_radix = mixed_radix_;
   s.bluestein = bluestein_;
   s.teams_created = teams_created_;
-  s.schedule_hits = schedule_hits_;
   return s;
 }
 

@@ -31,8 +31,8 @@
 // — recursively applied until every sub-FFT's working set fits the
 // targeted cache level, and executed as ONE tile-granular
 // dependency-counted pipeline phase per level: the gather-transpose of
-// one tile block overlaps the butterfly sweep of another, and per-block
-// counter fan-ins replace every full-array sync point. It has no serial
+// one tile block overlaps the butterfly sweep of another, and one shared
+// counter over the column sweeps is the only fan-in. It has no serial
 // body: the pipeline runs once per transform on every team. The routing
 // threshold is env-overridable and read at construction only (see the
 // constructor and reconfigure()). See DESIGN.md "Hierarchical
@@ -57,7 +57,7 @@
 #include <mutex>
 #include <optional>
 #include <span>
-#include <string>
+#include <stdexcept>
 #include <type_traits>
 #include <vector>
 
@@ -116,12 +116,10 @@ struct HierarchicalGrain {
 /// the executor runs: a block's row panel targets half of `l2_bytes`
 /// (leaving the other half for the destination tiles streaming through),
 /// capped so at least workers*4 blocks exist to overlap, rounded down to
-/// a tile-edge multiple. `tuned_block_rows` (a TunedSchedule's
-/// hier_block_rows; 0 = policy default) overrides the panel target.
+/// a tile-edge multiple.
 HierarchicalGrain hierarchical_grain(std::uint64_t n1, std::uint64_t n2,
                                      unsigned workers, unsigned element_bytes,
-                                     std::uint64_t l2_bytes,
-                                     std::uint64_t tuned_block_rows);
+                                     std::uint64_t l2_bytes);
 
 /// The PlanKind run_t routes an n-point transform to. Non-pow2 sizes are
 /// decided first, by factorization alone: 7-smooth composites run
@@ -159,8 +157,6 @@ struct ExecutorEnvSnapshot {
   /// C64FFT_HIERARCHICAL_THRESHOLD_LOG2 (0 disables the hierarchical
   /// path).
   std::optional<unsigned> hierarchical_threshold_log2;
-  /// C64FFT_SCHEDULE — path of a tuned-schedule JSON file.
-  std::optional<std::string> schedule_path;
 };
 
 /// Read every executor env knob once, into one snapshot (no caching: each
@@ -194,11 +190,13 @@ struct ExecutorStats {
   std::uint64_t bluestein = 0;
   /// Worker teams this executor created over its lifetime.
   std::uint64_t teams_created = 0;
-  /// Plan-shape lookups answered by a loaded tuned schedule (one per
-  /// classic dispatch or hierarchical sub-FFT sweep whose size/precision/
-  /// ISA matched an entry — the observable proof a schedule file is live).
-  std::uint64_t schedule_hits = 0;
 };
+
+/// Test-only peer (defined by the hierarchical tests): runs one transform
+/// over a plan split with a forced leaf, the only way to reach the
+/// multi-level recursion at sizes a test can afford. No public knob
+/// exists for the leaf: production derives it from the host L2.
+struct FftExecutorTestPeer;
 
 class FftExecutor {
  public:
@@ -207,15 +205,12 @@ class FftExecutor {
   ///  * C64FFT_WORKERS                 — default team size (>= 1)
   ///  * C64FFT_HIERARCHICAL_THRESHOLD_LOG2 — hierarchical routing
   ///                                     threshold (0 disables the path)
-  ///  * C64FFT_SCHEDULE                — path of a tuned-schedule JSON
-  ///                                     file (tools/fft_tune --emit)
-  ///                                     loaded into the plan cache
-  /// All of them arrive via ONE ExecutorEnvSnapshot (read_executor_env),
-  /// the single list of env knobs shared with reconfigure(). A variable
-  /// that is unset or fails to parse leaves the corresponding option
-  /// untouched (an unreadable or malformed schedule file is likewise
-  /// ignored — use load_schedules() for a throwing load). Call
-  /// reconfigure() to re-read them after warm-up.
+  /// Both arrive via ONE ExecutorEnvSnapshot (read_executor_env), the
+  /// single list of env knobs shared with reconfigure(). A variable that
+  /// is unset or fails to parse leaves the corresponding option
+  /// untouched. The constructor also re-reads C64FFT_ISA (see
+  /// kernels::reset_kernel_isa_from_env). Call reconfigure() to re-read
+  /// them after warm-up.
   explicit FftExecutor(const ExecutorOptions& opts = {});
   ~FftExecutor();
 
@@ -274,18 +269,6 @@ class FftExecutor {
   void set_hierarchical_threshold_log2(unsigned log2n);
   unsigned hierarchical_threshold_log2() const;
 
-  /// Install a tuned-schedule set (tools/fft_tune output): subsequent
-  /// sweeps whose (size, precision, active kernel ISA) match an entry use
-  /// its fuse_log2, and hierarchical sizes its leaf and block rows. Every
-  /// schedule computes bit-identical results; only throughput moves.
-  void set_schedules(ScheduleSet schedules);
-
-  /// load_file + set_schedules; returns the number of schedules loaded.
-  /// Throws (std::runtime_error / std::invalid_argument) on an unreadable
-  /// or malformed file — the strict counterpart of the forgiving
-  /// C64FFT_SCHEDULE env path.
-  std::size_t load_schedules(const std::string& path);
-
   /// Team size the option-less overloads currently use (after the
   /// constructor/reconfigure() env snapshot). Read under the executor
   /// lock, so it never races resize()/reconfigure().
@@ -319,12 +302,14 @@ class FftExecutor {
   ExecutorStats stats() const;
 
  private:
+  friend struct FftExecutorTestPeer;
+
   /// Per-precision mutable working set: the per-worker split scratch of
   /// the whole-transform sweep, the hierarchical buffers and the
   /// per-worker `work` buffers below. One instance per element width so
   /// alternating precisions never thrash each other's allocations; the
-  /// worker team, key buffers, and bit-reversal index tables stay shared
-  /// (they are precision-independent).
+  /// worker team, the seeds buffer, and bit-reversal index tables stay
+  /// shared (they are precision-independent).
   template <typename T>
   struct NumericState {
     /// Per-worker split scratch of run_transform_split: 3n scalars for the
@@ -384,16 +369,16 @@ class FftExecutor {
   /// One hierarchical transform (mutex_ held), recursive over the plan
   /// entry's column chain. The single-level body runs ONE runtime phase of
   /// dependency-counted tile-block tasks — gather-transpose of block i+1
-  /// and the twiddle-scatter of block i overlap the butterfly sweep of
-  /// block i-1, with a per-scatter-block counter fan-in gating each row
-  /// sweep — instead of five barrier-separated full-array passes.
+  /// overlaps the column sweep of block i, and one counter over all
+  /// column blocks releases every fused row block — instead of five
+  /// barrier-separated full-array passes.
   /// Multi-level entries first recurse per column row, then pipeline the
   /// scatter/row-sweep/writeback tail. Output is bit-identical across
   /// team sizes, block grains and kernel ISA tiers.
   template <typename T>
   void run_hierarchical_locked(const PlanEntry& entry, std::span<cplx_t<T>> data,
                                codelet::HostRuntime& rt, TwiddleDirection dir,
-                               std::uint64_t tuned_block_rows, unsigned depth);
+                               unsigned depth);
   /// One phased mixed-radix transform (mutex_ held): digit-reversal
   /// permutation into the ping buffer as a chunked phase, then one
   /// data-parallel phase per stage over its butterfly groups (butterflies
@@ -404,17 +389,11 @@ class FftExecutor {
                               codelet::HostRuntime& rt, TwiddleDirection dir);
   /// One Bluestein chirp-z transform over a hierarchical convolution
   /// (mutex_ held): the chirp chain around two inner M-point pipelines on
-  /// `conv` with `tuned_block_rows`. A classic convolution runs the serial
-  /// body instead.
+  /// `conv`. A classic convolution runs the serial body instead.
   template <typename T>
   void run_bluestein_locked(const PlanEntry& entry, const PlanEntry& conv,
                             std::span<cplx_t<T>> data, codelet::HostRuntime& rt,
-                            TwiddleDirection dir, std::uint64_t tuned_block_rows);
-  /// Tuned fuse_log2 for a plan of size `n` at precision T under the
-  /// process-active kernel ISA (mutex_ held — bumps schedule_hits_);
-  /// kernels::kDefaultFuseLog2 when no schedule matches.
-  template <typename T>
-  unsigned tuned_fuse_locked(std::uint64_t n);
+                            TwiddleDirection dir);
   void apply_env_overrides();
   /// Join the team and drop the per-worker buffers (mutex_ held) — the
   /// shared body of shutdown() and close().
@@ -438,8 +417,10 @@ class FftExecutor {
   /// Guards the team, the per-worker buffers, and phase execution.
   mutable std::mutex mutex_;
   std::unique_ptr<codelet::HostRuntime> runtime_;
-  /// Per-worker release lists of the hierarchical pipeline's T2 tasks.
-  std::vector<std::vector<codelet::CodeletKey>> keys_buf_;
+  /// Seeds of every phase the executor runs (mutex_ held), reused so a
+  /// warm phase allocates none. The hierarchical body also parks its T4
+  /// release list here, behind the T1 seeds.
+  std::vector<codelet::CodeletKey> seeds_;
   NumericState<double> f64_;
   NumericState<float> f32_;
   /// Bit-reversal index tables keyed by row length, shared across
@@ -453,7 +434,6 @@ class FftExecutor {
   std::uint64_t mixed_radix_ = 0;
   std::uint64_t bluestein_ = 0;
   std::uint64_t teams_created_ = 0;
-  std::uint64_t schedule_hits_ = 0;
 };
 
 /// The process-wide executor the api.cpp wrappers dispatch through.

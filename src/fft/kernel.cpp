@@ -37,7 +37,7 @@ void chain_impl(std::span<cplx_t<T>> chain, std::uint64_t base, std::uint64_t st
 template <typename T>
 void run_codelet_impl(const FftPlan& plan, std::uint32_t stage, std::uint64_t task,
                       std::span<cplx_t<T>> data, const BasicTwiddleTable<T>& twiddles,
-                      BasicKernelScratch<T>& scratch, unsigned fuse_log2) {
+                      BasicKernelScratch<T>& scratch) {
   const StageInfo& st = plan.stage(stage);
   assert(scratch.re.size() >= plan.radix());
   assert(twiddles.fft_size() == plan.size());
@@ -57,8 +57,7 @@ void run_codelet_impl(const FftPlan& plan, std::uint32_t stage, std::uint64_t ta
 
     K.chain_split(re, im, st.chain_len, base, st.chain_stride,
                   plan.radix_log2() * stage, st.levels, plan.log2_size(),
-                  twiddles, scratch.tw_re.data(), scratch.tw_im.data(),
-                  fuse_log2);
+                  twiddles, scratch.tw_re.data(), scratch.tw_im.data());
 
     // Scatter back in place, re-interleaving.
     K.scatter_merge(re, im, st.chain_len, data.data() + base, st.chain_stride);
@@ -69,7 +68,7 @@ template <typename T>
 void run_transform_split_impl(std::span<cplx_t<T>> data,
                               const BasicTwiddleTable<T>& twiddles,
                               std::span<const std::uint32_t> bitrev_idx,
-                              T* split, unsigned fuse_log2) {
+                              T* split) {
   const std::uint64_t n = data.size();
   assert(n >= 2 && util::is_pow2(n));
   assert(bitrev_idx.size() >= n);
@@ -92,7 +91,7 @@ void run_transform_split_impl(std::span<cplx_t<T>> data,
   // from the first level to the last.
   const unsigned log2n = util::ilog2(n);
   K.chain_split(re, im, n, /*base=*/0, /*stride=*/1, /*first_level=*/0,
-                log2n, log2n, twiddles, tw_re, tw_im, fuse_log2);
+                log2n, log2n, twiddles, tw_re, tw_im);
 
   // Contiguous re-interleave of the whole transform.
   K.scatter_merge(re, im, n, data.data(), 1);
@@ -145,8 +144,7 @@ void butterfly_chain_split(double* re, double* im, std::uint64_t len,
                            double* tw_re, double* tw_im) {
   kernels::detail::chain_split_generic<double>(re, im, len, base, stride,
                                                first_level, levels, log2n,
-                                               twiddles, tw_re, tw_im,
-                                               kernels::kDefaultFuseLog2);
+                                               twiddles, tw_re, tw_im);
 }
 
 void butterfly_chain_split(float* re, float* im, std::uint64_t len,
@@ -156,34 +154,31 @@ void butterfly_chain_split(float* re, float* im, std::uint64_t len,
                            float* tw_re, float* tw_im) {
   kernels::detail::chain_split_generic<float>(re, im, len, base, stride,
                                               first_level, levels, log2n,
-                                              twiddles, tw_re, tw_im,
-                                              kernels::kDefaultFuseLog2);
+                                              twiddles, tw_re, tw_im);
 }
 
 void run_codelet(const FftPlan& plan, std::uint32_t stage, std::uint64_t task,
                  std::span<cplx> data, const TwiddleTable& twiddles,
-                 KernelScratch& scratch, unsigned fuse_log2) {
-  run_codelet_impl<double>(plan, stage, task, data, twiddles, scratch, fuse_log2);
+                 KernelScratch& scratch) {
+  run_codelet_impl<double>(plan, stage, task, data, twiddles, scratch);
 }
 
 void run_codelet(const FftPlan& plan, std::uint32_t stage, std::uint64_t task,
                  std::span<cplx32> data, const TwiddleTableF& twiddles,
-                 KernelScratchF& scratch, unsigned fuse_log2) {
-  run_codelet_impl<float>(plan, stage, task, data, twiddles, scratch, fuse_log2);
+                 KernelScratchF& scratch) {
+  run_codelet_impl<float>(plan, stage, task, data, twiddles, scratch);
 }
 
 void run_transform_split(std::span<cplx> data, const TwiddleTable& twiddles,
                          std::span<const std::uint32_t> bitrev_idx,
-                         double* split, unsigned fuse_log2) {
-  run_transform_split_impl<double>(data, twiddles, bitrev_idx, split,
-                                   fuse_log2);
+                         double* split) {
+  run_transform_split_impl<double>(data, twiddles, bitrev_idx, split);
 }
 
 void run_transform_split(std::span<cplx32> data, const TwiddleTableF& twiddles,
                          std::span<const std::uint32_t> bitrev_idx,
-                         float* split, unsigned fuse_log2) {
-  run_transform_split_impl<float>(data, twiddles, bitrev_idx, split,
-                                  fuse_log2);
+                         float* split) {
+  run_transform_split_impl<float>(data, twiddles, bitrev_idx, split);
 }
 
 void run_codelet_scalar(const FftPlan& plan, std::uint32_t stage, std::uint64_t task,

@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <span>
 
-#include "fft/kernels/dispatch.hpp"
 #include "fft/plan.hpp"
 #include "fft/twiddle.hpp"
 #include "fft/types.hpp"
@@ -52,17 +51,13 @@ using KernelScratchF = BasicKernelScratch<float>;
 /// touch disjoint elements. Bit-identical to run_codelet_scalar.
 ///
 /// All loops route through the process-active SIMD kernel table
-/// (fft/kernels/dispatch.hpp). `fuse_log2` is the tuner's stage-fusion
-/// knob (how many leading butterfly levels fuse into one pass — see
-/// kernels::kDefaultFuseLog2); every setting is bit-identical.
+/// (fft/kernels/dispatch.hpp).
 void run_codelet(const FftPlan& plan, std::uint32_t stage, std::uint64_t task,
                  std::span<cplx> data, const TwiddleTable& twiddles,
-                 KernelScratch& scratch,
-                 unsigned fuse_log2 = kernels::kDefaultFuseLog2);
+                 KernelScratch& scratch);
 void run_codelet(const FftPlan& plan, std::uint32_t stage, std::uint64_t task,
                  std::span<cplx32> data, const TwiddleTableF& twiddles,
-                 KernelScratchF& scratch,
-                 unsigned fuse_log2 = kernels::kDefaultFuseLog2);
+                 KernelScratchF& scratch);
 
 /// One whole pow2 transform of n = data.size() points as ONE split-complex
 /// sweep: the bit-reversal permutation fused into the deinterleaving
@@ -83,12 +78,10 @@ void run_codelet(const FftPlan& plan, std::uint32_t stage, std::uint64_t task,
 /// halves of the per-level twiddle span (n/2 each).
 void run_transform_split(std::span<cplx> data, const TwiddleTable& twiddles,
                          std::span<const std::uint32_t> bitrev_idx,
-                         double* split,
-                         unsigned fuse_log2 = kernels::kDefaultFuseLog2);
+                         double* split);
 void run_transform_split(std::span<cplx32> data, const TwiddleTableF& twiddles,
                          std::span<const std::uint32_t> bitrev_idx,
-                         float* split,
-                         unsigned fuse_log2 = kernels::kDefaultFuseLog2);
+                         float* split);
 
 /// Reference scalar implementation on std::complex scratch (the original
 /// kernel): kept for unit tests and the vectorized-vs-old benchmark.

@@ -34,7 +34,6 @@ util::IsaLevel resolve_active() {
 template <typename T>
 const KernelDispatch<T>& kernels_for(util::IsaLevel level) {
 #if defined(C64FFT_KERNELS_AVX2)
-  if (level == util::IsaLevel::kAvx512) return detail::avx512_table<T>();
   if (level == util::IsaLevel::kAvx2) return detail::avx2_table<T>();
 #endif
   (void)level;

@@ -7,25 +7,22 @@
 // permuted), the mixed-radix stage butterflies, and the tiled-transpose
 // copy — is
 // reached through one KernelDispatch<T> of function pointers instead of
-// being compiled inline. Three tables
+// being compiled inline. Two tables
 // exist per precision:
 //
 //   scalar  — the portable kernels (the pre-existing autovectorized
 //             loops), compiled at the build's baseline ISA. Always valid;
 //             this is the oracle every other table is tested against.
 //   avx2    — 256-bit AVX2 kernels (kernels_avx2.cpp, compiled with
-//             -mavx2 for just that translation unit).
-//   avx512  — the AVX2 table's function pointers under the avx512 level
-//             and id (kernels_avx2.cpp): full 512-bit bodies measured
-//             slower than the 256-bit ones at codelet-sized working sets,
-//             so AVX-512 hosts run the AVX2 code while schedules, lint
-//             stamps and C64FFT_ISA keep naming the level they run at.
+//             -mavx2 for just that translation unit). AVX-512 hosts run
+//             these too: full 512-bit bodies measured slower than the
+//             256-bit ones at codelet-sized working sets.
 //
 // Which table is *active* is decided once, lazily, from the cpuid probe
 // (util::best_supported_isa) narrowed by the C64FFT_ISA environment
 // variable, and can be forced programmatically with set_kernel_isa()
-// (tests, the tuner, fft_lint --isa). A request the hardware cannot
-// execute clamps down, so dereferencing an active table is always safe.
+// (tests, fft_lint --isa). A request the hardware cannot execute clamps
+// down, so dereferencing an active table is always safe.
 //
 // Numerics contract: every SIMD kernel assigns one butterfly (or one
 // element) per vector lane and keeps the scalar kernel's per-element
@@ -47,26 +44,22 @@
 
 namespace c64fft::fft::kernels {
 
-/// Caps the fused first pass of chain_split: 3 = radix-8 (the default,
-/// and the historical behavior), 2 = radix-4, 0 = never fuse. A pure
-/// scheduling knob searched by tools/fft_tune — every setting computes
-/// bit-identical results, only the loop structure changes.
-inline constexpr unsigned kDefaultFuseLog2 = 3;
-
 template <typename T>
 struct KernelDispatch {
-  /// The table's ISA level and its stable id ("scalar"/"avx2"/"avx512") —
-  /// recorded by fft_lint pipeline reports and the tuner schedule file.
+  /// The table's ISA level and its stable id ("scalar"/"avx2") — recorded
+  /// by fft_lint pipeline reports.
   util::IsaLevel isa;
   const char* id;
 
   /// Butterfly levels over a gathered split-complex chain; the semantics
-  /// of fft::butterfly_chain_split plus the fuse_log2 schedule knob.
+  /// of fft::butterfly_chain_split. The leading levels run as one fused
+  /// radix-8 pass (radix-4 when only two levels are left, or when the
+  /// chain's twiddles do not qualify for radix-8), bit-identical to the
+  /// per-level loops.
   void (*chain_split)(T* re, T* im, std::uint64_t len, std::uint64_t base,
                       std::uint64_t stride, std::uint32_t first_level,
                       std::uint32_t levels, unsigned log2n,
-                      const BasicTwiddleTable<T>& twiddles, T* tw_re, T* tw_im,
-                      unsigned fuse_log2);
+                      const BasicTwiddleTable<T>& twiddles, T* tw_re, T* tw_im);
 
   /// Deinterleave `count` complex elements at src[k * stride] into re/im.
   void (*gather_split)(const cplx_t<T>* src, std::uint64_t stride,

@@ -7,11 +7,11 @@
 // These are the pre-existing autovectorized loops of kernel.cpp /
 // transpose.cpp, moved here verbatim so the scalar table
 // IS the historical path: C64FFT_ISA=scalar reproduces the previous
-// release bit-for-bit. The only addition is the fuse_log2 schedule knob,
-// which selects how many leading butterfly levels collapse into one
-// straight-line fused pass (radix-8, radix-4, or none) — a pure loop
+// release bit-for-bit. The leading butterfly levels collapse into one
+// straight-line fused pass (radix-8, else radix-4) — a pure loop
 // restructuring that performs the same operations on each element in the
-// same order, so every setting is bit-identical (asserted by tests).
+// same order, so it is bit-identical to the per-level loops (asserted by
+// tests).
 
 #include <cassert>
 #include <cstdint>
@@ -108,33 +108,30 @@ inline void fused4_group(T* __restrict r, T* __restrict i,
   butterfly_split(r, i, 1, 3, twr[2], twi[2]);
 }
 
-/// Attempt the fused first pass: picks the widest fusion allowed by
-/// fuse_log2/levels whose twiddle progression qualifies, runs it over the
-/// whole chain with `group` applied per 2^f-element block, and returns
-/// the level the per-level loops should resume from (0 when nothing
-/// fused). `run_groups(f, twr, twi)` is the caller-supplied sweep (SIMD
-/// kernels substitute register-blocked group sweeps).
+/// Attempt the fused first pass: picks the widest fusion (radix-8, then
+/// radix-4) the chain's levels allow whose twiddle progression qualifies,
+/// runs it over the whole chain with `group` applied per 2^f-element
+/// block, and returns the level the per-level loops should resume from
+/// (0 when nothing fused). `run_groups(f, twr, twi)` is the
+/// caller-supplied sweep (SIMD kernels substitute register-blocked group
+/// sweeps).
 template <typename T, typename RunGroups>
-inline std::uint32_t fused_first_pass(T* re, T* im, std::uint64_t len,
-                                      std::uint64_t base, std::uint64_t stride,
+inline std::uint32_t fused_first_pass(std::uint64_t base, std::uint64_t stride,
                                       std::uint32_t first_level,
                                       std::uint32_t levels, unsigned log2n,
                                       const BasicTwiddleTable<T>& twiddles,
-                                      unsigned fuse_log2, RunGroups&& run_groups) {
+                                      RunGroups&& run_groups) {
   T twr[7], twi[7];
-  if (fuse_log2 >= 3 && levels >= 3 &&
+  if (levels >= 3 &&
       fused_twiddles<T>(base, stride, first_level, log2n, twiddles, 3, twr, twi)) {
     run_groups(3u, twr, twi);
     return 3;
   }
-  if (fuse_log2 >= 2 && levels >= 2 &&
+  if (levels >= 2 &&
       fused_twiddles<T>(base, stride, first_level, log2n, twiddles, 2, twr, twi)) {
     run_groups(2u, twr, twi);
     return 2;
   }
-  (void)len;
-  (void)re;
-  (void)im;
   return 0;
 }
 
@@ -215,8 +212,7 @@ void chain_split_generic(T* __restrict re, T* __restrict im, std::uint64_t len,
                          std::uint64_t base, std::uint64_t stride,
                          std::uint32_t first_level, std::uint32_t levels,
                          unsigned log2n, const BasicTwiddleTable<T>& twiddles,
-                         T* __restrict tw_re, T* __restrict tw_im,
-                         unsigned fuse_log2) {
+                         T* __restrict tw_re, T* __restrict tw_im) {
   assert(len == (std::uint64_t{1} << levels));
 
   // Fused first pass: levels with half = 1/2/4 run 1-4 scalar butterflies
@@ -226,8 +222,8 @@ void chain_split_generic(T* __restrict re, T* __restrict im, std::uint64_t len,
   // 2^f-element group becomes one straight-line body the SLP vectorizer
   // packs at the full register width.
   const std::uint32_t v_start = fused_first_pass<T>(
-      re, im, len, base, stride, first_level, levels, log2n, twiddles,
-      fuse_log2, [&](unsigned f, const T* twr, const T* twi) {
+      base, stride, first_level, levels, log2n, twiddles,
+      [&](unsigned f, const T* twr, const T* twi) {
         const std::uint64_t glen = std::uint64_t{1} << f;
         if (f == 3) {
           for (std::uint64_t g = 0; g < len; g += glen)

@@ -1,8 +1,12 @@
-// AVX2 kernel table, and the AVX-512 table that shares its pointers. This
-// translation unit — and only this one — is compiled with -mavx2
-// -ffp-contract=off (see src/fft/CMakeLists.txt), so every function
-// pointer it exports runs 256-bit code while the rest of the library
-// stays at the build's baseline ISA.
+// AVX2 kernel table. This translation unit — and only this one — is
+// compiled with -mavx2 -ffp-contract=off (see src/fft/CMakeLists.txt), so
+// every function pointer it exports runs 256-bit code while the rest of
+// the library stays at the build's baseline ISA. AVX-512 hosts run this
+// table too: full 512-bit bodies of the butterfly levels, the complex
+// de/interleave and the strided gather/scatter all lost to these 256-bit
+// bodies under codelet-sized working sets (the zmm butterflies by ~15% on
+// the whole transform), and an EVEX re-encoding of the same source
+// measured a few percent slower than this VEX build.
 
 #define C64FFT_KERNEL_ARCH_NS arch_avx2
 #include "fft/kernels/generic_kernels.hpp"
@@ -26,23 +30,6 @@ constexpr KernelDispatch<T> kAvx2Table{
     &transpose_tile_avx2<T>,
 };
 
-// Width policy, settled by measurement: full 512-bit bodies of the
-// butterfly levels, the complex de/interleave and the strided codelet
-// gather/scatter all lost to these 256-bit bodies under codelet-sized
-// working sets on AVX-512 hardware (the zmm butterflies by ~15% on the
-// whole transform), and an EVEX re-encoding of the same source measured
-// a few percent slower than this VEX build. AVX-512 hosts therefore run
-// these exact pointers; only the level and id differ.
-template <typename T>
-constexpr KernelDispatch<T> as_avx512(KernelDispatch<T> t) {
-  t.isa = util::IsaLevel::kAvx512;
-  t.id = "avx512";
-  return t;
-}
-
-template <typename T>
-constexpr KernelDispatch<T> kAvx512Table = as_avx512(kAvx2Table<T>);
-
 }  // namespace
 
 template <>
@@ -53,16 +40,6 @@ const KernelDispatch<float>& avx2_table<float>() {
 template <>
 const KernelDispatch<double>& avx2_table<double>() {
   return kAvx2Table<double>;
-}
-
-template <>
-const KernelDispatch<float>& avx512_table<float>() {
-  return kAvx512Table<float>;
-}
-
-template <>
-const KernelDispatch<double>& avx512_table<double>() {
-  return kAvx512Table<double>;
 }
 
 }  // namespace c64fft::fft::kernels::detail

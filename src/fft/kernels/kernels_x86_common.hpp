@@ -1,7 +1,6 @@
 #pragma once
-// AVX2 intrinsic kernel bodies of kernels_avx2.cpp (the AVX-512 table
-// shares that table's function pointers, so these also serve AVX-512
-// hosts). Everything lives in an anonymous namespace ON PURPOSE: the
+// AVX2 intrinsic kernel bodies of kernels_avx2.cpp (AVX-512 hosts run
+// them too). Everything lives in an anonymous namespace ON PURPOSE: the
 // including TU is compiled with -mavx2, and internal linkage guarantees
 // no copy of these bodies is ever COMDAT-folded with a same-named
 // function built at the baseline ISA — which could otherwise install
@@ -279,11 +278,11 @@ template <typename T>
 void chain_split_avx2(T* re, T* im, std::uint64_t len, std::uint64_t base,
                       std::uint64_t stride, std::uint32_t first_level,
                       std::uint32_t levels, unsigned log2n,
-                      const BasicTwiddleTable<T>& twiddles, T* tw_re, T* tw_im,
-                      unsigned fuse_log2) {
+                      const BasicTwiddleTable<T>& twiddles, T* tw_re,
+                      T* tw_im) {
   const std::uint32_t v_start = fused_first_pass<T>(
-      re, im, len, base, stride, first_level, levels, log2n, twiddles,
-      fuse_log2, [&](unsigned f, const T* twr, const T* twi) {
+      base, stride, first_level, levels, log2n, twiddles,
+      [&](unsigned f, const T* twr, const T* twi) {
         if (f == 3) {
           fused8_pass_avx2(re, im, len, twr, twi);
         } else {

@@ -2,10 +2,9 @@
 // Internal: per-ISA table accessors linked into dispatch.cpp. Each
 // translation unit (kernels_scalar.cpp / kernels_avx2.cpp) owns its
 // tables so their function pointers are compiled with that TU's ISA
-// flags; kernels_avx2.cpp also owns the AVX-512 table, which shares the
-// AVX2 pointers. The SIMD accessors exist only when CMake compiled their
-// TU (C64FFT_KERNELS_AVX2 definition); dispatch.cpp aliases missing
-// levels to the scalar table.
+// flags. The SIMD accessors exist only when CMake compiled their TU
+// (C64FFT_KERNELS_AVX2 definition); dispatch.cpp aliases missing levels
+// to the scalar table.
 
 #include "fft/kernels/dispatch.hpp"
 
@@ -17,8 +16,6 @@ const KernelDispatch<T>& scalar_table();
 #if defined(C64FFT_KERNELS_AVX2)
 template <typename T>
 const KernelDispatch<T>& avx2_table();
-template <typename T>
-const KernelDispatch<T>& avx512_table();
 #endif
 
 }  // namespace c64fft::fft::kernels::detail

@@ -208,23 +208,6 @@ Factorization factorize(std::uint64_t n) {
   return f;
 }
 
-std::uint64_t factorization_digest(const Factorization& f) {
-  if (!f.smooth) return 0;
-  std::uint64_t e2 = 0, e3 = 0, e5 = 0, e7 = 0;
-  for (const std::uint32_t r : f.factors) {
-    switch (r) {
-      case 2: e2 += 1; break;
-      case 4: e2 += 2; break;
-      case 8: e2 += 3; break;
-      case 3: ++e3; break;
-      case 5: ++e5; break;
-      case 7: ++e7; break;
-      default: break;
-    }
-  }
-  return e2 | (e3 << 8) | (e5 << 16) | (e7 << 24);
-}
-
 std::uint64_t digit_reverse(std::uint64_t p,
                             std::span<const std::uint32_t> factors) {
   // Horner over the execution-order digit bases: peeling the least

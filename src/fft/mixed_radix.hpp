@@ -42,11 +42,6 @@ struct Factorization {
 
 Factorization factorize(std::uint64_t n);
 
-/// Packed prime-exponent digest (2^e2 * 3^e3 * 5^e5 * 7^e7) of a
-/// factorization — the PlanKey's fixed-width image of the stage vector.
-/// Zero for non-smooth sizes (the residue is keyed by n itself).
-std::uint64_t factorization_digest(const Factorization& f);
-
 /// Generalized digit reversal of `p` over the mixed-radix digit bases
 /// `factors` (execution order). When every factor is 2 this is exactly
 /// util::bit_reverse(p, factors.size()). Unlike bit reversal it is NOT an

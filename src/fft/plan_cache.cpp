@@ -313,16 +313,4 @@ void PlanCache::clear() {
   map_.clear();
 }
 
-void PlanCache::set_schedules(ScheduleSet schedules) {
-  std::lock_guard lock(mutex_);
-  schedules_ = std::move(schedules);
-}
-
-std::optional<TunedSchedule> PlanCache::tuned_for(std::uint64_t n,
-                                                  Precision precision,
-                                                  util::IsaLevel isa) const {
-  std::lock_guard lock(mutex_);
-  return schedules_.find(n, precision, isa);
-}
-
 }  // namespace c64fft::fft

@@ -22,7 +22,6 @@
 
 #include "fft/mixed_radix.hpp"
 #include "fft/plan.hpp"
-#include "fft/schedule.hpp"
 #include "fft/twiddle.hpp"
 
 namespace c64fft::fft {
@@ -39,16 +38,12 @@ struct PlanKey {
   std::uint64_t n = 0;
   PlanKind kind = PlanKind::kClassic;
   Precision precision = Precision::kF64;
-  /// kHierarchical only: the leaf cap (log2 points) the planner split this
-  /// entry with; 0 everywhere else. Part of the key so a re-tuned leaf
-  /// builds a fresh entry instead of silently reusing the old split.
+  /// kHierarchical only (0 for every other kind): the leaf cap (log2
+  /// points) to split this entry with; 0 derives it from the host L2 at
+  /// acquire time, as every executor key does. Part of the key so a
+  /// forced leaf (the recursive column sub-keys, tests) builds its own
+  /// plan tree instead of silently reusing the default split.
   unsigned hier_leaf_log2 = 0;
-  /// kMixedRadix only: factorization_digest() of the stage vector — the
-  /// key's fixed-width image of the factorization (deterministic from n
-  /// today, but part of the key so a future planner that chooses between
-  /// factorizations of one n keys them apart). 0 everywhere else,
-  /// including kBluestein (the residue is keyed by n itself).
-  std::uint64_t factor_digest = 0;
 
   bool operator==(const PlanKey&) const = default;
 };
@@ -57,7 +52,6 @@ struct PlanKeyHash {
   std::size_t operator()(const PlanKey& k) const noexcept {
     std::uint64_t h = k.n * 0x9e3779b97f4a7c15ull;
     h ^= (std::uint64_t{k.hier_leaf_log2} << 40) ^
-         (k.factor_digest * 0xff51afd7ed558ccdull) ^
          (k.kind == PlanKind::kHierarchical ? 0x2545f4914f6cdd1dull : 0) ^
          (k.kind == PlanKind::kMixedRadix ? 0x94d049bb133111ebull : 0) ^
          (k.kind == PlanKind::kBluestein ? 0xbf58476d1ce4e5b9ull : 0) ^
@@ -253,18 +247,6 @@ class PlanCache {
   PlanCacheStats stats() const;
   void clear();
 
-  /// Replace the resident tuned-schedule set (tools/fft_tune output). The
-  /// schedules steer which PlanKeys future acquire() callers build — the
-  /// entries already cached stay valid, so swapping schedules mid-run is
-  /// safe (at worst the old-shaped entries age out through the LRU).
-  void set_schedules(ScheduleSet schedules);
-
-  /// Tuned schedule for (n, precision, isa), if one was loaded. Serves the
-  /// executor's per-transform lookup; lock cost is one uncontended mutex
-  /// plus a linear scan of a tens-of-entries vector.
-  std::optional<TunedSchedule> tuned_for(std::uint64_t n, Precision precision,
-                                         util::IsaLevel isa) const;
-
  private:
   using LruList = std::list<std::pair<PlanKey, std::shared_ptr<const PlanEntry>>>;
 
@@ -273,7 +255,6 @@ class PlanCache {
   LruList lru_;  // front = most recently used
   std::unordered_map<PlanKey, LruList::iterator, PlanKeyHash> map_;
   PlanCacheStats stats_;
-  ScheduleSet schedules_;
 };
 
 }  // namespace c64fft::fft

@@ -3,8 +3,8 @@
 //
 // The executor made single transforms cheap; what it still charges per
 // call is dispatch overhead — the executor phase mutex, the plan-cache
-// acquire, the tuned-schedule lookup, and (off the serial fast path) a
-// full scheduler phase with its worker wake/park round trip. A process
+// acquire, and (off the serial fast path) a full scheduler phase with its
+// worker wake/park round trip. A process
 // serving MANY independent clients pays that per request. FftServer
 // amortizes it across clients the same way forward_batch amortizes it
 // across one caller's transforms: submissions land in priority lanes, a

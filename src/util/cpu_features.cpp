@@ -10,8 +10,6 @@ namespace c64fft::util {
 
 const char* to_string(IsaLevel level) noexcept {
   switch (level) {
-    case IsaLevel::kAvx512:
-      return "avx512";
     case IsaLevel::kAvx2:
       return "avx2";
     case IsaLevel::kScalar:
@@ -23,7 +21,6 @@ const char* to_string(IsaLevel level) noexcept {
 std::optional<IsaLevel> parse_isa_name(const std::string& name) {
   if (name == "scalar") return IsaLevel::kScalar;
   if (name == "avx2") return IsaLevel::kAvx2;
-  if (name == "avx512") return IsaLevel::kAvx512;
   if (name == "auto") return best_supported_isa();
   return std::nullopt;
 }
@@ -38,9 +35,6 @@ CpuFeatures detect() {
   // which a raw cpuid leaf test would miss.
   f.avx2 = __builtin_cpu_supports("avx2");
   f.fma = __builtin_cpu_supports("fma");
-  f.avx512 = __builtin_cpu_supports("avx512f") &&
-             __builtin_cpu_supports("avx512dq") &&
-             __builtin_cpu_supports("avx512vl");
 #endif
   return f;
 }
@@ -84,7 +78,6 @@ const CacheInfo& cache_info() {
 
 IsaLevel best_supported_isa() {
   const CpuFeatures& f = cpu_features();
-  if (f.avx512) return IsaLevel::kAvx512;
   if (f.avx2) return IsaLevel::kAvx2;
   return IsaLevel::kScalar;
 }

@@ -5,9 +5,9 @@
 // The kernel dispatch table is selected once per process from two inputs:
 // what the hardware supports (cpuid, via the compiler's
 // __builtin_cpu_supports on x86) and what the user allows (the C64FFT_ISA
-// environment variable, which can only narrow — asking for avx512 on an
-// AVX2-only host clamps down to avx2, and on a non-x86 build everything
-// clamps to scalar). `kScalar` is always valid: it is the portable
+// environment variable, which can only narrow — asking for avx2 on a
+// host without it clamps down to scalar, as does every level on a non-x86
+// build). `kScalar` is always valid: it is the portable
 // autovectorized kernel set that every other level is tested against.
 
 #include <cstdint>
@@ -19,10 +19,10 @@ namespace c64fft::util {
 /// Kernel ISA ladder, ordered: a level implies every lower one. The
 /// numeric order is load-bearing (clamping picks the min of request and
 /// support).
-enum class IsaLevel { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
+enum class IsaLevel { kScalar = 0, kAvx2 = 1 };
 
-/// Stable lower-case name ("scalar" / "avx2" / "avx512") used by
-/// C64FFT_ISA, the tuner schedule file, fft_lint reports, and tests.
+/// Stable lower-case name ("scalar" / "avx2") used by C64FFT_ISA, fft_lint
+/// reports, and tests.
 const char* to_string(IsaLevel level) noexcept;
 
 /// Parse an ISA name (the C64FFT_ISA vocabulary, plus "auto" meaning
@@ -34,9 +34,6 @@ std::optional<IsaLevel> parse_isa_name(const std::string& name);
 struct CpuFeatures {
   bool avx2 = false;
   bool fma = false;
-  /// F + DQ + VL: the subset the AVX-512 kernels require (512-bit
-  /// arithmetic plus the narrowing/masked forms used for tails).
-  bool avx512 = false;
 };
 
 const CpuFeatures& cpu_features();
@@ -61,9 +58,9 @@ struct CacheInfo {
 const CacheInfo& cache_info();
 
 /// The process-default kernel ISA: best_supported_isa(), narrowed by a
-/// valid C64FFT_ISA environment variable ("scalar" | "avx2" | "avx512" |
-/// "auto"). An unset, empty, or unparsable variable means "auto"; a
-/// request above hardware support clamps to the best supported level.
+/// valid C64FFT_ISA environment variable ("scalar" | "avx2" | "auto"). An
+/// unset, empty, or unparsable variable means "auto"; a request above
+/// hardware support clamps to the best supported level.
 /// Reads the environment on every call (cheap; callers that need a
 /// snapshot cache the result — see fft::kernels::active_kernels).
 IsaLevel isa_from_env();

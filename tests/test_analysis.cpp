@@ -406,8 +406,8 @@ TEST(Pipeline, ModelMirrorsExecutorGrains) {
   EXPECT_EQ(hier.phases[0].name, "gather");
   EXPECT_EQ(hier.phases[1].name, "col-sweep");
   EXPECT_EQ(hier.phases[2].name, "fused-row");
-  const fft::HierarchicalGrain grain = fft::hierarchical_grain(
-      64, 64, 4, 16, util::cache_info().l2_bytes, 0);
+  const fft::HierarchicalGrain grain =
+      fft::hierarchical_grain(64, 64, 4, 16, util::cache_info().l2_bytes);
   EXPECT_EQ(hier.phases[0].tasks.size(), grain.blocks1);
   EXPECT_EQ(hier.phases[1].tasks.size(), grain.blocks1);
   EXPECT_EQ(hier.phases[2].tasks.size(), grain.blocks2);
@@ -421,6 +421,21 @@ TEST(Pipeline, ModelMirrorsExecutorGrains) {
   EXPECT_EQ(multi.phases[1].tasks.size(),
             fft::hierarchical_split(4096, 5).n2);
   EXPECT_GT(multi.phases[1].tasks.front().passes, 1u);
+
+  // A pinned L2 replaces the host's for both the leaf and the grain:
+  // 16 KiB caps the f64 leaf at 2^7, so 2^16 recurses.
+  PipelineBuildOptions small_l2;
+  small_l2.l2_bytes = 16u << 10;
+  const PipelineModel pinned =
+      build_hierarchical_pipeline(std::uint64_t{1} << 16, small_l2);
+  ASSERT_EQ(pinned.phases.size(), 3u);
+  EXPECT_EQ(pinned.phases[1].name, "col-recursive");
+  const fft::HierarchicalSplit split =
+      fft::hierarchical_split(std::uint64_t{1} << 16, 7);
+  EXPECT_EQ(pinned.phases[2].tasks.size(),
+            fft::hierarchical_grain(split.n1, split.n2, small_l2.workers, 16,
+                                    small_l2.l2_bytes)
+                .blocks2);
 }
 
 TEST(Pipeline, TileTrafficSplitsTransposeFromButterfly) {
@@ -623,8 +638,7 @@ TEST(Pipeline, ModelsRecordTheActiveKernelIsa) {
 TEST(Pipeline, ForcedIsaLevelsAreStampedAndVerifyClean) {
   const util::IsaLevel prev = fft::kernels::active_kernel_isa();
   for (const util::IsaLevel level :
-       {util::IsaLevel::kScalar, util::IsaLevel::kAvx2,
-        util::IsaLevel::kAvx512}) {
+       {util::IsaLevel::kScalar, util::IsaLevel::kAvx2}) {
     const util::IsaLevel active = fft::kernels::set_kernel_isa(level);
     PipelineBuildOptions opts;
     opts.hier_leaf_log2 = 6;
@@ -648,12 +662,12 @@ TEST(Pipeline, UnknownKernelIsaIdFailsTheKernelCheck) {
 }
 
 TEST(Pipeline, UnsupportedKernelIsaIdFailsOnLesserHosts) {
-  // Only meaningful where the hardware cannot execute AVX-512: a model
-  // claiming the avx512 table then names a kernel this host cannot run.
-  if (util::isa_supported(util::IsaLevel::kAvx512))
+  // Only meaningful where the hardware cannot execute AVX2: a model
+  // claiming the avx2 table then names a kernel this host cannot run.
+  if (util::isa_supported(util::IsaLevel::kAvx2))
     GTEST_SKIP() << "host executes every registered table";
   PipelineModel m = build_classic_pipeline(FftPlan(256, 4));
-  m.kernel_isa = "avx512";
+  m.kernel_isa = "avx2";
   const auto report = analyze_pipeline(m);
   EXPECT_TRUE(has_code(report, "kernel", "unsupported-kernel-isa"))
       << report.to_json();

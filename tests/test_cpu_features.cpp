@@ -14,7 +14,7 @@ struct EnvGuard {
 
 TEST(CpuFeatures, NamesRoundTripThroughParse) {
   for (const IsaLevel level :
-       {IsaLevel::kScalar, IsaLevel::kAvx2, IsaLevel::kAvx512}) {
+       {IsaLevel::kScalar, IsaLevel::kAvx2}) {
     const std::optional<IsaLevel> parsed = parse_isa_name(to_string(level));
     ASSERT_TRUE(parsed.has_value()) << to_string(level);
     EXPECT_EQ(*parsed, level);
@@ -26,6 +26,8 @@ TEST(CpuFeatures, ParseRejectsUnknownNames) {
   EXPECT_FALSE(parse_isa_name("sse2").has_value());
   EXPECT_FALSE(parse_isa_name("AVX2").has_value());  // names are lower-case
   EXPECT_FALSE(parse_isa_name("avx-512").has_value());
+  // AVX-512 hosts run the AVX2 table; no level of its own is named.
+  EXPECT_FALSE(parse_isa_name("avx512").has_value());
 }
 
 TEST(CpuFeatures, AutoMeansBestSupported) {
@@ -35,21 +37,14 @@ TEST(CpuFeatures, AutoMeansBestSupported) {
 }
 
 TEST(CpuFeatures, LadderIsConsistent) {
-  // Scalar always runs; the best supported level is itself supported; and
-  // support is monotone down the ladder (a level implies every lower one).
+  // Scalar always runs and the best supported level is itself supported;
+  // with two levels that makes support monotone down the ladder.
   EXPECT_TRUE(isa_supported(IsaLevel::kScalar));
   EXPECT_TRUE(isa_supported(best_supported_isa()));
-  if (isa_supported(IsaLevel::kAvx512)) {
-    EXPECT_TRUE(isa_supported(IsaLevel::kAvx2));
-  }
-  if (cpu_features().avx512) {
-    EXPECT_TRUE(cpu_features().avx2);
-  }
 }
 
 TEST(CpuFeatures, FeatureBitsMatchSupportedLevels) {
   EXPECT_EQ(isa_supported(IsaLevel::kAvx2), cpu_features().avx2);
-  EXPECT_EQ(isa_supported(IsaLevel::kAvx512), cpu_features().avx512);
 }
 
 TEST(CpuFeatures, EnvNarrowsButNeverWidens) {
@@ -57,7 +52,7 @@ TEST(CpuFeatures, EnvNarrowsButNeverWidens) {
   setenv("C64FFT_ISA", "scalar", 1);
   EXPECT_EQ(isa_from_env(), IsaLevel::kScalar);
   // A request above hardware support clamps down, never up.
-  setenv("C64FFT_ISA", "avx512", 1);
+  setenv("C64FFT_ISA", "avx2", 1);
   EXPECT_LE(static_cast<int>(isa_from_env()),
             static_cast<int>(best_supported_isa()));
   // Unset / empty / garbage all mean "auto".

@@ -4,16 +4,16 @@
 // bit-identity of the output across kernel ISA tiers and team sizes at
 // N in {2^18, 2^19} (both precisions, both directions), numerical
 // agreement with the classic path and the O(N^2) reference,
-// batch-vs-loop and variant identity, forced multi-level recursion, tuned
-// block-row overrides, and the consolidated env snapshot that feeds the
-// constructor and reconfigure(). Registered under the `large_n` ctest
-// label:
+// batch-vs-loop and variant identity, forced multi-level recursion, and
+// the consolidated env snapshot that feeds the constructor and
+// reconfigure(). Registered under the `large_n` ctest label:
 //     ctest -L large_n --output-on-failure
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <cstring>
+#include <mutex>
 #include <vector>
 
 #include "fft/executor.hpp"
@@ -25,6 +25,23 @@
 #include "util/prng.hpp"
 
 namespace c64fft::fft {
+
+/// Runs one unscaled transform over the hierarchical plan split with
+/// `leaf_log2`, under the executor's lock on its default team: the
+/// executor body a forced leaf reaches, with no public knob for it.
+struct FftExecutorTestPeer {
+  template <typename T>
+  static void run_forced_leaf(FftExecutor& ex, std::span<cplx_t<T>> data,
+                              unsigned leaf_log2, TwiddleDirection dir) {
+    const std::shared_ptr<const PlanEntry> entry = ex.cache_.acquire(
+        PlanKey{data.size(), PlanKind::kHierarchical, precision_of<T>,
+                leaf_log2});
+    std::lock_guard lock(ex.mutex_);
+    ex.run_hierarchical_locked<T>(*entry, data, ex.team(ex.opts_.workers), dir,
+                                  /*depth=*/0);
+  }
+};
+
 namespace {
 
 template <typename T>
@@ -49,22 +66,6 @@ ExecutorOptions hier_opts() {
   o.workers = 2;
   o.hierarchical_threshold_log2 = 2;  // always route hierarchical
   return o;
-}
-
-/// One-entry schedule set forcing the hierarchical knobs for (n, T) under
-/// the process-active kernel ISA (the lookup key the executor uses).
-template <typename T>
-ScheduleSet forced_schedule(std::uint64_t n, std::uint32_t leaf_log2,
-                            std::uint32_t block_rows) {
-  TunedSchedule s;
-  s.n = n;
-  s.precision = precision_of<T>;
-  s.isa = kernels::active_kernel_isa();
-  s.hier_leaf_log2 = leaf_log2;
-  s.hier_block_rows = block_rows;
-  ScheduleSet set;
-  set.insert(s);
-  return set;
 }
 
 TEST(HierarchicalSplitAlgebra, BalancedBelowTwiceLeaf) {
@@ -112,17 +113,13 @@ TEST(HierarchicalSplitAlgebra, LeafTracksCacheSize) {
 
 TEST(HierarchicalGrainPolicy, TileAlignedBlocksCoverAllRows) {
   const HierarchicalGrain g =
-      hierarchical_grain(2048, 2048, 2, 16, 2ull << 20, 0);
+      hierarchical_grain(2048, 2048, 2, 16, 2ull << 20);
   EXPECT_EQ(g.block_rows1 % kTransposeTile, 0u);
   EXPECT_EQ(g.block_rows2 % kTransposeTile, 0u);
   EXPECT_GE(g.blocks1 * g.block_rows1, 2048u);
   EXPECT_GE(g.blocks2 * g.block_rows2, 2048u);
   // At least workers*4 blocks so the pipeline has overlap to exploit.
   EXPECT_GE(g.blocks1, 8u);
-  // A tuned override wins but is still tile-aligned.
-  const HierarchicalGrain t =
-      hierarchical_grain(2048, 2048, 2, 16, 2ull << 20, 40);
-  EXPECT_EQ(t.block_rows1, 32u);
 }
 
 TEST(HierarchicalPlanCache, EntryPinsSubEntriesRecursively) {
@@ -306,53 +303,44 @@ TEST(Hierarchical, BatchMatchesLoopBitIdentically) {
 }
 
 TEST(Hierarchical, ForcedMultiLevelRecursionIsCorrect) {
-  // A tuned leaf far below the cache-derived default forces real
-  // recursion (3 levels at 2^18 with leaf 5). The split now differs from
-  // the default single-level one, so the anchor is numerical agreement
-  // with the classic path, not bit-identity.
+  // A leaf far below the cache-derived default forces real recursion (3
+  // levels at 2^18 with leaf 5), which production reaches only above
+  // 2^(2*leaf). The split differs from the default single-level one, so
+  // the anchor is numerical agreement with the classic path, not
+  // bit-identity.
   const std::uint64_t n = 1ULL << 18;
+  PlanCache cache(4);
+  ASSERT_EQ(cache.acquire(PlanKey{n, PlanKind::kHierarchical, Precision::kF64,
+                                  5})
+                ->levels(),
+            3u);
   const auto input = random_signal<double>(n, 13);
   FftExecutor classic(classic_opts());
   auto want = input;
   classic.forward(want);
 
   FftExecutor hier(hier_opts());
-  hier.set_schedules(forced_schedule<double>(n, 5, 0));
   auto got = input;
-  hier.forward(got);
+  FftExecutorTestPeer::run_forced_leaf<double>(hier, got, 5,
+                                               TwiddleDirection::kForward);
   EXPECT_LT(rel_l2_error(got, want), 1e-12);
 
   auto rt = got;
-  hier.inverse(rt);
+  FftExecutorTestPeer::run_forced_leaf<double>(hier, rt, 5,
+                                               TwiddleDirection::kInverse);
+  for (cplx& v : rt) v /= static_cast<double>(n);
   EXPECT_LT(max_abs_error(rt, input), 1e-10);
 
   // f32 recursion through the same tree.
   const auto input32 = random_signal<float>(n, 14);
   FftExecutor hier32(hier_opts());
-  hier32.set_schedules(forced_schedule<float>(n, 5, 0));
   auto got32 = input32;
-  hier32.forward(got32);
+  FftExecutorTestPeer::run_forced_leaf<float>(hier32, got32, 5,
+                                              TwiddleDirection::kForward);
   FftExecutor classic32(classic_opts());
   auto want32 = input32;
   classic32.forward(want32);
   EXPECT_LT(rel_l2_error(got32, want32), 1e-4);
-}
-
-TEST(Hierarchical, TunedBlockRowsIsPureScheduling) {
-  // hier_block_rows changes the pipeline grain only — output must stay
-  // bit-identical to the default grain.
-  const std::uint64_t n = 1ULL << 18;
-  const auto input = random_signal<double>(n, 17);
-  FftExecutor def(hier_opts());
-  auto want = input;
-  def.forward(want);
-  for (std::uint32_t rows : {16u, 48u, 256u}) {
-    FftExecutor tuned(hier_opts());
-    tuned.set_schedules(forced_schedule<double>(n, 0, rows));
-    auto got = input;
-    tuned.forward(got);
-    EXPECT_EQ(got, want) << "block_rows=" << rows;
-  }
 }
 
 TEST(Hierarchical, ThresholdRoutesOnlyEnormousTransforms) {
@@ -381,7 +369,6 @@ TEST(HierarchicalEnvSnapshot, OneStructFeedsConstructorAndReconfigure) {
   const ExecutorEnvSnapshot snap = read_executor_env();
   ASSERT_TRUE(snap.hierarchical_threshold_log2.has_value());
   EXPECT_EQ(*snap.hierarchical_threshold_log2, 13u);
-  EXPECT_FALSE(snap.schedule_path.has_value());
 
   FftExecutor ex(classic_opts());  // ctor applies the env snapshot
   EXPECT_EQ(ex.hierarchical_threshold_log2(), 13u);

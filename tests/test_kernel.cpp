@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "fft/bit_reversal.hpp"
+#include "fft/kernels/dispatch.hpp"
 #include "fft/mixed_radix.hpp"
 #include "fft/reference.hpp"
 #include "fft/transpose.hpp"
@@ -93,8 +94,8 @@ struct IsaGuard {
 // The whole-transform sweep must be bit-identical to bit-reversal plus
 // every stage's scalar codelets at any radix: the same butterflies with
 // the same twiddle entries in the same operation order, only grouped into
-// one chain. Swept over every kernel table the host can install, both
-// twiddle directions and every fused-first-pass setting.
+// one chain. Swept over every kernel table the host can install and both
+// twiddle directions.
 template <typename T>
 void check_transform_split_matches_stagewise() {
   IsaGuard guard;
@@ -119,20 +120,17 @@ void check_transform_split_matches_stagewise() {
         const std::vector<cplx_t<T>> want =
             stagewise_scalar<T>(input, tw, radix_log2);
         for (const util::IsaLevel isa :
-             {util::IsaLevel::kScalar, util::IsaLevel::kAvx2,
-              util::IsaLevel::kAvx512}) {
+             {util::IsaLevel::kScalar, util::IsaLevel::kAvx2}) {
           if (kernels::set_kernel_isa(isa) != isa) continue;
-          for (const unsigned fuse_log2 : {0u, 2u, 3u}) {
-            std::vector<cplx_t<T>> got = input;
-            run_transform_split(std::span<cplx_t<T>>(got), tw, brev,
-                                split.data(), fuse_log2);
-            ASSERT_EQ(std::memcmp(got.data(), want.data(),
-                                  n * sizeof(cplx_t<T>)),
-                      0)
-                << "n=" << n << " r=" << radix_log2
-                << " inverse=" << (dir == TwiddleDirection::kInverse)
-                << " isa=" << util::to_string(isa) << " fuse=" << fuse_log2;
-          }
+          std::vector<cplx_t<T>> got = input;
+          run_transform_split(std::span<cplx_t<T>>(got), tw, brev,
+                              split.data());
+          ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                                n * sizeof(cplx_t<T>)),
+                    0)
+              << "n=" << n << " r=" << radix_log2
+              << " inverse=" << (dir == TwiddleDirection::kInverse)
+              << " isa=" << util::to_string(isa);
         }
       }
     }
@@ -277,18 +275,13 @@ void check_dispatch_matrix() {
     EXPECT_LT(util::max_ulp_error<T>(scalar, want), tol)
         << "scalar n=" << n;
 
-    for (const util::IsaLevel isa :
-         {util::IsaLevel::kAvx2, util::IsaLevel::kAvx512}) {
-      if (!util::isa_supported(isa)) continue;
-      const std::vector<cplx_t<T>> wide =
-          codelet_transform<T>(isa, input, radix_log2);
-      ASSERT_EQ(kernels::active_kernel_isa(), isa);
-      for (std::uint64_t i = 0; i < n; ++i) {
-        ASSERT_EQ(wide[i].real(), scalar[i].real())
-            << "isa=" << util::to_string(isa) << " n=" << n << " i=" << i;
-        ASSERT_EQ(wide[i].imag(), scalar[i].imag())
-            << "isa=" << util::to_string(isa) << " n=" << n << " i=" << i;
-      }
+    if (!util::isa_supported(util::IsaLevel::kAvx2)) continue;
+    const std::vector<cplx_t<T>> wide =
+        codelet_transform<T>(util::IsaLevel::kAvx2, input, radix_log2);
+    ASSERT_EQ(kernels::active_kernel_isa(), util::IsaLevel::kAvx2);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      ASSERT_EQ(wide[i].real(), scalar[i].real()) << "n=" << n << " i=" << i;
+      ASSERT_EQ(wide[i].imag(), scalar[i].imag()) << "n=" << n << " i=" << i;
     }
   }
 }
@@ -310,14 +303,11 @@ TEST(KernelDispatch, TransposeMatchesScalarPerIsa) {
   kernels::set_kernel_isa(util::IsaLevel::kScalar);
   std::vector<cplx> want_t(rows * cols);
   transpose_blocked(matrix, want_t, rows, cols);
-  for (const util::IsaLevel isa :
-       {util::IsaLevel::kAvx2, util::IsaLevel::kAvx512}) {
-    if (!util::isa_supported(isa)) continue;
-    kernels::set_kernel_isa(isa);
-    std::vector<cplx> got_t(rows * cols);
-    transpose_blocked(matrix, got_t, rows, cols);
-    ASSERT_EQ(max_abs_error(got_t, want_t), 0.0) << util::to_string(isa);
-  }
+  if (!util::isa_supported(util::IsaLevel::kAvx2)) return;
+  kernels::set_kernel_isa(util::IsaLevel::kAvx2);
+  std::vector<cplx> got_t(rows * cols);
+  transpose_blocked(matrix, got_t, rows, cols);
+  ASSERT_EQ(max_abs_error(got_t, want_t), 0.0);
 }
 
 // Each stage runs as mixed_stage_scalar once over all its butterflies and,
@@ -353,8 +343,7 @@ void check_mixed_stage_matches_scalar() {
         mixed_stage_scalar<T>(st, tw.data() + st.twiddle_offset,
                               input.data(), want.data(), 0, g_count, inverse);
         for (const util::IsaLevel isa :
-             {util::IsaLevel::kScalar, util::IsaLevel::kAvx2,
-              util::IsaLevel::kAvx512}) {
+             {util::IsaLevel::kScalar, util::IsaLevel::kAvx2}) {
           if (kernels::set_kernel_isa(isa) != isa) continue;
           std::vector<cplx_t<T>> got =
               s == 0 ? std::vector<cplx_t<T>>(n) : input;
@@ -406,10 +395,14 @@ TEST(KernelDispatch, EnvForcedScalarFallback) {
 
 TEST(KernelDispatch, EnvRequestsAboveSupportClampDown) {
   IsaGuard guard;
-  setenv("C64FFT_ISA", "avx512", 1);
+  setenv("C64FFT_ISA", "avx2", 1);
   kernels::reset_kernel_isa_from_env();
   EXPECT_LE(static_cast<int>(kernels::active_kernel_isa()),
             static_cast<int>(util::best_supported_isa()));
+  // "avx512" names no table: unparsable, so it means auto.
+  setenv("C64FFT_ISA", "avx512", 1);
+  kernels::reset_kernel_isa_from_env();
+  EXPECT_EQ(kernels::active_kernel_isa(), util::best_supported_isa());
 }
 
 TEST(ButterflyChain, SplitMatchesComplexOnGenericChain) {

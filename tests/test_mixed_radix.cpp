@@ -83,7 +83,6 @@ TEST(Factorize, NonSmoothSizesReportResidue) {
     std::uint64_t prod = f.residue;
     for (std::uint32_t r : f.factors) prod *= r;
     EXPECT_EQ(prod, n) << n;
-    EXPECT_EQ(factorization_digest(f), 0u) << n;
   }
 }
 
@@ -94,18 +93,6 @@ TEST(Factorize, MillionIsFiveSixTwoSix) {
   ASSERT_TRUE(f.smooth);
   const std::vector<std::uint32_t> want{8, 8, 5, 5, 5, 5, 5, 5};
   EXPECT_EQ(f.factors, want);
-}
-
-TEST(Factorize, DigestSeparatesDistinctExponentVectors) {
-  // 12 = 2^2*3 vs 18 = 2*3^2 vs 2048 = 2^11: all distinct digests, and a
-  // digest is stable across the two orderings factorize can't even emit.
-  const auto d12 = factorization_digest(factorize(12));
-  const auto d18 = factorization_digest(factorize(18));
-  const auto d2048 = factorization_digest(factorize(2048));
-  EXPECT_NE(d12, d18);
-  EXPECT_NE(d12, d2048);
-  EXPECT_NE(d18, d2048);
-  EXPECT_NE(d12, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -297,6 +284,21 @@ TEST(Bluestein, InverseRoundTrips) {
     ex.inverse(data);
     EXPECT_LT(max_abs_error(data, input), 1e-10) << n;
   }
+}
+
+TEST(Bluestein, ConvolutionSharesTheDirectPow2Entry) {
+  // Bluestein's convolution takes the key a direct pow2 call builds: a
+  // 101-point forward (M = next_pow2(201) = 256) and then a direct
+  // 256-point forward build the Bluestein entry plus ONE shared 256-point
+  // entry.
+  FftExecutor exec;
+  auto prime = random_signal(101, 5);
+  exec.forward(std::span<cplx>(prime));
+  EXPECT_EQ(exec.stats().cache.misses, 2u);
+  auto pow2 = random_signal(256, 6);
+  exec.forward(std::span<cplx>(pow2));
+  EXPECT_EQ(exec.stats().cache.misses, 2u);
+  EXPECT_EQ(exec.stats().bluestein, 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@
 // submit()/Ticket::wait(); the ServerOptions::alloc_probe hook has the
 // dispatcher split its thread's count into executor-internal work and
 // the serving layer's own drain/group/complete path. Steady state, both
-// must hold: client-side delta 0, serving-layer delta 0.
+// must hold: client-side delta 0, serving-layer delta 0. The same probe
+// gates the executor on its own: a warm call of every entry point, per
+// route and team size, allocates nothing on the calling thread.
 
 #define C64FFT_ALLOC_PROBE_IMPLEMENT
 #include "serve/alloc_probe.hpp"
@@ -14,9 +16,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "fft/executor.hpp"
 #include "serve/server.hpp"
 #include "util/prng.hpp"
 
@@ -148,6 +152,115 @@ TEST(ServeAllocProbe, CallbackResubmitLoopIsAllocationFree) {
   EXPECT_EQ(steady.dispatch_allocs - warm.dispatch_allocs, 0u)
       << "callback-resubmit steady state allocated in the serving layer";
   EXPECT_EQ(steady.completed - warm.completed, 200u);
+}
+
+/// Calling-thread allocations of one warm call of each executor entry
+/// point: forward and inverse on one transform, forward_batch and
+/// inverse_batch on eight.
+struct CallAllocs {
+  std::uint64_t forward = 0;
+  std::uint64_t inverse = 0;
+  std::uint64_t forward_batch = 0;
+  std::uint64_t inverse_batch = 0;
+};
+
+template <typename T>
+CallAllocs warm_call_allocs(fft::FftExecutor& ex, std::uint64_t n,
+                            unsigned workers) {
+  util::Xoshiro256 rng(n);
+  std::vector<std::vector<fft::cplx_t<T>>> data(
+      8, std::vector<fft::cplx_t<T>>(n));
+  for (auto& d : data)
+    for (auto& x : d)
+      x = fft::cplx_t<T>(static_cast<T>(rng.next_double() * 2 - 1),
+                         static_cast<T>(rng.next_double() * 2 - 1));
+  const std::vector<std::span<fft::cplx_t<T>>> batch(data.begin(),
+                                                      data.end());
+  const std::span<fft::cplx_t<T>> one(data[0]);
+  const fft::HostFftOptions opts{workers};
+  // Warm-up: plans, both twiddle directions, scratch and the team.
+  for (int i = 0; i < 2; ++i) {
+    ex.forward(one, opts);
+    ex.inverse(one, opts);
+    ex.forward_batch(batch, opts);
+    ex.inverse_batch(batch, opts);
+  }
+  CallAllocs c;
+  std::uint64_t before = thread_alloc_count();
+  ex.forward(one, opts);
+  c.forward = thread_alloc_count() - before;
+  before = thread_alloc_count();
+  ex.inverse(one, opts);
+  c.inverse = thread_alloc_count() - before;
+  before = thread_alloc_count();
+  ex.forward_batch(batch, opts);
+  c.forward_batch = thread_alloc_count() - before;
+  before = thread_alloc_count();
+  ex.inverse_batch(batch, opts);
+  c.inverse_batch = thread_alloc_count() - before;
+  return c;
+}
+
+template <typename T>
+void check_warm_calls_allocate_nothing() {
+  for (const unsigned workers : {1u, 2u, 4u}) {
+    fft::FftExecutor ex({.workers = workers});
+    // Pow2 (classic serial body), Bluestein over a classic convolution,
+    // and a mixed-radix composite.
+    for (const std::uint64_t n : {64u, 128u, 101u, 96u}) {
+      const CallAllocs c = warm_call_allocs<T>(ex, n, workers);
+      const std::string at =
+          "n=" + std::to_string(n) + " workers=" + std::to_string(workers);
+      EXPECT_EQ(c.forward_batch, 0u) << at;
+      EXPECT_EQ(c.inverse_batch, 0u) << at;
+      // A single mixed-radix transform on a multi-worker team runs the
+      // phased body (one phase per stage), which this gate leaves out.
+      if (n == 96 && workers > 1) continue;
+      EXPECT_EQ(c.forward, 0u) << at;
+      EXPECT_EQ(c.inverse, 0u) << at;
+    }
+  }
+}
+
+TEST(ExecutorAllocs, WarmCallsAllocateNothingF64) {
+  check_warm_calls_allocate_nothing<double>();
+}
+
+TEST(ExecutorAllocs, WarmCallsAllocateNothingF32) {
+  check_warm_calls_allocate_nothing<float>();
+}
+
+template <typename T>
+void check_hierarchical_call_allocates_only_its_phase_body() {
+  // 2^18 routes through the hierarchical pipeline: one phase per
+  // transform whose body (a std::function over the pipeline's captures)
+  // is the one allocation left.
+  constexpr std::uint64_t kN = std::uint64_t{1} << 18;
+  for (const unsigned workers : {1u, 2u}) {
+    fft::FftExecutor ex({.workers = workers});
+    std::vector<fft::cplx_t<T>> data(kN, fft::cplx_t<T>(T{0.5}, T{-0.25}));
+    const std::span<fft::cplx_t<T>> one(data);
+    const fft::HostFftOptions opts{workers};
+    ex.forward(one, opts);
+    ex.inverse(one, opts);
+    std::uint64_t before = thread_alloc_count();
+    ex.forward(one, opts);
+    const std::uint64_t forward = thread_alloc_count() - before;
+    before = thread_alloc_count();
+    ex.inverse(one, opts);
+    const std::uint64_t inverse = thread_alloc_count() - before;
+    EXPECT_EQ(ex.stats().hierarchical, 4u);
+    EXPECT_EQ(forward, 1u) << "workers=" << workers;
+    EXPECT_EQ(inverse, 1u) << "workers=" << workers;
+  }
+}
+
+TEST(ExecutorAllocs, HierarchicalCallAllocatesOnlyItsPhaseBodyF64) {
+  check_hierarchical_call_allocates_only_its_phase_body<double>();
+}
+
+TEST(ExecutorAllocs, HierarchicalCallAllocatesOnlyItsPhaseBodyF32) {
+  check_hierarchical_call_allocates_only_its_phase_body<float>();
 }
 
 }  // namespace

@@ -17,12 +17,12 @@
 // precisions. --size lints an exact (possibly composite) length, which
 // the auto routing sends down the factorization-driven paths.
 //
-// Pipeline models record the kernel dispatch table ("scalar" / "avx2" /
-// "avx512") the runtime would execute with; the kernel check validates
-// the id against the dispatch registry and host cpuid support. --isa=X
-// forces the level before the models are built (clamped to hardware
-// support, like C64FFT_ISA), so a lint of the forced-scalar CI lane
-// verifies the same configuration that lane runs.
+// Pipeline models record the kernel dispatch table ("scalar" / "avx2")
+// the runtime would execute with; the kernel check validates the id
+// against the dispatch registry and host cpuid support. --isa=X forces
+// the level before the models are built (clamped to hardware support,
+// like C64FFT_ISA), so a lint of the forced-scalar CI lane verifies the
+// same configuration that lane runs.
 //
 // Exit status classifies the most fundamental failed check so CI can
 // triage without parsing:
@@ -152,9 +152,6 @@ int main(int argc, char** argv) {
   cli.add_int("leaf-log2", 0,
               "hierarchical leaf cap (log2 points); 0 derives it from the "
               "host L2 like the executor");
-  cli.add_int("block-rows", 0,
-              "rows per hierarchical pipeline block; 0 = the executor's "
-              "grain policy");
   cli.add_int("rows-log2", 6,
               "log2 of the matrix rows for --plan-kind=fft2d and "
               "--seed-defect=tile-overlap");
@@ -165,7 +162,7 @@ int main(int argc, char** argv) {
               "worker count the pipeline model grains its sweeps for");
   cli.add_string("isa", "auto",
                  "kernel dispatch level the pipeline models record: scalar "
-                 "| avx2 | avx512 | auto (clamped to hardware support)");
+                 "| avx2 | auto (clamped to hardware support)");
   cli.add_flag("coverage",
                "run the pipeline write-coverage proof (implied by composite "
                "plan kinds and --all)");
@@ -220,7 +217,7 @@ int main(int argc, char** argv) {
   const std::optional<util::IsaLevel> isa = util::parse_isa_name(isa_name);
   if (!isa) {
     std::cerr << "fft_lint: unknown --isa '" << isa_name
-              << "' (scalar | avx2 | avx512 | auto)\n";
+              << "' (scalar | avx2 | auto)\n";
     return 2;
   }
   const util::IsaLevel active = fft::kernels::set_kernel_isa(*isa);
@@ -255,8 +252,6 @@ int main(int argc, char** argv) {
                      ? fft::TwiddleLayout::kBitReversed
                      : fft::TwiddleLayout::kLinear;
   build.hier_leaf_log2 = static_cast<unsigned>(cli.get_int("leaf-log2"));
-  build.hier_block_rows =
-      static_cast<std::uint64_t>(cli.get_int("block-rows"));
   pipe_opts.tile_traffic.strict = cli.flag("strict-cost");
 
   const std::uint64_t n =
