@@ -28,9 +28,11 @@
 #include "fft/executor.hpp"
 #include "fft/kernel.hpp"
 #include "fft/kernels/dispatch.hpp"
+#include "fft/plan_cache.hpp"
 #include "fft/real_fft.hpp"
 #include "fft/reference.hpp"
 #include "fft/transpose.hpp"
+#include "util/aligned_buffer.hpp"
 #include "util/cpu_features.hpp"
 #include "util/prng.hpp"
 
@@ -414,9 +416,8 @@ BENCHMARK(BM_ExecutorForwardCachedF32)
 // Scalar twin is the explicit-SIMD payoff with every other cost (plan
 // cache, twiddles, team) identical; the opt-in bench gate requires the
 // f32 pair at N=4096 to stay >= 1.3x apart (tools/CMakeLists.txt ratio
-// args). The ISA is forced AFTER executor construction — the constructor
-// re-resolves from C64FFT_ISA — and restored to the env resolution after
-// the timing loop so later benchmarks see the default dispatch.
+// args). The forced ISA is restored to the env resolution after the
+// timing loop so later benchmarks see the default dispatch.
 template <typename Complex>
 void executor_cached_isa_bench(benchmark::State& state, util::IsaLevel level,
                                std::vector<Complex> data) {
@@ -425,8 +426,8 @@ void executor_cached_isa_bench(benchmark::State& state, util::IsaLevel level,
   // spread, and phase-barrier overhead at workers > num_cpus would bury
   // the butterfly time it exists to compare.
   opts.workers = 1;
-  fft::FftExecutor ex;
   fft::kernels::set_kernel_isa(level);
+  fft::FftExecutor ex;
   ex.forward(std::span<Complex>(data), opts);  // warm: plan + team resident
   for (auto _ : state) {
     ex.forward(std::span<Complex>(data), opts);
@@ -606,23 +607,23 @@ BENCHMARK(BM_TransposeInplaceSquare)->Arg(8)->Arg(9)->Arg(10);
 
 // ---------------------------------------------------------------------------
 // Classic vs hierarchical at large N: the pair behind the executor's
-// default routing threshold (kDefaultHierarchicalThresholdLog2), the
-// RATIO2 gate (tools/CMakeLists.txt) and DESIGN.md §3.7's speedup table.
-// Both executors are warmed so the steady state is measured; the classic
-// executor pins the threshold to 0 (never hierarchical), the other to 2
-// (always hierarchical). Arg = log2 N.
+// routing threshold (kDefaultHierarchicalThresholdLog2), the RATIO2 gate
+// (tools/CMakeLists.txt) and DESIGN.md §3.7's speedup table. The classic
+// row times the executor's serial body — one run_transform_split sweep
+// over a classic plan entry's twiddle and bit-reversal tables, on
+// split-complex scratch — at sizes routing sends down the pipeline from
+// 2^18; the hierarchical row is a warmed executor's routed call.
+// Arg = log2 N.
 
 void BM_ClassicFftLargeN(benchmark::State& state) {
   auto data = random_signal(std::uint64_t{1} << state.range(0), 14);
-  fft::ExecutorOptions eo;
-  eo.workers = 2;
-  eo.hierarchical_threshold_log2 = 0;  // pin: measure the classic path only
-  fft::FftExecutor ex(eo);
-  fft::HostFftOptions opts;
-  opts.workers = 2;
-  ex.forward(data, opts);  // warm: plan + O(N) twiddle table resident
+  fft::PlanCache cache(1);
+  const auto entry = cache.acquire(fft::PlanKey{data.size()});
+  const fft::TwiddleTable& tw = entry->twiddles(fft::TwiddleDirection::kForward);
+  util::AlignedBuffer<double> split(3 * data.size());
+  fft::run_transform_split(data, tw, entry->bitrev(), split.data());  // warm
   for (auto _ : state) {
-    ex.forward(data, opts);
+    fft::run_transform_split(data, tw, entry->bitrev(), split.data());
     benchmark::DoNotOptimize(data.data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
@@ -633,14 +634,13 @@ BENCHMARK(BM_ClassicFftLargeN)
     ->UseRealTime()->Unit(benchmark::kMillisecond);
 
 // Hierarchical pipelined path, the only large-N route: /18 and /19 sit at
-// the default routing threshold, /20 is the denominator of the 1.25x
+// the routing threshold, /20 is the denominator of the 1.25x
 // classic-vs-hierarchical ratio gate (RATIO2 in tools/CMakeLists.txt
-// bench_check). Same warmed protocol as the classic row above.
+// bench_check). Warmed like the classic row above, on a 2-worker team.
 void BM_HierarchicalFftLargeN(benchmark::State& state) {
   auto data = random_signal(std::uint64_t{1} << state.range(0), 14);
   fft::ExecutorOptions eo;
   eo.workers = 2;
-  eo.hierarchical_threshold_log2 = 2;  // always route hierarchical
   fft::FftExecutor ex(eo);
   fft::HostFftOptions opts;
   opts.workers = 2;

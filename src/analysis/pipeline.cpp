@@ -484,8 +484,7 @@ PipelineModel build_bluestein_pipeline(std::uint64_t n,
   if (n < 2)
     throw std::invalid_argument("build_bluestein_pipeline: n >= 2 required");
   const std::uint64_t conv_n = fft::bluestein_fft_size(n);
-  const fft::PlanKind conv_kind =
-      fft::routed_plan_kind(conv_n, fft::kDefaultHierarchicalThresholdLog2);
+  const fft::PlanKind conv_kind = fft::routed_plan_kind(conv_n);
   if (conv_kind != fft::PlanKind::kClassic)
     throw std::invalid_argument(
         "build_bluestein_pipeline: convolution size " + std::to_string(conv_n) +

@@ -197,10 +197,10 @@ PipelineModel build_mixed_radix_pipeline(std::uint64_t n,
 /// M-point FFT as one whole-transform task, serial pointwise multiply by
 /// the precomputed chirp-filter spectrum, the inverse M-point FFT as one
 /// whole-transform task, serial demodulation back into data. The builder
-/// throws std::invalid_argument when the executor's default routing sends
-/// M to the hierarchical pipeline instead
-/// (M >= 2^kDefaultHierarchicalThresholdLog2, i.e. every N >= 65537 at
-/// the default threshold) rather than report phases that never run.
+/// throws std::invalid_argument when the executor's routing sends M to
+/// the hierarchical pipeline instead
+/// (M >= 2^kDefaultHierarchicalThresholdLog2, i.e. every N >= 65537)
+/// rather than report phases that never run.
 PipelineModel build_bluestein_pipeline(std::uint64_t n,
                                        const PipelineBuildOptions& opts = {},
                                        std::string name = {});

@@ -32,30 +32,15 @@ struct CodeletKeyHash {
   }
 };
 
-/// Pop-order policy of a ready-codelet pool. The paper's "fine best" and
-/// "fine worst" are realised by the combination of the initial seed order
-/// and this policy (see fft::PoolOrder).
+/// Pop-order policy of a ready-codelet pool: the order the host runtime's
+/// injection queue hands out phase seeds (enabled children always go to
+/// the enabling worker's own deque). The paper's "fine best" and "fine
+/// worst" are realised by the combination of the initial seed order and
+/// this policy on the fft_host harness's strict single pool (see
+/// fft::FineOrdering and fft::run_phase_sequential).
 enum class PoolPolicy {
   kLifo,  ///< stack: newly enabled codelets run first (depth-first-ish)
   kFifo,  ///< queue: enabling order preserved (breadth-first-ish)
-};
-
-/// How the host runtime schedules ready codelets.
-///
-/// kWorkStealing: per-worker Chase-Lev deques (owner LIFO pop, thief FIFO
-/// steal) plus a global injection queue holding the phase seeds in
-/// PoolPolicy order. Dynamically enabled codelets go to the enabling
-/// worker's own deque, so the hot push/pop path is lock-free; the pop
-/// order across workers is free — exactly the freedom the paper's
-/// fine-grain model grants (and the static race check proves safe).
-///
-/// kSequential: the paper-order compatibility mode. Every codelet runs on
-/// the calling thread, popped from one pool in strict PoolPolicy order, so
-/// the "fine best"/"fine worst" seed-order experiments reproduce the exact
-/// execution sequence the single mutex-pool runtime gave.
-enum class SchedulerMode {
-  kWorkStealing,
-  kSequential,
 };
 
 }  // namespace c64fft::codelet

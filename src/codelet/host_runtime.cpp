@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <deque>
 #include <exception>
 #include <mutex>
 #include <utility>
@@ -55,7 +54,7 @@ struct HostRuntimeShared {
   // Current phase. `pending` counts queued + executing codelets; the phase
   // is over exactly when it reaches zero (every queued item was counted
   // before it became visible, so zero cannot be observed early).
-  std::atomic<const CodeletBody*> body{nullptr};
+  std::atomic<const CodeletBodyRef*> body{nullptr};
   std::atomic<std::int64_t> pending{0};
   std::atomic<bool> failed{false};
   std::mutex error_mutex;
@@ -131,7 +130,7 @@ struct HostRuntimeShared {
   // keeps draining, but remaining codelets are discarded unexecuted.
   void execute(unsigned w, CodeletKey key, Pusher& pusher) {
     if (!failed.load(std::memory_order_acquire)) {
-      const CodeletBody* b = body.load(std::memory_order_acquire);
+      const CodeletBodyRef* b = body.load(std::memory_order_acquire);
       try {
         (*b)(key, w, pusher);
         states[w]->executed.fetch_add(1, std::memory_order_relaxed);
@@ -221,16 +220,14 @@ std::uint64_t HostRuntime::teams_created() noexcept {
   return g_teams_created.load(std::memory_order_relaxed);
 }
 
-HostRuntime::HostRuntime(unsigned workers, SchedulerMode mode)
-    : workers_(workers), mode_(mode), per_worker_(workers, 0) {
+HostRuntime::HostRuntime(unsigned workers)
+    : workers_(workers), per_worker_(workers, 0) {
   if (workers == 0) throw std::invalid_argument("HostRuntime: zero workers");
   g_teams_created.fetch_add(1, std::memory_order_relaxed);
   shared_ = std::make_unique<detail::HostRuntimeShared>(workers);
-  if (mode_ == SchedulerMode::kWorkStealing) {
-    threads_.reserve(workers - 1);
-    for (unsigned w = 1; w < workers; ++w)
-      threads_.emplace_back([this, w] { worker_main(*shared_, w); });
-  }
+  threads_.reserve(workers - 1);
+  for (unsigned w = 1; w < workers; ++w)
+    threads_.emplace_back([this, w] { worker_main(*shared_, w); });
 }
 
 HostRuntime::~HostRuntime() {
@@ -253,16 +250,13 @@ void HostRuntime::set_phase_hook(PhaseHook hook) {
   phase_hook_ = std::move(hook);
 }
 
-void HostRuntime::run_phase(std::span<const CodeletKey> seeds, PoolPolicy policy,
-                            const CodeletBody& body) {
+void HostRuntime::run_phase_ref(std::span<const CodeletKey> seeds,
+                                PoolPolicy policy, CodeletBodyRef body) {
   // Timing only exists when someone listens: the hot no-hook path pays no
   // clock reads. The hook fires after the drain but before any captured
   // codelet exception propagates, so a metrics layer sees failed phases.
   if (!phase_hook_) {
-    if (mode_ == SchedulerMode::kSequential)
-      run_phase_sequential(seeds, policy, body);
-    else
-      run_phase_work_stealing(seeds, policy, body);
+    drain(seeds, policy, body);
     return;
   }
   PhaseStats stats;
@@ -270,10 +264,7 @@ void HostRuntime::run_phase(std::span<const CodeletKey> seeds, PoolPolicy policy
   const std::uint64_t executed_before = executed_;
   const auto t0 = std::chrono::steady_clock::now();
   try {
-    if (mode_ == SchedulerMode::kSequential)
-      run_phase_sequential(seeds, policy, body);
-    else
-      run_phase_work_stealing(seeds, policy, body);
+    drain(seeds, policy, body);
   } catch (...) {
     stats.executed = executed_ - executed_before;
     stats.nanos = static_cast<std::uint64_t>(
@@ -291,9 +282,8 @@ void HostRuntime::run_phase(std::span<const CodeletKey> seeds, PoolPolicy policy
   phase_hook_(stats);
 }
 
-void HostRuntime::run_phase_work_stealing(std::span<const CodeletKey> seeds,
-                                          PoolPolicy policy,
-                                          const CodeletBody& body) {
+void HostRuntime::drain(std::span<const CodeletKey> seeds, PoolPolicy policy,
+                        const CodeletBodyRef& body) {
   detail::HostRuntimeShared& sh = *shared_;
   if (seeds.empty()) return;
 
@@ -353,39 +343,6 @@ void HostRuntime::run_phase_work_stealing(std::span<const CodeletKey> seeds,
     }
     if (e) std::rethrow_exception(e);
   }
-}
-
-void HostRuntime::run_phase_sequential(std::span<const CodeletKey> seeds,
-                                       PoolPolicy policy, const CodeletBody& body) {
-  // Exact single mutex-pool semantics on one thread: push appends, pop
-  // follows the policy. Deterministic by construction.
-  struct SeqPusher final : Pusher {
-    std::deque<CodeletKey> pool;
-    void push(CodeletKey ready) override { pool.push_back(ready); }
-  } pusher;
-  pusher.pool.assign(seeds.begin(), seeds.end());
-
-  std::uint64_t count = 0;
-  while (!pusher.pool.empty()) {
-    CodeletKey key;
-    if (policy == PoolPolicy::kLifo) {
-      key = pusher.pool.back();
-      pusher.pool.pop_back();
-    } else {
-      key = pusher.pool.front();
-      pusher.pool.pop_front();
-    }
-    try {
-      body(key, 0, pusher);
-    } catch (...) {
-      executed_ += count;
-      per_worker_[0] += count;
-      throw;
-    }
-    ++count;
-  }
-  executed_ += count;
-  per_worker_[0] += count;
 }
 
 }  // namespace c64fft::codelet

@@ -83,16 +83,14 @@ SweepGrain bitrev_sweep_grain(std::uint64_t n, unsigned workers) {
   return {chunks, util::ceil_div(n, chunks)};
 }
 
-PlanKind routed_plan_kind(std::uint64_t n, unsigned hierarchical_threshold_log2) {
-  // Non-pow2 routing is factorization-driven and threshold-blind: every
-  // 7-smooth composite runs the mixed-radix plan, everything else the
-  // Bluestein chirp-z path (whose INTERNAL pow2 convolution FFTs re-enter
-  // here with M = next_pow2(2n-1) and do obey the threshold).
+PlanKind routed_plan_kind(std::uint64_t n) {
+  // Non-pow2 routing is factorization-driven: every 7-smooth composite
+  // runs the mixed-radix plan, everything else the Bluestein chirp-z path
+  // (whose INTERNAL pow2 convolution FFTs re-enter here with
+  // M = next_pow2(2n-1)).
   if (n >= 2 && !util::is_pow2(n))
     return seven_smooth(n) ? PlanKind::kMixedRadix : PlanKind::kBluestein;
-  if (n < 4) return PlanKind::kClassic;
-  return (hierarchical_threshold_log2 != 0 &&
-          util::ilog2(n) >= hierarchical_threshold_log2)
+  return n >= 4 && util::ilog2(n) >= kDefaultHierarchicalThresholdLog2
              ? PlanKind::kHierarchical
              : PlanKind::kClassic;
 }
@@ -129,41 +127,14 @@ HierarchicalGrain hierarchical_grain(std::uint64_t n1, std::uint64_t n2,
   return g;
 }
 
-ExecutorEnvSnapshot read_executor_env() {
-  ExecutorEnvSnapshot snap;
-  unsigned v = 0;
-  if (env_unsigned("C64FFT_WORKERS", v)) snap.workers = v;
-  if (env_unsigned("C64FFT_HIERARCHICAL_THRESHOLD_LOG2", v))
-    snap.hierarchical_threshold_log2 = v;
-  return snap;
-}
-
-void FftExecutor::apply_env_overrides() {
-  // Every env knob arrives through ONE snapshot struct, so this body — the
-  // shared spine of the constructor and reconfigure() — is the only place
-  // overrides are applied: a knob added to ExecutorEnvSnapshot cannot be
-  // picked up at construction yet silently missed on reconfigure().
-  const ExecutorEnvSnapshot env = read_executor_env();
-  if (env.workers && *env.workers > 0) opts_.workers = *env.workers;
-  if (env.hierarchical_threshold_log2)
-    opts_.hierarchical_threshold_log2 = *env.hierarchical_threshold_log2;
-  hierarchical_threshold_log2_.store(opts_.hierarchical_threshold_log2,
-                                     std::memory_order_relaxed);
-  // Kernel ISA selection is process-wide, not per-executor, but this is
-  // the natural re-read point for C64FFT_ISA after a warm-up mutation
-  // (same contract as the variables above).
-  kernels::reset_kernel_isa_from_env();
-}
-
 FftExecutor::FftExecutor(const ExecutorOptions& opts)
-    : opts_(opts),
-      cache_(opts.capacity),
-      hierarchical_threshold_log2_(opts.hierarchical_threshold_log2) {
+    : opts_(opts), cache_(opts.capacity) {
   if (opts.workers == 0)
     throw std::invalid_argument("FftExecutor: zero workers");
-  // Environment snapshot happens here, once; see the header contract and
-  // reconfigure().
-  apply_env_overrides();
+  // The one env read, here only (see the header contract).
+  unsigned workers = 0;
+  if (env_unsigned("C64FFT_WORKERS", workers) && workers > 0)
+    opts_.workers = workers;
 }
 
 FftExecutor::~FftExecutor() = default;
@@ -177,33 +148,6 @@ codelet::HostRuntime& FftExecutor::team(unsigned workers) {
     ++teams_created_;
   }
   return *runtime_;
-}
-
-const std::vector<std::uint32_t>& FftExecutor::bitrev_table_locked(
-    std::uint64_t len) {
-  for (auto it = bitrev_tables_.begin(); it != bitrev_tables_.end(); ++it) {
-    if (it->first == len) {
-      // Move-to-back on hit so eviction below is least-recently-used, not
-      // insertion-ordered. The hierarchical path fetches two tables
-      // back-to-back (sub-FFT lengths n1 then n2) and holds spans into
-      // both across one pipeline phase — with insertion-order eviction a
-      // full cache could free the n1 table while the n2 fetch inserts.
-      // The rotate moves the std::vector shells only; spans into the
-      // tables' heap buffers stay valid.
-      std::rotate(it, it + 1, bitrev_tables_.end());
-      return bitrev_tables_.back().second;
-    }
-  }
-  // Bound the cache: 32 distinct lengths is far beyond any real traffic
-  // mix; drop the least-recently-used entry rather than growing without
-  // limit.
-  if (bitrev_tables_.size() >= 32)
-    bitrev_tables_.erase(bitrev_tables_.begin());
-  auto& slot = bitrev_tables_.emplace_back(len, std::vector<std::uint32_t>(len));
-  const unsigned bits = util::ilog2(len);
-  for (std::uint64_t i = 0; i < len; ++i)
-    slot.second[i] = static_cast<std::uint32_t>(util::bit_reverse(i, bits));
-  return slot.second;
 }
 
 namespace {
@@ -274,8 +218,9 @@ void FftExecutor::run_t(std::span<const std::span<cplx_t<T>>> batch,
                         const HostFftOptions& opts, TwiddleDirection dir) {
   if (batch.empty()) return;
   // Unlocked fast-fail; the authoritative re-check happens under mutex_
-  // below (close() flips the flag while holding the same mutex, so a
-  // caller that passes that check runs on a team close() has not joined).
+  // in dispatch_t (close() flips the flag while holding the same mutex, so
+  // a caller that passes that check runs on a team close() has not
+  // joined).
   if (closed_.load(std::memory_order_acquire)) throw ExecutorClosedError();
   const std::uint64_t n = batch.front().size();
   for (const std::span<cplx_t<T>>& t : batch)
@@ -287,46 +232,51 @@ void FftExecutor::run_t(std::span<const std::span<cplx_t<T>>> batch,
   validate_fft_shape(n);
 
   // Resolve the route and its plan entries before taking the lock (the
-  // cache has its own finer lock). Non-pow2 sizes route on factorization
-  // alone. Every key is a function of (n, kind, precision): a
-  // hierarchical key leaves its leaf to the cache, which derives it from
-  // the host L2. Bluestein's M-point convolution takes the key a direct
-  // M-point call builds, so the two share one entry.
-  const unsigned threshold =
-      hierarchical_threshold_log2_.load(std::memory_order_relaxed);
-  const PlanKind kind = routed_plan_kind(n, threshold);
+  // cache has its own finer lock). Every key is a function of (n, kind,
+  // precision), the kind a function of n: a hierarchical key leaves its
+  // leaf to the cache, which derives it from the host L2. Bluestein's
+  // M-point convolution takes the key a direct M-point call builds, so
+  // the two share one entry.
+  const PlanKind kind = routed_plan_kind(n);
   const std::shared_ptr<const PlanEntry> entry =
       cache_.acquire(PlanKey{n, kind, precision_of<T>});
   std::shared_ptr<const PlanEntry> conv;
   if (kind == PlanKind::kBluestein) {
     const std::uint64_t m = bluestein_fft_size(n);
-    conv = cache_.acquire(
-        PlanKey{m, routed_plan_kind(m, threshold), precision_of<T>});
+    conv = cache_.acquire(PlanKey{m, routed_plan_kind(m), precision_of<T>});
   }
+  dispatch_t<T>(*entry, conv.get(), batch, opts.workers, dir);
+}
+
+template <typename T>
+void FftExecutor::dispatch_t(const PlanEntry& entry, const PlanEntry* conv,
+                             std::span<const std::span<cplx_t<T>>> batch,
+                             unsigned workers, TwiddleDirection dir) {
   // A hierarchical plan (direct, or as Bluestein's convolution) schedules
   // its own tile pipeline, which cannot nest inside a codelet, so it runs
   // one transform at a time on every team. A single mixed-radix transform
   // on a multi-worker team runs its per-stage phases. Everything else is
   // the serial body, a single call being a batch of one.
+  const PlanKind kind = entry.kind();
   const bool pipelined =
       kind == PlanKind::kHierarchical ||
       (conv != nullptr && conv->kind() == PlanKind::kHierarchical);
 
   std::lock_guard lock(mutex_);
   if (closed_.load(std::memory_order_relaxed)) throw ExecutorClosedError();
-  codelet::HostRuntime& rt = team(opts.workers);
+  codelet::HostRuntime& rt = team(workers);
   const bool phased_mixed = kind == PlanKind::kMixedRadix &&
                             batch.size() == 1 && rt.workers() > 1;
   if (!pipelined && !phased_mixed) {
-    run_serial_locked<T>(*entry, conv.get(), batch, rt, dir);
+    run_serial_locked<T>(entry, conv, batch, rt, dir);
   } else {
     for (const std::span<cplx_t<T>>& data : batch) {
       if (kind == PlanKind::kHierarchical)
-        run_hierarchical_locked<T>(*entry, data, rt, dir, /*depth=*/0);
+        run_hierarchical_locked<T>(entry, data, rt, dir, /*depth=*/0);
       else if (kind == PlanKind::kMixedRadix)
-        run_mixed_radix_locked<T>(*entry, data, rt, dir);
+        run_mixed_radix_locked<T>(entry, data, rt, dir);
       else
-        run_bluestein_locked<T>(*entry, *conv, data, rt, dir);
+        run_bluestein_locked<T>(entry, *conv, data, rt, dir);
     }
   }
   const std::uint64_t count = batch.size();
@@ -358,11 +308,11 @@ void FftExecutor::run_serial_locked(const PlanEntry& entry,
 
   // Classic transforms and Bluestein's convolutions: one pow2 plan, each
   // transform one split-complex sweep (run_transform_split) on its
-  // worker's split scratch. Every table is resolved here, before any
-  // codelet runs.
-  const std::uint64_t len = (conv != nullptr ? *conv : entry).key().n;
+  // worker's split scratch. Every table comes from the plan entry.
+  const PlanEntry& pow2 = conv != nullptr ? *conv : entry;
+  const std::uint64_t len = pow2.key().n;
   size_per_worker(st.split, workers, 3 * len);
-  const std::span<const std::uint32_t> brev(bitrev_table_locked(len));
+  const std::span<const std::uint32_t> brev = pow2.bitrev();
   const auto fft = [&](std::span<cplx_t<T>> data,
                        const BasicTwiddleTable<T>& tw, unsigned w) {
     run_transform_split(data, tw, brev, st.split[w].data());
@@ -554,15 +504,16 @@ void FftExecutor::run_hierarchical_locked(const PlanEntry& entry,
 
   // Per-worker buffer prep AFTER any recursion (the inner levels grow
   // st.split for their own sub-FFT lengths). Every column and row FFT is
-  // one run_transform_split sweep on the worker's split scratch.
+  // one run_transform_split sweep on the worker's split scratch, over the
+  // twiddle and bit-reversal tables of the classic sub-entries.
   const BasicTwiddleTable<T>& row_tw = entry.row_entry()->twiddles_for<T>(dir);
+  const std::span<const std::uint32_t> brev2 = entry.row_entry()->bitrev();
   const BasicTwiddleTable<T>* col_tw = nullptr;
   std::span<const std::uint32_t> brev1;
   if (single_level) {
     col_tw = &entry.col_entry()->twiddles_for<T>(dir);
-    brev1 = std::span<const std::uint32_t>(bitrev_table_locked(n1));
+    brev1 = entry.col_entry()->bitrev();
   }
-  const std::span<const std::uint32_t> brev2(bitrev_table_locked(n2));
   size_per_worker(st.split, workers,
                   3 * (single_level ? std::max(n1, n2) : n2));
 
@@ -675,13 +626,13 @@ void FftExecutor::run_hierarchical_locked(const PlanEntry& entry,
   });
 }
 
-// The test peer (FftExecutorTestPeer) drives this body directly.
-template void FftExecutor::run_hierarchical_locked<double>(
-    const PlanEntry&, std::span<cplx>, codelet::HostRuntime&, TwiddleDirection,
-    unsigned);
-template void FftExecutor::run_hierarchical_locked<float>(
-    const PlanEntry&, std::span<cplx32>, codelet::HostRuntime&,
-    TwiddleDirection, unsigned);
+// The test peer (FftExecutorTestPeer) drives the dispatch directly.
+template void FftExecutor::dispatch_t<double>(
+    const PlanEntry&, const PlanEntry*, std::span<const std::span<cplx>>,
+    unsigned, TwiddleDirection);
+template void FftExecutor::dispatch_t<float>(
+    const PlanEntry&, const PlanEntry*, std::span<const std::span<cplx32>>,
+    unsigned, TwiddleDirection);
 
 void FftExecutor::forward(std::span<cplx> data, const HostFftOptions& opts) {
   const std::span<cplx> one[1] = {data};
@@ -768,22 +719,6 @@ void FftExecutor::resize(unsigned workers) {
   if (runtime_ && runtime_->workers() != workers) runtime_.reset();
 }
 
-void FftExecutor::reconfigure() {
-  std::lock_guard lock(mutex_);
-  apply_env_overrides();
-  if (runtime_ && runtime_->workers() != opts_.workers) runtime_.reset();
-}
-
-void FftExecutor::set_hierarchical_threshold_log2(unsigned log2n) {
-  std::lock_guard lock(mutex_);
-  opts_.hierarchical_threshold_log2 = log2n;
-  hierarchical_threshold_log2_.store(log2n, std::memory_order_relaxed);
-}
-
-unsigned FftExecutor::hierarchical_threshold_log2() const {
-  return hierarchical_threshold_log2_.load(std::memory_order_relaxed);
-}
-
 unsigned FftExecutor::default_workers() const {
   std::lock_guard lock(mutex_);
   return opts_.workers;
@@ -799,8 +734,6 @@ void FftExecutor::shutdown_locked() {
   seeds_ = {};
   f64_ = {};
   f32_ = {};
-  bitrev_tables_.clear();
-  bitrev_tables_.shrink_to_fit();
 }
 
 void FftExecutor::close() {

@@ -1,7 +1,7 @@
 #pragma once
 // Cached-plan FFT executor: the steady-state entry point of the library.
-// Plans, twiddles and counter templates live in a thread-safe LRU
-// PlanCache, and one lazily created persistent worker team is reused
+// Plans and their twiddle and bit-reversal tables live in a thread-safe
+// LRU PlanCache, and one lazily created persistent worker team is reused
 // across transforms (and resized only when a call asks for a different
 // team size), so a steady-state forward() spawns no thread and recomputes
 // no trig.
@@ -33,10 +33,10 @@
 // dependency-counted pipeline phase per level: the gather-transpose of
 // one tile block overlaps the butterfly sweep of another, and one shared
 // counter over the column sweeps is the only fan-in. It has no serial
-// body: the pipeline runs once per transform on every team. The routing
-// threshold is env-overridable and read at construction only (see the
-// constructor and reconfigure()). See DESIGN.md "Hierarchical
-// multi-level path".
+// body: the pipeline runs once per transform on every team. Routing is a
+// function of N alone (routed_plan_kind): no option, env var or setter
+// moves a size between plans. See DESIGN.md "Hierarchical multi-level
+// path".
 //
 // Precision: every entry point exists for cplx (f64) and cplx32 (f32).
 // The two precisions dispatch through one shared member-template body
@@ -55,7 +55,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <stdexcept>
 #include <type_traits>
@@ -68,15 +67,15 @@
 namespace c64fft::fft {
 
 /// Pow2 transforms with log2(N) >= this route through the hierarchical
-/// multi-level path (PlanKind::kHierarchical) by default; smaller ones run
-/// the classic monolithic plan. 2^18 = 4 MiB of cplx data: at that size
+/// multi-level path (PlanKind::kHierarchical); smaller ones run the
+/// classic monolithic plan. 2^18 = 4 MiB of cplx data: at that size
 /// the classic path's data + O(N) twiddle table are far beyond a typical
 /// L2, while the decomposed sub-sweeps (512-point FFTs) stay
 /// cache-resident. Measured on a 4-vCPU Xeon, a 2-worker team runs the
 /// hierarchical route 1.14x faster than the classic plan at 2^18, and a
 /// one-worker team runs the two about equally there — DESIGN.md §3.7.
-/// (The f32 footprint at a given N is half this; the shared default
-/// stays size-based for predictability.)
+/// (The f32 footprint at a given N is half this; the threshold stays
+/// size-based for predictability.)
 inline constexpr unsigned kDefaultHierarchicalThresholdLog2 = 18;
 
 /// Chunk decomposition of the executor's data-parallel utility phases
@@ -121,15 +120,13 @@ HierarchicalGrain hierarchical_grain(std::uint64_t n1, std::uint64_t n2,
                                      unsigned workers, unsigned element_bytes,
                                      std::uint64_t l2_bytes);
 
-/// The PlanKind run_t routes an n-point transform to. Non-pow2 sizes are
-/// decided first, by factorization alone: 7-smooth composites run
-/// kMixedRadix, everything else kBluestein (the threshold never applies —
-/// it governs only which pow2 plan runs, including Bluestein's internal
-/// convolution FFTs). Pow2 sizes with log2(N) >= the hierarchical
-/// threshold run kHierarchical (0 disables the path), the rest kClassic —
-/// the executor's own routing predicate, shared with fft_lint
-/// --plan-kind=auto.
-PlanKind routed_plan_kind(std::uint64_t n, unsigned hierarchical_threshold_log2);
+/// The PlanKind the executor routes an n-point transform to — a function
+/// of n alone. Non-pow2 sizes are decided by factorization: 7-smooth
+/// composites run kMixedRadix, everything else kBluestein. Pow2 sizes
+/// with log2(N) >= kDefaultHierarchicalThresholdLog2 run kHierarchical,
+/// the rest kClassic; Bluestein's M-point convolution routes the same
+/// way. Shared with fft_lint --plan-kind=auto and the static models.
+PlanKind routed_plan_kind(std::uint64_t n);
 
 struct ExecutorOptions {
   /// Team shape used by the option-less transform overloads (per-call
@@ -137,31 +134,7 @@ struct ExecutorOptions {
   unsigned workers = 4;
   /// Plan-cache capacity in entries (>= 1).
   std::size_t capacity = 16;
-  /// Pow2 transforms with log2(N) >= this value route through the
-  /// hierarchical pipelined path (PlanKind::kHierarchical); 0 disables the
-  /// routing so every pow2 size runs the classic monolithic plan.
-  unsigned hierarchical_threshold_log2 = kDefaultHierarchicalThresholdLog2;
 };
-
-/// One consistent snapshot of every C64FFT_* variable the executor reads,
-/// taken by read_executor_env(). The constructor and reconfigure() both
-/// apply overrides FROM THIS STRUCT ONLY — adding an env knob means adding
-/// a field here, so the two code paths cannot silently diverge (the bug
-/// this replaces: a knob read at construction that reconfigure() forgot,
-/// leaving a live executor half-updated). A field is nullopt when its
-/// variable is unset or failed to parse (strict parse: full-string,
-/// non-negative decimal for the numeric knobs).
-struct ExecutorEnvSnapshot {
-  /// C64FFT_WORKERS (>= 1; 0 parses but is rejected at apply time).
-  std::optional<unsigned> workers;
-  /// C64FFT_HIERARCHICAL_THRESHOLD_LOG2 (0 disables the hierarchical
-  /// path).
-  std::optional<unsigned> hierarchical_threshold_log2;
-};
-
-/// Read every executor env knob once, into one snapshot (no caching: each
-/// call re-reads the environment).
-ExecutorEnvSnapshot read_executor_env();
 
 /// Thrown by every transform entry point after close(): the typed
 /// "serving is over" error. Distinct from std::invalid_argument shape
@@ -192,25 +165,20 @@ struct ExecutorStats {
   std::uint64_t teams_created = 0;
 };
 
-/// Test-only peer (defined by the hierarchical tests): runs one transform
-/// over a plan split with a forced leaf, the only way to reach the
-/// multi-level recursion at sizes a test can afford. No public knob
-/// exists for the leaf: production derives it from the host L2.
+/// Test-only peer (tests/executor_test_peer.hpp): acquires plan entries of
+/// a forced kind (a classic plan above the threshold, a hierarchical one
+/// below it or with a forced leaf, a Bluestein convolution of either
+/// kind) and runs them through the executor's own locked dispatch. No
+/// public knob moves a size between routes.
 struct FftExecutorTestPeer;
 
 class FftExecutor {
  public:
-  /// Environment overrides are applied ON TOP of `opts` here, at
-  /// construction time ONLY (they are never re-read per transform):
-  ///  * C64FFT_WORKERS                 — default team size (>= 1)
-  ///  * C64FFT_HIERARCHICAL_THRESHOLD_LOG2 — hierarchical routing
-  ///                                     threshold (0 disables the path)
-  /// Both arrive via ONE ExecutorEnvSnapshot (read_executor_env), the
-  /// single list of env knobs shared with reconfigure(). A variable that
-  /// is unset or fails to parse leaves the corresponding option
-  /// untouched. The constructor also re-reads C64FFT_ISA (see
-  /// kernels::reset_kernel_isa_from_env). Call reconfigure() to re-read
-  /// them after warm-up.
+  /// C64FFT_WORKERS, when set to a decimal >= 1, overrides opts.workers
+  /// here, at construction ONLY; an unset, empty or malformed value
+  /// leaves it untouched. resize() is the way to change the team later.
+  /// The process-wide kernel ISA is not touched: C64FFT_ISA resolves it
+  /// lazily on first use, and kernels::set_kernel_isa() forces it.
   explicit FftExecutor(const ExecutorOptions& opts = {});
   ~FftExecutor();
 
@@ -255,23 +223,9 @@ class FftExecutor {
   /// a different size is dropped (and respawned lazily at next use).
   void resize(unsigned workers);
 
-  /// Re-read the environment overrides (see the constructor) and apply
-  /// them to a live executor: a threshold change takes effect on the next
-  /// transform, and a team whose size no longer matches is
-  /// dropped. This is the escape hatch for the first-use-only env
-  /// snapshot — processes that mutate C64FFT_* after warming the executor
-  /// up must call this for the change to be observed.
-  void reconfigure();
-
-  /// Programmatic equivalent of C64FFT_HIERARCHICAL_THRESHOLD_LOG2
-  /// (0 disables hierarchical routing). Takes effect on the next
-  /// transform; cached plans of any kind stay valid.
-  void set_hierarchical_threshold_log2(unsigned log2n);
-  unsigned hierarchical_threshold_log2() const;
-
   /// Team size the option-less overloads currently use (after the
-  /// constructor/reconfigure() env snapshot). Read under the executor
-  /// lock, so it never races resize()/reconfigure().
+  /// constructor's C64FFT_WORKERS read and any resize()). Read under the
+  /// executor lock, so it never races resize().
   unsigned default_workers() const;
 
   /// Join and destroy the worker team (the plan cache survives). The next
@@ -308,8 +262,8 @@ class FftExecutor {
   /// the whole-transform sweep, the hierarchical buffers and the
   /// per-worker `work` buffers below. One instance per element width so
   /// alternating precisions never thrash each other's allocations; the
-  /// worker team, the seeds buffer, and bit-reversal index tables stay
-  /// shared (they are precision-independent).
+  /// worker team and the seeds buffer stay shared (they are
+  /// precision-independent). Every table lives in the plan entries.
   template <typename T>
   struct NumericState {
     /// Per-worker split scratch of run_transform_split: 3n scalars for the
@@ -352,9 +306,19 @@ class FftExecutor {
   }
 
   codelet::HostRuntime& team(unsigned workers);
+  /// Validates the batch, resolves its route and plan entries through the
+  /// cache (before taking the lock), then runs dispatch_t.
   template <typename T>
   void run_t(std::span<const std::span<cplx_t<T>>> batch,
              const HostFftOptions& opts, TwiddleDirection dir);
+  /// The locked dispatch over resolved entries: takes mutex_, re-checks
+  /// close(), picks the body from the entry kinds (`conv` is Bluestein's
+  /// convolution entry, else nullptr), runs it on a `workers` team and
+  /// counts the batch into the stats. Unscaled, like every body below.
+  template <typename T>
+  void dispatch_t(const PlanEntry& entry, const PlanEntry* conv,
+                  std::span<const std::span<cplx_t<T>>> batch,
+                  unsigned workers, TwiddleDirection dir);
   /// The serial whole-transform body (mutex_ held) for classic,
   /// mixed-radix and Bluestein plans whose convolution is classic (`conv`
   /// is Bluestein's inner pow2 entry, else nullptr): a plain loop on a
@@ -394,22 +358,12 @@ class FftExecutor {
   void run_bluestein_locked(const PlanEntry& entry, const PlanEntry& conv,
                             std::span<cplx_t<T>> data, codelet::HostRuntime& rt,
                             TwiddleDirection dir);
-  void apply_env_overrides();
   /// Join the team and drop the per-worker buffers (mutex_ held) — the
   /// shared body of shutdown() and close().
   void shutdown_locked();
 
-  /// Cached log2(len)-bit reversal index table for pow2 transform length
-  /// `len` (mutex_ held): one table per distinct length, so mixed
-  /// multi-tenant traffic alternating sizes does not rebuild (and
-  /// reallocate) the table on every size switch the way a single-slot
-  /// cache did.
-  const std::vector<std::uint32_t>& bitrev_table_locked(std::uint64_t len);
-
   ExecutorOptions opts_;
   PlanCache cache_;
-  /// Atomic so the routing check in run() needs no lock; 0 = disabled.
-  std::atomic<unsigned> hierarchical_threshold_log2_;
   /// Set by close(); checked (unlocked fast-fail plus the authoritative
   /// re-check under mutex_) by every transform dispatch.
   std::atomic<bool> closed_{false};
@@ -423,10 +377,6 @@ class FftExecutor {
   std::vector<codelet::CodeletKey> seeds_;
   NumericState<double> f64_;
   NumericState<float> f32_;
-  /// Bit-reversal index tables keyed by row length, shared across
-  /// precisions (pure index algebra). Insert-ordered; bounded by evicting
-  /// the oldest entry (see bitrev_table_locked).
-  std::vector<std::pair<std::uint64_t, std::vector<std::uint32_t>>> bitrev_tables_;
   codelet::PhaseHook phase_hook_;
   std::uint64_t transforms_ = 0;
   std::uint64_t batched_ = 0;

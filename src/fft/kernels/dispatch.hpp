@@ -111,8 +111,10 @@ const KernelDispatch<T>& active_kernels();
 /// transforms — call at startup, between phases, or from tests/tools.
 util::IsaLevel set_kernel_isa(util::IsaLevel level);
 
-/// Re-resolve the active level from C64FFT_ISA + cpuid (the executor's
-/// reconfigure() calls this so env changes after warm-up are observable).
+/// Re-resolve the active level from C64FFT_ISA + cpuid: undoes a
+/// set_kernel_isa() (tests and benches restore the default this way).
+/// Nothing in the library calls it, so a forced level holds across
+/// executor and server construction.
 util::IsaLevel reset_kernel_isa_from_env();
 
 /// The currently active level (resolving it on first call).

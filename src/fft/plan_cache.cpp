@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "fft/reference.hpp"
+#include "util/bit_ops.hpp"
 #include "util/cpu_features.hpp"
 
 namespace c64fft::fft {
@@ -56,6 +57,10 @@ PlanEntry::PlanEntry(const PlanKey& key) : key_(key) {
     forward32_ = std::make_unique<TwiddleTableF>(key.n, TwiddleLayout::kLinear);
   else
     forward_ = std::make_unique<TwiddleTable>(key.n, TwiddleLayout::kLinear);
+  const unsigned bits = util::ilog2(key.n);
+  bitrev_.resize(key.n);
+  for (std::uint64_t i = 0; i < key.n; ++i)
+    bitrev_[i] = static_cast<std::uint32_t>(util::bit_reverse(i, bits));
 }
 
 void PlanEntry::build_bluestein(TwiddleDirection dir,

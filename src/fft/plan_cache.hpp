@@ -3,12 +3,14 @@
 //
 // The paper's codelet model assumes the plan and twiddle table exist once
 // and transforms stream through them; this cache is that amortization
-// layer. A PlanEntry bundles everything a transform of a given shape
-// needs that does not depend on the data buffer: for a classic pow2 size
-// the forward (and lazily the conjugated inverse) TwiddleTable, for the
-// other kinds their split, stage vector or chirp tables. Entries are
+// layer, and the executor's only table cache. A PlanEntry bundles
+// everything a transform of a given shape needs that does not depend on
+// the data buffer: for a classic pow2 size the forward (and lazily the
+// conjugated inverse) TwiddleTable and the bit-reversal index table, for
+// the other kinds their split, stage vector or chirp tables. Entries are
 // immutable and handed out as shared_ptr<const PlanEntry>, so a cache
-// eviction never invalidates a transform in flight. See DESIGN.md
+// eviction never invalidates a transform in flight (a hierarchical
+// entry pins its sub-entries, and with them their tables). See DESIGN.md
 // "Executor & plan cache".
 
 #include <cstddef>
@@ -16,6 +18,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <type_traits>
 #include <unordered_map>
 #include <vector>
@@ -29,8 +32,9 @@ namespace c64fft::fft {
 /// Everything that distinguishes one cached plan from another. Twiddle
 /// tables are always stored in the linear layout. `kind` is part of the
 /// key — the classic and the hierarchical decomposition of one size are
-/// distinct entries, so toggling the executor threshold never invalidates
-/// either. `precision` is part of the key too: an f32 and an f64
+/// distinct entries (a hierarchical entry's classic leaves are ordinary
+/// residents, shared with direct calls of the leaf size). `precision` is
+/// part of the key too: an f32 and an f64
 /// transform of the same shape share nothing but the index algebra, and
 /// the twiddle tables they pin differ in both element width and content,
 /// so they must age through the LRU as separate entries.
@@ -64,8 +68,9 @@ struct PlanKeyHash {
 class PlanEntry {
  public:
   /// Builds a classic, mixed-radix, or Bluestein entry from the key kind:
-  /// classic gets the forward twiddle table (every classic transform is
-  /// one whole-transform sweep, so no stage plan is kept); mixed-radix
+  /// classic gets the forward twiddle table and the bit-reversal index
+  /// table (every classic transform is one whole-transform sweep, so no
+  /// stage plan is kept); mixed-radix
   /// gets the MixedRadixPlan (stage vector + digit-reversal permutation)
   /// and its flat per-stage forward twiddles;
   /// Bluestein gets the length-n chirp and the length-M FFT of the chirp
@@ -113,6 +118,13 @@ class PlanEntry {
       return twiddles_f32(dir);
     else
       return twiddles(dir);
+  }
+
+  /// The log2(n)-bit reversal of every index g < n: the permuted gather
+  /// of the whole-transform sweep (run_transform_split). Built with the
+  /// forward twiddle table, for either precision. Classic only.
+  std::span<const std::uint32_t> bitrev() const {
+    return require_classic().bitrev_;
   }
 
   // ---- Hierarchical entries only ----
@@ -182,8 +194,9 @@ class PlanEntry {
   void build_inverse_tables() const;
 
   PlanKey key_;
-  // Classic state (null for the other kinds). Exactly one of the
+  // Classic state (null/empty for the other kinds). Exactly one of the
   // forward_/forward32_ pair is populated, chosen by key_.precision.
+  std::vector<std::uint32_t> bitrev_;
   std::unique_ptr<TwiddleTable> forward_;
   std::unique_ptr<TwiddleTableF> forward32_;
   mutable std::once_flag inverse_once_;

@@ -1,12 +1,14 @@
 #include "fft/variants.hpp"
 
 #include <algorithm>
+#include <deque>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "codelet/dep_counter.hpp"
-#include "codelet/host_runtime.hpp"
+#include "fft/executor.hpp"
 #include "fft/kernel.hpp"
 #include "fft/plan.hpp"
 #include "util/bit_ops.hpp"
@@ -15,6 +17,32 @@ namespace c64fft::fft {
 
 using codelet::CodeletKey;
 using codelet::PoolPolicy;
+
+std::uint64_t run_phase_sequential(std::span<const CodeletKey> seeds,
+                                   PoolPolicy policy,
+                                   const codelet::CodeletBody& body) {
+  // Exact single mutex-pool semantics on one thread: push appends, pop
+  // follows the policy. Deterministic by construction.
+  struct SeqPusher final : codelet::Pusher {
+    std::deque<CodeletKey> pool;
+    void push(CodeletKey ready) override { pool.push_back(ready); }
+  } pusher;
+  pusher.pool.assign(seeds.begin(), seeds.end());
+  std::uint64_t executed = 0;
+  while (!pusher.pool.empty()) {
+    CodeletKey key;
+    if (policy == PoolPolicy::kLifo) {
+      key = pusher.pool.back();
+      pusher.pool.pop_back();
+    } else {
+      key = pusher.pool.front();
+      pusher.pool.pop_front();
+    }
+    body(key, 0, pusher);
+    ++executed;
+  }
+  return executed;
+}
 
 void fft_host(std::span<cplx> data, Variant variant, const PaperFftOptions& opts) {
   const std::uint64_t n = data.size();
@@ -33,22 +61,33 @@ void fft_host(std::span<cplx> data, Variant variant, const PaperFftOptions& opts
     thresholds[s] = plan.group_threshold(s);
   }
   codelet::DependencyCounters counters(groups, thresholds);
-  codelet::HostRuntime rt(opts.workers, opts.mode);
+  if (opts.workers == 0) throw std::invalid_argument("fft_host: zero workers");
+  // The work-stealing mode runs on its own team; the sequential mode runs
+  // every codelet on this thread, as worker 0.
+  const bool sequential = opts.mode == SchedulerMode::kSequential;
+  std::optional<codelet::HostRuntime> rt;
+  if (!sequential) rt.emplace(opts.workers);
+  const unsigned workers = sequential ? 1 : opts.workers;
   std::vector<KernelScratch> scratch;
-  for (unsigned w = 0; w < rt.workers(); ++w) scratch.emplace_back(plan.radix());
-  std::vector<std::vector<std::uint64_t>> members(rt.workers());
-  std::vector<std::vector<CodeletKey>> released(rt.workers());
-
-  // Bit reversal in parallel (the algorithms' first step): workers*4
-  // chunks; the i < j guard gives every swap exactly one owner.
-  const unsigned bits = plan.log2_size();
-  const std::uint64_t chunks = std::uint64_t{rt.workers()} * 4;
-  const std::uint64_t per = util::ceil_div(n, chunks);
+  for (unsigned w = 0; w < workers; ++w) scratch.emplace_back(plan.radix());
+  std::vector<std::vector<std::uint64_t>> members(workers);
+  std::vector<std::vector<CodeletKey>> released(workers);
   std::vector<CodeletKey> seeds;
-  for (std::uint64_t c = 0; c < chunks; ++c) seeds.push_back({0, c});
-  rt.run_phase(seeds, PoolPolicy::kFifo, [&](CodeletKey key, unsigned, codelet::Pusher&) {
-    const std::uint64_t end = std::min(n, (key.index + 1) * per);
-    for (std::uint64_t i = key.index * per; i < end; ++i) {
+  const auto run = [&](PoolPolicy policy, const codelet::CodeletBody& body) {
+    if (sequential)
+      run_phase_sequential(seeds, policy, body);
+    else
+      rt->run_phase(seeds, policy, body);
+  };
+
+  // Bit reversal in parallel (the algorithms' first step) at the executor's
+  // permutation grain; the i < j guard gives every swap exactly one owner.
+  const unsigned bits = plan.log2_size();
+  const SweepGrain grain = bitrev_sweep_grain(n, opts.workers);
+  for (std::uint64_t c = 0; c < grain.chunks; ++c) seeds.push_back({0, c});
+  run(PoolPolicy::kFifo, [&](CodeletKey key, unsigned, codelet::Pusher&) {
+    const std::uint64_t end = std::min(n, (key.index + 1) * grain.per);
+    for (std::uint64_t i = key.index * grain.per; i < end; ++i) {
       const std::uint64_t j = util::bit_reverse(i, bits);
       if (i < j) std::swap(data[i], data[j]);
     }
@@ -61,7 +100,7 @@ void fft_host(std::span<cplx> data, Variant variant, const PaperFftOptions& opts
                          PoolPolicy policy, std::uint32_t last_propagated) {
     seeds.clear();
     for (std::uint64_t t : order) seeds.push_back({stage, t});
-    rt.run_phase(seeds, policy, [&](CodeletKey key, unsigned w, codelet::Pusher& pusher) {
+    run(policy, [&](CodeletKey key, unsigned w, codelet::Pusher& pusher) {
       run_codelet(plan, key.stage, key.index, data, twiddles, scratch[w]);
       if (key.stage >= last_propagated) return;
       const std::uint64_t g = plan.child_group(key.stage, key.index);

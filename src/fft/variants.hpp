@@ -20,10 +20,11 @@
 // radix. The paper's timing claims come from the simulator (src/simfft);
 // this driver is their functional counterpart on real threads.
 
+#include <cstdint>
 #include <span>
 #include <string>
 
-#include "codelet/codelet.hpp"
+#include "codelet/host_runtime.hpp"
 #include "fft/ordering.hpp"
 #include "fft/twiddle.hpp"
 #include "fft/types.hpp"
@@ -31,6 +32,21 @@
 namespace c64fft::fft {
 
 enum class Variant { kCoarse, kFine, kGuided };
+
+/// How fft_host schedules ready codelets.
+///
+/// kWorkStealing: on a codelet::HostRuntime team, the production
+/// scheduler — per-worker deques with free steal order.
+///
+/// kSequential: the paper-order pool (run_phase_sequential). Every
+/// codelet runs on the calling thread, popped from one pool in strict
+/// PoolPolicy order, so the "fine best"/"fine worst" seed-order
+/// experiments reproduce the exact execution sequence the single
+/// mutex-pool runtime gave.
+enum class SchedulerMode {
+  kWorkStealing,
+  kSequential,
+};
 
 /// Options of fft_host. Deliberately not related to HostFftOptions, so a
 /// paper configuration cannot be passed (or sliced) into a production
@@ -42,12 +58,18 @@ struct PaperFftOptions {
   /// Seed order and pool discipline of kFine (ignored by kCoarse; kGuided
   /// always follows Alg. 3's LIFO grouped seeding).
   FineOrdering ordering = {};
-  /// kWorkStealing runs on the lock-free per-worker deques with free
-  /// steal order; kSequential reproduces the exact paper-order execution
-  /// sequence of the single-pool runtime on one thread (the "fine
-  /// best"/"fine worst" ordering experiments).
-  codelet::SchedulerMode mode = codelet::SchedulerMode::kWorkStealing;
+  SchedulerMode mode = SchedulerMode::kWorkStealing;
 };
+
+/// The paper-order pool of SchedulerMode::kSequential: runs one phase to
+/// quiescence on the calling thread, popping ONE pool in strict `policy`
+/// order (push appends; kLifo pops the newest entry, kFifo the oldest).
+/// Every codelet runs as worker 0, so the execution sequence is a pure
+/// function of the seeds, the policy and the body. Returns the number of
+/// codelets executed.
+std::uint64_t run_phase_sequential(std::span<const codelet::CodeletKey> seeds,
+                                   codelet::PoolPolicy policy,
+                                   const codelet::CodeletBody& body);
 
 /// In-place forward FFT of `data` with the chosen algorithm. Every call
 /// builds its own plan, twiddle table, counters and worker team, so it is

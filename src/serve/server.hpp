@@ -138,11 +138,11 @@ struct ServerOptions {
   /// count; see serve/alloc_probe.hpp). When set, the dispatcher
   /// brackets every executor call with it and splits its own thread's
   /// allocations into ServerStats::executor_allocs (inside the
-  /// executor — at workers >= 2 every phase allocates task
-  /// bookkeeping) and ServerStats::dispatch_allocs (everything else:
-  /// drain, group, complete, callbacks — the serving layer's own
-  /// steady-state count, which the zero-allocation contract says must
-  /// not move). A function pointer, not the probe function itself,
+  /// executor: plan builds and first-use scratch, then nothing — a warm
+  /// call allocates on no route and no team size) and
+  /// ServerStats::dispatch_allocs (everything else: drain, group,
+  /// complete, callbacks — the serving layer's own count). The
+  /// zero-allocation contract says neither moves in steady state. A function pointer, not the probe function itself,
   /// because the probe is implemented by the BINARY (one TU defines
   /// C64FFT_ALLOC_PROBE_IMPLEMENT), never by this library.
   std::uint64_t (*alloc_probe)() noexcept = nullptr;

@@ -12,12 +12,14 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <utility>
 #include <thread>
 #include <vector>
 
 #include "codelet/host_runtime.hpp"
+#include "executor_test_peer.hpp"
 #include "fft/api.hpp"
 #include "fft/mixed_radix.hpp"
 #include "fft/reference.hpp"
@@ -93,20 +95,26 @@ TEST(Executor, RoundTripRestoresInput) {
 /// One batch-contract case: `batch` transforms of length `n` at one
 /// precision and direction on the executor `ex`, run both as one batch
 /// and as a loop of single calls, each memcmp'd against a loop of single
-/// calls on the one-worker `ref`. Returns the phases and codelets the
-/// batch ran, observed through the phase hook.
+/// calls on the one-worker `ref`. Every call is a routed public call, or,
+/// given a `route`, the test peer's forced dispatch. Returns the phases
+/// and codelets the batch ran, observed through the phase hook.
 template <typename T>
 std::pair<std::uint64_t, std::uint64_t> check_batch_against_loop(
     FftExecutor& ref, FftExecutor& ex, std::uint64_t n, std::size_t batch,
-    bool inverse, const std::string& label) {
+    bool inverse, const std::optional<FftExecutorTestPeer::Route>& route,
+    const std::string& label) {
   std::vector<std::vector<std::complex<T>>> loop_bufs, batch_bufs;
   for (std::size_t b = 0; b < batch; ++b)
     loop_bufs.push_back(random_signal_as<T>(n, 1000 * n + b));
   batch_bufs = loop_bufs;
   auto single_bufs = loop_bufs;
-  const auto run_one = [inverse](FftExecutor& e,
-                                 std::vector<std::complex<T>>& buf) {
-    if (inverse)
+  const TwiddleDirection dir =
+      inverse ? TwiddleDirection::kInverse : TwiddleDirection::kForward;
+  const auto run_one = [&](FftExecutor& e, std::vector<std::complex<T>>& buf) {
+    if (route)
+      FftExecutorTestPeer::run<T>(e, std::span<std::complex<T>>(buf), *route,
+                                  dir);
+    else if (inverse)
       e.inverse(std::span<std::complex<T>>(buf));
     else
       e.forward(std::span<std::complex<T>>(buf));
@@ -121,7 +129,10 @@ std::pair<std::uint64_t, std::uint64_t> check_batch_against_loop(
   });
   std::vector<std::span<std::complex<T>>> spans(batch_bufs.begin(),
                                                 batch_bufs.end());
-  if (inverse)
+  if (route)
+    FftExecutorTestPeer::run<T>(
+        ex, std::span<const std::span<std::complex<T>>>(spans), *route, dir);
+  else if (inverse)
     ex.inverse_batch(spans);
   else
     ex.forward_batch(spans);
@@ -146,29 +157,30 @@ TEST(Executor, BatchContractMatchesLoopOnEveryRoute) {
   // whole-transform codelets and a one-worker batch runs none — a single
   // pow2 or Bluestein transform on a multi-worker team too. Two shapes
   // differ: a single mixed-radix transform on a multi-worker team runs
-  // its digit-reversal phase plus one phase per stage, and N = 257, whose
-  // M = 1024 convolution routes hierarchical (threshold 9), runs its tile
-  // pipeline per transform.
+  // its digit-reversal phase plus one phase per stage, and N = 257 over a
+  // hierarchical M = 1024 convolution (forced through the test peer; the
+  // executor routes that only from N = 65537) runs its tile pipeline per
+  // transform.
   struct Case {
     std::uint64_t n;
-    unsigned threshold_log2;
+    std::optional<FftExecutorTestPeer::Route> route;
     bool mixed_radix;
   };
-  constexpr unsigned kDefault = kDefaultHierarchicalThresholdLog2;
   const Case cases[] = {
-      {std::uint64_t{1} << 7, kDefault, false},
-      {std::uint64_t{1} << 13, kDefault, false},
-      {96, kDefault, true},
-      {360, kDefault, true},   // with a radix-5 stage
-      {101, kDefault, false},  // Bluestein
-      {257, 9, false},  // Bluestein over a hierarchical convolution
+      {std::uint64_t{1} << 7, std::nullopt, false},
+      {std::uint64_t{1} << 13, std::nullopt, false},
+      {96, std::nullopt, true},
+      {360, std::nullopt, true},   // with a radix-5 stage
+      {101, std::nullopt, false},  // Bluestein
+      {257,
+       FftExecutorTestPeer::Route{PlanKind::kBluestein,
+                                  PlanKind::kHierarchical},
+       false},
   };
   for (const Case& c : cases) {
-    FftExecutor ref(
-        {.workers = 1, .hierarchical_threshold_log2 = c.threshold_log2});
+    FftExecutor ref({.workers = 1});
     for (unsigned workers = 1; workers <= 4; ++workers) {
-      FftExecutor ex({.workers = workers,
-                      .hierarchical_threshold_log2 = c.threshold_log2});
+      FftExecutor ex({.workers = workers});
       for (const std::size_t batch : {1u, 2u, 3u, 8u}) {
         for (const bool inverse : {false, true}) {
           for (const bool f32 : {false, true}) {
@@ -179,10 +191,15 @@ TEST(Executor, BatchContractMatchesLoopOnEveryRoute) {
                 (inverse ? " inverse" : " forward") + (f32 ? " f32" : " f64");
             const auto [phases, codelets] =
                 f32 ? check_batch_against_loop<float>(ref, ex, c.n, batch,
-                                                      inverse, label)
+                                                      inverse, c.route, label)
                     : check_batch_against_loop<double>(ref, ex, c.n, batch,
-                                                       inverse, label);
-            if (c.n == 257) continue;
+                                                       inverse, c.route, label);
+            if (c.route) {
+              // At least one M-point pipeline phase per convolution FFT,
+              // two per transform, on every team.
+              EXPECT_GE(phases, 2u * batch) << label;
+              continue;
+            }
             if (c.mixed_radix && batch == 1 && workers > 1) {
               EXPECT_EQ(phases, 1u + MixedRadixPlan(c.n).stage_count())
                   << label;
@@ -395,38 +412,28 @@ TEST(PlanCache, BadShapesAreNotCached) {
 }
 
 TEST(Executor, EnvOverridesSnapshotAtConstructionOnly) {
-  // The C64FFT_* variables are read exactly once, when the executor is
-  // constructed; later environment mutations are invisible until
-  // reconfigure() re-reads them (the documented first-use-only contract).
-  ::setenv("C64FFT_HIERARCHICAL_THRESHOLD_LOG2", "7", 1);
+  // C64FFT_WORKERS is the executor's one env variable, read exactly once,
+  // when the executor is constructed; later environment mutations are
+  // invisible (resize() is the way to change the team).
   ::setenv("C64FFT_WORKERS", "3", 1);
   FftExecutor ex;
-  EXPECT_EQ(ex.hierarchical_threshold_log2(), 7u);
   EXPECT_EQ(ex.default_workers(), 3u);
 
-  ::setenv("C64FFT_HIERARCHICAL_THRESHOLD_LOG2", "9", 1);
   ::setenv("C64FFT_WORKERS", "2", 1);
-  auto warm = random_signal(1ULL << 6, 1);  // below the threshold: classic
+  auto warm = random_signal(1ULL << 6, 1);
   ex.forward(warm);  // warm up: team spawned, plan cached
-  EXPECT_EQ(ex.hierarchical_threshold_log2(), 7u);
   EXPECT_EQ(ex.default_workers(), 3u);
-  EXPECT_EQ(ex.stats().hierarchical, 0u);
-
-  ex.reconfigure();
-  EXPECT_EQ(ex.hierarchical_threshold_log2(), 9u);
+  EXPECT_EQ(ex.stats().teams_created, 1u);
+  ex.resize(2);
   EXPECT_EQ(ex.default_workers(), 2u);
-  // The re-read threshold takes effect on the very next transform.
-  auto large = random_signal(1ULL << 10, 2);
-  ex.forward(large);
-  EXPECT_EQ(ex.stats().hierarchical, 1u);
 
+  // Malformed, empty or zero values leave the option untouched.
+  for (const char* bad : {"banana", "3x", "", "0", "-1"}) {
+    ::setenv("C64FFT_WORKERS", bad, 1);
+    FftExecutor defaults({.workers = 2});
+    EXPECT_EQ(defaults.default_workers(), 2u) << "'" << bad << "'";
+  }
   ::unsetenv("C64FFT_WORKERS");
-  // Malformed or empty values leave the corresponding option untouched.
-  ::setenv("C64FFT_HIERARCHICAL_THRESHOLD_LOG2", "banana", 1);
-  FftExecutor defaults;
-  EXPECT_EQ(defaults.hierarchical_threshold_log2(),
-            kDefaultHierarchicalThresholdLog2);
-  ::unsetenv("C64FFT_HIERARCHICAL_THRESHOLD_LOG2");
 }
 
 }  // namespace

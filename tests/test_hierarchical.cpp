@@ -1,21 +1,21 @@
 // Hierarchical multi-level large-N path (PlanKind::kHierarchical), the
 // only large-N route: split algebra and cache-driven leaf selection,
-// plan-cache pinning of the recursive sub-plan chain, default routing,
+// plan-cache pinning of the recursive sub-plan chain, routing by N,
 // bit-identity of the output across kernel ISA tiers and team sizes at
 // N in {2^18, 2^19} (both precisions, both directions), numerical
 // agreement with the classic path and the O(N^2) reference,
-// batch-vs-loop and variant identity, forced multi-level recursion, and
-// the consolidated env snapshot that feeds the constructor and
-// reconfigure(). Registered under the `large_n` ctest label:
+// batch-vs-loop identity and forced multi-level recursion. Routes that
+// routing never picks for a size (classic at 2^18, hierarchical below it,
+// a forced leaf) run through FftExecutorTestPeer. Registered under the
+// `large_n` ctest label:
 //     ctest -L large_n --output-on-failure
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
-#include <mutex>
 #include <vector>
 
+#include "executor_test_peer.hpp"
 #include "fft/executor.hpp"
 #include "fft/kernels/dispatch.hpp"
 #include "fft/plan_cache.hpp"
@@ -25,23 +25,6 @@
 #include "util/prng.hpp"
 
 namespace c64fft::fft {
-
-/// Runs one unscaled transform over the hierarchical plan split with
-/// `leaf_log2`, under the executor's lock on its default team: the
-/// executor body a forced leaf reaches, with no public knob for it.
-struct FftExecutorTestPeer {
-  template <typename T>
-  static void run_forced_leaf(FftExecutor& ex, std::span<cplx_t<T>> data,
-                              unsigned leaf_log2, TwiddleDirection dir) {
-    const std::shared_ptr<const PlanEntry> entry = ex.cache_.acquire(
-        PlanKey{data.size(), PlanKind::kHierarchical, precision_of<T>,
-                leaf_log2});
-    std::lock_guard lock(ex.mutex_);
-    ex.run_hierarchical_locked<T>(*entry, data, ex.team(ex.opts_.workers), dir,
-                                  /*depth=*/0);
-  }
-};
-
 namespace {
 
 template <typename T>
@@ -54,19 +37,8 @@ std::vector<cplx_t<T>> random_signal(std::uint64_t n, std::uint64_t seed) {
   return v;
 }
 
-ExecutorOptions classic_opts() {
-  ExecutorOptions o;
-  o.workers = 2;
-  o.hierarchical_threshold_log2 = 0;  // never route hierarchical
-  return o;
-}
-
-ExecutorOptions hier_opts() {
-  ExecutorOptions o;
-  o.workers = 2;
-  o.hierarchical_threshold_log2 = 2;  // always route hierarchical
-  return o;
-}
+constexpr TwiddleDirection kFwd = TwiddleDirection::kForward;
+constexpr TwiddleDirection kInv = TwiddleDirection::kInverse;
 
 TEST(HierarchicalSplitAlgebra, BalancedBelowTwiceLeaf) {
   // While log2(n) <= 2*leaf the split is balanced: one level, classic
@@ -165,18 +137,29 @@ TEST(HierarchicalPlanCache, EntryPinsSubEntriesRecursively) {
 }
 
 TEST(Hierarchical, Routing) {
-  // Pow2 sizes at/above the threshold route hierarchical; 0 disables it;
-  // non-pow2 sizes ignore it.
-  EXPECT_EQ(routed_plan_kind(1ULL << 20, 20), PlanKind::kHierarchical);
-  EXPECT_EQ(routed_plan_kind(1ULL << 19, 20), PlanKind::kClassic);
-  EXPECT_EQ(routed_plan_kind(1ULL << 20, 0), PlanKind::kClassic);
-  EXPECT_EQ(routed_plan_kind(1ULL << 10, 18), PlanKind::kClassic);
-  EXPECT_EQ(routed_plan_kind(1000000, 18), PlanKind::kMixedRadix);
-  // Default routing: the classic plan up to 2^17, hierarchical from 2^18.
-  EXPECT_EQ(routed_plan_kind(1ULL << 17, kDefaultHierarchicalThresholdLog2),
-            PlanKind::kClassic);
-  EXPECT_EQ(routed_plan_kind(1ULL << 18, kDefaultHierarchicalThresholdLog2),
+  // Routing is a function of N: the classic plan up to 2^17, hierarchical
+  // from 2^18; non-pow2 sizes route by factorization.
+  EXPECT_EQ(routed_plan_kind(2), PlanKind::kClassic);
+  EXPECT_EQ(routed_plan_kind(1ULL << 10), PlanKind::kClassic);
+  EXPECT_EQ(routed_plan_kind(1ULL << 17), PlanKind::kClassic);
+  EXPECT_EQ(routed_plan_kind(1ULL << 18), PlanKind::kHierarchical);
+  EXPECT_EQ(routed_plan_kind(1ULL << 20), PlanKind::kHierarchical);
+  EXPECT_EQ(routed_plan_kind(1000000), PlanKind::kMixedRadix);
+  EXPECT_EQ(routed_plan_kind(65537), PlanKind::kBluestein);
+  EXPECT_EQ(routed_plan_kind(bluestein_fft_size(65537)),
             PlanKind::kHierarchical);
+}
+
+TEST(Hierarchical, ExecutorRoutesOnlyLargeTransforms) {
+  // The executor's counters agree with routed_plan_kind on both sides of
+  // the threshold, whatever the team.
+  FftExecutor ex({.workers = 2});
+  auto below = random_signal<double>(1ULL << 17, 1);
+  auto at = random_signal<double>(1ULL << 18, 2);
+  ex.forward(below);
+  EXPECT_EQ(ex.stats().hierarchical, 0u);
+  ex.forward(at);
+  EXPECT_EQ(ex.stats().hierarchical, 1u);
 }
 
 /// Restores the process-wide kernel ISA on scope exit.
@@ -195,10 +178,8 @@ void check_bit_identical_across_isas_and_teams(std::uint64_t seed) {
     const std::uint64_t n = 1ULL << logn;
     const auto input = random_signal<T>(n, seed + logn);
     const std::size_t bytes = n * sizeof(cplx_t<T>);
-    // Executor construction re-reads C64FFT_ISA, so force each tier only
-    // after constructing the executor that runs under it.
-    FftExecutor ref(hier_opts());
     kernels::set_kernel_isa(util::IsaLevel::kScalar);
+    FftExecutor ref;
     HostFftOptions one;
     one.workers = 1;
     auto want_fwd = input;
@@ -208,9 +189,9 @@ void check_bit_identical_across_isas_and_teams(std::uint64_t seed) {
 
     for (const util::IsaLevel isa :
          {util::IsaLevel::kScalar, util::best_supported_isa()}) {
+      ASSERT_EQ(kernels::set_kernel_isa(isa), isa);
       for (unsigned workers : {1u, 2u, 3u, 4u}) {
-        FftExecutor hier(hier_opts());
-        ASSERT_EQ(kernels::set_kernel_isa(isa), isa);
+        FftExecutor hier;
         HostFftOptions opts;
         opts.workers = workers;
         auto got = input;
@@ -239,16 +220,16 @@ TEST(Hierarchical, BitIdenticalAcrossIsasAndTeamSizesF32) {
 TEST(Hierarchical, MatchesClassicAndReference) {
   // Independent anchors: the classic monolithic plan (forward, inverse
   // and round trip) at 2^14..2^18 and the O(N^2) DFT at 2^12 (where that
-  // is still affordable).
-  FftExecutor classic(classic_opts());
-  FftExecutor hier(hier_opts());
+  // is still affordable), both routes forced through the test peer.
+  FftExecutor classic({.workers = 2});
+  FftExecutor hier({.workers = 2});
   for (unsigned logn : {14u, 16u, 18u}) {
     const std::uint64_t n = 1ULL << logn;
     const auto input = random_signal<double>(n, 7 + logn);
     auto want = input;
-    classic.forward(want);
+    FftExecutorTestPeer::run<double>(classic, want, kClassicRoute, kFwd);
     auto got = input;
-    hier.forward(got);
+    FftExecutorTestPeer::run<double>(hier, got, kHierarchicalRoute, kFwd);
     // Output magnitudes grow like sqrt(N); compare relative to that scale.
     EXPECT_LT(rel_l2_error(got, want), 1e-12) << "n=" << n;
     EXPECT_LT(max_abs_error(got, want), 1e-8) << "n=" << n;
@@ -256,23 +237,24 @@ TEST(Hierarchical, MatchesClassicAndReference) {
     // Inverse parity: both paths invert the same spectrum, and the round
     // trip on the hierarchical path alone recovers the input.
     auto want_inv = want;
-    classic.inverse(want_inv);
-    hier.inverse(got);
+    FftExecutorTestPeer::run<double>(classic, want_inv, kClassicRoute, kInv);
+    FftExecutorTestPeer::run<double>(hier, got, kHierarchicalRoute, kInv);
     EXPECT_LT(max_abs_error(got, want_inv), 1e-10) << "n=" << n;
     EXPECT_LT(max_abs_error(got, input), 1e-10) << "n=" << n;
   }
   EXPECT_EQ(classic.stats().hierarchical, 0u);
+  EXPECT_EQ(hier.stats().hierarchical, 6u);
 
   const auto small = random_signal<double>(1ULL << 12, 8);
   auto hgot = small;
-  hier.forward(hgot);
+  FftExecutorTestPeer::run<double>(hier, hgot, kHierarchicalRoute, kFwd);
   EXPECT_LT(rel_l2_error(hgot, dft_reference(small)), 1e-12);
 }
 
 TEST(Hierarchical, RoundTripRecoversInput) {
   const std::uint64_t n = 1ULL << 20;
   const auto input = random_signal<double>(n, 11);
-  FftExecutor hier(hier_opts());
+  FftExecutor hier({.workers = 2});
   auto rt = input;
   hier.forward(rt);
   hier.inverse(rt);
@@ -289,7 +271,7 @@ TEST(Hierarchical, BatchMatchesLoopBitIdentically) {
     singles.push_back(random_signal<double>(n, 300 + i));
     batch.push_back(singles.back());
   }
-  FftExecutor hier(hier_opts());
+  FftExecutor hier({.workers = 2});
   for (auto& t : singles) hier.forward(t);
   std::vector<std::span<cplx>> spans;
   for (auto& t : batch) spans.emplace_back(t);
@@ -315,76 +297,27 @@ TEST(Hierarchical, ForcedMultiLevelRecursionIsCorrect) {
                 ->levels(),
             3u);
   const auto input = random_signal<double>(n, 13);
-  FftExecutor classic(classic_opts());
+  FftExecutor ex({.workers = 2});
   auto want = input;
-  classic.forward(want);
+  FftExecutorTestPeer::run<double>(ex, want, kClassicRoute, kFwd);
 
-  FftExecutor hier(hier_opts());
+  const FftExecutorTestPeer::Route leaf5{PlanKind::kHierarchical,
+                                         PlanKind::kClassic, 5};
   auto got = input;
-  FftExecutorTestPeer::run_forced_leaf<double>(hier, got, 5,
-                                               TwiddleDirection::kForward);
+  FftExecutorTestPeer::run<double>(ex, got, leaf5, kFwd);
   EXPECT_LT(rel_l2_error(got, want), 1e-12);
 
   auto rt = got;
-  FftExecutorTestPeer::run_forced_leaf<double>(hier, rt, 5,
-                                               TwiddleDirection::kInverse);
-  for (cplx& v : rt) v /= static_cast<double>(n);
+  FftExecutorTestPeer::run<double>(ex, rt, leaf5, kInv);
   EXPECT_LT(max_abs_error(rt, input), 1e-10);
 
   // f32 recursion through the same tree.
   const auto input32 = random_signal<float>(n, 14);
-  FftExecutor hier32(hier_opts());
   auto got32 = input32;
-  FftExecutorTestPeer::run_forced_leaf<float>(hier32, got32, 5,
-                                              TwiddleDirection::kForward);
-  FftExecutor classic32(classic_opts());
+  FftExecutorTestPeer::run<float>(ex, got32, leaf5, kFwd);
   auto want32 = input32;
-  classic32.forward(want32);
+  FftExecutorTestPeer::run<float>(ex, want32, kClassicRoute, kFwd);
   EXPECT_LT(rel_l2_error(got32, want32), 1e-4);
-}
-
-TEST(Hierarchical, ThresholdRoutesOnlyEnormousTransforms) {
-  ExecutorOptions o;
-  o.workers = 2;
-  o.hierarchical_threshold_log2 = 14;
-  FftExecutor ex(o);
-  auto small = random_signal<double>(1ULL << 12, 1);
-  auto large = random_signal<double>(1ULL << 14, 2);
-  ex.forward(small);
-  EXPECT_EQ(ex.stats().hierarchical, 0u);
-  ex.forward(large);
-  EXPECT_EQ(ex.stats().hierarchical, 1u);
-
-  ex.set_hierarchical_threshold_log2(0);
-  EXPECT_EQ(ex.hierarchical_threshold_log2(), 0u);
-  ex.forward(large);
-  EXPECT_EQ(ex.stats().hierarchical, 1u);  // unchanged: routing disabled
-}
-
-TEST(HierarchicalEnvSnapshot, OneStructFeedsConstructorAndReconfigure) {
-  // The consolidated snapshot: every executor env knob is read into one
-  // struct, and BOTH construction and reconfigure() apply from it — so a
-  // post-warm-up env change is either fully observed or not at all.
-  ::setenv("C64FFT_HIERARCHICAL_THRESHOLD_LOG2", "13", 1);
-  const ExecutorEnvSnapshot snap = read_executor_env();
-  ASSERT_TRUE(snap.hierarchical_threshold_log2.has_value());
-  EXPECT_EQ(*snap.hierarchical_threshold_log2, 13u);
-
-  FftExecutor ex(classic_opts());  // ctor applies the env snapshot
-  EXPECT_EQ(ex.hierarchical_threshold_log2(), 13u);
-
-  ::setenv("C64FFT_HIERARCHICAL_THRESHOLD_LOG2", "15", 1);
-  ex.reconfigure();
-  EXPECT_EQ(ex.hierarchical_threshold_log2(), 15u);
-
-  // Malformed values change nothing (strict parse).
-  ::setenv("C64FFT_HIERARCHICAL_THRESHOLD_LOG2", "15x", 1);
-  ex.reconfigure();
-  EXPECT_EQ(ex.hierarchical_threshold_log2(), 15u);
-
-  ::unsetenv("C64FFT_HIERARCHICAL_THRESHOLD_LOG2");
-  const ExecutorEnvSnapshot clear = read_executor_env();
-  EXPECT_FALSE(clear.hierarchical_threshold_log2.has_value());
 }
 
 }  // namespace

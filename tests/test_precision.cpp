@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "codelet/host_runtime.hpp"
+#include "executor_test_peer.hpp"
 #include "fft/api.hpp"
 #include "fft/executor.hpp"
 #include "fft/fft2d.hpp"
@@ -73,20 +74,23 @@ TEST(Precision, F32RoundTrip) {
 }
 
 TEST(Precision, F32HierarchicalRoundTripAndReference) {
-  ExecutorOptions eopts;
-  eopts.hierarchical_threshold_log2 = 10;
-  FftExecutor ex(eopts);
+  // 2^12 forced onto the hierarchical pipeline through the test peer.
+  FftExecutor ex;
   const std::uint64_t n = 1ULL << 12;
   const auto input = random_signal32(n, 53);
   auto want = widen(input);
   fft_serial_inplace(want);
 
   auto got = input;
-  ex.forward(std::span<cplx32>(got));
+  FftExecutorTestPeer::run<float>(ex, std::span<cplx32>(got),
+                                  kHierarchicalRoute,
+                                  TwiddleDirection::kForward);
   EXPECT_GE(ex.stats().hierarchical, 1u);
   EXPECT_LT(rel_l2_error(got, want), kF32HierarchicalRelL2Tol);
 
-  ex.inverse(std::span<cplx32>(got));
+  FftExecutorTestPeer::run<float>(ex, std::span<cplx32>(got),
+                                  kHierarchicalRoute,
+                                  TwiddleDirection::kInverse);
   EXPECT_LT(rel_l2_error(got, widen(input)), kF32HierarchicalRelL2Tol);
 }
 

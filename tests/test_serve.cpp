@@ -18,7 +18,9 @@
 #include <thread>
 #include <vector>
 
+#include "fft/kernels/dispatch.hpp"
 #include "serve/metrics.hpp"
+#include "util/cpu_features.hpp"
 #include "util/prng.hpp"
 
 namespace c64fft::serve {
@@ -578,6 +580,30 @@ TEST(Serve, DefaultServerBorrowsDefaultExecutor) {
   EXPECT_EQ(s.ticket.wait().status, RequestStatus::kOk);
   // Teardown ordering (server drained before the borrowed executor dies)
   // is exercised at process exit of this very binary.
+}
+
+TEST(Serve, ConstructionKeepsAForcedKernelIsa) {
+  // Regression: the executor constructor re-read C64FFT_ISA, so building
+  // an executor, or a server owning one, silently undid
+  // kernels::set_kernel_isa(). Force a tier other than the one the
+  // environment resolves (on a scalar-only host there is none) and check
+  // that it holds across both constructions.
+  const util::IsaLevel saved = fft::kernels::active_kernel_isa();
+  const util::IsaLevel forced =
+      util::isa_from_env() == util::IsaLevel::kScalar
+          ? util::best_supported_isa()
+          : util::IsaLevel::kScalar;
+  ASSERT_EQ(fft::kernels::set_kernel_isa(forced), forced);
+  {
+    fft::FftExecutor executor;
+    EXPECT_EQ(fft::kernels::active_kernel_isa(), forced) << "executor";
+  }
+  {
+    FftServer server(ServerOptions{});
+    EXPECT_EQ(fft::kernels::active_kernel_isa(), forced) << "owned server";
+    server.shutdown();
+  }
+  fft::kernels::set_kernel_isa(saved);
 }
 
 }  // namespace

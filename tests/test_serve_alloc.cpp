@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -156,7 +157,7 @@ TEST(ServeAllocProbe, CallbackResubmitLoopIsAllocationFree) {
 
 /// Calling-thread allocations of one warm call of each executor entry
 /// point: forward and inverse on one transform, forward_batch and
-/// inverse_batch on eight.
+/// inverse_batch on `batch` transforms.
 struct CallAllocs {
   std::uint64_t forward = 0;
   std::uint64_t inverse = 0;
@@ -166,10 +167,10 @@ struct CallAllocs {
 
 template <typename T>
 CallAllocs warm_call_allocs(fft::FftExecutor& ex, std::uint64_t n,
-                            unsigned workers) {
+                            unsigned workers, std::size_t batch_size) {
   util::Xoshiro256 rng(n);
   std::vector<std::vector<fft::cplx_t<T>>> data(
-      8, std::vector<fft::cplx_t<T>>(n));
+      batch_size, std::vector<fft::cplx_t<T>>(n));
   for (auto& d : data)
     for (auto& x : d)
       x = fft::cplx_t<T>(static_cast<T>(rng.next_double() * 2 - 1),
@@ -201,66 +202,59 @@ CallAllocs warm_call_allocs(fft::FftExecutor& ex, std::uint64_t n,
   return c;
 }
 
+/// Every warm call at every size of `sizes` on 1, 2 and 4 workers
+/// allocates nothing on the calling thread. Returns the last executor's
+/// stats so callers can check which routes ran.
 template <typename T>
-void check_warm_calls_allocate_nothing() {
+fft::ExecutorStats check_warm_calls_allocate_nothing(
+    std::span<const std::uint64_t> sizes, std::size_t batch_size) {
+  fft::ExecutorStats last;
   for (const unsigned workers : {1u, 2u, 4u}) {
     fft::FftExecutor ex({.workers = workers});
-    // Pow2 (classic serial body), Bluestein over a classic convolution,
-    // and a mixed-radix composite.
-    for (const std::uint64_t n : {64u, 128u, 101u, 96u}) {
-      const CallAllocs c = warm_call_allocs<T>(ex, n, workers);
+    for (const std::uint64_t n : sizes) {
+      const CallAllocs c = warm_call_allocs<T>(ex, n, workers, batch_size);
       const std::string at =
           "n=" + std::to_string(n) + " workers=" + std::to_string(workers);
-      EXPECT_EQ(c.forward_batch, 0u) << at;
-      EXPECT_EQ(c.inverse_batch, 0u) << at;
-      // A single mixed-radix transform on a multi-worker team runs the
-      // phased body (one phase per stage), which this gate leaves out.
-      if (n == 96 && workers > 1) continue;
       EXPECT_EQ(c.forward, 0u) << at;
       EXPECT_EQ(c.inverse, 0u) << at;
+      EXPECT_EQ(c.forward_batch, 0u) << at;
+      EXPECT_EQ(c.inverse_batch, 0u) << at;
     }
+    last = ex.stats();
   }
+  return last;
 }
 
+// Pow2 (classic serial body), Bluestein over a classic convolution, and
+// mixed-radix composites: a single one on a multi-worker team runs the
+// phased body (one phase per stage), a batch the serial body.
+constexpr std::uint64_t kSmallSizes[] = {64, 128, 101, 96, 360, 100000};
+
 TEST(ExecutorAllocs, WarmCallsAllocateNothingF64) {
-  check_warm_calls_allocate_nothing<double>();
+  check_warm_calls_allocate_nothing<double>(kSmallSizes, 8);
 }
 
 TEST(ExecutorAllocs, WarmCallsAllocateNothingF32) {
-  check_warm_calls_allocate_nothing<float>();
+  check_warm_calls_allocate_nothing<float>(kSmallSizes, 8);
 }
 
-template <typename T>
-void check_hierarchical_call_allocates_only_its_phase_body() {
-  // 2^18 routes through the hierarchical pipeline: one phase per
-  // transform whose body (a std::function over the pipeline's captures)
-  // is the one allocation left.
-  constexpr std::uint64_t kN = std::uint64_t{1} << 18;
-  for (const unsigned workers : {1u, 2u}) {
-    fft::FftExecutor ex({.workers = workers});
-    std::vector<fft::cplx_t<T>> data(kN, fft::cplx_t<T>(T{0.5}, T{-0.25}));
-    const std::span<fft::cplx_t<T>> one(data);
-    const fft::HostFftOptions opts{workers};
-    ex.forward(one, opts);
-    ex.inverse(one, opts);
-    std::uint64_t before = thread_alloc_count();
-    ex.forward(one, opts);
-    const std::uint64_t forward = thread_alloc_count() - before;
-    before = thread_alloc_count();
-    ex.inverse(one, opts);
-    const std::uint64_t inverse = thread_alloc_count() - before;
-    EXPECT_EQ(ex.stats().hierarchical, 4u);
-    EXPECT_EQ(forward, 1u) << "workers=" << workers;
-    EXPECT_EQ(inverse, 1u) << "workers=" << workers;
-  }
+// The hierarchical pipeline (2^18, 2^20: one borrowed-body phase per
+// transform) and Bluestein over it (N = 65537: two M = 2^18 pipelines).
+constexpr std::uint64_t kLargeSizes[] = {std::uint64_t{1} << 18,
+                                         std::uint64_t{1} << 20, 65537};
+
+TEST(ExecutorAllocs, WarmLargeCallsAllocateNothingF64) {
+  const fft::ExecutorStats st =
+      check_warm_calls_allocate_nothing<double>(kLargeSizes, 2);
+  EXPECT_GT(st.hierarchical, 0u);
+  EXPECT_GT(st.bluestein, 0u);
 }
 
-TEST(ExecutorAllocs, HierarchicalCallAllocatesOnlyItsPhaseBodyF64) {
-  check_hierarchical_call_allocates_only_its_phase_body<double>();
-}
-
-TEST(ExecutorAllocs, HierarchicalCallAllocatesOnlyItsPhaseBodyF32) {
-  check_hierarchical_call_allocates_only_its_phase_body<float>();
+TEST(ExecutorAllocs, WarmLargeCallsAllocateNothingF32) {
+  const fft::ExecutorStats st =
+      check_warm_calls_allocate_nothing<float>(kLargeSizes, 2);
+  EXPECT_GT(st.hierarchical, 0u);
+  EXPECT_GT(st.bluestein, 0u);
 }
 
 }  // namespace

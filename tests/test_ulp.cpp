@@ -21,6 +21,7 @@
 #include <limits>
 #include <vector>
 
+#include "executor_test_peer.hpp"
 #include "fft/api.hpp"
 #include "fft/executor.hpp"
 #include "fft/reference.hpp"
@@ -147,13 +148,11 @@ TEST(Ulp, F32CompositeRoundTripWithinBudget) {
 }
 
 TEST(Ulp, F64HierarchicalWithinBudget) {
-  // Route mid sizes through the hierarchical decomposition and hold it to
-  // the same peak-ULP discipline at double precision: the transpose
-  // twiddles and the two sub-sweeps must not cost more than the classic
-  // path's noise budget.
-  fft::ExecutorOptions eopts;
-  eopts.hierarchical_threshold_log2 = 10;
-  fft::FftExecutor ex(eopts);
+  // Force mid sizes through the hierarchical decomposition (the test
+  // peer) and hold it to the same peak-ULP discipline at double
+  // precision: the transpose twiddles and the two sub-sweeps must not
+  // cost more than the classic path's noise budget.
+  fft::FftExecutor ex;
   for (unsigned logn : {10u, 12u, 14u}) {
     const std::uint64_t n = std::uint64_t{1} << logn;
     util::Xoshiro256 rng(0xf00d + logn);
@@ -164,7 +163,9 @@ TEST(Ulp, F64HierarchicalWithinBudget) {
     fft::fft_serial_inplace(want);
 
     auto got = input;
-    ex.forward(std::span<cplx>(got));
+    fft::FftExecutorTestPeer::run<double>(ex, std::span<cplx>(got),
+                                          fft::kHierarchicalRoute,
+                                          fft::TwiddleDirection::kForward);
     ASSERT_GE(ex.stats().hierarchical, 1u);
     std::vector<std::complex<double>> got_d(got.begin(), got.end());
     EXPECT_LT(util::max_ulp_error(got_d, want), kF64HierarchicalUlpTol)
@@ -172,7 +173,9 @@ TEST(Ulp, F64HierarchicalWithinBudget) {
     EXPECT_LT(fft::rel_l2_error(got, want), kF64RelL2Tol) << "n=" << n;
 
     auto trip = got;
-    ex.inverse(std::span<cplx>(trip));
+    fft::FftExecutorTestPeer::run<double>(ex, std::span<cplx>(trip),
+                                          fft::kHierarchicalRoute,
+                                          fft::TwiddleDirection::kInverse);
     EXPECT_LT(fft::rel_l2_error(trip, input), kF64RelL2Tol) << "n=" << n;
   }
 }

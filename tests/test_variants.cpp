@@ -3,7 +3,8 @@
 // scheduler mode and any worker count — computes exactly the same FFT as
 // the serial reference, and byte for byte the same output as the
 // production executor. This is the "well-behaved CDGs are determinate"
-// property of Section III-C3.
+// property of Section III-C3. The harness's paper-order sequential pool
+// is pinned here too: strict single-pool order, all on worker 0.
 
 #include "fft/variants.hpp"
 
@@ -137,6 +138,63 @@ TEST(Variants, InvalidSizesThrow) {
   EXPECT_THROW(fft_host(composite, Variant::kFine, opts), std::invalid_argument);
 }
 
+std::uint64_t fan_out_total(std::uint32_t depth) {
+  return (std::uint64_t{1} << (depth + 1)) - 1;
+}
+
+TEST(Variants, SequentialPoolRunsEverythingOnWorkerZero) {
+  // One seed, binary fan-out to depth 6: every codelet runs, each as
+  // worker 0, on the calling thread.
+  constexpr std::uint32_t kDepth = 6;
+  std::uint64_t bodies = 0;
+  std::uint64_t off_worker_zero = 0;
+  const std::vector<codelet::CodeletKey> seeds{{0, 0}};
+  const std::uint64_t executed = run_phase_sequential(
+      seeds, codelet::PoolPolicy::kLifo,
+      [&](codelet::CodeletKey c, unsigned worker, codelet::Pusher& push) {
+        ++bodies;
+        if (worker != 0) ++off_worker_zero;
+        if (c.stage < kDepth) {
+          const codelet::CodeletKey kids[2] = {{c.stage + 1, c.index * 2},
+                                               {c.stage + 1, c.index * 2 + 1}};
+          push.push_batch(kids);
+        }
+      });
+  EXPECT_EQ(executed, fan_out_total(kDepth));
+  EXPECT_EQ(bodies, executed);
+  EXPECT_EQ(off_worker_zero, 0u);
+}
+
+TEST(Variants, SequentialPoolIsDeterministic) {
+  auto record_run = [](codelet::PoolPolicy policy) {
+    std::vector<codelet::CodeletKey> order;
+    const std::vector<codelet::CodeletKey> seeds{{0, 0}, {0, 1}, {0, 2}};
+    run_phase_sequential(seeds, policy,
+                         [&order](codelet::CodeletKey c, unsigned worker,
+                                  codelet::Pusher& push) {
+                           EXPECT_EQ(worker, 0u);
+                           order.push_back(c);
+                           if (c.stage == 0) push.push({1, c.index});
+                         });
+    return order;
+  };
+  const auto lifo_a = record_run(codelet::PoolPolicy::kLifo);
+  const auto lifo_b = record_run(codelet::PoolPolicy::kLifo);
+  ASSERT_EQ(lifo_a.size(), 6u);
+  EXPECT_EQ(lifo_a, lifo_b);
+  // Strict single-pool LIFO: last seed first, each child runs immediately
+  // after its parent (it is the newest entry).
+  const std::vector<codelet::CodeletKey> want_lifo{{0, 2}, {1, 2}, {0, 1},
+                                                   {1, 1}, {0, 0}, {1, 0}};
+  EXPECT_EQ(lifo_a, want_lifo);
+
+  // Strict FIFO: seeds in order, then the children in push order.
+  const auto fifo = record_run(codelet::PoolPolicy::kFifo);
+  const std::vector<codelet::CodeletKey> want_fifo{{0, 0}, {0, 1}, {0, 2},
+                                                   {1, 0}, {1, 1}, {1, 2}};
+  EXPECT_EQ(fifo, want_fifo);
+}
+
 TEST(Variants, HarnessMatchesExecutorBitExactly) {
   // One oracle between the reproduction harness and production: every
   // paper configuration, at harness radices 4 and 6, must produce exactly
@@ -161,8 +219,8 @@ TEST(Variants, HarnessMatchesExecutorBitExactly) {
       for (Variant variant : {Variant::kCoarse, Variant::kFine, Variant::kGuided})
         for (TwiddleLayout layout : {TwiddleLayout::kLinear, TwiddleLayout::kBitReversed})
           for (const FineOrdering& ordering : ordering_sweep())
-            for (codelet::SchedulerMode mode : {codelet::SchedulerMode::kWorkStealing,
-                                                codelet::SchedulerMode::kSequential}) {
+            for (SchedulerMode mode : {SchedulerMode::kWorkStealing,
+                                       SchedulerMode::kSequential}) {
               const PaperFftOptions opts{workers, shape.radix_log2, layout,
                                          ordering, mode};
               auto got = input;
@@ -173,7 +231,7 @@ TEST(Variants, HarnessMatchesExecutorBitExactly) {
                   << to_string(variant) << " n=" << shape.n << " r=" << shape.radix_log2
                   << " workers=" << workers << " layout=" << static_cast<int>(layout)
                   << " ordering=" << to_string(ordering)
-                  << " sequential=" << (mode == codelet::SchedulerMode::kSequential);
+                  << " sequential=" << (mode == SchedulerMode::kSequential);
             }
     }
   }

@@ -1,8 +1,8 @@
 // Work-stealing HostRuntime behavior: forced steals under skewed seeding,
-// balance accounting, the sequential (paper-order) compatibility mode,
-// exception capture, and the bridge to the static analyzer — the
-// race-freedom proof over "any pop order" is exactly what licenses letting
-// thieves reorder execution.
+// balance accounting, exception capture, and the bridge to the static
+// analyzer — the race-freedom proof over "any pop order" is exactly what
+// licenses letting thieves reorder execution (checked against the
+// fft_host harness's paper-order sequential pool).
 
 #include <gtest/gtest.h>
 
@@ -24,7 +24,6 @@ namespace {
 using codelet::CodeletKey;
 using codelet::HostRuntime;
 using codelet::PoolPolicy;
-using codelet::SchedulerMode;
 
 // A few microseconds of un-optimizable work, so codelets are long enough
 // for parked thieves to wake and find the victim's deque non-empty.
@@ -82,48 +81,6 @@ TEST(WsRuntime, BalanceAccountingSumsToExecutedUnderStealing) {
   // max <= n * mean always; equality only if one worker did everything
   // while others show nonzero — i.e. the ratio is a valid max/mean.
   EXPECT_LE(rt.balance_ratio(), static_cast<double>(rt.workers()));
-}
-
-TEST(WsRuntime, SequentialModeRunsEverythingOnWorkerZero) {
-  HostRuntime rt(4, SchedulerMode::kSequential);
-  EXPECT_EQ(rt.mode(), SchedulerMode::kSequential);
-  const std::vector<CodeletKey> seeds{{0, 0}};
-  rt.run_phase(seeds, PoolPolicy::kLifo, fan_out_body(6));
-  EXPECT_EQ(rt.executed(), fan_out_total(6));
-  EXPECT_EQ(rt.executed_per_worker()[0], rt.executed());
-  for (unsigned w = 1; w < rt.workers(); ++w)
-    EXPECT_EQ(rt.executed_per_worker()[w], 0u);
-  EXPECT_EQ(rt.steals(), 0u);
-}
-
-TEST(WsRuntime, SequentialModeIsDeterministic) {
-  auto record_run = [](PoolPolicy policy) {
-    HostRuntime rt(3, SchedulerMode::kSequential);
-    std::vector<CodeletKey> order;
-    const std::vector<CodeletKey> seeds{{0, 0}, {0, 1}, {0, 2}};
-    rt.run_phase(seeds, policy,
-                 [&order](CodeletKey c, unsigned worker, codelet::Pusher& push) {
-                   EXPECT_EQ(worker, 0u);
-                   order.push_back(c);
-                   if (c.stage == 0) push.push({1, c.index});
-                 });
-    return order;
-  };
-  const auto lifo_a = record_run(PoolPolicy::kLifo);
-  const auto lifo_b = record_run(PoolPolicy::kLifo);
-  ASSERT_EQ(lifo_a.size(), 6u);
-  EXPECT_EQ(lifo_a, lifo_b);
-  // Strict single-pool LIFO: last seed first, each child runs immediately
-  // after its parent (it is the newest entry).
-  const std::vector<CodeletKey> want_lifo{{0, 2}, {1, 2}, {0, 1},
-                                          {1, 1}, {0, 0}, {1, 0}};
-  EXPECT_EQ(lifo_a, want_lifo);
-
-  // Strict FIFO: seeds in order, then the children in push order.
-  const auto fifo = record_run(PoolPolicy::kFifo);
-  const std::vector<CodeletKey> want_fifo{{0, 0}, {0, 1}, {0, 2},
-                                          {1, 0}, {1, 1}, {1, 2}};
-  EXPECT_EQ(fifo, want_fifo);
 }
 
 TEST(WsRuntime, ExceptionPropagatesAndTeamSurvives) {
@@ -184,7 +141,7 @@ TEST(WsRuntime, AnyPopOrderProofLicensesStealing) {
 
   fft::PaperFftOptions seq_opts;
   seq_opts.workers = 1;
-  seq_opts.mode = SchedulerMode::kSequential;
+  seq_opts.mode = fft::SchedulerMode::kSequential;
   auto want = input;
   fft::fft_host(want, fft::Variant::kFine, seq_opts);
 

@@ -368,7 +368,7 @@ int main(int argc, char** argv) {
       if (kind == "auto") {
         // A classic size runs the executor's serial body: one
         // whole-transform task, the batch model at B = 1.
-        switch (fft::routed_plan_kind(n, fft::kDefaultHierarchicalThresholdLog2)) {
+        switch (fft::routed_plan_kind(n)) {
           case fft::PlanKind::kHierarchical: kind = "hierarchical"; break;
           case fft::PlanKind::kMixedRadix: kind = "mixed-radix"; break;
           case fft::PlanKind::kBluestein: kind = "bluestein"; break;

@@ -21,15 +21,14 @@
 //
 // Reports per pass: transforms/sec, p50/p99/mean/max latency, realized
 // coalescing factor, peak queue depth, plan-cache and arena stats, and
-// the steady-state serving-layer allocation count. The allocation count
-// is measured, not asserted from faith: this binary implements the
-// serve/alloc_probe.hpp operator-new counter and hands it to the server
-// as ServerOptions::alloc_probe, so the dispatcher splits its thread's
-// allocations into executor-internal (the runtime phases' task
-// bookkeeping at workers >= 2) and the serving layer's own. Since
+// the steady-state allocation counts. They are measured, not asserted
+// from faith: this binary implements the serve/alloc_probe.hpp
+// operator-new counter and hands it to the server as
+// ServerOptions::alloc_probe, so the dispatcher splits its thread's
+// allocations into executor-internal and the serving layer's own. Since
 // submit, drain, group, execute, and complete ALL run on the dispatcher
-// thread in callback mode, a zero serving-layer delta across the
-// measured window certifies the whole submit→complete path.
+// thread in callback mode, zero deltas of both across the measured
+// window (--assert-zero-alloc) certify the whole submit→complete path.
 //
 // --json emits the passes as google-benchmark rows (LG_ServeCoalesced /
 // LG_ServeUncoalesced; real_time = wall ns per transform) so
@@ -366,7 +365,8 @@ int main(int argc, char** argv) {
                  "reaches this");
   cli.add_flag("assert-zero-alloc",
                "fail if the dispatcher allocated inside the measured "
-               "window (steady-state zero-allocation contract)");
+               "window, in the serving layer or inside executor calls "
+               "(steady-state zero-allocation contract)");
 
   try {
     if (!cli.parse(argc, argv)) return 0;
@@ -483,9 +483,11 @@ int main(int argc, char** argv) {
                 << " < required " << min_coalesce << "\n";
       failed = true;
     }
-    if (cli.flag("assert-zero-alloc") && p.dispatch_allocs > 0) {
+    if (cli.flag("assert-zero-alloc") &&
+        (p.dispatch_allocs > 0 || p.executor_allocs > 0)) {
       std::cerr << "fft_loadgen: " << p.name << ": " << p.dispatch_allocs
-                << " steady-state serving-layer allocation(s)\n";
+                << " serving-layer and " << p.executor_allocs
+                << " executor steady-state allocation(s)\n";
       failed = true;
     }
   }
