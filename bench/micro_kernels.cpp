@@ -562,8 +562,8 @@ BENCHMARK(BM_ExecutorBatchSubmit)
 // the other by a power of two — the strided stream folds onto a handful
 // of cache sets (see fft_lint --cache-sets) and every line is evicted
 // before its neighbors are touched. The blocked kernels are what fft2d
-// and the multi-level hierarchical gather use. Arg = log2 of the square
-// matrix edge.
+// uses, and the hierarchical pipeline's tile tasks run the same tile
+// kernel. Arg = log2 of the square matrix edge.
 
 void BM_TransposeNaive(benchmark::State& state) {
   const std::uint64_t edge = std::uint64_t{1} << state.range(0);

@@ -78,20 +78,15 @@ std::vector<LintBaselineRow> collect_lint_rows(unsigned workers) {
                "classic-hashed-n4096-r6" + suffix, workers);
     opts.layout = fft::TwiddleLayout::kLinear;
 
-    // Hierarchical rows pin the L2 and the leaf explicitly: the builder's
-    // defaults derive both from the host L2 via cache_info(), and
-    // baseline rows must stay pure plan algebra — identical on every
-    // machine that runs the gate. The block grain is the executor's
-    // policy at a 2 MiB L2. leaf=9 keeps 2^18 single-level (512x512);
-    // leaf=6 forces the three-level recursion at 2^19.
+    // The hierarchical row pins the L2: the builder's default derives the
+    // block grain from the host L2 via cache_info(), and baseline rows
+    // must stay pure plan algebra — identical on every machine that runs
+    // the gate. The grain is the executor's policy at a 2 MiB L2 over the
+    // balanced 512 x 512 split of 2^18.
     PipelineBuildOptions hier = opts;
     hier.l2_bytes = std::uint64_t{2} << 20;
-    hier.hier_leaf_log2 = 9;
     append_row(rows, build_hierarchical_pipeline(std::uint64_t{1} << 18, hier),
                "hierarchical-n262144" + suffix, workers);
-    hier.hier_leaf_log2 = 6;
-    append_row(rows, build_hierarchical_pipeline(std::uint64_t{1} << 19, hier),
-               "hierarchical3l-n524288" + suffix, workers);
     append_row(rows, build_batch_pipeline(256, 8, opts),
                "batch8-n256" + suffix, workers);
     append_row(rows, build_fft2d_pipeline(64, 64, opts),

@@ -31,7 +31,7 @@ struct LintBaselineRow {
 };
 
 /// The shipped verification matrix: classic (linear + hashed twiddles),
-/// hierarchical 2^18 (single-level) and 2^19 (forced three-level), batch
+/// hierarchical 2^18 (512 x 512 at a pinned 2 MiB L2), batch
 /// of 8, square and rectangular fft2d, real-input, mixed-radix and
 /// Bluestein — each at f64 (16-byte) and f32 (8-byte) element width.
 std::vector<LintBaselineRow> collect_lint_rows(unsigned workers = 4);

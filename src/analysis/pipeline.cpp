@@ -147,41 +147,6 @@ void append_transpose_inplace(PipelineModel& m, std::uint32_t buf,
   m.phases.push_back(std::move(phase));
 }
 
-/// Total real flops of one hierarchical transform of size `n`: the leaf
-/// sub-plan butterflies plus one twiddle multiply per point per level —
-/// the recursion mirrors fft::hierarchical_split exactly.
-std::uint64_t hier_total_flops(std::uint64_t n, unsigned leaf_log2) {
-  const fft::HierarchicalSplit split = fft::hierarchical_split(n, leaf_log2);
-  const std::uint64_t col = split.col_recursive
-                                ? hier_total_flops(split.n1, leaf_log2)
-                                : transform_flops(split.n1);
-  return split.n2 * col + n * kCplxMulFlops +
-         split.n1 * transform_flops(split.n2);
-}
-
-/// How many times one hierarchical transform of size `n` streams its own
-/// footprint end to end: the gather pass, the column transform (one
-/// whole-transform sweep per leaf row, or the inner recursion's full pass
-/// count), and the fused tail (one row sweep bracketed by the
-/// twiddle-gather and the writeback-transpose). The condensed multi-level
-/// column phase charges this via PipelineTask::passes.
-std::uint64_t hier_stream_passes(std::uint64_t n, unsigned leaf_log2) {
-  const fft::HierarchicalSplit split = fft::hierarchical_split(n, leaf_log2);
-  const std::uint64_t col =
-      split.col_recursive ? hier_stream_passes(split.n1, leaf_log2) : 1;
-  return 1 + col + 1 + 2;
-}
-
-/// The movement share of hier_stream_passes: the gather pass, the fused
-/// tail's gather-in + writeback-out, and the inner recursion's own
-/// movement passes.
-std::uint64_t hier_movement_passes(std::uint64_t n, unsigned leaf_log2) {
-  const fft::HierarchicalSplit split = fft::hierarchical_split(n, leaf_log2);
-  const std::uint64_t col =
-      split.col_recursive ? hier_movement_passes(split.n1, leaf_log2) : 0;
-  return 1 + col + 2;
-}
-
 PipelineModel make_base(std::string name, std::uint64_t n,
                         const PipelineBuildOptions& opts) {
   PipelineModel m;
@@ -192,6 +157,89 @@ PipelineModel make_base(std::string name, std::uint64_t n,
   // precisions share one active level, so either table's id works.
   m.kernel_isa = fft::kernels::active_kernels<double>().id;
   return m;
+}
+
+/// The three phases of one hierarchical transform of `n` points over
+/// `data`, with `s` (n elements) as its gather matrix; phase names carry
+/// `prefix`. Tasks are the dependency-counted blocks the runtime
+/// schedules, derived from the same hook (executor hierarchical_grain),
+/// so they are the pipeline's actual schedulable units, not a finer
+/// fiction.
+void append_hierarchical_phases(PipelineModel& m, std::uint64_t n,
+                                std::uint32_t data, std::uint32_t s,
+                                const PipelineBuildOptions& opts,
+                                const std::string& prefix) {
+  const fft::HierarchicalSplit split = fft::hierarchical_split(n);
+  const std::uint64_t n1 = split.n1;
+  const std::uint64_t n2 = split.n2;
+  const fft::HierarchicalGrain grain = fft::hierarchical_grain(
+      n1, n2, opts.workers, opts.element_bytes,
+      opts.l2_bytes != 0 ? opts.l2_bytes : util::cache_info().l2_bytes);
+
+  // T1: gather-transpose block i of data columns [c0b, cend) into
+  // contiguous rows of the gather matrix.
+  PhaseModel gather;
+  gather.name = prefix + "gather";
+  gather.full_coverage.push_back(s);
+  for (std::uint64_t i = 0; i < grain.blocks1; ++i) {
+    const std::uint64_t c0b = i * grain.block_rows1;
+    const std::uint64_t cend = std::min(n2, c0b + grain.block_rows1);
+    PipelineTask task;
+    task.index = i;
+    for (std::uint64_t r = 0; r < n1; ++r)
+      for (std::uint64_t c = c0b; c < cend; ++c) {
+        task.reads.push_back({data, r * n2 + c});
+        task.writes.push_back({s, c * n1 + r});
+      }
+    gather.tasks.push_back(std::move(task));
+  }
+  m.phases.push_back(std::move(gather));
+
+  // T2: in-place column FFTs over the block's rows of the gather matrix,
+  // one whole-transform sweep (a single streaming pass) per row.
+  PhaseModel col;
+  col.name = prefix + "col-sweep";
+  col.full_coverage.push_back(s);
+  for (std::uint64_t i = 0; i < grain.blocks1; ++i) {
+    const std::uint64_t r0b = i * grain.block_rows1;
+    const std::uint64_t rend = std::min(n2, r0b + grain.block_rows1);
+    PipelineTask task;
+    task.index = i;
+    for (std::uint64_t r = r0b; r < rend; ++r)
+      for (std::uint64_t e = 0; e < n1; ++e) {
+        task.reads.push_back({s, r * n1 + e});
+        task.writes.push_back({s, r * n1 + e});
+      }
+    task.flops = (rend - r0b) * transform_flops(n1);
+    col.tasks.push_back(std::move(task));
+  }
+  m.phases.push_back(std::move(col));
+
+  // T4: the fused tail — twiddle-gather the block's columns of the
+  // gather matrix into the worker panel, row FFTs over the hot panel,
+  // writeback-transpose into natural output order. One streaming pass
+  // for the row sweeps plus the gather-in and writeback-out.
+  PhaseModel fused;
+  fused.name = prefix + "fused-row";
+  fused.full_coverage.push_back(data);
+  const std::uint64_t per_row_flops = transform_flops(n2);
+  for (std::uint64_t j = 0; j < grain.blocks2; ++j) {
+    const std::uint64_t r0b = j * grain.block_rows2;
+    const std::uint64_t rend = std::min(n1, r0b + grain.block_rows2);
+    PipelineTask task;
+    task.index = j;
+    for (std::uint64_t r = 0; r < n2; ++r)
+      for (std::uint64_t c = r0b; c < rend; ++c)
+        task.reads.push_back({s, r * n1 + c});
+    for (std::uint64_t c = 0; c < n2; ++c)
+      for (std::uint64_t r = r0b; r < rend; ++r)
+        task.writes.push_back({data, c * n1 + r});
+    task.flops = (rend - r0b) * (n2 * kCplxMulFlops + per_row_flops);
+    task.passes = 1 + 2;
+    task.movement_passes = 2;  // the gather-in and the writeback-out
+    fused.tasks.push_back(std::move(task));
+  }
+  m.phases.push_back(std::move(fused));
 }
 
 }  // namespace
@@ -276,126 +324,11 @@ PipelineModel build_batch_pipeline(std::uint64_t n, std::uint64_t batch,
 PipelineModel build_hierarchical_pipeline(std::uint64_t n,
                                           const PipelineBuildOptions& opts,
                                           std::string name) {
-  const std::uint64_t l2 =
-      opts.l2_bytes != 0 ? opts.l2_bytes : util::cache_info().l2_bytes;
-  const unsigned leaf =
-      opts.hier_leaf_log2 != 0
-          ? opts.hier_leaf_log2
-          : fft::hierarchical_leaf_log2(l2, opts.element_bytes);
-  const fft::HierarchicalSplit split = fft::hierarchical_split(n, leaf);
-  const std::uint64_t n1 = split.n1;
-  const std::uint64_t n2 = split.n2;
-
   PipelineModel m =
       make_base(name.empty() ? "hierarchical" : std::move(name), n, opts);
   const std::uint32_t data = m.add_buffer("data", n, /*input=*/true);
   const std::uint32_t s = m.add_buffer("gather", n, /*input=*/false);
-
-  // The dependency-counted block grain the runtime schedules — derived
-  // from the same hook (executor hierarchical_grain), so the model's
-  // tasks are the pipeline's actual schedulable units, not a finer
-  // fiction.
-  const fft::HierarchicalGrain grain = fft::hierarchical_grain(
-      n1, n2, opts.workers, opts.element_bytes, l2);
-
-  if (!split.col_recursive) {
-    // T1: gather-transpose block i of data columns [c0b, cend) into
-    // contiguous rows of the gather matrix.
-    PhaseModel gather;
-    gather.name = "gather";
-    gather.full_coverage.push_back(s);
-    for (std::uint64_t i = 0; i < grain.blocks1; ++i) {
-      const std::uint64_t c0b = i * grain.block_rows1;
-      const std::uint64_t cend =
-          std::min(n2, c0b + grain.block_rows1);
-      PipelineTask task;
-      task.index = i;
-      for (std::uint64_t r = 0; r < n1; ++r)
-        for (std::uint64_t c = c0b; c < cend; ++c) {
-          task.reads.push_back({data, r * n2 + c});
-          task.writes.push_back({s, c * n1 + r});
-        }
-      gather.tasks.push_back(std::move(task));
-    }
-    m.phases.push_back(std::move(gather));
-
-    // T2: in-place column FFTs over the block's rows of the gather
-    // matrix, one whole-transform sweep (a single streaming pass) per row.
-    PhaseModel col;
-    col.name = "col-sweep";
-    col.full_coverage.push_back(s);
-    const std::uint64_t per_row_flops = transform_flops(n1);
-    for (std::uint64_t i = 0; i < grain.blocks1; ++i) {
-      const std::uint64_t r0b = i * grain.block_rows1;
-      const std::uint64_t rend =
-          std::min(n2, r0b + grain.block_rows1);
-      PipelineTask task;
-      task.index = i;
-      for (std::uint64_t r = r0b; r < rend; ++r)
-        for (std::uint64_t e = 0; e < n1; ++e) {
-          task.reads.push_back({s, r * n1 + e});
-          task.writes.push_back({s, r * n1 + e});
-        }
-      task.flops = (rend - r0b) * per_row_flops;
-      col.tasks.push_back(std::move(task));
-    }
-    m.phases.push_back(std::move(col));
-  } else {
-    // Multi-level tail: the runtime gathers serially, then runs the whole
-    // inner hierarchical pipeline once per row of the gather matrix
-    // before any T4 seeds. Condensed here to one transpose phase plus a
-    // per-row recursion phase: each task owns its row exactly (the
-    // coverage input), and the inner levels' repeated streaming of that
-    // row is charged through `passes`. Inner gather scratch is
-    // cache-resident by the leaf policy and, like the per-worker T4
-    // panels, not modelled.
-    append_transpose(m, data, s, n1, n2, "gather");
-    PhaseModel col;
-    col.name = "col-recursive";
-    col.full_coverage.push_back(s);
-    const std::uint64_t per_row_flops = hier_total_flops(n1, leaf);
-    const std::uint64_t per_row_passes =
-        hier_stream_passes(n1, leaf);
-    for (std::uint64_t r = 0; r < n2; ++r) {
-      PipelineTask task;
-      task.index = r;
-      for (std::uint64_t e = 0; e < n1; ++e) {
-        task.reads.push_back({s, r * n1 + e});
-        task.writes.push_back({s, r * n1 + e});
-      }
-      task.flops = per_row_flops;
-      task.passes = per_row_passes;
-      task.movement_passes = hier_movement_passes(n1, leaf);
-      col.tasks.push_back(std::move(task));
-    }
-    m.phases.push_back(std::move(col));
-  }
-
-  // T4: the fused tail — twiddle-gather the block's columns of the
-  // gather matrix into the worker panel, row FFTs over the hot panel,
-  // writeback-transpose into natural output order. One streaming pass
-  // for the row sweeps plus the gather-in and writeback-out.
-  PhaseModel fused;
-  fused.name = "fused-row";
-  fused.full_coverage.push_back(data);
-  const std::uint64_t per_row_flops = transform_flops(n2);
-  for (std::uint64_t j = 0; j < grain.blocks2; ++j) {
-    const std::uint64_t r0b = j * grain.block_rows2;
-    const std::uint64_t rend = std::min(n1, r0b + grain.block_rows2);
-    PipelineTask task;
-    task.index = j;
-    for (std::uint64_t r = 0; r < n2; ++r)
-      for (std::uint64_t c = r0b; c < rend; ++c)
-        task.reads.push_back({s, r * n1 + c});
-    for (std::uint64_t c = 0; c < n2; ++c)
-      for (std::uint64_t r = r0b; r < rend; ++r)
-        task.writes.push_back({data, c * n1 + r});
-    task.flops = (rend - r0b) * (n2 * kCplxMulFlops + per_row_flops);
-    task.passes = 1 + 2;
-    task.movement_passes = 2;  // the gather-in and the writeback-out
-    fused.tasks.push_back(std::move(task));
-  }
-  m.phases.push_back(std::move(fused));
+  append_hierarchical_phases(m, n, data, s, opts, "");
   return m;
 }
 
@@ -484,12 +417,8 @@ PipelineModel build_bluestein_pipeline(std::uint64_t n,
   if (n < 2)
     throw std::invalid_argument("build_bluestein_pipeline: n >= 2 required");
   const std::uint64_t conv_n = fft::bluestein_fft_size(n);
-  const fft::PlanKind conv_kind = fft::routed_plan_kind(conv_n);
-  if (conv_kind != fft::PlanKind::kClassic)
-    throw std::invalid_argument(
-        "build_bluestein_pipeline: convolution size " + std::to_string(conv_n) +
-        " routes " + fft::to_string(conv_kind) +
-        "; this model covers classic inner FFTs only");
+  const bool pipelined =
+      fft::routed_plan_kind(conv_n) == fft::PlanKind::kHierarchical;
 
   PipelineModel m =
       make_base(name.empty() ? "bluestein" : std::move(name), n, opts);
@@ -498,6 +427,17 @@ PipelineModel build_bluestein_pipeline(std::uint64_t n,
   const std::uint32_t bfilter =
       m.add_buffer("chirp-fft", conv_n, /*input=*/true);
   const std::uint32_t conv = m.add_buffer("conv", conv_n, /*input=*/false);
+  // Each inner M-point FFT runs as a direct M-point call routes: one
+  // whole-transform task, or from the hierarchical threshold on (every
+  // N >= 65537) the tile pipeline over one reused gather matrix.
+  const std::uint32_t gather =
+      pipelined ? m.add_buffer("gather", conv_n, /*input=*/false) : 0;
+  const auto inner_fft = [&](const std::string& dir) {
+    if (pipelined)
+      append_hierarchical_phases(m, conv_n, conv, gather, opts, dir + "-");
+    else
+      append_batch_phase(m, conv_n, conv, 1, dir + "-fft");
+  };
 
   // Modulate + zero-fill: one serial pass (the executor runs it inline —
   // O(M) noise against the inner FFTs it brackets).
@@ -518,9 +458,7 @@ PipelineModel build_bluestein_pipeline(std::uint64_t n,
     m.phases.push_back(std::move(phase));
   }
 
-  // The inner forward FFT: one whole-transform task, as the executor's
-  // serial body runs it.
-  append_batch_phase(m, conv_n, conv, 1, "fwd-fft");
+  inner_fft("fwd");
 
   // Pointwise convolution by the precomputed chirp-filter spectrum.
   {
@@ -538,7 +476,7 @@ PipelineModel build_bluestein_pipeline(std::uint64_t n,
     m.phases.push_back(std::move(phase));
   }
 
-  append_batch_phase(m, conv_n, conv, 1, "inv-fft");
+  inner_fft("inv");
 
   // Demodulate back into the public buffer, folding in the inner 1/M.
   {

@@ -66,8 +66,7 @@ struct PipelineTask {
   /// Real floating-point operations.
   std::uint64_t flops = 0;
   /// How many times the task streams its footprint. A fused hierarchical
-  /// tail reads its block in, sweeps it and writes it out; a condensed
-  /// recursion phase re-streams its rows once per inner pass. Modelling
+  /// tail reads its block in, sweeps it and writes it out. Modelling
   /// that as `passes` keeps the footprint (the coverage input) exact
   /// while the cost model still charges the repeated traffic.
   std::uint64_t passes = 1;
@@ -131,12 +130,7 @@ struct PipelineBuildOptions {
   unsigned element_bytes = 16;
   /// Twiddle storage layout of the classic stage phases.
   fft::TwiddleLayout layout = fft::TwiddleLayout::kLinear;
-  /// Hierarchical leaf cap (log2 points); 0 derives it from `l2_bytes`
-  /// exactly like the executor (fft::hierarchical_leaf_log2). Forcing a
-  /// small leaf is how tests model multi-level decompositions at sizes
-  /// the element-exact footprints can afford.
-  unsigned hier_leaf_log2 = 0;
-  /// L2 capacity the hierarchical leaf and block grain derive from
+  /// L2 capacity the hierarchical block grain derives from
   /// (fft::hierarchical_grain, the executor's policy); 0 = the host's
   /// (util::cache_info). Pinning it keeps a model machine-independent.
   std::uint64_t l2_bytes = 0;
@@ -161,20 +155,17 @@ PipelineModel build_batch_pipeline(std::uint64_t n, std::uint64_t batch,
                                    const PipelineBuildOptions& opts = {},
                                    std::string name = {});
 
-/// Hierarchical large-N pipeline (executor run_hierarchical_locked): the
-/// barrier hull of the tile-pipelined level — gather-transpose blocks of
-/// data columns into the contiguous gather matrix, in-place column FFTs
-/// over each block's rows, then the fused tail per output block
-/// (twiddle-gather + row FFTs + writeback-transpose into natural order).
-/// Tasks are the dependency-counted blocks the runtime actually
-/// schedules (fft::hierarchical_grain), footprints element-exact, so the
-/// coverage proof shows every data element written by exactly one fused
-/// tail task. A multi-level split models the column transform as one
-/// condensed per-row recursion phase: footprints stay exact (each task
-/// owns its row of the gather matrix) while the recursion's repeated
-/// streaming is charged via `passes`; the inner levels' own scratch —
-/// like the per-worker T4 panels — is deliberately not modelled (both
-/// are sized cache-resident by the leaf policy).
+/// Hierarchical large-N pipeline (executor run_hierarchical_locked) over
+/// the balanced split fft::hierarchical_split(n): the barrier hull of the
+/// tile pipeline — gather-transpose blocks of data columns into the
+/// contiguous gather matrix, in-place column FFTs over each block's
+/// rows, then the fused tail per output block (twiddle-gather + row FFTs
+/// + writeback-transpose into natural order). Tasks are the
+/// dependency-counted blocks the runtime actually schedules
+/// (fft::hierarchical_grain), footprints element-exact, so the coverage
+/// proof shows every data element written by exactly one fused tail
+/// task. The per-worker T4 panels are L2-resident by the grain policy
+/// and not modelled.
 PipelineModel build_hierarchical_pipeline(std::uint64_t n,
                                           const PipelineBuildOptions& opts = {},
                                           std::string name = {});
@@ -191,16 +182,15 @@ PipelineModel build_mixed_radix_pipeline(std::uint64_t n,
                                          const PipelineBuildOptions& opts = {},
                                          std::string name = {});
 
-/// Bluestein chirp-z pipeline for arbitrary N over a classic convolution
-/// (the executor's serial body): serial chirp modulation into the
-/// M = next_pow2(2N-1) convolution buffer (zero-filled tail), the forward
-/// M-point FFT as one whole-transform task, serial pointwise multiply by
-/// the precomputed chirp-filter spectrum, the inverse M-point FFT as one
-/// whole-transform task, serial demodulation back into data. The builder
-/// throws std::invalid_argument when the executor's routing sends M to
-/// the hierarchical pipeline instead
-/// (M >= 2^kDefaultHierarchicalThresholdLog2, i.e. every N >= 65537)
-/// rather than report phases that never run.
+/// Bluestein chirp-z pipeline for arbitrary N: serial chirp modulation
+/// into the M = next_pow2(2N-1) convolution buffer (zero-filled tail),
+/// the forward M-point FFT, serial pointwise multiply by the precomputed
+/// chirp-filter spectrum, the inverse M-point FFT, serial demodulation
+/// back into data. Each inner FFT is modelled as routing runs it: one
+/// whole-transform task below the hierarchical threshold (the
+/// executor's serial body), else the three hierarchical phases
+/// (build_hierarchical_pipeline's, prefixed "fwd-"/"inv-") over the
+/// convolution buffer and one shared gather matrix — every N >= 65537.
 PipelineModel build_bluestein_pipeline(std::uint64_t n,
                                        const PipelineBuildOptions& opts = {},
                                        std::string name = {});

@@ -233,10 +233,9 @@ void FftExecutor::run_t(std::span<const std::span<cplx_t<T>>> batch,
 
   // Resolve the route and its plan entries before taking the lock (the
   // cache has its own finer lock). Every key is a function of (n, kind,
-  // precision), the kind a function of n: a hierarchical key leaves its
-  // leaf to the cache, which derives it from the host L2. Bluestein's
-  // M-point convolution takes the key a direct M-point call builds, so
-  // the two share one entry.
+  // precision), the kind a function of n. Bluestein's M-point
+  // convolution takes the key a direct M-point call builds, so the two
+  // share one entry.
   const PlanKind kind = routed_plan_kind(n);
   const std::shared_ptr<const PlanEntry> entry =
       cache_.acquire(PlanKey{n, kind, precision_of<T>});
@@ -272,7 +271,7 @@ void FftExecutor::dispatch_t(const PlanEntry& entry, const PlanEntry* conv,
   } else {
     for (const std::span<cplx_t<T>>& data : batch) {
       if (kind == PlanKind::kHierarchical)
-        run_hierarchical_locked<T>(entry, data, rt, dir, /*depth=*/0);
+        run_hierarchical_locked<T>(entry, data, rt, dir);
       else if (kind == PlanKind::kMixedRadix)
         run_mixed_radix_locked<T>(entry, data, rt, dir);
       else
@@ -407,8 +406,7 @@ void FftExecutor::run_bluestein_locked(const PlanEntry& entry,
   bluestein_chain<T>(data, entry.chirp_for<T>(dir),
                      entry.chirp_fft_for<T>(dir), buf,
                      [&](TwiddleDirection inner) {
-                       run_hierarchical_locked<T>(conv, buf, rt, inner,
-                                                  /*depth=*/0);
+                       run_hierarchical_locked<T>(conv, buf, rt, inner);
                      });
 }
 
@@ -416,8 +414,7 @@ template <typename T>
 void FftExecutor::run_hierarchical_locked(const PlanEntry& entry,
                                           std::span<cplx_t<T>> data,
                                           codelet::HostRuntime& rt,
-                                          TwiddleDirection dir,
-                                          unsigned depth) {
+                                          TwiddleDirection dir) {
   // Index algebra (forward; kInverse conjugates every W below): with
   // j = j1*n2 + j2 and k = k2*n1 + k1,
   //   X[k2*n1 + k1] = sum_j2 W_n2^{j2*k2} * ( W_N^{j2*k1}
@@ -466,56 +463,32 @@ void FftExecutor::run_hierarchical_locked(const PlanEntry& entry,
   // seed (transpose_twiddle_tile_panel's header contract), while each row
   // FFT runs whole on one worker through the bit-exact kernel tables — so
   // the output does not depend on the team size, the block grain, the
-  // schedule order or the kernel ISA tier.
-  //
-  // Multi-level entries (levels() > 1) recurse for the column transform —
-  // the inner level runs its own pipeline phases, one per column row —
-  // after which s is fully swept, so the tail seeds the fused T4 stage
-  // directly. No pass scales: the public inverse wrappers apply the 1/N.
+  // schedule order or the kernel ISA tier. No pass scales: the public
+  // inverse wrappers apply the 1/N.
   const std::uint64_t n1 = entry.split().n1;
   const std::uint64_t n2 = entry.split().n2;
   const std::uint64_t n = n1 * n2;
-  const bool single_level = entry.levels() == 1;
 
   const unsigned workers = rt.workers();
   NumericState<T>& st = num<T>();
 
-  // One gather matrix per recursion depth (s = n2 x n1) so an inner level
-  // never clobbers the buffer its caller is mid-way through. Spans survive
-  // the recursion's resize of the outer vector: moves preserve the inner
-  // heap buffers. Fresh allocations are advised toward huge pages — the
-  // strided side of every tile pass walks s one 16-element chunk per row.
-  if (st.hier_scratch.size() < depth + 1) st.hier_scratch.resize(depth + 1);
-  if (st.hier_scratch[depth].size() < n) {
-    st.hier_scratch[depth].resize(n);
-    advise_huge_pages(st.hier_scratch[depth].data(), n * sizeof(cplx_t<T>));
+  // The gather matrix s (n2 x n1). A fresh allocation is advised toward
+  // huge pages — the strided side of every tile pass walks s one
+  // 16-element chunk per row.
+  if (st.hier_scratch.size() < n) {
+    st.hier_scratch.resize(n);
+    advise_huge_pages(st.hier_scratch.data(), n * sizeof(cplx_t<T>));
   }
-  const std::span<cplx_t<T>> s(st.hier_scratch[depth].data(), n);
+  const std::span<cplx_t<T>> s(st.hier_scratch.data(), n);
 
-  if (!single_level) {
-    // Column pass by recursion: serial gather here (the inner pipelines
-    // below own the team), then the inner hierarchical transform once per
-    // column row of s.
-    transpose_blocked(std::span<const cplx_t<T>>(data.data(), n), s, n1, n2);
-    for (std::uint64_t r = 0; r < n2; ++r)
-      run_hierarchical_locked<T>(*entry.col_entry(), s.subspan(r * n1, n1),
-                                 rt, dir, depth + 1);
-  }
-
-  // Per-worker buffer prep AFTER any recursion (the inner levels grow
-  // st.split for their own sub-FFT lengths). Every column and row FFT is
-  // one run_transform_split sweep on the worker's split scratch, over the
-  // twiddle and bit-reversal tables of the classic sub-entries.
+  // Every column and row FFT is one run_transform_split sweep on the
+  // worker's split scratch, over the twiddle and bit-reversal tables of
+  // the classic sub-entries.
   const BasicTwiddleTable<T>& row_tw = entry.row_entry()->twiddles_for<T>(dir);
   const std::span<const std::uint32_t> brev2 = entry.row_entry()->bitrev();
-  const BasicTwiddleTable<T>* col_tw = nullptr;
-  std::span<const std::uint32_t> brev1;
-  if (single_level) {
-    col_tw = &entry.col_entry()->twiddles_for<T>(dir);
-    brev1 = entry.col_entry()->bitrev();
-  }
-  size_per_worker(st.split, workers,
-                  3 * (single_level ? std::max(n1, n2) : n2));
+  const BasicTwiddleTable<T>& col_tw = entry.col_entry()->twiddles_for<T>(dir);
+  const std::span<const std::uint32_t> brev1 = entry.col_entry()->bitrev();
+  size_per_worker(st.split, workers, 3 * std::max(n1, n2));
 
   const HierarchicalGrain grain =
       hierarchical_grain(n1, n2, workers, sizeof(cplx_t<T>),
@@ -540,19 +513,17 @@ void FftExecutor::run_hierarchical_locked(const PlanEntry& entry,
 
   // Stage layout {T1, T2, T4}. seeds_ holds the B1 T1 seeds followed by
   // the B2 T4 keys, which the T2 completing the fan-in releases in j
-  // order. A multi-level tail has no T1/T2 tasks at all — the recursion
-  // finished s before the phase — so its T4s seed unguarded.
+  // order.
   seeds_.clear();
-  if (single_level)
-    for (std::uint64_t i = 0; i < B1; ++i) seeds_.push_back({0, i});
+  for (std::uint64_t i = 0; i < B1; ++i) seeds_.push_back({0, i});
   for (std::uint64_t j = 0; j < B2; ++j) seeds_.push_back({2, j});
   const std::span<const CodeletKey> all(seeds_);
+  const std::span<const CodeletKey> t1 = all.first(B1);
   const std::span<const CodeletKey> t4 = all.last(B2);
-  const std::span<const CodeletKey> seeds = single_level ? all.first(B1) : t4;
   std::atomic<std::uint64_t> columns_done{0};
 
-  rt.run_phase(seeds, PoolPolicy::kLifo, [&](CodeletKey key, unsigned worker,
-                                             codelet::Pusher& pusher) {
+  rt.run_phase(t1, PoolPolicy::kLifo, [&](CodeletKey key, unsigned worker,
+                                          codelet::Pusher& pusher) {
     if (key.stage == 0) {
       // T1: gather-transpose the strided data columns of block i into
       // contiguous rows of s. The src side reads one 16-element chunk per
@@ -579,14 +550,13 @@ void FftExecutor::run_hierarchical_locked(const PlanEntry& entry,
       return;
     }
     if (key.stage == 1) {
-      // T2: column FFTs over the block's rows of s, in place (single-level
-      // only; a multi-level tail has no stage-1 tasks). The last column
-      // block to land releases every T4; acq_rel orders every T2's sweep
-      // before the release.
+      // T2: column FFTs over the block's rows of s, in place. The last
+      // column block to land releases every T4; acq_rel orders every T2's
+      // sweep before the release.
       const std::uint64_t r0b = key.index * br1;
       const std::uint64_t rend = std::min(n2, r0b + br1);
       for (std::uint64_t r = r0b; r < rend; ++r)
-        run_transform_split(s.subspan(r * n1, n1), *col_tw, brev1,
+        run_transform_split(s.subspan(r * n1, n1), col_tw, brev1,
                             st.split[worker].data());
       if (columns_done.fetch_add(1, std::memory_order_acq_rel) + 1 == B1)
         pusher.push_batch(t4);

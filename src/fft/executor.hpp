@@ -23,20 +23,19 @@
 // Alg. 2 (dependency-counted radix-64 codelets) runs only in the fft_host
 // harness and the simulator.
 //
-// Large transforms route through the hierarchical multi-level path
-// (PlanKind::kHierarchical): Bailey's four-step algebra N = n1*n2 — an
-// n2-wide batch of n1-point column FFTs and an n1-wide batch of n2-point
-// row FFTs, glued together by tile transposes that apply the inter-step
-// twiddles on the fly, so no O(N) table is ever built for the large size
-// — recursively applied until every sub-FFT's working set fits the
-// targeted cache level, and executed as ONE tile-granular
-// dependency-counted pipeline phase per level: the gather-transpose of
-// one tile block overlaps the butterfly sweep of another, and one shared
-// counter over the column sweeps is the only fan-in. It has no serial
-// body: the pipeline runs once per transform on every team. Routing is a
-// function of N alone (routed_plan_kind): no option, env var or setter
-// moves a size between plans. See DESIGN.md "Hierarchical multi-level
-// path".
+// Large transforms route through the hierarchical path
+// (PlanKind::kHierarchical): Bailey's four-step algebra over the balanced
+// split N = n1*n2 — an n2-wide batch of n1-point column FFTs and an
+// n1-wide batch of n2-point row FFTs, both classic cache-resident
+// transforms, glued together by tile transposes that apply the
+// inter-step twiddles on the fly, so no O(N) table is ever built for the
+// large size — executed as ONE tile-granular dependency-counted pipeline
+// phase: the gather-transpose of one tile block overlaps the butterfly
+// sweep of another, and one shared counter over the column sweeps is the
+// only fan-in. It has no serial body: the pipeline runs once per
+// transform on every team. Routing is a function of N alone
+// (routed_plan_kind): no option, env var or setter moves a size between
+// plans. See DESIGN.md "Hierarchical large-N path".
 //
 // Precision: every entry point exists for cplx (f64) and cplx32 (f32).
 // The two precisions dispatch through one shared member-template body
@@ -67,7 +66,7 @@
 namespace c64fft::fft {
 
 /// Pow2 transforms with log2(N) >= this route through the hierarchical
-/// multi-level path (PlanKind::kHierarchical); smaller ones run the
+/// path (PlanKind::kHierarchical); smaller ones run the
 /// classic monolithic plan. 2^18 = 4 MiB of cplx data: at that size
 /// the classic path's data + O(N) twiddle table are far beyond a typical
 /// L2, while the decomposed sub-sweeps (512-point FFTs) stay
@@ -96,7 +95,7 @@ struct SweepGrain {
 SweepGrain bitrev_sweep_grain(std::uint64_t n, unsigned workers);
 
 /// Tile-block grain of the hierarchical pipeline (run_hierarchical_locked)
-/// for one level with split n1 x n2: the gather/column stages sweep the
+/// for the split n1 x n2: the gather/column stages sweep the
 /// n2 x n1 scratch in `blocks1` blocks of `block_rows1` rows (the last
 /// block may be short), and the scatter/row stages sweep the n1 x n2
 /// scratch in `blocks2` blocks of `block_rows2` rows. Block rows are
@@ -151,8 +150,7 @@ struct ExecutorStats {
   /// precisions; the plan cache distinguishes them by key).
   std::uint64_t transforms = 0;
   std::uint64_t batched = 0;
-  /// Top-level transforms that took the hierarchical pipelined path
-  /// (recursive inner levels are not double-counted).
+  /// Transforms that took the hierarchical pipelined path.
   std::uint64_t hierarchical = 0;
   /// Top-level transforms that ran a factorization-driven mixed-radix plan
   /// (every non-pow2 7-smooth size).
@@ -167,8 +165,8 @@ struct ExecutorStats {
 
 /// Test-only peer (tests/executor_test_peer.hpp): acquires plan entries of
 /// a forced kind (a classic plan above the threshold, a hierarchical one
-/// below it or with a forced leaf, a Bluestein convolution of either
-/// kind) and runs them through the executor's own locked dispatch. No
+/// below it, a Bluestein convolution of either kind) and runs them
+/// through the executor's own locked dispatch. No
 /// public knob moves a size between routes.
 struct FftExecutorTestPeer;
 
@@ -273,16 +271,14 @@ class FftExecutor {
     /// and row FFTs. Cache-line aligned, so the sweep's SIMD loads of the
     /// planes and the span never straddle two lines.
     std::vector<util::AlignedBuffer<T>> split;
-    /// Hierarchical-path gather matrix (the n2 x n1 `s`), one buffer per
-    /// recursion depth so an inner level's pipeline never clobbers the
-    /// buffer its caller is mid-way through. There is no second (n1 x n2)
-    /// matrix: the fused row stage never materializes the twiddled
-    /// transpose — each T4 gathers its own block of it into a per-worker
-    /// panel (below). The buffers are madvise'd toward huge pages: the
-    /// strided side of every gather/scatter tile walks `s` in 16-element
-    /// chunks one row apart, and 2 MiB pages cut those walks' TLB misses
-    /// by the page-size ratio.
-    std::vector<std::vector<cplx_t<T>>> hier_scratch;
+    /// Hierarchical-path gather matrix (the n2 x n1 `s`). There is no
+    /// second (n1 x n2) matrix: the fused row stage never materializes
+    /// the twiddled transpose — each T4 gathers its own block of it into
+    /// a per-worker panel (below). The buffer is madvise'd toward huge
+    /// pages: the strided side of every gather/scatter tile walks `s` in
+    /// 16-element chunks one row apart, and 2 MiB pages cut those walks'
+    /// TLB misses by the page-size ratio.
+    std::vector<cplx_t<T>> hier_scratch;
     /// Per-worker row panel of the fused T4 stage: block_rows2 contiguous
     /// n2-point rows, twiddle-gathered from `s`, swept in place, then
     /// transposed out to `data`. Sized for the largest (block_rows2 x n2)
@@ -330,19 +326,15 @@ class FftExecutor {
   void run_serial_locked(const PlanEntry& entry, const PlanEntry* conv,
                          std::span<const std::span<cplx_t<T>>> batch,
                          codelet::HostRuntime& rt, TwiddleDirection dir);
-  /// One hierarchical transform (mutex_ held), recursive over the plan
-  /// entry's column chain. The single-level body runs ONE runtime phase of
+  /// One hierarchical transform (mutex_ held): ONE runtime phase of
   /// dependency-counted tile-block tasks — gather-transpose of block i+1
   /// overlaps the column sweep of block i, and one counter over all
   /// column blocks releases every fused row block — instead of five
-  /// barrier-separated full-array passes.
-  /// Multi-level entries first recurse per column row, then pipeline the
-  /// scatter/row-sweep/writeback tail. Output is bit-identical across
+  /// barrier-separated full-array passes. Output is bit-identical across
   /// team sizes, block grains and kernel ISA tiers.
   template <typename T>
   void run_hierarchical_locked(const PlanEntry& entry, std::span<cplx_t<T>> data,
-                               codelet::HostRuntime& rt, TwiddleDirection dir,
-                               unsigned depth);
+                               codelet::HostRuntime& rt, TwiddleDirection dir);
   /// One phased mixed-radix transform (mutex_ held): digit-reversal
   /// permutation into the ping buffer as a chunked phase, then one
   /// data-parallel phase per stage over its butterfly groups (butterflies

@@ -11,50 +11,13 @@ void validate_fft_shape(std::uint64_t n) {
   if (n < 2) throw std::invalid_argument("fft: size must be >= 2");
 }
 
-const char* to_string(PlanKind kind) noexcept {
-  switch (kind) {
-    case PlanKind::kHierarchical:
-      return "hierarchical";
-    case PlanKind::kMixedRadix:
-      return "mixed-radix";
-    case PlanKind::kBluestein:
-      return "bluestein";
-    case PlanKind::kClassic:
-    default:
-      return "classic";
-  }
-}
-
-unsigned hierarchical_leaf_log2(std::uint64_t cache_bytes, unsigned element_bytes) {
-  if (element_bytes == 0) element_bytes = 16;
-  // A leaf row sweep touches the row, the scratch it transposes into, and
-  // the tile traffic around it; 8x headroom keeps a whole block of rows
-  // resident while the next block streams in.
-  const std::uint64_t points = cache_bytes / (std::uint64_t{8} * element_bytes);
-  unsigned leaf = points < 2 ? 1 : util::ilog2(points);
-  if (leaf < 4) leaf = 4;
-  if (leaf > 16) leaf = 16;
-  return leaf;
-}
-
-HierarchicalSplit hierarchical_split(std::uint64_t n, unsigned leaf_log2) {
+HierarchicalSplit hierarchical_split(std::uint64_t n) {
   if (!util::is_pow2(n) || n < 4)
     throw std::invalid_argument(
         "hierarchical_split: N must be a power of two >= 4");
-  if (leaf_log2 < 2) leaf_log2 = 2;
-  if (leaf_log2 > 30) leaf_log2 = 30;
-  const unsigned log2n = util::ilog2(n);
   HierarchicalSplit split;
-  if (log2n <= 2 * leaf_log2) {
-    // Both halves of the balanced split already fit the leaf: one level.
-    split.n1 = std::uint64_t{1} << (log2n / 2);
-    split.n2 = n / split.n1;
-  } else {
-    split.n2 = std::uint64_t{1} << leaf_log2;
-    split.n1 = n / split.n2;
-    split.col_recursive = true;
-    split.levels = 1 + hierarchical_split(split.n1, leaf_log2).levels;
-  }
+  split.n1 = std::uint64_t{1} << (util::ilog2(n) / 2);
+  split.n2 = n / split.n1;
   return split;
 }
 

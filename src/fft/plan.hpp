@@ -42,15 +42,14 @@ struct StageInfo {
 
 /// How a transform of a given size is executed:
 ///  * kClassic  — the paper's stage/task codelet decomposition below.
-///  * kHierarchical — Bailey's four-step decomposition for large N,
-///    applied recursively: the data is viewed as an n1 x n2 matrix, the
-///    row sub-FFT is capped at a cache-resident leaf size and the column
-///    sub-FFT re-splits hierarchically until it fits too, so every
-///    butterfly sweep at every level runs on a working set sized for the
-///    targeted cache level. The inter-step twiddles are fused into the
-///    tile transposes (transpose.hpp), and the executor drives each level
-///    as one tile-granular dependency-counted pipeline phase. The
-///    executor routes pow2 N at/above its threshold through this kind.
+///  * kHierarchical — Bailey's four-step decomposition for large N, one
+///    level: the data is viewed as an n1 x n2 matrix split as evenly as
+///    N allows, so both sub-FFTs are classic cache-resident transforms
+///    (at most 2^16 points for every N up to 2^32). The inter-step
+///    twiddles are fused into the tile transposes (transpose.hpp), and
+///    the executor drives the level as one tile-granular
+///    dependency-counted pipeline phase. The executor routes pow2 N
+///    at/above its threshold through this kind.
 enum class PlanKind {
   kClassic,
   kHierarchical,
@@ -58,37 +57,19 @@ enum class PlanKind {
   kBluestein
 };
 
-/// Stable lower-case name ("classic" / "hierarchical" / "mixed-radix" /
-/// "bluestein") used by lint tooling and baseline metric keys.
-const char* to_string(PlanKind kind) noexcept;
-
-/// One level of the hierarchical decomposition: N = n1 * n2 viewed as an
-/// n1 x n2 matrix, where n2 is the row sub-FFT (always a classic
-/// cache-resident leaf) and n1 the column sub-FFT, which re-splits
-/// hierarchically whenever it is still too large for the leaf cap.
+/// The hierarchical decomposition: N = n1 * n2 viewed as an n1 x n2
+/// matrix, where n1 is the column sub-FFT and n2 the row sub-FFT, both
+/// classic.
 struct HierarchicalSplit {
   std::uint64_t n1 = 0;
   std::uint64_t n2 = 0;
-  /// Total decomposition levels at and below this node (1 == one balanced
-  /// n1 x n2 split with classic children).
-  unsigned levels = 1;
-  /// True when the n1 sub-FFT is itself hierarchical (levels > 1).
-  bool col_recursive = false;
 };
 
-/// Leaf size cap (log2 points) for the hierarchical planner: the largest
-/// sub-FFT whose working set — a block of rows plus its scratch, ~8x the
-/// row itself — still fits `cache_bytes`. Clamped to [4, 16] so exotic
-/// sysconf answers can never produce degenerate or unbounded leaves.
-unsigned hierarchical_leaf_log2(std::uint64_t cache_bytes, unsigned element_bytes);
-
-/// Split for the hierarchical path. While log2(N) <= 2 * leaf_log2 the
-/// split is balanced — n1 = 2^floor(log2(N)/2) <= n2, one level — so both
-/// sub-transforms are as small (and as cache-resident) as possible until
-/// N genuinely outgrows two leaf halves; beyond that the row factor is
-/// pinned to the leaf and the column factor recurses. N must be a power
-/// of two >= 4; leaf_log2 is clamped to [2, 30].
-HierarchicalSplit hierarchical_split(std::uint64_t n, unsigned leaf_log2);
+/// The balanced four-step split of the hierarchical path:
+/// n1 = 2^floor(log2(N)/2) <= n2 = N/n1, so both sub-transforms are as
+/// small (and as cache-resident) as N allows. A function of N alone. N
+/// must be a power of two >= 4 (std::invalid_argument otherwise).
+HierarchicalSplit hierarchical_split(std::uint64_t n);
 
 /// Shape validator of the production transforms (every FftExecutor call,
 /// and through it fft::forward/inverse, fft2d, real_fft and the server):

@@ -6,7 +6,6 @@
 
 #include "fft/reference.hpp"
 #include "util/bit_ops.hpp"
-#include "util/cpu_features.hpp"
 
 namespace c64fft::fft {
 
@@ -114,11 +113,9 @@ PlanEntry::PlanEntry(const PlanKey& key, HierarchicalSplit split,
   if (key.kind != PlanKind::kHierarchical)
     throw std::invalid_argument(
         "PlanEntry: hierarchical constructor requires kHierarchical key");
-  const PlanKind col_kind =
-      split.col_recursive ? PlanKind::kHierarchical : PlanKind::kClassic;
   if (split_.n1 * split_.n2 != key.n || !col_entry_ || !row_entry_ ||
       col_entry_->key().n != split_.n1 || row_entry_->key().n != split_.n2 ||
-      col_entry_->kind() != col_kind ||
+      col_entry_->kind() != PlanKind::kClassic ||
       row_entry_->kind() != PlanKind::kClassic ||
       col_entry_->precision() != key.precision ||
       row_entry_->precision() != key.precision)
@@ -259,25 +256,14 @@ std::shared_ptr<const PlanEntry> PlanCache::acquire(const PlanKey& key) {
   // the winner inserted.
   std::shared_ptr<const PlanEntry> entry;
   if (key.kind == PlanKind::kHierarchical) {
-    // Recursion depth equals the level count: the row leaf is classic,
-    // the column sub-key re-enters as kHierarchical (same leaf cap) until
-    // the balanced split fits inside two leaves.
-    const unsigned leaf =
-        key.hier_leaf_log2 != 0
-            ? key.hier_leaf_log2
-            : hierarchical_leaf_log2(
-                  util::cache_info().l2_bytes,
-                  key.precision == Precision::kF32 ? 8 : 16);
-    const HierarchicalSplit split = hierarchical_split(key.n, leaf);
-    const PlanKey row_key{split.n2, PlanKind::kClassic, key.precision};
+    // Both factors are classic entries under the keys a direct call of
+    // the sub-size builds; a square split shares one.
+    const HierarchicalSplit split = hierarchical_split(key.n);
     std::shared_ptr<const PlanEntry> col;
-    if (split.col_recursive)
-      col = acquire(
-          PlanKey{split.n1, PlanKind::kHierarchical, key.precision, leaf});
-    else if (split.n1 != split.n2)
+    if (split.n1 != split.n2)
       col = acquire(PlanKey{split.n1, PlanKind::kClassic, key.precision});
-    auto row = acquire(row_key);
-    if (!col) col = row;  // square single-level split shares one sub-entry
+    auto row = acquire(PlanKey{split.n2, PlanKind::kClassic, key.precision});
+    if (!col) col = row;
     entry = std::make_shared<const PlanEntry>(key, split, std::move(col),
                                               std::move(row));
   } else {

@@ -32,9 +32,9 @@ namespace c64fft::fft {
 /// Everything that distinguishes one cached plan from another. Twiddle
 /// tables are always stored in the linear layout. `kind` is part of the
 /// key — the classic and the hierarchical decomposition of one size are
-/// distinct entries (a hierarchical entry's classic leaves are ordinary
-/// residents, shared with direct calls of the leaf size). `precision` is
-/// part of the key too: an f32 and an f64
+/// distinct entries (a hierarchical entry's classic sub-entries are
+/// ordinary residents, shared with direct calls of their size).
+/// `precision` is part of the key too: an f32 and an f64
 /// transform of the same shape share nothing but the index algebra, and
 /// the twiddle tables they pin differ in both element width and content,
 /// so they must age through the LRU as separate entries.
@@ -42,12 +42,6 @@ struct PlanKey {
   std::uint64_t n = 0;
   PlanKind kind = PlanKind::kClassic;
   Precision precision = Precision::kF64;
-  /// kHierarchical only (0 for every other kind): the leaf cap (log2
-  /// points) to split this entry with; 0 derives it from the host L2 at
-  /// acquire time, as every executor key does. Part of the key so a
-  /// forced leaf (the recursive column sub-keys, tests) builds its own
-  /// plan tree instead of silently reusing the default split.
-  unsigned hier_leaf_log2 = 0;
 
   bool operator==(const PlanKey&) const = default;
 };
@@ -55,8 +49,7 @@ struct PlanKey {
 struct PlanKeyHash {
   std::size_t operator()(const PlanKey& k) const noexcept {
     std::uint64_t h = k.n * 0x9e3779b97f4a7c15ull;
-    h ^= (std::uint64_t{k.hier_leaf_log2} << 40) ^
-         (k.kind == PlanKind::kHierarchical ? 0x2545f4914f6cdd1dull : 0) ^
+    h ^= (k.kind == PlanKind::kHierarchical ? 0x2545f4914f6cdd1dull : 0) ^
          (k.kind == PlanKind::kMixedRadix ? 0x94d049bb133111ebull : 0) ^
          (k.kind == PlanKind::kBluestein ? 0xbf58476d1ce4e5b9ull : 0) ^
          (k.precision == Precision::kF32 ? 0xa0761d6478bd642full : 0);
@@ -83,14 +76,11 @@ class PlanEntry {
   explicit PlanEntry(const PlanKey& key);
 
   /// Builds a hierarchical entry: no twiddles of its own, just the split
-  /// and pinned sub-entries for the column (length n1) and
-  /// row (length n2) transforms. The row sub-entry is always a classic
-  /// cache-resident leaf; the column sub-entry is classic too unless it
-  /// is the recursive split of a still-too-large n1. The inter-step
-  /// twiddles are generated on the fly by transpose_twiddle_tile_panel,
-  /// so a single-level entry is O(n1 + n2) where a classic entry would be
-  /// O(N). `split.levels` is the total level count of this subtree,
-  /// surfaced via levels().
+  /// and pinned classic sub-entries for the column (length n1) and row
+  /// (length n2) transforms — one shared sub-entry when the split is
+  /// square. The inter-step twiddles are generated on the fly by
+  /// transpose_twiddle_tile_panel, so the entry is O(n1 + n2) where a
+  /// classic entry would be O(N).
   PlanEntry(const PlanKey& key, HierarchicalSplit split,
             std::shared_ptr<const PlanEntry> col_entry,
             std::shared_ptr<const PlanEntry> row_entry);
@@ -136,9 +126,6 @@ class PlanEntry {
   const std::shared_ptr<const PlanEntry>& row_entry() const {
     return require_hierarchical().row_entry_;
   }
-  /// Total decomposition levels of this subtree (1 for a single-level
-  /// entry; grows with each recursive column split).
-  unsigned levels() const { return split().levels; }
 
   // ---- Mixed-radix entries only ----
 
@@ -246,13 +233,9 @@ class PlanCache {
 
   /// Return the cached entry for `key`, building and inserting it on miss
   /// (evicting the least recently used entry when over capacity). A
-  /// kHierarchical key first acquires its sub-entries (length n1 and n2),
-  /// so classic sub-entries stay independently cached and shared with
-  /// direct transforms of the same size: the row leaf is always classic,
-  /// and the column sub-entry re-acquires as kHierarchical (same leaf
-  /// cap) while it is still too large for the leaf. A kHierarchical key
-  /// with hier_leaf_log2 == 0 resolves the cap from the measured cache
-  /// hierarchy (util::cache_info) at acquire time.
+  /// kHierarchical key first acquires its classic sub-entries (length n1
+  /// and n2 of hierarchical_split), so they stay independently cached and
+  /// shared with direct transforms of the same size.
   std::shared_ptr<const PlanEntry> acquire(const PlanKey& key);
 
   std::size_t size() const;

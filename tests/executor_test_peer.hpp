@@ -2,10 +2,10 @@
 // FftExecutorTestPeer: the one way a test reaches a route that routing
 // never picks for its size. Routing is a function of N alone, so a test
 // that needs the classic plan at 2^18+, the hierarchical pipeline below
-// 2^18, a forced hierarchical leaf, or Bluestein over a hierarchical
-// convolution acquires plan entries of that kind from the executor's own
-// cache and runs them through the executor's own locked dispatch — the
-// body, team, scratch and stats counters a routed call would use.
+// 2^18, or Bluestein over a hierarchical convolution acquires plan
+// entries of that kind from the executor's own cache and runs them
+// through the executor's own locked dispatch — the body, team, scratch
+// and stats counters a routed call would use.
 
 #include <cstdint>
 #include <memory>
@@ -16,13 +16,11 @@
 namespace c64fft::fft {
 
 struct FftExecutorTestPeer {
-  /// The plan a forced call runs: the top-level kind, Bluestein's
-  /// convolution kind (ignored otherwise), and a hierarchical leaf cap
-  /// (0 = derived from the host L2, as routed calls do).
+  /// The plan a forced call runs: the top-level kind and Bluestein's
+  /// convolution kind (ignored otherwise).
   struct Route {
     PlanKind kind = PlanKind::kClassic;
     PlanKind conv = PlanKind::kClassic;
-    unsigned leaf_log2 = 0;
   };
 
   /// forward_batch / inverse_batch (scaled by 1/N like the public
@@ -31,15 +29,12 @@ struct FftExecutorTestPeer {
   static void run(FftExecutor& ex, std::span<const std::span<cplx_t<T>>> batch,
                   Route route, TwiddleDirection dir) {
     const std::uint64_t n = batch.front().size();
-    const auto key = [&](std::uint64_t size, PlanKind kind) {
-      return PlanKey{size, kind, precision_of<T>,
-                     kind == PlanKind::kHierarchical ? route.leaf_log2 : 0};
-    };
     const std::shared_ptr<const PlanEntry> entry =
-        ex.cache_.acquire(key(n, route.kind));
+        ex.cache_.acquire(PlanKey{n, route.kind, precision_of<T>});
     std::shared_ptr<const PlanEntry> conv;
     if (route.kind == PlanKind::kBluestein)
-      conv = ex.cache_.acquire(key(bluestein_fft_size(n), route.conv));
+      conv = ex.cache_.acquire(
+          PlanKey{bluestein_fft_size(n), route.conv, precision_of<T>});
     ex.dispatch_t<T>(*entry, conv.get(), batch, ex.default_workers(), dir);
     if (dir == TwiddleDirection::kForward) return;
     const T scale = static_cast<T>(1.0 / static_cast<double>(n));

@@ -358,13 +358,8 @@ TEST(Pipeline, EveryBuilderIsCleanAtBothPrecisions) {
     opts.layout = TwiddleLayout::kLinear;
     models.push_back(build_batch_pipeline(256, 8, opts));
     models.push_back(build_batch_pipeline(256, 1, opts));  // a single call
-    opts.hier_leaf_log2 = 7;
     models.push_back(build_hierarchical_pipeline(8192, opts));  // 64 x 128
-    opts.hier_leaf_log2 = 6;
     models.push_back(build_hierarchical_pipeline(4096, opts));  // 64 x 64
-    opts.hier_leaf_log2 = 5;
-    models.push_back(build_hierarchical_pipeline(4096, opts));  // 2 levels
-    opts.hier_leaf_log2 = 0;
     models.push_back(build_fft2d_pipeline(32, 32, opts));
     models.push_back(build_fft2d_pipeline(16, 32, opts));
     models.push_back(build_real_fft_pipeline(512, opts));
@@ -400,7 +395,6 @@ TEST(Pipeline, ModelMirrorsExecutorGrains) {
   // grain, not per-tile fictions.
   PipelineBuildOptions hopts;
   hopts.workers = 4;
-  hopts.hier_leaf_log2 = 6;
   const PipelineModel hier = build_hierarchical_pipeline(4096, hopts);
   ASSERT_EQ(hier.phases.size(), 3u);
   EXPECT_EQ(hier.phases[0].name, "gather");
@@ -412,36 +406,29 @@ TEST(Pipeline, ModelMirrorsExecutorGrains) {
   EXPECT_EQ(hier.phases[1].tasks.size(), grain.blocks1);
   EXPECT_EQ(hier.phases[2].tasks.size(), grain.blocks2);
 
-  // A forced-small leaf recurses: the column transform condenses to one
-  // task per gather row, charged the inner levels' full pass count.
-  hopts.hier_leaf_log2 = 5;
-  const PipelineModel multi = build_hierarchical_pipeline(4096, hopts);
-  ASSERT_EQ(multi.phases.size(), 3u);
-  EXPECT_EQ(multi.phases[1].name, "col-recursive");
-  EXPECT_EQ(multi.phases[1].tasks.size(),
-            fft::hierarchical_split(4096, 5).n2);
-  EXPECT_GT(multi.phases[1].tasks.front().passes, 1u);
-
-  // A pinned L2 replaces the host's for both the leaf and the grain:
-  // 16 KiB caps the f64 leaf at 2^7, so 2^16 recurses.
-  PipelineBuildOptions small_l2;
-  small_l2.l2_bytes = 16u << 10;
+  // A pinned L2 replaces the host's in the block grain: at 2^16 (256 x
+  // 256) on one worker, a 128 KiB L2 caps the row panel at 16 rows where
+  // 2 MiB allows the 64-row workers*4 cap.
+  PipelineBuildOptions pinned_opts;
+  pinned_opts.workers = 1;
+  pinned_opts.l2_bytes = 128u << 10;
   const PipelineModel pinned =
-      build_hierarchical_pipeline(std::uint64_t{1} << 16, small_l2);
+      build_hierarchical_pipeline(std::uint64_t{1} << 16, pinned_opts);
+  const fft::HierarchicalGrain small =
+      fft::hierarchical_grain(256, 256, 1, 16, pinned_opts.l2_bytes);
+  EXPECT_EQ(small.blocks2, 16u);
   ASSERT_EQ(pinned.phases.size(), 3u);
-  EXPECT_EQ(pinned.phases[1].name, "col-recursive");
-  const fft::HierarchicalSplit split =
-      fft::hierarchical_split(std::uint64_t{1} << 16, 7);
-  EXPECT_EQ(pinned.phases[2].tasks.size(),
-            fft::hierarchical_grain(split.n1, split.n2, small_l2.workers, 16,
-                                    small_l2.l2_bytes)
-                .blocks2);
+  EXPECT_EQ(pinned.phases[1].name, "col-sweep");
+  EXPECT_EQ(pinned.phases[0].tasks.size(), small.blocks1);
+  EXPECT_EQ(pinned.phases[2].tasks.size(), small.blocks2);
+  pinned_opts.l2_bytes = 2u << 20;
+  const PipelineModel roomy =
+      build_hierarchical_pipeline(std::uint64_t{1} << 16, pinned_opts);
+  EXPECT_EQ(roomy.phases[2].tasks.size(), 4u);
 }
 
 TEST(Pipeline, TileTrafficSplitsTransposeFromButterfly) {
-  PipelineBuildOptions opts;
-  opts.hier_leaf_log2 = 6;
-  const PipelineModel m = build_hierarchical_pipeline(4096, opts);
+  const PipelineModel m = build_hierarchical_pipeline(4096);  // 64 x 64
   const auto report = analyze_pipeline(m);
   const auto& metrics = check_of(report, "tile-traffic").metrics;
   // Gather is pure movement, the column sweep pure butterfly, and the
@@ -455,23 +442,34 @@ TEST(Pipeline, TileTrafficSplitsTransposeFromButterfly) {
   const double fused_butterfly = metrics.at("phase2_butterfly_bytes");
   EXPECT_GT(fused_transpose, 0.0);
   EXPECT_GT(fused_butterfly, 0.0);
-  const fft::FftPlan row_plan(64, 6);
+  // Each row is one whole-transform sweep, so the fused task streams its
+  // block three times at any row length.
   const auto& fused = m.phases[2].tasks.front();
-  EXPECT_EQ(fused.passes, row_plan.stage_count() + 2);
+  EXPECT_EQ(fused.passes, 3u);
   EXPECT_EQ(fused.movement_passes, 2u);
   EXPECT_NEAR(metrics.at("transpose_bytes") + metrics.at("butterfly_bytes"),
               metrics.at("total_bytes"), 0.5);
 }
 
-TEST(Pipeline, BluesteinModelRejectsConvolutionsItCannotModel) {
-  // The model runs each inner M-point FFT as one whole-transform task,
-  // which is the executor's routing only while M stays below the
-  // hierarchical threshold: from n = 65537 (M = 2^18) on, the builder
-  // refuses instead of reporting phases that never run.
+TEST(Pipeline, BluesteinModelsAHierarchicalConvolution) {
+  // From n = 65537 (M = 2^18) on, the executor runs each inner M-point
+  // FFT as the hierarchical pipeline, and so does the model: modulate,
+  // the three pipeline phases, pointwise, three more, demodulate.
   ASSERT_EQ(fft::bluestein_fft_size(65537), 1ULL << 18);
-  EXPECT_THROW(build_bluestein_pipeline(65537), std::invalid_argument);
-  EXPECT_THROW(build_bluestein_pipeline(131101), std::invalid_argument);
-  EXPECT_NO_THROW(build_bluestein_pipeline(101));  // M = 256, classic
+  const PipelineModel m = build_bluestein_pipeline(65537);
+  std::vector<std::string> names;
+  for (const PhaseModel& p : m.phases) names.push_back(p.name);
+  const std::vector<std::string> want = {
+      "modulate",      "fwd-gather",    "fwd-col-sweep", "fwd-fused-row",
+      "pointwise",     "inv-gather",    "inv-col-sweep", "inv-fused-row",
+      "demodulate"};
+  EXPECT_EQ(names, want);
+  const auto report = analyze_pipeline(m);
+  EXPECT_EQ(report.errors(), 0u) << report.to_json();
+  const CheckResult& coverage = check_of(report, "coverage");
+  EXPECT_EQ(coverage.status, "pass") << report.to_json();
+  EXPECT_EQ(coverage.metrics.at("write_overlaps"), 0.0);
+  EXPECT_EQ(coverage.metrics.at("undefined_reads"), 0.0);
 }
 
 // ---- Seeded pipeline defects ----
@@ -556,9 +554,7 @@ TEST(Pipeline, SeededSkewIsFlaggedAndStrictPromotes) {
 }
 
 TEST(Pipeline, SeededTileTrafficImbalanceIsFlaggedAndStrictPromotes) {
-  PipelineBuildOptions opts;
-  opts.hier_leaf_log2 = 6;
-  PipelineModel balanced = build_hierarchical_pipeline(4096, opts);
+  PipelineModel balanced = build_hierarchical_pipeline(4096);
   {
     const auto report = analyze_pipeline(balanced);
     EXPECT_FALSE(has_code(report, "tile-traffic", "tile-traffic-imbalance"))
@@ -606,9 +602,7 @@ TEST(Pipeline, SeededBankConcentrationIsFlagged) {
 }
 
 TEST(Pipeline, CostProfileIsConsistent) {
-  PipelineBuildOptions opts;
-  opts.hier_leaf_log2 = 7;  // 128 x 128, single level
-  const PipelineModel m = build_hierarchical_pipeline(1 << 14, opts);
+  const PipelineModel m = build_hierarchical_pipeline(1 << 14);  // 128 x 128
   const auto report = analyze_pipeline(m);
   const auto& metrics = check_of(report, "cost").metrics;
   const double span = metrics.at("span_cost");
@@ -640,9 +634,7 @@ TEST(Pipeline, ForcedIsaLevelsAreStampedAndVerifyClean) {
   for (const util::IsaLevel level :
        {util::IsaLevel::kScalar, util::IsaLevel::kAvx2}) {
     const util::IsaLevel active = fft::kernels::set_kernel_isa(level);
-    PipelineBuildOptions opts;
-    opts.hier_leaf_log2 = 6;
-    const PipelineModel m = build_hierarchical_pipeline(4096, opts);
+    const PipelineModel m = build_hierarchical_pipeline(4096);
     EXPECT_EQ(m.kernel_isa, util::to_string(active));
     const auto report = analyze_pipeline(m);
     const auto& check = check_of(report, "kernel");
@@ -693,7 +685,7 @@ TEST(Pipeline, HandBuiltModelsSkipTheKernelCheck) {
 
 TEST(LintBaseline, RowsRoundTripThroughJson) {
   const auto rows = collect_lint_rows();
-  ASSERT_EQ(rows.size(), 20u);  // 10 shapes x 2 precisions
+  ASSERT_EQ(rows.size(), 18u);  // 9 shapes x 2 precisions
   const std::string json = lint_rows_to_json(rows);
   const auto parsed = lint_rows_from_json(util::json_parse(json));
   ASSERT_EQ(parsed.size(), rows.size());

@@ -23,6 +23,7 @@
 #include "fft/api.hpp"
 #include "fft/mixed_radix.hpp"
 #include "fft/reference.hpp"
+#include "util/cpu_features.hpp"
 #include "util/prng.hpp"
 
 namespace c64fft::fft {
@@ -195,9 +196,16 @@ TEST(Executor, BatchContractMatchesLoopOnEveryRoute) {
                     : check_batch_against_loop<double>(ref, ex, c.n, batch,
                                                        inverse, c.route, label);
             if (c.route) {
-              // At least one M-point pipeline phase per convolution FFT,
-              // two per transform, on every team.
-              EXPECT_GE(phases, 2u * batch) << label;
+              // One M-point pipeline phase of 2*B1 + B2 block codelets per
+              // convolution FFT, two per transform, on every team.
+              const HierarchicalSplit split =
+                  hierarchical_split(bluestein_fft_size(c.n));
+              const HierarchicalGrain g = hierarchical_grain(
+                  split.n1, split.n2, workers, f32 ? 8 : 16,
+                  util::cache_info().l2_bytes);
+              EXPECT_EQ(phases, 2u * batch) << label;
+              EXPECT_EQ(codelets, 2u * batch * (2 * g.blocks1 + g.blocks2))
+                  << label;
               continue;
             }
             if (c.mixed_radix && batch == 1 && workers > 1) {

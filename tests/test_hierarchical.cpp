@@ -1,18 +1,18 @@
-// Hierarchical multi-level large-N path (PlanKind::kHierarchical), the
-// only large-N route: split algebra and cache-driven leaf selection,
-// plan-cache pinning of the recursive sub-plan chain, routing by N,
-// bit-identity of the output across kernel ISA tiers and team sizes at
-// N in {2^18, 2^19} (both precisions, both directions), numerical
-// agreement with the classic path and the O(N^2) reference,
-// batch-vs-loop identity and forced multi-level recursion. Routes that
-// routing never picks for a size (classic at 2^18, hierarchical below it,
-// a forced leaf) run through FftExecutorTestPeer. Registered under the
-// `large_n` ctest label:
+// Hierarchical large-N path (PlanKind::kHierarchical), the only large-N
+// route: the balanced split algebra, plan-cache pinning of the classic
+// sub-entries, routing by N, the pipeline's exact phase and codelet
+// counts, bit-identity of the output across kernel ISA tiers and team
+// sizes at N in {2^18, 2^19} (both precisions, both directions),
+// numerical agreement with the classic path and the O(N^2) reference,
+// and batch-vs-loop identity. Routes that routing never picks for a size
+// (classic at 2^18, hierarchical below it) run through
+// FftExecutorTestPeer. Registered under the `large_n` ctest label:
 //     ctest -L large_n --output-on-failure
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "executor_test_peer.hpp"
@@ -40,47 +40,19 @@ std::vector<cplx_t<T>> random_signal(std::uint64_t n, std::uint64_t seed) {
 constexpr TwiddleDirection kFwd = TwiddleDirection::kForward;
 constexpr TwiddleDirection kInv = TwiddleDirection::kInverse;
 
-TEST(HierarchicalSplitAlgebra, BalancedBelowTwiceLeaf) {
-  // While log2(n) <= 2*leaf the split is balanced: one level, classic
-  // children, n1 = 2^floor(log2(n)/2) <= n2 with the product preserved.
-  for (unsigned logn : {2u, 13u, 14u, 16u, 18u, 19u, 22u, 28u}) {
-    const HierarchicalSplit h = hierarchical_split(1ULL << logn, 14);
+TEST(HierarchicalSplitAlgebra, BalancedAtEverySize) {
+  // One level at every size: n1 = 2^floor(log2(n)/2) <= n2, product
+  // preserved, so no factor exceeds 2^16 up to 2^32.
+  for (unsigned logn = 2; logn <= 40; ++logn) {
+    const HierarchicalSplit h = hierarchical_split(1ULL << logn);
     EXPECT_EQ(h.n1, 1ULL << (logn / 2)) << logn;
     EXPECT_EQ(h.n2, 1ULL << (logn - logn / 2)) << logn;
-    EXPECT_EQ(h.levels, 1u) << logn;
-    EXPECT_FALSE(h.col_recursive) << logn;
   }
-  EXPECT_EQ(hierarchical_split(1ULL << 18, 14).n2, 512u);
-  EXPECT_EQ(hierarchical_split(1ULL << 13, 14).n1, 64u);
-  EXPECT_EQ(hierarchical_split(1ULL << 13, 14).n2, 128u);
-}
-
-TEST(HierarchicalSplitAlgebra, RecursiveAboveTwiceLeaf) {
-  // log2(n) > 2*leaf peels a 2^leaf row factor and recurses on the rest.
-  const HierarchicalSplit h = hierarchical_split(1ULL << 12, 4);
-  EXPECT_EQ(h.n2, 16u);
-  EXPECT_EQ(h.n1, 256u);
-  EXPECT_TRUE(h.col_recursive);
-  EXPECT_EQ(h.levels, 2u);
-  // Three levels: 2^18 with leaf 5 -> 32 * (32 * 2^8).
-  const HierarchicalSplit deep = hierarchical_split(1ULL << 18, 5);
-  EXPECT_EQ(deep.n2, 32u);
-  EXPECT_EQ(deep.levels, 3u);
-  EXPECT_THROW(hierarchical_split(2, 14), std::invalid_argument);
-  EXPECT_THROW(hierarchical_split(96, 14), std::invalid_argument);
-}
-
-TEST(HierarchicalSplitAlgebra, LeafTracksCacheSize) {
-  // leaf = log2(points that fit in cache at 8 bytes-per-point headroom).
-  EXPECT_EQ(hierarchical_leaf_log2(2ull << 20, 16), 14u);  // 2 MiB L2, f64
-  EXPECT_EQ(hierarchical_leaf_log2(2ull << 20, 8), 15u);   // f32
-  EXPECT_EQ(hierarchical_leaf_log2(1ull << 10, 16), 4u);   // clamped low
-  EXPECT_EQ(hierarchical_leaf_log2(1ull << 40, 16), 16u);  // clamped high
-  // The measured hierarchy feeds the default: whatever this host reports,
-  // the derived leaf stays inside the clamp range.
-  const unsigned leaf = hierarchical_leaf_log2(util::cache_info().l2_bytes, 16);
-  EXPECT_GE(leaf, 4u);
-  EXPECT_LE(leaf, 16u);
+  EXPECT_EQ(hierarchical_split(1ULL << 18).n2, 512u);
+  EXPECT_EQ(hierarchical_split(1ULL << 13).n1, 64u);
+  EXPECT_EQ(hierarchical_split(1ULL << 13).n2, 128u);
+  EXPECT_THROW(hierarchical_split(2), std::invalid_argument);
+  EXPECT_THROW(hierarchical_split(96), std::invalid_argument);
 }
 
 TEST(HierarchicalGrainPolicy, TileAlignedBlocksCoverAllRows) {
@@ -94,46 +66,30 @@ TEST(HierarchicalGrainPolicy, TileAlignedBlocksCoverAllRows) {
   EXPECT_GE(g.blocks1, 8u);
 }
 
-TEST(HierarchicalPlanCache, EntryPinsSubEntriesRecursively) {
+TEST(HierarchicalPlanCache, EntryPinsClassicSubEntries) {
   PlanCache cache(8);
-  // Forced leaf 4 at 2^12: 16 x 256 with a recursive 256-point column.
-  const PlanKey key{1ULL << 12, PlanKind::kHierarchical, Precision::kF64, 4};
-  auto entry = cache.acquire(key);
+  // A square split (2^12 = 64 x 64) shares one classic sub-entry, itself
+  // an ordinary cache resident under the key a direct call builds.
+  auto entry = cache.acquire(PlanKey{1ULL << 12, PlanKind::kHierarchical});
   ASSERT_EQ(entry->kind(), PlanKind::kHierarchical);
-  EXPECT_EQ(entry->levels(), 2u);
-  EXPECT_EQ(entry->split().n1, 256u);
-  EXPECT_EQ(entry->split().n2, 16u);
+  EXPECT_EQ(entry->split().n1, 64u);
+  EXPECT_EQ(entry->split().n2, 64u);
   EXPECT_EQ(entry->row_entry()->kind(), PlanKind::kClassic);
-  ASSERT_EQ(entry->col_entry()->kind(), PlanKind::kHierarchical);
-  EXPECT_EQ(entry->col_entry()->levels(), 1u);
-  EXPECT_EQ(entry->col_entry()->split().n1, 16u);
-  EXPECT_EQ(entry->col_entry()->split().n2, 16u);
-  // The inner level's square split shares one classic sub-entry, itself an
-  // ordinary cache resident.
-  EXPECT_EQ(entry->col_entry()->col_entry().get(),
-            entry->col_entry()->row_entry().get());
-  // Sub-keys are the keys a direct call of the sub-size builds.
-  auto direct = cache.acquire(PlanKey{16});
-  EXPECT_EQ(direct.get(), entry->col_entry()->row_entry().get());
+  EXPECT_EQ(entry->col_entry().get(), entry->row_entry().get());
+  auto direct = cache.acquire(PlanKey{64});
+  EXPECT_EQ(direct.get(), entry->row_entry().get());
   // Classic-only accessors stay fenced off on hierarchical entries, and
   // vice versa.
   EXPECT_THROW(entry->twiddles(TwiddleDirection::kForward), std::logic_error);
   EXPECT_THROW(entry->row_entry()->split(), std::logic_error);
-  // Distinct leaves build distinct plan trees (the leaf is in the key).
-  auto other = cache.acquire(
-      PlanKey{1ULL << 12, PlanKind::kHierarchical, Precision::kF64, 6});
-  EXPECT_NE(other.get(), entry.get());
-  EXPECT_EQ(other->levels(), 1u);
-  // A rectangular single-level split pins two distinct classic
-  // sub-entries, the narrower one shared with a direct acquire.
-  auto rect = cache.acquire(
-      PlanKey{1ULL << 13, PlanKind::kHierarchical, Precision::kF64, 14});
+  // A rectangular split pins two distinct classic sub-entries, the
+  // narrower one shared with a direct acquire.
+  auto rect = cache.acquire(PlanKey{1ULL << 13, PlanKind::kHierarchical});
   EXPECT_EQ(rect->split().n1, 64u);
   EXPECT_EQ(rect->split().n2, 128u);
   EXPECT_EQ(rect->col_entry()->kind(), PlanKind::kClassic);
   EXPECT_NE(rect->col_entry().get(), rect->row_entry().get());
-  auto col = cache.acquire(PlanKey{64});
-  EXPECT_EQ(col.get(), rect->col_entry().get());
+  EXPECT_EQ(direct.get(), rect->col_entry().get());
 }
 
 TEST(Hierarchical, Routing) {
@@ -160,6 +116,55 @@ TEST(Hierarchical, ExecutorRoutesOnlyLargeTransforms) {
   EXPECT_EQ(ex.stats().hierarchical, 0u);
   ex.forward(at);
   EXPECT_EQ(ex.stats().hierarchical, 1u);
+}
+
+template <typename T>
+void check_pipeline_counts() {
+  // A hierarchical transform is exactly ONE runtime phase of 2*B1 + B2
+  // block codelets (B1 T1 gathers, B1 T2 column sweeps, B2 fused T4
+  // tails) on every team, with B1/B2 the executor's grain at this host's
+  // L2; Bluestein over a hierarchical convolution runs two such phases.
+  const std::uint64_t l2 = util::cache_info().l2_bytes;
+  for (const unsigned workers : {1u, 2u, 4u}) {
+    FftExecutor ex({.workers = workers});
+    for (const std::uint64_t n : {1ULL << 18, 1ULL << 20, 65537ULL}) {
+      const bool bluestein = routed_plan_kind(n) == PlanKind::kBluestein;
+      const std::uint64_t m = bluestein ? bluestein_fft_size(n) : n;
+      const HierarchicalSplit split = hierarchical_split(m);
+      const HierarchicalGrain g = hierarchical_grain(
+          split.n1, split.n2, workers, sizeof(cplx_t<T>), l2);
+      const std::uint64_t pipelines = bluestein ? 2 : 1;
+      auto data = random_signal<T>(n, n + workers);
+      const std::span<cplx_t<T>> span(data);
+      ex.forward(span);  // warm: entries, inverse tables, scratch
+      ex.inverse(span);
+      for (const bool inverse : {false, true}) {
+        std::uint64_t phases = 0, codelets = 0;
+        ex.set_phase_hook([&](const codelet::PhaseStats& ps) {
+          ++phases;
+          codelets += ps.executed;
+        });
+        if (inverse)
+          ex.inverse(span);
+        else
+          ex.forward(span);
+        ex.set_phase_hook({});
+        const std::string label = "n=" + std::to_string(n) +
+                                  " workers=" + std::to_string(workers) +
+                                  (inverse ? " inverse" : " forward");
+        EXPECT_EQ(phases, pipelines) << label;
+        EXPECT_EQ(codelets, pipelines * (2 * g.blocks1 + g.blocks2)) << label;
+      }
+    }
+  }
+}
+
+TEST(Hierarchical, OnePhaseOfExactCodeletsPerTransformF64) {
+  check_pipeline_counts<double>();
+}
+
+TEST(Hierarchical, OnePhaseOfExactCodeletsPerTransformF32) {
+  check_pipeline_counts<float>();
 }
 
 /// Restores the process-wide kernel ISA on scope exit.
@@ -282,42 +287,6 @@ TEST(Hierarchical, BatchMatchesLoopBitIdentically) {
   for (auto& t : singles) hier.inverse(t);
   hier.inverse_batch(spans);
   for (std::size_t i = 0; i < b; ++i) EXPECT_EQ(batch[i], singles[i]) << i;
-}
-
-TEST(Hierarchical, ForcedMultiLevelRecursionIsCorrect) {
-  // A leaf far below the cache-derived default forces real recursion (3
-  // levels at 2^18 with leaf 5), which production reaches only above
-  // 2^(2*leaf). The split differs from the default single-level one, so
-  // the anchor is numerical agreement with the classic path, not
-  // bit-identity.
-  const std::uint64_t n = 1ULL << 18;
-  PlanCache cache(4);
-  ASSERT_EQ(cache.acquire(PlanKey{n, PlanKind::kHierarchical, Precision::kF64,
-                                  5})
-                ->levels(),
-            3u);
-  const auto input = random_signal<double>(n, 13);
-  FftExecutor ex({.workers = 2});
-  auto want = input;
-  FftExecutorTestPeer::run<double>(ex, want, kClassicRoute, kFwd);
-
-  const FftExecutorTestPeer::Route leaf5{PlanKind::kHierarchical,
-                                         PlanKind::kClassic, 5};
-  auto got = input;
-  FftExecutorTestPeer::run<double>(ex, got, leaf5, kFwd);
-  EXPECT_LT(rel_l2_error(got, want), 1e-12);
-
-  auto rt = got;
-  FftExecutorTestPeer::run<double>(ex, rt, leaf5, kInv);
-  EXPECT_LT(max_abs_error(rt, input), 1e-10);
-
-  // f32 recursion through the same tree.
-  const auto input32 = random_signal<float>(n, 14);
-  auto got32 = input32;
-  FftExecutorTestPeer::run<float>(ex, got32, leaf5, kFwd);
-  auto want32 = input32;
-  FftExecutorTestPeer::run<float>(ex, want32, kClassicRoute, kFwd);
-  EXPECT_LT(rel_l2_error(got32, want32), 1e-4);
 }
 
 }  // namespace

@@ -12,10 +12,10 @@
 // hooks the executor runs, plus the per-level tile-traffic report
 // (transpose vs butterfly bytes per phase). --all statically verifies the
 // full shipped matrix: every Table-I schedule/layout variant plus every
-// composite kind (classic, hierarchical — single- and multi-level,
-// batch, 2-D, real, mixed-radix, bluestein) at both
-// precisions. --size lints an exact (possibly composite) length, which
-// the auto routing sends down the factorization-driven paths.
+// composite kind (classic, hierarchical, batch, 2-D, real, mixed-radix,
+// bluestein) at both precisions. --size lints an exact (possibly
+// composite) length, which the auto routing sends down the
+// factorization-driven paths.
 //
 // Pipeline models record the kernel dispatch table ("scalar" / "avx2")
 // the runtime would execute with; the kernel check validates the id
@@ -149,9 +149,6 @@ int main(int argc, char** argv) {
                  "a classic size is a batch of one)");
   cli.add_int("batch", 8,
               "transforms per batch for --plan-kind=batch (>= 1)");
-  cli.add_int("leaf-log2", 0,
-              "hierarchical leaf cap (log2 points); 0 derives it from the "
-              "host L2 like the executor");
   cli.add_int("rows-log2", 6,
               "log2 of the matrix rows for --plan-kind=fft2d and "
               "--seed-defect=tile-overlap");
@@ -251,7 +248,6 @@ int main(int argc, char** argv) {
   build.layout = cli.get_string("layout") == "hashed"
                      ? fft::TwiddleLayout::kBitReversed
                      : fft::TwiddleLayout::kLinear;
-  build.hier_leaf_log2 = static_cast<unsigned>(cli.get_int("leaf-log2"));
   pipe_opts.tile_traffic.strict = cli.flag("strict-cost");
 
   const std::uint64_t n =
@@ -328,17 +324,6 @@ int main(int argc, char** argv) {
             analysis::build_hierarchical_pipeline(std::uint64_t{1} << 18, b,
                                                   "hierarchical" + prec),
             pipe_opts));
-        {
-          // Forced-small leaf so the multi-level (col-recursive) shape is
-          // statically verified too, at a size the element-exact
-          // footprints afford.
-          analysis::PipelineBuildOptions ml = b;
-          ml.hier_leaf_log2 = 6;  // 2^19 -> 2^13 x 2^6 -> (2^7 x 2^6) x 2^6
-          reports.push_back(analysis::analyze_pipeline(
-              analysis::build_hierarchical_pipeline(
-                  std::uint64_t{1} << 19, ml, "hierarchical-3l" + prec),
-              pipe_opts));
-        }
         reports.push_back(analysis::analyze_pipeline(
             analysis::build_batch_pipeline(256, 8, b, "batch8" + prec),
             pipe_opts));
