@@ -1,28 +1,16 @@
 // google-benchmark microbenchmarks of the host-side computational kernels:
 // butterfly chains (scalar vs split/vectorized), full codelets, bit
-// reversal, twiddle construction, runtime codelet throughput (legacy
-// mutex-pool architecture vs the work-stealing runtime), and end-to-end
-// host FFTs. These measure real wall time on the build machine (unlike the
-// fig*/table* binaries, which measure simulated C64 cycles).
-//
-// The runtime comparison pair (BM_MutexPoolRuntime / BM_WorkStealingRuntime)
-// runs the same fan-out workload at the same worker counts on both
-// architectures; the legacy driver reproduces the pre-work-stealing one
-// (std::thread respawn per phase + one mutex-guarded pool).
+// reversal, twiddle construction, the worker team's per-phase cost, and
+// end-to-end host FFTs. These measure real wall time on the build machine
+// (unlike the fig*/table* binaries, which measure simulated C64 cycles).
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <atomic>
-#include <condition_variable>
-#include <deque>
-#include <mutex>
 #include <span>
-#include <thread>
 #include <vector>
 
-#include "codelet/host_runtime.hpp"
-#include "codelet/pool.hpp"
+#include "codelet/team.hpp"
 #include "fft/api.hpp"
 #include "fft/bit_reversal.hpp"
 #include "fft/executor.hpp"
@@ -39,7 +27,6 @@
 namespace {
 
 using namespace c64fft;
-using codelet::CodeletKey;
 using fft::cplx;
 using fft::cplx32;
 
@@ -154,143 +141,26 @@ void BM_TwiddleTableBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_TwiddleTableBuild)->Args({16, 0})->Args({16, 1})->Args({20, 0});
 
-void BM_PoolPushPop(benchmark::State& state) {
-  codelet::ConcurrentPool pool(codelet::PoolPolicy::kLifo);
-  for (auto _ : state) {
-    pool.push({0, 1});
-    benchmark::DoNotOptimize(pool.try_pop());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-}
-BENCHMARK(BM_PoolPushPop);
-
 // ---------------------------------------------------------------------------
-// Runtime codelet throughput under contention: a binary fan-out workload
-// (64 roots fanning out to the given depth, near-empty bodies so scheduling
-// cost dominates) driven by (a) the legacy architecture — one mutex+condvar
-// pool, worker threads respawned every phase, exactly what run_phase did
-// before the work-stealing rewrite — and (b) the work-stealing HostRuntime
-// with its persistent team. Depth 0 (64 codelets — exactly one coarse stage
-// of a 4096-point radix-64 FFT) isolates phase-dispatch cost; depth 3
-// (960 codelets) is a realistic mid-size phase; depth 8 (32704 codelets)
-// is the steady-state comparison of the two schedulers.
+// One phase of the worker team: an empty-body parallel_for of `count`
+// indices on a persistent team of `workers`, so the wake, claim and
+// completion wait are all that is timed. Count 1 is the cost a single
+// transform's phase pays; count 64 a full serving batch.
 
-constexpr std::uint64_t kFanOutRoots = 64;
-
-constexpr std::int64_t fan_out_total(std::uint32_t depth) {
-  return static_cast<std::int64_t>(kFanOutRoots) * ((1u << (depth + 1)) - 1);
-}
-
-// Faithful copy of the pre-work-stealing host runtime's phase driver.
-class LegacyMutexPoolPhase {
- public:
-  explicit LegacyMutexPoolPhase(std::span<const CodeletKey> seeds)
-      : items_(seeds.begin(), seeds.end()) {}
-
-  void push(CodeletKey ready) {
-    {
-      std::lock_guard lock(mutex_);
-      items_.push_back(ready);
-    }
-    cv_.notify_one();
-  }
-
-  bool pop(CodeletKey& out) {
-    std::unique_lock lock(mutex_);
-    cv_.wait(lock, [&] { return !items_.empty() || executing_ == 0; });
-    if (items_.empty()) return false;
-    out = items_.back();
-    items_.pop_back();
-    ++executing_;
-    return true;
-  }
-
-  void done() {
-    bool quiescent = false;
-    {
-      std::lock_guard lock(mutex_);
-      --executing_;
-      quiescent = executing_ == 0 && items_.empty();
-    }
-    if (quiescent)
-      cv_.notify_all();
-    else
-      cv_.notify_one();
-  }
-
- private:
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::deque<CodeletKey> items_;
-  unsigned executing_ = 0;
-};
-
-void fan_out_legacy(unsigned workers, std::uint32_t depth) {
-  std::vector<CodeletKey> seeds;
-  for (std::uint64_t i = 0; i < kFanOutRoots; ++i) seeds.push_back({0, i});
-  LegacyMutexPoolPhase pool(seeds);
-  std::atomic<std::int64_t> executed{0};
-  auto worker_fn = [&] {
-    CodeletKey c;
-    while (pool.pop(c)) {
-      if (c.stage < depth) {
-        pool.push({c.stage + 1, c.index * 2});
-        pool.push({c.stage + 1, c.index * 2 + 1});
-      }
-      executed.fetch_add(1, std::memory_order_relaxed);
-      pool.done();
-    }
-  };
-  // The legacy run_phase spawned its team per call and joined it at the
-  // end — part of the architecture under test, so part of the timing.
-  std::vector<std::thread> threads;
-  for (unsigned w = 1; w < workers; ++w) threads.emplace_back(worker_fn);
-  worker_fn();
-  for (auto& t : threads) t.join();
-  if (executed.load() != fan_out_total(depth)) std::abort();
-}
-
-void BM_MutexPoolRuntime(benchmark::State& state) {
-  const unsigned workers = static_cast<unsigned>(state.range(0));
-  const auto depth = static_cast<std::uint32_t>(state.range(1));
-  for (auto _ : state) fan_out_legacy(workers, depth);
+void BM_TeamPhase(benchmark::State& state) {
+  codelet::Team team(static_cast<unsigned>(state.range(0)));
+  const auto count = static_cast<std::uint64_t>(state.range(1));
+  for (auto _ : state)
+    team.parallel_for(count, [](std::uint64_t i, unsigned) {
+      benchmark::DoNotOptimize(i);
+    });
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          fan_out_total(depth));
+                          static_cast<int64_t>(count));
 }
-BENCHMARK(BM_MutexPoolRuntime)
-    ->ArgNames({"workers", "depth"})
-    ->Args({1, 0})->Args({2, 0})->Args({4, 0})
-    ->Args({1, 3})->Args({2, 3})->Args({4, 3})
-    ->Args({1, 8})->Args({2, 8})->Args({4, 8})
-    ->UseRealTime()->Unit(benchmark::kMicrosecond);
-
-void BM_WorkStealingRuntime(benchmark::State& state) {
-  const unsigned workers = static_cast<unsigned>(state.range(0));
-  const auto depth = static_cast<std::uint32_t>(state.range(1));
-  codelet::HostRuntime rt(workers);  // persistent team, built once
-  std::vector<CodeletKey> seeds;
-  for (std::uint64_t i = 0; i < kFanOutRoots; ++i) seeds.push_back({0, i});
-  for (auto _ : state) {
-    rt.run_phase(seeds, codelet::PoolPolicy::kLifo,
-                 [depth](CodeletKey c, unsigned, codelet::Pusher& push) {
-                   if (c.stage < depth) {
-                     const CodeletKey kids[2] = {{c.stage + 1, c.index * 2},
-                                                 {c.stage + 1, c.index * 2 + 1}};
-                     push.push_batch(kids);
-                   }
-                 });
-  }
-  if (rt.executed() !=
-      static_cast<std::uint64_t>(fan_out_total(depth)) * state.iterations())
-    std::abort();
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          fan_out_total(depth));
-}
-BENCHMARK(BM_WorkStealingRuntime)
-    ->ArgNames({"workers", "depth"})
-    ->Args({1, 0})->Args({2, 0})->Args({4, 0})
-    ->Args({1, 3})->Args({2, 3})->Args({4, 3})
-    ->Args({1, 8})->Args({2, 8})->Args({4, 8})
+BENCHMARK(BM_TeamPhase)
+    ->ArgNames({"workers", "count"})
+    ->Args({1, 1})->Args({2, 1})->Args({4, 1})
+    ->Args({1, 64})->Args({2, 64})->Args({4, 64})
     ->UseRealTime()->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------------

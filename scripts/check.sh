@@ -36,19 +36,19 @@ if [[ $fast -eq 0 ]]; then
   # when skimming the full-suite output above.
   echo "== precision label under UBSan =="
   ctest --test-dir build-ubsan -L precision --output-on-failure
-  # TSan watches the concurrency surface: the work-stealing deques, the
-  # runtime's phase/counter machinery, the executor's batched dispatch and
-  # the hierarchical tile pipeline (dependency-counted cross-stage pushes
-  # are exactly where a missed release order would race), and the paper
-  # reproduction harness (fft_host), which runs its own threaded phases.
-  # Only the threaded tests run here — TSan is slow, and the numeric tests
-  # add no thread interleavings it could observe. (ASan and TSan are mutually
+  # TSan watches the concurrency surface: the worker team's claim, park
+  # and completion protocol (a missed release order there would race),
+  # the executor's batched dispatch and the hierarchical tile pipeline's
+  # two phases, the server on top of them, and the paper reproduction
+  # harness (fft_host), whose shared ready pool runs on the team. Only the
+  # threaded tests run here — TSan is slow, and the numeric tests add no
+  # thread interleavings it could observe. (ASan and TSan are mutually
   # exclusive instrumentations, hence the separate tree.)
   echo "== concurrency tests under TSan =="
   cmake -B build-tsan -S . -DC64FFT_TSAN=ON >/dev/null
   cmake --build build-tsan -j "$(nproc)"
   ctest --test-dir build-tsan --output-on-failure -j "$(nproc)" \
-    -R 'test_executor|test_ws_deque|test_ws_runtime|test_host_runtime|test_serve|test_hierarchical|test_variants'
+    -R 'test_team|test_worker_balance|test_executor|test_serve|test_hierarchical|test_variants'
 fi
 
 echo "check.sh: all configurations passed"

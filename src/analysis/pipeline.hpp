@@ -9,8 +9,9 @@
 // sweep + transpose + column sweep, real_fft is pack + half-size FFT +
 // untangle.
 // A PipelineModel makes that whole choreography explicit: an ordered list
-// of phases (the runtime's run_phase barriers), each a set of unordered
-// tasks with read/write footprints across named buffers. The builders
+// of phases (separated by the barrier that ends each of the team's
+// parallel_for calls), each a set of unordered tasks with read/write
+// footprints across named buffers. The builders
 // below derive every footprint from the same hooks the runtime executes —
 // fft::for_each_transpose_tile{,_pair}, fft::hierarchical_grain,
 // fft::bitrev_sweep_grain, fft::fft2d_shape, fft::real_forward_shape,

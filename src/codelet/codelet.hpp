@@ -9,8 +9,10 @@
 // exactly the degree of freedom the paper exploits to balance memory-bank
 // load.
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <span>
 
 namespace c64fft::codelet {
 
@@ -32,15 +34,31 @@ struct CodeletKeyHash {
   }
 };
 
-/// Pop-order policy of a ready-codelet pool: the order the host runtime's
-/// injection queue hands out phase seeds (enabled children always go to
-/// the enabling worker's own deque). The paper's "fine best" and "fine
-/// worst" are realised by the combination of the initial seed order and
-/// this policy on the fft_host harness's strict single pool (see
-/// fft::FineOrdering and fft::run_phase_sequential).
+/// Pop-order policy of a ready-codelet pool: the order the fft_host
+/// harness's shared pool (fft::run_pool_phase) hands out ready codelets.
+/// Push appends; kLifo pops the newest entry, kFifo the oldest. On a
+/// one-worker team that is the paper's strict single-pool order, and the
+/// paper's "fine best" and "fine worst" are realised by the combination
+/// of the initial seed order and this policy (see fft::FineOrdering). On
+/// more workers the pops interleave freely, which the static race check
+/// proves safe.
 enum class PoolPolicy {
   kLifo,  ///< stack: newly enabled codelets run first (depth-first-ish)
   kFifo,  ///< queue: enabling order preserved (breadth-first-ish)
 };
+
+/// Handed to a codelet body so it can enable children.
+class Pusher {
+ public:
+  virtual ~Pusher() = default;
+  virtual void push(CodeletKey ready) = 0;
+  /// Enable a whole sibling group with one push (one wake signal instead
+  /// of one per child). Order within the batch is preserved.
+  virtual void push_batch(std::span<const CodeletKey> batch) = 0;
+};
+
+/// Codelet body: execute the codelet, then enable any children that became
+/// ready (typically after DependencyCounters::arrive returns true).
+using CodeletBody = std::function<void(CodeletKey, unsigned worker, Pusher&)>;
 
 }  // namespace c64fft::codelet

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "fft/kernel.hpp"
@@ -20,9 +21,6 @@
 namespace c64fft::fft {
 
 namespace {
-
-using codelet::CodeletKey;
-using codelet::PoolPolicy;
 
 /// Scale pass of the inverse transform (the only O(N) epilogue left: the
 /// input-conjugation pass is gone — the conjugated twiddle table computes
@@ -104,8 +102,8 @@ std::uint64_t block_rows_for(std::uint64_t rows, std::uint64_t row_bytes,
                              unsigned workers, std::uint64_t l2_bytes) {
   if (rows <= kTransposeTile) return rows;
   std::uint64_t br = row_bytes != 0 ? l2_bytes / (2 * row_bytes) : rows;
-  // Keep at least workers*4 blocks in flight so the pipeline has overlap
-  // to exploit even when L2 would hold a bigger panel.
+  // Keep at least workers*4 blocks per phase so the team stays balanced
+  // even when L2 would hold a bigger panel.
   br = std::min(br, std::max<std::uint64_t>(
                         kTransposeTile, rows / (std::uint64_t{workers} * 4)));
   br = std::max<std::uint64_t>(br / kTransposeTile, 1) * kTransposeTile;
@@ -127,27 +125,41 @@ HierarchicalGrain hierarchical_grain(std::uint64_t n1, std::uint64_t n2,
   return g;
 }
 
+namespace {
+
+bool valid_team_size(unsigned workers) {
+  return workers >= 1 && workers <= codelet::Team::kMaxWorkers;
+}
+
+void check_team_size(unsigned workers) {
+  if (!valid_team_size(workers))
+    throw std::invalid_argument("FftExecutor: workers must be in [1, " +
+                                std::to_string(codelet::Team::kMaxWorkers) +
+                                "]");
+}
+
+}  // namespace
+
 FftExecutor::FftExecutor(const ExecutorOptions& opts)
     : opts_(opts), cache_(opts.capacity) {
-  if (opts.workers == 0)
-    throw std::invalid_argument("FftExecutor: zero workers");
+  check_team_size(opts.workers);
   // The one env read, here only (see the header contract).
   unsigned workers = 0;
-  if (env_unsigned("C64FFT_WORKERS", workers) && workers > 0)
+  if (env_unsigned("C64FFT_WORKERS", workers) && valid_team_size(workers))
     opts_.workers = workers;
 }
 
 FftExecutor::~FftExecutor() = default;
 
-codelet::HostRuntime& FftExecutor::team(unsigned workers) {
-  if (workers == 0) throw std::invalid_argument("FftExecutor: zero workers");
-  if (!runtime_ || runtime_->workers() != workers) {
-    runtime_.reset();  // join the old team before spawning its replacement
-    runtime_ = std::make_unique<codelet::HostRuntime>(workers);
-    runtime_->set_phase_hook(phase_hook_);
+codelet::Team& FftExecutor::team(unsigned workers) {
+  check_team_size(workers);
+  if (!team_ || team_->workers() != workers) {
+    team_.reset();  // join the old team before spawning its replacement
+    team_ = std::make_unique<codelet::Team>(workers);
+    team_->set_phase_hook(phase_hook_);
     ++teams_created_;
   }
-  return *runtime_;
+  return *team_;
 }
 
 namespace {
@@ -190,27 +202,6 @@ void bluestein_chain(std::span<cplx_t<T>> data,
   for (std::uint64_t j = 0; j < n; ++j) data[j] = buf[j] * chirp[j] * inv_m;
 }
 
-/// Runs `one(data, worker)` once per transform of `batch`: a plain loop on
-/// a one-worker team, otherwise ONE FIFO phase with one whole-transform
-/// codelet per transform, seeded from `seeds` (the executor's reused
-/// buffer).
-template <typename T, typename One>
-void for_each_transform(codelet::HostRuntime& rt,
-                        std::vector<CodeletKey>& seeds,
-                        std::span<const std::span<cplx_t<T>>> batch,
-                        const One& one) {
-  if (rt.workers() == 1) {
-    for (const std::span<cplx_t<T>>& data : batch) one(data, 0u);
-    return;
-  }
-  seeds.clear();
-  for (std::uint64_t b = 0; b < batch.size(); ++b) seeds.push_back({0, b});
-  rt.run_phase(seeds, PoolPolicy::kFifo,
-               [&](CodeletKey key, unsigned worker, codelet::Pusher&) {
-                 one(batch[key.index], worker);
-               });
-}
-
 }  // namespace
 
 template <typename T>
@@ -251,9 +242,9 @@ template <typename T>
 void FftExecutor::dispatch_t(const PlanEntry& entry, const PlanEntry* conv,
                              std::span<const std::span<cplx_t<T>>> batch,
                              unsigned workers, TwiddleDirection dir) {
-  // A hierarchical plan (direct, or as Bluestein's convolution) schedules
-  // its own tile pipeline, which cannot nest inside a codelet, so it runs
-  // one transform at a time on every team. A single mixed-radix transform
+  // A hierarchical plan (direct, or as Bluestein's convolution) runs its
+  // own two phases, which cannot nest inside a phase, so it runs one
+  // transform at a time on every team. A single mixed-radix transform
   // on a multi-worker team runs its per-stage phases. Everything else is
   // the serial body, a single call being a batch of one.
   const PlanKind kind = entry.kind();
@@ -263,19 +254,19 @@ void FftExecutor::dispatch_t(const PlanEntry& entry, const PlanEntry* conv,
 
   std::lock_guard lock(mutex_);
   if (closed_.load(std::memory_order_relaxed)) throw ExecutorClosedError();
-  codelet::HostRuntime& rt = team(workers);
+  codelet::Team& tm = team(workers);
   const bool phased_mixed = kind == PlanKind::kMixedRadix &&
-                            batch.size() == 1 && rt.workers() > 1;
+                            batch.size() == 1 && tm.workers() > 1;
   if (!pipelined && !phased_mixed) {
-    run_serial_locked<T>(entry, conv, batch, rt, dir);
+    run_serial_locked<T>(entry, conv, batch, tm, dir);
   } else {
     for (const std::span<cplx_t<T>>& data : batch) {
       if (kind == PlanKind::kHierarchical)
-        run_hierarchical_locked<T>(entry, data, rt, dir);
+        run_hierarchical_locked<T>(entry, data, tm, dir);
       else if (kind == PlanKind::kMixedRadix)
-        run_mixed_radix_locked<T>(entry, data, rt, dir);
+        run_mixed_radix_locked<T>(entry, data, tm, dir);
       else
-        run_bluestein_locked<T>(entry, *conv, data, rt, dir);
+        run_bluestein_locked<T>(entry, *conv, data, tm, dir);
     }
   }
   const std::uint64_t count = batch.size();
@@ -289,19 +280,17 @@ template <typename T>
 void FftExecutor::run_serial_locked(const PlanEntry& entry,
                                     const PlanEntry* conv,
                                     std::span<const std::span<cplx_t<T>>> batch,
-                                    codelet::HostRuntime& rt,
+                                    codelet::Team& tm,
                                     TwiddleDirection dir) {
-  const unsigned workers = rt.workers();
+  const unsigned workers = tm.workers();
   NumericState<T>& st = num<T>();
   if (entry.kind() == PlanKind::kMixedRadix) {
     const MixedRadixPlan& plan = entry.mixed_plan();
     const std::span<const cplx_t<T>> tw = entry.mixed_twiddles_for<T>(dir);
     size_per_worker(st.work, workers, plan.size());
-    for_each_transform<T>(rt, seeds_, batch,
-                          [&](std::span<cplx_t<T>> data, unsigned w) {
-                            mixed_radix_serial<T>(plan, tw, data, st.work[w],
-                                                  dir);
-                          });
+    tm.parallel_for(batch.size(), [&](std::uint64_t b, unsigned w) {
+      mixed_radix_serial<T>(plan, tw, batch[b], st.work[w], dir);
+    });
     return;
   }
 
@@ -318,10 +307,9 @@ void FftExecutor::run_serial_locked(const PlanEntry& entry,
   };
   if (conv == nullptr) {
     const BasicTwiddleTable<T>& tw = entry.twiddles_for<T>(dir);
-    for_each_transform<T>(rt, seeds_, batch,
-                          [&](std::span<cplx_t<T>> data, unsigned w) {
-                            fft(data, tw, w);
-                          });
+    tm.parallel_for(batch.size(), [&](std::uint64_t b, unsigned w) {
+      fft(batch[b], tw, w);
+    });
     return;
   }
   const BasicTwiddleTable<T>& tw_fwd =
@@ -331,19 +319,18 @@ void FftExecutor::run_serial_locked(const PlanEntry& entry,
   const std::span<const cplx_t<T>> chirp = entry.chirp_for<T>(dir);
   const std::span<const cplx_t<T>> bfft = entry.chirp_fft_for<T>(dir);
   size_per_worker(st.work, workers, len);
-  for_each_transform<T>(
-      rt, seeds_, batch, [&](std::span<cplx_t<T>> data, unsigned w) {
-        const std::span<cplx_t<T>> buf(st.work[w].data(), len);
-        bluestein_chain<T>(data, chirp, bfft, buf, [&](TwiddleDirection inner) {
-          fft(buf, inner == TwiddleDirection::kForward ? tw_fwd : tw_inv, w);
-        });
-      });
+  tm.parallel_for(batch.size(), [&](std::uint64_t b, unsigned w) {
+    const std::span<cplx_t<T>> buf(st.work[w].data(), len);
+    bluestein_chain<T>(batch[b], chirp, bfft, buf, [&](TwiddleDirection inner) {
+      fft(buf, inner == TwiddleDirection::kForward ? tw_fwd : tw_inv, w);
+    });
+  });
 }
 
 template <typename T>
 void FftExecutor::run_mixed_radix_locked(const PlanEntry& entry,
                                          std::span<cplx_t<T>> data,
-                                         codelet::HostRuntime& rt,
+                                         codelet::Team& tm,
                                          TwiddleDirection dir) {
   const MixedRadixPlan& plan = entry.mixed_plan();
   const std::uint64_t n = plan.size();
@@ -355,18 +342,11 @@ void FftExecutor::run_mixed_radix_locked(const PlanEntry& entry,
   const std::span<const cplx_t<T>> cscratch(scratch.data(), n);
 
   // Digit-reversal gather as one chunked phase: scratch[p] = data[perm[p]].
-  {
-    const SweepGrain grain = bitrev_sweep_grain(n, rt.workers());
-    const std::uint64_t per = grain.per;
-    seeds_.clear();
-    for (std::uint64_t c = 0; c < grain.chunks; ++c) seeds_.push_back({0, c});
-    rt.run_phase(seeds_, PoolPolicy::kFifo,
-                 [&](CodeletKey key, unsigned, codelet::Pusher&) {
-                   const std::uint64_t b = key.index * per;
-                   mixed_radix_permute<T>(plan, cdata, scratch, b,
-                                          std::min(n, b + per));
-                 });
-  }
+  const SweepGrain grain = bitrev_sweep_grain(n, tm.workers());
+  tm.parallel_for(grain.chunks, [&](std::uint64_t c, unsigned) {
+    const std::uint64_t b = c * grain.per;
+    mixed_radix_permute<T>(plan, cdata, scratch, b, std::min(n, b + grain.per));
+  });
 
   // One data-parallel phase per stage over its n/r butterflies. Stage 0
   // reads the permuted scratch and writes data (fully disjoint buffers);
@@ -376,17 +356,14 @@ void FftExecutor::run_mixed_radix_locked(const PlanEntry& entry,
     const MixedRadixStage& stage = plan.stages()[s];
     const std::uint64_t g_count = n / stage.radix;
     const std::uint64_t chunks =
-        std::min<std::uint64_t>(g_count, std::uint64_t{rt.workers()} * 4);
+        std::min<std::uint64_t>(g_count, std::uint64_t{tm.workers()} * 4);
     const std::uint64_t per = util::ceil_div(g_count, chunks);
-    seeds_.clear();
-    for (std::uint64_t c = 0; c < chunks; ++c) seeds_.push_back({s, c});
     const std::span<const cplx_t<T>> src = (s == 0) ? cscratch : cdata;
-    rt.run_phase(seeds_, PoolPolicy::kFifo,
-                 [&](CodeletKey key, unsigned, codelet::Pusher&) {
-                   const std::uint64_t b = key.index * per;
-                   run_mixed_radix_stage<T>(plan, s, tw, src, data, b,
-                                            std::min(g_count, b + per), dir);
-                 });
+    tm.parallel_for(chunks, [&](std::uint64_t c, unsigned) {
+      const std::uint64_t b = c * per;
+      run_mixed_radix_stage<T>(plan, s, tw, src, data, b,
+                               std::min(g_count, b + per), dir);
+    });
   }
 }
 
@@ -394,9 +371,9 @@ template <typename T>
 void FftExecutor::run_bluestein_locked(const PlanEntry& entry,
                                        const PlanEntry& conv,
                                        std::span<cplx_t<T>> data,
-                                       codelet::HostRuntime& rt,
+                                       codelet::Team& tm,
                                        TwiddleDirection dir) {
-  // The convolution buffer is worker 0's `work`: the inner pipeline uses
+  // The convolution buffer is index 0's `work`: the inner pipeline uses
   // hier_scratch, never `work`, so the chirp-modulated signal survives
   // the inner transforms.
   const std::uint64_t m = entry.conv_size();
@@ -406,14 +383,14 @@ void FftExecutor::run_bluestein_locked(const PlanEntry& entry,
   bluestein_chain<T>(data, entry.chirp_for<T>(dir),
                      entry.chirp_fft_for<T>(dir), buf,
                      [&](TwiddleDirection inner) {
-                       run_hierarchical_locked<T>(conv, buf, rt, inner);
+                       run_hierarchical_locked<T>(conv, buf, tm, inner);
                      });
 }
 
 template <typename T>
 void FftExecutor::run_hierarchical_locked(const PlanEntry& entry,
                                           std::span<cplx_t<T>> data,
-                                          codelet::HostRuntime& rt,
+                                          codelet::Team& tm,
                                           TwiddleDirection dir) {
   // Index algebra (forward; kInverse conjugates every W below): with
   // j = j1*n2 + j2 and k = k2*n1 + k1,
@@ -423,27 +400,18 @@ void FftExecutor::run_hierarchical_locked(const PlanEntry& entry,
   // transpose data into s (columns become rows), n1-point FFTs over the
   // rows of s (the inner sum), twiddle by W_N^{j2*k1} on the way back,
   // n2-point FFTs over the n1 rows (the outer sum), and a final transpose
-  // into natural output order. Executed as ONE dependency-counted
-  // pipeline phase over tile BLOCKS instead of barrier-separated
-  // full-array passes:
+  // into natural output order. Executed as two flat phases over tile
+  // BLOCKS instead of barrier-separated full-array passes:
   //
-  //   T1[i]  gather-transpose of block i            data  -> s     (stage 0)
-  //   T2[i]  column FFTs of block i, in place       s     -> s     (stage 1)
-  //   T4[j]  twiddle-gather + row FFTs + writeback  s     -> data  (stage 2)
+  //   A, i < B1:  T1[i] gather-transpose of block i    data -> s
+  //               T2[i] column FFTs of block i         s    -> s
+  //   B, j < B2:  T4[j] twiddle-gather + row FFTs      s    -> data
+  //                     + writeback
   //
-  //        T1[0] --> T2[0] ---.
-  //        T1[1] --> T2[1] ---+--> T4[0], T4[1], ... T4[B2-1]
-  //        T1[i] --> T2[i] ---'    (each T4 fans in from ALL T2)
-  //
-  // T1[i] -> T2[i] is a direct LIFO push (the worker that gathered the
-  // panel immediately sweeps it while it is cache-hot), while every T4[j]
-  // fans in from all B1 column blocks — a T4 row is a twiddled COLUMN of
-  // s, so a row block is ready only once every column sweep has landed.
-  // Since every T4 waits on the same B1 arrivals, the paper's shared
-  // sibling counter (§IV-A2) holds at its limit: ONE counter serves all
-  // B2 T4s, and the T2 that completes it releases them together. The
-  // transpose of one block therefore overlaps the butterfly sweep of
-  // another, and the only sync point is that one fan-in.
+  // T2[i] runs right after T1[i] on the same worker, which sweeps the
+  // panel it just gathered while it is cache-hot. Every T4[j] needs all B1
+  // column blocks — a T4 row is a twiddled COLUMN of s — so the barrier
+  // between the phases is the pipeline's one sync point.
   //
   // T4 is the fused heart of the path: the twiddled n1 x n2 matrix is
   // never materialized. Each T4 twiddle-gathers its own block_rows2 rows
@@ -452,11 +420,9 @@ void FftExecutor::run_hierarchical_locked(const PlanEntry& entry,
   // panel rows while they are hot, and transposes the panel out to `data`
   // in natural order. Against a barrier-phased pass sequence that saves a
   // full strided matrix write + read-for-ownership + re-read, which is
-  // where the measured large-N win comes from on one core; the
-  // dep-counted overlap adds on top once the team is real. Anti-dependence safety: T4
-  // writes `data`, which T1 reads — but every T4 transitively waits on
-  // all B1 T2s, and each T2 on its T1, so all reads of `data` complete
-  // before the first writeback.
+  // where the measured large-N win comes from on one core.
+  // Anti-dependence safety: T4 writes `data`, which T1 reads — but phase
+  // B starts only after every T1 of phase A has finished.
   //
   // Bit-identity: block boundaries are kTransposeTile-aligned and every
   // twiddle is a fixed per-tile multiplication chain from the hoisted w1
@@ -469,7 +435,7 @@ void FftExecutor::run_hierarchical_locked(const PlanEntry& entry,
   const std::uint64_t n2 = entry.split().n2;
   const std::uint64_t n = n1 * n2;
 
-  const unsigned workers = rt.workers();
+  const unsigned workers = tm.workers();
   NumericState<T>& st = num<T>();
 
   // The gather matrix s (n2 x n1). A fresh allocation is advised toward
@@ -511,61 +477,36 @@ void FftExecutor::run_hierarchical_locked(const PlanEntry& entry,
   const cplx_t<T> w1 = unit_root<T>(n, 1, dir);
   const kernels::KernelDispatch<T>& K = kernels::active_kernels<T>();
 
-  // Stage layout {T1, T2, T4}. seeds_ holds the B1 T1 seeds followed by
-  // the B2 T4 keys, which the T2 completing the fan-in releases in j
-  // order.
-  seeds_.clear();
-  for (std::uint64_t i = 0; i < B1; ++i) seeds_.push_back({0, i});
-  for (std::uint64_t j = 0; j < B2; ++j) seeds_.push_back({2, j});
-  const std::span<const CodeletKey> all(seeds_);
-  const std::span<const CodeletKey> t1 = all.first(B1);
-  const std::span<const CodeletKey> t4 = all.last(B2);
-  std::atomic<std::uint64_t> columns_done{0};
-
-  rt.run_phase(t1, PoolPolicy::kLifo, [&](CodeletKey key, unsigned worker,
-                                          codelet::Pusher& pusher) {
-    if (key.stage == 0) {
-      // T1: gather-transpose the strided data columns of block i into
-      // contiguous rows of s. The src side reads one 16-element chunk per
-      // data row — a stride the hardware prefetcher never locks onto — so
-      // each tile software-prefetches the stripe below it one tile ahead
-      // of use (prefetch is a pure hint: no values change).
-      const std::uint64_t c0b = key.index * br1;
-      const std::uint64_t cend = std::min(n2, c0b + br1);
-      for (std::uint64_t r0 = 0; r0 < n1; r0 += kTransposeTile) {
-        const std::uint64_t rmax = std::min(n1, r0 + kTransposeTile);
-        for (std::uint64_t c0 = c0b; c0 < cend; c0 += kTransposeTile) {
-          const std::uint64_t cmax = std::min(cend, c0 + kTransposeTile);
-          for (std::uint64_t r = r0; r < rmax && r + kTransposeTile < n1; ++r)
-            __builtin_prefetch(data.data() + (r + kTransposeTile) * n2 + c0,
-                               0, 2);
-          K.transpose_tile(data.data() + r0 * n2 + c0,
-                           s.data() + c0 * n1 + r0, n2, n1, rmax - r0,
-                           cmax - c0);
-        }
+  tm.parallel_for(B1, [&](std::uint64_t i, unsigned worker) {
+    // T1: gather-transpose the strided data columns of block i into
+    // contiguous rows of s. The src side reads one 16-element chunk per
+    // data row — a stride the hardware prefetcher never locks onto — so
+    // each tile software-prefetches the stripe below it one tile ahead of
+    // use (prefetch is a pure hint: no values change).
+    const std::uint64_t c0b = i * br1;
+    const std::uint64_t cend = std::min(n2, c0b + br1);
+    for (std::uint64_t r0 = 0; r0 < n1; r0 += kTransposeTile) {
+      const std::uint64_t rmax = std::min(n1, r0 + kTransposeTile);
+      for (std::uint64_t c0 = c0b; c0 < cend; c0 += kTransposeTile) {
+        const std::uint64_t cmax = std::min(cend, c0 + kTransposeTile);
+        for (std::uint64_t r = r0; r < rmax && r + kTransposeTile < n1; ++r)
+          __builtin_prefetch(data.data() + (r + kTransposeTile) * n2 + c0, 0,
+                             2);
+        K.transpose_tile(data.data() + r0 * n2 + c0, s.data() + c0 * n1 + r0,
+                         n2, n1, rmax - r0, cmax - c0);
       }
-      // LIFO pool: the pushing worker pops this next, sweeping the panel
-      // it just gathered while it is still cache-hot.
-      pusher.push({1, key.index});
-      return;
     }
-    if (key.stage == 1) {
-      // T2: column FFTs over the block's rows of s, in place. The last
-      // column block to land releases every T4; acq_rel orders every T2's
-      // sweep before the release.
-      const std::uint64_t r0b = key.index * br1;
-      const std::uint64_t rend = std::min(n2, r0b + br1);
-      for (std::uint64_t r = r0b; r < rend; ++r)
-        run_transform_split(s.subspan(r * n1, n1), col_tw, brev1,
-                            st.split[worker].data());
-      if (columns_done.fetch_add(1, std::memory_order_acq_rel) + 1 == B1)
-        pusher.push_batch(t4);
-      return;
-    }
+    // T2: column FFTs over the block's rows of s, in place.
+    for (std::uint64_t r = c0b; r < cend; ++r)
+      run_transform_split(s.subspan(r * n1, n1), col_tw, brev1,
+                          st.split[worker].data());
+  });
+
+  tm.parallel_for(B2, [&](std::uint64_t j, unsigned worker) {
     // T4: twiddle-gather the block's rows — twiddled columns of s — into
     // this worker's panel, sweep the panel rows while they are hot, then
     // writeback-transpose into `data` in natural output order.
-    const std::uint64_t r0b = key.index * br2;
+    const std::uint64_t r0b = j * br2;
     const std::uint64_t rend = std::min(n1, r0b + br2);
     cplx_t<T>* const panel = st.hier_panel[worker].data();
     for (std::uint64_t r0 = 0; r0 < n2; r0 += kTransposeTile) {
@@ -683,10 +624,10 @@ void FftExecutor::inverse_batch(std::span<const std::span<cplx32>> batch) {
 }
 
 void FftExecutor::resize(unsigned workers) {
-  if (workers == 0) throw std::invalid_argument("FftExecutor: zero workers");
+  check_team_size(workers);
   std::lock_guard lock(mutex_);
   opts_.workers = workers;
-  if (runtime_ && runtime_->workers() != workers) runtime_.reset();
+  if (team_ && team_->workers() != workers) team_.reset();
 }
 
 unsigned FftExecutor::default_workers() const {
@@ -700,8 +641,7 @@ void FftExecutor::shutdown() {
 }
 
 void FftExecutor::shutdown_locked() {
-  runtime_.reset();
-  seeds_ = {};
+  team_.reset();
   f64_ = {};
   f32_ = {};
 }
@@ -724,7 +664,7 @@ bool FftExecutor::closed() const noexcept {
 void FftExecutor::set_phase_hook(codelet::PhaseHook hook) {
   std::lock_guard lock(mutex_);
   phase_hook_ = std::move(hook);
-  if (runtime_) runtime_->set_phase_hook(phase_hook_);
+  if (team_) team_->set_phase_hook(phase_hook_);
 }
 
 void FftExecutor::clear_cache() { cache_.clear(); }

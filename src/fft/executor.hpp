@@ -6,12 +6,14 @@
 // team size), so a steady-state forward() spawns no thread and recomputes
 // no trig.
 //
+// Every phase the executor runs is one flat parallel loop on its worker
+// team (codelet::Team::parallel_for): no phase pushes work into another.
 // Every call resolves its route and plan entries first, then runs one of
 // two bodies. The serial whole-transform body runs every classic call and
 // every Bluestein call whose convolution is classic, on every team and
-// batch size: a plain loop on a one-worker team, otherwise ONE FIFO phase
-// with one codelet per transform, each run start to finish by the worker
-// that claims it on that worker's scratch. That is the paper's codelet
+// batch size: ONE phase with one index per transform, each run start to
+// finish by the worker that claims it on that worker's scratch (a
+// one-worker team runs the loop inline). That is the paper's codelet
 // sized to what its local store holds (a cache-resident transform IS that
 // codelet), so a single call is the B = 1 case of a batch. Mixed-radix
 // calls take the same body unless one transform meets a multi-worker
@@ -29,10 +31,11 @@
 // n1-wide batch of n2-point row FFTs, both classic cache-resident
 // transforms, glued together by tile transposes that apply the
 // inter-step twiddles on the fly, so no O(N) table is ever built for the
-// large size — executed as ONE tile-granular dependency-counted pipeline
-// phase: the gather-transpose of one tile block overlaps the butterfly
-// sweep of another, and one shared counter over the column sweeps is the
-// only fan-in. It has no serial body: the pipeline runs once per
+// large size — executed as two flat phases over tile blocks: first each
+// block's gather-transpose and column sweep, then each block's fused
+// twiddle-gather, row sweep and writeback. Every row block needs every
+// column sweep, so the one barrier between the phases is the pipeline's
+// only sync point. It has no serial body: the two phases run once per
 // transform on every team. Routing is a function of N alone
 // (routed_plan_kind): no option, env var or setter moves a size between
 // plans. See DESIGN.md "Hierarchical large-N path".
@@ -46,8 +49,8 @@
 // buffers. See DESIGN.md "Precision-generic core".
 //
 // Concurrency: any number of caller threads may use one executor; a mutex
-// serializes the runtime phases (HostRuntime::run_phase is single-caller
-// by contract), while the PlanCache has its own finer lock. See DESIGN.md
+// serializes the phases (Team::parallel_for is single-caller by
+// contract), while the PlanCache has its own finer lock. See DESIGN.md
 // "Executor & plan cache".
 
 #include <atomic>
@@ -59,7 +62,7 @@
 #include <type_traits>
 #include <vector>
 
-#include "codelet/host_runtime.hpp"
+#include "codelet/team.hpp"
 #include "fft/plan_cache.hpp"
 #include "util/aligned_buffer.hpp"
 
@@ -113,8 +116,8 @@ struct HierarchicalGrain {
 /// (analysis::build_hierarchical_pipeline) enumerates exactly the blocks
 /// the executor runs: a block's row panel targets half of `l2_bytes`
 /// (leaving the other half for the destination tiles streaming through),
-/// capped so at least workers*4 blocks exist to overlap, rounded down to
-/// a tile-edge multiple.
+/// capped so at least workers*4 blocks exist to spread over the team,
+/// rounded down to a tile-edge multiple.
 HierarchicalGrain hierarchical_grain(std::uint64_t n1, std::uint64_t n2,
                                      unsigned workers, unsigned element_bytes,
                                      std::uint64_t l2_bytes);
@@ -130,6 +133,7 @@ PlanKind routed_plan_kind(std::uint64_t n);
 struct ExecutorOptions {
   /// Team shape used by the option-less transform overloads (per-call
   /// HostFftOptions override it, recreating the team when they differ).
+  /// In [1, codelet::Team::kMaxWorkers].
   unsigned workers = 4;
   /// Plan-cache capacity in entries (>= 1).
   std::size_t capacity = 16;
@@ -172,9 +176,11 @@ struct FftExecutorTestPeer;
 
 class FftExecutor {
  public:
-  /// C64FFT_WORKERS, when set to a decimal >= 1, overrides opts.workers
-  /// here, at construction ONLY; an unset, empty or malformed value
-  /// leaves it untouched. resize() is the way to change the team later.
+  /// Throws std::invalid_argument unless opts.workers is in
+  /// [1, codelet::Team::kMaxWorkers]. C64FFT_WORKERS, when set to a
+  /// decimal in that range, overrides opts.workers here, at construction
+  /// ONLY; an unset, empty, malformed or out-of-range value leaves it
+  /// untouched. resize() is the way to change the team later.
   /// The process-wide kernel ISA is not touched: C64FFT_ISA resolves it
   /// lazily on first use, and kernels::set_kernel_isa() forces it.
   explicit FftExecutor(const ExecutorOptions& opts = {});
@@ -185,7 +191,9 @@ class FftExecutor {
 
   /// In-place transforms of any N >= 2 (smaller sizes throw
   /// std::invalid_argument). opts.workers selects the team; the
-  /// option-less overloads use the ExecutorOptions default. The cplx32
+  /// option-less overloads use the ExecutorOptions default. A team size
+  /// outside [1, codelet::Team::kMaxWorkers] throws std::invalid_argument
+  /// and leaves the executor usable. The cplx32
   /// overloads are the f32 path — same plan algebra, f32
   /// twiddles/kernels, separate plan-cache entries.
   void forward(std::span<cplx> data, const HostFftOptions& opts);
@@ -198,12 +206,11 @@ class FftExecutor {
   void inverse(std::span<cplx32> data);
 
   /// Batched transforms: every span is one independent transform; all must
-  /// share one length >= 2 (throws std::invalid_argument otherwise). Two
-  /// or more transforms run as ONE phase with one whole-transform codelet
-  /// per transform (a plain loop on a one-worker team), with the plan and
-  /// twiddle lookups amortized across the batch; hierarchical plans run
-  /// their pipeline per transform. Bit-identical per transform to a loop
-  /// of single calls.
+  /// share one length >= 2 (throws std::invalid_argument otherwise). The
+  /// batch runs as ONE phase with one whole-transform index per transform,
+  /// with the plan and twiddle lookups amortized across the batch;
+  /// hierarchical plans run their two phases per transform. Bit-identical
+  /// per transform to a loop of single calls.
   void forward_batch(std::span<const std::span<cplx>> batch,
                      const HostFftOptions& opts);
   void forward_batch(std::span<const std::span<cplx>> batch);
@@ -219,6 +226,8 @@ class FftExecutor {
 
   /// Default team size for the option-less overloads; an existing team of
   /// a different size is dropped (and respawned lazily at next use).
+  /// Rejects a size outside [1, codelet::Team::kMaxWorkers] like the
+  /// constructor.
   void resize(unsigned workers);
 
   /// Team size the option-less overloads currently use (after the
@@ -260,8 +269,8 @@ class FftExecutor {
   /// the whole-transform sweep, the hierarchical buffers and the
   /// per-worker `work` buffers below. One instance per element width so
   /// alternating precisions never thrash each other's allocations; the
-  /// worker team and the seeds buffer stay shared (they are
-  /// precision-independent). Every table lives in the plan entries.
+  /// worker team stays shared (it is precision-independent). Every table
+  /// lives in the plan entries.
   template <typename T>
   struct NumericState {
     /// Per-worker split scratch of run_transform_split: 3n scalars for the
@@ -287,7 +296,7 @@ class FftExecutor {
     /// Per-worker route buffer: the mixed-radix digit-reversal target
     /// (stage 0 reads it back into `data`) or the Bluestein convolution
     /// buffer of length M = next_pow2(2n-1). The phased mixed-radix and
-    /// hierarchical-convolution Bluestein bodies use worker 0's; the
+    /// hierarchical-convolution Bluestein bodies use index 0's; the
     /// serial body gives every worker its own, because whole transforms
     /// run concurrently.
     std::vector<std::vector<cplx_t<T>>> work;
@@ -301,7 +310,7 @@ class FftExecutor {
       return f64_;
   }
 
-  codelet::HostRuntime& team(unsigned workers);
+  codelet::Team& team(unsigned workers);
   /// Validates the batch, resolves its route and plan entries through the
   /// cache (before taking the lock), then runs dispatch_t.
   template <typename T>
@@ -317,24 +326,23 @@ class FftExecutor {
                   unsigned workers, TwiddleDirection dir);
   /// The serial whole-transform body (mutex_ held) for classic,
   /// mixed-radix and Bluestein plans whose convolution is classic (`conv`
-  /// is Bluestein's inner pow2 entry, else nullptr): a plain loop on a
-  /// one-worker team, otherwise ONE FIFO phase with one codelet per
-  /// transform on per-worker scratch, for any batch size including one.
-  /// The bodies below never scale — inverse normalization lives in the
-  /// public wrappers only.
+  /// is Bluestein's inner pow2 entry, else nullptr): ONE phase with one
+  /// index per transform on per-worker scratch, for any batch size
+  /// including one. The bodies below never scale — inverse normalization
+  /// lives in the public wrappers only.
   template <typename T>
   void run_serial_locked(const PlanEntry& entry, const PlanEntry* conv,
                          std::span<const std::span<cplx_t<T>>> batch,
-                         codelet::HostRuntime& rt, TwiddleDirection dir);
-  /// One hierarchical transform (mutex_ held): ONE runtime phase of
-  /// dependency-counted tile-block tasks — gather-transpose of block i+1
-  /// overlaps the column sweep of block i, and one counter over all
-  /// column blocks releases every fused row block — instead of five
-  /// barrier-separated full-array passes. Output is bit-identical across
-  /// team sizes, block grains and kernel ISA tiers.
+                         codelet::Team& team, TwiddleDirection dir);
+  /// One hierarchical transform (mutex_ held): two flat phases of
+  /// tile-block tasks — each column block's gather-transpose plus column
+  /// sweep, then each row block's fused twiddle-gather, row sweep and
+  /// writeback — instead of five barrier-separated full-array passes.
+  /// Output is bit-identical across team sizes, block grains and kernel
+  /// ISA tiers.
   template <typename T>
   void run_hierarchical_locked(const PlanEntry& entry, std::span<cplx_t<T>> data,
-                               codelet::HostRuntime& rt, TwiddleDirection dir);
+                               codelet::Team& team, TwiddleDirection dir);
   /// One phased mixed-radix transform (mutex_ held): digit-reversal
   /// permutation into the ping buffer as a chunked phase, then one
   /// data-parallel phase per stage over its butterfly groups (butterflies
@@ -342,13 +350,13 @@ class FftExecutor {
   /// bit-identical).
   template <typename T>
   void run_mixed_radix_locked(const PlanEntry& entry, std::span<cplx_t<T>> data,
-                              codelet::HostRuntime& rt, TwiddleDirection dir);
+                              codelet::Team& team, TwiddleDirection dir);
   /// One Bluestein chirp-z transform over a hierarchical convolution
   /// (mutex_ held): the chirp chain around two inner M-point pipelines on
   /// `conv`. A classic convolution runs the serial body instead.
   template <typename T>
   void run_bluestein_locked(const PlanEntry& entry, const PlanEntry& conv,
-                            std::span<cplx_t<T>> data, codelet::HostRuntime& rt,
+                            std::span<cplx_t<T>> data, codelet::Team& team,
                             TwiddleDirection dir);
   /// Join the team and drop the per-worker buffers (mutex_ held) — the
   /// shared body of shutdown() and close().
@@ -362,11 +370,7 @@ class FftExecutor {
 
   /// Guards the team, the per-worker buffers, and phase execution.
   mutable std::mutex mutex_;
-  std::unique_ptr<codelet::HostRuntime> runtime_;
-  /// Seeds of every phase the executor runs (mutex_ held), reused so a
-  /// warm phase allocates none. The hierarchical body also parks its T4
-  /// release list here, behind the T1 seeds.
-  std::vector<codelet::CodeletKey> seeds_;
+  std::unique_ptr<codelet::Team> team_;
   NumericState<double> f64_;
   NumericState<float> f32_;
   codelet::PhaseHook phase_hook_;

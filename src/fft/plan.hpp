@@ -81,9 +81,11 @@ HierarchicalSplit hierarchical_split(std::uint64_t n);
 void validate_fft_shape(std::uint64_t n);
 
 /// Per-call options of the production transforms (fft/api.hpp,
-/// FftExecutor, fft2d, real_fft): the worker-team size. The paper's
-/// codelet radix and scheduling knobs live in PaperFftOptions
-/// (fft/variants.hpp), which only fft_host accepts.
+/// FftExecutor, fft2d, real_fft): the worker-team size, in
+/// [1, codelet::Team::kMaxWorkers] (the executor rejects anything else
+/// with std::invalid_argument). The paper's codelet radix and scheduling
+/// knobs live in PaperFftOptions (fft/variants.hpp), which only fft_host
+/// accepts.
 struct HostFftOptions {
   unsigned workers = 4;
 };

@@ -1,8 +1,9 @@
 #include "fft/variants.hpp"
 
 #include <algorithm>
+#include <condition_variable>
 #include <deque>
-#include <optional>
+#include <mutex>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -18,30 +19,93 @@ namespace c64fft::fft {
 using codelet::CodeletKey;
 using codelet::PoolPolicy;
 
-std::uint64_t run_phase_sequential(std::span<const CodeletKey> seeds,
-                                   PoolPolicy policy,
-                                   const codelet::CodeletBody& body) {
-  // Exact single mutex-pool semantics on one thread: push appends, pop
-  // follows the policy. Deterministic by construction.
-  struct SeqPusher final : codelet::Pusher {
-    std::deque<CodeletKey> pool;
-    void push(CodeletKey ready) override { pool.push_back(ready); }
-  } pusher;
-  pusher.pool.assign(seeds.begin(), seeds.end());
-  std::uint64_t executed = 0;
-  while (!pusher.pool.empty()) {
-    CodeletKey key;
-    if (policy == PoolPolicy::kLifo) {
-      key = pusher.pool.back();
-      pusher.pool.pop_back();
-    } else {
-      key = pusher.pool.front();
-      pusher.pool.pop_front();
+namespace {
+
+/// One phase's shared ready pool: the queued codelets plus a count of the
+/// queued and executing ones. The phase is over when that count is zero.
+class ReadyPool final : public codelet::Pusher {
+ public:
+  ReadyPool(std::span<const CodeletKey> seeds, PoolPolicy policy)
+      : items_(seeds.begin(), seeds.end()),
+        pending_(seeds.size()),
+        policy_(policy) {}
+
+  void push(CodeletKey ready) override {
+    {
+      std::lock_guard lock(mutex_);
+      items_.push_back(ready);
+      ++pending_;
     }
-    body(key, 0, pusher);
-    ++executed;
+    cv_.notify_one();
   }
-  return executed;
+
+  void push_batch(std::span<const CodeletKey> batch) override {
+    {
+      std::lock_guard lock(mutex_);
+      items_.insert(items_.end(), batch.begin(), batch.end());
+      pending_ += batch.size();
+    }
+    cv_.notify_all();
+  }
+
+  /// Waits for a queued codelet and pops it in policy order; false once
+  /// the phase is over or failed.
+  bool pop(CodeletKey& out) {
+    std::unique_lock lock(mutex_);
+    cv_.wait(lock, [&] { return failed_ || !items_.empty() || pending_ == 0; });
+    if (failed_ || items_.empty()) return false;
+    if (policy_ == PoolPolicy::kLifo) {
+      out = items_.back();
+      items_.pop_back();
+    } else {
+      out = items_.front();
+      items_.pop_front();
+    }
+    return true;
+  }
+
+  /// Retires a popped codelet after its body returned.
+  void done() {
+    std::lock_guard lock(mutex_);
+    if (--pending_ == 0) cv_.notify_all();
+  }
+
+  /// A body threw: every worker stops popping.
+  void fail() {
+    {
+      std::lock_guard lock(mutex_);
+      failed_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  std::deque<CodeletKey> items_;
+  std::uint64_t pending_;
+  bool failed_ = false;
+  PoolPolicy policy_;
+};
+
+}  // namespace
+
+void run_pool_phase(codelet::Team& team, std::span<const CodeletKey> seeds,
+                    PoolPolicy policy, const codelet::CodeletBody& body) {
+  ReadyPool pool(seeds, policy);
+  // One index per worker, each draining the pool until the phase is over.
+  team.parallel_for(team.workers(), [&](std::uint64_t, unsigned worker) {
+    CodeletKey key;
+    while (pool.pop(key)) {
+      try {
+        body(key, worker, pool);
+      } catch (...) {
+        pool.fail();
+        throw;
+      }
+      pool.done();
+    }
+  });
 }
 
 void fft_host(std::span<cplx> data, Variant variant, const PaperFftOptions& opts) {
@@ -61,23 +125,14 @@ void fft_host(std::span<cplx> data, Variant variant, const PaperFftOptions& opts
     thresholds[s] = plan.group_threshold(s);
   }
   codelet::DependencyCounters counters(groups, thresholds);
-  if (opts.workers == 0) throw std::invalid_argument("fft_host: zero workers");
-  // The work-stealing mode runs on its own team; the sequential mode runs
-  // every codelet on this thread, as worker 0.
-  const bool sequential = opts.mode == SchedulerMode::kSequential;
-  std::optional<codelet::HostRuntime> rt;
-  if (!sequential) rt.emplace(opts.workers);
-  const unsigned workers = sequential ? 1 : opts.workers;
+  codelet::Team team(opts.workers);
   std::vector<KernelScratch> scratch;
-  for (unsigned w = 0; w < workers; ++w) scratch.emplace_back(plan.radix());
-  std::vector<std::vector<std::uint64_t>> members(workers);
-  std::vector<std::vector<CodeletKey>> released(workers);
+  for (unsigned w = 0; w < opts.workers; ++w) scratch.emplace_back(plan.radix());
+  std::vector<std::vector<std::uint64_t>> members(opts.workers);
+  std::vector<std::vector<CodeletKey>> released(opts.workers);
   std::vector<CodeletKey> seeds;
   const auto run = [&](PoolPolicy policy, const codelet::CodeletBody& body) {
-    if (sequential)
-      run_phase_sequential(seeds, policy, body);
-    else
-      rt->run_phase(seeds, policy, body);
+    run_pool_phase(team, seeds, policy, body);
   };
 
   // Bit reversal in parallel (the algorithms' first step) at the executor's

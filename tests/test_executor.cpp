@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <climits>
 #include <cstdlib>
 #include <cstring>
 #include <optional>
@@ -18,7 +19,7 @@
 #include <thread>
 #include <vector>
 
-#include "codelet/host_runtime.hpp"
+#include "codelet/team.hpp"
 #include "executor_test_peer.hpp"
 #include "fft/api.hpp"
 #include "fft/mixed_radix.hpp"
@@ -154,14 +155,14 @@ TEST(Executor, BatchContractMatchesLoopOnEveryRoute) {
   // The batch contract over every route: forward_batch/inverse_batch are
   // byte-identical per transform to a loop of single calls on a one-worker
   // executor, at every team size, batch size (one included), precision and
-  // direction. A multi-worker batch runs exactly ONE phase of exactly B
-  // whole-transform codelets and a one-worker batch runs none — a single
-  // pow2 or Bluestein transform on a multi-worker team too. Two shapes
-  // differ: a single mixed-radix transform on a multi-worker team runs
-  // its digit-reversal phase plus one phase per stage, and N = 257 over a
-  // hierarchical M = 1024 convolution (forced through the test peer; the
-  // executor routes that only from N = 65537) runs its tile pipeline per
-  // transform.
+  // direction. A batch runs exactly ONE phase of exactly B whole-transform
+  // codelets on every team, one worker included — a single pow2 or
+  // Bluestein transform too. Two shapes differ: a single mixed-radix
+  // transform on a multi-worker team runs its digit-reversal phase plus
+  // one phase per stage, and N = 257 over a hierarchical M = 1024
+  // convolution (forced through the test peer; the executor routes that
+  // only from N = 65537) runs the two phases of its tile pipeline twice
+  // per transform.
   struct Case {
     std::uint64_t n;
     std::optional<FftExecutorTestPeer::Route> route;
@@ -196,15 +197,16 @@ TEST(Executor, BatchContractMatchesLoopOnEveryRoute) {
                     : check_batch_against_loop<double>(ref, ex, c.n, batch,
                                                        inverse, c.route, label);
             if (c.route) {
-              // One M-point pipeline phase of 2*B1 + B2 block codelets per
-              // convolution FFT, two per transform, on every team.
+              // Two M-point pipeline phases (B1 column blocks, then B2 row
+              // blocks) per convolution FFT, two FFTs per transform, on
+              // every team.
               const HierarchicalSplit split =
                   hierarchical_split(bluestein_fft_size(c.n));
               const HierarchicalGrain g = hierarchical_grain(
                   split.n1, split.n2, workers, f32 ? 8 : 16,
                   util::cache_info().l2_bytes);
-              EXPECT_EQ(phases, 2u * batch) << label;
-              EXPECT_EQ(codelets, 2u * batch * (2 * g.blocks1 + g.blocks2))
+              EXPECT_EQ(phases, 4u * batch) << label;
+              EXPECT_EQ(codelets, 2u * batch * (g.blocks1 + g.blocks2))
                   << label;
               continue;
             }
@@ -213,8 +215,8 @@ TEST(Executor, BatchContractMatchesLoopOnEveryRoute) {
                   << label;
               continue;
             }
-            EXPECT_EQ(phases, workers == 1 ? 0u : 1u) << label;
-            EXPECT_EQ(codelets, workers == 1 ? 0u : batch) << label;
+            EXPECT_EQ(phases, 1u) << label;
+            EXPECT_EQ(codelets, batch) << label;
           }
         }
       }
@@ -347,9 +349,9 @@ TEST(Executor, SteadyStateSpawnsNoTeams) {
   opts.workers = 2;
   auto data = random_signal(1ULL << 10, 11);
   ex.forward(data, opts);  // warm: plan cached, team spawned
-  const std::uint64_t before = codelet::HostRuntime::teams_created();
+  const std::uint64_t before = codelet::Team::teams_created();
   for (int i = 0; i < 1000; ++i) ex.forward(data, opts);
-  EXPECT_EQ(codelet::HostRuntime::teams_created(), before);
+  EXPECT_EQ(codelet::Team::teams_created(), before);
 }
 
 TEST(Executor, PublicApiLoopCreatesAtMostOneTeam) {
@@ -357,9 +359,9 @@ TEST(Executor, PublicApiLoopCreatesAtMostOneTeam) {
   // executor: a 1000-iteration forward() loop may lazily create at most
   // one team in total.
   auto data = random_signal(1ULL << 10, 13);
-  const std::uint64_t before = codelet::HostRuntime::teams_created();
+  const std::uint64_t before = codelet::Team::teams_created();
   for (int i = 0; i < 1000; ++i) forward(data);
-  EXPECT_LE(codelet::HostRuntime::teams_created() - before, 1u);
+  EXPECT_LE(codelet::Team::teams_created() - before, 1u);
 }
 
 TEST(Executor, ResizeChangesDefaultTeam) {
@@ -435,13 +437,94 @@ TEST(Executor, EnvOverridesSnapshotAtConstructionOnly) {
   ex.resize(2);
   EXPECT_EQ(ex.default_workers(), 2u);
 
-  // Malformed, empty or zero values leave the option untouched.
-  for (const char* bad : {"banana", "3x", "", "0", "-1"}) {
+  // Malformed, empty, zero or out-of-range values leave the option
+  // untouched.
+  for (const char* bad : {"banana", "3x", "", "0", "-1", "257", "4294967295"}) {
     ::setenv("C64FFT_WORKERS", bad, 1);
     FftExecutor defaults({.workers = 2});
     EXPECT_EQ(defaults.default_workers(), 2u) << "'" << bad << "'";
   }
   ::unsetenv("C64FFT_WORKERS");
+}
+
+TEST(Executor, TeamSizeAboveTheCapIsRejected) {
+  // Only sizes that get rejected are constructed here: each throws before
+  // any thread starts.
+  for (const unsigned bad : {codelet::Team::kMaxWorkers + 1, UINT_MAX}) {
+    EXPECT_THROW(FftExecutor({.workers = bad}), std::invalid_argument) << bad;
+    FftExecutor ex({.workers = 2});
+    EXPECT_THROW(ex.resize(bad), std::invalid_argument) << bad;
+    EXPECT_EQ(ex.default_workers(), 2u);
+
+    // A per-call size above the cap throws from the call and leaves the
+    // executor usable, its team included.
+    auto data = random_signal(256, 23);
+    auto want = data;
+    ex.forward(std::span<cplx>(want));
+    auto probe = data;
+    EXPECT_THROW(ex.forward(probe, HostFftOptions{bad}), std::invalid_argument)
+        << bad;
+    EXPECT_THROW(forward(std::span<cplx>(probe), HostFftOptions{bad}),
+                 std::invalid_argument)
+        << bad;
+    ex.forward(std::span<cplx>(data));
+    EXPECT_EQ(0, std::memcmp(data.data(), want.data(), 256 * sizeof(cplx)));
+    EXPECT_EQ(ex.stats().teams_created, 1u);
+  }
+}
+
+/// One direction of one batch of the serve_small mix on `ex`: B
+/// transforms of length n at precision T, with the phases and codelets
+/// the call ran.
+template <typename T>
+std::pair<std::uint64_t, std::uint64_t> serve_batch(FftExecutor& ex,
+                                                    std::uint64_t n,
+                                                    std::size_t batch,
+                                                    bool inverse) {
+  std::vector<std::vector<std::complex<T>>> bufs;
+  for (std::size_t b = 0; b < batch; ++b)
+    bufs.push_back(random_signal_as<T>(n, 7 * n + b));
+  std::vector<std::span<std::complex<T>>> spans(bufs.begin(), bufs.end());
+  std::uint64_t phases = 0, codelets = 0;
+  ex.set_phase_hook([&](const codelet::PhaseStats& ps) {
+    ++phases;
+    codelets += ps.executed;
+  });
+  if (inverse)
+    ex.inverse_batch(spans);
+  else
+    ex.forward_batch(spans);
+  ex.set_phase_hook({});
+  return {phases, codelets};
+}
+
+TEST(Executor, ServeSmallMixRunsOnePhasePerBatch) {
+  // The schedule of the serve_small benchmark mix, gated by counts instead
+  // of timing: (N, precision) = (64, f64), (96, f64), (101, f32) and
+  // (128, f32) in batches of 8, both directions, on a 2-worker executor.
+  // That is 0.125 phases and 1.00 codelets per transform, and 5 plan-cache
+  // misses: the four sizes plus 101's M = 256 convolution key.
+  constexpr std::size_t kBatch = 8;
+  FftExecutor ex({.workers = 2});
+  const auto pass = [&] {
+    for (const bool inverse : {false, true}) {
+      for (const auto& [phases, codelets] :
+           {serve_batch<double>(ex, 64, kBatch, inverse),
+            serve_batch<double>(ex, 96, kBatch, inverse),
+            serve_batch<float>(ex, 101, kBatch, inverse),
+            serve_batch<float>(ex, 128, kBatch, inverse)}) {
+        EXPECT_EQ(phases, 1u);
+        EXPECT_EQ(codelets, kBatch);
+      }
+    }
+  };
+  pass();  // cold
+  EXPECT_EQ(ex.stats().cache.misses, 5u);
+  for (int round = 0; round < 3; ++round) pass();
+  const ExecutorStats s = ex.stats();
+  EXPECT_EQ(s.cache.misses, 5u);
+  EXPECT_EQ(s.teams_created, 1u);
+  EXPECT_EQ(s.batched, 4u * 2u * 4u * kBatch);
 }
 
 }  // namespace

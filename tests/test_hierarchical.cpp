@@ -1,7 +1,7 @@
 // Hierarchical large-N path (PlanKind::kHierarchical), the only large-N
 // route: the balanced split algebra, plan-cache pinning of the classic
 // sub-entries, routing by N, the pipeline's exact phase and codelet
-// counts, bit-identity of the output across kernel ISA tiers and team
+// counts (two flat phases per transform), bit-identity of the output across kernel ISA tiers and team
 // sizes at N in {2^18, 2^19} (both precisions, both directions),
 // numerical agreement with the classic path and the O(N^2) reference,
 // and batch-vs-loop identity. Routes that routing never picks for a size
@@ -120,10 +120,11 @@ TEST(Hierarchical, ExecutorRoutesOnlyLargeTransforms) {
 
 template <typename T>
 void check_pipeline_counts() {
-  // A hierarchical transform is exactly ONE runtime phase of 2*B1 + B2
-  // block codelets (B1 T1 gathers, B1 T2 column sweeps, B2 fused T4
-  // tails) on every team, with B1/B2 the executor's grain at this host's
-  // L2; Bluestein over a hierarchical convolution runs two such phases.
+  // A hierarchical transform is exactly two phases on every team: B1
+  // column-block codelets (T1 gather + T2 column sweep each), then B2
+  // fused T4 row-block codelets, with B1/B2 the executor's grain at this
+  // host's L2. Bluestein over a hierarchical convolution runs two such
+  // pipelines: B1, B2, B1, B2.
   const std::uint64_t l2 = util::cache_info().l2_bytes;
   for (const unsigned workers : {1u, 2u, 4u}) {
     FftExecutor ex({.workers = workers});
@@ -139,11 +140,9 @@ void check_pipeline_counts() {
       ex.forward(span);  // warm: entries, inverse tables, scratch
       ex.inverse(span);
       for (const bool inverse : {false, true}) {
-        std::uint64_t phases = 0, codelets = 0;
-        ex.set_phase_hook([&](const codelet::PhaseStats& ps) {
-          ++phases;
-          codelets += ps.executed;
-        });
+        std::vector<codelet::PhaseStats> phases;
+        ex.set_phase_hook(
+            [&](const codelet::PhaseStats& ps) { phases.push_back(ps); });
         if (inverse)
           ex.inverse(span);
         else
@@ -152,18 +151,22 @@ void check_pipeline_counts() {
         const std::string label = "n=" + std::to_string(n) +
                                   " workers=" + std::to_string(workers) +
                                   (inverse ? " inverse" : " forward");
-        EXPECT_EQ(phases, pipelines) << label;
-        EXPECT_EQ(codelets, pipelines * (2 * g.blocks1 + g.blocks2)) << label;
+        ASSERT_EQ(phases.size(), 2 * pipelines) << label;
+        for (std::size_t p = 0; p < phases.size(); ++p) {
+          const std::uint64_t want = p % 2 == 0 ? g.blocks1 : g.blocks2;
+          EXPECT_EQ(phases[p].seeds, want) << label << " phase " << p;
+          EXPECT_EQ(phases[p].executed, want) << label << " phase " << p;
+        }
       }
     }
   }
 }
 
-TEST(Hierarchical, OnePhaseOfExactCodeletsPerTransformF64) {
+TEST(Hierarchical, TwoPhasesOfExactCodeletsPerTransformF64) {
   check_pipeline_counts<double>();
 }
 
-TEST(Hierarchical, OnePhaseOfExactCodeletsPerTransformF32) {
+TEST(Hierarchical, TwoPhasesOfExactCodeletsPerTransformF32) {
   check_pipeline_counts<float>();
 }
 

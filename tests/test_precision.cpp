@@ -13,7 +13,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "codelet/host_runtime.hpp"
 #include "executor_test_peer.hpp"
 #include "fft/api.hpp"
 #include "fft/executor.hpp"

@@ -1,18 +1,25 @@
 // The heart of the functional claims: every scheduling variant — coarse,
-// fine (all orderings), guided, with either twiddle layout, either
-// scheduler mode and any worker count — computes exactly the same FFT as
-// the serial reference, and byte for byte the same output as the
-// production executor. This is the "well-behaved CDGs are determinate"
-// property of Section III-C3. The harness's paper-order sequential pool
-// is pinned here too: strict single-pool order, all on worker 0.
+// fine (all orderings), guided, with either twiddle layout and any worker
+// count — computes exactly the same FFT as the serial reference, and byte
+// for byte the same output as the production executor. This is the
+// "well-behaved CDGs are determinate" property of Section III-C3. The
+// harness's shared ready pool (run_pool_phase) is pinned here too: every
+// codelet exactly once on any team, strict single-pool order on one
+// worker, and the race proof that licenses any pop order.
 
 #include "fft/variants.hpp"
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
 #include <cstring>
+#include <stdexcept>
 #include <vector>
 
+#include "analysis/model.hpp"
+#include "analysis/race.hpp"
+#include "codelet/dep_counter.hpp"
 #include "fft/executor.hpp"
 #include "fft/reference.hpp"
 #include "util/prng.hpp"
@@ -143,14 +150,15 @@ std::uint64_t fan_out_total(std::uint32_t depth) {
 }
 
 TEST(Variants, SequentialPoolRunsEverythingOnWorkerZero) {
-  // One seed, binary fan-out to depth 6: every codelet runs, each as
-  // worker 0, on the calling thread.
+  // One seed, binary fan-out to depth 6 on a one-worker team: every
+  // codelet runs, each as worker 0, on the calling thread.
   constexpr std::uint32_t kDepth = 6;
   std::uint64_t bodies = 0;
   std::uint64_t off_worker_zero = 0;
   const std::vector<codelet::CodeletKey> seeds{{0, 0}};
-  const std::uint64_t executed = run_phase_sequential(
-      seeds, codelet::PoolPolicy::kLifo,
+  codelet::Team team(1);
+  run_pool_phase(
+      team, seeds, codelet::PoolPolicy::kLifo,
       [&](codelet::CodeletKey c, unsigned worker, codelet::Pusher& push) {
         ++bodies;
         if (worker != 0) ++off_worker_zero;
@@ -160,22 +168,22 @@ TEST(Variants, SequentialPoolRunsEverythingOnWorkerZero) {
           push.push_batch(kids);
         }
       });
-  EXPECT_EQ(executed, fan_out_total(kDepth));
-  EXPECT_EQ(bodies, executed);
+  EXPECT_EQ(bodies, fan_out_total(kDepth));
   EXPECT_EQ(off_worker_zero, 0u);
 }
 
 TEST(Variants, SequentialPoolIsDeterministic) {
-  auto record_run = [](codelet::PoolPolicy policy) {
+  codelet::Team team(1);
+  auto record_run = [&team](codelet::PoolPolicy policy) {
     std::vector<codelet::CodeletKey> order;
     const std::vector<codelet::CodeletKey> seeds{{0, 0}, {0, 1}, {0, 2}};
-    run_phase_sequential(seeds, policy,
-                         [&order](codelet::CodeletKey c, unsigned worker,
-                                  codelet::Pusher& push) {
-                           EXPECT_EQ(worker, 0u);
-                           order.push_back(c);
-                           if (c.stage == 0) push.push({1, c.index});
-                         });
+    run_pool_phase(team, seeds, policy,
+                   [&order](codelet::CodeletKey c, unsigned worker,
+                            codelet::Pusher& push) {
+                     EXPECT_EQ(worker, 0u);
+                     order.push_back(c);
+                     if (c.stage == 0) push.push({1, c.index});
+                   });
     return order;
   };
   const auto lifo_a = record_run(codelet::PoolPolicy::kLifo);
@@ -195,11 +203,114 @@ TEST(Variants, SequentialPoolIsDeterministic) {
   EXPECT_EQ(fifo, want_fifo);
 }
 
+TEST(Variants, PoolRunsFanOutExactlyOnce) {
+  // One seed, binary fan-out to depth 6 (127 codelets): every codelet
+  // runs exactly once whoever pops it.
+  constexpr std::uint32_t kDepth = 6;
+  for (const unsigned workers : {1u, 3u, 4u}) {
+    codelet::Team team(workers);
+    std::vector<std::atomic<int>> hits(fan_out_total(kDepth));
+    const std::vector<codelet::CodeletKey> seeds{{0, 0}};
+    run_pool_phase(
+        team, seeds, codelet::PoolPolicy::kLifo,
+        [&](codelet::CodeletKey c, unsigned, codelet::Pusher& push) {
+          // Heap numbering of the binary tree: node (stage, index).
+          hits[(std::uint64_t{1} << c.stage) - 1 + c.index].fetch_add(1);
+          if (c.stage < kDepth) {
+            push.push({c.stage + 1, c.index * 2});
+            push.push({c.stage + 1, c.index * 2 + 1});
+          }
+        });
+    for (std::size_t i = 0; i < hits.size(); ++i)
+      ASSERT_EQ(hits[i].load(), 1) << "node " << i << " workers=" << workers;
+  }
+}
+
+TEST(Variants, PoolCounterGatedDataflowRunsAllStages) {
+  // 8 producers -> one shared counter -> 8 consumers, with real threads.
+  for (const unsigned workers : {1u, 3u, 4u}) {
+    codelet::Team team(workers);
+    const std::array<std::uint64_t, 2> groups{0, 1};
+    const std::array<std::uint32_t, 2> thresholds{1, 8};
+    codelet::DependencyCounters counters(groups, thresholds);
+    std::atomic<int> produced{0}, consumed{0};
+    std::vector<codelet::CodeletKey> seeds;
+    for (std::uint64_t i = 0; i < 8; ++i) seeds.push_back({0, i});
+    run_pool_phase(
+        team, seeds, codelet::PoolPolicy::kFifo,
+        [&](codelet::CodeletKey c, unsigned, codelet::Pusher& push) {
+          if (c.stage == 0) {
+            produced.fetch_add(1);
+            if (counters.arrive(1, 0))
+              for (std::uint64_t i = 0; i < 8; ++i) push.push({1, i});
+          } else {
+            // Dataflow firing rule: consumers observe every producer done.
+            EXPECT_EQ(produced.load(), 8);
+            consumed.fetch_add(1);
+          }
+        });
+    EXPECT_EQ(produced.load(), 8) << workers;
+    EXPECT_EQ(consumed.load(), 8) << workers;
+  }
+}
+
+TEST(Variants, PoolExceptionPropagates) {
+  for (const unsigned workers : {1u, 4u}) {
+    codelet::Team team(workers);
+    std::vector<codelet::CodeletKey> seeds;
+    for (std::uint64_t i = 0; i < 64; ++i) seeds.push_back({0, i});
+    EXPECT_THROW(run_pool_phase(team, seeds, codelet::PoolPolicy::kFifo,
+                                [](codelet::CodeletKey c, unsigned,
+                                   codelet::Pusher&) {
+                                  if (c.index == 13)
+                                    throw std::runtime_error("codelet 13");
+                                }),
+                 std::runtime_error);
+    // The team keeps working after a failed phase.
+    std::atomic<int> ran{0};
+    run_pool_phase(team, seeds, codelet::PoolPolicy::kFifo,
+                   [&](codelet::CodeletKey, unsigned, codelet::Pusher&) {
+                     ran.fetch_add(1);
+                   });
+    EXPECT_EQ(ran.load(), 64) << workers;
+  }
+}
+
+// The license for a free pop order: the static analyzer proves the
+// fine-grain schedule race-free for ANY pop order (codelets ordered only
+// by the counter DAG), so workers interleaving their pops cannot change
+// the result. Verify both halves: the proof holds, and 4-worker output is
+// bit-identical to the strict paper order of a one-worker team.
+TEST(Variants, AnyPopOrderProofLicensesThePool) {
+  const std::uint64_t n = 1 << 12;
+  const FftPlan plan(n, 6);
+  const auto model = analysis::build_model(plan, TwiddleLayout::kLinear,
+                                           analysis::Schedule::kCounters);
+  const auto races = analysis::detect_races(model);
+  ASSERT_EQ(races.status, "pass") << races.note;
+
+  const auto input = random_signal(n, 99);
+  PaperFftOptions one;
+  one.workers = 1;
+  auto want = input;
+  fft_host(want, Variant::kFine, one);
+
+  PaperFftOptions four;
+  four.workers = 4;
+  for (int run = 0; run < 3; ++run) {
+    auto got = input;
+    fft_host(got, Variant::kFine, four);
+    ASSERT_EQ(std::memcmp(got.data(), want.data(), n * sizeof(cplx)), 0)
+        << "run " << run;
+  }
+}
+
 TEST(Variants, HarnessMatchesExecutorBitExactly) {
   // One oracle between the reproduction harness and production: every
   // paper configuration, at harness radices 4 and 6, must produce exactly
   // the bytes FftExecutor::forward produces with its radix-free
-  // whole-transform sweep, at every worker count.
+  // whole-transform sweep, at every worker count (one worker being the
+  // strict paper pool order).
   struct Shape {
     std::uint64_t n;
     unsigned radix_log2;
@@ -218,21 +329,18 @@ TEST(Variants, HarnessMatchesExecutorBitExactly) {
       ex.forward(want, HostFftOptions{workers});
       for (Variant variant : {Variant::kCoarse, Variant::kFine, Variant::kGuided})
         for (TwiddleLayout layout : {TwiddleLayout::kLinear, TwiddleLayout::kBitReversed})
-          for (const FineOrdering& ordering : ordering_sweep())
-            for (SchedulerMode mode : {SchedulerMode::kWorkStealing,
-                                       SchedulerMode::kSequential}) {
-              const PaperFftOptions opts{workers, shape.radix_log2, layout,
-                                         ordering, mode};
-              auto got = input;
-              fft_host(got, variant, opts);
-              ASSERT_EQ(std::memcmp(got.data(), want.data(),
-                                    got.size() * sizeof(cplx)),
-                        0)
-                  << to_string(variant) << " n=" << shape.n << " r=" << shape.radix_log2
-                  << " workers=" << workers << " layout=" << static_cast<int>(layout)
-                  << " ordering=" << to_string(ordering)
-                  << " sequential=" << (mode == SchedulerMode::kSequential);
-            }
+          for (const FineOrdering& ordering : ordering_sweep()) {
+            const PaperFftOptions opts{workers, shape.radix_log2, layout,
+                                       ordering};
+            auto got = input;
+            fft_host(got, variant, opts);
+            ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                                  got.size() * sizeof(cplx)),
+                      0)
+                << to_string(variant) << " n=" << shape.n << " r=" << shape.radix_log2
+                << " workers=" << workers << " layout=" << static_cast<int>(layout)
+                << " ordering=" << to_string(ordering);
+          }
     }
   }
 }

@@ -51,6 +51,7 @@
 #include <thread>
 #include <vector>
 
+#include "codelet/team.hpp"
 #include "serve/server.hpp"
 #include "util/cli.hpp"
 
@@ -384,7 +385,13 @@ int main(int argc, char** argv) {
   cfg.sizes = parse_sizes(cli.get_string("sizes"));
   cfg.warmup_ms = static_cast<unsigned>(std::max<std::int64_t>(0, cli.get_int("warmup-ms")));
   cfg.duration_ms = static_cast<unsigned>(std::max<std::int64_t>(1, cli.get_int("duration-ms")));
-  cfg.workers = static_cast<unsigned>(std::max<std::int64_t>(1, cli.get_int("workers")));
+  const std::int64_t workers = cli.get_int("workers");
+  if (workers < 1 || workers > c64fft::codelet::Team::kMaxWorkers) {
+    std::cerr << "fft_loadgen: --workers must be in [1, "
+              << c64fft::codelet::Team::kMaxWorkers << "]\n";
+    return 2;
+  }
+  cfg.workers = static_cast<unsigned>(workers);
   cfg.queue_capacity = static_cast<std::size_t>(std::max<std::int64_t>(8, cli.get_int("queue-capacity")));
   cfg.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   const std::string precision = cli.get_string("precision");

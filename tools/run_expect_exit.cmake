@@ -1,7 +1,8 @@
 # Runs TOOL with ARGS (semicolon-separated) and fails unless the exit
-# code equals EXPECTED — the harness behind the fft_lint exit-code
-# contract tests, which pin each failed-check class to its documented
-# status (ctest itself can only assert zero/nonzero).
+# code equals EXPECTED — the harness behind the exit-code contract tests
+# (fft_lint's failed-check classes, fft_loadgen's usage errors), which pin
+# each failure to its documented status (ctest itself can only assert
+# zero/nonzero).
 if(NOT DEFINED TOOL OR NOT DEFINED EXPECTED)
   message(FATAL_ERROR "run_expect_exit: TOOL and EXPECTED are required")
 endif()

@@ -21,9 +21,9 @@
 # The traffic shape is pinned (8 clients x 4 tenants x 3 lanes, mixed
 # precision, N in {64, 96, 101, 128}, 8 outstanding each, workers=2): the
 # payoff being gated is phase-overhead amortization, so the executor must
-# actually run scheduler phases (workers >= 2 — a 1-worker team takes
-# the serial fast path, where there are no phases to amortize and
-# per-buffer cache locality dominates instead). The size mix deliberately
+# actually run scheduler phases (workers >= 2 — a 1-worker team runs
+# inline, where there is no wake to amortize and per-buffer cache
+# locality dominates instead). The size mix deliberately
 # spans all three plan routes — pow2 classic, 7-smooth composite (96,
 # mixed-radix) and prime (101, Bluestein) — so the gate covers exact-N
 # serving, not just pow2.
