@@ -7,7 +7,7 @@
 
 #include "bench/bench_common.hpp"
 #include "c64/peak_model.hpp"
-#include "fft/plan.hpp"
+#include "paper/fft_plan.hpp"
 #include "simfft/experiment.hpp"
 #include "simfft/footprint.hpp"
 

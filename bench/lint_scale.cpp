@@ -11,7 +11,7 @@
 
 #include "analysis/analyzer.hpp"
 #include "bench/bench_common.hpp"
-#include "fft/plan.hpp"
+#include "paper/fft_plan.hpp"
 
 using namespace c64fft;
 

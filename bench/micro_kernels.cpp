@@ -1,7 +1,7 @@
 // google-benchmark microbenchmarks of the host-side computational kernels:
-// butterfly chains (scalar vs split/vectorized), full codelets, bit
-// reversal, twiddle construction, the worker team's per-phase cost, and
-// end-to-end host FFTs. These measure real wall time on the build machine
+// the paper harness's scalar butterfly chain and codelet, bit reversal,
+// twiddle construction, the worker team's per-phase cost, and end-to-end
+// host FFTs. These measure real wall time on the build machine
 // (unlike the fig*/table* binaries, which measure simulated C64 cycles).
 
 #include <benchmark/benchmark.h>
@@ -20,6 +20,7 @@
 #include "fft/real_fft.hpp"
 #include "fft/reference.hpp"
 #include "fft/transpose.hpp"
+#include "paper/codelet_kernel.hpp"
 #include "util/aligned_buffer.hpp"
 #include "util/cpu_features.hpp"
 #include "util/prng.hpp"
@@ -47,7 +48,7 @@ std::vector<cplx32> random_signal32(std::uint64_t n, std::uint64_t seed) {
 }
 
 // ---------------------------------------------------------------------------
-// Butterfly kernels: scalar std::complex vs split-complex vectorized.
+// The paper harness's scalar std::complex kernels.
 
 void BM_ButterflyChain64(benchmark::State& state) {
   const std::uint64_t n = 1 << 12;
@@ -60,43 +61,6 @@ void BM_ButterflyChain64(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 192);  // butterflies
 }
 BENCHMARK(BM_ButterflyChain64);
-
-void BM_ButterflyChain64Split(benchmark::State& state) {
-  const std::uint64_t n = 1 << 12;
-  const fft::TwiddleTable tw(n, fft::TwiddleLayout::kLinear);
-  auto chain = random_signal(64, 1);
-  fft::KernelScratch scratch(64);
-  for (std::uint64_t q = 0; q < 64; ++q) {
-    scratch.re[q] = chain[q].real();
-    scratch.im[q] = chain[q].imag();
-  }
-  for (auto _ : state) {
-    fft::butterfly_chain_split(scratch.re.data(), scratch.im.data(), 64, 0, 1, 0, 6,
-                               12, tw, scratch.tw_re.data(), scratch.tw_im.data());
-    benchmark::DoNotOptimize(scratch.re.data());
-    benchmark::DoNotOptimize(scratch.im.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 192);  // butterflies
-}
-BENCHMARK(BM_ButterflyChain64Split);
-
-void BM_RunCodelet(benchmark::State& state) {
-  const std::uint64_t n = 1 << 15;
-  const unsigned r = static_cast<unsigned>(state.range(0));
-  const fft::FftPlan plan(n, r);
-  const fft::TwiddleTable tw(n, fft::TwiddleLayout::kLinear);
-  auto data = random_signal(n, 2);
-  fft::KernelScratch scratch(plan.radix());
-  std::uint64_t task = 0;
-  for (auto _ : state) {
-    fft::run_codelet(plan, 0, task, data, tw, scratch);
-    task = (task + 1) % plan.tasks_per_stage();
-    benchmark::DoNotOptimize(data.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(plan.radix()));
-}
-BENCHMARK(BM_RunCodelet)->Arg(3)->Arg(6);
 
 void BM_RunCodeletScalar(benchmark::State& state) {
   const std::uint64_t n = 1 << 15;

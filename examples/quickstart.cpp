@@ -8,7 +8,7 @@
 
 #include "fft/api.hpp"
 #include "fft/reference.hpp"
-#include "fft/variants.hpp"
+#include "paper/variants.hpp"
 
 using c64fft::fft::cplx;
 

@@ -14,10 +14,10 @@
 #include <string>
 #include <vector>
 
-#include "codelet/codelet.hpp"
-#include "codelet/graph.hpp"
-#include "fft/plan.hpp"
 #include "fft/twiddle.hpp"
+#include "paper/codelet.hpp"
+#include "paper/fft_plan.hpp"
+#include "paper/graph.hpp"
 
 namespace c64fft::analysis {
 

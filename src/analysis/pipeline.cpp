@@ -159,12 +159,11 @@ PipelineModel make_base(std::string name, std::uint64_t n,
   return m;
 }
 
-/// The three phases of one hierarchical transform of `n` points over
+/// The two phases of one hierarchical transform of `n` points over
 /// `data`, with `s` (n elements) as its gather matrix; phase names carry
-/// `prefix`. Tasks are the dependency-counted blocks the runtime
-/// schedules, derived from the same hook (executor hierarchical_grain),
-/// so they are the pipeline's actual schedulable units, not a finer
-/// fiction.
+/// `prefix`. Tasks are the blocks the executor's two parallel_for calls
+/// run, derived from the same hook (executor hierarchical_grain), so they
+/// are the pipeline's actual schedulable units, not a finer fiction.
 void append_hierarchical_phases(PipelineModel& m, std::uint64_t n,
                                 std::uint32_t data, std::uint32_t s,
                                 const PipelineBuildOptions& opts,
@@ -176,11 +175,14 @@ void append_hierarchical_phases(PipelineModel& m, std::uint64_t n,
       n1, n2, opts.workers, opts.element_bytes,
       opts.l2_bytes != 0 ? opts.l2_bytes : util::cache_info().l2_bytes);
 
-  // T1: gather-transpose block i of data columns [c0b, cend) into
-  // contiguous rows of the gather matrix.
-  PhaseModel gather;
-  gather.name = prefix + "gather";
-  gather.full_coverage.push_back(s);
+  // Phase A, one task per column block i: T1 gather-transposes data
+  // columns [c0b, cend) into contiguous rows of the gather matrix, then T2
+  // runs the in-place column FFTs over those rows — one whole-transform
+  // sweep per row. The footprint is T1's; T2 streams the written rows
+  // once more, so the task makes one movement pass and one sweep pass.
+  PhaseModel col;
+  col.name = prefix + "gather-col";
+  col.full_coverage.push_back(s);
   for (std::uint64_t i = 0; i < grain.blocks1; ++i) {
     const std::uint64_t c0b = i * grain.block_rows1;
     const std::uint64_t cend = std::min(n2, c0b + grain.block_rows1);
@@ -191,34 +193,18 @@ void append_hierarchical_phases(PipelineModel& m, std::uint64_t n,
         task.reads.push_back({data, r * n2 + c});
         task.writes.push_back({s, c * n1 + r});
       }
-    gather.tasks.push_back(std::move(task));
-  }
-  m.phases.push_back(std::move(gather));
-
-  // T2: in-place column FFTs over the block's rows of the gather matrix,
-  // one whole-transform sweep (a single streaming pass) per row.
-  PhaseModel col;
-  col.name = prefix + "col-sweep";
-  col.full_coverage.push_back(s);
-  for (std::uint64_t i = 0; i < grain.blocks1; ++i) {
-    const std::uint64_t r0b = i * grain.block_rows1;
-    const std::uint64_t rend = std::min(n2, r0b + grain.block_rows1);
-    PipelineTask task;
-    task.index = i;
-    for (std::uint64_t r = r0b; r < rend; ++r)
-      for (std::uint64_t e = 0; e < n1; ++e) {
-        task.reads.push_back({s, r * n1 + e});
-        task.writes.push_back({s, r * n1 + e});
-      }
-    task.flops = (rend - r0b) * transform_flops(n1);
+    task.flops = (cend - c0b) * transform_flops(n1);
+    task.passes = 2;
+    task.movement_passes = 1;  // the gather-in
     col.tasks.push_back(std::move(task));
   }
   m.phases.push_back(std::move(col));
 
-  // T4: the fused tail — twiddle-gather the block's columns of the
-  // gather matrix into the worker panel, row FFTs over the hot panel,
-  // writeback-transpose into natural output order. One streaming pass
-  // for the row sweeps plus the gather-in and writeback-out.
+  // Phase B, one task per row block j — T4, the fused tail:
+  // twiddle-gather the block's columns of the gather matrix into the
+  // worker panel, row FFTs over the hot panel, writeback-transpose into
+  // natural output order. One streaming pass for the row sweeps plus the
+  // gather-in and writeback-out.
   PhaseModel fused;
   fused.name = prefix + "fused-row";
   fused.full_coverage.push_back(data);

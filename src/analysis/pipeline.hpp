@@ -5,9 +5,9 @@
 // A PlanModel (model.hpp) describes ONE scheduled classic plan of the
 // paper; shipped execution paths are compositions: a batch (or a single
 // transform) is one phase of whole-transform tasks, the hierarchical path
-// is gather + column sweep + fused row tail over two buffers, fft2d is row
-// sweep + transpose + column sweep, real_fft is pack + half-size FFT +
-// untangle.
+// is two phases over two buffers (gather + column sweep blocks, then fused
+// row-tail blocks), fft2d is row sweep + transpose + column sweep,
+// real_fft is pack + half-size FFT + untangle.
 // A PipelineModel makes that whole choreography explicit: an ordered list
 // of phases (separated by the barrier that ends each of the team's
 // parallel_for calls), each a set of unordered tasks with read/write
@@ -30,8 +30,8 @@
 #include <string>
 #include <vector>
 
-#include "fft/plan.hpp"
 #include "fft/twiddle.hpp"
+#include "paper/fft_plan.hpp"
 
 namespace c64fft::analysis {
 
@@ -157,16 +157,16 @@ PipelineModel build_batch_pipeline(std::uint64_t n, std::uint64_t batch,
                                    std::string name = {});
 
 /// Hierarchical large-N pipeline (executor run_hierarchical_locked) over
-/// the balanced split fft::hierarchical_split(n): the barrier hull of the
-/// tile pipeline — gather-transpose blocks of data columns into the
-/// contiguous gather matrix, in-place column FFTs over each block's
-/// rows, then the fused tail per output block (twiddle-gather + row FFTs
-/// + writeback-transpose into natural order). Tasks are the
-/// dependency-counted blocks the runtime actually schedules
-/// (fft::hierarchical_grain), footprints element-exact, so the coverage
-/// proof shows every data element written by exactly one fused tail
-/// task. The per-worker T4 panels are L2-resident by the grain policy
-/// and not modelled.
+/// the balanced split fft::hierarchical_split(n): the executor's two
+/// phases — "gather-col", one task per column block (gather-transpose of
+/// the block's data columns into the contiguous gather matrix, then the
+/// in-place column FFTs over those rows), and "fused-row", one task per
+/// output block (twiddle-gather + row FFTs + writeback-transpose into
+/// natural order). Tasks are the blocks the team's two parallel_for calls
+/// run (fft::hierarchical_grain), footprints element-exact, so the
+/// coverage proof shows every data element written by exactly one fused
+/// tail task. The per-worker T4 panels are L2-resident by the grain
+/// policy and not modelled.
 PipelineModel build_hierarchical_pipeline(std::uint64_t n,
                                           const PipelineBuildOptions& opts = {},
                                           std::string name = {});
@@ -189,7 +189,7 @@ PipelineModel build_mixed_radix_pipeline(std::uint64_t n,
 /// chirp-filter spectrum, the inverse M-point FFT, serial demodulation
 /// back into data. Each inner FFT is modelled as routing runs it: one
 /// whole-transform task below the hierarchical threshold (the
-/// executor's serial body), else the three hierarchical phases
+/// executor's serial body), else the two hierarchical phases
 /// (build_hierarchical_pipeline's, prefixed "fwd-"/"inv-") over the
 /// convolution buffer and one shared gather matrix — every N >= 65537.
 PipelineModel build_bluestein_pipeline(std::uint64_t n,

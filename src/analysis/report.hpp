@@ -11,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "codelet/codelet.hpp"
+#include "paper/codelet.hpp"
 
 namespace c64fft::analysis {
 

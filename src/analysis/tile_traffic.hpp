@@ -7,7 +7,7 @@
 // (transpose tiles, gathers, writebacks, permutations)
 // versus in-place butterfly traffic, plus a per-phase skew diagnostic —
 // one tile task moving far more bytes than its phase's mean is exactly
-// the imbalance a dependency-counted pipeline cannot hide behind a
+// the imbalance that leaves the rest of the team idle at the phase's
 // barrier. The split is derived from the footprint algebra
 // (PipelineTask::movement_passes), so a fused task (the hierarchical
 // tail: gather-in + row sweep + writeback-out) charges each side

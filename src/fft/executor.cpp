@@ -1,7 +1,6 @@
 #include "fft/executor.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -32,18 +31,6 @@ template <typename T>
 void scale_by(std::span<cplx_t<T>> data, double factor) {
   const T f = static_cast<T>(factor);
   for (cplx_t<T>& v : data) v *= f;
-}
-
-/// Strict base-10 parse of an environment variable into an unsigned;
-/// returns false (leaving `out` untouched) when unset or malformed.
-bool env_unsigned(const char* name, unsigned& out) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return false;
-  char* end = nullptr;
-  const unsigned long v = std::strtoul(raw, &end, 10);
-  if (end == raw || *end != '\0' || v > 0xFFFFFFFFul) return false;
-  out = static_cast<unsigned>(v);
-  return true;
 }
 
 /// True when n >= 1 has no prime factor above 7 — factorize(n).smooth
@@ -127,12 +114,8 @@ HierarchicalGrain hierarchical_grain(std::uint64_t n1, std::uint64_t n2,
 
 namespace {
 
-bool valid_team_size(unsigned workers) {
-  return workers >= 1 && workers <= codelet::Team::kMaxWorkers;
-}
-
 void check_team_size(unsigned workers) {
-  if (!valid_team_size(workers))
+  if (workers < 1 || workers > codelet::Team::kMaxWorkers)
     throw std::invalid_argument("FftExecutor: workers must be in [1, " +
                                 std::to_string(codelet::Team::kMaxWorkers) +
                                 "]");
@@ -143,10 +126,6 @@ void check_team_size(unsigned workers) {
 FftExecutor::FftExecutor(const ExecutorOptions& opts)
     : opts_(opts), cache_(opts.capacity) {
   check_team_size(opts.workers);
-  // The one env read, here only (see the header contract).
-  unsigned workers = 0;
-  if (env_unsigned("C64FFT_WORKERS", workers) && valid_team_size(workers))
-    opts_.workers = workers;
 }
 
 FftExecutor::~FftExecutor() = default;

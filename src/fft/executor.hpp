@@ -177,12 +177,10 @@ struct FftExecutorTestPeer;
 class FftExecutor {
  public:
   /// Throws std::invalid_argument unless opts.workers is in
-  /// [1, codelet::Team::kMaxWorkers]. C64FFT_WORKERS, when set to a
-  /// decimal in that range, overrides opts.workers here, at construction
-  /// ONLY; an unset, empty, malformed or out-of-range value leaves it
-  /// untouched. resize() is the way to change the team later.
-  /// The process-wide kernel ISA is not touched: C64FFT_ISA resolves it
-  /// lazily on first use, and kernels::set_kernel_isa() forces it.
+  /// [1, codelet::Team::kMaxWorkers]; resize() changes the team later.
+  /// The executor reads no environment variable. The process-wide kernel
+  /// ISA is not touched: C64FFT_ISA resolves it lazily on first use, and
+  /// kernels::set_kernel_isa() forces it.
   explicit FftExecutor(const ExecutorOptions& opts = {});
   ~FftExecutor();
 
@@ -230,9 +228,9 @@ class FftExecutor {
   /// constructor.
   void resize(unsigned workers);
 
-  /// Team size the option-less overloads currently use (after the
-  /// constructor's C64FFT_WORKERS read and any resize()). Read under the
-  /// executor lock, so it never races resize().
+  /// Team size the option-less overloads currently use (opts.workers, or
+  /// the last resize()). Read under the executor lock, so it never races
+  /// resize().
   unsigned default_workers() const;
 
   /// Join and destroy the worker team (the plan cache survives). The next

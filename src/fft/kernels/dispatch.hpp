@@ -2,13 +2,12 @@
 // Runtime-dispatched explicit-SIMD kernel table.
 //
 // Every data-parallel inner loop of the hot path — the split-complex
-// butterfly levels, the fused radix-4/8 first pass, the complex
-// de/interleave of the codelet gather/scatter (strided and bit-reversal
-// permuted), the mixed-radix stage butterflies, and the tiled-transpose
-// copy — is
-// reached through one KernelDispatch<T> of function pointers instead of
-// being compiled inline. Two tables
-// exist per precision:
+// butterfly levels of the whole-transform sweep (with its fused radix-4/8
+// first pass), its bit-reversal permuted gather and contiguous
+// re-interleave, the mixed-radix stage butterflies, and the
+// tiled-transpose copy — is reached through one KernelDispatch<T> of
+// function pointers instead of being compiled inline. Two tables exist
+// per precision:
 //
 //   scalar  — the portable kernels (the pre-existing autovectorized
 //             loops), compiled at the build's baseline ISA. Always valid;
@@ -51,19 +50,14 @@ struct KernelDispatch {
   util::IsaLevel isa;
   const char* id;
 
-  /// Butterfly levels over a gathered split-complex chain; the semantics
-  /// of fft::butterfly_chain_split. The leading levels run as one fused
-  /// radix-8 pass (radix-4 when only two levels are left, or when the
-  /// chain's twiddles do not qualify for radix-8), bit-identical to the
-  /// per-level loops.
-  void (*chain_split)(T* re, T* im, std::uint64_t len, std::uint64_t base,
-                      std::uint64_t stride, std::uint32_t first_level,
-                      std::uint32_t levels, unsigned log2n,
+  /// All log2 n butterfly levels of one whole n-point transform over its
+  /// bit-reversed split-complex planes re/im (twiddles.fft_size() == n):
+  /// level L pairs g with g + 2^L under W[(g mod 2^L) << (log2 n - L - 1)].
+  /// tw_re/tw_im hold n/2 scratch entries each for the per-level twiddle
+  /// spans. The leading levels run as one fused radix-8 pass (radix-4 at
+  /// n = 4, none at n = 2), bit-identical to the per-level loops.
+  void (*chain_split)(T* re, T* im, std::uint64_t n,
                       const BasicTwiddleTable<T>& twiddles, T* tw_re, T* tw_im);
-
-  /// Deinterleave `count` complex elements at src[k * stride] into re/im.
-  void (*gather_split)(const cplx_t<T>* src, std::uint64_t stride,
-                       std::uint64_t count, T* re, T* im);
 
   /// Permuted deinterleave: re/im[k] = src[idx[k]] — the bit-reversal
   /// reorder fused with the split-complex gather that opens a
@@ -73,9 +67,9 @@ struct KernelDispatch {
   void (*permute_split)(const cplx_t<T>* src, const std::uint32_t* idx,
                         std::uint64_t count, T* re, T* im);
 
-  /// Re-interleave re/im into dst[k * stride].
+  /// Re-interleave re/im into dst[0, count).
   void (*scatter_merge)(const T* re, const T* im, std::uint64_t count,
-                        cplx_t<T>* dst, std::uint64_t stride);
+                        cplx_t<T>* dst);
 
   /// Butterflies [g_begin, g_end) of one mixed-radix stage: the semantics
   /// of fft::run_mixed_radix_stage, with `tw` already offset to the

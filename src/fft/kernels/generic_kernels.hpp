@@ -1,8 +1,8 @@
 #pragma once
 // Portable template bodies of every dispatched kernel (dispatch.hpp) plus
-// the helpers the SIMD translation units share: fused-twiddle derivation,
-// per-group fused butterfly micro-bodies (used as scalar tails by the
-// vector kernels), and the per-level twiddle-span materialization.
+// the helpers the SIMD translation units share: the per-level
+// twiddle-span materialization, per-group fused butterfly micro-bodies
+// (used as scalar tails by the vector kernels), and the fused first pass.
 //
 // These are the pre-existing autovectorized loops of kernel.cpp /
 // transpose.cpp, moved here verbatim so the scalar table
@@ -18,6 +18,7 @@
 
 #include "fft/twiddle.hpp"
 #include "fft/types.hpp"
+#include "util/bit_ops.hpp"
 
 // Each translation unit that includes this header instantiates the
 // templates below under its own inline namespace (the SIMD TUs define
@@ -46,40 +47,25 @@ inline void butterfly_split(T* __restrict r, T* __restrict i, std::uint64_t a,
   i[a] += ti;
 }
 
-/// Derive the 2^fuse - 1 twiddles shared by every 2^fuse-element group of
-/// the first `fuse` levels of a chain. Returns false when the chain's
-/// twiddle progression is not block-shared or wraps mod 2^L (then the
-/// per-level loops must run instead). `twr`/`twi` need 2^fuse - 1 slots,
-/// filled level-major exactly as the per-level loops would read them.
+/// Level v's twiddle span of a whole 2^log2n-point transform: the `half`
+/// = 2^v twiddles every block of the level shares, loaded once into
+/// tw_re/tw_im.
 template <typename T>
-inline bool fused_twiddles(std::uint64_t base, std::uint64_t stride,
-                           std::uint32_t first_level, unsigned log2n,
-                           const BasicTwiddleTable<T>& twiddles, unsigned fuse,
-                           T* twr, T* twi) {
-  int k = 0;
-  for (std::uint32_t v = 0; v < fuse; ++v) {
-    const std::uint64_t half = std::uint64_t{1} << v;
-    const std::uint32_t level = first_level + v;
-    const std::uint64_t block_mask = (std::uint64_t{1} << level) - 1;
-    const unsigned shift = log2n - level - 1;
-    const std::uint64_t c = base & block_mask;
-    const bool fusable = ((stride << (v + 1)) & block_mask) == 0 &&
-                         c + (half - 1) * stride <= block_mask;
-    if (!fusable) return false;
-    for (std::uint64_t u = 0; u < half; ++u) {
-      const cplx_t<T> w = twiddles.at((c + u * stride) << shift);
-      twr[k] = w.real();
-      twi[k] = w.imag();
-      ++k;
-    }
+inline void level_twiddle_span(std::uint32_t v, unsigned log2n,
+                               const BasicTwiddleTable<T>& twiddles,
+                               T* __restrict tw_re, T* __restrict tw_im) {
+  const unsigned shift = log2n - v - 1;
+  for (std::uint64_t u = 0; u < (std::uint64_t{1} << v); ++u) {
+    const cplx_t<T> w = twiddles.at(u << shift);
+    tw_re[u] = w.real();
+    tw_im[u] = w.imag();
   }
-  return true;
 }
 
 /// Fused radix-8 group: the 12 butterflies of levels v = 0..2 over one
 /// 8-element group, in per-level loop order (each element sees the exact
 /// operation sequence of the unfused loops). twr/twi hold the 7 fused
-/// twiddles from fused_twiddles(..., 3, ...).
+/// twiddles of fused_first_pass.
 template <typename T>
 inline void fused8_group(T* __restrict r, T* __restrict i,
                          const T* __restrict twr, const T* __restrict twi) {
@@ -108,55 +94,27 @@ inline void fused4_group(T* __restrict r, T* __restrict i,
   butterfly_split(r, i, 1, 3, twr[2], twi[2]);
 }
 
-/// Attempt the fused first pass: picks the widest fusion (radix-8, then
-/// radix-4) the chain's levels allow whose twiddle progression qualifies,
-/// runs it over the whole chain with `group` applied per 2^f-element
-/// block, and returns the level the per-level loops should resume from
-/// (0 when nothing fused). `run_groups(f, twr, twi)` is the
+/// The fused first pass: the widest fusion the transform's levels allow
+/// (radix-8 from n = 8, radix-4 at n = 4, none at n = 2), run over the
+/// whole transform with `group` applied per 2^f-element block. Returns the
+/// level the per-level loops resume from. `run_groups(f, twr, twi)` is the
 /// caller-supplied sweep (SIMD kernels substitute register-blocked group
 /// sweeps).
 template <typename T, typename RunGroups>
-inline std::uint32_t fused_first_pass(std::uint64_t base, std::uint64_t stride,
-                                      std::uint32_t first_level,
-                                      std::uint32_t levels, unsigned log2n,
+inline std::uint32_t fused_first_pass(unsigned log2n,
                                       const BasicTwiddleTable<T>& twiddles,
                                       RunGroups&& run_groups) {
+  const unsigned fuse = log2n >= 3 ? 3 : log2n;
+  if (fuse < 2) return 0;
+  // Level v's span lands at offset 2^v - 1: level-major, exactly as the
+  // per-level loops would read the twiddles.
   T twr[7], twi[7];
-  if (levels >= 3 &&
-      fused_twiddles<T>(base, stride, first_level, log2n, twiddles, 3, twr, twi)) {
-    run_groups(3u, twr, twi);
-    return 3;
+  for (std::uint32_t v = 0; v < fuse; ++v) {
+    const std::uint32_t off = (1u << v) - 1;
+    level_twiddle_span<T>(v, log2n, twiddles, twr + off, twi + off);
   }
-  if (levels >= 2 &&
-      fused_twiddles<T>(base, stride, first_level, log2n, twiddles, 2, twr, twi)) {
-    run_groups(2u, twr, twi);
-    return 2;
-  }
-  return 0;
-}
-
-/// Per-level twiddle materialization check of the generic loops: when
-/// every block of level v shares its `half` twiddles and the progression
-/// never wraps, they can be loaded once into tw_re/tw_im.
-template <typename T>
-inline bool level_twiddle_span(std::uint64_t base, std::uint64_t stride,
-                               std::uint32_t level, std::uint32_t v,
-                               unsigned log2n,
-                               const BasicTwiddleTable<T>& twiddles,
-                               T* __restrict tw_re, T* __restrict tw_im) {
-  const std::uint64_t half = std::uint64_t{1} << v;
-  const std::uint64_t block_mask = (std::uint64_t{1} << level) - 1;
-  const unsigned shift = log2n - level - 1;
-  const std::uint64_t c = base & block_mask;
-  const bool blocks_share = ((stride << (v + 1)) & block_mask) == 0;
-  const bool wrap_free = c + (half - 1) * stride <= block_mask;
-  if (!(blocks_share && wrap_free)) return false;
-  for (std::uint64_t u = 0; u < half; ++u) {
-    const cplx_t<T> w = twiddles.at((c + u * stride) << shift);
-    tw_re[u] = w.real();
-    tw_im[u] = w.imag();
-  }
-  return true;
+  run_groups(fuse, twr, twi);
+  return fuse;
 }
 
 /// One butterfly level with a materialized twiddle span (tw_re/tw_im hold
@@ -181,79 +139,35 @@ inline void span_level(T* __restrict re, T* __restrict im, std::uint64_t len,
   }
 }
 
-/// Generic (per-element twiddle index) fallback of one butterfly level —
-/// the path taken when the twiddle progression wraps or is not shared.
-template <typename T>
-inline void generic_level(T* __restrict re, T* __restrict im, std::uint64_t len,
-                          std::uint64_t base, std::uint64_t stride,
-                          std::uint32_t level, std::uint32_t v, unsigned log2n,
-                          const BasicTwiddleTable<T>& twiddles) {
-  const std::uint64_t half = std::uint64_t{1} << v;
-  const std::uint64_t block_mask = (std::uint64_t{1} << level) - 1;
-  const unsigned shift = log2n - level - 1;
-  for (std::uint64_t lo = 0; lo < len; lo += 2 * half) {
-    for (std::uint64_t q = lo; q < lo + half; ++q) {
-      const std::uint64_t g = base + q * stride;
-      const cplx_t<T> w = twiddles.at((g & block_mask) << shift);
-      const T tr = w.real() * re[q + half] - w.imag() * im[q + half];
-      const T ti = w.real() * im[q + half] + w.imag() * re[q + half];
-      re[q + half] = re[q] - tr;
-      im[q + half] = im[q] - ti;
-      re[q] += tr;
-      im[q] += ti;
-    }
-  }
-}
-
 // ---- Portable kernel bodies (the scalar dispatch table) ----
 
 template <typename T>
-void chain_split_generic(T* __restrict re, T* __restrict im, std::uint64_t len,
-                         std::uint64_t base, std::uint64_t stride,
-                         std::uint32_t first_level, std::uint32_t levels,
-                         unsigned log2n, const BasicTwiddleTable<T>& twiddles,
+void chain_split_generic(T* __restrict re, T* __restrict im, std::uint64_t n,
+                         const BasicTwiddleTable<T>& twiddles,
                          T* __restrict tw_re, T* __restrict tw_im) {
-  assert(len == (std::uint64_t{1} << levels));
+  assert(util::is_pow2(n) && twiddles.fft_size() == n);
+  const unsigned log2n = util::ilog2(n);
 
   // Fused first pass: levels with half = 1/2/4 run 1-4 scalar butterflies
   // per block in the per-level loops below — pure loop overhead the
-  // vectorizer can't touch. When the leading levels share their twiddles
-  // across blocks (every plan chain does: stride = 2^{first_level}), each
-  // 2^f-element group becomes one straight-line body the SLP vectorizer
-  // packs at the full register width.
+  // vectorizer can't touch. Their twiddles are shared across blocks, so
+  // each 2^f-element group becomes one straight-line body the SLP
+  // vectorizer packs at the full register width.
   const std::uint32_t v_start = fused_first_pass<T>(
-      base, stride, first_level, levels, log2n, twiddles,
-      [&](unsigned f, const T* twr, const T* twi) {
+      log2n, twiddles, [&](unsigned f, const T* twr, const T* twi) {
         const std::uint64_t glen = std::uint64_t{1} << f;
         if (f == 3) {
-          for (std::uint64_t g = 0; g < len; g += glen)
+          for (std::uint64_t g = 0; g < n; g += glen)
             fused8_group<T>(re + g, im + g, twr, twi);
         } else {
-          for (std::uint64_t g = 0; g < len; g += glen)
+          for (std::uint64_t g = 0; g < n; g += glen)
             fused4_group<T>(re + g, im + g, twr, twi);
         }
       });
 
-  for (std::uint32_t v = v_start; v < levels; ++v) {
-    const std::uint64_t half = std::uint64_t{1} << v;
-    const std::uint32_t level = first_level + v;  // global butterfly level L
-    if (level_twiddle_span<T>(base, stride, level, v, log2n, twiddles, tw_re,
-                              tw_im)) {
-      span_level<T>(re, im, len, half, tw_re, tw_im);
-    } else {
-      generic_level<T>(re, im, len, base, stride, level, v, log2n, twiddles);
-    }
-  }
-}
-
-template <typename T>
-void gather_split_generic(const cplx_t<T>* __restrict src, std::uint64_t stride,
-                          std::uint64_t count, T* __restrict re,
-                          T* __restrict im) {
-  for (std::uint64_t q = 0; q < count; ++q) {
-    const cplx_t<T> x = src[q * stride];
-    re[q] = x.real();
-    im[q] = x.imag();
+  for (std::uint32_t v = v_start; v < log2n; ++v) {
+    level_twiddle_span<T>(v, log2n, twiddles, tw_re, tw_im);
+    span_level<T>(re, im, n, std::uint64_t{1} << v, tw_re, tw_im);
   }
 }
 
@@ -271,10 +185,8 @@ void permute_split_generic(const cplx_t<T>* __restrict src,
 
 template <typename T>
 void scatter_merge_generic(const T* __restrict re, const T* __restrict im,
-                           std::uint64_t count, cplx_t<T>* __restrict dst,
-                           std::uint64_t stride) {
-  for (std::uint64_t q = 0; q < count; ++q)
-    dst[q * stride] = cplx_t<T>(re[q], im[q]);
+                           std::uint64_t count, cplx_t<T>* __restrict dst) {
+  for (std::uint64_t q = 0; q < count; ++q) dst[q] = cplx_t<T>(re[q], im[q]);
 }
 
 template <typename T>

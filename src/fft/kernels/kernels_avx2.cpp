@@ -23,7 +23,6 @@ constexpr KernelDispatch<T> kAvx2Table{
     util::IsaLevel::kAvx2,
     "avx2",
     &chain_split_avx2<T>,
-    &gather_split_avx2<T>,
     &permute_split_avx2<T>,
     &scatter_merge_avx2<T>,
     &mixed_stage_avx2<T>,

@@ -16,7 +16,6 @@ constexpr KernelDispatch<T> make_scalar_table() {
       util::IsaLevel::kScalar,
       "scalar",
       &chain_split_generic<T>,
-      &gather_split_generic<T>,
       &permute_split_generic<T>,
       &scatter_merge_generic<T>,
       &mixed_stage_scalar<T>,

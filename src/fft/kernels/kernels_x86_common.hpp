@@ -237,76 +237,57 @@ template <typename T>
 void gather_split_avx2(const cplx_t<T>* src, std::uint64_t stride,
                        std::uint64_t count, T* re, T* im);
 
-/// SIMD sibling of detail::level_twiddle_span — same shareability
-/// predicate, but with a kLinear table the span is an affine strided read
-/// of the storage array (storage[(c << shift) + u * (stride << shift)]),
-/// so the materialization runs through the vgather path instead of the
-/// scalar at() loop. The entries loaded are the identical table values —
-/// lane moves only, bit-identical spans. kBitReversed layouts index
-/// through bit_reverse (not affine) and keep the scalar loop.
+/// SIMD sibling of detail::level_twiddle_span: with a kLinear table level
+/// v's span is an affine strided read of the storage array
+/// (storage[u << shift]), so the materialization runs through the
+/// vgather path instead of the scalar at() loop. The entries loaded are
+/// the identical table values — lane moves only, bit-identical spans.
+/// kBitReversed layouts index through bit_reverse (not affine) and keep
+/// the scalar loop, as do spans narrower than one vector.
 template <typename T>
-inline bool level_twiddle_span_x86(std::uint64_t base, std::uint64_t stride,
-                                   std::uint32_t level, std::uint32_t v,
-                                   unsigned log2n,
+inline void level_twiddle_span_x86(std::uint32_t v, unsigned log2n,
                                    const BasicTwiddleTable<T>& twiddles,
                                    T* __restrict tw_re, T* __restrict tw_im) {
   const std::uint64_t half = std::uint64_t{1} << v;
-  const std::uint64_t block_mask = (std::uint64_t{1} << level) - 1;
-  const unsigned shift = log2n - level - 1;
-  const std::uint64_t c = base & block_mask;
-  const bool blocks_share = ((stride << (v + 1)) & block_mask) == 0;
-  const bool wrap_free = c + (half - 1) * stride <= block_mask;
-  if (!(blocks_share && wrap_free)) return false;
-  const std::uint64_t tw_stride = stride << shift;
+  const std::uint64_t tw_stride = std::uint64_t{1} << (log2n - v - 1);
   if (twiddles.layout() == TwiddleLayout::kLinear &&
       half >= kAvx2Width<T> && gather_fits_i32(2 * tw_stride, half)) {
-    gather_split_avx2<T>(twiddles.storage().data() + (c << shift), tw_stride,
-                         half, tw_re, tw_im);
-    return true;
+    gather_split_avx2<T>(twiddles.storage().data(), tw_stride, half, tw_re,
+                         tw_im);
+    return;
   }
-  for (std::uint64_t u = 0; u < half; ++u) {
-    const cplx_t<T> w = twiddles.at((c + u * stride) << shift);
-    tw_re[u] = w.real();
-    tw_im[u] = w.imag();
-  }
-  return true;
+  level_twiddle_span<T>(v, log2n, twiddles, tw_re, tw_im);
 }
 
 // ---- chain_split: fused register-blocked first pass + wide levels ----
 
 template <typename T>
-void chain_split_avx2(T* re, T* im, std::uint64_t len, std::uint64_t base,
-                      std::uint64_t stride, std::uint32_t first_level,
-                      std::uint32_t levels, unsigned log2n,
+void chain_split_avx2(T* re, T* im, std::uint64_t n,
                       const BasicTwiddleTable<T>& twiddles, T* tw_re,
                       T* tw_im) {
+  const unsigned log2n = util::ilog2(n);
   const std::uint32_t v_start = fused_first_pass<T>(
-      base, stride, first_level, levels, log2n, twiddles,
-      [&](unsigned f, const T* twr, const T* twi) {
+      log2n, twiddles, [&](unsigned f, const T* twr, const T* twi) {
         if (f == 3) {
-          fused8_pass_avx2(re, im, len, twr, twi);
+          fused8_pass_avx2(re, im, n, twr, twi);
         } else {
-          for (std::uint64_t g = 0; g < len; g += 4)
+          for (std::uint64_t g = 0; g < n; g += 4)
             fused4_group<T>(re + g, im + g, twr, twi);
         }
       });
 
-  for (std::uint32_t v = v_start; v < levels; ++v) {
+  for (std::uint32_t v = v_start; v < log2n; ++v) {
     const std::uint64_t half = std::uint64_t{1} << v;
-    const std::uint32_t level = first_level + v;
-    if (level_twiddle_span_x86<T>(base, stride, level, v, log2n, twiddles,
-                                  tw_re, tw_im)) {
-      if (half >= kAvx2Width<T>)
-        span_level_avx2(re, im, len, half, tw_re, tw_im);
-      else
-        span_level<T>(re, im, len, half, tw_re, tw_im);
-    } else {
-      generic_level<T>(re, im, len, base, stride, level, v, log2n, twiddles);
-    }
+    level_twiddle_span_x86<T>(v, log2n, twiddles, tw_re, tw_im);
+    if (half >= kAvx2Width<T>)
+      span_level_avx2(re, im, n, half, tw_re, tw_im);
+    else
+      span_level<T>(re, im, n, half, tw_re, tw_im);
   }
 }
 
-// ---- Complex de/interleave (the codelet gather/scatter, stride 1) ----
+// ---- Complex de/interleave (contiguous twiddle spans, the sweep's
+// closing scatter) ----
 
 inline void deinterleave8_ps(const float* src, float* re, float* im) {
   const __m256 v0 = _mm256_loadu_ps(src);      // r0 i0 r1 i1 | r2 i2 r3 i3
@@ -351,8 +332,8 @@ inline void interleave4_pd(const double* re, const double* im, double* dst) {
 
 // ---- Strided split-complex loads via hardware vgather ----
 //
-// For stride != 1 the codelet reads re[q] = s[q*stride2] and
-// im[q] = s[q*stride2 + 1] with s the scalar view of the complex array
+// A twiddle span below the last level reads re[q] = s[q*stride2] and
+// im[q] = s[q*stride2 + 1] with s the scalar view of the complex table
 // and stride2 = 2*stride. A vgather per component replaces the scalar
 // address-generation chain (two dependent loads plus indexing per
 // element). Gathers are plain loads — lane moves only, bit-identical to
@@ -452,15 +433,15 @@ void permute_split_avx2(const cplx_t<T>* src, const std::uint32_t* idx,
   permute_split_x86(src, idx, count, re, im);
 }
 
+/// Deinterleave `count` complex elements at src[k * stride] into re/im:
+/// the twiddle-span loader of level_twiddle_span_x86, which guards the
+/// strided span with gather_fits_i32.
 template <typename T>
 void gather_split_avx2(const cplx_t<T>* src, std::uint64_t stride,
                        std::uint64_t count, T* re, T* im) {
   if (stride != 1) {
-    if (gather_fits_i32(2 * stride, count))
-      gather_strided_avx2(reinterpret_cast<const T*>(src), 2 * stride, count,
-                          re, im);
-    else
-      gather_split_generic<T>(src, stride, count, re, im);
+    gather_strided_avx2(reinterpret_cast<const T*>(src), 2 * stride, count,
+                        re, im);
     return;
   }
   const std::uint64_t w = kAvx2Width<T>;
@@ -481,11 +462,7 @@ void gather_split_avx2(const cplx_t<T>* src, std::uint64_t stride,
 
 template <typename T>
 void scatter_merge_avx2(const T* re, const T* im, std::uint64_t count,
-                        cplx_t<T>* dst, std::uint64_t stride) {
-  if (stride != 1) {
-    scatter_merge_generic<T>(re, im, count, dst, stride);
-    return;
-  }
+                        cplx_t<T>* dst) {
   const std::uint64_t w = kAvx2Width<T>;
   T* d = reinterpret_cast<T*>(dst);
   std::uint64_t q = 0;

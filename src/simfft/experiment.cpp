@@ -4,7 +4,7 @@
 #include <memory>
 #include <stdexcept>
 
-#include "fft/plan.hpp"
+#include "paper/fft_plan.hpp"
 #include "simfft/footprint.hpp"
 #include "simfft/sim_driver.hpp"
 #include "util/bit_ops.hpp"

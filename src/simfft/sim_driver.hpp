@@ -1,7 +1,7 @@
 #pragma once
 // SimProgram implementations of the paper's three algorithms for the
 // discrete-event C64 model. These mirror the host drivers in
-// src/fft/variants.cpp, but instead of computing butterflies they emit
+// src/paper/variants.cpp, but instead of computing butterflies they emit
 // each codelet's memory footprint and cycle cost to the engine.
 
 #include <cstdint>
@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "c64/engine.hpp"
-#include "fft/ordering.hpp"
+#include "paper/ordering.hpp"
 #include "simfft/footprint.hpp"
 
 namespace c64fft::simfft {

@@ -16,7 +16,7 @@
 #include "fft/executor.hpp"
 #include "fft/kernels/dispatch.hpp"
 #include "fft/mixed_radix.hpp"
-#include "fft/plan.hpp"
+#include "paper/fft_plan.hpp"
 #include "util/cpu_features.hpp"
 #include "util/json.hpp"
 
@@ -391,20 +391,18 @@ TEST(Pipeline, ModelMirrorsExecutorGrains) {
             fft::bitrev_sweep_grain(4096, 4).chunks);
   EXPECT_EQ(classic.phases[1].tasks.size(), FftPlan(4096, 6).tasks_per_stage());
 
-  // Hierarchical tasks are the dependency-counted blocks of the runtime
-  // grain, not per-tile fictions.
+  // Hierarchical tasks are the blocks of the runtime grain, one per
+  // index of the executor's two parallel_for calls, not per-tile fictions.
   PipelineBuildOptions hopts;
   hopts.workers = 4;
   const PipelineModel hier = build_hierarchical_pipeline(4096, hopts);
-  ASSERT_EQ(hier.phases.size(), 3u);
-  EXPECT_EQ(hier.phases[0].name, "gather");
-  EXPECT_EQ(hier.phases[1].name, "col-sweep");
-  EXPECT_EQ(hier.phases[2].name, "fused-row");
+  ASSERT_EQ(hier.phases.size(), 2u);
+  EXPECT_EQ(hier.phases[0].name, "gather-col");
+  EXPECT_EQ(hier.phases[1].name, "fused-row");
   const fft::HierarchicalGrain grain =
       fft::hierarchical_grain(64, 64, 4, 16, util::cache_info().l2_bytes);
   EXPECT_EQ(hier.phases[0].tasks.size(), grain.blocks1);
-  EXPECT_EQ(hier.phases[1].tasks.size(), grain.blocks1);
-  EXPECT_EQ(hier.phases[2].tasks.size(), grain.blocks2);
+  EXPECT_EQ(hier.phases[1].tasks.size(), grain.blocks2);
 
   // A pinned L2 replaces the host's in the block grain: at 2^16 (256 x
   // 256) on one worker, a 128 KiB L2 caps the row panel at 16 rows where
@@ -417,36 +415,38 @@ TEST(Pipeline, ModelMirrorsExecutorGrains) {
   const fft::HierarchicalGrain small =
       fft::hierarchical_grain(256, 256, 1, 16, pinned_opts.l2_bytes);
   EXPECT_EQ(small.blocks2, 16u);
-  ASSERT_EQ(pinned.phases.size(), 3u);
-  EXPECT_EQ(pinned.phases[1].name, "col-sweep");
+  ASSERT_EQ(pinned.phases.size(), 2u);
+  EXPECT_EQ(pinned.phases[0].name, "gather-col");
   EXPECT_EQ(pinned.phases[0].tasks.size(), small.blocks1);
-  EXPECT_EQ(pinned.phases[2].tasks.size(), small.blocks2);
+  EXPECT_EQ(pinned.phases[1].tasks.size(), small.blocks2);
   pinned_opts.l2_bytes = 2u << 20;
   const PipelineModel roomy =
       build_hierarchical_pipeline(std::uint64_t{1} << 16, pinned_opts);
-  EXPECT_EQ(roomy.phases[2].tasks.size(), 4u);
+  EXPECT_EQ(roomy.phases[1].tasks.size(), 4u);
 }
 
 TEST(Pipeline, TileTrafficSplitsTransposeFromButterfly) {
   const PipelineModel m = build_hierarchical_pipeline(4096);  // 64 x 64
   const auto report = analyze_pipeline(m);
   const auto& metrics = check_of(report, "tile-traffic").metrics;
-  // Gather is pure movement, the column sweep pure butterfly, and the
+  // A column-block task is one gather-in pass plus one column sweep, a
   // fused tail exactly two movement passes (gather-in + writeback-out)
-  // around its row-FFT streams.
+  // around its row-FFT streams: each phase moves and sweeps equally per
+  // pass.
+  const auto& col = m.phases[0].tasks.front();
+  EXPECT_EQ(col.passes, 2u);
+  EXPECT_EQ(col.movement_passes, 1u);
   EXPECT_GT(metrics.at("phase0_transpose_bytes"), 0.0);
-  EXPECT_EQ(metrics.at("phase0_butterfly_bytes"), 0.0);
-  EXPECT_EQ(metrics.at("phase1_transpose_bytes"), 0.0);
-  EXPECT_GT(metrics.at("phase1_butterfly_bytes"), 0.0);
-  const double fused_transpose = metrics.at("phase2_transpose_bytes");
-  const double fused_butterfly = metrics.at("phase2_butterfly_bytes");
-  EXPECT_GT(fused_transpose, 0.0);
-  EXPECT_GT(fused_butterfly, 0.0);
+  EXPECT_EQ(metrics.at("phase0_transpose_bytes"),
+            metrics.at("phase0_butterfly_bytes"));
   // Each row is one whole-transform sweep, so the fused task streams its
   // block three times at any row length.
-  const auto& fused = m.phases[2].tasks.front();
+  const auto& fused = m.phases[1].tasks.front();
   EXPECT_EQ(fused.passes, 3u);
   EXPECT_EQ(fused.movement_passes, 2u);
+  EXPECT_EQ(metrics.at("phase1_transpose_bytes"),
+            2 * metrics.at("phase1_butterfly_bytes"));
+  EXPECT_GT(metrics.at("phase1_butterfly_bytes"), 0.0);
   EXPECT_NEAR(metrics.at("transpose_bytes") + metrics.at("butterfly_bytes"),
               metrics.at("total_bytes"), 0.5);
 }
@@ -454,15 +454,14 @@ TEST(Pipeline, TileTrafficSplitsTransposeFromButterfly) {
 TEST(Pipeline, BluesteinModelsAHierarchicalConvolution) {
   // From n = 65537 (M = 2^18) on, the executor runs each inner M-point
   // FFT as the hierarchical pipeline, and so does the model: modulate,
-  // the three pipeline phases, pointwise, three more, demodulate.
+  // the two pipeline phases, pointwise, two more, demodulate.
   ASSERT_EQ(fft::bluestein_fft_size(65537), 1ULL << 18);
   const PipelineModel m = build_bluestein_pipeline(65537);
   std::vector<std::string> names;
   for (const PhaseModel& p : m.phases) names.push_back(p.name);
   const std::vector<std::string> want = {
-      "modulate",      "fwd-gather",    "fwd-col-sweep", "fwd-fused-row",
-      "pointwise",     "inv-gather",    "inv-col-sweep", "inv-fused-row",
-      "demodulate"};
+      "modulate",      "fwd-gather-col", "fwd-fused-row", "pointwise",
+      "inv-gather-col", "inv-fused-row", "demodulate"};
   EXPECT_EQ(names, want);
   const auto report = analyze_pipeline(m);
   EXPECT_EQ(report.errors(), 0u) << report.to_json();

@@ -1,4 +1,4 @@
-#include "codelet/dep_counter.hpp"
+#include "paper/dep_counter.hpp"
 
 #include <gtest/gtest.h>
 

@@ -11,7 +11,6 @@
 
 #include <atomic>
 #include <climits>
-#include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <string>
@@ -366,10 +365,12 @@ TEST(Executor, PublicApiLoopCreatesAtMostOneTeam) {
 
 TEST(Executor, ResizeChangesDefaultTeam) {
   FftExecutor ex;
+  EXPECT_EQ(ex.default_workers(), 4u);  // the ExecutorOptions default
   auto data = random_signal(512, 17);
-  ex.forward(data);  // default ExecutorOptions team (4 workers)
+  ex.forward(data);
   EXPECT_EQ(ex.stats().teams_created, 1u);
   ex.resize(2);
+  EXPECT_EQ(ex.default_workers(), 2u);
   ex.forward(data);
   EXPECT_EQ(ex.stats().teams_created, 2u);
   ex.forward(data);  // steady again
@@ -419,32 +420,6 @@ TEST(PlanCache, BadShapesAreNotCached) {
   EXPECT_THROW(cache.acquire(PlanKey{100}),
                std::invalid_argument);  // a classic key must be pow2
   EXPECT_EQ(cache.size(), 0u);
-}
-
-TEST(Executor, EnvOverridesSnapshotAtConstructionOnly) {
-  // C64FFT_WORKERS is the executor's one env variable, read exactly once,
-  // when the executor is constructed; later environment mutations are
-  // invisible (resize() is the way to change the team).
-  ::setenv("C64FFT_WORKERS", "3", 1);
-  FftExecutor ex;
-  EXPECT_EQ(ex.default_workers(), 3u);
-
-  ::setenv("C64FFT_WORKERS", "2", 1);
-  auto warm = random_signal(1ULL << 6, 1);
-  ex.forward(warm);  // warm up: team spawned, plan cached
-  EXPECT_EQ(ex.default_workers(), 3u);
-  EXPECT_EQ(ex.stats().teams_created, 1u);
-  ex.resize(2);
-  EXPECT_EQ(ex.default_workers(), 2u);
-
-  // Malformed, empty, zero or out-of-range values leave the option
-  // untouched.
-  for (const char* bad : {"banana", "3x", "", "0", "-1", "257", "4294967295"}) {
-    ::setenv("C64FFT_WORKERS", bad, 1);
-    FftExecutor defaults({.workers = 2});
-    EXPECT_EQ(defaults.default_workers(), 2u) << "'" << bad << "'";
-  }
-  ::unsetenv("C64FFT_WORKERS");
 }
 
 TEST(Executor, TeamSizeAboveTheCapIsRejected) {

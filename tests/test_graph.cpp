@@ -1,4 +1,4 @@
-#include "codelet/graph.hpp"
+#include "paper/graph.hpp"
 
 #include <gtest/gtest.h>
 

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/pipeline.hpp"
 #include "executor_test_peer.hpp"
 #include "fft/executor.hpp"
 #include "fft/kernels/dispatch.hpp"
@@ -124,7 +125,9 @@ void check_pipeline_counts() {
   // column-block codelets (T1 gather + T2 column sweep each), then B2
   // fused T4 row-block codelets, with B1/B2 the executor's grain at this
   // host's L2. Bluestein over a hierarchical convolution runs two such
-  // pipelines: B1, B2, B1, B2.
+  // pipelines: B1, B2, B1, B2. The static model (analysis/pipeline.hpp)
+  // must show exactly those phases and tasks; Bluestein's modulate,
+  // pointwise and demodulate passes run inline, outside any team phase.
   const std::uint64_t l2 = util::cache_info().l2_bytes;
   for (const unsigned workers : {1u, 2u, 4u}) {
     FftExecutor ex({.workers = workers});
@@ -135,6 +138,19 @@ void check_pipeline_counts() {
       const HierarchicalGrain g = hierarchical_grain(
           split.n1, split.n2, workers, sizeof(cplx_t<T>), l2);
       const std::uint64_t pipelines = bluestein ? 2 : 1;
+      analysis::PipelineBuildOptions mopts;
+      mopts.workers = workers;
+      mopts.element_bytes = sizeof(cplx_t<T>);
+      mopts.l2_bytes = l2;
+      std::vector<std::uint64_t> model_tasks;
+      for (const analysis::PhaseModel& p :
+           (bluestein ? analysis::build_bluestein_pipeline(n, mopts)
+                      : analysis::build_hierarchical_pipeline(n, mopts))
+               .phases)
+        if (p.name != "modulate" && p.name != "pointwise" &&
+            p.name != "demodulate")
+          model_tasks.push_back(p.tasks.size());
+      ASSERT_EQ(model_tasks.size(), 2 * pipelines) << "n=" << n;
       auto data = random_signal<T>(n, n + workers);
       const std::span<cplx_t<T>> span(data);
       ex.forward(span);  // warm: entries, inverse tables, scratch
@@ -156,6 +172,7 @@ void check_pipeline_counts() {
           const std::uint64_t want = p % 2 == 0 ? g.blocks1 : g.blocks2;
           EXPECT_EQ(phases[p].seeds, want) << label << " phase " << p;
           EXPECT_EQ(phases[p].executed, want) << label << " phase " << p;
+          EXPECT_EQ(model_tasks[p], want) << label << " model phase " << p;
         }
       }
     }

@@ -8,6 +8,7 @@
 #include "c64/peak_model.hpp"
 #include "fft/api.hpp"
 #include "fft/reference.hpp"
+#include "paper/fft_plan.hpp"
 #include "simfft/experiment.hpp"
 #include "util/prng.hpp"
 

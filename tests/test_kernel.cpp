@@ -12,6 +12,7 @@
 #include "fft/mixed_radix.hpp"
 #include "fft/reference.hpp"
 #include "fft/transpose.hpp"
+#include "paper/codelet_kernel.hpp"
 #include "util/bit_ops.hpp"
 #include "util/cpu_features.hpp"
 #include "util/prng.hpp"
@@ -36,34 +37,22 @@ void check_stagewise(std::uint64_t n, unsigned radix_log2, TwiddleLayout layout)
 
   const FftPlan plan(n, radix_log2);
   const TwiddleTable tw(n, layout);
-  KernelScratch scratch(plan.radix());
+  std::vector<cplx> scratch(plan.radix());
   bit_reverse_permute(data);
   for (std::uint32_t s = 0; s < plan.stage_count(); ++s)
     for (std::uint64_t i = 0; i < plan.tasks_per_stage(); ++i)
-      run_codelet(plan, s, i, data, tw, scratch);
+      run_codelet_scalar(plan, s, i, data, tw, scratch);
   ASSERT_LT(max_abs_error(data, want), 1e-9)
       << "n=" << n << " r=" << radix_log2;
 }
 
-// The vectorized split-complex kernel must be bit-identical to the scalar
-// std::complex reference: same butterflies, same twiddles, same operation
-// order — only the data layout differs.
-void check_split_matches_scalar(std::uint64_t n, unsigned radix_log2,
-                                TwiddleLayout layout) {
-  auto a = random_signal(n, n ^ 0xFEED);
-  auto b = a;
-  const FftPlan plan(n, radix_log2);
-  const TwiddleTable tw(n, layout);
-  KernelScratch scratch(plan.radix());
-  std::vector<cplx> scalar_scratch(plan.radix());
-  bit_reverse_permute(a);
-  bit_reverse_permute(b);
-  for (std::uint32_t s = 0; s < plan.stage_count(); ++s)
-    for (std::uint64_t i = 0; i < plan.tasks_per_stage(); ++i) {
-      run_codelet(plan, s, i, a, tw, scratch);
-      run_codelet_scalar(plan, s, i, b, tw, scalar_scratch);
-    }
-  ASSERT_EQ(max_abs_error(a, b), 0.0) << "n=" << n << " r=" << radix_log2;
+// The log2(n)-bit reversal of every index below n: run_transform_split's
+// permutation table.
+std::vector<std::uint32_t> bitrev_table(std::uint64_t n) {
+  std::vector<std::uint32_t> brev(n);
+  for (std::uint64_t i = 0; i < n; ++i)
+    brev[i] = static_cast<std::uint32_t>(util::bit_reverse(i, util::ilog2(n)));
+  return brev;
 }
 
 // Bit-reversal followed by every stage of the scalar std::complex
@@ -109,9 +98,7 @@ void check_transform_split_matches_stagewise() {
     for (cplx_t<T>& v : input)
       v = cplx_t<T>(static_cast<T>(rng.next_double() * 2 - 1),
                     static_cast<T>(rng.next_double() * 2 - 1));
-    std::vector<std::uint32_t> brev(n);
-    for (std::uint64_t i = 0; i < n; ++i)
-      brev[i] = static_cast<std::uint32_t>(util::bit_reverse(i, logn));
+    const std::vector<std::uint32_t> brev = bitrev_table(n);
     std::vector<T> split(3 * n);
     for (const TwiddleDirection dir :
          {TwiddleDirection::kForward, TwiddleDirection::kInverse}) {
@@ -164,15 +151,6 @@ TEST(Kernel, SmallerRadices) {
 
 TEST(Kernel, Radix128) { check_stagewise(1ULL << 14, 7, TwiddleLayout::kLinear); }
 
-TEST(Kernel, VectorizedMatchesScalarBitExactly) {
-  check_split_matches_scalar(1ULL << 12, 6, TwiddleLayout::kLinear);
-  check_split_matches_scalar(1ULL << 13, 6, TwiddleLayout::kLinear);   // partial last
-  check_split_matches_scalar(1ULL << 15, 6, TwiddleLayout::kLinear);
-  check_split_matches_scalar(1ULL << 12, 6, TwiddleLayout::kBitReversed);
-  check_split_matches_scalar(1ULL << 9, 3, TwiddleLayout::kLinear);
-  check_split_matches_scalar(64, 1, TwiddleLayout::kLinear);
-}
-
 TEST(Kernel, SingleTaskWholeTransform) {
   // N == R: one codelet is the whole FFT.
   const std::uint64_t n = 64;
@@ -181,9 +159,9 @@ TEST(Kernel, SingleTaskWholeTransform) {
   fft_serial_inplace(want);
   const FftPlan plan(n, 6);
   const TwiddleTable tw(n, TwiddleLayout::kLinear);
-  KernelScratch scratch(plan.radix());
+  std::vector<cplx> scratch(plan.radix());
   bit_reverse_permute(data);
-  run_codelet(plan, 0, 0, data, tw, scratch);
+  run_codelet_scalar(plan, 0, 0, data, tw, scratch);
   EXPECT_LT(max_abs_error(data, want), 1e-10);
 }
 
@@ -195,14 +173,14 @@ TEST(Kernel, StageOrderWithinStageIsIrrelevant) {
   auto b = a;
   const FftPlan plan(n, 6);
   const TwiddleTable tw(n, TwiddleLayout::kLinear);
-  KernelScratch scratch(plan.radix());
+  std::vector<cplx> scratch(plan.radix());
   bit_reverse_permute(a);
   bit_reverse_permute(b);
   for (std::uint32_t s = 0; s < plan.stage_count(); ++s) {
     for (std::uint64_t i = 0; i < plan.tasks_per_stage(); ++i)
-      run_codelet(plan, s, i, a, tw, scratch);
+      run_codelet_scalar(plan, s, i, a, tw, scratch);
     for (std::uint64_t i = plan.tasks_per_stage(); i-- > 0;)
-      run_codelet(plan, s, i, b, tw, scratch);
+      run_codelet_scalar(plan, s, i, b, tw, scratch);
   }
   EXPECT_EQ(max_abs_error(a, b), 0.0);  // bit-identical
 }
@@ -223,30 +201,27 @@ TEST(ButterflyChain, SingleLevelMatchesDirectButterfly) {
 
 // ---- Kernel dispatch matrix ----
 //
-// Every supported ISA level must produce (a) results bit-identical to the
-// scalar table — the wide kernels execute one butterfly per lane in the
-// scalar operation order, with FMA contraction disabled — and (b) results
-// within the documented peak-ULP envelope of the f64 serial reference.
-// The sweep covers both precisions and every N in 2^4..2^12, crossing
-// every chain shape the codelet algebra produces at radix 64 (single
-// whole-transform task, full stages, 1..5-level partial last stages).
+// Every supported ISA level must produce (a) whole-transform sweeps
+// bit-identical to the scalar table — the wide kernels execute one
+// butterfly per lane in the scalar operation order, with FMA contraction
+// disabled — and (b) results within the documented peak-ULP envelope of
+// the f64 serial reference. The sweep covers both precisions and every N
+// in 2^1..2^12: no fused first pass at 2, radix-4 at 4, radix-8 from 8,
+// and twiddle spans below and above the vector width.
 
 constexpr double kF32SweepUlpTol = 24.0;  // matches test_ulp's pipeline tol
 constexpr double kF64SweepUlpTol = 64.0;  // two f64 orderings vs each other
 
 template <typename T>
-std::vector<cplx_t<T>> codelet_transform(util::IsaLevel isa,
-                                         const std::vector<cplx_t<T>>& input,
-                                         unsigned radix_log2) {
+std::vector<cplx_t<T>> sweep_transform(util::IsaLevel isa,
+                                       const std::vector<cplx_t<T>>& input) {
   kernels::set_kernel_isa(isa);
   std::vector<cplx_t<T>> data = input;
-  const FftPlan plan(data.size(), radix_log2);
-  const BasicTwiddleTable<T> tw(data.size(), TwiddleLayout::kLinear);
-  BasicKernelScratch<T> scratch(plan.radix());
-  bit_reverse_permute(std::span<cplx_t<T>>(data));
-  for (std::uint32_t s = 0; s < plan.stage_count(); ++s)
-    for (std::uint64_t i = 0; i < plan.tasks_per_stage(); ++i)
-      run_codelet(plan, s, i, std::span<cplx_t<T>>(data), tw, scratch);
+  const std::uint64_t n = data.size();
+  const BasicTwiddleTable<T> tw(n, TwiddleLayout::kLinear);
+  std::vector<T> split(3 * n);
+  run_transform_split(std::span<cplx_t<T>>(data), tw, bitrev_table(n),
+                      split.data());
   return data;
 }
 
@@ -254,7 +229,7 @@ template <typename T>
 void check_dispatch_matrix() {
   IsaGuard guard;
   util::Xoshiro256 rng(0x15A);
-  for (unsigned logn = 4; logn <= 12; ++logn) {
+  for (unsigned logn = 1; logn <= 12; ++logn) {
     const std::uint64_t n = std::uint64_t{1} << logn;
     std::vector<cplx_t<T>> input(n);
     for (cplx_t<T>& v : input)
@@ -267,9 +242,8 @@ void check_dispatch_matrix() {
                      static_cast<double>(input[i].imag()));
     fft_serial_inplace(want);
 
-    const unsigned radix_log2 = std::min(6u, logn);
     const std::vector<cplx_t<T>> scalar =
-        codelet_transform<T>(util::IsaLevel::kScalar, input, radix_log2);
+        sweep_transform<T>(util::IsaLevel::kScalar, input);
     const double tol =
         std::is_same_v<T, float> ? kF32SweepUlpTol : kF64SweepUlpTol;
     EXPECT_LT(util::max_ulp_error<T>(scalar, want), tol)
@@ -277,7 +251,7 @@ void check_dispatch_matrix() {
 
     if (!util::isa_supported(util::IsaLevel::kAvx2)) continue;
     const std::vector<cplx_t<T>> wide =
-        codelet_transform<T>(util::IsaLevel::kAvx2, input, radix_log2);
+        sweep_transform<T>(util::IsaLevel::kAvx2, input);
     ASSERT_EQ(kernels::active_kernel_isa(), util::IsaLevel::kAvx2);
     for (std::uint64_t i = 0; i < n; ++i) {
       ASSERT_EQ(wide[i].real(), scalar[i].real()) << "n=" << n << " i=" << i;
@@ -385,11 +359,11 @@ TEST(KernelDispatch, EnvForcedScalarFallback) {
   const std::uint64_t n = 1ULL << 11;
   auto input = random_signal(n, 0xE57);
   const std::vector<cplx> forced =
-      codelet_transform<double>(util::IsaLevel::kScalar, input, 6);
+      sweep_transform<double>(util::IsaLevel::kScalar, input);
   unsetenv("C64FFT_ISA");
   kernels::reset_kernel_isa_from_env();
   const std::vector<cplx> scalar =
-      codelet_transform<double>(util::IsaLevel::kScalar, input, 6);
+      sweep_transform<double>(util::IsaLevel::kScalar, input);
   ASSERT_EQ(max_abs_error(forced, scalar), 0.0);
 }
 
@@ -403,32 +377,6 @@ TEST(KernelDispatch, EnvRequestsAboveSupportClampDown) {
   setenv("C64FFT_ISA", "avx512", 1);
   kernels::reset_kernel_isa_from_env();
   EXPECT_EQ(kernels::active_kernel_isa(), util::best_supported_isa());
-}
-
-TEST(ButterflyChain, SplitMatchesComplexOnGenericChain) {
-  // Exercise butterfly_chain_split directly, including a base/stride
-  // combination where the twiddle progression wraps mod 2^L (c >= stride),
-  // forcing the per-element fallback path.
-  const std::uint64_t n = 1 << 10;
-  const TwiddleTable tw(n, TwiddleLayout::kLinear);
-  for (const auto& [base, stride] : std::vector<std::pair<std::uint64_t, std::uint64_t>>{
-           {0, 1}, {64, 1}, {3, 4}, {192, 8}, {7, 2}}) {
-    const std::uint32_t levels = 5;
-    const std::uint64_t len = 1u << levels;
-    auto chain = random_signal(len, base * 131 + stride);
-    std::vector<double> re(len), im(len), twr(len / 2), twi(len / 2);
-    for (std::uint64_t q = 0; q < len; ++q) {
-      re[q] = chain[q].real();
-      im[q] = chain[q].imag();
-    }
-    butterfly_chain(chain, base, stride, 3, levels, 10, tw);
-    butterfly_chain_split(re.data(), im.data(), len, base, stride, 3, levels, 10,
-                          tw, twr.data(), twi.data());
-    for (std::uint64_t q = 0; q < len; ++q) {
-      EXPECT_EQ(re[q], chain[q].real()) << "base=" << base << " q=" << q;
-      EXPECT_EQ(im[q], chain[q].imag()) << "base=" << base << " q=" << q;
-    }
-  }
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-#include "fft/ordering.hpp"
+#include "paper/ordering.hpp"
 
 #include <gtest/gtest.h>
 

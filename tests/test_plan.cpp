@@ -1,4 +1,4 @@
-#include "fft/plan.hpp"
+#include "paper/fft_plan.hpp"
 
 #include <gtest/gtest.h>
 

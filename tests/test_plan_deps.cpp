@@ -12,8 +12,8 @@
 #include <string>
 #include <vector>
 
-#include "codelet/graph.hpp"
-#include "fft/plan.hpp"
+#include "paper/fft_plan.hpp"
+#include "paper/graph.hpp"
 
 namespace c64fft::fft {
 namespace {

@@ -1,4 +1,4 @@
-#include "fft/plan_stats.hpp"
+#include "paper/plan_stats.hpp"
 
 #include <gtest/gtest.h>
 

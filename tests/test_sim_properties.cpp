@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "c64/peak_model.hpp"
-#include "fft/plan_stats.hpp"
+#include "paper/plan_stats.hpp"
 #include "simfft/experiment.hpp"
 
 namespace c64fft::simfft {

@@ -7,7 +7,7 @@
 // codelet exactly once on any team, strict single-pool order on one
 // worker, and the race proof that licenses any pop order.
 
-#include "fft/variants.hpp"
+#include "paper/variants.hpp"
 
 #include <gtest/gtest.h>
 
@@ -19,9 +19,11 @@
 
 #include "analysis/model.hpp"
 #include "analysis/race.hpp"
-#include "codelet/dep_counter.hpp"
 #include "fft/executor.hpp"
+#include "fft/kernels/dispatch.hpp"
 #include "fft/reference.hpp"
+#include "paper/dep_counter.hpp"
+#include "util/cpu_features.hpp"
 #include "util/prng.hpp"
 
 namespace c64fft::fft {
@@ -310,7 +312,9 @@ TEST(Variants, HarnessMatchesExecutorBitExactly) {
   // paper configuration, at harness radices 4 and 6, must produce exactly
   // the bytes FftExecutor::forward produces with its radix-free
   // whole-transform sweep, at every worker count (one worker being the
-  // strict paper pool order).
+  // strict paper pool order). The harness runs the scalar codelet kernel
+  // whatever the tier, so the executor side runs under every supported
+  // kernel tier and must match it on each.
   struct Shape {
     std::uint64_t n;
     unsigned radix_log2;
@@ -321,12 +325,21 @@ TEST(Variants, HarnessMatchesExecutorBitExactly) {
       {1u << 13, 6},  // 3 stages, the last one partial
       {1u << 13, 4},  // 3 full stages + 1 partial: guided phase 1 propagates
   };
+  const util::IsaLevel isas[] = {util::IsaLevel::kScalar,
+                                 util::best_supported_isa()};
+  struct IsaGuard {
+    ~IsaGuard() { kernels::reset_kernel_isa_from_env(); }
+  } guard;
   FftExecutor ex;
   for (const Shape& shape : shapes) {
     const auto input = random_signal(shape.n, shape.n + shape.radix_log2);
     for (unsigned workers : {1u, 3u}) {
-      auto want = input;
-      ex.forward(want, HostFftOptions{workers});
+      std::vector<std::vector<cplx>> wants;
+      for (const util::IsaLevel isa : isas) {
+        ASSERT_EQ(kernels::set_kernel_isa(isa), isa);
+        wants.push_back(input);
+        ex.forward(wants.back(), HostFftOptions{workers});
+      }
       for (Variant variant : {Variant::kCoarse, Variant::kFine, Variant::kGuided})
         for (TwiddleLayout layout : {TwiddleLayout::kLinear, TwiddleLayout::kBitReversed})
           for (const FineOrdering& ordering : ordering_sweep()) {
@@ -334,12 +347,15 @@ TEST(Variants, HarnessMatchesExecutorBitExactly) {
                                        ordering};
             auto got = input;
             fft_host(got, variant, opts);
-            ASSERT_EQ(std::memcmp(got.data(), want.data(),
-                                  got.size() * sizeof(cplx)),
-                      0)
-                << to_string(variant) << " n=" << shape.n << " r=" << shape.radix_log2
-                << " workers=" << workers << " layout=" << static_cast<int>(layout)
-                << " ordering=" << to_string(ordering);
+            for (std::size_t k = 0; k < wants.size(); ++k)
+              ASSERT_EQ(std::memcmp(got.data(), wants[k].data(),
+                                    got.size() * sizeof(cplx)),
+                        0)
+                  << to_string(variant) << " n=" << shape.n
+                  << " r=" << shape.radix_log2 << " workers=" << workers
+                  << " layout=" << static_cast<int>(layout)
+                  << " ordering=" << to_string(ordering)
+                  << " isa=" << util::to_string(isas[k]);
           }
     }
   }
