@@ -444,7 +444,7 @@ BENCHMARK(BM_TransposeInplaceSquare)->Arg(8)->Arg(9)->Arg(10);
 // routing threshold (kDefaultHierarchicalThresholdLog2), the RATIO2 gate
 // (tools/CMakeLists.txt) and DESIGN.md §3.7's speedup table. The classic
 // row times the executor's serial body — one run_transform_split sweep
-// over a classic plan entry's twiddle and bit-reversal tables, on
+// over a classic plan entry's twiddle planes and bit-reversal table, on
 // split-complex scratch — at sizes routing sends down the pipeline from
 // 2^18; the hierarchical row is a warmed executor's routed call.
 // Arg = log2 N.
@@ -453,8 +453,9 @@ void BM_ClassicFftLargeN(benchmark::State& state) {
   auto data = random_signal(std::uint64_t{1} << state.range(0), 14);
   fft::PlanCache cache(1);
   const auto entry = cache.acquire(fft::PlanKey{data.size()});
-  const fft::TwiddleTable& tw = entry->twiddles(fft::TwiddleDirection::kForward);
-  util::AlignedBuffer<double> split(3 * data.size());
+  const fft::LevelTwiddles<double> tw =
+      entry->level_twiddles<double>(fft::TwiddleDirection::kForward);
+  util::AlignedBuffer<double> split(2 * data.size());
   fft::run_transform_split(data, tw, entry->bitrev(), split.data());  // warm
   for (auto _ : state) {
     fft::run_transform_split(data, tw, entry->bitrev(), split.data());

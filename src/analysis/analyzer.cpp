@@ -5,7 +5,8 @@
 
 namespace c64fft::analysis {
 
-CheckResult check_kernel_dispatch(const PipelineModel& model) {
+CheckResult check_kernel_dispatch(const PipelineModel& model,
+                                  util::IsaLevel host_best) {
   CheckResult result;
   result.name = "kernel";
   if (model.kernel_isa.empty()) {
@@ -32,11 +33,11 @@ CheckResult check_kernel_dispatch(const PipelineModel& model) {
     result.add(Severity::kError, "unknown-kernel-isa",
                "kernel isa id '" + model.kernel_isa +
                    "' names no registered dispatch table");
-  } else if (!util::isa_supported(level)) {
+  } else if (static_cast<int>(level) > static_cast<int>(host_best)) {
     result.add(Severity::kError, "unsupported-kernel-isa",
                "kernel isa '" + model.kernel_isa +
                    "' is not executable on this host (best supported: " +
-                   util::to_string(util::best_supported_isa()) + ")");
+                   util::to_string(host_best) + ")");
   } else {
     result.note = "dispatch table '" + model.kernel_isa + "'";
     result.metrics["isa_level"] = static_cast<double>(level);
@@ -94,7 +95,9 @@ AnalysisReport analyze_pipeline(const PipelineModel& model,
   report.codelets = model.total_tasks();
   report.schedule = "pipeline";
   report.layout = model.kernel_isa;
-  if (opts.check_kernel) report.checks.push_back(check_kernel_dispatch(model));
+  if (opts.check_kernel)
+    report.checks.push_back(
+        check_kernel_dispatch(model, util::best_supported_isa()));
   if (opts.check_coverage)
     report.checks.push_back(check_coverage(model, opts.coverage));
   if (opts.check_cost) {

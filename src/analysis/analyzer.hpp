@@ -13,6 +13,7 @@
 #include "analysis/report.hpp"
 #include "analysis/tile_traffic.hpp"
 #include "analysis/verifier.hpp"
+#include "util/cpu_features.hpp"
 
 namespace c64fft::analysis {
 
@@ -55,10 +56,12 @@ struct PipelineAnalysisOptions {
 };
 
 /// The kernel-dispatch check on its own: the model's kernel_isa id must
-/// name a registered dispatch table ("scalar"/"avx2") whose ISA
-/// level this host can execute. Codes: "unknown-kernel-isa",
-/// "unsupported-kernel-isa".
-CheckResult check_kernel_dispatch(const PipelineModel& model);
+/// name a registered dispatch table ("scalar"/"avx2") whose ISA level is
+/// at most `host_best`, the best level the host executes
+/// (analyze_pipeline passes util::best_supported_isa()). Codes:
+/// "unknown-kernel-isa", "unsupported-kernel-isa".
+CheckResult check_kernel_dispatch(const PipelineModel& model,
+                                  util::IsaLevel host_best);
 
 /// Run the whole-pipeline checks (write-coverage proof, critical-path /
 /// load cost model) over a composite-plan model built by the

@@ -14,10 +14,10 @@
 #include <string>
 #include <vector>
 
-#include "fft/twiddle.hpp"
 #include "paper/codelet.hpp"
 #include "paper/fft_plan.hpp"
 #include "paper/graph.hpp"
+#include "paper/twiddle_table.hpp"
 
 namespace c64fft::analysis {
 

@@ -30,8 +30,8 @@
 #include <string>
 #include <vector>
 
-#include "fft/twiddle.hpp"
 #include "paper/fft_plan.hpp"
+#include "paper/twiddle_table.hpp"
 
 namespace c64fft::analysis {
 

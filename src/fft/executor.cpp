@@ -265,7 +265,7 @@ void FftExecutor::run_serial_locked(const PlanEntry& entry,
   NumericState<T>& st = num<T>();
   if (entry.kind() == PlanKind::kMixedRadix) {
     const MixedRadixPlan& plan = entry.mixed_plan();
-    const std::span<const cplx_t<T>> tw = entry.mixed_twiddles_for<T>(dir);
+    const std::span<const cplx_t<T>> tw = entry.mixed_twiddles<T>(dir);
     size_per_worker(st.work, workers, plan.size());
     tm.parallel_for(batch.size(), [&](std::uint64_t b, unsigned w) {
       mixed_radix_serial<T>(plan, tw, batch[b], st.work[w], dir);
@@ -278,25 +278,25 @@ void FftExecutor::run_serial_locked(const PlanEntry& entry,
   // worker's split scratch. Every table comes from the plan entry.
   const PlanEntry& pow2 = conv != nullptr ? *conv : entry;
   const std::uint64_t len = pow2.key().n;
-  size_per_worker(st.split, workers, 3 * len);
+  size_per_worker(st.split, workers, 2 * len);
   const std::span<const std::uint32_t> brev = pow2.bitrev();
-  const auto fft = [&](std::span<cplx_t<T>> data,
-                       const BasicTwiddleTable<T>& tw, unsigned w) {
+  const auto fft = [&](std::span<cplx_t<T>> data, const LevelTwiddles<T>& tw,
+                       unsigned w) {
     run_transform_split(data, tw, brev, st.split[w].data());
   };
   if (conv == nullptr) {
-    const BasicTwiddleTable<T>& tw = entry.twiddles_for<T>(dir);
+    const LevelTwiddles<T> tw = entry.level_twiddles<T>(dir);
     tm.parallel_for(batch.size(), [&](std::uint64_t b, unsigned w) {
       fft(batch[b], tw, w);
     });
     return;
   }
-  const BasicTwiddleTable<T>& tw_fwd =
-      conv->twiddles_for<T>(TwiddleDirection::kForward);
-  const BasicTwiddleTable<T>& tw_inv =
-      conv->twiddles_for<T>(TwiddleDirection::kInverse);
-  const std::span<const cplx_t<T>> chirp = entry.chirp_for<T>(dir);
-  const std::span<const cplx_t<T>> bfft = entry.chirp_fft_for<T>(dir);
+  const LevelTwiddles<T> tw_fwd =
+      conv->level_twiddles<T>(TwiddleDirection::kForward);
+  const LevelTwiddles<T> tw_inv =
+      conv->level_twiddles<T>(TwiddleDirection::kInverse);
+  const std::span<const cplx_t<T>> chirp = entry.chirp<T>(dir);
+  const std::span<const cplx_t<T>> bfft = entry.chirp_fft<T>(dir);
   size_per_worker(st.work, workers, len);
   tm.parallel_for(batch.size(), [&](std::uint64_t b, unsigned w) {
     const std::span<cplx_t<T>> buf(st.work[w].data(), len);
@@ -313,7 +313,7 @@ void FftExecutor::run_mixed_radix_locked(const PlanEntry& entry,
                                          TwiddleDirection dir) {
   const MixedRadixPlan& plan = entry.mixed_plan();
   const std::uint64_t n = plan.size();
-  const std::span<const cplx_t<T>> tw = entry.mixed_twiddles_for<T>(dir);
+  const std::span<const cplx_t<T>> tw = entry.mixed_twiddles<T>(dir);
   NumericState<T>& st = num<T>();
   size_per_worker(st.work, 1, n);
   const std::span<cplx_t<T>> scratch(st.work[0].data(), n);
@@ -359,8 +359,7 @@ void FftExecutor::run_bluestein_locked(const PlanEntry& entry,
   NumericState<T>& st = num<T>();
   size_per_worker(st.work, 1, m);
   const std::span<cplx_t<T>> buf(st.work[0].data(), m);
-  bluestein_chain<T>(data, entry.chirp_for<T>(dir),
-                     entry.chirp_fft_for<T>(dir), buf,
+  bluestein_chain<T>(data, entry.chirp<T>(dir), entry.chirp_fft<T>(dir), buf,
                      [&](TwiddleDirection inner) {
                        run_hierarchical_locked<T>(conv, buf, tm, inner);
                      });
@@ -427,13 +426,13 @@ void FftExecutor::run_hierarchical_locked(const PlanEntry& entry,
   const std::span<cplx_t<T>> s(st.hier_scratch.data(), n);
 
   // Every column and row FFT is one run_transform_split sweep on the
-  // worker's split scratch, over the twiddle and bit-reversal tables of
-  // the classic sub-entries.
-  const BasicTwiddleTable<T>& row_tw = entry.row_entry()->twiddles_for<T>(dir);
+  // worker's split scratch, over the twiddle planes and bit-reversal
+  // tables of the classic sub-entries.
+  const LevelTwiddles<T> row_tw = entry.row_entry()->level_twiddles<T>(dir);
   const std::span<const std::uint32_t> brev2 = entry.row_entry()->bitrev();
-  const BasicTwiddleTable<T>& col_tw = entry.col_entry()->twiddles_for<T>(dir);
+  const LevelTwiddles<T> col_tw = entry.col_entry()->level_twiddles<T>(dir);
   const std::span<const std::uint32_t> brev1 = entry.col_entry()->bitrev();
-  size_per_worker(st.split, workers, 3 * std::max(n1, n2));
+  size_per_worker(st.split, workers, 2 * std::max(n1, n2));
 
   const HierarchicalGrain grain =
       hierarchical_grain(n1, n2, workers, sizeof(cplx_t<T>),

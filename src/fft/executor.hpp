@@ -271,12 +271,12 @@ class FftExecutor {
   /// lives in the plan entries.
   template <typename T>
   struct NumericState {
-    /// Per-worker split scratch of run_transform_split: 3n scalars for the
-    /// largest transform length n the worker has swept (the re/im planes
-    /// plus the n/2-entry level twiddle span). Serves the serial pow2
-    /// body, Bluestein's serial convolutions and the hierarchical column
-    /// and row FFTs. Cache-line aligned, so the sweep's SIMD loads of the
-    /// planes and the span never straddle two lines.
+    /// Per-worker split scratch of run_transform_split: the re/im planes,
+    /// 2n scalars for the largest transform length n the worker has swept
+    /// (the twiddles are read in place from the plan entry). Serves the
+    /// serial pow2 body, Bluestein's serial convolutions and the
+    /// hierarchical column and row FFTs. Cache-line aligned, so the
+    /// sweep's SIMD loads of the planes never straddle two lines.
     std::vector<util::AlignedBuffer<T>> split;
     /// Hierarchical-path gather matrix (the n2 x n1 `s`). There is no
     /// second (n1 x n2) matrix: the fused row stage never materializes

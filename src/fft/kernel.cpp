@@ -10,17 +10,15 @@ namespace {
 
 template <typename T>
 void run_transform_split_impl(std::span<cplx_t<T>> data,
-                              const BasicTwiddleTable<T>& twiddles,
+                              const LevelTwiddles<T>& twiddles,
                               std::span<const std::uint32_t> bitrev_idx,
                               T* split) {
   const std::uint64_t n = data.size();
   assert(n >= 2 && util::is_pow2(n));
   assert(bitrev_idx.size() >= n);
-  assert(twiddles.fft_size() == n);
+  assert(twiddles.re.size() == n && twiddles.im.size() == n);
   T* const re = split;
   T* const im = split + n;
-  T* const tw_re = split + 2 * n;
-  T* const tw_im = tw_re + n / 2;
 
   const kernels::KernelDispatch<T>& K = kernels::active_kernels<T>();
 
@@ -30,8 +28,8 @@ void run_transform_split_impl(std::span<cplx_t<T>> data,
   K.permute_split(data.data(), bitrev_idx.data(), n, re, im);
 
   // All log2 n levels on planes that stay hot from the first level to the
-  // last.
-  K.chain_split(re, im, n, twiddles, tw_re, tw_im);
+  // last, each reading its twiddle span in place.
+  K.chain_split(re, im, n, twiddles.re.data(), twiddles.im.data());
 
   // Contiguous re-interleave of the whole transform.
   K.scatter_merge(re, im, n, data.data());
@@ -39,13 +37,15 @@ void run_transform_split_impl(std::span<cplx_t<T>> data,
 
 }  // namespace
 
-void run_transform_split(std::span<cplx> data, const TwiddleTable& twiddles,
+void run_transform_split(std::span<cplx> data,
+                         const LevelTwiddles<double>& twiddles,
                          std::span<const std::uint32_t> bitrev_idx,
                          double* split) {
   run_transform_split_impl<double>(data, twiddles, bitrev_idx, split);
 }
 
-void run_transform_split(std::span<cplx32> data, const TwiddleTableF& twiddles,
+void run_transform_split(std::span<cplx32> data,
+                         const LevelTwiddles<float>& twiddles,
                          std::span<const std::uint32_t> bitrev_idx,
                          float* split) {
   run_transform_split_impl<float>(data, twiddles, bitrev_idx, split);

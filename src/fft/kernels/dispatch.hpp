@@ -3,8 +3,9 @@
 //
 // Every data-parallel inner loop of the hot path — the split-complex
 // butterfly levels of the whole-transform sweep (with its fused radix-4/8
-// first pass), its bit-reversal permuted gather and contiguous
-// re-interleave, the mixed-radix stage butterflies, and the
+// first pass), which read their twiddle spans in place from the plan
+// entry's per-level planes, its bit-reversal permuted gather and
+// contiguous re-interleave, the mixed-radix stage butterflies, and the
 // tiled-transpose copy — is reached through one KernelDispatch<T> of
 // function pointers instead of being compiled inline. Two tables exist
 // per precision:
@@ -37,7 +38,6 @@
 #include <cstdint>
 
 #include "fft/mixed_radix.hpp"
-#include "fft/twiddle.hpp"
 #include "fft/types.hpp"
 #include "util/cpu_features.hpp"
 
@@ -51,13 +51,14 @@ struct KernelDispatch {
   const char* id;
 
   /// All log2 n butterfly levels of one whole n-point transform over its
-  /// bit-reversed split-complex planes re/im (twiddles.fft_size() == n):
-  /// level L pairs g with g + 2^L under W[(g mod 2^L) << (log2 n - L - 1)].
-  /// tw_re/tw_im hold n/2 scratch entries each for the per-level twiddle
-  /// spans. The leading levels run as one fused radix-8 pass (radix-4 at
-  /// n = 4, none at n = 2), bit-identical to the per-level loops.
-  void (*chain_split)(T* re, T* im, std::uint64_t n,
-                      const BasicTwiddleTable<T>& twiddles, T* tw_re, T* tw_im);
+  /// bit-reversed split-complex planes re/im: level L pairs g with
+  /// g + 2^L under W_n^((g mod 2^L) << (log2 n - L - 1)), read in place
+  /// from the n-scalar per-level twiddle planes tw_re/tw_im (level L's
+  /// span at [2^L, 2^(L+1)), fft/twiddle.hpp LevelTwiddles). The leading
+  /// levels run as one fused radix-8 pass (radix-4 at n = 4, none at
+  /// n = 2), bit-identical to the per-level loops.
+  void (*chain_split)(T* re, T* im, std::uint64_t n, const T* tw_re,
+                      const T* tw_im);
 
   /// Permuted deinterleave: re/im[k] = src[idx[k]] — the bit-reversal
   /// reorder fused with the split-complex gather that opens a

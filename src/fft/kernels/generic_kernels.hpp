@@ -1,8 +1,10 @@
 #pragma once
 // Portable template bodies of every dispatched kernel (dispatch.hpp) plus
-// the helpers the SIMD translation units share: the per-level
-// twiddle-span materialization, per-group fused butterfly micro-bodies
-// (used as scalar tails by the vector kernels), and the fused first pass.
+// the helpers the SIMD translation units share: the per-group fused
+// butterfly micro-bodies (used as scalar tails by the vector kernels) and
+// the fused first pass's level count. Every level reads its twiddle span
+// in place from the plan entry's per-level planes (fft/twiddle.hpp
+// LevelTwiddles): no kernel gathers or indexes a twiddle table.
 //
 // These are the pre-existing autovectorized loops of kernel.cpp /
 // transpose.cpp, moved here verbatim so the scalar table
@@ -16,7 +18,6 @@
 #include <cassert>
 #include <cstdint>
 
-#include "fft/twiddle.hpp"
 #include "fft/types.hpp"
 #include "util/bit_ops.hpp"
 
@@ -47,25 +48,10 @@ inline void butterfly_split(T* __restrict r, T* __restrict i, std::uint64_t a,
   i[a] += ti;
 }
 
-/// Level v's twiddle span of a whole 2^log2n-point transform: the `half`
-/// = 2^v twiddles every block of the level shares, loaded once into
-/// tw_re/tw_im.
-template <typename T>
-inline void level_twiddle_span(std::uint32_t v, unsigned log2n,
-                               const BasicTwiddleTable<T>& twiddles,
-                               T* __restrict tw_re, T* __restrict tw_im) {
-  const unsigned shift = log2n - v - 1;
-  for (std::uint64_t u = 0; u < (std::uint64_t{1} << v); ++u) {
-    const cplx_t<T> w = twiddles.at(u << shift);
-    tw_re[u] = w.real();
-    tw_im[u] = w.imag();
-  }
-}
-
 /// Fused radix-8 group: the 12 butterflies of levels v = 0..2 over one
 /// 8-element group, in per-level loop order (each element sees the exact
-/// operation sequence of the unfused loops). twr/twi hold the 7 fused
-/// twiddles of fused_first_pass.
+/// operation sequence of the unfused loops). twr/twi hold the 7 twiddles
+/// of levels 0..2 back to back (level v's span at offset 2^v - 1).
 template <typename T>
 inline void fused8_group(T* __restrict r, T* __restrict i,
                          const T* __restrict twr, const T* __restrict twi) {
@@ -84,7 +70,7 @@ inline void fused8_group(T* __restrict r, T* __restrict i,
 }
 
 /// Fused radix-4 group: the 4 butterflies of levels v = 0..1 over one
-/// 4-element group. twr/twi hold 3 fused twiddles.
+/// 4-element group. twr/twi hold the 3 twiddles of levels 0..1.
 template <typename T>
 inline void fused4_group(T* __restrict r, T* __restrict i,
                          const T* __restrict twr, const T* __restrict twi) {
@@ -94,31 +80,15 @@ inline void fused4_group(T* __restrict r, T* __restrict i,
   butterfly_split(r, i, 1, 3, twr[2], twi[2]);
 }
 
-/// The fused first pass: the widest fusion the transform's levels allow
-/// (radix-8 from n = 8, radix-4 at n = 4, none at n = 2), run over the
-/// whole transform with `group` applied per 2^f-element block. Returns the
-/// level the per-level loops resume from. `run_groups(f, twr, twi)` is the
-/// caller-supplied sweep (SIMD kernels substitute register-blocked group
-/// sweeps).
-template <typename T, typename RunGroups>
-inline std::uint32_t fused_first_pass(unsigned log2n,
-                                      const BasicTwiddleTable<T>& twiddles,
-                                      RunGroups&& run_groups) {
-  const unsigned fuse = log2n >= 3 ? 3 : log2n;
-  if (fuse < 2) return 0;
-  // Level v's span lands at offset 2^v - 1: level-major, exactly as the
-  // per-level loops would read the twiddles.
-  T twr[7], twi[7];
-  for (std::uint32_t v = 0; v < fuse; ++v) {
-    const std::uint32_t off = (1u << v) - 1;
-    level_twiddle_span<T>(v, log2n, twiddles, twr + off, twi + off);
-  }
-  run_groups(fuse, twr, twi);
-  return fuse;
+/// Levels the fused first pass covers: the widest fusion the transform's
+/// levels allow (radix-8 from n = 8, radix-4 at n = 4, none at n = 2).
+/// The per-level loops resume at this level.
+inline unsigned fused_levels(unsigned log2n) {
+  return log2n >= 3 ? 3 : (log2n == 2 ? 2 : 0);
 }
 
-/// One butterfly level with a materialized twiddle span (tw_re/tw_im hold
-/// the `half` twiddles shared by every block). Indexed form, not
+/// One butterfly level over its twiddle span (tw_re/tw_im hold the `half`
+/// twiddles shared by every block). Indexed form, not
 /// per-block pointers: recomputing `re + lo + half` style pointers inside
 /// the lo loop defeats GCC's dependence analysis ("no vectype") and the
 /// butterflies stay scalar; with the affine indices below plus the
@@ -143,9 +113,9 @@ inline void span_level(T* __restrict re, T* __restrict im, std::uint64_t len,
 
 template <typename T>
 void chain_split_generic(T* __restrict re, T* __restrict im, std::uint64_t n,
-                         const BasicTwiddleTable<T>& twiddles,
-                         T* __restrict tw_re, T* __restrict tw_im) {
-  assert(util::is_pow2(n) && twiddles.fft_size() == n);
+                         const T* __restrict tw_re,
+                         const T* __restrict tw_im) {
+  assert(util::is_pow2(n));
   const unsigned log2n = util::ilog2(n);
 
   // Fused first pass: levels with half = 1/2/4 run 1-4 scalar butterflies
@@ -153,21 +123,18 @@ void chain_split_generic(T* __restrict re, T* __restrict im, std::uint64_t n,
   // vectorizer can't touch. Their twiddles are shared across blocks, so
   // each 2^f-element group becomes one straight-line body the SLP
   // vectorizer packs at the full register width.
-  const std::uint32_t v_start = fused_first_pass<T>(
-      log2n, twiddles, [&](unsigned f, const T* twr, const T* twi) {
-        const std::uint64_t glen = std::uint64_t{1} << f;
-        if (f == 3) {
-          for (std::uint64_t g = 0; g < n; g += glen)
-            fused8_group<T>(re + g, im + g, twr, twi);
-        } else {
-          for (std::uint64_t g = 0; g < n; g += glen)
-            fused4_group<T>(re + g, im + g, twr, twi);
-        }
-      });
+  const unsigned fuse = fused_levels(log2n);
+  if (fuse == 3) {
+    for (std::uint64_t g = 0; g < n; g += 8)
+      fused8_group<T>(re + g, im + g, tw_re + 1, tw_im + 1);
+  } else if (fuse == 2) {
+    for (std::uint64_t g = 0; g < n; g += 4)
+      fused4_group<T>(re + g, im + g, tw_re + 1, tw_im + 1);
+  }
 
-  for (std::uint32_t v = v_start; v < log2n; ++v) {
-    level_twiddle_span<T>(v, log2n, twiddles, tw_re, tw_im);
-    span_level<T>(re, im, n, std::uint64_t{1} << v, tw_re, tw_im);
+  for (unsigned v = fuse; v < log2n; ++v) {
+    const std::uint64_t half = std::uint64_t{1} << v;
+    span_level<T>(re, im, n, half, tw_re + half, tw_im + half);
   }
 }
 

@@ -3,8 +3,8 @@
 // every function pointer it exports runs 256-bit code while the rest of
 // the library stays at the build's baseline ISA. AVX-512 hosts run this
 // table too: full 512-bit bodies of the butterfly levels, the complex
-// de/interleave and the strided gather/scatter all lost to these 256-bit
-// bodies under codelet-sized working sets (the zmm butterflies by ~15% on
+// de/interleave and the gathers all lost to these 256-bit bodies under
+// codelet-sized working sets (the zmm butterflies by ~15% on
 // the whole transform), and an EVEX re-encoding of the same source
 // measured a few percent slower than this VEX build.
 

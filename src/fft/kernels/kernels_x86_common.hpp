@@ -15,7 +15,7 @@
 //
 // The including TU must define C64FFT_KERNEL_ARCH_NS and include
 // "fft/kernels/generic_kernels.hpp" BEFORE this header so the scalar
-// helpers (fused tails, twiddle derivation) resolve to that TU's arch
+// helpers (fused tails, narrow levels) resolve to that TU's arch
 // namespace.
 
 #include <immintrin.h>
@@ -26,7 +26,6 @@
 
 #include "fft/kernels/generic_kernels.hpp"
 #include "fft/mixed_radix.hpp"
-#include "fft/twiddle.hpp"
 #include "fft/types.hpp"
 
 namespace c64fft::fft::kernels::detail {
@@ -226,99 +225,40 @@ inline void span_level_avx2(double* re, double* im, std::uint64_t len,
 template <typename T>
 inline constexpr std::uint64_t kAvx2Width = 32 / sizeof(T);
 
-/// vgather/vscatter instructions take i32 element indices: a strided
-/// access pattern may only use them when its last index fits (stride2 is
-/// the scalar-element stride, i.e. twice the complex stride).
-inline bool gather_fits_i32(std::uint64_t stride2, std::uint64_t count) {
-  return count == 0 || (count - 1) * stride2 + 1 <= 0x7fffffffull;
-}
-
-template <typename T>
-void gather_split_avx2(const cplx_t<T>* src, std::uint64_t stride,
-                       std::uint64_t count, T* re, T* im);
-
-/// SIMD sibling of detail::level_twiddle_span: with a kLinear table level
-/// v's span is an affine strided read of the storage array
-/// (storage[u << shift]), so the materialization runs through the
-/// vgather path instead of the scalar at() loop. The entries loaded are
-/// the identical table values — lane moves only, bit-identical spans.
-/// kBitReversed layouts index through bit_reverse (not affine) and keep
-/// the scalar loop, as do spans narrower than one vector.
-template <typename T>
-inline void level_twiddle_span_x86(std::uint32_t v, unsigned log2n,
-                                   const BasicTwiddleTable<T>& twiddles,
-                                   T* __restrict tw_re, T* __restrict tw_im) {
-  const std::uint64_t half = std::uint64_t{1} << v;
-  const std::uint64_t tw_stride = std::uint64_t{1} << (log2n - v - 1);
-  if (twiddles.layout() == TwiddleLayout::kLinear &&
-      half >= kAvx2Width<T> && gather_fits_i32(2 * tw_stride, half)) {
-    gather_split_avx2<T>(twiddles.storage().data(), tw_stride, half, tw_re,
-                         tw_im);
-    return;
-  }
-  level_twiddle_span<T>(v, log2n, twiddles, tw_re, tw_im);
-}
-
 // ---- chain_split: fused register-blocked first pass + wide levels ----
 
 template <typename T>
-void chain_split_avx2(T* re, T* im, std::uint64_t n,
-                      const BasicTwiddleTable<T>& twiddles, T* tw_re,
-                      T* tw_im) {
+void chain_split_avx2(T* re, T* im, std::uint64_t n, const T* tw_re,
+                      const T* tw_im) {
   const unsigned log2n = util::ilog2(n);
-  const std::uint32_t v_start = fused_first_pass<T>(
-      log2n, twiddles, [&](unsigned f, const T* twr, const T* twi) {
-        if (f == 3) {
-          fused8_pass_avx2(re, im, n, twr, twi);
-        } else {
-          for (std::uint64_t g = 0; g < n; g += 4)
-            fused4_group<T>(re + g, im + g, twr, twi);
-        }
-      });
+  const unsigned fuse = fused_levels(log2n);
+  if (fuse == 3) {
+    fused8_pass_avx2(re, im, n, tw_re + 1, tw_im + 1);
+  } else if (fuse == 2) {
+    for (std::uint64_t g = 0; g < n; g += 4)
+      fused4_group<T>(re + g, im + g, tw_re + 1, tw_im + 1);
+  }
 
-  for (std::uint32_t v = v_start; v < log2n; ++v) {
+  for (unsigned v = fuse; v < log2n; ++v) {
     const std::uint64_t half = std::uint64_t{1} << v;
-    level_twiddle_span_x86<T>(v, log2n, twiddles, tw_re, tw_im);
     if (half >= kAvx2Width<T>)
-      span_level_avx2(re, im, n, half, tw_re, tw_im);
+      span_level_avx2(re, im, n, half, tw_re + half, tw_im + half);
     else
-      span_level<T>(re, im, n, half, tw_re, tw_im);
+      span_level<T>(re, im, n, half, tw_re + half, tw_im + half);
   }
 }
 
-// ---- Complex de/interleave (contiguous twiddle spans, the sweep's
-// closing scatter) ----
-
-inline void deinterleave8_ps(const float* src, float* re, float* im) {
-  const __m256 v0 = _mm256_loadu_ps(src);      // r0 i0 r1 i1 | r2 i2 r3 i3
-  const __m256 v1 = _mm256_loadu_ps(src + 8);  // r4 i4 r5 i5 | r6 i6 r7 i7
-  const __m256 lo = _mm256_shuffle_ps(v0, v1, _MM_SHUFFLE(2, 0, 2, 0));
-  const __m256 hi = _mm256_shuffle_ps(v0, v1, _MM_SHUFFLE(3, 1, 3, 1));
-  // lo = r0 r1 r4 r5 | r2 r3 r6 r7; fix qword order 0,2,1,3.
-  _mm256_storeu_ps(re, _mm256_castpd_ps(_mm256_permute4x64_pd(
-                           _mm256_castps_pd(lo), _MM_SHUFFLE(3, 1, 2, 0))));
-  _mm256_storeu_ps(im, _mm256_castpd_ps(_mm256_permute4x64_pd(
-                           _mm256_castps_pd(hi), _MM_SHUFFLE(3, 1, 2, 0))));
-}
+// ---- Complex re-interleave (the sweep's closing scatter) ----
 
 inline void interleave8_ps(const float* re, const float* im, float* dst) {
-  // Qword swap 1<->2 is an involution, so the same permute undoes the
-  // deinterleave ordering before the unpacks rebuild (re, im) pairs.
+  // Swapping qwords 1 and 2 lines re and im up so the in-lane unpacks
+  // emit the (re, im) pairs in order.
   const __m256 a = _mm256_castpd_ps(_mm256_permute4x64_pd(
       _mm256_castps_pd(_mm256_loadu_ps(re)), _MM_SHUFFLE(3, 1, 2, 0)));
   const __m256 b = _mm256_castpd_ps(_mm256_permute4x64_pd(
       _mm256_castps_pd(_mm256_loadu_ps(im)), _MM_SHUFFLE(3, 1, 2, 0)));
   _mm256_storeu_ps(dst, _mm256_unpacklo_ps(a, b));
   _mm256_storeu_ps(dst + 8, _mm256_unpackhi_ps(a, b));
-}
-
-inline void deinterleave4_pd(const double* src, double* re, double* im) {
-  const __m256d a = _mm256_loadu_pd(src);      // r0 i0 | r1 i1
-  const __m256d b = _mm256_loadu_pd(src + 4);  // r2 i2 | r3 i3
-  const __m256d t0 = _mm256_permute2f128_pd(a, b, 0x20);  // r0 i0 | r2 i2
-  const __m256d t1 = _mm256_permute2f128_pd(a, b, 0x31);  // r1 i1 | r3 i3
-  _mm256_storeu_pd(re, _mm256_unpacklo_pd(t0, t1));
-  _mm256_storeu_pd(im, _mm256_unpackhi_pd(t0, t1));
 }
 
 inline void interleave4_pd(const double* re, const double* im, double* dst) {
@@ -330,62 +270,13 @@ inline void interleave4_pd(const double* re, const double* im, double* dst) {
   _mm256_storeu_pd(dst + 4, _mm256_permute2f128_pd(t0, t1, 0x31));
 }
 
-// ---- Strided split-complex loads via hardware vgather ----
-//
-// A twiddle span below the last level reads re[q] = s[q*stride2] and
-// im[q] = s[q*stride2 + 1] with s the scalar view of the complex table
-// and stride2 = 2*stride. A vgather per component replaces the scalar
-// address-generation chain (two dependent loads plus indexing per
-// element). Gathers are plain loads — lane moves only, bit-identical to
-// the scalar loop. vgather takes i32 indices, so callers must guard the
-// reachable span (gather_fits_i32, declared further up).
-
-inline void gather_strided_avx2(const float* s, std::uint64_t stride2,
-                                std::uint64_t count, float* re, float* im) {
-  const __m256i step = _mm256_set1_epi32(static_cast<int>(stride2));
-  __m256i idx = _mm256_mullo_epi32(
-      _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7), step);
-  const __m256i step8 = _mm256_slli_epi32(step, 3);
-  const __m256i one = _mm256_set1_epi32(1);
-  std::uint64_t q = 0;
-  for (; q + 8 <= count; q += 8) {
-    _mm256_storeu_ps(re + q, _mm256_i32gather_ps(s, idx, 4));
-    _mm256_storeu_ps(im + q,
-                     _mm256_i32gather_ps(s, _mm256_add_epi32(idx, one), 4));
-    idx = _mm256_add_epi32(idx, step8);
-  }
-  for (; q < count; ++q) {
-    re[q] = s[q * stride2];
-    im[q] = s[q * stride2 + 1];
-  }
-}
-
-inline void gather_strided_avx2(const double* s, std::uint64_t stride2,
-                                std::uint64_t count, double* re, double* im) {
-  const __m128i step = _mm_set1_epi32(static_cast<int>(stride2));
-  __m128i idx = _mm_mullo_epi32(_mm_setr_epi32(0, 1, 2, 3), step);
-  const __m128i step4 = _mm_slli_epi32(step, 2);
-  const __m128i one = _mm_set1_epi32(1);
-  std::uint64_t q = 0;
-  for (; q + 4 <= count; q += 4) {
-    _mm256_storeu_pd(re + q, _mm256_i32gather_pd(s, idx, 8));
-    _mm256_storeu_pd(im + q,
-                     _mm256_i32gather_pd(s, _mm_add_epi32(idx, one), 8));
-    idx = _mm_add_epi32(idx, step4);
-  }
-  for (; q < count; ++q) {
-    re[q] = s[q * stride2];
-    im[q] = s[q * stride2 + 1];
-  }
-}
-
 // ---- Bit-reversal permuted split loads ----
 //
 // re/im[q] = src[idx[q]]: the index vector comes from memory (the cached
-// bit-reversal table) instead of an affine progression, otherwise the
-// same two-gathers-per-vector shape as the strided path. idx entries are
-// < 2^30 by the dispatch contract, so doubling into scalar-component
-// indices cannot overflow i32.
+// bit-reversal table), and each vector takes two gathers, one per
+// component. Gathers are plain loads — lane moves only, bit-identical to
+// the scalar loop. idx entries are < 2^30 by the dispatch contract, so
+// doubling into scalar-component indices cannot overflow i32.
 
 inline void permute_split_x86(const cplx_t<float>* src,
                               const std::uint32_t* idx, std::uint64_t count,
@@ -431,33 +322,6 @@ template <typename T>
 void permute_split_avx2(const cplx_t<T>* src, const std::uint32_t* idx,
                         std::uint64_t count, T* re, T* im) {
   permute_split_x86(src, idx, count, re, im);
-}
-
-/// Deinterleave `count` complex elements at src[k * stride] into re/im:
-/// the twiddle-span loader of level_twiddle_span_x86, which guards the
-/// strided span with gather_fits_i32.
-template <typename T>
-void gather_split_avx2(const cplx_t<T>* src, std::uint64_t stride,
-                       std::uint64_t count, T* re, T* im) {
-  if (stride != 1) {
-    gather_strided_avx2(reinterpret_cast<const T*>(src), 2 * stride, count,
-                        re, im);
-    return;
-  }
-  const std::uint64_t w = kAvx2Width<T>;
-  const T* s = reinterpret_cast<const T*>(src);
-  std::uint64_t q = 0;
-  for (; q + w <= count; q += w) {
-    if constexpr (sizeof(T) == 4)
-      deinterleave8_ps(s + 2 * q, re + q, im + q);
-    else
-      deinterleave4_pd(s + 2 * q, re + q, im + q);
-  }
-  for (; q < count; ++q) {
-    const cplx_t<T> x = src[q];
-    re[q] = x.real();
-    im[q] = x.imag();
-  }
 }
 
 template <typename T>

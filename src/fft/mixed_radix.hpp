@@ -98,8 +98,8 @@ class MixedRadixPlan {
 /// Flat per-stage twiddle vector for `plan` (twiddle_count() entries):
 /// stage s's butterfly (b, j) reads entries
 /// [stage.twiddle_offset + j*(r-1) + (u-1)] = W_L^{j*u}, u = 1..r-1.
-/// Angles always evaluate in double and narrow at store time, mirroring
-/// BasicTwiddleTable's precision contract.
+/// Angles always evaluate in double and narrow at store time, unit_root's
+/// precision contract.
 template <typename T>
 std::vector<cplx_t<T>> mixed_radix_twiddles(const MixedRadixPlan& plan,
                                             TwiddleDirection direction);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
+#include <type_traits>
 #include <utility>
 
 #include "fft/reference.hpp"
@@ -11,95 +13,86 @@ namespace c64fft::fft {
 
 namespace {
 
-std::vector<cplx32> narrow(const std::vector<cplx>& v) {
-  std::vector<cplx32> out(v.size());
-  for (std::size_t i = 0; i < v.size(); ++i)
-    out[i] = cplx32(static_cast<float>(v[i].real()),
-                    static_cast<float>(v[i].imag()));
-  return out;
+/// The per-level twiddle planes of an n-point sweep (LevelTwiddles
+/// layout): n/2 trig calls fill the top level, and every lower level is
+/// copied from it — level v's u-th twiddle is the top level's entry
+/// u << (log2 n - v - 1). The same unit_root<T> values the paper's linear
+/// table holds, so the sweep multiplies the same bits.
+template <typename T>
+void fill_level_twiddles(std::uint64_t n, TwiddleDirection dir, T* re,
+                         T* im) {
+  const std::uint64_t top = n / 2;
+  for (std::uint64_t u = 0; u < top; ++u) {
+    const cplx_t<T> w = unit_root<T>(n, u, dir);
+    re[top + u] = w.real();
+    im[top + u] = w.imag();
+  }
+  for (std::uint64_t half = top / 2; half >= 1; half /= 2)
+    for (std::uint64_t u = 0; u < half; ++u) {
+      re[half + u] = re[top + u * (top / half)];
+      im[half + u] = im[top + u * (top / half)];
+    }
 }
 
 }  // namespace
 
 PlanEntry::PlanEntry(const PlanKey& key) : key_(key) {
-  if (key.kind == PlanKind::kMixedRadix) {
-    mixed_ = std::make_unique<MixedRadixPlan>(key.n);
-    if (key.precision == Precision::kF32)
-      mixed_fwd32_ =
-          mixed_radix_twiddles<float>(*mixed_, TwiddleDirection::kForward);
-    else
-      mixed_fwd_ =
-          mixed_radix_twiddles<double>(*mixed_, TwiddleDirection::kForward);
-    return;
-  }
-  if (key.kind == PlanKind::kBluestein) {
-    if (key.n < 2)
-      throw std::invalid_argument("PlanEntry: Bluestein size must be >= 2");
-    conv_n_ = bluestein_fft_size(key.n);
-    std::vector<cplx> chirp, bfft;
-    build_bluestein(TwiddleDirection::kForward, chirp, bfft);
-    if (key.precision == Precision::kF32) {
-      chirp_fwd32_ = narrow(chirp);
-      bfft_fwd32_ = narrow(bfft);
-    } else {
-      chirp_fwd_ = std::move(chirp);
-      bfft_fwd_ = std::move(bfft);
+  switch (key.kind) {
+    case PlanKind::kClassic: {
+      if (!util::is_pow2(key.n) || key.n < 2)
+        throw std::invalid_argument(
+            "PlanEntry: classic size must be a power of two >= 2");
+      const unsigned bits = util::ilog2(key.n);
+      bitrev_.resize(key.n);
+      for (std::uint64_t i = 0; i < key.n; ++i)
+        bitrev_[i] = static_cast<std::uint32_t>(util::bit_reverse(i, bits));
+      break;
     }
-    return;
+    case PlanKind::kMixedRadix:
+      mixed_ = std::make_unique<MixedRadixPlan>(key.n);
+      break;
+    case PlanKind::kBluestein:
+      if (key.n < 2)
+        throw std::invalid_argument("PlanEntry: Bluestein size must be >= 2");
+      conv_n_ = bluestein_fft_size(key.n);
+      break;
+    case PlanKind::kHierarchical:
+      throw std::invalid_argument(
+          "PlanEntry: single-key constructor requires kClassic, kMixedRadix, "
+          "or kBluestein");
   }
-  if (key.kind != PlanKind::kClassic)
-    throw std::invalid_argument(
-        "PlanEntry: single-key constructor requires kClassic, kMixedRadix, "
-        "or kBluestein");
-  // The table constructor rejects sizes that are not a power of two >= 2.
   if (key.precision == Precision::kF32)
-    forward32_ = std::make_unique<TwiddleTableF>(key.n, TwiddleLayout::kLinear);
+    build_tables<float>(TwiddleDirection::kForward, f32_[0]);
   else
-    forward_ = std::make_unique<TwiddleTable>(key.n, TwiddleLayout::kLinear);
-  const unsigned bits = util::ilog2(key.n);
-  bitrev_.resize(key.n);
-  for (std::uint64_t i = 0; i < key.n; ++i)
-    bitrev_[i] = static_cast<std::uint32_t>(util::bit_reverse(i, bits));
+    build_tables<double>(TwiddleDirection::kForward, f64_[0]);
 }
 
-void PlanEntry::build_bluestein(TwiddleDirection dir,
-                                std::vector<cplx>& chirp_out,
-                                std::vector<cplx>& bfft_out) const {
-  // Everything evaluates in double regardless of the entry precision (the
-  // f32 tables are narrowed images), including the chirp-filter FFT: the
-  // serial pow2 reference keeps the filter's own rounding at f64.
+template <typename T>
+void PlanEntry::build_tables(TwiddleDirection dir, Tables<T>& out) const {
   const std::uint64_t n = key_.n;
-  chirp_out.resize(n);
-  for (std::uint64_t j = 0; j < n; ++j)
-    chirp_out[j] = bluestein_chirp<double>(n, j, dir);
-  bfft_out.assign(conv_n_, cplx{});
-  bfft_out[0] = std::conj(chirp_out[0]);
-  for (std::uint64_t j = 1; j < n; ++j) {
-    const cplx b = std::conj(chirp_out[j]);
-    bfft_out[j] = b;
-    bfft_out[conv_n_ - j] = b;
-  }
-  fft_serial_inplace(std::span<cplx>(bfft_out));
-}
-
-void PlanEntry::build_inverse_tables() const {
-  if (key_.kind == PlanKind::kMixedRadix) {
-    if (key_.precision == Precision::kF32)
-      mixed_inv32_ =
-          mixed_radix_twiddles<float>(*mixed_, TwiddleDirection::kInverse);
-    else
-      mixed_inv_ =
-          mixed_radix_twiddles<double>(*mixed_, TwiddleDirection::kInverse);
-    return;
-  }
-  std::vector<cplx> chirp, bfft;
-  build_bluestein(TwiddleDirection::kInverse, chirp, bfft);
-  if (key_.precision == Precision::kF32) {
-    chirp_inv32_ = narrow(chirp);
-    bfft_inv32_ = narrow(bfft);
-  } else {
-    chirp_inv_ = std::move(chirp);
-    bfft_inv_ = std::move(bfft);
+  if (key_.kind == PlanKind::kClassic) {
+    out.levels = util::AlignedBuffer<T>(2 * n);
+    fill_level_twiddles<T>(n, dir, out.levels.data(), out.levels.data() + n);
+  } else if (key_.kind == PlanKind::kMixedRadix) {
+    out.mixed = mixed_radix_twiddles<T>(*mixed_, dir);
+  } else if (key_.kind == PlanKind::kBluestein) {
+    // Everything evaluates in double regardless of the entry precision
+    // (the f32 tables are narrowed images), including the chirp-filter
+    // FFT: the serial pow2 reference keeps the filter's own rounding at
+    // f64.
+    std::vector<cplx> chirp(n);
+    for (std::uint64_t j = 0; j < n; ++j)
+      chirp[j] = bluestein_chirp<double>(n, j, dir);
+    std::vector<cplx> bfft(conv_n_);
+    bfft[0] = std::conj(chirp[0]);
+    for (std::uint64_t j = 1; j < n; ++j) {
+      const cplx b = std::conj(chirp[j]);
+      bfft[j] = b;
+      bfft[conv_n_ - j] = b;
+    }
+    fft_serial_inplace(std::span<cplx>(bfft));
+    out.chirp.assign(chirp.begin(), chirp.end());
+    out.chirp_fft.assign(bfft.begin(), bfft.end());
   }
 }
 
@@ -123,119 +116,37 @@ PlanEntry::PlanEntry(const PlanKey& key, HierarchicalSplit split,
         "PlanEntry: hierarchical split/sub-entry mismatch");
 }
 
-const PlanEntry& PlanEntry::require_classic() const {
-  if (key_.kind != PlanKind::kClassic)
-    throw std::logic_error("PlanEntry: classic-only accessor on a composite entry");
+const PlanEntry& PlanEntry::require(PlanKind kind) const {
+  if (key_.kind != kind)
+    throw std::logic_error("PlanEntry: accessor of another plan kind");
   return *this;
 }
 
-const PlanEntry& PlanEntry::require_hierarchical() const {
-  if (key_.kind != PlanKind::kHierarchical)
-    throw std::logic_error(
-        "PlanEntry: hierarchical accessor on a non-hierarchical entry");
-  return *this;
-}
-
-const PlanEntry& PlanEntry::require_mixed() const {
-  if (key_.kind != PlanKind::kMixedRadix)
-    throw std::logic_error(
-        "PlanEntry: mixed-radix accessor on a non-mixed-radix entry");
-  return *this;
-}
-
-const PlanEntry& PlanEntry::require_bluestein() const {
-  if (key_.kind != PlanKind::kBluestein)
-    throw std::logic_error(
-        "PlanEntry: Bluestein accessor on a non-Bluestein entry");
-  return *this;
-}
-
-const MixedRadixPlan& PlanEntry::mixed_plan() const {
-  return *require_mixed().mixed_;
-}
-
-std::span<const cplx> PlanEntry::mixed_twiddles(TwiddleDirection dir) const {
-  const PlanEntry& e = require_mixed();
-  if (e.key_.precision != Precision::kF64)
-    throw std::logic_error("PlanEntry: f64 twiddle accessor on an f32 entry");
-  if (dir == TwiddleDirection::kForward) return e.mixed_fwd_;
-  std::call_once(inverse_once_, [this] { build_inverse_tables(); });
-  return mixed_inv_;
-}
-
-std::span<const cplx32> PlanEntry::mixed_twiddles_f32(
-    TwiddleDirection dir) const {
-  const PlanEntry& e = require_mixed();
-  if (e.key_.precision != Precision::kF32)
-    throw std::logic_error("PlanEntry: f32 twiddle accessor on an f64 entry");
-  if (dir == TwiddleDirection::kForward) return e.mixed_fwd32_;
-  std::call_once(inverse_once_, [this] { build_inverse_tables(); });
-  return mixed_inv32_;
-}
-
-std::uint64_t PlanEntry::conv_size() const {
-  return require_bluestein().conv_n_;
-}
-
-std::span<const cplx> PlanEntry::chirp(TwiddleDirection dir) const {
-  const PlanEntry& e = require_bluestein();
-  if (e.key_.precision != Precision::kF64)
-    throw std::logic_error("PlanEntry: f64 chirp accessor on an f32 entry");
-  if (dir == TwiddleDirection::kForward) return e.chirp_fwd_;
-  std::call_once(inverse_once_, [this] { build_inverse_tables(); });
-  return chirp_inv_;
-}
-
-std::span<const cplx32> PlanEntry::chirp_f32(TwiddleDirection dir) const {
-  const PlanEntry& e = require_bluestein();
-  if (e.key_.precision != Precision::kF32)
-    throw std::logic_error("PlanEntry: f32 chirp accessor on an f64 entry");
-  if (dir == TwiddleDirection::kForward) return e.chirp_fwd32_;
-  std::call_once(inverse_once_, [this] { build_inverse_tables(); });
-  return chirp_inv32_;
-}
-
-std::span<const cplx> PlanEntry::chirp_fft(TwiddleDirection dir) const {
-  const PlanEntry& e = require_bluestein();
-  if (e.key_.precision != Precision::kF64)
-    throw std::logic_error("PlanEntry: f64 chirp accessor on an f32 entry");
-  if (dir == TwiddleDirection::kForward) return e.bfft_fwd_;
-  std::call_once(inverse_once_, [this] { build_inverse_tables(); });
-  return bfft_inv_;
-}
-
-std::span<const cplx32> PlanEntry::chirp_fft_f32(TwiddleDirection dir) const {
-  const PlanEntry& e = require_bluestein();
-  if (e.key_.precision != Precision::kF32)
-    throw std::logic_error("PlanEntry: f32 chirp accessor on an f64 entry");
-  if (dir == TwiddleDirection::kForward) return e.bfft_fwd32_;
-  std::call_once(inverse_once_, [this] { build_inverse_tables(); });
-  return bfft_inv32_;
-}
-
-const TwiddleTable& PlanEntry::twiddles(TwiddleDirection dir) const {
-  const PlanEntry& e = require_classic();
-  if (e.key_.precision != Precision::kF64)
-    throw std::logic_error("PlanEntry: f64 twiddle accessor on an f32 entry");
-  if (dir == TwiddleDirection::kForward) return *e.forward_;
-  std::call_once(inverse_once_, [this] {
-    inverse_ = std::make_unique<TwiddleTable>(key_.n, TwiddleLayout::kLinear,
-                                              TwiddleDirection::kInverse);
+template <typename T>
+const PlanEntry::Tables<T>& PlanEntry::tables(PlanKind kind,
+                                              TwiddleDirection dir) const {
+  require(kind);
+  if (key_.precision != precision_of<T>)
+    throw std::logic_error(std::string("PlanEntry: ") +
+                           to_string(precision_of<T>) + " accessor on an " +
+                           to_string(key_.precision) + " entry");
+  std::array<Tables<T>, 2>& by_dir = [this]() -> std::array<Tables<T>, 2>& {
+    if constexpr (std::is_same_v<T, float>)
+      return f32_;
+    else
+      return f64_;
+  }();
+  if (dir == TwiddleDirection::kForward) return by_dir[0];
+  std::call_once(inverse_once_, [&] {
+    build_tables<T>(TwiddleDirection::kInverse, by_dir[1]);
   });
-  return *inverse_;
+  return by_dir[1];
 }
 
-const TwiddleTableF& PlanEntry::twiddles_f32(TwiddleDirection dir) const {
-  const PlanEntry& e = require_classic();
-  if (e.key_.precision != Precision::kF32)
-    throw std::logic_error("PlanEntry: f32 twiddle accessor on an f64 entry");
-  if (dir == TwiddleDirection::kForward) return *e.forward32_;
-  std::call_once(inverse_once_, [this] {
-    inverse32_ = std::make_unique<TwiddleTableF>(
-        key_.n, TwiddleLayout::kLinear, TwiddleDirection::kInverse);
-  });
-  return *inverse32_;
-}
+template const PlanEntry::Tables<float>& PlanEntry::tables<float>(
+    PlanKind, TwiddleDirection) const;
+template const PlanEntry::Tables<double>& PlanEntry::tables<double>(
+    PlanKind, TwiddleDirection) const;
 
 PlanCache::PlanCache(std::size_t capacity)
     : capacity_(std::max<std::size_t>(1, capacity)) {}

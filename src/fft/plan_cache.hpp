@@ -6,38 +6,39 @@
 // layer, and the executor's only table cache. A PlanEntry bundles
 // everything a transform of a given shape needs that does not depend on
 // the data buffer: for a classic pow2 size the forward (and lazily the
-// conjugated inverse) TwiddleTable and the bit-reversal index table, for
+// conjugated inverse) per-level twiddle planes, laid out in the order the
+// whole-transform sweep reads them, and the bit-reversal index table; for
 // the other kinds their split, stage vector or chirp tables. Entries are
 // immutable and handed out as shared_ptr<const PlanEntry>, so a cache
 // eviction never invalidates a transform in flight (a hierarchical
 // entry pins its sub-entries, and with them their tables). See DESIGN.md
 // "Executor & plan cache".
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <list>
 #include <memory>
 #include <mutex>
 #include <span>
-#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
 #include "fft/mixed_radix.hpp"
 #include "fft/plan.hpp"
 #include "fft/twiddle.hpp"
+#include "util/aligned_buffer.hpp"
 
 namespace c64fft::fft {
 
-/// Everything that distinguishes one cached plan from another. Twiddle
-/// tables are always stored in the linear layout. `kind` is part of the
-/// key — the classic and the hierarchical decomposition of one size are
-/// distinct entries (a hierarchical entry's classic sub-entries are
-/// ordinary residents, shared with direct calls of their size).
-/// `precision` is part of the key too: an f32 and an f64
-/// transform of the same shape share nothing but the index algebra, and
-/// the twiddle tables they pin differ in both element width and content,
-/// so they must age through the LRU as separate entries.
+/// Everything that distinguishes one cached plan from another. `kind` is
+/// part of the key — the classic and the hierarchical decomposition of
+/// one size are distinct entries (a hierarchical entry's classic
+/// sub-entries are ordinary residents, shared with direct calls of their
+/// size). `precision` is part of the key too: an f32 and an f64 transform
+/// of the same shape share nothing but the index algebra, and the twiddle
+/// tables they pin differ in both element width and content, so they must
+/// age through the LRU as separate entries.
 struct PlanKey {
   std::uint64_t n = 0;
   PlanKind kind = PlanKind::kClassic;
@@ -61,18 +62,16 @@ struct PlanKeyHash {
 class PlanEntry {
  public:
   /// Builds a classic, mixed-radix, or Bluestein entry from the key kind:
-  /// classic gets the forward twiddle table and the bit-reversal index
-  /// table (every classic transform is one whole-transform sweep, so no
-  /// stage plan is kept); mixed-radix
-  /// gets the MixedRadixPlan (stage vector + digit-reversal permutation)
-  /// and its flat per-stage forward twiddles;
-  /// Bluestein gets the length-n chirp and the length-M FFT of the chirp
-  /// filter (M = bluestein_fft_size(n)) — the runtime convolution's pow2
-  /// plans are acquired separately from the shared cache. All kinds build
-  /// only the key's precision eagerly (f32 tables are narrowed images of
-  /// the double-evaluated values) and the inverse-direction tables
-  /// lazily. Throws std::invalid_argument for bad shapes (a classic key
-  /// must be a power of two >= 2).
+  /// classic gets the forward per-level twiddle planes and the
+  /// bit-reversal index table (every classic transform is one
+  /// whole-transform sweep, so no stage plan is kept); mixed-radix gets
+  /// the MixedRadixPlan (stage vector + digit-reversal permutation) and
+  /// its flat per-stage forward twiddles; Bluestein gets the length-n
+  /// chirp and the length-M FFT of the chirp filter
+  /// (M = bluestein_fft_size(n)) — the runtime convolution's pow2 plans
+  /// are acquired separately from the shared cache. Throws
+  /// std::invalid_argument for bad shapes (a classic key must be a power
+  /// of two >= 2).
   explicit PlanEntry(const PlanKey& key);
 
   /// Builds a hierarchical entry: no twiddles of its own, just the split
@@ -92,125 +91,112 @@ class PlanEntry {
   PlanKind kind() const noexcept { return key_.kind; }
   Precision precision() const noexcept { return key_.precision; }
 
-  /// Forward table always exists; the conjugated inverse table is built on
-  /// first request and cached for the entry's lifetime. Classic only.
-  /// Only the key's precision is materialized: `twiddles` serves kF64
-  /// entries, `twiddles_f32` serves kF32 ones, and asking an entry for the
-  /// other width throws std::logic_error (an entry never silently holds
-  /// both tables — that would double the cache's memory accounting).
-  const TwiddleTable& twiddles(TwiddleDirection dir) const;
-  const TwiddleTableF& twiddles_f32(TwiddleDirection dir) const;
+  // ---- Tables, one template over the element type T ----
+  //
+  // An entry holds its tables at the key's precision only (f32 tables are
+  // narrowed images of double-evaluated values): asking for the other T,
+  // or for a table of another plan kind, throws std::logic_error — an
+  // entry never silently holds both widths, which would double the
+  // cache's memory accounting. The forward tables are built with the
+  // entry, the inverse ones (exact conjugates) on first request, then
+  // kept for the entry's lifetime.
 
-  /// Precision-generic accessor for templated executor internals.
+  /// Classic: the n-point sweep's per-level twiddle planes, each level's
+  /// span stored where run_transform_split reads it.
   template <typename T>
-  const BasicTwiddleTable<T>& twiddles_for(TwiddleDirection dir) const {
-    if constexpr (std::is_same_v<T, float>)
-      return twiddles_f32(dir);
-    else
-      return twiddles(dir);
+  LevelTwiddles<T> level_twiddles(TwiddleDirection dir) const {
+    const T* const planes = tables<T>(PlanKind::kClassic, dir).levels.data();
+    return {{planes, key_.n}, {planes + key_.n, key_.n}};
   }
 
   /// The log2(n)-bit reversal of every index g < n: the permuted gather
   /// of the whole-transform sweep (run_transform_split). Built with the
-  /// forward twiddle table, for either precision. Classic only.
+  /// entry, for either precision. Classic only.
   std::span<const std::uint32_t> bitrev() const {
-    return require_classic().bitrev_;
+    return require(PlanKind::kClassic).bitrev_;
   }
 
   // ---- Hierarchical entries only ----
 
-  const HierarchicalSplit& split() const { return require_hierarchical().split_; }
+  const HierarchicalSplit& split() const {
+    return require(PlanKind::kHierarchical).split_;
+  }
   const std::shared_ptr<const PlanEntry>& col_entry() const {
-    return require_hierarchical().col_entry_;
+    return require(PlanKind::kHierarchical).col_entry_;
   }
   const std::shared_ptr<const PlanEntry>& row_entry() const {
-    return require_hierarchical().row_entry_;
+    return require(PlanKind::kHierarchical).row_entry_;
   }
 
   // ---- Mixed-radix entries only ----
 
-  const MixedRadixPlan& mixed_plan() const;
-  /// Flat per-stage twiddle vector (mixed_radix_twiddles layout). Forward
-  /// always exists at the key's precision; inverse builds lazily. Asking
-  /// for the other precision throws std::logic_error, mirroring
-  /// twiddles()/twiddles_f32().
-  std::span<const cplx> mixed_twiddles(TwiddleDirection dir) const;
-  std::span<const cplx32> mixed_twiddles_f32(TwiddleDirection dir) const;
+  const MixedRadixPlan& mixed_plan() const {
+    return *require(PlanKind::kMixedRadix).mixed_;
+  }
+  /// Flat per-stage twiddle vector (mixed_radix_twiddles layout).
   template <typename T>
-  std::span<const cplx_t<T>> mixed_twiddles_for(TwiddleDirection dir) const {
-    if constexpr (std::is_same_v<T, float>)
-      return mixed_twiddles_f32(dir);
-    else
-      return mixed_twiddles(dir);
+  std::span<const cplx_t<T>> mixed_twiddles(TwiddleDirection dir) const {
+    return tables<T>(PlanKind::kMixedRadix, dir).mixed;
   }
 
   // ---- Bluestein entries only ----
 
   /// Convolution length M = bluestein_fft_size(n) of this entry.
-  std::uint64_t conv_size() const;
+  std::uint64_t conv_size() const {
+    return require(PlanKind::kBluestein).conv_n_;
+  }
   /// Chirp c[j] = exp(-+ pi i j^2 / n), length n, for the given OUTER
   /// transform direction (the inner M-point FFTs are always one forward
   /// plus one inverse regardless).
-  std::span<const cplx> chirp(TwiddleDirection dir) const;
-  std::span<const cplx32> chirp_f32(TwiddleDirection dir) const;
-  /// FFT_M of the chirp filter b (b[j] = b[M-j] = conj(c[j])), length M.
-  std::span<const cplx> chirp_fft(TwiddleDirection dir) const;
-  std::span<const cplx32> chirp_fft_f32(TwiddleDirection dir) const;
   template <typename T>
-  std::span<const cplx_t<T>> chirp_for(TwiddleDirection dir) const {
-    if constexpr (std::is_same_v<T, float>)
-      return chirp_f32(dir);
-    else
-      return chirp(dir);
+  std::span<const cplx_t<T>> chirp(TwiddleDirection dir) const {
+    return tables<T>(PlanKind::kBluestein, dir).chirp;
   }
+  /// FFT_M of the chirp filter b (b[j] = b[M-j] = conj(c[j])), length M.
   template <typename T>
-  std::span<const cplx_t<T>> chirp_fft_for(TwiddleDirection dir) const {
-    if constexpr (std::is_same_v<T, float>)
-      return chirp_fft_f32(dir);
-    else
-      return chirp_fft(dir);
+  std::span<const cplx_t<T>> chirp_fft(TwiddleDirection dir) const {
+    return tables<T>(PlanKind::kBluestein, dir).chirp_fft;
   }
 
  private:
-  const PlanEntry& require_classic() const;
-  const PlanEntry& require_hierarchical() const;
-  const PlanEntry& require_mixed() const;
-  const PlanEntry& require_bluestein() const;
-  void build_bluestein(TwiddleDirection dir, std::vector<cplx>& chirp_out,
-                       std::vector<cplx>& bfft_out) const;
-  void build_inverse_tables() const;
+  /// One direction's tables at one precision; only the kind's own fields
+  /// are filled.
+  template <typename T>
+  struct Tables {
+    /// Classic: the re plane, then the im plane (n scalars each), cache
+    /// line aligned.
+    util::AlignedBuffer<T> levels;
+    /// Mixed-radix: the flat per-stage twiddles.
+    std::vector<cplx_t<T>> mixed;
+    /// Bluestein: the chirp and the chirp-filter FFT.
+    std::vector<cplx_t<T>> chirp;
+    std::vector<cplx_t<T>> chirp_fft;
+  };
+
+  const PlanEntry& require(PlanKind kind) const;
+  /// The `kind` tables of direction `dir` at precision T, after the kind
+  /// and precision checks; builds the inverse ones on first use.
+  template <typename T>
+  const Tables<T>& tables(PlanKind kind, TwiddleDirection dir) const;
+  template <typename T>
+  void build_tables(TwiddleDirection dir, Tables<T>& out) const;
 
   PlanKey key_;
-  // Classic state (null/empty for the other kinds). Exactly one of the
-  // forward_/forward32_ pair is populated, chosen by key_.precision.
+  // Classic state (empty for the other kinds).
   std::vector<std::uint32_t> bitrev_;
-  std::unique_ptr<TwiddleTable> forward_;
-  std::unique_ptr<TwiddleTableF> forward32_;
-  mutable std::once_flag inverse_once_;
-  mutable std::unique_ptr<TwiddleTable> inverse_;
-  mutable std::unique_ptr<TwiddleTableF> inverse32_;
-  // Hierarchical state (empty for classic entries).
+  // Hierarchical state (empty for the other kinds).
   HierarchicalSplit split_;
   std::shared_ptr<const PlanEntry> col_entry_;
   std::shared_ptr<const PlanEntry> row_entry_;
-  // Mixed-radix state (kMixedRadix only). One precision populated, like
-  // the classic tables; inverse vectors fill under inverse_once_.
+  // Mixed-radix state (kMixedRadix only).
   std::unique_ptr<MixedRadixPlan> mixed_;
-  std::vector<cplx> mixed_fwd_;
-  std::vector<cplx32> mixed_fwd32_;
-  mutable std::vector<cplx> mixed_inv_;
-  mutable std::vector<cplx32> mixed_inv32_;
-  // Bluestein state (kBluestein only): chirp (length n) and chirp-filter
-  // FFT (length M) per outer direction, one precision populated.
+  // Bluestein state (kBluestein only).
   std::uint64_t conv_n_ = 0;
-  std::vector<cplx> chirp_fwd_;
-  std::vector<cplx32> chirp_fwd32_;
-  std::vector<cplx> bfft_fwd_;
-  std::vector<cplx32> bfft_fwd32_;
-  mutable std::vector<cplx> chirp_inv_;
-  mutable std::vector<cplx32> chirp_inv32_;
-  mutable std::vector<cplx> bfft_inv_;
-  mutable std::vector<cplx32> bfft_inv32_;
+  // Tables by direction (forward, inverse); only the key's precision is
+  // filled, the inverse under inverse_once_.
+  mutable std::once_flag inverse_once_;
+  mutable std::array<Tables<double>, 2> f64_;
+  mutable std::array<Tables<float>, 2> f32_;
 };
 
 struct PlanCacheStats {

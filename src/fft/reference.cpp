@@ -57,14 +57,15 @@ void serial_inplace_impl(std::span<cplx_t<T>> data) {
   if (!util::is_pow2(n)) throw std::invalid_argument("fft_serial_inplace: non-power-of-two");
   if (n == 1) return;
   bit_reverse_permute(data);
-  const BasicTwiddleTable<T> tw(n, TwiddleLayout::kLinear);
+  std::vector<cplx_t<T>> tw(n / 2);
+  for (std::uint64_t t = 0; t < n / 2; ++t) tw[t] = unit_root<T>(n, t);
   const unsigned bits = util::ilog2(n);
   for (unsigned level = 0; level < bits; ++level) {
     const std::uint64_t half = std::uint64_t{1} << level;
     const unsigned shift = bits - level - 1;
     for (std::uint64_t block = 0; block < n; block += 2 * half) {
       for (std::uint64_t p = 0; p < half; ++p) {
-        const cplx_t<T> w = tw.at(p << shift);
+        const cplx_t<T> w = tw[p << shift];
         const cplx_t<T> t = w * data[block + p + half];
         data[block + p + half] = data[block + p] - t;
         data[block + p] += t;

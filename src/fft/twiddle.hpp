@@ -1,47 +1,36 @@
 #pragma once
-// Twiddle-factor table W[t] = exp(-2*pi*i * t / N), t in [0, N/2).
+// Twiddle factors of the production transforms: the unit-root primitive
+// every table is built from, and the view of a pow2 sweep's per-level
+// twiddle planes.
 //
-// Two storage layouts (Section IV-B):
-//  * kLinear      — W[t] stored at index t. Early-stage accesses have
-//                   strides that are multiples of 4 elements, so on the
-//                   64 B-interleaved DRAM they all hit the bank holding
-//                   the array base (the paper's bank-0 hotspot).
-//  * kBitReversed — W[t] stored at index BR(t) over log2(N/2) bits (the
-//                   paper's software "hash"). Accesses spread uniformly
-//                   over the banks at the price of computing BR on every
-//                   access.
-//
-// The table is precision-generic (BasicTwiddleTable<T>, T in {float,
-// double}); angles are always evaluated in double and narrowed at store
-// time, so the f32 table is the correctly rounded image of the f64 one.
-// `TwiddleTable` remains the double-precision alias every pre-existing
-// call site uses.
+// Production stores each pow2 size's twiddles in the order the
+// whole-transform sweep reads them (LevelTwiddles, built once per
+// direction by the classic PlanEntry), so no butterfly level gathers or
+// indexes a table at run time. The paper's linear and bit-reversed
+// ("hashed", Section IV-B) tables live in the reproduction harness
+// (paper/twiddle_table.hpp).
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "fft/types.hpp"
-#include "util/bit_ops.hpp"
 
 namespace c64fft::fft {
 
-enum class TwiddleLayout { kLinear, kBitReversed };
-
 /// kInverse holds the exact conjugates W[t] = exp(+2*pi*i * t / N) of the
-/// forward entries. Running the forward stage kernels against a conjugated
-/// table computes conj(FFT(conj(x))) bit-identically (every rounding is
+/// forward entries. Running the forward stage kernels against conjugated
+/// twiddles computes conj(FFT(conj(x))) bit-identically (every rounding is
 /// sign-symmetric), which is how the executor's inverse path drops the
 /// input-conjugation pass.
 enum class TwiddleDirection { kForward, kInverse };
 
 /// The N-th unit root W_N^t = exp(-2*pi*i * t / n) (conjugated for
-/// kInverse) — the primitive every BasicTwiddleTable entry is built from.
-/// Exposed so on-the-fly consumers (the hierarchical path's fused
-/// twiddle-transpose) can generate inter-step factors per tile instead of
-/// materializing an O(N) table. Bit-identical to the corresponding table
-/// entry: the table constructor calls this. The trig always runs in
-/// double; unit_root<float> narrows the result.
+/// kInverse) — the primitive every twiddle table is built from. Exposed so
+/// on-the-fly consumers (the hierarchical path's fused twiddle-transpose)
+/// can generate inter-step factors per tile instead of materializing an
+/// O(N) table. The trig always runs in double; unit_root<float> narrows
+/// the result, so an f32 table is the correctly rounded image of the f64
+/// one.
 template <typename T>
 cplx_t<T> unit_root(std::uint64_t n, std::uint64_t t,
                     TwiddleDirection direction = TwiddleDirection::kForward);
@@ -50,48 +39,15 @@ cplx_t<T> unit_root(std::uint64_t n, std::uint64_t t,
 cplx unit_root(std::uint64_t n, std::uint64_t t,
                TwiddleDirection direction = TwiddleDirection::kForward);
 
+/// The twiddles of one n-point pow2 sweep (n >= 2) as two split-complex
+/// planes of n scalars each. Butterfly level v's 2^v twiddles
+/// W_n^(u << (log2 n - v - 1)), u < 2^v, sit at [2^v, 2^(v+1)) of `re` and
+/// `im`, so every level reads one contiguous span and the fused radix-8/4
+/// first pass reads levels 0..2 as the one run [1, 8). Slot 0 is unused.
 template <typename T>
-class BasicTwiddleTable {
- public:
-  /// Precompute the N/2 twiddles of an N-point transform (N = power of
-  /// two, N >= 2) in the given layout.
-  BasicTwiddleTable(std::uint64_t n, TwiddleLayout layout,
-                    TwiddleDirection direction = TwiddleDirection::kForward);
-
-  std::uint64_t fft_size() const noexcept { return n_; }
-  std::uint64_t size() const noexcept { return table_.size(); }
-  TwiddleLayout layout() const noexcept { return layout_; }
-  TwiddleDirection direction() const noexcept { return direction_; }
-  /// Significant bits of a table index (log2(N/2)); the hash cost model
-  /// charges per-access work proportional to this.
-  unsigned index_bits() const noexcept { return bits_; }
-
-  /// Storage slot of logical twiddle index `t` (identity for kLinear).
-  std::uint64_t storage_index(std::uint64_t t) const noexcept {
-    return layout_ == TwiddleLayout::kLinear ? t : util::bit_reverse(t, bits_);
-  }
-
-  /// W[t] (logical index, layout-transparent).
-  cplx_t<T> at(std::uint64_t t) const noexcept {
-    return table_[storage_index(t)];
-  }
-
-  /// Raw storage (for address/bank analysis).
-  std::span<const cplx_t<T>> storage() const noexcept { return table_; }
-
- private:
-  std::uint64_t n_;
-  TwiddleLayout layout_;
-  TwiddleDirection direction_;
-  unsigned bits_;
-  std::vector<cplx_t<T>> table_;
+struct LevelTwiddles {
+  std::span<const T> re;
+  std::span<const T> im;
 };
-
-extern template class BasicTwiddleTable<float>;
-extern template class BasicTwiddleTable<double>;
-
-/// The double-precision table (historical name) and its f32 sibling.
-using TwiddleTable = BasicTwiddleTable<double>;
-using TwiddleTableF = BasicTwiddleTable<float>;
 
 }  // namespace c64fft::fft

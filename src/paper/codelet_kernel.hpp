@@ -15,9 +15,9 @@
 #include <cstdint>
 #include <span>
 
-#include "fft/twiddle.hpp"
 #include "fft/types.hpp"
 #include "paper/fft_plan.hpp"
+#include "paper/twiddle_table.hpp"
 
 namespace c64fft::fft {
 

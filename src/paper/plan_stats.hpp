@@ -9,8 +9,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "fft/twiddle.hpp"
 #include "paper/fft_plan.hpp"
+#include "paper/twiddle_table.hpp"
 
 namespace c64fft::fft {
 

@@ -30,10 +30,10 @@
 #include <string>
 
 #include "codelet/team.hpp"
-#include "fft/twiddle.hpp"
 #include "fft/types.hpp"
 #include "paper/codelet.hpp"
 #include "paper/ordering.hpp"
+#include "paper/twiddle_table.hpp"
 
 namespace c64fft::fft {
 

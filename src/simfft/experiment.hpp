@@ -12,8 +12,8 @@
 #include "c64/config.hpp"
 #include "c64/engine.hpp"
 #include "c64/trace.hpp"
-#include "fft/twiddle.hpp"
 #include "paper/ordering.hpp"
+#include "paper/twiddle_table.hpp"
 
 namespace c64fft::simfft {
 

@@ -16,8 +16,8 @@
 #include "c64/address_map.hpp"
 #include "c64/config.hpp"
 #include "c64/engine.hpp"
-#include "fft/twiddle.hpp"
 #include "paper/fft_plan.hpp"
+#include "paper/twiddle_table.hpp"
 
 namespace c64fft::simfft {
 

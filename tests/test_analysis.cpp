@@ -653,15 +653,16 @@ TEST(Pipeline, UnknownKernelIsaIdFailsTheKernelCheck) {
 }
 
 TEST(Pipeline, UnsupportedKernelIsaIdFailsOnLesserHosts) {
-  // Only meaningful where the hardware cannot execute AVX2: a model
-  // claiming the avx2 table then names a kernel this host cannot run.
-  if (util::isa_supported(util::IsaLevel::kAvx2))
-    GTEST_SKIP() << "host executes every registered table";
+  // A model claiming the avx2 table names a kernel a scalar-only host
+  // cannot run; the host's best level is an argument, so every host
+  // checks this.
   PipelineModel m = build_classic_pipeline(FftPlan(256, 4));
   m.kernel_isa = "avx2";
-  const auto report = analyze_pipeline(m);
-  EXPECT_TRUE(has_code(report, "kernel", "unsupported-kernel-isa"))
-      << report.to_json();
+  const CheckResult check = check_kernel_dispatch(m, util::IsaLevel::kScalar);
+  ASSERT_EQ(check.diagnostics.size(), 1u);
+  EXPECT_EQ(check.diagnostics[0].code, "unsupported-kernel-isa");
+  EXPECT_EQ(check.status, "fail");
+  EXPECT_EQ(check_kernel_dispatch(m, util::IsaLevel::kAvx2).errors(), 0u);
 }
 
 TEST(Pipeline, HandBuiltModelsSkipTheKernelCheck) {

@@ -411,8 +411,10 @@ TEST(PlanCache, SharedEntriesSurviveEviction) {
   // The evicted entry stays valid for holders — eviction only drops the
   // cache's reference.
   EXPECT_EQ(a->key().n, 1024u);
-  EXPECT_EQ(a->twiddles(TwiddleDirection::kForward).fft_size(), 1024u);
-  EXPECT_EQ(b->twiddles(TwiddleDirection::kForward).fft_size(), 2048u);
+  EXPECT_EQ(a->level_twiddles<double>(TwiddleDirection::kForward).re.size(),
+            1024u);
+  EXPECT_EQ(b->level_twiddles<double>(TwiddleDirection::kForward).re.size(),
+            2048u);
 }
 
 TEST(PlanCache, BadShapesAreNotCached) {

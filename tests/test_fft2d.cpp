@@ -6,6 +6,7 @@
 #include <numbers>
 #include <vector>
 
+#include "fft/executor.hpp"
 #include "fft/reference.hpp"
 #include "util/prng.hpp"
 
@@ -94,6 +95,33 @@ TEST(Fft2d, WorkerCountDoesNotChangeResult) {
   forward_2d(a, rows, cols, one);
   forward_2d(b, rows, cols, four);
   EXPECT_EQ(max_abs_error(a, b), 0.0);
+}
+
+template <typename T>
+void check_sides_miss_only_when_cold() {
+  // Both passes are batched row transforms on the default executor: a
+  // cold 16 x 32 transform acquires one classic entry per side, and warm
+  // forward + inverse repeats acquire nothing and create no team.
+  FftExecutor& ex = default_executor();
+  ex.clear_cache();
+  const HostFftOptions opts{2};
+  std::vector<cplx_t<T>> image(16 * 32, cplx_t<T>(1, 0));
+  const ExecutorStats before = ex.stats();
+  forward_2d(std::span<cplx_t<T>>(image), 16, 32, opts);
+  const ExecutorStats cold = ex.stats();
+  EXPECT_EQ(cold.cache.misses - before.cache.misses, 2u);
+  EXPECT_LE(cold.teams_created - before.teams_created, 1u);
+  for (int round = 0; round < 2; ++round) {
+    forward_2d(std::span<cplx_t<T>>(image), 16, 32, opts);
+    inverse_2d(std::span<cplx_t<T>>(image), 16, 32, opts);
+  }
+  EXPECT_EQ(ex.stats().cache.misses, cold.cache.misses);
+  EXPECT_EQ(ex.stats().teams_created, cold.teams_created);
+}
+
+TEST(Fft2d, SidesMissOnlyWhenCold) {
+  check_sides_miss_only_when_cold<double>();
+  check_sides_miss_only_when_cold<float>();
 }
 
 }  // namespace

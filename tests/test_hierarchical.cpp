@@ -1,7 +1,8 @@
 // Hierarchical large-N path (PlanKind::kHierarchical), the only large-N
 // route: the balanced split algebra, plan-cache pinning of the classic
-// sub-entries, routing by N, the pipeline's exact phase and codelet
-// counts (two flat phases per transform), bit-identity of the output across kernel ISA tiers and team
+// sub-entries, routing by N, the pipeline's exact phase, codelet and
+// plan-cache miss counts (two flat phases per transform), bit-identity of
+// the output across kernel ISA tiers and team
 // sizes at N in {2^18, 2^19} (both precisions, both directions),
 // numerical agreement with the classic path and the O(N^2) reference,
 // and batch-vs-loop identity. Routes that routing never picks for a size
@@ -13,6 +14,7 @@
 
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/pipeline.hpp"
@@ -81,7 +83,8 @@ TEST(HierarchicalPlanCache, EntryPinsClassicSubEntries) {
   EXPECT_EQ(direct.get(), entry->row_entry().get());
   // Classic-only accessors stay fenced off on hierarchical entries, and
   // vice versa.
-  EXPECT_THROW(entry->twiddles(TwiddleDirection::kForward), std::logic_error);
+  EXPECT_THROW(entry->level_twiddles<double>(TwiddleDirection::kForward),
+               std::logic_error);
   EXPECT_THROW(entry->row_entry()->split(), std::logic_error);
   // A rectangular split pins two distinct classic sub-entries, the
   // narrower one shared with a direct acquire.
@@ -185,6 +188,42 @@ TEST(Hierarchical, TwoPhasesOfExactCodeletsPerTransformF64) {
 
 TEST(Hierarchical, TwoPhasesOfExactCodeletsPerTransformF32) {
   check_pipeline_counts<float>();
+}
+
+// Exact plan-cache and team counts of the pipelined routes on fresh 1- and
+// 2-worker executors: a cold forward acquires the pipeline key and its
+// classic sub-entries (one shared when the split is square), Bluestein
+// its own key on top of its M = 2^18 pipeline's; warm forward + inverse
+// repeats acquire nothing new, on the one team.
+template <typename T>
+void check_routes_miss_only_when_cold() {
+  const std::pair<std::uint64_t, std::uint64_t> routes[] = {
+      {1ULL << 18, 2}, {1ULL << 19, 3}, {1ULL << 20, 2}, {65537, 3}};
+  for (const auto& [n, cold] : routes)
+    for (const unsigned workers : {1u, 2u}) {
+      const std::string label =
+          "n=" + std::to_string(n) + " workers=" + std::to_string(workers);
+      FftExecutor ex({.workers = workers});
+      auto data = random_signal<T>(n, n);
+      const std::span<cplx_t<T>> span(data);
+      ex.forward(span);
+      EXPECT_EQ(ex.stats().cache.misses, cold) << label;
+      for (int round = 0; round < 2; ++round) {
+        ex.forward(span);
+        ex.inverse(span);
+      }
+      const ExecutorStats s = ex.stats();
+      EXPECT_EQ(s.cache.misses, cold) << label;
+      EXPECT_EQ(s.teams_created, 1u) << label;
+    }
+}
+
+TEST(Hierarchical, RoutesMissOnlyWhenColdF64) {
+  check_routes_miss_only_when_cold<double>();
+}
+
+TEST(Hierarchical, RoutesMissOnlyWhenColdF32) {
+  check_routes_miss_only_when_cold<float>();
 }
 
 /// Restores the process-wide kernel ISA on scope exit.

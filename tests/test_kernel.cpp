@@ -10,6 +10,7 @@
 #include "fft/bit_reversal.hpp"
 #include "fft/kernels/dispatch.hpp"
 #include "fft/mixed_radix.hpp"
+#include "fft/plan_cache.hpp"
 #include "fft/reference.hpp"
 #include "fft/transpose.hpp"
 #include "paper/codelet_kernel.hpp"
@@ -46,15 +47,6 @@ void check_stagewise(std::uint64_t n, unsigned radix_log2, TwiddleLayout layout)
       << "n=" << n << " r=" << radix_log2;
 }
 
-// The log2(n)-bit reversal of every index below n: run_transform_split's
-// permutation table.
-std::vector<std::uint32_t> bitrev_table(std::uint64_t n) {
-  std::vector<std::uint32_t> brev(n);
-  for (std::uint64_t i = 0; i < n; ++i)
-    brev[i] = static_cast<std::uint32_t>(util::bit_reverse(i, util::ilog2(n)));
-  return brev;
-}
-
 // Bit-reversal followed by every stage of the scalar std::complex
 // codelets: the stage-by-stage oracle of the whole-transform sweep.
 template <typename T>
@@ -83,8 +75,10 @@ struct IsaGuard {
 // The whole-transform sweep must be bit-identical to bit-reversal plus
 // every stage's scalar codelets at any radix: the same butterflies with
 // the same twiddle entries in the same operation order, only grouped into
-// one chain. Swept over every kernel table the host can install and both
-// twiddle directions.
+// one chain. The sweep reads the twiddle planes and bit-reversal table a
+// classic plan entry builds, as production does; the oracle's codelets
+// read the paper's linear table. Swept over every kernel table the host
+// can install and both twiddle directions.
 template <typename T>
 void check_transform_split_matches_stagewise() {
   IsaGuard guard;
@@ -98,11 +92,12 @@ void check_transform_split_matches_stagewise() {
     for (cplx_t<T>& v : input)
       v = cplx_t<T>(static_cast<T>(rng.next_double() * 2 - 1),
                     static_cast<T>(rng.next_double() * 2 - 1));
-    const std::vector<std::uint32_t> brev = bitrev_table(n);
-    std::vector<T> split(3 * n);
+    const PlanEntry entry(PlanKey{n, PlanKind::kClassic, precision_of<T>});
+    std::vector<T> split(2 * n);
     for (const TwiddleDirection dir :
          {TwiddleDirection::kForward, TwiddleDirection::kInverse}) {
       const BasicTwiddleTable<T> tw(n, TwiddleLayout::kLinear, dir);
+      const LevelTwiddles<T> planes = entry.level_twiddles<T>(dir);
       for (const unsigned radix_log2 : {3u, 6u}) {
         const std::vector<cplx_t<T>> want =
             stagewise_scalar<T>(input, tw, radix_log2);
@@ -110,8 +105,8 @@ void check_transform_split_matches_stagewise() {
              {util::IsaLevel::kScalar, util::IsaLevel::kAvx2}) {
           if (kernels::set_kernel_isa(isa) != isa) continue;
           std::vector<cplx_t<T>> got = input;
-          run_transform_split(std::span<cplx_t<T>>(got), tw, brev,
-                              split.data());
+          run_transform_split(std::span<cplx_t<T>>(got), planes,
+                              entry.bitrev(), split.data());
           ASSERT_EQ(std::memcmp(got.data(), want.data(),
                                 n * sizeof(cplx_t<T>)),
                     0)
@@ -218,10 +213,11 @@ std::vector<cplx_t<T>> sweep_transform(util::IsaLevel isa,
   kernels::set_kernel_isa(isa);
   std::vector<cplx_t<T>> data = input;
   const std::uint64_t n = data.size();
-  const BasicTwiddleTable<T> tw(n, TwiddleLayout::kLinear);
-  std::vector<T> split(3 * n);
-  run_transform_split(std::span<cplx_t<T>>(data), tw, bitrev_table(n),
-                      split.data());
+  const PlanEntry entry(PlanKey{n, PlanKind::kClassic, precision_of<T>});
+  std::vector<T> split(2 * n);
+  run_transform_split(std::span<cplx_t<T>>(data),
+                      entry.level_twiddles<T>(TwiddleDirection::kForward),
+                      entry.bitrev(), split.data());
   return data;
 }
 

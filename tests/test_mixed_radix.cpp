@@ -327,6 +327,31 @@ void check_large_n(FftExecutor& ex, std::uint64_t n, double bin_tol,
   EXPECT_LT(max_abs_error(data, input), round_tol) << "n=" << n;
 }
 
+template <typename T>
+void check_phased_transform_misses_only_when_cold() {
+  // A single N = 100000 transform on 2 workers runs phased (digit
+  // reversal, then one phase per stage) over its one mixed-radix entry:
+  // one miss cold, none over warm forward + inverse repeats, one team.
+  FftExecutor ex({.workers = 2});
+  std::vector<cplx_t<T>> data(100000, cplx_t<T>(1, 0));
+  const std::span<cplx_t<T>> span(data);
+  ex.forward(span);
+  EXPECT_EQ(ex.stats().cache.misses, 1u);
+  for (int round = 0; round < 2; ++round) {
+    ex.forward(span);
+    ex.inverse(span);
+  }
+  const ExecutorStats s = ex.stats();
+  EXPECT_EQ(s.cache.misses, 1u);
+  EXPECT_EQ(s.teams_created, 1u);
+  EXPECT_EQ(s.mixed_radix, 5u);
+}
+
+TEST(MixedRadixExecutor, PhasedTransformMissesOnlyWhenCold) {
+  check_phased_transform_misses_only_when_cold<double>();
+  check_phased_transform_misses_only_when_cold<float>();
+}
+
 TEST(MixedRadixExecutor, LargeSmoothMillion) {
   FftExecutor ex({.workers = 4});
   check_large_n(ex, 1000000, 1e-9, 1e-9);

@@ -204,29 +204,55 @@ TEST(Precision, PlanEntryRejectsWrongWidthTwiddleAccessor) {
   PlanKey k32{1024, PlanKind::kClassic, Precision::kF32};
   auto e32 = cache.acquire(k32);
   EXPECT_EQ(e32->precision(), Precision::kF32);
-  EXPECT_EQ(e32->twiddles_f32(TwiddleDirection::kForward).fft_size(), 1024u);
-  EXPECT_THROW(e32->twiddles(TwiddleDirection::kForward), std::logic_error);
+  EXPECT_EQ(e32->level_twiddles<float>(TwiddleDirection::kForward).re.size(),
+            1024u);
+  EXPECT_THROW(e32->level_twiddles<double>(TwiddleDirection::kForward),
+               std::logic_error);
+  EXPECT_THROW(e32->level_twiddles<double>(TwiddleDirection::kInverse),
+               std::logic_error);
 
   PlanKey k64{1024, PlanKind::kClassic, Precision::kF64};
   auto e64 = cache.acquire(k64);
   EXPECT_NE(e32.get(), e64.get());
   EXPECT_EQ(e64->precision(), Precision::kF64);
-  EXPECT_EQ(e64->twiddles(TwiddleDirection::kForward).fft_size(), 1024u);
-  EXPECT_THROW(e64->twiddles_f32(TwiddleDirection::kForward), std::logic_error);
+  EXPECT_EQ(e64->level_twiddles<double>(TwiddleDirection::kForward).re.size(),
+            1024u);
+  EXPECT_THROW(e64->level_twiddles<float>(TwiddleDirection::kForward),
+               std::logic_error);
+
+  // The other kinds' tables: one template each, fenced the same way, and
+  // a table of another kind is refused too.
+  auto m32 = cache.acquire(PlanKey{96, PlanKind::kMixedRadix, Precision::kF32});
+  EXPECT_EQ(m32->mixed_twiddles<float>(TwiddleDirection::kInverse).size(), 95u);
+  EXPECT_THROW(m32->mixed_twiddles<double>(TwiddleDirection::kForward),
+               std::logic_error);
+  EXPECT_THROW(m32->level_twiddles<float>(TwiddleDirection::kForward),
+               std::logic_error);
+  auto b64 = cache.acquire(PlanKey{101, PlanKind::kBluestein, Precision::kF64});
+  EXPECT_EQ(b64->chirp<double>(TwiddleDirection::kInverse).size(), 101u);
+  EXPECT_EQ(b64->chirp_fft<double>(TwiddleDirection::kForward).size(), 256u);
+  EXPECT_THROW(b64->chirp<float>(TwiddleDirection::kForward), std::logic_error);
+  EXPECT_THROW(b64->chirp_fft<float>(TwiddleDirection::kInverse),
+               std::logic_error);
+  EXPECT_THROW(b64->mixed_twiddles<double>(TwiddleDirection::kForward),
+               std::logic_error);
 }
 
 TEST(Precision, F32TwiddlesAreNarrowedF64Twiddles) {
-  // The f32 tables must be the correctly rounded f64 tables, slot by slot
+  // The f32 planes must be the correctly rounded f64 planes, slot by slot
   // (trig evaluated in double once, narrowed per element) — not a float
   // re-derivation with its own error.
-  TwiddleTable t64(512, TwiddleLayout::kLinear, TwiddleDirection::kForward);
-  TwiddleTableF t32(512, TwiddleLayout::kLinear, TwiddleDirection::kForward);
-  ASSERT_EQ(t64.size(), t32.size());
-  for (std::size_t i = 0; i < t64.size(); ++i) {
-    const cplx w = t64.storage()[i];
-    const cplx32 f = t32.storage()[i];
-    EXPECT_EQ(f.real(), static_cast<float>(w.real())) << i;
-    EXPECT_EQ(f.imag(), static_cast<float>(w.imag())) << i;
+  const PlanEntry e64(PlanKey{512, PlanKind::kClassic, Precision::kF64});
+  const PlanEntry e32(PlanKey{512, PlanKind::kClassic, Precision::kF32});
+  for (const TwiddleDirection dir :
+       {TwiddleDirection::kForward, TwiddleDirection::kInverse}) {
+    const LevelTwiddles<double> t64 = e64.level_twiddles<double>(dir);
+    const LevelTwiddles<float> t32 = e32.level_twiddles<float>(dir);
+    ASSERT_EQ(t64.re.size(), t32.re.size());
+    for (std::size_t i = 1; i < t64.re.size(); ++i) {
+      EXPECT_EQ(t32.re[i], static_cast<float>(t64.re[i])) << i;
+      EXPECT_EQ(t32.im[i], static_cast<float>(t64.im[i])) << i;
+    }
   }
 }
 

@@ -6,6 +6,7 @@
 #include <numbers>
 #include <vector>
 
+#include "fft/executor.hpp"
 #include "fft/reference.hpp"
 #include "util/prng.hpp"
 
@@ -79,6 +80,33 @@ TEST(RealFft, PureToneLandsInOneBin) {
     else
       EXPECT_NEAR(std::abs(spec[k]), 0.0, 1e-8) << k;
   }
+}
+
+template <typename T>
+void check_half_size_entry_misses_only_when_cold() {
+  // A 256-point real transform is one 128-point complex transform on the
+  // default executor: one classic entry cold, then nothing new over warm
+  // forward + inverse repeats, and no new team.
+  FftExecutor& ex = default_executor();
+  ex.clear_cache();
+  const HostFftOptions opts{2};
+  const std::vector<T> signal(256, T(1));
+  const ExecutorStats before = ex.stats();
+  std::vector<cplx_t<T>> spec = real_forward(std::span<const T>(signal), opts);
+  const ExecutorStats cold = ex.stats();
+  EXPECT_EQ(cold.cache.misses - before.cache.misses, 1u);
+  EXPECT_LE(cold.teams_created - before.teams_created, 1u);
+  for (int round = 0; round < 2; ++round) {
+    spec = real_forward(std::span<const T>(signal), opts);
+    real_inverse(std::span<const cplx_t<T>>(spec), opts);
+  }
+  EXPECT_EQ(ex.stats().cache.misses, cold.cache.misses);
+  EXPECT_EQ(ex.stats().teams_created, cold.teams_created);
+}
+
+TEST(RealFft, HalfSizeEntryMissesOnlyWhenCold) {
+  check_half_size_entry_misses_only_when_cold<double>();
+  check_half_size_entry_misses_only_when_cold<float>();
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-#include "fft/twiddle.hpp"
+#include "paper/twiddle_table.hpp"
 
 #include <gtest/gtest.h>
 
@@ -6,6 +6,9 @@
 #include <cmath>
 #include <numbers>
 #include <vector>
+
+#include "fft/plan_cache.hpp"
+#include "util/bit_ops.hpp"
 
 namespace c64fft::fft {
 namespace {
@@ -94,6 +97,38 @@ TEST(TwiddleTable, InverseDirectionIsExactConjugate) {
       EXPECT_EQ(inv.at(t).imag(), -fwd.at(t).imag()) << t;
     }
   }
+}
+
+// The production sweep's per-level planes (a classic plan entry's
+// LevelTwiddles) hold exactly the linear table's entries in the order the
+// sweep reads them: level v's u-th twiddle at 2^v + u is
+// W[u << (log2 n - v - 1)], bit for bit, at both precisions and in both
+// directions.
+template <typename T>
+void check_level_planes_match_linear_table() {
+  for (const std::uint64_t n : {2ULL, 4ULL, 8ULL, 64ULL, 1024ULL}) {
+    const PlanEntry entry(PlanKey{n, PlanKind::kClassic, precision_of<T>});
+    const unsigned log2n = util::ilog2(n);
+    for (const TwiddleDirection dir :
+         {TwiddleDirection::kForward, TwiddleDirection::kInverse}) {
+      const BasicTwiddleTable<T> table(n, TwiddleLayout::kLinear, dir);
+      const LevelTwiddles<T> planes = entry.level_twiddles<T>(dir);
+      ASSERT_EQ(planes.re.size(), n);
+      ASSERT_EQ(planes.im.size(), n);
+      for (unsigned v = 0; v < log2n; ++v)
+        for (std::uint64_t u = 0; u < (std::uint64_t{1} << v); ++u) {
+          const cplx_t<T> w = table.at(u << (log2n - v - 1));
+          const std::uint64_t slot = (std::uint64_t{1} << v) + u;
+          EXPECT_EQ(planes.re[slot], w.real()) << n << " v=" << v << " u=" << u;
+          EXPECT_EQ(planes.im[slot], w.imag()) << n << " v=" << v << " u=" << u;
+        }
+    }
+  }
+}
+
+TEST(LevelTwiddles, PlanesHoldTheLinearTableInSweepOrder) {
+  check_level_planes_match_linear_table<double>();
+  check_level_planes_match_linear_table<float>();
 }
 
 TEST(TwiddleTable, MinimumSize) {
