@@ -12,15 +12,15 @@
 
 #include "codelet/team.hpp"
 #include "fft/api.hpp"
-#include "fft/bit_reversal.hpp"
 #include "fft/executor.hpp"
 #include "fft/kernel.hpp"
 #include "fft/kernels/dispatch.hpp"
 #include "fft/plan_cache.hpp"
 #include "fft/real_fft.hpp"
-#include "fft/reference.hpp"
 #include "fft/transpose.hpp"
+#include "paper/bit_reversal.hpp"
 #include "paper/codelet_kernel.hpp"
+#include "paper/reference.hpp"
 #include "util/aligned_buffer.hpp"
 #include "util/cpu_features.hpp"
 #include "util/prng.hpp"
@@ -441,7 +441,7 @@ BENCHMARK(BM_TransposeInplaceSquare)->Arg(8)->Arg(9)->Arg(10);
 
 // ---------------------------------------------------------------------------
 // Classic vs hierarchical at large N: the pair behind the executor's
-// routing threshold (kDefaultHierarchicalThresholdLog2), the RATIO2 gate
+// routing threshold (kHierarchicalThresholdLog2), the RATIO2 gate
 // (tools/CMakeLists.txt) and DESIGN.md §3.7's speedup table. The classic
 // row times the executor's serial body — one run_transform_split sweep
 // over a classic plan entry's twiddle planes and bit-reversal table, on

@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "fft/fft2d.hpp"
-#include "fft/reference.hpp"
+#include "paper/reference.hpp"
 
 using c64fft::fft::cplx;
 

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "fft/api.hpp"
-#include "fft/reference.hpp"
+#include "paper/reference.hpp"
 #include "paper/variants.hpp"
 
 using c64fft::fft::cplx;

@@ -54,6 +54,22 @@ std::uint64_t transform_flops(std::uint64_t n) {
   return 5 * n * util::ilog2(n);
 }
 
+/// Estimated real flops of one radix-r mixed-radix butterfly: twiddle
+/// multiplies (6 real flops each, u = 1..r-1) plus the codelet DFT body;
+/// the radix-2 value (10) matches FftPlan's 10-per-butterfly convention so
+/// cost baselines stay comparable. Deterministic, not exact.
+std::uint64_t butterfly_flops(std::uint32_t radix) {
+  switch (radix) {
+    case 2: return 10;
+    case 3: return 30;
+    case 4: return 34;
+    case 5: return 64;
+    case 7: return 120;
+    case 8: return 110;
+    default: return 10;
+  }
+}
+
 std::uint64_t twiddle_slot(std::uint64_t t, fft::TwiddleLayout layout,
                            unsigned tw_bits) {
   return layout == fft::TwiddleLayout::kBitReversed ? util::bit_reverse(t, tw_bits)
@@ -388,8 +404,7 @@ PipelineModel build_mixed_radix_pipeline(std::uint64_t n,
           task.reads.push_back(
               {tw, stage.twiddle_offset + j * (r - 1) + (u - 1)});
       }
-      task.flops =
-          (g_end - g_begin) * fft::MixedRadixPlan::butterfly_flops(stage.radix);
+      task.flops = (g_end - g_begin) * butterfly_flops(stage.radix);
       phase.tasks.push_back(std::move(task));
     }
     m.phases.push_back(std::move(phase));

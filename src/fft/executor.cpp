@@ -33,14 +33,6 @@ void scale_by(std::span<cplx_t<T>> data, double factor) {
   for (cplx_t<T>& v : data) v *= f;
 }
 
-/// True when n >= 1 has no prime factor above 7 — factorize(n).smooth
-/// without building the stage vector, so routing allocates nothing.
-bool seven_smooth(std::uint64_t n) {
-  for (const std::uint64_t p : {2u, 3u, 5u, 7u})
-    while (n % p == 0) n /= p;
-  return n == 1;
-}
-
 /// Ask the kernel for transparent huge pages over `bytes` at `p` (no-op
 /// off Linux or when THP is disabled system-wide). The hierarchical
 /// gather matrix is walked on its strided side in 16-element chunks one
@@ -66,18 +58,6 @@ void advise_huge_pages(void* p, std::size_t bytes) {
 SweepGrain bitrev_sweep_grain(std::uint64_t n, unsigned workers) {
   const std::uint64_t chunks = std::uint64_t{workers} * 4;
   return {chunks, util::ceil_div(n, chunks)};
-}
-
-PlanKind routed_plan_kind(std::uint64_t n) {
-  // Non-pow2 routing is factorization-driven: every 7-smooth composite
-  // runs the mixed-radix plan, everything else the Bluestein chirp-z path
-  // (whose INTERNAL pow2 convolution FFTs re-enter here with
-  // M = next_pow2(2n-1)).
-  if (n >= 2 && !util::is_pow2(n))
-    return seven_smooth(n) ? PlanKind::kMixedRadix : PlanKind::kBluestein;
-  return n >= 4 && util::ilog2(n) >= kDefaultHierarchicalThresholdLog2
-             ? PlanKind::kHierarchical
-             : PlanKind::kClassic;
 }
 
 namespace {
@@ -160,8 +140,7 @@ void size_per_worker(std::vector<V>& bufs, unsigned workers, std::size_t len) {
 /// the plan entry). `inner(dir)` runs one in-place M-point pow2 FFT over
 /// `buf`: always one forward plus one inverse, whatever the outer
 /// direction, which lives entirely in the chirp tables. The O(M)
-/// modulate/pointwise/demodulate passes run on the calling thread; they
-/// are noise against the inner FFTs they bracket.
+/// modulate/pointwise/demodulate passes run on the calling thread.
 template <typename T, typename InnerFft>
 void bluestein_chain(std::span<cplx_t<T>> data,
                      std::span<const cplx_t<T>> chirp,
@@ -201,24 +180,16 @@ void FftExecutor::run_t(std::span<const std::span<cplx_t<T>>> batch,
   // Shape errors surface before any cache/team work.
   validate_fft_shape(n);
 
-  // Resolve the route and its plan entries before taking the lock (the
-  // cache has its own finer lock). Every key is a function of (n, kind,
-  // precision), the kind a function of n. Bluestein's M-point
-  // convolution takes the key a direct M-point call builds, so the two
-  // share one entry.
-  const PlanKind kind = routed_plan_kind(n);
+  // Resolve the route's entry before taking the lock (the cache has its
+  // own finer lock): one acquire of a key that is a function of (n,
+  // precision), whose entry pins everything the route runs.
   const std::shared_ptr<const PlanEntry> entry =
-      cache_.acquire(PlanKey{n, kind, precision_of<T>});
-  std::shared_ptr<const PlanEntry> conv;
-  if (kind == PlanKind::kBluestein) {
-    const std::uint64_t m = bluestein_fft_size(n);
-    conv = cache_.acquire(PlanKey{m, routed_plan_kind(m), precision_of<T>});
-  }
-  dispatch_t<T>(*entry, conv.get(), batch, opts.workers, dir);
+      cache_.acquire(PlanKey{n, routed_plan_kind(n), precision_of<T>});
+  dispatch_t<T>(*entry, batch, opts.workers, dir);
 }
 
 template <typename T>
-void FftExecutor::dispatch_t(const PlanEntry& entry, const PlanEntry* conv,
+void FftExecutor::dispatch_t(const PlanEntry& entry,
                              std::span<const std::span<cplx_t<T>>> batch,
                              unsigned workers, TwiddleDirection dir) {
   // A hierarchical plan (direct, or as Bluestein's convolution) runs its
@@ -229,7 +200,8 @@ void FftExecutor::dispatch_t(const PlanEntry& entry, const PlanEntry* conv,
   const PlanKind kind = entry.kind();
   const bool pipelined =
       kind == PlanKind::kHierarchical ||
-      (conv != nullptr && conv->kind() == PlanKind::kHierarchical);
+      (kind == PlanKind::kBluestein &&
+       entry.conv_entry()->kind() == PlanKind::kHierarchical);
 
   std::lock_guard lock(mutex_);
   if (closed_.load(std::memory_order_relaxed)) throw ExecutorClosedError();
@@ -237,7 +209,7 @@ void FftExecutor::dispatch_t(const PlanEntry& entry, const PlanEntry* conv,
   const bool phased_mixed = kind == PlanKind::kMixedRadix &&
                             batch.size() == 1 && tm.workers() > 1;
   if (!pipelined && !phased_mixed) {
-    run_serial_locked<T>(entry, conv, batch, tm, dir);
+    run_serial_locked<T>(entry, batch, tm, dir);
   } else {
     for (const std::span<cplx_t<T>>& data : batch) {
       if (kind == PlanKind::kHierarchical)
@@ -245,7 +217,7 @@ void FftExecutor::dispatch_t(const PlanEntry& entry, const PlanEntry* conv,
       else if (kind == PlanKind::kMixedRadix)
         run_mixed_radix_locked<T>(entry, data, tm, dir);
       else
-        run_bluestein_locked<T>(entry, *conv, data, tm, dir);
+        run_bluestein_locked<T>(entry, data, tm, dir);
     }
   }
   const std::uint64_t count = batch.size();
@@ -257,7 +229,6 @@ void FftExecutor::dispatch_t(const PlanEntry& entry, const PlanEntry* conv,
 
 template <typename T>
 void FftExecutor::run_serial_locked(const PlanEntry& entry,
-                                    const PlanEntry* conv,
                                     std::span<const std::span<cplx_t<T>>> batch,
                                     codelet::Team& tm,
                                     TwiddleDirection dir) {
@@ -276,7 +247,8 @@ void FftExecutor::run_serial_locked(const PlanEntry& entry,
   // Classic transforms and Bluestein's convolutions: one pow2 plan, each
   // transform one split-complex sweep (run_transform_split) on its
   // worker's split scratch. Every table comes from the plan entry.
-  const PlanEntry& pow2 = conv != nullptr ? *conv : entry;
+  const bool bluestein = entry.kind() == PlanKind::kBluestein;
+  const PlanEntry& pow2 = bluestein ? *entry.conv_entry() : entry;
   const std::uint64_t len = pow2.key().n;
   size_per_worker(st.split, workers, 2 * len);
   const std::span<const std::uint32_t> brev = pow2.bitrev();
@@ -284,7 +256,7 @@ void FftExecutor::run_serial_locked(const PlanEntry& entry,
                        unsigned w) {
     run_transform_split(data, tw, brev, st.split[w].data());
   };
-  if (conv == nullptr) {
+  if (!bluestein) {
     const LevelTwiddles<T> tw = entry.level_twiddles<T>(dir);
     tm.parallel_for(batch.size(), [&](std::uint64_t b, unsigned w) {
       fft(batch[b], tw, w);
@@ -292,9 +264,9 @@ void FftExecutor::run_serial_locked(const PlanEntry& entry,
     return;
   }
   const LevelTwiddles<T> tw_fwd =
-      conv->level_twiddles<T>(TwiddleDirection::kForward);
+      pow2.level_twiddles<T>(TwiddleDirection::kForward);
   const LevelTwiddles<T> tw_inv =
-      conv->level_twiddles<T>(TwiddleDirection::kInverse);
+      pow2.level_twiddles<T>(TwiddleDirection::kInverse);
   const std::span<const cplx_t<T>> chirp = entry.chirp<T>(dir);
   const std::span<const cplx_t<T>> bfft = entry.chirp_fft<T>(dir);
   size_per_worker(st.work, workers, len);
@@ -348,14 +320,14 @@ void FftExecutor::run_mixed_radix_locked(const PlanEntry& entry,
 
 template <typename T>
 void FftExecutor::run_bluestein_locked(const PlanEntry& entry,
-                                       const PlanEntry& conv,
                                        std::span<cplx_t<T>> data,
                                        codelet::Team& tm,
                                        TwiddleDirection dir) {
   // The convolution buffer is index 0's `work`: the inner pipeline uses
   // hier_scratch, never `work`, so the chirp-modulated signal survives
   // the inner transforms.
-  const std::uint64_t m = entry.conv_size();
+  const PlanEntry& conv = *entry.conv_entry();
+  const std::uint64_t m = conv.key().n;
   NumericState<T>& st = num<T>();
   size_per_worker(st.work, 1, m);
   const std::span<cplx_t<T>> buf(st.work[0].data(), m);
@@ -516,12 +488,12 @@ void FftExecutor::run_hierarchical_locked(const PlanEntry& entry,
 }
 
 // The test peer (FftExecutorTestPeer) drives the dispatch directly.
-template void FftExecutor::dispatch_t<double>(
-    const PlanEntry&, const PlanEntry*, std::span<const std::span<cplx>>,
-    unsigned, TwiddleDirection);
-template void FftExecutor::dispatch_t<float>(
-    const PlanEntry&, const PlanEntry*, std::span<const std::span<cplx32>>,
-    unsigned, TwiddleDirection);
+template void FftExecutor::dispatch_t<double>(const PlanEntry&,
+                                              std::span<const std::span<cplx>>,
+                                              unsigned, TwiddleDirection);
+template void FftExecutor::dispatch_t<float>(const PlanEntry&,
+                                             std::span<const std::span<cplx32>>,
+                                             unsigned, TwiddleDirection);
 
 void FftExecutor::forward(std::span<cplx> data, const HostFftOptions& opts) {
   const std::span<cplx> one[1] = {data};

@@ -8,7 +8,8 @@
 //
 // Every phase the executor runs is one flat parallel loop on its worker
 // team (codelet::Team::parallel_for): no phase pushes work into another.
-// Every call resolves its route and plan entries first, then runs one of
+// Every call resolves its route's plan entry first (one cache acquire:
+// an entry pins whatever sub-entries its route runs), then runs one of
 // two bodies. The serial whole-transform body runs every classic call and
 // every Bluestein call whose convolution is classic, on every team and
 // batch size: ONE phase with one index per transform, each run start to
@@ -37,8 +38,8 @@
 // column sweep, so the one barrier between the phases is the pipeline's
 // only sync point. It has no serial body: the two phases run once per
 // transform on every team. Routing is a function of N alone
-// (routed_plan_kind): no option, env var or setter moves a size between
-// plans. See DESIGN.md "Hierarchical large-N path".
+// (routed_plan_kind, fft/plan.hpp): no option, env var or setter moves a
+// size between plans. See DESIGN.md "Hierarchical large-N path".
 //
 // Precision: every entry point exists for cplx (f64) and cplx32 (f32).
 // The two precisions dispatch through one shared member-template body
@@ -67,18 +68,6 @@
 #include "util/aligned_buffer.hpp"
 
 namespace c64fft::fft {
-
-/// Pow2 transforms with log2(N) >= this route through the hierarchical
-/// path (PlanKind::kHierarchical); smaller ones run the
-/// classic monolithic plan. 2^18 = 4 MiB of cplx data: at that size
-/// the classic path's data + O(N) twiddle table are far beyond a typical
-/// L2, while the decomposed sub-sweeps (512-point FFTs) stay
-/// cache-resident. Measured on a 4-vCPU Xeon, a 2-worker team runs the
-/// hierarchical route 1.14x faster than the classic plan at 2^18, and a
-/// one-worker team runs the two about equally there — DESIGN.md §3.7.
-/// (The f32 footprint at a given N is half this; the threshold stays
-/// size-based for predictability.)
-inline constexpr unsigned kDefaultHierarchicalThresholdLog2 = 18;
 
 /// Chunk decomposition of the executor's data-parallel utility phases
 /// (`chunks` codelets of `per` units each; the last chunk may be short).
@@ -122,14 +111,6 @@ HierarchicalGrain hierarchical_grain(std::uint64_t n1, std::uint64_t n2,
                                      unsigned workers, unsigned element_bytes,
                                      std::uint64_t l2_bytes);
 
-/// The PlanKind the executor routes an n-point transform to — a function
-/// of n alone. Non-pow2 sizes are decided by factorization: 7-smooth
-/// composites run kMixedRadix, everything else kBluestein. Pow2 sizes
-/// with log2(N) >= kDefaultHierarchicalThresholdLog2 run kHierarchical,
-/// the rest kClassic; Bluestein's M-point convolution routes the same
-/// way. Shared with fft_lint --plan-kind=auto and the static models.
-PlanKind routed_plan_kind(std::uint64_t n);
-
 struct ExecutorOptions {
   /// Team shape used by the option-less transform overloads (per-call
   /// HostFftOptions override it, recreating the team when they differ).
@@ -167,11 +148,11 @@ struct ExecutorStats {
   std::uint64_t teams_created = 0;
 };
 
-/// Test-only peer (tests/executor_test_peer.hpp): acquires plan entries of
-/// a forced kind (a classic plan above the threshold, a hierarchical one
-/// below it, a Bluestein convolution of either kind) and runs them
-/// through the executor's own locked dispatch. No
-/// public knob moves a size between routes.
+/// Test-only peer (tests/executor_test_peer.hpp): runs plan entries of a
+/// forced kind (a classic plan above the threshold, a hierarchical one
+/// below it, a Bluestein entry it builds outside the cache over a
+/// convolution of either kind) through the executor's own locked
+/// dispatch. No public knob moves a size between routes.
 struct FftExecutorTestPeer;
 
 class FftExecutor {
@@ -187,13 +168,13 @@ class FftExecutor {
   FftExecutor(const FftExecutor&) = delete;
   FftExecutor& operator=(const FftExecutor&) = delete;
 
-  /// In-place transforms of any N >= 2 (smaller sizes throw
-  /// std::invalid_argument). opts.workers selects the team; the
-  /// option-less overloads use the ExecutorOptions default. A team size
-  /// outside [1, codelet::Team::kMaxWorkers] throws std::invalid_argument
-  /// and leaves the executor usable. The cplx32
-  /// overloads are the f32 path — same plan algebra, f32
-  /// twiddles/kernels, separate plan-cache entries.
+  /// In-place transforms of any N validate_fft_shape accepts (N >= 2
+  /// within its route's limit; any other N throws std::invalid_argument).
+  /// opts.workers selects the team; the option-less overloads use the
+  /// ExecutorOptions default. A team size outside
+  /// [1, codelet::Team::kMaxWorkers] throws std::invalid_argument and
+  /// leaves the executor usable. The cplx32 overloads are the f32 path —
+  /// same plan algebra, f32 twiddles/kernels, separate plan-cache entries.
   void forward(std::span<cplx> data, const HostFftOptions& opts);
   void forward(std::span<cplx> data);
   void forward(std::span<cplx32> data, const HostFftOptions& opts);
@@ -309,27 +290,26 @@ class FftExecutor {
   }
 
   codelet::Team& team(unsigned workers);
-  /// Validates the batch, resolves its route and plan entries through the
-  /// cache (before taking the lock), then runs dispatch_t.
+  /// Validates the batch, resolves its route's plan entry with ONE cache
+  /// acquire (before taking the lock), then runs dispatch_t.
   template <typename T>
   void run_t(std::span<const std::span<cplx_t<T>>> batch,
              const HostFftOptions& opts, TwiddleDirection dir);
-  /// The locked dispatch over resolved entries: takes mutex_, re-checks
-  /// close(), picks the body from the entry kinds (`conv` is Bluestein's
-  /// convolution entry, else nullptr), runs it on a `workers` team and
-  /// counts the batch into the stats. Unscaled, like every body below.
+  /// The locked dispatch over a resolved entry: takes mutex_, re-checks
+  /// close(), picks the body from the entry's kind (and a Bluestein
+  /// entry's convolution kind), runs it on a `workers` team and counts
+  /// the batch into the stats. Unscaled, like every body below.
   template <typename T>
-  void dispatch_t(const PlanEntry& entry, const PlanEntry* conv,
+  void dispatch_t(const PlanEntry& entry,
                   std::span<const std::span<cplx_t<T>>> batch,
                   unsigned workers, TwiddleDirection dir);
   /// The serial whole-transform body (mutex_ held) for classic,
-  /// mixed-radix and Bluestein plans whose convolution is classic (`conv`
-  /// is Bluestein's inner pow2 entry, else nullptr): ONE phase with one
-  /// index per transform on per-worker scratch, for any batch size
-  /// including one. The bodies below never scale — inverse normalization
-  /// lives in the public wrappers only.
+  /// mixed-radix and Bluestein plans whose convolution is classic: ONE
+  /// phase with one index per transform on per-worker scratch, for any
+  /// batch size including one. The bodies below never scale — inverse
+  /// normalization lives in the public wrappers only.
   template <typename T>
-  void run_serial_locked(const PlanEntry& entry, const PlanEntry* conv,
+  void run_serial_locked(const PlanEntry& entry,
                          std::span<const std::span<cplx_t<T>>> batch,
                          codelet::Team& team, TwiddleDirection dir);
   /// One hierarchical transform (mutex_ held): two flat phases of
@@ -351,11 +331,11 @@ class FftExecutor {
                               codelet::Team& team, TwiddleDirection dir);
   /// One Bluestein chirp-z transform over a hierarchical convolution
   /// (mutex_ held): the chirp chain around two inner M-point pipelines on
-  /// `conv`. A classic convolution runs the serial body instead.
+  /// the entry's convolution. A classic convolution runs the serial body
+  /// instead.
   template <typename T>
-  void run_bluestein_locked(const PlanEntry& entry, const PlanEntry& conv,
-                            std::span<cplx_t<T>> data, codelet::Team& team,
-                            TwiddleDirection dir);
+  void run_bluestein_locked(const PlanEntry& entry, std::span<cplx_t<T>> data,
+                            codelet::Team& team, TwiddleDirection dir);
   /// Join the team and drop the per-worker buffers (mutex_ held) — the
   /// shared body of shutdown() and close().
   void shutdown_locked();

@@ -61,7 +61,10 @@ void inverse_2d_impl(std::span<cplx_t<T>> data, std::uint64_t rows,
 Fft2dShape fft2d_shape(std::size_t size, std::uint64_t rows, std::uint64_t cols) {
   if (!util::is_pow2(rows) || !util::is_pow2(cols) || rows < 2 || cols < 2)
     throw std::invalid_argument("fft2d: dimensions must be powers of two >= 2");
-  if (size != rows * cols) throw std::invalid_argument("fft2d: size mismatch");
+  // Both are powers of two, so the product wraps exactly when its log2
+  // reaches 64.
+  if (util::ilog2(rows) + util::ilog2(cols) >= 64 || size != rows * cols)
+    throw std::invalid_argument("fft2d: size mismatch");
   Fft2dShape s;
   s.rows = rows;
   s.cols = cols;

@@ -20,7 +20,8 @@ namespace c64fft::fft {
 /// hook shared between forward_2d/inverse_2d and the static pipeline
 /// model (analysis::build_fft2d_pipeline), so the verifier analyzes
 /// exactly the pass structure the runtime executes. Throws
-/// std::invalid_argument on non-power-of-two dims or a size mismatch.
+/// std::invalid_argument on non-power-of-two dims or a size mismatch
+/// (a rows * cols product that wraps past 2^64 included).
 struct Fft2dShape {
   std::uint64_t rows = 0;
   std::uint64_t cols = 0;

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "fft/kernels/dispatch.hpp"
+#include "fft/plan.hpp"
 #include "util/bit_ops.hpp"
 
 namespace c64fft::fft {
@@ -246,34 +247,11 @@ MixedRadixPlan::MixedRadixPlan(std::uint64_t n)
     st.twiddle_offset = off;
     off += st.prev_len * (r - 1);
     stages_.push_back(st);
-    max_radix_ = std::max(max_radix_, r);
   }
   perm_.resize(n);
   const std::span<const std::uint32_t> factors(factorization_.factors);
   for (std::uint64_t p = 0; p < n; ++p)
     perm_[p] = static_cast<std::uint32_t>(digit_reverse(p, factors));
-}
-
-std::uint64_t MixedRadixPlan::butterfly_flops(std::uint32_t radix) {
-  // Twiddle multiplies (6 real flops each, u = 1..r-1) plus the codelet
-  // DFT body; the radix-2 value (10) matches FftPlan's historical
-  // 10-per-butterfly convention so cost baselines stay comparable.
-  switch (radix) {
-    case 2: return 10;
-    case 3: return 30;
-    case 4: return 34;
-    case 5: return 64;
-    case 7: return 120;
-    case 8: return 110;
-    default: return 10;
-  }
-}
-
-std::uint64_t MixedRadixPlan::total_flops() const noexcept {
-  std::uint64_t flops = 0;
-  for (const MixedRadixStage& st : stages_)
-    flops += (n_ / st.radix) * butterfly_flops(st.radix);
-  return flops;
 }
 
 template <typename T>
@@ -355,7 +333,8 @@ cplx_t<T> bluestein_chirp(std::uint64_t n, std::uint64_t j,
 }
 
 std::uint64_t bluestein_fft_size(std::uint64_t n) {
-  if (n < 2) return 2;
+  if (n < 2 || n > kMaxBluesteinSize)
+    throw std::invalid_argument("bluestein_fft_size: N must be in [2, 2^29]");
   return util::next_pow2(2 * n - 1);
 }
 

@@ -32,8 +32,7 @@ namespace c64fft::fft {
 /// Stage-radix decomposition of n. `factors` holds the execution-order
 /// stage radices of the 7-smooth part (8s, then 4/2 remainders, then 3s,
 /// 5s, 7s); `residue` is what remains after extracting them (1 when n is
-/// 7-smooth, i.e. `smooth`). factorize(12) = {[8? no: [4, 3]], ...}:
-/// 12 = 4 * 3 -> factors [4, 3], residue 1.
+/// 7-smooth, i.e. `smooth`): factorize(12) has factors [4, 3], residue 1.
 struct Factorization {
   std::vector<std::uint32_t> factors;
   std::uint64_t residue = 1;
@@ -70,7 +69,6 @@ class MixedRadixPlan {
   const std::vector<std::uint32_t>& factors() const noexcept {
     return factorization_.factors;
   }
-  const Factorization& factorization() const noexcept { return factorization_; }
   const std::vector<MixedRadixStage>& stages() const noexcept { return stages_; }
   std::uint32_t stage_count() const noexcept {
     return static_cast<std::uint32_t>(stages_.size());
@@ -79,17 +77,9 @@ class MixedRadixPlan {
   std::span<const std::uint32_t> permutation() const noexcept { return perm_; }
   /// Total flat twiddle entries across all stages (always n - 1).
   std::uint64_t twiddle_count() const noexcept { return n_ - 1; }
-  /// Largest stage radix (scratch sizing).
-  std::uint32_t max_radix() const noexcept { return max_radix_; }
-  /// Estimated real flops of one radix-r butterfly including its twiddle
-  /// multiplies (feeds the analysis cost model; deterministic, not exact).
-  static std::uint64_t butterfly_flops(std::uint32_t radix);
-  /// Estimated real flops of the whole transform.
-  std::uint64_t total_flops() const noexcept;
 
  private:
   std::uint64_t n_ = 0;
-  std::uint32_t max_radix_ = 0;
   Factorization factorization_;
   std::vector<MixedRadixStage> stages_;
   std::vector<std::uint32_t> perm_;
@@ -168,7 +158,9 @@ template <typename T>
 cplx_t<T> bluestein_chirp(std::uint64_t n, std::uint64_t j,
                           TwiddleDirection direction);
 
-/// Convolution length of the Bluestein path: next_pow2(2n - 1).
+/// Convolution length of the Bluestein path: next_pow2(2n - 1). Throws
+/// std::invalid_argument unless 2 <= n <= kMaxBluesteinSize (fft/plan.hpp),
+/// so M never wraps and always fits one sweep.
 std::uint64_t bluestein_fft_size(std::uint64_t n);
 
 }  // namespace c64fft::fft

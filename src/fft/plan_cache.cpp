@@ -6,7 +6,7 @@
 #include <type_traits>
 #include <utility>
 
-#include "fft/reference.hpp"
+#include "fft/kernel.hpp"
 #include "util/bit_ops.hpp"
 
 namespace c64fft::fft {
@@ -36,12 +36,15 @@ void fill_level_twiddles(std::uint64_t n, TwiddleDirection dir, T* re,
 
 }  // namespace
 
-PlanEntry::PlanEntry(const PlanKey& key) : key_(key) {
+PlanEntry::PlanEntry(const PlanKey& key,
+                     std::shared_ptr<const PlanEntry> conv_entry)
+    : key_(key), conv_entry_(std::move(conv_entry)) {
   switch (key.kind) {
     case PlanKind::kClassic: {
-      if (!util::is_pow2(key.n) || key.n < 2)
+      if (!util::is_pow2(key.n) || key.n < 2 ||
+          util::ilog2(key.n) > kMaxSweepLog2)
         throw std::invalid_argument(
-            "PlanEntry: classic size must be a power of two >= 2");
+            "PlanEntry: classic size must be a power of two in [2, 2^30]");
       const unsigned bits = util::ilog2(key.n);
       bitrev_.resize(key.n);
       for (std::uint64_t i = 0; i < key.n; ++i)
@@ -52,9 +55,12 @@ PlanEntry::PlanEntry(const PlanKey& key) : key_(key) {
       mixed_ = std::make_unique<MixedRadixPlan>(key.n);
       break;
     case PlanKind::kBluestein:
-      if (key.n < 2)
-        throw std::invalid_argument("PlanEntry: Bluestein size must be >= 2");
-      conv_n_ = bluestein_fft_size(key.n);
+      if (!conv_entry_ || conv_entry_->key().n != bluestein_fft_size(key.n) ||
+          conv_entry_->precision() != key.precision ||
+          (conv_entry_->kind() != PlanKind::kClassic &&
+           conv_entry_->kind() != PlanKind::kHierarchical))
+        throw std::invalid_argument(
+            "PlanEntry: Bluestein convolution entry mismatch");
       break;
     case PlanKind::kHierarchical:
       throw std::invalid_argument(
@@ -78,19 +84,25 @@ void PlanEntry::build_tables(TwiddleDirection dir, Tables<T>& out) const {
   } else if (key_.kind == PlanKind::kBluestein) {
     // Everything evaluates in double regardless of the entry precision
     // (the f32 tables are narrowed images), including the chirp-filter
-    // FFT: the serial pow2 reference keeps the filter's own rounding at
-    // f64.
+    // FFT: one production sweep over a transient f64 classic entry keeps
+    // the filter's own rounding at f64, whatever the convolution's kind
+    // and precision.
+    const std::uint64_t m = conv_entry_->key().n;
     std::vector<cplx> chirp(n);
     for (std::uint64_t j = 0; j < n; ++j)
       chirp[j] = bluestein_chirp<double>(n, j, dir);
-    std::vector<cplx> bfft(conv_n_);
+    std::vector<cplx> bfft(m);
     bfft[0] = std::conj(chirp[0]);
     for (std::uint64_t j = 1; j < n; ++j) {
       const cplx b = std::conj(chirp[j]);
       bfft[j] = b;
-      bfft[conv_n_ - j] = b;
+      bfft[m - j] = b;
     }
-    fft_serial_inplace(std::span<cplx>(bfft));
+    const PlanEntry sweep(PlanKey{m, PlanKind::kClassic, Precision::kF64});
+    util::AlignedBuffer<double> split(2 * m);
+    run_transform_split(bfft,
+                        sweep.level_twiddles<double>(TwiddleDirection::kForward),
+                        sweep.bitrev(), split.data());
     out.chirp.assign(chirp.begin(), chirp.end());
     out.chirp_fft.assign(bfft.begin(), bfft.end());
   }
@@ -107,11 +119,10 @@ PlanEntry::PlanEntry(const PlanKey& key, HierarchicalSplit split,
     throw std::invalid_argument(
         "PlanEntry: hierarchical constructor requires kHierarchical key");
   if (split_.n1 * split_.n2 != key.n || !col_entry_ || !row_entry_ ||
-      col_entry_->key().n != split_.n1 || row_entry_->key().n != split_.n2 ||
-      col_entry_->kind() != PlanKind::kClassic ||
-      row_entry_->kind() != PlanKind::kClassic ||
-      col_entry_->precision() != key.precision ||
-      row_entry_->precision() != key.precision)
+      col_entry_->key() != PlanKey{split_.n1, PlanKind::kClassic,
+                                   key.precision} ||
+      row_entry_->key() != PlanKey{split_.n2, PlanKind::kClassic,
+                                   key.precision})
     throw std::invalid_argument(
         "PlanEntry: hierarchical split/sub-entry mismatch");
 }
@@ -166,7 +177,13 @@ std::shared_ptr<const PlanEntry> PlanCache::acquire(const PlanKey& key) {
   // O(N) plan + trig build runs unlocked; a losing racer adopts the entry
   // the winner inserted.
   std::shared_ptr<const PlanEntry> entry;
-  if (key.kind == PlanKind::kHierarchical) {
+  if (key.kind == PlanKind::kBluestein) {
+    // The convolution takes the key a direct M-point call builds, so the
+    // two share one entry.
+    const std::uint64_t m = bluestein_fft_size(key.n);
+    entry = std::make_shared<const PlanEntry>(
+        key, acquire(PlanKey{m, routed_plan_kind(m), key.precision}));
+  } else if (key.kind == PlanKind::kHierarchical) {
     // Both factors are classic entries under the keys a direct call of
     // the sub-size builds; a square split shares one.
     const HierarchicalSplit split = hierarchical_split(key.n);

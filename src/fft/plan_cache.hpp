@@ -8,11 +8,12 @@
 // the data buffer: for a classic pow2 size the forward (and lazily the
 // conjugated inverse) per-level twiddle planes, laid out in the order the
 // whole-transform sweep reads them, and the bit-reversal index table; for
-// the other kinds their split, stage vector or chirp tables. Entries are
-// immutable and handed out as shared_ptr<const PlanEntry>, so a cache
-// eviction never invalidates a transform in flight (a hierarchical
-// entry pins its sub-entries, and with them their tables). See DESIGN.md
-// "Executor & plan cache".
+// the other kinds their split, stage vector or chirp tables. An entry is
+// its whole route — a hierarchical entry pins its two classic factors, a
+// Bluestein entry its convolution — so one acquire resolves a call.
+// Entries are immutable and handed out as shared_ptr<const PlanEntry>, so
+// a cache eviction never invalidates a transform in flight, nor the
+// entries it pins. See DESIGN.md "Executor & plan cache".
 
 #include <array>
 #include <cstddef>
@@ -34,11 +35,12 @@ namespace c64fft::fft {
 /// Everything that distinguishes one cached plan from another. `kind` is
 /// part of the key — the classic and the hierarchical decomposition of
 /// one size are distinct entries (a hierarchical entry's classic
-/// sub-entries are ordinary residents, shared with direct calls of their
-/// size). `precision` is part of the key too: an f32 and an f64 transform
-/// of the same shape share nothing but the index algebra, and the twiddle
-/// tables they pin differ in both element width and content, so they must
-/// age through the LRU as separate entries.
+/// sub-entries and a Bluestein entry's convolution are ordinary
+/// residents, shared with direct calls of their size). `precision` is
+/// part of the key too: an f32 and an f64 transform of the same shape
+/// share nothing but the index algebra, and the twiddle tables they pin
+/// differ in both element width and content, so they must age through the
+/// LRU as separate entries.
 struct PlanKey {
   std::uint64_t n = 0;
   PlanKind kind = PlanKind::kClassic;
@@ -66,13 +68,14 @@ class PlanEntry {
   /// bit-reversal index table (every classic transform is one
   /// whole-transform sweep, so no stage plan is kept); mixed-radix gets
   /// the MixedRadixPlan (stage vector + digit-reversal permutation) and
-  /// its flat per-stage forward twiddles; Bluestein gets the length-n
-  /// chirp and the length-M FFT of the chirp filter
-  /// (M = bluestein_fft_size(n)) — the runtime convolution's pow2 plans
-  /// are acquired separately from the shared cache. Throws
+  /// its flat per-stage forward twiddles; Bluestein pins `conv_entry`, its
+  /// M-point convolution (M = bluestein_fft_size(n), classic or
+  /// hierarchical, same precision; null for the other kinds), and gets the
+  /// length-n chirp and the length-M FFT of the chirp filter. Throws
   /// std::invalid_argument for bad shapes (a classic key must be a power
-  /// of two >= 2).
-  explicit PlanEntry(const PlanKey& key);
+  /// of two in [2, 2^kMaxSweepLog2]) before allocating.
+  explicit PlanEntry(const PlanKey& key,
+                     std::shared_ptr<const PlanEntry> conv_entry = nullptr);
 
   /// Builds a hierarchical entry: no twiddles of its own, just the split
   /// and pinned classic sub-entries for the column (length n1) and row
@@ -141,9 +144,10 @@ class PlanEntry {
 
   // ---- Bluestein entries only ----
 
-  /// Convolution length M = bluestein_fft_size(n) of this entry.
-  std::uint64_t conv_size() const {
-    return require(PlanKind::kBluestein).conv_n_;
+  /// The pinned M-point convolution entry (M = bluestein_fft_size(n)):
+  /// both inner FFTs of every transform run over it.
+  const std::shared_ptr<const PlanEntry>& conv_entry() const {
+    return require(PlanKind::kBluestein).conv_entry_;
   }
   /// Chirp c[j] = exp(-+ pi i j^2 / n), length n, for the given OUTER
   /// transform direction (the inner M-point FFTs are always one forward
@@ -191,7 +195,7 @@ class PlanEntry {
   // Mixed-radix state (kMixedRadix only).
   std::unique_ptr<MixedRadixPlan> mixed_;
   // Bluestein state (kBluestein only).
-  std::uint64_t conv_n_ = 0;
+  std::shared_ptr<const PlanEntry> conv_entry_;
   // Tables by direction (forward, inverse); only the key's precision is
   // filled, the inverse under inverse_once_.
   mutable std::once_flag inverse_once_;
@@ -220,8 +224,10 @@ class PlanCache {
   /// Return the cached entry for `key`, building and inserting it on miss
   /// (evicting the least recently used entry when over capacity). A
   /// kHierarchical key first acquires its classic sub-entries (length n1
-  /// and n2 of hierarchical_split), so they stay independently cached and
-  /// shared with direct transforms of the same size.
+  /// and n2 of hierarchical_split), a kBluestein key its convolution under
+  /// the routed key of M = bluestein_fft_size(n), so they stay
+  /// independently cached and shared with direct transforms of their size;
+  /// they age in the LRU on their own (a warm call touches one key).
   std::shared_ptr<const PlanEntry> acquire(const PlanKey& key);
 
   std::size_t size() const;

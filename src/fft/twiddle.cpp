@@ -21,8 +21,4 @@ cplx_t<T> unit_root(std::uint64_t n, std::uint64_t t, TwiddleDirection direction
 template cplx_t<float> unit_root<float>(std::uint64_t, std::uint64_t, TwiddleDirection);
 template cplx_t<double> unit_root<double>(std::uint64_t, std::uint64_t, TwiddleDirection);
 
-cplx unit_root(std::uint64_t n, std::uint64_t t, TwiddleDirection direction) {
-  return unit_root<double>(n, t, direction);
-}
-
 }  // namespace c64fft::fft

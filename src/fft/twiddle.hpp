@@ -35,10 +35,6 @@ template <typename T>
 cplx_t<T> unit_root(std::uint64_t n, std::uint64_t t,
                     TwiddleDirection direction = TwiddleDirection::kForward);
 
-/// Double-precision convenience overload (the historical signature).
-cplx unit_root(std::uint64_t n, std::uint64_t t,
-               TwiddleDirection direction = TwiddleDirection::kForward);
-
 /// The twiddles of one n-point pow2 sweep (n >= 2) as two split-complex
 /// planes of n scalars each. Butterfly level v's 2^v twiddles
 /// W_n^(u << (log2 n - v - 1)), u < 2^v, sit at [2^v, 2^(v+1)) of `re` and

@@ -15,10 +15,11 @@
 // covers submit()/wait() without cross-thread noise, and passing
 // &thread_alloc_count as ServerOptions::alloc_probe has the dispatcher
 // bracket its executor calls with it, splitting that thread's count
-// into executor-internal allocations (the runtime phases' task
-// bookkeeping at workers >= 2) and the serving layer's own
-// drain/group/complete path — which is the count that must stay at
-// zero in steady state.
+// into executor-internal allocations (plan builds and first-use
+// scratch; a warm executor call allocates nothing on any route or team
+// size) and the serving layer's own drain/group/complete path. Both
+// counts must stay at zero in steady state: test_serve_alloc and
+// fft_loadgen --assert-zero-alloc fail on either.
 
 #include <cstdint>
 

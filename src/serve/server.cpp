@@ -7,11 +7,6 @@ namespace c64fft::serve {
 
 namespace {
 
-/// Admission check: any length >= 2 is servable — the executor routes
-/// pow2 sizes through the classic/hierarchical plans and
-/// composite/prime sizes through mixed-radix/Bluestein.
-bool valid_size(std::uint64_t n) noexcept { return n >= 2; }
-
 /// rejects_ array index for a non-accepted status.
 std::size_t reject_index(SubmitStatus s) noexcept {
   return static_cast<std::size_t>(s) - 1;
@@ -131,7 +126,9 @@ SubmitResult FftServer::submit_impl(TenantId tenant, void* data,
     };
     if (!accepting_.load(std::memory_order_relaxed))
       return reject(SubmitStatus::kShuttingDown);
-    if (data == nullptr || !valid_size(n))
+    // The executor's own shape rule, so a length no route runs is
+    // rejected here rather than failing its batch after dispatch.
+    if (data == nullptr || !fft::fft_size_supported(n))
       return reject(SubmitStatus::kInvalidSize);
     if (tenant >= tenants_.size()) return reject(SubmitStatus::kUnknownTenant);
 

@@ -65,9 +65,10 @@ enum class SubmitStatus : std::uint8_t {
   kQueueFull,
   /// shutdown() has begun (or the underlying executor was closed).
   kShuttingDown,
-  /// Length < 2 or the span is null. Composite and prime lengths are
-  /// ACCEPTED (the executor runs them on mixed-radix/Bluestein plans);
-  /// only the degenerate sizes are invalid.
+  /// The span is null, or its length is one fft::validate_fft_shape
+  /// rejects (fft::fft_size_supported: N < 2, or past its route's limit).
+  /// Composite and prime lengths are ACCEPTED (the executor runs them on
+  /// mixed-radix/Bluestein plans).
   kInvalidSize,
   /// TenantId was never minted by add_tenant().
   kUnknownTenant,
@@ -142,8 +143,9 @@ struct ServerOptions {
   /// call allocates on no route and no team size) and
   /// ServerStats::dispatch_allocs (everything else: drain, group,
   /// complete, callbacks — the serving layer's own count). The
-  /// zero-allocation contract says neither moves in steady state. A function pointer, not the probe function itself,
-  /// because the probe is implemented by the BINARY (one TU defines
+  /// zero-allocation contract says neither moves in steady state.
+  /// A function pointer, not the probe function itself, because the
+  /// probe is implemented by the BINARY (one TU defines
   /// C64FFT_ALLOC_PROBE_IMPLEMENT), never by this library.
   std::uint64_t (*alloc_probe)() noexcept = nullptr;
   ArenaOptions arena;

@@ -2,10 +2,13 @@
 // FftExecutorTestPeer: the one way a test reaches a route that routing
 // never picks for its size. Routing is a function of N alone, so a test
 // that needs the classic plan at 2^18+, the hierarchical pipeline below
-// 2^18, or Bluestein over a hierarchical convolution acquires plan
-// entries of that kind from the executor's own cache and runs them
-// through the executor's own locked dispatch — the body, team, scratch
-// and stats counters a routed call would use.
+// 2^18, or Bluestein over a hierarchical convolution runs a plan entry of
+// that kind through the executor's own locked dispatch — the body, team,
+// scratch and stats counters a routed call would use. Classic and
+// hierarchical entries come from the executor's cache under their forced
+// key; a Bluestein entry is built outside the cache over a convolution
+// acquired under the forced key (the cache's own Bluestein entries pin
+// the routed convolution).
 
 #include <cstdint>
 #include <memory>
@@ -29,13 +32,14 @@ struct FftExecutorTestPeer {
   static void run(FftExecutor& ex, std::span<const std::span<cplx_t<T>>> batch,
                   Route route, TwiddleDirection dir) {
     const std::uint64_t n = batch.front().size();
+    const PlanKey key{n, route.kind, precision_of<T>};
     const std::shared_ptr<const PlanEntry> entry =
-        ex.cache_.acquire(PlanKey{n, route.kind, precision_of<T>});
-    std::shared_ptr<const PlanEntry> conv;
-    if (route.kind == PlanKind::kBluestein)
-      conv = ex.cache_.acquire(
-          PlanKey{bluestein_fft_size(n), route.conv, precision_of<T>});
-    ex.dispatch_t<T>(*entry, conv.get(), batch, ex.default_workers(), dir);
+        route.kind == PlanKind::kBluestein
+            ? std::make_shared<const PlanEntry>(
+                  key, ex.cache_.acquire(PlanKey{bluestein_fft_size(n),
+                                                 route.conv, precision_of<T>}))
+            : ex.cache_.acquire(key);
+    ex.dispatch_t<T>(*entry, batch, ex.default_workers(), dir);
     if (dir == TwiddleDirection::kForward) return;
     const T scale = static_cast<T>(1.0 / static_cast<double>(n));
     for (const std::span<cplx_t<T>>& t : batch)

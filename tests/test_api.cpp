@@ -6,7 +6,7 @@
 #include <numbers>
 #include <vector>
 
-#include "fft/reference.hpp"
+#include "paper/reference.hpp"
 #include "util/prng.hpp"
 
 namespace c64fft::fft {

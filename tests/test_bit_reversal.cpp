@@ -1,4 +1,4 @@
-#include "fft/bit_reversal.hpp"
+#include "paper/bit_reversal.hpp"
 
 #include <gtest/gtest.h>
 

@@ -21,8 +21,9 @@
 #include "codelet/team.hpp"
 #include "executor_test_peer.hpp"
 #include "fft/api.hpp"
+#include "fft/fft2d.hpp"
 #include "fft/mixed_radix.hpp"
-#include "fft/reference.hpp"
+#include "paper/reference.hpp"
 #include "util/cpu_features.hpp"
 #include "util/prng.hpp"
 
@@ -418,10 +419,82 @@ TEST(PlanCache, SharedEntriesSurviveEviction) {
 }
 
 TEST(PlanCache, BadShapesAreNotCached) {
+  // A bad key throws before anything is built or cached — a Bluestein
+  // key before its convolution is acquired, an oversized one before any
+  // table is allocated.
   PlanCache cache(4);
   EXPECT_THROW(cache.acquire(PlanKey{100}),
                std::invalid_argument);  // a classic key must be pow2
+  EXPECT_THROW(cache.acquire(PlanKey{std::uint64_t{1} << 31}),
+               std::invalid_argument);  // past the largest sweep
+  EXPECT_THROW(
+      cache.acquire(PlanKey{std::uint64_t{1} << 61, PlanKind::kHierarchical}),
+      std::invalid_argument);
+  for (const std::uint64_t n : {std::uint64_t{1}, kMaxBluesteinSize + 1})
+    EXPECT_THROW(cache.acquire(PlanKey{n, PlanKind::kBluestein}),
+                 std::invalid_argument)
+        << n;
   EXPECT_EQ(cache.size(), 0u);
+}
+
+TEST(SizeLimits, EachRouteRejectsTheSizeAfterItsLargest) {
+  // The validators at each route's boundary, called on the length alone:
+  // no buffer of these sizes is built. Classic sizes end where the
+  // hierarchical route begins, so the three limits are the pipeline's
+  // (its larger factor is the largest sweep, 2^30 points), MixedRadixPlan's
+  // u32 permutation, and Bluestein's M = next_pow2(2N - 1), one sweep at
+  // plan build.
+  struct Boundary {
+    std::uint64_t largest;
+    std::uint64_t next;
+    PlanKind kind;
+  };
+  const Boundary bounds[] = {
+      {std::uint64_t{1} << 60, std::uint64_t{1} << 61, PlanKind::kHierarchical},
+      // The largest 7-smooth composite below 2^32, and the next one.
+      {4288306050ULL, 4299816960ULL, PlanKind::kMixedRadix},
+      {kMaxBluesteinSize - 1, kMaxBluesteinSize + 1, PlanKind::kBluestein},
+  };
+  for (const Boundary& b : bounds) {
+    EXPECT_EQ(routed_plan_kind(b.largest), b.kind) << b.largest;
+    EXPECT_EQ(routed_plan_kind(b.next), b.kind) << b.next;
+    EXPECT_TRUE(fft_size_supported(b.largest)) << b.largest;
+    EXPECT_NO_THROW(validate_fft_shape(b.largest)) << b.largest;
+    EXPECT_FALSE(fft_size_supported(b.next)) << b.next;
+    EXPECT_THROW(validate_fft_shape(b.next), std::invalid_argument) << b.next;
+  }
+  for (const std::uint64_t n : {std::uint64_t{0}, std::uint64_t{1},
+                                std::uint64_t{1} << 63, UINT64_MAX}) {
+    EXPECT_FALSE(fft_size_supported(n)) << n;
+    EXPECT_THROW(validate_fft_shape(n), std::invalid_argument) << n;
+  }
+
+  // The route pieces agree: the largest split is two 2^30 sweeps, the
+  // largest Bluestein M is 2^30, and neither wraps past its limit.
+  EXPECT_EQ(hierarchical_split(std::uint64_t{1} << 60).n1,
+            std::uint64_t{1} << 30);
+  EXPECT_EQ(hierarchical_split(std::uint64_t{1} << 60).n2,
+            std::uint64_t{1} << 30);
+  EXPECT_THROW(hierarchical_split(std::uint64_t{1} << 61),
+               std::invalid_argument);
+  EXPECT_EQ(bluestein_fft_size(kMaxBluesteinSize), std::uint64_t{1} << 30);
+  EXPECT_EQ(bluestein_fft_size(kMaxBluesteinSize - 1),
+            std::uint64_t{1} << 30);
+  for (const std::uint64_t n :
+       {std::uint64_t{1}, kMaxBluesteinSize + 1,
+        (std::uint64_t{1} << 63) + 1})  // 2N - 1 wraps to 1
+    EXPECT_THROW(bluestein_fft_size(n), std::invalid_argument) << n;
+
+  // A 2-D shape whose rows * cols wraps is a size mismatch, not the
+  // empty matrix.
+  EXPECT_EQ(fft2d_shape(std::size_t{1} << 63, std::uint64_t{1} << 31,
+                        std::uint64_t{1} << 32)
+                .rows,
+            std::uint64_t{1} << 31);
+  EXPECT_THROW(fft2d_shape(0, std::uint64_t{1} << 32, std::uint64_t{1} << 32),
+               std::invalid_argument);
+  EXPECT_THROW(fft2d_shape(0, std::uint64_t{1} << 63, 2),
+               std::invalid_argument);
 }
 
 TEST(Executor, TeamSizeAboveTheCapIsRejected) {

@@ -22,8 +22,8 @@
 #include "fft/executor.hpp"
 #include "fft/kernels/dispatch.hpp"
 #include "fft/plan_cache.hpp"
-#include "fft/reference.hpp"
 #include "fft/transpose.hpp"
+#include "paper/reference.hpp"
 #include "util/cpu_features.hpp"
 #include "util/prng.hpp"
 

@@ -7,8 +7,8 @@
 
 #include "c64/peak_model.hpp"
 #include "fft/api.hpp"
-#include "fft/reference.hpp"
 #include "paper/fft_plan.hpp"
+#include "paper/reference.hpp"
 #include "simfft/experiment.hpp"
 #include "util/prng.hpp"
 

@@ -7,13 +7,13 @@
 #include <cstring>
 #include <vector>
 
-#include "fft/bit_reversal.hpp"
 #include "fft/kernels/dispatch.hpp"
 #include "fft/mixed_radix.hpp"
 #include "fft/plan_cache.hpp"
-#include "fft/reference.hpp"
 #include "fft/transpose.hpp"
+#include "paper/bit_reversal.hpp"
 #include "paper/codelet_kernel.hpp"
+#include "paper/reference.hpp"
 #include "util/bit_ops.hpp"
 #include "util/cpu_features.hpp"
 #include "util/prng.hpp"

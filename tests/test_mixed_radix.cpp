@@ -6,14 +6,18 @@
 #include <cmath>
 #include <complex>
 #include <cstring>
+#include <memory>
 #include <numbers>
 #include <numeric>
 #include <vector>
 
 #include "fft/api.hpp"
 #include "fft/executor.hpp"
-#include "fft/reference.hpp"
+#include "fft/kernels/dispatch.hpp"
+#include "fft/plan_cache.hpp"
+#include "paper/reference.hpp"
 #include "util/bit_ops.hpp"
+#include "util/cpu_features.hpp"
 #include "util/prng.hpp"
 
 namespace c64fft::fft {
@@ -299,6 +303,131 @@ TEST(Bluestein, ConvolutionSharesTheDirectPow2Entry) {
   exec.forward(std::span<cplx>(pow2));
   EXPECT_EQ(exec.stats().cache.misses, 2u);
   EXPECT_EQ(exec.stats().bluestein, 1u);
+}
+
+/// One Bluestein size of BluesteinPlanCache.EntryPinsItsConvolution: the
+/// entry's M-point convolution has the routed kind `conv_kind`.
+void expect_entry_pins_its_convolution(std::uint64_t n, PlanKind conv_kind) {
+  const PlanKey key{n, PlanKind::kBluestein};
+  const PlanKey conv_key{bluestein_fft_size(n), conv_kind};
+  // Room for the entry, its convolution and a hierarchical M's one square
+  // classic factor.
+  PlanCache cache(3);
+  std::shared_ptr<const PlanEntry> entry = cache.acquire(key);
+  const std::weak_ptr<const PlanEntry> conv = entry->conv_entry();
+  ASSERT_FALSE(conv.expired());
+  EXPECT_EQ(conv.lock()->key(), conv_key);
+  // The pin is the resident a direct M-point call gets.
+  EXPECT_EQ(cache.acquire(conv_key), conv.lock());
+
+  // A warm Bluestein acquire touches only its own key, so the convolution
+  // ages in the LRU on its own: two other keys evict it (and any factor)
+  // while the entry stays resident, and the pin keeps it alive.
+  EXPECT_EQ(cache.acquire(key), entry);
+  cache.acquire(PlanKey{16});
+  cache.acquire(PlanKey{32});
+  std::uint64_t misses = cache.stats().misses;
+  EXPECT_EQ(cache.acquire(key), entry);
+  EXPECT_EQ(cache.stats().misses, misses);
+  ASSERT_FALSE(conv.expired());
+  EXPECT_EQ(entry->conv_entry(), conv.lock());
+  // A direct M-point call now misses and builds an entry of its own.
+  misses = cache.stats().misses;
+  EXPECT_NE(cache.acquire(conv_key), conv.lock());
+  EXPECT_GT(cache.stats().misses, misses);
+
+  // Accessors of the other kinds still throw, on both sides of the pin.
+  EXPECT_THROW(entry->bitrev(), std::logic_error);
+  EXPECT_THROW(entry->level_twiddles<double>(TwiddleDirection::kForward),
+               std::logic_error);
+  EXPECT_THROW(entry->split(), std::logic_error);
+  EXPECT_THROW(entry->col_entry(), std::logic_error);
+  EXPECT_THROW(entry->mixed_plan(), std::logic_error);
+  EXPECT_THROW(conv.lock()->conv_entry(), std::logic_error);
+  EXPECT_THROW(conv.lock()->chirp<double>(TwiddleDirection::kForward),
+               std::logic_error);
+
+  // The entry is the pin's last holder.
+  entry.reset();
+  cache.clear();
+  EXPECT_TRUE(conv.expired());
+}
+
+TEST(BluesteinPlanCache, EntryPinsItsConvolution) {
+  // A Bluestein entry is its whole route, as a hierarchical entry is: the
+  // cache builds it over the convolution entry a direct M-point call
+  // gets, classic at M = 256, hierarchical at M = 2^18.
+  expect_entry_pins_its_convolution(101, PlanKind::kClassic);
+  expect_entry_pins_its_convolution(65537, PlanKind::kHierarchical);
+
+  // A Bluestein entry refuses a missing convolution, or one of the wrong
+  // size, precision or kind.
+  const PlanKey key{101, PlanKind::kBluestein};
+  const auto conv = [](std::uint64_t m, PlanKind kind, Precision p) {
+    PlanCache cache(4);
+    return cache.acquire(PlanKey{m, kind, p});
+  };
+  EXPECT_THROW(PlanEntry(key, nullptr), std::invalid_argument);
+  EXPECT_THROW(PlanEntry(key, conv(512, PlanKind::kClassic, Precision::kF64)),
+               std::invalid_argument);
+  EXPECT_THROW(PlanEntry(key, conv(256, PlanKind::kClassic, Precision::kF32)),
+               std::invalid_argument);
+  EXPECT_THROW(
+      PlanEntry(key, conv(256, PlanKind::kMixedRadix, Precision::kF64)),
+      std::invalid_argument);
+}
+
+/// The chirp filter's FFT by the serial radix-2 reference: the filter b
+/// (b[j] = b[M-j] = conj(c[j])) at f64, fft_serial_inplace, narrowed to T.
+template <typename T>
+std::vector<cplx_t<T>> reference_chirp_fft(std::uint64_t n,
+                                           TwiddleDirection dir) {
+  const std::uint64_t m = bluestein_fft_size(n);
+  std::vector<cplx> b(m);
+  for (std::uint64_t j = 0; j < n; ++j) {
+    const cplx c = std::conj(bluestein_chirp<double>(n, j, dir));
+    b[j] = c;
+    if (j != 0) b[m - j] = c;
+  }
+  fft_serial_inplace(std::span<cplx>(b));
+  return std::vector<cplx_t<T>>(b.begin(), b.end());
+}
+
+template <typename T>
+void expect_chirp_filter_matches_serial_reference() {
+  struct IsaGuard {
+    ~IsaGuard() { kernels::reset_kernel_isa_from_env(); }
+  } guard;
+  for (const util::IsaLevel isa :
+       {util::IsaLevel::kScalar, util::IsaLevel::kAvx2}) {
+    if (kernels::set_kernel_isa(isa) != isa) continue;
+    for (const std::uint64_t n : {2ULL, 3ULL, 101ULL, 4099ULL, 65537ULL}) {
+      // A fresh cache per table, so every filter is built under it.
+      PlanCache cache(4);
+      const auto entry =
+          cache.acquire(PlanKey{n, PlanKind::kBluestein, precision_of<T>});
+      for (const TwiddleDirection dir :
+           {TwiddleDirection::kForward, TwiddleDirection::kInverse}) {
+        const std::vector<cplx_t<T>> want = reference_chirp_fft<T>(n, dir);
+        const std::span<const cplx_t<T>> got = entry->chirp_fft<T>(dir);
+        ASSERT_EQ(got.size(), want.size());
+        EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                                 want.size() * sizeof(cplx_t<T>)))
+            << "n=" << n << " inverse=" << (dir == TwiddleDirection::kInverse)
+            << " isa=" << util::to_string(isa);
+      }
+    }
+  }
+}
+
+TEST(Bluestein, ChirpFilterMatchesSerialReferenceBitExactly) {
+  // The entry's chirp-filter FFT is one production sweep over a transient
+  // f64 classic entry; it must hold the bytes the serial radix-2
+  // reference gives, at both precisions (f32 narrows the f64 filter),
+  // both directions, every installable kernel table, and convolution
+  // sizes M from 4 to 2^18.
+  expect_chirp_filter_matches_serial_reference<double>();
+  expect_chirp_filter_matches_serial_reference<float>();
 }
 
 // ---------------------------------------------------------------------------

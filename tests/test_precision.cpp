@@ -18,7 +18,7 @@
 #include "fft/executor.hpp"
 #include "fft/fft2d.hpp"
 #include "fft/real_fft.hpp"
-#include "fft/reference.hpp"
+#include "paper/reference.hpp"
 #include "util/prng.hpp"
 #include "util/ulp.hpp"
 
@@ -235,6 +235,16 @@ TEST(Precision, PlanEntryRejectsWrongWidthTwiddleAccessor) {
   EXPECT_THROW(b64->chirp_fft<float>(TwiddleDirection::kInverse),
                std::logic_error);
   EXPECT_THROW(b64->mixed_twiddles<double>(TwiddleDirection::kForward),
+               std::logic_error);
+  // Its pinned convolution is a classic entry at the same precision,
+  // fenced the same way.
+  const PlanEntry& conv = *b64->conv_entry();
+  EXPECT_EQ(conv.precision(), Precision::kF64);
+  EXPECT_EQ(conv.level_twiddles<double>(TwiddleDirection::kInverse).re.size(),
+            256u);
+  EXPECT_THROW(conv.level_twiddles<float>(TwiddleDirection::kForward),
+               std::logic_error);
+  EXPECT_THROW(conv.chirp_fft<double>(TwiddleDirection::kForward),
                std::logic_error);
 }
 

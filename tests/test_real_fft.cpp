@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "fft/executor.hpp"
-#include "fft/reference.hpp"
+#include "paper/reference.hpp"
 #include "util/prng.hpp"
 
 namespace c64fft::fft {

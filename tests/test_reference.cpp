@@ -1,4 +1,4 @@
-#include "fft/reference.hpp"
+#include "paper/reference.hpp"
 
 #include <gtest/gtest.h>
 

@@ -315,13 +315,26 @@ TEST(Serve, TypedSubmitRejections) {
   auto good = random_signal<double>(64, 2);
   auto tiny = random_signal<double>(1, 3);
 
-  // Composite lengths are servable now (mixed-radix/Bluestein plans);
-  // only the degenerate N < 2 is an invalid size.
+  // Composite lengths are servable (mixed-radix/Bluestein plans); the
+  // degenerate N < 2 and a length past its route's limit are invalid
+  // sizes, rejected at submit by the executor's own rule
+  // (fft::fft_size_supported) rather than failing after dispatch. The
+  // oversized spans are never read — admission rejects on the length
+  // alone — so no buffer of those sizes is built.
   EXPECT_EQ(server
                 .submit(t, std::span<fft::cplx>(tiny.data(), 1),
                         Direction::kForward)
                 .status,
             SubmitStatus::kInvalidSize);
+  for (const std::uint64_t n :
+       {fft::kMaxBluesteinSize + 1, std::uint64_t{4299816960} /* 7-smooth */}) {
+    EXPECT_EQ(server
+                  .submit(t, std::span<fft::cplx>(good.data(), n),
+                          Direction::kForward)
+                  .status,
+              SubmitStatus::kInvalidSize)
+        << n;
+  }
   EXPECT_EQ(server
                 .submit(TenantId{42}, std::span<fft::cplx>(good),
                         Direction::kForward)
@@ -349,7 +362,7 @@ TEST(Serve, TypedSubmitRejections) {
       SubmitStatus::kQueueFull);
 
   const ServerStats st = server.stats();
-  EXPECT_EQ(st.rejected_invalid, 1u);
+  EXPECT_EQ(st.rejected_invalid, 3u);
   EXPECT_EQ(st.rejected_tenant, 1u);
   EXPECT_EQ(st.rejected_plan_quota, 1u);
   EXPECT_EQ(st.rejected_queue_full, 1u);

@@ -15,7 +15,7 @@
 #include <numbers>
 #include <vector>
 
-#include "fft/reference.hpp"
+#include "paper/reference.hpp"
 #include "util/prng.hpp"
 
 namespace c64fft::fft {
@@ -133,7 +133,7 @@ TEST(Transpose, TwiddleFusionEquivalentToSeparatePasses) {
   std::vector<cplx> scaled = src;
   for (std::uint64_t r = 0; r < rows; ++r)
     for (std::uint64_t c = 0; c < cols; ++c)
-      scaled[r * cols + c] *= unit_root(rows * cols, r * c);
+      scaled[r * cols + c] *= unit_root<double>(rows * cols, r * c);
   std::vector<cplx> unfused(src.size());
   transpose_blocked(scaled, unfused, rows, cols);
   // Not bit-identical (the fused kernel generates factors by recurrence,

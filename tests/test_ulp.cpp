@@ -24,7 +24,7 @@
 #include "executor_test_peer.hpp"
 #include "fft/api.hpp"
 #include "fft/executor.hpp"
-#include "fft/reference.hpp"
+#include "paper/reference.hpp"
 #include "util/prng.hpp"
 
 namespace c64fft {

@@ -21,8 +21,8 @@
 #include "analysis/race.hpp"
 #include "fft/executor.hpp"
 #include "fft/kernels/dispatch.hpp"
-#include "fft/reference.hpp"
 #include "paper/dep_counter.hpp"
+#include "paper/reference.hpp"
 #include "util/cpu_features.hpp"
 #include "util/prng.hpp"
 

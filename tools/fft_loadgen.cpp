@@ -409,11 +409,13 @@ int main(int argc, char** argv) {
     std::cerr << "fft_loadgen: --sizes must name at least one length\n";
     return 2;
   }
-  // Any length >= 2 is servable — the server routes composite sizes to
-  // the mixed-radix plan and primes to Bluestein, same as the executor.
+  // Every length the executor accepts is servable — composite sizes run
+  // the mixed-radix plan and primes Bluestein — and the server admits
+  // through the same rule.
   for (const std::uint64_t n : cfg.sizes) {
-    if (n < 2) {
-      std::cerr << "fft_loadgen: size " << n << " must be >= 2\n";
+    if (!fft::fft_size_supported(n)) {
+      std::cerr << "fft_loadgen: size " << n
+                << " is not a supported length (fft::validate_fft_shape)\n";
       return 2;
     }
   }
