@@ -166,11 +166,6 @@ template <typename T>
 void FftExecutor::run_t(std::span<const std::span<cplx_t<T>>> batch,
                         const HostFftOptions& opts, TwiddleDirection dir) {
   if (batch.empty()) return;
-  // Unlocked fast-fail; the authoritative re-check happens under mutex_
-  // in dispatch_t (close() flips the flag while holding the same mutex, so
-  // a caller that passes that check runs on a team close() has not
-  // joined).
-  if (closed_.load(std::memory_order_acquire)) throw ExecutorClosedError();
   const std::uint64_t n = batch.front().size();
   for (const std::span<cplx_t<T>>& t : batch)
     if (t.size() != n)
@@ -185,7 +180,8 @@ void FftExecutor::run_t(std::span<const std::span<cplx_t<T>>> batch,
   // precision), whose entry pins everything the route runs.
   const std::shared_ptr<const PlanEntry> entry =
       cache_.acquire(PlanKey{n, routed_plan_kind(n), precision_of<T>});
-  dispatch_t<T>(*entry, batch, opts.workers, dir);
+  dispatch_t<T>(*entry, batch, opts.workers != 0 ? opts.workers : opts_.workers,
+                dir);
 }
 
 template <typename T>
@@ -204,7 +200,6 @@ void FftExecutor::dispatch_t(const PlanEntry& entry,
        entry.conv_entry()->kind() == PlanKind::kHierarchical);
 
   std::lock_guard lock(mutex_);
-  if (closed_.load(std::memory_order_relaxed)) throw ExecutorClosedError();
   codelet::Team& tm = team(workers);
   const bool phased_mixed = kind == PlanKind::kMixedRadix &&
                             batch.size() == 1 && tm.workers() > 1;
@@ -500,17 +495,9 @@ void FftExecutor::forward(std::span<cplx> data, const HostFftOptions& opts) {
   run_t<double>(one, opts, TwiddleDirection::kForward);
 }
 
-void FftExecutor::forward(std::span<cplx> data) {
-  forward(data, HostFftOptions{default_workers()});
-}
-
 void FftExecutor::forward(std::span<cplx32> data, const HostFftOptions& opts) {
   const std::span<cplx32> one[1] = {data};
   run_t<float>(one, opts, TwiddleDirection::kForward);
-}
-
-void FftExecutor::forward(std::span<cplx32> data) {
-  forward(data, HostFftOptions{default_workers()});
 }
 
 void FftExecutor::inverse(std::span<cplx> data, const HostFftOptions& opts) {
@@ -519,18 +506,10 @@ void FftExecutor::inverse(std::span<cplx> data, const HostFftOptions& opts) {
   scale_by<double>(data, 1.0 / static_cast<double>(data.size()));
 }
 
-void FftExecutor::inverse(std::span<cplx> data) {
-  inverse(data, HostFftOptions{default_workers()});
-}
-
 void FftExecutor::inverse(std::span<cplx32> data, const HostFftOptions& opts) {
   const std::span<cplx32> one[1] = {data};
   run_t<float>(one, opts, TwiddleDirection::kInverse);
   scale_by<float>(data, 1.0 / static_cast<double>(data.size()));
-}
-
-void FftExecutor::inverse(std::span<cplx32> data) {
-  inverse(data, HostFftOptions{default_workers()});
 }
 
 void FftExecutor::forward_batch(std::span<const std::span<cplx>> batch,
@@ -538,17 +517,9 @@ void FftExecutor::forward_batch(std::span<const std::span<cplx>> batch,
   run_t<double>(batch, opts, TwiddleDirection::kForward);
 }
 
-void FftExecutor::forward_batch(std::span<const std::span<cplx>> batch) {
-  forward_batch(batch, HostFftOptions{default_workers()});
-}
-
 void FftExecutor::forward_batch(std::span<const std::span<cplx32>> batch,
                                 const HostFftOptions& opts) {
   run_t<float>(batch, opts, TwiddleDirection::kForward);
-}
-
-void FftExecutor::forward_batch(std::span<const std::span<cplx32>> batch) {
-  forward_batch(batch, HostFftOptions{default_workers()});
 }
 
 void FftExecutor::inverse_batch(std::span<const std::span<cplx>> batch,
@@ -558,10 +529,6 @@ void FftExecutor::inverse_batch(std::span<const std::span<cplx>> batch,
     scale_by<double>(t, 1.0 / static_cast<double>(t.size()));
 }
 
-void FftExecutor::inverse_batch(std::span<const std::span<cplx>> batch) {
-  inverse_batch(batch, HostFftOptions{default_workers()});
-}
-
 void FftExecutor::inverse_batch(std::span<const std::span<cplx32>> batch,
                                 const HostFftOptions& opts) {
   run_t<float>(batch, opts, TwiddleDirection::kInverse);
@@ -569,46 +536,11 @@ void FftExecutor::inverse_batch(std::span<const std::span<cplx32>> batch,
     scale_by<float>(t, 1.0 / static_cast<double>(t.size()));
 }
 
-void FftExecutor::inverse_batch(std::span<const std::span<cplx32>> batch) {
-  inverse_batch(batch, HostFftOptions{default_workers()});
-}
-
-void FftExecutor::resize(unsigned workers) {
-  check_team_size(workers);
-  std::lock_guard lock(mutex_);
-  opts_.workers = workers;
-  if (team_ && team_->workers() != workers) team_.reset();
-}
-
-unsigned FftExecutor::default_workers() const {
-  std::lock_guard lock(mutex_);
-  return opts_.workers;
-}
-
 void FftExecutor::shutdown() {
   std::lock_guard lock(mutex_);
-  shutdown_locked();
-}
-
-void FftExecutor::shutdown_locked() {
   team_.reset();
   f64_ = {};
   f32_ = {};
-}
-
-void FftExecutor::close() {
-  std::lock_guard lock(mutex_);
-  // Order matters: the flag flips while the phase mutex is held, so any
-  // transform that already passed its unlocked fast-fail is either (a)
-  // finished with its phase — we join a quiescent team — or (b) still
-  // waiting on mutex_, in which case it re-checks the flag after we
-  // release and throws instead of respawning the team we just joined.
-  closed_.store(true, std::memory_order_release);
-  shutdown_locked();
-}
-
-bool FftExecutor::closed() const noexcept {
-  return closed_.load(std::memory_order_acquire);
 }
 
 void FftExecutor::set_phase_hook(codelet::PhaseHook hook) {

@@ -1,10 +1,13 @@
 #pragma once
 // Cached-plan FFT executor: the steady-state entry point of the library.
 // Plans and their twiddle and bit-reversal tables live in a thread-safe
-// LRU PlanCache, and one lazily created persistent worker team is reused
-// across transforms (and resized only when a call asks for a different
-// team size), so a steady-state forward() spawns no thread and recomputes
-// no trig.
+// LRU PlanCache, and one lazily created persistent worker team of
+// ExecutorOptions::workers threads is reused across transforms, so a
+// steady-state forward() spawns no thread and recomputes no trig. A call
+// that names another team size (HostFftOptions::workers != 0) respawns the
+// team at that size. An executor has one owner and one lifecycle:
+// construct, run, shutdown() (join the team; the next call respawns it),
+// destroy.
 //
 // Every phase the executor runs is one flat parallel loop on its worker
 // team (codelet::Team::parallel_for): no phase pushes work into another.
@@ -54,12 +57,10 @@
 // contract), while the PlanCache has its own finer lock. See DESIGN.md
 // "Executor & plan cache".
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <span>
-#include <stdexcept>
 #include <type_traits>
 #include <vector>
 
@@ -112,21 +113,12 @@ HierarchicalGrain hierarchical_grain(std::uint64_t n1, std::uint64_t n2,
                                      std::uint64_t l2_bytes);
 
 struct ExecutorOptions {
-  /// Team shape used by the option-less transform overloads (per-call
-  /// HostFftOptions override it, recreating the team when they differ).
-  /// In [1, codelet::Team::kMaxWorkers].
+  /// Team size of every call that names none (HostFftOptions::workers ==
+  /// 0, the default). In [1, codelet::Team::kMaxWorkers]; fixed for the
+  /// executor's lifetime.
   unsigned workers = 4;
   /// Plan-cache capacity in entries (>= 1).
   std::size_t capacity = 16;
-};
-
-/// Thrown by every transform entry point after close(): the typed
-/// "serving is over" error. Distinct from std::invalid_argument shape
-/// errors so a serving front-end can map it to a clean shutdown rejection
-/// instead of a client bug.
-class ExecutorClosedError : public std::runtime_error {
- public:
-  ExecutorClosedError() : std::runtime_error("FftExecutor: closed") {}
 };
 
 struct ExecutorStats {
@@ -158,10 +150,10 @@ struct FftExecutorTestPeer;
 class FftExecutor {
  public:
   /// Throws std::invalid_argument unless opts.workers is in
-  /// [1, codelet::Team::kMaxWorkers]; resize() changes the team later.
-  /// The executor reads no environment variable. The process-wide kernel
-  /// ISA is not touched: C64FFT_ISA resolves it lazily on first use, and
-  /// kernels::set_kernel_isa() forces it.
+  /// [1, codelet::Team::kMaxWorkers]. The executor reads no environment
+  /// variable. The process-wide kernel ISA is not touched: C64FFT_ISA
+  /// resolves it lazily on first use, and kernels::set_kernel_isa()
+  /// forces it.
   explicit FftExecutor(const ExecutorOptions& opts = {});
   ~FftExecutor();
 
@@ -170,19 +162,16 @@ class FftExecutor {
 
   /// In-place transforms of any N validate_fft_shape accepts (N >= 2
   /// within its route's limit; any other N throws std::invalid_argument).
-  /// opts.workers selects the team; the option-less overloads use the
-  /// ExecutorOptions default. A team size outside
-  /// [1, codelet::Team::kMaxWorkers] throws std::invalid_argument and
-  /// leaves the executor usable. The cplx32 overloads are the f32 path —
-  /// same plan algebra, f32 twiddles/kernels, separate plan-cache entries.
-  void forward(std::span<cplx> data, const HostFftOptions& opts);
-  void forward(std::span<cplx> data);
-  void forward(std::span<cplx32> data, const HostFftOptions& opts);
-  void forward(std::span<cplx32> data);
-  void inverse(std::span<cplx> data, const HostFftOptions& opts);
-  void inverse(std::span<cplx> data);
-  void inverse(std::span<cplx32> data, const HostFftOptions& opts);
-  void inverse(std::span<cplx32> data);
+  /// opts.workers == 0 (the default) runs the executor's own team of
+  /// ExecutorOptions::workers; a nonzero size runs a team of that size,
+  /// respawning the team when it has another. A size above
+  /// codelet::Team::kMaxWorkers throws std::invalid_argument and leaves
+  /// the executor usable. The cplx32 overloads are the f32 path — same
+  /// plan algebra, f32 twiddles/kernels, separate plan-cache entries.
+  void forward(std::span<cplx> data, const HostFftOptions& opts = {});
+  void forward(std::span<cplx32> data, const HostFftOptions& opts = {});
+  void inverse(std::span<cplx> data, const HostFftOptions& opts = {});
+  void inverse(std::span<cplx32> data, const HostFftOptions& opts = {});
 
   /// Batched transforms: every span is one independent transform; all must
   /// share one length >= 2 (throws std::invalid_argument otherwise). The
@@ -191,51 +180,24 @@ class FftExecutor {
   /// hierarchical plans run their two phases per transform. Bit-identical
   /// per transform to a loop of single calls.
   void forward_batch(std::span<const std::span<cplx>> batch,
-                     const HostFftOptions& opts);
-  void forward_batch(std::span<const std::span<cplx>> batch);
+                     const HostFftOptions& opts = {});
   void forward_batch(std::span<const std::span<cplx32>> batch,
-                     const HostFftOptions& opts);
-  void forward_batch(std::span<const std::span<cplx32>> batch);
+                     const HostFftOptions& opts = {});
   void inverse_batch(std::span<const std::span<cplx>> batch,
-                     const HostFftOptions& opts);
-  void inverse_batch(std::span<const std::span<cplx>> batch);
+                     const HostFftOptions& opts = {});
   void inverse_batch(std::span<const std::span<cplx32>> batch,
-                     const HostFftOptions& opts);
-  void inverse_batch(std::span<const std::span<cplx32>> batch);
+                     const HostFftOptions& opts = {});
 
-  /// Default team size for the option-less overloads; an existing team of
-  /// a different size is dropped (and respawned lazily at next use).
-  /// Rejects a size outside [1, codelet::Team::kMaxWorkers] like the
-  /// constructor.
-  void resize(unsigned workers);
-
-  /// Team size the option-less overloads currently use (opts.workers, or
-  /// the last resize()). Read under the executor lock, so it never races
-  /// resize().
-  unsigned default_workers() const;
-
-  /// Join and destroy the worker team (the plan cache survives). The next
-  /// transform lazily spawns a fresh team — intended for tests and for
-  /// quiescing the process.
+  /// Join and destroy the worker team and drop the per-worker buffers
+  /// (the plan cache survives). The next transform lazily spawns a fresh
+  /// team — for tests, and for an owner quiescing before destruction.
   void shutdown();
-
-  /// Terminal shutdown: like shutdown(), but transforms submitted after
-  /// (or concurrently with) the call throw ExecutorClosedError instead of
-  /// lazily respawning the team. This is the teardown-ordering fix for the
-  /// serving path: before close(), a caller racing shutdown() would
-  /// observe the joined team being respawned under it — a transform
-  /// "completing" on a team the quiescing thread believed dead. After
-  /// close() returns, teams_created never moves again. Irreversible for
-  /// this executor instance; calls already executing a phase finish
-  /// normally (close() waits for them via the phase mutex).
-  void close();
-  bool closed() const noexcept;
 
   /// Install a phase completion hook (codelet::PhaseHook) on the
   /// persistent team — re-installed automatically when the team is
-  /// respawned after shutdown()/resize(). The serving layer's metrics use
-  /// this to count scheduler phases and codelets without polling. Pass an
-  /// empty function to clear.
+  /// respawned. The serving layer's metrics use this to count scheduler
+  /// phases and codelets without polling. Pass an empty function to
+  /// clear.
   void set_phase_hook(codelet::PhaseHook hook);
 
   void clear_cache();
@@ -289,16 +251,19 @@ class FftExecutor {
       return f64_;
   }
 
+  /// The team of `workers` threads (mutex_ held), respawned when the
+  /// current one has another size.
   codelet::Team& team(unsigned workers);
   /// Validates the batch, resolves its route's plan entry with ONE cache
-  /// acquire (before taking the lock), then runs dispatch_t.
+  /// acquire (before taking the lock), then runs dispatch_t on the team
+  /// opts names (ExecutorOptions::workers when it names none).
   template <typename T>
   void run_t(std::span<const std::span<cplx_t<T>>> batch,
              const HostFftOptions& opts, TwiddleDirection dir);
-  /// The locked dispatch over a resolved entry: takes mutex_, re-checks
-  /// close(), picks the body from the entry's kind (and a Bluestein
-  /// entry's convolution kind), runs it on a `workers` team and counts
-  /// the batch into the stats. Unscaled, like every body below.
+  /// The locked dispatch over a resolved entry: takes mutex_, picks the
+  /// body from the entry's kind (and a Bluestein entry's convolution
+  /// kind), runs it on a `workers` team and counts the batch into the
+  /// stats. Unscaled, like every body below.
   template <typename T>
   void dispatch_t(const PlanEntry& entry,
                   std::span<const std::span<cplx_t<T>>> batch,
@@ -336,15 +301,9 @@ class FftExecutor {
   template <typename T>
   void run_bluestein_locked(const PlanEntry& entry, std::span<cplx_t<T>> data,
                             codelet::Team& team, TwiddleDirection dir);
-  /// Join the team and drop the per-worker buffers (mutex_ held) — the
-  /// shared body of shutdown() and close().
-  void shutdown_locked();
-
-  ExecutorOptions opts_;
+  /// Immutable after construction, so calls read it without the lock.
+  const ExecutorOptions opts_;
   PlanCache cache_;
-  /// Set by close(); checked (unlocked fast-fail plus the authoritative
-  /// re-check under mutex_) by every transform dispatch.
-  std::atomic<bool> closed_{false};
 
   /// Guards the team, the per-worker buffers, and phase execution.
   mutable std::mutex mutex_;

@@ -89,13 +89,15 @@ bool fft_size_supported(std::uint64_t n) noexcept;
 void validate_fft_shape(std::uint64_t n);
 
 /// Per-call options of the production transforms (fft/api.hpp,
-/// FftExecutor, fft2d, real_fft): the worker-team size, in
-/// [1, codelet::Team::kMaxWorkers] (the executor rejects anything else
-/// with std::invalid_argument). The paper's codelet radix and scheduling
-/// knobs live in PaperFftOptions (paper/variants.hpp), which only fft_host
-/// accepts.
+/// FftExecutor, fft2d, real_fft): the worker-team size. 0 (the default)
+/// runs the executor's own team of ExecutorOptions::workers (4 on the
+/// process-wide executor); a size in [1, codelet::Team::kMaxWorkers] runs
+/// a team of that size, respawning the team when it has another; a larger
+/// one throws std::invalid_argument. Output does not depend on the team
+/// size. The paper's codelet radix and scheduling knobs live in
+/// PaperFftOptions (paper/variants.hpp), which only fft_host accepts.
 struct HostFftOptions {
-  unsigned workers = 4;
+  unsigned workers = 0;
 };
 
 }  // namespace c64fft::fft

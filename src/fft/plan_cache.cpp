@@ -171,11 +171,10 @@ std::shared_ptr<const PlanEntry> PlanCache::acquire(const PlanKey& key) {
       ++stats_.hits;
       return it->second->second;
     }
-    ++stats_.misses;
   }
 
   // O(N) plan + trig build runs unlocked; a losing racer adopts the entry
-  // the winner inserted.
+  // the winner inserted. A key whose build throws counts no miss.
   std::shared_ptr<const PlanEntry> entry;
   if (key.kind == PlanKind::kBluestein) {
     // The convolution takes the key a direct M-point call builds, so the
@@ -199,6 +198,7 @@ std::shared_ptr<const PlanEntry> PlanCache::acquire(const PlanKey& key) {
   }
 
   std::lock_guard lock(mutex_);
+  ++stats_.misses;
   auto it = map_.find(key);
   if (it != map_.end()) {
     lru_.splice(lru_.begin(), lru_, it->second);

@@ -205,6 +205,7 @@ class PlanEntry {
 
 struct PlanCacheStats {
   std::uint64_t hits = 0;
+  /// Entries built (a key whose build throws is not one).
   std::uint64_t misses = 0;
   std::uint64_t evictions = 0;
   /// Entries resident at the time of the stats() call (<= capacity). A

@@ -7,6 +7,9 @@ namespace c64fft::serve {
 
 namespace {
 
+/// Plan-cache capacity of the server's executor.
+constexpr std::size_t kExecutorCacheCapacity = 32;
+
 /// rejects_ array index for a non-accepted status.
 std::size_t reject_index(SubmitStatus s) noexcept {
   return static_cast<std::size_t>(s) - 1;
@@ -50,28 +53,20 @@ Completion Ticket::wait() {
 
 // ---- FftServer ----
 
-FftServer::FftServer(const ServerOptions& opts) : opts_(opts), arena_(opts.arena) {
+FftServer::FftServer(const ServerOptions& opts)
+    : opts_(opts),
+      arena_(opts.arena),
+      exec_(fft::ExecutorOptions{opts.workers, kExecutorCacheCapacity}) {
   opts_.queue_capacity = std::max<std::size_t>(1, opts_.queue_capacity);
   opts_.max_coalesce = std::max<std::uint32_t>(1, opts_.max_coalesce);
-  for (std::size_t& cap : opts_.lane_capacity)
-    if (cap == 0) cap = opts_.queue_capacity;
-
-  if (opts_.executor != nullptr) {
-    exec_ = opts_.executor;
-  } else {
-    fft::ExecutorOptions eo;
-    eo.workers = opts_.workers;
-    eo.capacity = std::max<std::size_t>(1, opts_.executor_cache_capacity);
-    owned_exec_ = std::make_unique<fft::FftExecutor>(eo);
-    exec_ = owned_exec_.get();
-  }
 
   slots_ = std::make_unique<Slot[]>(opts_.queue_capacity);
   free_.reserve(opts_.queue_capacity);
   for (std::size_t i = opts_.queue_capacity; i-- > 0;)
     free_.push_back(static_cast<std::uint32_t>(i));
-  for (std::size_t lane = 0; lane < kLaneCount; ++lane)
-    lanes_[lane].buf.resize(opts_.lane_capacity[lane]);
+  // A ring entry is a slot taken from the pool, so a ring never fills
+  // before the pool empties.
+  for (Ring& ring : lanes_) ring.buf.resize(opts_.queue_capacity);
 
   batch_.resize(opts_.max_coalesce);
   grouped_.resize(opts_.max_coalesce);
@@ -79,7 +74,7 @@ FftServer::FftServer(const ServerOptions& opts) : opts_(opts), arena_(opts.arena
   spans64_.reserve(opts_.max_coalesce);
   spans32_.reserve(opts_.max_coalesce);
 
-  exec_->set_phase_hook([this](const codelet::PhaseStats& ps) {
+  exec_.set_phase_hook([this](const codelet::PhaseStats& ps) {
     phases_.fetch_add(1, std::memory_order_relaxed);
     codelets_.fetch_add(ps.executed, std::memory_order_relaxed);
   });
@@ -145,8 +140,7 @@ SubmitResult FftServer::submit_impl(TenantId tenant, void* data,
       ts.shapes.push_back(shape);
     }
 
-    Ring& ring = lanes_[static_cast<std::size_t>(lane)];
-    if (free_.empty() || ring.full()) return reject(SubmitStatus::kQueueFull);
+    if (free_.empty()) return reject(SubmitStatus::kQueueFull);
 
     slot_idx = free_.back();
     free_.pop_back();
@@ -160,7 +154,7 @@ SubmitResult FftServer::submit_impl(TenantId tenant, void* data,
     s.ctx = ctx;
     s.t_submit = t_submit;
     s.done = false;  // slot is exclusively ours until the ring push below
-    ring.push(slot_idx);
+    lanes_[static_cast<std::size_t>(lane)].push(slot_idx);
     ++depth_;
     ++submitted_;
   }
@@ -248,8 +242,6 @@ std::uint64_t FftServer::process_batch(std::size_t count) {
         spans32_.emplace_back(static_cast<fft::cplx32*>(s.data), s.n);
     }
 
-    fft::HostFftOptions hopts;
-    hopts.workers = owned_exec_ ? opts_.workers : exec_->default_workers();
     RequestStatus status = RequestStatus::kOk;
     const std::uint64_t probe0 =
         opts_.alloc_probe != nullptr ? opts_.alloc_probe() : 0;
@@ -258,23 +250,17 @@ std::uint64_t FftServer::process_batch(std::size_t count) {
         const std::span<const std::span<fft::cplx>> b(spans64_.data(),
                                                       spans64_.size());
         if (lead.dir == Direction::kForward)
-          exec_->forward_batch(b, hopts);
+          exec_.forward_batch(b);
         else
-          exec_->inverse_batch(b, hopts);
+          exec_.inverse_batch(b);
       } else {
         const std::span<const std::span<fft::cplx32>> b(spans32_.data(),
                                                         spans32_.size());
         if (lead.dir == Direction::kForward)
-          exec_->forward_batch(b, hopts);
+          exec_.forward_batch(b);
         else
-          exec_->inverse_batch(b, hopts);
+          exec_.inverse_batch(b);
       }
-    } catch (const fft::ExecutorClosedError&) {
-      // The executor was closed underneath us (shared-executor process
-      // teardown). Flip to rejecting so new submits see kShuttingDown;
-      // requests in this batch get a typed kShutdown completion.
-      status = RequestStatus::kShutdown;
-      accepting_.store(false, std::memory_order_release);
     } catch (const std::exception&) {
       status = RequestStatus::kError;
     }
@@ -338,10 +324,7 @@ void FftServer::shutdown() {
   }
   dispatch_cv_.notify_all();
   dispatcher_.join();
-  // Detach the phase hook while the executor is guaranteed alive; close
-  // the executor only if we own it (a borrowed one may serve others).
-  exec_->set_phase_hook({});
-  if (owned_exec_) owned_exec_->close();
+  exec_.shutdown();
 }
 
 ServerStats FftServer::stats() const {
@@ -371,21 +354,8 @@ ServerStats FftServer::stats() const {
   st.codelets = codelets_.load(std::memory_order_relaxed);
   st.latency = latency_.snapshot();
   st.arena = arena_.stats();
-  st.executor = exec_->stats();
+  st.executor = exec_.stats();
   return st;
-}
-
-FftServer& default_server() {
-  // Constructed on first use, which transitively constructs (or finds)
-  // default_executor()'s static first — so at process exit the server is
-  // destroyed (drained, detached) strictly before the executor it
-  // borrows.
-  static FftServer server([] {
-    ServerOptions o;
-    o.executor = &fft::default_executor();
-    return o;
-  }());
-  return server;
 }
 
 }  // namespace c64fft::serve

@@ -15,13 +15,13 @@
 // batched execution is bit-identical per transform to a loop of single
 // calls (test_serve asserts this for both precisions).
 //
-// Admission control is reject-based backpressure: a full lane or an
-// exhausted slot pool fails submit() with a typed SubmitStatus
-// immediately — requests already admitted are never dropped (shutdown()
-// drains them). Per-tenant quotas bound the two shared resources a
-// tenant can otherwise monopolize: arena bytes (BufferArena) and
-// distinct plan-cache shapes (kPlanQuotaExceeded before a tenant's
-// shape churn can thrash the LRU plan cache for everyone else).
+// Admission control is reject-based backpressure: an exhausted slot pool
+// fails submit() with a typed SubmitStatus immediately — requests
+// already admitted are never dropped (shutdown() drains them). Per-tenant
+// quotas bound the two shared resources a tenant can otherwise
+// monopolize: arena bytes (BufferArena) and distinct plan-cache shapes
+// (kPlanQuotaExceeded before a tenant's shape churn can thrash the LRU
+// plan cache for everyone else).
 //
 // The steady-state submit→complete path — submit(), lane push, drain,
 // group, batch call through the executor's cached plan, completion
@@ -29,6 +29,10 @@
 // of signal data (test_serve_alloc counts allocations to prove it). All
 // queues, slots, span scratch, and histograms are sized once at
 // construction. See DESIGN.md "Serving front-end".
+//
+// The server owns its executor (one team of ServerOptions::workers
+// threads that every batch runs on) for its whole life: shutdown() drains
+// the lanes, joins the dispatcher, then shuts the executor's team down.
 
 #include <array>
 #include <atomic>
@@ -50,7 +54,7 @@ namespace c64fft::serve {
 
 /// Priority lanes, drained strictly in this order each dispatch round.
 /// Starvation of kBulk under sustained kInteractive load is by design —
-/// the bound is the lanes' capacities, not fairness.
+/// the bound is the shared slot pool, not fairness.
 enum class Lane : std::uint8_t { kInteractive = 0, kNormal = 1, kBulk = 2 };
 inline constexpr std::size_t kLaneCount = 3;
 
@@ -61,9 +65,9 @@ enum class Direction : std::uint8_t { kForward, kInverse };
 /// touched.
 enum class SubmitStatus : std::uint8_t {
   kAccepted,
-  /// The target lane ring or the shared slot pool is full (backpressure).
+  /// The shared slot pool is full (backpressure).
   kQueueFull,
-  /// shutdown() has begun (or the underlying executor was closed).
+  /// shutdown() has begun.
   kShuttingDown,
   /// The span is null, or its length is one fft::validate_fft_shape
   /// rejects (fft::fft_size_supported: N < 2, or past its route's limit).
@@ -81,8 +85,6 @@ const char* to_string(SubmitStatus s) noexcept;
 
 enum class RequestStatus : std::uint8_t {
   kOk,
-  /// Executor closed underneath the dispatcher; the transform did not run.
-  kShutdown,
   /// Transform threw (shape errors are caught at submit, so this is
   /// unexpected); the buffer contents are unspecified.
   kError,
@@ -111,11 +113,9 @@ struct TenantQuota {
 
 struct ServerOptions {
   /// Shared request-slot pool size == max requests in flight (queued +
-  /// being executed) across all lanes.
+  /// being executed) across all lanes. Every lane ring holds this many,
+  /// so backpressure comes from the pool alone.
   std::size_t queue_capacity = 256;
-  /// Per-lane ring capacities; 0 means "same as queue_capacity" (lane
-  /// backpressure then comes only from the shared pool).
-  std::array<std::size_t, kLaneCount> lane_capacity{0, 0, 0};
   /// How long the dispatcher holds an under-full batch open waiting for
   /// more submissions to coalesce. 0 dispatches immediately (the
   /// uncoalesced baseline mode of tools/fft_loadgen).
@@ -123,18 +123,11 @@ struct ServerOptions {
   /// Largest number of requests drained per dispatch round (and the
   /// upper bound on the coalescing factor).
   std::uint32_t max_coalesce = 64;
-  /// Worker-team shape of the owned executor's calls (ignored when
-  /// borrowing: a borrowed executor's batches run with its own
-  /// default_workers(), so a server sharing it with direct callers never
-  /// respawns the team under them). 1 (default) runs every batch as a
+  /// Team size of the server's executor, which every batch runs on, in
+  /// [1, codelet::Team::kMaxWorkers]. 1 (default) runs every batch as a
   /// plain loop of whole transforms, which a single hardware thread
   /// wants; the coalescing win is then purely amortized dispatch.
   unsigned workers = 1;
-  /// Borrowed executor; nullptr makes the server own a private one
-  /// (closed on shutdown — a borrowed executor is never closed).
-  fft::FftExecutor* executor = nullptr;
-  /// Plan-cache capacity of the owned executor (ignored when borrowing).
-  std::size_t executor_cache_capacity = 32;
   /// Optional allocation-counter sampler (returns the CALLING thread's
   /// count; see serve/alloc_probe.hpp). When set, the dispatcher
   /// brackets every executor call with it and splits its own thread's
@@ -164,8 +157,7 @@ struct ServerStats {
   std::uint64_t batches = 0;
   double coalescing_factor = 0.0;
   /// Scheduler phases / codelets observed through the executor's phase
-  /// hook. On a borrowed (shared) executor this counts ALL phases run
-  /// while this server is attached, not only its own.
+  /// hook.
   std::uint64_t phases = 0;
   std::uint64_t codelets = 0;
   std::uint64_t queue_depth = 0;  ///< requests queued right now
@@ -247,16 +239,16 @@ class FftServer {
 
   /// Stop admitting (subsequent submits reject with kShuttingDown),
   /// drain every admitted request to completion, join the dispatcher,
-  /// detach the phase hook, and close() the executor iff owned.
-  /// Idempotent; safe to race with submit() from any thread — that is
-  /// the shutdown-ordering regression this layer exists to fix.
+  /// then shut the executor's team down. Idempotent; safe to race with
+  /// submit() from any thread.
   void shutdown();
 
   bool accepting() const noexcept {
     return accepting_.load(std::memory_order_acquire);
   }
 
-  fft::FftExecutor& executor() noexcept { return *exec_; }
+  /// The server's own executor (its stats, its phase hook).
+  fft::FftExecutor& executor() noexcept { return exec_; }
 
   ServerStats stats() const;
 
@@ -286,7 +278,6 @@ class FftServer {
     std::size_t head = 0;
     std::size_t count = 0;
 
-    bool full() const noexcept { return count == buf.size(); }
     bool empty() const noexcept { return count == 0; }
     void push(std::uint32_t v) noexcept {
       buf[(head + count) % buf.size()] = v;
@@ -320,8 +311,7 @@ class FftServer {
 
   ServerOptions opts_;
   BufferArena arena_;
-  fft::FftExecutor* exec_ = nullptr;
-  std::unique_ptr<fft::FftExecutor> owned_exec_;
+  fft::FftExecutor exec_;
 
   /// Serializes shutdown() callers (join happens exactly once).
   std::mutex shutdown_mutex_;
@@ -356,12 +346,5 @@ class FftServer {
 
   std::thread dispatcher_;
 };
-
-/// The process-wide server (borrowing default_executor()). Constructed on
-/// first use — therefore after default_executor()'s static, therefore
-/// destroyed BEFORE it: the server drains and detaches while the executor
-/// is still alive, which is the static-teardown ordering that makes
-/// process-exit clean (see DESIGN.md "Serving front-end").
-FftServer& default_server();
 
 }  // namespace c64fft::serve

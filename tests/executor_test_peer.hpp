@@ -27,7 +27,7 @@ struct FftExecutorTestPeer {
   };
 
   /// forward_batch / inverse_batch (scaled by 1/N like the public
-  /// wrappers) over `route` on the executor's default team.
+  /// wrappers) over `route` on the executor's own team.
   template <typename T>
   static void run(FftExecutor& ex, std::span<const std::span<cplx_t<T>>> batch,
                   Route route, TwiddleDirection dir) {
@@ -39,7 +39,7 @@ struct FftExecutorTestPeer {
                   key, ex.cache_.acquire(PlanKey{bluestein_fft_size(n),
                                                  route.conv, precision_of<T>}))
             : ex.cache_.acquire(key);
-    ex.dispatch_t<T>(*entry, batch, ex.default_workers(), dir);
+    ex.dispatch_t<T>(*entry, batch, ex.opts_.workers, dir);
     if (dir == TwiddleDirection::kForward) return;
     const T scale = static_cast<T>(1.0 / static_cast<double>(n));
     for (const std::span<cplx_t<T>>& t : batch)

@@ -2,10 +2,10 @@
 // front-end. These tests pin the coalescing-correctness contract (a
 // coalesced batch is bit-identical per transform to a loop of single
 // executor calls, both precisions), the typed-rejection backpressure and
-// per-tenant quotas, zero-copy arena lease semantics, the
-// shutdown/teardown ordering (including the borrowed-executor close()
-// race this layer exists to fix), and multi-tenant concurrent submission
-// (run under TSan via C64FFT_TSAN).
+// per-tenant quotas, zero-copy arena lease semantics, shutdown racing
+// concurrent submitters, one team per executor whatever a call's options,
+// and multi-tenant concurrent submission (run under TSan via
+// C64FFT_TSAN).
 
 #include "serve/server.hpp"
 
@@ -376,33 +376,7 @@ TEST(Serve, TypedSubmitRejections) {
       SubmitStatus::kShuttingDown);
 }
 
-TEST(Serve, LaneCapacityBackpressuresPerLane) {
-  ServerOptions so;
-  so.lane_capacity = {1, 4, 4};
-  so.coalesce_window_us = 10000000;
-  FftServer server(so);
-  const TenantId t = server.add_tenant(roomy_quota());
-  auto a = random_signal<double>(64, 7);
-  auto b = random_signal<double>(64, 8);
-
-  auto s1 = server.submit(t, std::span<fft::cplx>(a), Direction::kForward,
-                          Lane::kInteractive);
-  ASSERT_EQ(s1.status, SubmitStatus::kAccepted);
-  // Interactive ring is full; the normal lane still admits.
-  EXPECT_EQ(server
-                .submit(t, std::span<fft::cplx>(b), Direction::kForward,
-                        Lane::kInteractive)
-                .status,
-            SubmitStatus::kQueueFull);
-  auto s2 = server.submit(t, std::span<fft::cplx>(b), Direction::kForward,
-                          Lane::kNormal);
-  EXPECT_EQ(s2.status, SubmitStatus::kAccepted);
-  server.shutdown();
-  EXPECT_EQ(s1.ticket.wait().status, RequestStatus::kOk);
-  EXPECT_EQ(s2.ticket.wait().status, RequestStatus::kOk);
-}
-
-// ---- FftServer: shutdown & teardown ordering ----
+// ---- FftServer: shutdown ----
 
 TEST(Serve, ShutdownIsIdempotentAndDrains) {
   FftServer server;
@@ -461,55 +435,45 @@ TEST(Serve, ShutdownRacesWithConcurrentSubmitters) {
   EXPECT_EQ(ok.load() + rejected.load(), kThreads * 200u);
 }
 
-TEST(Serve, BorrowedExecutorClosedUnderneathIsTypedShutdown) {
-  // Process-teardown ordering hazard: a server borrowing a shared
-  // executor must survive that executor being close()d first — in-flight
-  // requests complete with kShutdown (not a crash, not a hang), and the
-  // server flips to rejecting.
-  fft::FftExecutor shared_exec;
-  ServerOptions so;
-  so.executor = &shared_exec;
-  FftServer server(so);
-  const TenantId t = server.add_tenant(roomy_quota());
+// ---- One team per executor ----
 
-  auto data = random_signal<double>(64, 99);
-  auto warm = server.submit(t, std::span<fft::cplx>(data), Direction::kForward);
-  ASSERT_EQ(warm.status, SubmitStatus::kAccepted);
-  EXPECT_EQ(warm.ticket.wait().status, RequestStatus::kOk);
-
-  shared_exec.close();
-
-  auto s = server.submit(t, std::span<fft::cplx>(data), Direction::kForward);
-  ASSERT_EQ(s.status, SubmitStatus::kAccepted);
-  EXPECT_EQ(s.ticket.wait().status, RequestStatus::kShutdown);
-  EXPECT_FALSE(server.accepting());
-  EXPECT_EQ(
-      server.submit(t, std::span<fft::cplx>(data), Direction::kForward).status,
-      SubmitStatus::kShuttingDown);
-  // shutdown() must not try to close the borrowed (already closed)
-  // executor.
-  server.shutdown();
-}
-
-TEST(Serve, BorrowedExecutorKeepsItsTeam) {
-  // A borrowed executor's batches run with its own default_workers():
-  // ServerOptions::workers (default 1) sizes only an owned executor, so
-  // server traffic alternating with the executor's own option-less calls
-  // never joins and respawns the shared team.
+TEST(Executor, DefaultOptionsRunTheExecutorsTeam) {
+  // A call that names no team size runs the executor's own team
+  // (ExecutorOptions::workers): no options, HostFftOptions{} and the
+  // executor's own size are one team and one output. Another size
+  // respawns it. The server's executor, sized by ServerOptions::workers,
+  // keeps its one team across batches. (In this binary because it links
+  // the server.)
+  constexpr std::uint64_t kN = 1024;
+  const auto input = random_signal<double>(kN, 900);
   fft::FftExecutor ex({.workers = 3});
+  auto none = input;
+  ex.forward(std::span<fft::cplx>(none));
+  auto empty = input;
+  ex.forward(std::span<fft::cplx>(empty), fft::HostFftOptions{});
+  auto own = input;
+  ex.forward(std::span<fft::cplx>(own), fft::HostFftOptions{3});
+  EXPECT_EQ(std::memcmp(none.data(), empty.data(), kN * sizeof(fft::cplx)), 0);
+  EXPECT_EQ(std::memcmp(none.data(), own.data(), kN * sizeof(fft::cplx)), 0);
+  EXPECT_EQ(ex.stats().teams_created, 1u);
+  auto two = input;
+  ex.forward(std::span<fft::cplx>(two), fft::HostFftOptions{2});
+  EXPECT_EQ(ex.stats().teams_created, 2u);
+  EXPECT_EQ(std::memcmp(none.data(), two.data(), kN * sizeof(fft::cplx)), 0);
+
   ServerOptions so;
-  so.executor = &ex;
+  so.workers = 2;
   FftServer server(so);
   const TenantId t = server.add_tenant(roomy_quota());
   for (int i = 0; i < 10; ++i) {
-    auto served = random_signal<double>(256, 700 + i);
-    auto s = server.submit(t, std::span<fft::cplx>(served), Direction::kForward);
+    auto data = random_signal<double>(256, 700 + i);
+    auto s = server.submit(t, std::span<fft::cplx>(data),
+                           i % 2 == 0 ? Direction::kForward : Direction::kInverse);
     ASSERT_EQ(s.status, SubmitStatus::kAccepted);
     ASSERT_EQ(s.ticket.wait().status, RequestStatus::kOk);
-    auto direct = random_signal<double>(256, 800 + i);
-    ex.forward(std::span<fft::cplx>(direct));
   }
-  EXPECT_EQ(ex.stats().teams_created, 1u);
+  EXPECT_EQ(server.executor().stats().teams_created, 1u);
+  EXPECT_EQ(server.stats().batches, 10u);
   server.shutdown();
 }
 
@@ -581,18 +545,6 @@ TEST(Serve, MultiTenantConcurrentMixedTraffic) {
   EXPECT_EQ(st.rejected_queue_full, 0u);
   EXPECT_GT(st.executor.cache.entries, 0u);  // PlanCache::stats() surfaced
   server.shutdown();
-}
-
-TEST(Serve, DefaultServerBorrowsDefaultExecutor) {
-  FftServer& server = default_server();
-  ASSERT_TRUE(server.accepting());
-  const TenantId t = server.add_tenant(roomy_quota());
-  auto data = random_signal<double>(64, 321);
-  auto s = server.submit(t, std::span<fft::cplx>(data), Direction::kForward);
-  ASSERT_EQ(s.status, SubmitStatus::kAccepted);
-  EXPECT_EQ(s.ticket.wait().status, RequestStatus::kOk);
-  // Teardown ordering (server drained before the borrowed executor dies)
-  // is exercised at process exit of this very binary.
 }
 
 TEST(Serve, ConstructionKeepsAForcedKernelIsa) {
