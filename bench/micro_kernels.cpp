@@ -115,7 +115,7 @@ void BM_TeamPhase(benchmark::State& state) {
   codelet::Team team(static_cast<unsigned>(state.range(0)));
   const auto count = static_cast<std::uint64_t>(state.range(1));
   for (auto _ : state)
-    team.parallel_for(count, [](std::uint64_t i, unsigned) {
+    team.parallel_for("bench", count, [](std::uint64_t i, unsigned) {
       benchmark::DoNotOptimize(i);
     });
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *

@@ -50,7 +50,7 @@ void Team::stop_and_join() {
   threads_.clear();
 }
 
-void Team::run(std::uint64_t count, BodyRef body) {
+void Team::run(const char* label, std::uint64_t count, BodyRef body) {
   if (workers_ > 1 && count >= kMaxParallelCount)
     throw std::length_error("Team::parallel_for: count out of range");
   // Timing only exists when someone listens: the no-hook path reads no
@@ -80,7 +80,7 @@ void Team::run(std::uint64_t count, BodyRef body) {
   if (hook_) {
     const auto nanos = std::chrono::duration_cast<std::chrono::nanoseconds>(
         std::chrono::steady_clock::now() - t0);
-    hook_(PhaseStats{count, executed,
+    hook_(PhaseStats{label, count, executed,
                      static_cast<std::uint64_t>(nanos.count())});
   }
   if (error) std::rethrow_exception(error);

@@ -4,8 +4,8 @@
 // Every phase the executor runs is a flat parallel loop — a batch of
 // whole transforms, the chunks of one mixed-radix stage, the gather and
 // column blocks of a hierarchical pipeline, then its row blocks — so the
-// team offers exactly one operation: parallel_for(count, body), which
-// calls body(index, worker) once for every index in [0, count) and
+// team offers exactly one operation: parallel_for(label, count, body),
+// which calls body(index, worker) once for every index in [0, count) and
 // returns when the last index has finished. Indices are claimed from one
 // shared atomic counter in no fixed order, which is the paper's free pop
 // order of a shared ready pool; the fft_host harness builds its
@@ -30,10 +30,12 @@
 
 namespace c64fft::codelet {
 
-/// What one parallel_for call looked like, handed to the phase hook: its
-/// index count, how many bodies returned normally (fewer than `seeds` when
-/// one threw), and the caller-observed wall time of the whole call.
+/// What one parallel_for call looked like, handed to the phase hook: the
+/// label its caller named it by, its index count, how many bodies
+/// returned normally (fewer than `seeds` when one threw), and the
+/// caller-observed wall time of the whole call.
 struct PhaseStats {
+  const char* label = "";
   std::uint64_t seeds = 0;
   std::uint64_t executed = 0;
   std::uint64_t nanos = 0;
@@ -64,14 +66,16 @@ class Team {
 
   /// Runs body(index, worker) once for every index in [0, count), with
   /// worker < workers(), and returns when all of them have finished: a
-  /// call is a barrier. The first exception a body throws is rethrown
-  /// here after the remaining indices are skipped; the team stays usable.
-  /// Single caller at a time. A count of 2^31 or more throws
-  /// std::length_error on a multi-worker team (the claim word's range).
+  /// call is a barrier. `label` names the phase in its PhaseStats; it
+  /// must outlive the hook's use of it (a string literal does). The first
+  /// exception a body throws is rethrown here after the remaining indices
+  /// are skipped; the team stays usable. Single caller at a time. A count
+  /// of 2^31 or more throws std::length_error on a multi-worker team (the
+  /// claim word's range).
   template <typename Body>
-  void parallel_for(std::uint64_t count, Body&& body) {
+  void parallel_for(const char* label, std::uint64_t count, Body&& body) {
     using F = std::remove_reference_t<Body>;
-    run(count,
+    run(label, count,
         BodyRef{const_cast<void*>(static_cast<const void*>(std::addressof(body))),
                 [](void* obj, std::uint64_t i, unsigned w) {
                   (*static_cast<F*>(obj))(i, w);
@@ -95,7 +99,7 @@ class Team {
     void (*call)(void*, std::uint64_t, unsigned);
   };
 
-  void run(std::uint64_t count, BodyRef body);
+  void run(const char* label, std::uint64_t count, BodyRef body);
   void run_parallel(std::uint64_t count, BodyRef body);
   /// Claims and runs indices until the claim word is exhausted; true when
   /// this worker finished the call's last index.

@@ -24,9 +24,9 @@ namespace {
 /// Scale pass of the inverse transform (the only O(N) epilogue left: the
 /// input-conjugation pass is gone — the conjugated twiddle table computes
 /// conj(FFT(conj(x))) directly — and the output conjugation fused into the
-/// table as well, leaving just the 1/N normalization). The factor is
-/// computed in double and narrowed once, so the f32 pass multiplies by the
-/// correctly rounded 1/N.
+/// table as well, leaving just the 1/N normalization), run by the body
+/// that ran the transform. The factor is computed in double and narrowed
+/// once, so the f32 pass multiplies by the correctly rounded 1/N.
 template <typename T>
 void scale_by(std::span<cplx_t<T>> data, double factor) {
   const T f = static_cast<T>(factor);
@@ -154,8 +154,8 @@ void bluestein_chain(std::span<cplx_t<T>> data,
   inner(TwiddleDirection::kForward);
   for (std::uint64_t j = 0; j < m; ++j) buf[j] *= bfft[j];
   inner(TwiddleDirection::kInverse);
-  // Demodulate, folding in the inner inverse's 1/M (the locked bodies
-  // never scale; the public inverse wrappers add the outer 1/n on top).
+  // Demodulate, folding in the inner inverse's 1/M (an inverse's outer
+  // 1/n is a separate pass on top, run by the caller's body).
   const T inv_m = static_cast<T>(1.0 / static_cast<double>(m));
   for (std::uint64_t j = 0; j < n; ++j) data[j] = buf[j] * chirp[j] * inv_m;
 }
@@ -163,114 +163,170 @@ void bluestein_chain(std::span<cplx_t<T>> data,
 }  // namespace
 
 template <typename T>
-void FftExecutor::run_t(std::span<const std::span<cplx_t<T>>> batch,
-                        const HostFftOptions& opts, TwiddleDirection dir) {
-  if (batch.empty()) return;
+std::shared_ptr<const PlanEntry> FftExecutor::acquire_t(
+    std::span<const std::span<cplx_t<T>>> batch) {
   const std::uint64_t n = batch.front().size();
   for (const std::span<cplx_t<T>>& t : batch)
     if (t.size() != n)
       throw std::invalid_argument(
           "FftExecutor: batch transforms must share one length");
-
   // Shape errors surface before any cache/team work.
   validate_fft_shape(n);
-
-  // Resolve the route's entry before taking the lock (the cache has its
-  // own finer lock): one acquire of a key that is a function of (n,
-  // precision), whose entry pins everything the route runs.
-  const std::shared_ptr<const PlanEntry> entry =
-      cache_.acquire(PlanKey{n, routed_plan_kind(n), precision_of<T>});
-  dispatch_t<T>(*entry, batch, opts.workers != 0 ? opts.workers : opts_.workers,
-                dir);
+  // One acquire of a key that is a function of (n, precision), whose
+  // entry pins everything the route runs.
+  return cache_.acquire(PlanKey{n, routed_plan_kind(n), precision_of<T>});
 }
 
-template <typename T>
-void FftExecutor::dispatch_t(const PlanEntry& entry,
-                             std::span<const std::span<cplx_t<T>>> batch,
-                             unsigned workers, TwiddleDirection dir) {
-  // A hierarchical plan (direct, or as Bluestein's convolution) runs its
-  // own two phases, which cannot nest inside a phase, so it runs one
-  // transform at a time on every team. A single mixed-radix transform
-  // on a multi-worker team runs its per-stage phases. Everything else is
-  // the serial body, a single call being a batch of one.
-  const PlanKind kind = entry.kind();
-  const bool pipelined =
-      kind == PlanKind::kHierarchical ||
-      (kind == PlanKind::kBluestein &&
-       entry.conv_entry()->kind() == PlanKind::kHierarchical);
+void FftExecutor::run_groups(std::span<BatchGroup> groups,
+                             const HostFftOptions& opts) {
+  // Resolve every entry before taking the lock (the cache has its own
+  // finer lock, and a cold build must not stall other callers' phases).
+  for (BatchGroup& g : groups) {
+    g.error_ = nullptr;
+    if (g.size() == 0) continue;
+    try {
+      g.entry_ = g.precision_ == Precision::kF32 ? acquire_t<float>(g.f32_)
+                                                 : acquire_t<double>(g.f64_);
+    } catch (...) {
+      g.error_ = std::current_exception();
+    }
+  }
+  run_resolved(groups, opts.workers != 0 ? opts.workers : opts_.workers);
+}
+
+void FftExecutor::run_resolved(std::span<BatchGroup> groups,
+                               unsigned workers) {
+  // The entries are this call's references: drop them on every exit, so
+  // no descriptor carries one into a later call.
+  struct Release {
+    std::span<BatchGroup> groups;
+    ~Release() {
+      for (BatchGroup& g : groups) g.entry_.reset();
+    }
+  } release{groups};
+  std::uint64_t total = 0;
+  for (const BatchGroup& g : groups)
+    if (g.entry_) total += g.size();
+  if (total == 0) return;
 
   std::lock_guard lock(mutex_);
   codelet::Team& tm = team(workers);
-  const bool phased_mixed = kind == PlanKind::kMixedRadix &&
-                            batch.size() == 1 && tm.workers() > 1;
-  if (!pipelined && !phased_mixed) {
-    run_serial_locked<T>(entry, batch, tm, dir);
-  } else {
-    for (const std::span<cplx_t<T>>& data : batch) {
-      if (kind == PlanKind::kHierarchical)
-        run_hierarchical_locked<T>(entry, data, tm, dir);
-      else if (kind == PlanKind::kMixedRadix)
-        run_mixed_radix_locked<T>(entry, data, tm, dir);
-      else
-        run_bluestein_locked<T>(entry, data, tm, dir);
-    }
+  // A hierarchical plan (direct, or as Bluestein's convolution) runs its
+  // own two phases, which cannot nest inside a phase, so it runs after
+  // the serial phase, one transform at a time. So does the call's one
+  // transform when it is mixed-radix on a multi-worker team: its
+  // per-stage phases split it across the workers.
+  const auto pipelined = [&](const PlanEntry& e) {
+    return e.kind() == PlanKind::kHierarchical ||
+           (e.kind() == PlanKind::kBluestein &&
+            e.conv_entry()->kind() == PlanKind::kHierarchical) ||
+           (e.kind() == PlanKind::kMixedRadix && total == 1 &&
+            tm.workers() > 1);
+  };
+  f64_.groups.clear();
+  f32_.groups.clear();
+  for (const BatchGroup& g : groups) {
+    if (!g.entry_ || pipelined(*g.entry_)) continue;
+    if (g.precision_ == Precision::kF32)
+      add_serial_group<float>(g, tm.workers());
+    else
+      add_serial_group<double>(g, tm.workers());
   }
-  const std::uint64_t count = batch.size();
-  (count == 1 ? transforms_ : batched_) += count;
-  if (kind == PlanKind::kHierarchical) hierarchical_ += count;
-  if (kind == PlanKind::kMixedRadix) mixed_radix_ += count;
-  if (kind == PlanKind::kBluestein) bluestein_ += count;
+  const std::uint64_t n64 = f64_.groups.empty() ? 0 : f64_.groups.back().end;
+  const std::uint64_t n32 = f32_.groups.empty() ? 0 : f32_.groups.back().end;
+  if (n64 + n32 != 0)
+    tm.parallel_for("serial", n64 + n32, [&](std::uint64_t i, unsigned w) {
+      if (i < n64)
+        run_serial_transform<double>(i, w);
+      else
+        run_serial_transform<float>(i - n64, w);
+    });
+  for (const BatchGroup& g : groups) {
+    if (!g.entry_ || !pipelined(*g.entry_)) continue;
+    if (g.precision_ == Precision::kF32)
+      run_pipelined<float>(g, tm);
+    else
+      run_pipelined<double>(g, tm);
+  }
+
+  for (const BatchGroup& g : groups) {
+    if (!g.entry_) continue;
+    const std::uint64_t count = g.size();
+    (count == 1 ? transforms_ : batched_) += count;
+    const PlanKind kind = g.entry_->kind();
+    if (kind == PlanKind::kHierarchical) hierarchical_ += count;
+    if (kind == PlanKind::kMixedRadix) mixed_radix_ += count;
+    if (kind == PlanKind::kBluestein) bluestein_ += count;
+  }
 }
 
 template <typename T>
-void FftExecutor::run_serial_locked(const PlanEntry& entry,
-                                    std::span<const std::span<cplx_t<T>>> batch,
-                                    codelet::Team& tm,
-                                    TwiddleDirection dir) {
-  const unsigned workers = tm.workers();
+void FftExecutor::add_serial_group(const BatchGroup& group, unsigned workers) {
   NumericState<T>& st = num<T>();
-  if (entry.kind() == PlanKind::kMixedRadix) {
-    const MixedRadixPlan& plan = entry.mixed_plan();
-    const std::span<const cplx_t<T>> tw = entry.mixed_twiddles<T>(dir);
-    size_per_worker(st.work, workers, plan.size());
-    tm.parallel_for(batch.size(), [&](std::uint64_t b, unsigned w) {
-      mixed_radix_serial<T>(plan, tw, batch[b], st.work[w], dir);
-    });
-    return;
+  const PlanEntry& entry = *group.entry_;
+  SerialGroup<T> g;
+  g.batch = group.spans<T>();
+  g.end = (st.groups.empty() ? 0 : st.groups.back().end) + g.batch.size();
+  g.kind = entry.kind();
+  g.dir = group.dir_;
+  if (g.kind == PlanKind::kMixedRadix) {
+    g.mixed = &entry.mixed_plan();
+    g.mixed_tw = entry.mixed_twiddles<T>(g.dir);
+    size_per_worker(st.work, workers, g.mixed->size());
+  } else if (g.kind == PlanKind::kClassic) {
+    g.tw = entry.level_twiddles<T>(g.dir);
+    g.brev = entry.bitrev();
+    size_per_worker(st.split, workers, 2 * g.brev.size());
+  } else {
+    // Bluestein: both inner FFTs sweep the classic convolution entry.
+    const PlanEntry& conv = *entry.conv_entry();
+    g.tw = conv.level_twiddles<T>(TwiddleDirection::kForward);
+    g.tw_inv = conv.level_twiddles<T>(TwiddleDirection::kInverse);
+    g.brev = conv.bitrev();
+    g.chirp = entry.chirp<T>(g.dir);
+    g.bfft = entry.chirp_fft<T>(g.dir);
+    size_per_worker(st.split, workers, 2 * g.brev.size());
+    size_per_worker(st.work, workers, g.brev.size());
   }
+  st.groups.push_back(g);
+}
 
-  // Classic transforms and Bluestein's convolutions: one pow2 plan, each
-  // transform one split-complex sweep (run_transform_split) on its
-  // worker's split scratch. Every table comes from the plan entry.
-  const bool bluestein = entry.kind() == PlanKind::kBluestein;
-  const PlanEntry& pow2 = bluestein ? *entry.conv_entry() : entry;
-  const std::uint64_t len = pow2.key().n;
-  size_per_worker(st.split, workers, 2 * len);
-  const std::span<const std::uint32_t> brev = pow2.bitrev();
-  const auto fft = [&](std::span<cplx_t<T>> data, const LevelTwiddles<T>& tw,
-                       unsigned w) {
-    run_transform_split(data, tw, brev, st.split[w].data());
-  };
-  if (!bluestein) {
-    const LevelTwiddles<T> tw = entry.level_twiddles<T>(dir);
-    tm.parallel_for(batch.size(), [&](std::uint64_t b, unsigned w) {
-      fft(batch[b], tw, w);
+template <typename T>
+void FftExecutor::run_serial_transform(std::uint64_t i, unsigned w) {
+  NumericState<T>& st = num<T>();
+  const SerialGroup<T>& g = *std::upper_bound(
+      st.groups.begin(), st.groups.end(), i,
+      [](std::uint64_t idx, const SerialGroup<T>& s) { return idx < s.end; });
+  const std::span<cplx_t<T>> data = g.batch[i - (g.end - g.batch.size())];
+  if (g.kind == PlanKind::kMixedRadix) {
+    mixed_radix_serial<T>(*g.mixed, g.mixed_tw, data, st.work[w], g.dir);
+  } else if (g.kind == PlanKind::kClassic) {
+    run_transform_split(data, g.tw, g.brev, st.split[w].data());
+  } else {
+    const std::span<cplx_t<T>> buf(st.work[w].data(), g.brev.size());
+    bluestein_chain<T>(data, g.chirp, g.bfft, buf, [&](TwiddleDirection inner) {
+      run_transform_split(buf,
+                          inner == TwiddleDirection::kForward ? g.tw : g.tw_inv,
+                          g.brev, st.split[w].data());
     });
-    return;
   }
-  const LevelTwiddles<T> tw_fwd =
-      pow2.level_twiddles<T>(TwiddleDirection::kForward);
-  const LevelTwiddles<T> tw_inv =
-      pow2.level_twiddles<T>(TwiddleDirection::kInverse);
-  const std::span<const cplx_t<T>> chirp = entry.chirp<T>(dir);
-  const std::span<const cplx_t<T>> bfft = entry.chirp_fft<T>(dir);
-  size_per_worker(st.work, workers, len);
-  tm.parallel_for(batch.size(), [&](std::uint64_t b, unsigned w) {
-    const std::span<cplx_t<T>> buf(st.work[w].data(), len);
-    bluestein_chain<T>(batch[b], chirp, bfft, buf, [&](TwiddleDirection inner) {
-      fft(buf, inner == TwiddleDirection::kForward ? tw_fwd : tw_inv, w);
-    });
-  });
+  if (g.dir == TwiddleDirection::kInverse)
+    scale_by<T>(data, 1.0 / static_cast<double>(data.size()));
+}
+
+template <typename T>
+void FftExecutor::run_pipelined(const BatchGroup& group, codelet::Team& tm) {
+  const PlanEntry& entry = *group.entry_;
+  for (const std::span<cplx_t<T>>& data : group.spans<T>()) {
+    if (entry.kind() == PlanKind::kHierarchical)
+      run_hierarchical_locked<T>(entry, data, tm, group.dir_);
+    else if (entry.kind() == PlanKind::kMixedRadix)
+      run_mixed_radix_locked<T>(entry, data, tm, group.dir_);
+    else
+      run_bluestein_locked<T>(entry, data, tm, group.dir_);
+    if (group.dir_ == TwiddleDirection::kInverse)
+      scale_by<T>(data, 1.0 / static_cast<double>(data.size()));
+  }
 }
 
 template <typename T>
@@ -289,10 +345,12 @@ void FftExecutor::run_mixed_radix_locked(const PlanEntry& entry,
 
   // Digit-reversal gather as one chunked phase: scratch[p] = data[perm[p]].
   const SweepGrain grain = bitrev_sweep_grain(n, tm.workers());
-  tm.parallel_for(grain.chunks, [&](std::uint64_t c, unsigned) {
-    const std::uint64_t b = c * grain.per;
-    mixed_radix_permute<T>(plan, cdata, scratch, b, std::min(n, b + grain.per));
-  });
+  tm.parallel_for("mixed.permute", grain.chunks,
+                  [&](std::uint64_t c, unsigned) {
+                    const std::uint64_t b = c * grain.per;
+                    mixed_radix_permute<T>(plan, cdata, scratch, b,
+                                           std::min(n, b + grain.per));
+                  });
 
   // One data-parallel phase per stage over its n/r butterflies. Stage 0
   // reads the permuted scratch and writes data (fully disjoint buffers);
@@ -305,7 +363,7 @@ void FftExecutor::run_mixed_radix_locked(const PlanEntry& entry,
         std::min<std::uint64_t>(g_count, std::uint64_t{tm.workers()} * 4);
     const std::uint64_t per = util::ceil_div(g_count, chunks);
     const std::span<const cplx_t<T>> src = (s == 0) ? cscratch : cdata;
-    tm.parallel_for(chunks, [&](std::uint64_t c, unsigned) {
+    tm.parallel_for("mixed.stage", chunks, [&](std::uint64_t c, unsigned) {
       const std::uint64_t b = c * per;
       run_mixed_radix_stage<T>(plan, s, tw, src, data, b,
                                std::min(g_count, b + per), dir);
@@ -374,8 +432,8 @@ void FftExecutor::run_hierarchical_locked(const PlanEntry& entry,
   // seed (transpose_twiddle_tile_panel's header contract), while each row
   // FFT runs whole on one worker through the bit-exact kernel tables — so
   // the output does not depend on the team size, the block grain, the
-  // schedule order or the kernel ISA tier. No pass scales: the public
-  // inverse wrappers apply the 1/N.
+  // schedule order or the kernel ISA tier. No pass scales: an inverse's
+  // 1/N runs after the pipeline (run_pipelined).
   const std::uint64_t n1 = entry.split().n1;
   const std::uint64_t n2 = entry.split().n2;
   const std::uint64_t n = n1 * n2;
@@ -422,7 +480,7 @@ void FftExecutor::run_hierarchical_locked(const PlanEntry& entry,
   const cplx_t<T> w1 = unit_root<T>(n, 1, dir);
   const kernels::KernelDispatch<T>& K = kernels::active_kernels<T>();
 
-  tm.parallel_for(B1, [&](std::uint64_t i, unsigned worker) {
+  tm.parallel_for("hier.A", B1, [&](std::uint64_t i, unsigned worker) {
     // T1: gather-transpose the strided data columns of block i into
     // contiguous rows of s. The src side reads one 16-element chunk per
     // data row — a stride the hardware prefetcher never locks onto — so
@@ -447,7 +505,7 @@ void FftExecutor::run_hierarchical_locked(const PlanEntry& entry,
                           st.split[worker].data());
   });
 
-  tm.parallel_for(B2, [&](std::uint64_t j, unsigned worker) {
+  tm.parallel_for("hier.B", B2, [&](std::uint64_t j, unsigned worker) {
     // T4: twiddle-gather the block's rows — twiddled columns of s — into
     // this worker's panel, sweep the panel rows while they are hot, then
     // writeback-transpose into `data` in natural output order.
@@ -482,58 +540,49 @@ void FftExecutor::run_hierarchical_locked(const PlanEntry& entry,
   });
 }
 
-// The test peer (FftExecutorTestPeer) drives the dispatch directly.
-template void FftExecutor::dispatch_t<double>(const PlanEntry&,
-                                              std::span<const std::span<cplx>>,
-                                              unsigned, TwiddleDirection);
-template void FftExecutor::dispatch_t<float>(const PlanEntry&,
-                                             std::span<const std::span<cplx32>>,
-                                             unsigned, TwiddleDirection);
+void FftExecutor::run_group(BatchGroup group, const HostFftOptions& opts) {
+  run_groups(std::span<BatchGroup>(&group, 1), opts);
+  if (group.error()) std::rethrow_exception(group.error());
+}
 
 void FftExecutor::forward(std::span<cplx> data, const HostFftOptions& opts) {
   const std::span<cplx> one[1] = {data};
-  run_t<double>(one, opts, TwiddleDirection::kForward);
+  run_group(BatchGroup(one, TwiddleDirection::kForward), opts);
 }
 
 void FftExecutor::forward(std::span<cplx32> data, const HostFftOptions& opts) {
   const std::span<cplx32> one[1] = {data};
-  run_t<float>(one, opts, TwiddleDirection::kForward);
+  run_group(BatchGroup(one, TwiddleDirection::kForward), opts);
 }
 
 void FftExecutor::inverse(std::span<cplx> data, const HostFftOptions& opts) {
   const std::span<cplx> one[1] = {data};
-  run_t<double>(one, opts, TwiddleDirection::kInverse);
-  scale_by<double>(data, 1.0 / static_cast<double>(data.size()));
+  run_group(BatchGroup(one, TwiddleDirection::kInverse), opts);
 }
 
 void FftExecutor::inverse(std::span<cplx32> data, const HostFftOptions& opts) {
   const std::span<cplx32> one[1] = {data};
-  run_t<float>(one, opts, TwiddleDirection::kInverse);
-  scale_by<float>(data, 1.0 / static_cast<double>(data.size()));
+  run_group(BatchGroup(one, TwiddleDirection::kInverse), opts);
 }
 
 void FftExecutor::forward_batch(std::span<const std::span<cplx>> batch,
                                 const HostFftOptions& opts) {
-  run_t<double>(batch, opts, TwiddleDirection::kForward);
+  run_group(BatchGroup(batch, TwiddleDirection::kForward), opts);
 }
 
 void FftExecutor::forward_batch(std::span<const std::span<cplx32>> batch,
                                 const HostFftOptions& opts) {
-  run_t<float>(batch, opts, TwiddleDirection::kForward);
+  run_group(BatchGroup(batch, TwiddleDirection::kForward), opts);
 }
 
 void FftExecutor::inverse_batch(std::span<const std::span<cplx>> batch,
                                 const HostFftOptions& opts) {
-  run_t<double>(batch, opts, TwiddleDirection::kInverse);
-  for (const std::span<cplx>& t : batch)
-    scale_by<double>(t, 1.0 / static_cast<double>(t.size()));
+  run_group(BatchGroup(batch, TwiddleDirection::kInverse), opts);
 }
 
 void FftExecutor::inverse_batch(std::span<const std::span<cplx32>> batch,
                                 const HostFftOptions& opts) {
-  run_t<float>(batch, opts, TwiddleDirection::kInverse);
-  for (const std::span<cplx32>& t : batch)
-    scale_by<float>(t, 1.0 / static_cast<double>(t.size()));
+  run_group(BatchGroup(batch, TwiddleDirection::kInverse), opts);
 }
 
 void FftExecutor::shutdown() {

@@ -11,23 +11,25 @@
 //
 // Every phase the executor runs is one flat parallel loop on its worker
 // team (codelet::Team::parallel_for): no phase pushes work into another.
-// Every call resolves its route's plan entry first (one cache acquire:
-// an entry pins whatever sub-entries its route runs), then runs one of
-// two bodies. The serial whole-transform body runs every classic call and
-// every Bluestein call whose convolution is classic, on every team and
-// batch size: ONE phase with one index per transform, each run start to
-// finish by the worker that claims it on that worker's scratch (a
+// A call is a list of groups (run_groups), each a batch of one length,
+// precision and direction; forward/inverse and the *_batch calls are its
+// one-group case. Every group resolves its route's plan entry first (one
+// cache acquire: an entry pins whatever sub-entries its route runs), then
+// the whole call runs ONE `serial` phase with one index per transform,
+// whatever its group: every classic, mixed-radix and Bluestein-over-a-
+// classic-convolution transform runs start to finish, inverse 1/N
+// included, on the worker that claims it and that worker's scratch (a
 // one-worker team runs the loop inline). That is the paper's codelet
 // sized to what its local store holds (a cache-resident transform IS that
-// codelet), so a single call is the B = 1 case of a batch. Mixed-radix
-// calls take the same body unless one transform meets a multi-worker
-// team; that one runs phased (digit reversal, then one phase per stage),
-// kept for the large composites (N >= 10^5) where splitting one transform
-// across workers beats the serial body.
-// Both bodies compute the same butterflies in the same order, so a batch
-// is bit-identical to a loop of single calls on any team. The paper's
-// Alg. 2 (dependency-counted radix-64 codelets) runs only in the fft_host
-// harness and the simulator.
+// codelet), so a single call is the B = 1 case of a batch, and a server's
+// dispatch round of many groups pays one wake and one barrier. A call of
+// one mixed-radix transform on a multi-worker team runs phased instead
+// (digit reversal, then one phase per stage), kept for the large
+// composites (N >= 10^5) where splitting one transform across workers
+// beats the serial body. Both bodies compute the same butterflies in the
+// same order, so a batch is bit-identical to a loop of single calls on
+// any team. The paper's Alg. 2 (dependency-counted radix-64 codelets)
+// runs only in the fft_host harness and the simulator.
 //
 // Large transforms route through the hierarchical path
 // (PlanKind::kHierarchical): Bailey's four-step algebra over the balanced
@@ -40,13 +42,14 @@
 // twiddle-gather, row sweep and writeback. Every row block needs every
 // column sweep, so the one barrier between the phases is the pipeline's
 // only sync point. It has no serial body: the two phases run once per
-// transform on every team. Routing is a function of N alone
-// (routed_plan_kind, fft/plan.hpp): no option, env var or setter moves a
-// size between plans. See DESIGN.md "Hierarchical large-N path".
+// transform on every team, after the call's serial phase. Routing is a
+// function of N alone (routed_plan_kind, fft/plan.hpp): no option, env
+// var or setter moves a size between plans. See DESIGN.md "Hierarchical
+// large-N path".
 //
 // Precision: every entry point exists for cplx (f64) and cplx32 (f32).
 // The two precisions dispatch through one shared member-template body
-// (run_t<T> and friends, defined in executor.cpp), share the ONE
+// (acquire_t<T> and friends, defined in executor.cpp), share the ONE
 // persistent worker team and the plan cache (entries keyed by Precision),
 // and keep separate per-worker numeric scratch (NumericState<T>) so a
 // precision switch never respawns the team or clobbers the other width's
@@ -58,6 +61,7 @@
 // "Executor & plan cache".
 
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -140,6 +144,46 @@ struct ExecutorStats {
   std::uint64_t teams_created = 0;
 };
 
+/// One group of a run_groups call: transforms of one length, one precision
+/// (the element type of its spans) and one direction. The spans and the
+/// buffers they view must stay valid for the call.
+class BatchGroup {
+ public:
+  BatchGroup(std::span<const std::span<cplx>> batch,
+             TwiddleDirection dir) noexcept
+      : precision_(Precision::kF64), f64_(batch), dir_(dir) {}
+  BatchGroup(std::span<const std::span<cplx32>> batch,
+             TwiddleDirection dir) noexcept
+      : precision_(Precision::kF32), f32_(batch), dir_(dir) {}
+
+  /// Transforms in the group.
+  std::size_t size() const noexcept { return f64_.size() + f32_.size(); }
+  /// Output of run_groups: null when the group ran, else why it did not
+  /// (its lengths differ, no route runs its length, or its plan build
+  /// threw). The call's other groups run either way.
+  const std::exception_ptr& error() const noexcept { return error_; }
+
+ private:
+  friend class FftExecutor;
+  friend struct FftExecutorTestPeer;
+
+  template <typename T>
+  std::span<const std::span<cplx_t<T>>> spans() const noexcept {
+    if constexpr (std::is_same_v<T, float>)
+      return f32_;
+    else
+      return f64_;
+  }
+
+  Precision precision_;
+  std::span<const std::span<cplx>> f64_;
+  std::span<const std::span<cplx32>> f32_;
+  TwiddleDirection dir_;
+  std::exception_ptr error_;
+  /// The group's plan entry, held from its acquire to the end of the call.
+  std::shared_ptr<const PlanEntry> entry_;
+};
+
 /// Test-only peer (tests/executor_test_peer.hpp): runs plan entries of a
 /// forced kind (a classic plan above the threshold, a hierarchical one
 /// below it, a Bluestein entry it builds outside the cache over a
@@ -175,10 +219,8 @@ class FftExecutor {
 
   /// Batched transforms: every span is one independent transform; all must
   /// share one length >= 2 (throws std::invalid_argument otherwise). The
-  /// batch runs as ONE phase with one whole-transform index per transform,
-  /// with the plan and twiddle lookups amortized across the batch;
-  /// hierarchical plans run their two phases per transform. Bit-identical
-  /// per transform to a loop of single calls.
+  /// one-group case of run_groups. Bit-identical per transform to a loop
+  /// of single calls.
   void forward_batch(std::span<const std::span<cplx>> batch,
                      const HostFftOptions& opts = {});
   void forward_batch(std::span<const std::span<cplx32>> batch,
@@ -187,6 +229,21 @@ class FftExecutor {
                      const HostFftOptions& opts = {});
   void inverse_batch(std::span<const std::span<cplx32>> batch,
                      const HostFftOptions& opts = {});
+
+  /// Runs every group of `groups` in one call: each group's plan entry is
+  /// acquired before the executor lock, then ONE phase runs every
+  /// transform of every group that has a serial body, one index per
+  /// transform, and the pipelined groups (hierarchical, and Bluestein over
+  /// a hierarchical convolution) run after it one transform at a time.
+  /// Inverse groups are scaled by 1/N. A group that cannot run is
+  /// reported in its error() and the others still run; an error of the
+  /// call itself (a team size outside [1, codelet::Team::kMaxWorkers], or
+  /// a body that throws) is thrown. Transforms of different groups run at
+  /// the same time, so every transform of the call needs its own buffer.
+  /// Each transform's bytes equal those of the same transform in its own
+  /// forward/inverse call.
+  void run_groups(std::span<BatchGroup> groups,
+                  const HostFftOptions& opts = {});
 
   /// Join and destroy the worker team and drop the per-worker buffers
   /// (the plan cache survives). The next transform lazily spawns a fresh
@@ -206,12 +263,36 @@ class FftExecutor {
  private:
   friend struct FftExecutorTestPeer;
 
+  /// One group's share of a call's serial phase: its transforms, and every
+  /// table they read, hoisted out of its plan entry once per call.
+  template <typename T>
+  struct SerialGroup {
+    std::span<const std::span<cplx_t<T>>> batch;
+    /// One past the group's last index among the phase's indices of
+    /// precision T.
+    std::uint64_t end = 0;
+    PlanKind kind = PlanKind::kClassic;
+    TwiddleDirection dir = TwiddleDirection::kForward;
+    /// Classic: the sweep's planes in `dir`. Bluestein: its classic
+    /// convolution's forward (tw) and inverse (tw_inv) planes, and brev
+    /// is the convolution's, so its size is M.
+    LevelTwiddles<T> tw;
+    LevelTwiddles<T> tw_inv;
+    std::span<const std::uint32_t> brev;
+    /// Bluestein: the chirp and the chirp filter's FFT in `dir`.
+    std::span<const cplx_t<T>> chirp;
+    std::span<const cplx_t<T>> bfft;
+    /// Mixed-radix: the plan and its stage twiddles in `dir`.
+    const MixedRadixPlan* mixed = nullptr;
+    std::span<const cplx_t<T>> mixed_tw;
+  };
+
   /// Per-precision mutable working set: the per-worker split scratch of
-  /// the whole-transform sweep, the hierarchical buffers and the
-  /// per-worker `work` buffers below. One instance per element width so
-  /// alternating precisions never thrash each other's allocations; the
-  /// worker team stays shared (it is precision-independent). Every table
-  /// lives in the plan entries.
+  /// the whole-transform sweep, the hierarchical buffers, the per-worker
+  /// `work` buffers and the serial groups below. One instance per element
+  /// width so alternating precisions never thrash each other's
+  /// allocations; the worker team stays shared (it is
+  /// precision-independent). Every table lives in the plan entries.
   template <typename T>
   struct NumericState {
     /// Per-worker split scratch of run_transform_split: the re/im planes,
@@ -241,6 +322,10 @@ class FftExecutor {
     /// serial body gives every worker its own, because whole transforms
     /// run concurrently.
     std::vector<std::vector<cplx_t<T>>> work;
+    /// The current call's serial groups of precision T, in call order.
+    /// Cleared per call and never shrunk, so a warm call allocates
+    /// nothing.
+    std::vector<SerialGroup<T>> groups;
   };
 
   template <typename T>
@@ -254,50 +339,52 @@ class FftExecutor {
   /// The team of `workers` threads (mutex_ held), respawned when the
   /// current one has another size.
   codelet::Team& team(unsigned workers);
-  /// Validates the batch, resolves its route's plan entry with ONE cache
-  /// acquire (before taking the lock), then runs dispatch_t on the team
-  /// opts names (ExecutorOptions::workers when it names none).
+  /// run_groups of a single group, rethrowing the group's error.
+  void run_group(BatchGroup group, const HostFftOptions& opts);
+  /// Validates one group's batch (one length, a size some route runs) and
+  /// acquires its route's plan entry: ONE cache acquire.
   template <typename T>
-  void run_t(std::span<const std::span<cplx_t<T>>> batch,
-             const HostFftOptions& opts, TwiddleDirection dir);
-  /// The locked dispatch over a resolved entry: takes mutex_, picks the
-  /// body from the entry's kind (and a Bluestein entry's convolution
-  /// kind), runs it on a `workers` team and counts the batch into the
-  /// stats. Unscaled, like every body below.
+  std::shared_ptr<const PlanEntry> acquire_t(
+      std::span<const std::span<cplx_t<T>>> batch);
+  /// The locked half of run_groups, over the groups whose entry_ is set
+  /// (the test peer sets forced entries and calls this directly): takes
+  /// mutex_, runs the serial phase and then the pipelined groups on a
+  /// `workers` team, counts them into the stats, and drops every entry_.
+  void run_resolved(std::span<BatchGroup> groups, unsigned workers);
+  /// Appends a group to num<T>().groups (mutex_ held), hoisting its tables
+  /// and sizing every worker's scratch for it.
   template <typename T>
-  void dispatch_t(const PlanEntry& entry,
-                  std::span<const std::span<cplx_t<T>>> batch,
-                  unsigned workers, TwiddleDirection dir);
-  /// The serial whole-transform body (mutex_ held) for classic,
-  /// mixed-radix and Bluestein plans whose convolution is classic: ONE
-  /// phase with one index per transform on per-worker scratch, for any
-  /// batch size including one. The bodies below never scale — inverse
-  /// normalization lives in the public wrappers only.
+  void add_serial_group(const BatchGroup& group, unsigned workers);
+  /// Index i of precision T's share of the serial phase (mutex_ held): one
+  /// whole transform on worker w's scratch, scaled by 1/N if inverse.
   template <typename T>
-  void run_serial_locked(const PlanEntry& entry,
-                         std::span<const std::span<cplx_t<T>>> batch,
-                         codelet::Team& team, TwiddleDirection dir);
-  /// One hierarchical transform (mutex_ held): two flat phases of
-  /// tile-block tasks — each column block's gather-transpose plus column
-  /// sweep, then each row block's fused twiddle-gather, row sweep and
-  /// writeback — instead of five barrier-separated full-array passes.
+  void run_serial_transform(std::uint64_t i, unsigned w);
+  /// A group with no serial body in this call (mutex_ held): one
+  /// transform at a time, each on the phases of its own body below,
+  /// scaled by 1/N at its end if inverse.
+  template <typename T>
+  void run_pipelined(const BatchGroup& group, codelet::Team& team);
+  /// One hierarchical transform (mutex_ held), unscaled: two flat phases
+  /// of tile-block tasks — each column block's gather-transpose plus
+  /// column sweep, then each row block's fused twiddle-gather, row sweep
+  /// and writeback — instead of five barrier-separated full-array passes.
   /// Output is bit-identical across team sizes, block grains and kernel
   /// ISA tiers.
   template <typename T>
   void run_hierarchical_locked(const PlanEntry& entry, std::span<cplx_t<T>> data,
                                codelet::Team& team, TwiddleDirection dir);
-  /// One phased mixed-radix transform (mutex_ held): digit-reversal
-  /// permutation into the ping buffer as a chunked phase, then one
-  /// data-parallel phase per stage over its butterfly groups (butterflies
-  /// of one stage touch disjoint indices, so any schedule is race-free and
-  /// bit-identical).
+  /// One phased mixed-radix transform (mutex_ held), unscaled:
+  /// digit-reversal permutation into the ping buffer as a chunked phase,
+  /// then one data-parallel phase per stage over its butterfly groups
+  /// (butterflies of one stage touch disjoint indices, so any schedule is
+  /// race-free and bit-identical).
   template <typename T>
   void run_mixed_radix_locked(const PlanEntry& entry, std::span<cplx_t<T>> data,
                               codelet::Team& team, TwiddleDirection dir);
   /// One Bluestein chirp-z transform over a hierarchical convolution
-  /// (mutex_ held): the chirp chain around two inner M-point pipelines on
-  /// the entry's convolution. A classic convolution runs the serial body
-  /// instead.
+  /// (mutex_ held), unscaled: the chirp chain around two inner M-point
+  /// pipelines on the entry's convolution. A classic convolution runs the
+  /// serial body instead.
   template <typename T>
   void run_bluestein_locked(const PlanEntry& entry, std::span<cplx_t<T>> data,
                             codelet::Team& team, TwiddleDirection dir);

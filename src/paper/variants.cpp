@@ -94,7 +94,7 @@ void run_pool_phase(codelet::Team& team, std::span<const CodeletKey> seeds,
                     PoolPolicy policy, const codelet::CodeletBody& body) {
   ReadyPool pool(seeds, policy);
   // One index per worker, each draining the pool until the phase is over.
-  team.parallel_for(team.workers(), [&](std::uint64_t, unsigned worker) {
+  const auto drain = [&](std::uint64_t, unsigned worker) {
     CodeletKey key;
     while (pool.pop(key)) {
       try {
@@ -105,7 +105,8 @@ void run_pool_phase(codelet::Team& team, std::span<const CodeletKey> seeds,
       }
       pool.done();
     }
-  });
+  };
+  team.parallel_for("pool", team.workers(), drain);
 }
 
 void fft_host(std::span<cplx> data, Variant variant, const PaperFftOptions& opts) {

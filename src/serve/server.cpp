@@ -70,7 +70,8 @@ FftServer::FftServer(const ServerOptions& opts)
 
   batch_.resize(opts_.max_coalesce);
   grouped_.resize(opts_.max_coalesce);
-  group_.reserve(opts_.max_coalesce);
+  round_.reserve(opts_.max_coalesce);
+  groups_.reserve(opts_.max_coalesce);
   spans64_.reserve(opts_.max_coalesce);
   spans32_.reserve(opts_.max_coalesce);
 
@@ -221,53 +222,68 @@ void FftServer::dispatch_loop() {
 }
 
 std::uint64_t FftServer::process_batch(std::size_t count) {
-  std::uint64_t exec_allocs = 0;
+  // Group the round by exact (n, precision, direction), in drain order.
+  // Each group's spans sit contiguously in spans64_/spans32_ and its
+  // slots in round_; none of them outgrows the max_coalesce capacity
+  // reserved at construction, so the views taken here stay valid.
   std::fill_n(grouped_.begin(), count, std::uint8_t{0});
+  groups_.clear();
+  round_.clear();
+  spans64_.clear();
+  spans32_.clear();
   for (std::size_t i = 0; i < count; ++i) {
     if (grouped_[i] != 0) continue;
     const Slot& lead = slots_[batch_[i]];
-    group_.clear();
-    spans64_.clear();
-    spans32_.clear();
+    const std::size_t first64 = spans64_.size();
+    const std::size_t first32 = spans32_.size();
     for (std::size_t j = i; j < count; ++j) {
       if (grouped_[j] != 0) continue;
       Slot& s = slots_[batch_[j]];
       if (s.n != lead.n || s.precision != lead.precision || s.dir != lead.dir)
         continue;
       grouped_[j] = 1;
-      group_.push_back(batch_[j]);
+      round_.push_back(batch_[j]);
       if (s.precision == fft::Precision::kF64)
         spans64_.emplace_back(static_cast<fft::cplx*>(s.data), s.n);
       else
         spans32_.emplace_back(static_cast<fft::cplx32*>(s.data), s.n);
     }
+    const fft::TwiddleDirection dir = lead.dir == Direction::kForward
+                                          ? fft::TwiddleDirection::kForward
+                                          : fft::TwiddleDirection::kInverse;
+    if (lead.precision == fft::Precision::kF64)
+      groups_.emplace_back(std::span<const std::span<fft::cplx>>(
+                               spans64_.data() + first64,
+                               spans64_.size() - first64),
+                           dir);
+    else
+      groups_.emplace_back(std::span<const std::span<fft::cplx32>>(
+                               spans32_.data() + first32,
+                               spans32_.size() - first32),
+                           dir);
+  }
 
-    RequestStatus status = RequestStatus::kOk;
-    const std::uint64_t probe0 =
-        opts_.alloc_probe != nullptr ? opts_.alloc_probe() : 0;
-    try {
-      if (lead.precision == fft::Precision::kF64) {
-        const std::span<const std::span<fft::cplx>> b(spans64_.data(),
-                                                      spans64_.size());
-        if (lead.dir == Direction::kForward)
-          exec_.forward_batch(b);
-        else
-          exec_.inverse_batch(b);
-      } else {
-        const std::span<const std::span<fft::cplx32>> b(spans32_.data(),
-                                                        spans32_.size());
-        if (lead.dir == Direction::kForward)
-          exec_.forward_batch(b);
-        else
-          exec_.inverse_batch(b);
-      }
-    } catch (const std::exception&) {
-      status = RequestStatus::kError;
-    }
-    if (opts_.alloc_probe != nullptr) exec_allocs += opts_.alloc_probe() - probe0;
-    batches_.fetch_add(1, std::memory_order_relaxed);
+  // The whole round is one executor call: one phase for every group.
+  bool round_failed = false;
+  const std::uint64_t probe0 =
+      opts_.alloc_probe != nullptr ? opts_.alloc_probe() : 0;
+  try {
+    exec_.run_groups(groups_);
+  } catch (const std::exception&) {
+    round_failed = true;
+  }
+  const std::uint64_t exec_allocs =
+      opts_.alloc_probe != nullptr ? opts_.alloc_probe() - probe0 : 0;
+  batches_.fetch_add(groups_.size(), std::memory_order_relaxed);
+  rounds_.fetch_add(1, std::memory_order_relaxed);
 
-    for (const std::uint32_t idx : group_) complete(idx, status);
+  std::size_t k = 0;
+  for (const fft::BatchGroup& g : groups_) {
+    const RequestStatus status = round_failed || g.error()
+                                     ? RequestStatus::kError
+                                     : RequestStatus::kOk;
+    for (const std::size_t end = k + g.size(); k < end; ++k)
+      complete(round_[k], status);
   }
   return exec_allocs;
 }
@@ -344,6 +360,7 @@ ServerStats FftServer::stats() const {
   }
   st.completed = completed_.load(std::memory_order_relaxed);
   st.batches = batches_.load(std::memory_order_relaxed);
+  st.rounds = rounds_.load(std::memory_order_relaxed);
   st.dispatch_allocs = dispatch_allocs_.load(std::memory_order_relaxed);
   st.executor_allocs = executor_allocs_.load(std::memory_order_relaxed);
   st.coalescing_factor =

@@ -3,17 +3,24 @@
 //
 // The executor made single transforms cheap; what it still charges per
 // call is dispatch overhead — the executor phase mutex, the plan-cache
-// acquire, and (off the serial fast path) a full scheduler phase with its
-// worker wake/park round trip. A process
-// serving MANY independent clients pays that per request. FftServer
-// amortizes it across clients the same way forward_batch amortizes it
-// across one caller's transforms: submissions land in priority lanes, a
-// dispatcher thread waits out a bounded coalescing window, and every
-// group of same-(n, precision, direction) requests it drains becomes ONE
-// forward_batch/inverse_batch call — one lock, one plan acquire, one
-// scheduler phase for the whole group. Coalescing never changes results:
-// batched execution is bit-identical per transform to a loop of single
-// calls (test_serve asserts this for both precisions).
+// acquire, and a scheduler phase with its worker wake and its barrier. A
+// process serving MANY independent clients pays that per request.
+// FftServer amortizes it across clients the same way forward_batch
+// amortizes it across one caller's transforms: submissions land in
+// priority lanes, a dispatcher thread waits out a bounded coalescing
+// window, groups the requests it drains by exact (n, precision,
+// direction), and runs the whole round as ONE FftExecutor::run_groups
+// call — one lock, one plan acquire per group, and one scheduler phase
+// for every transform of every group (pipelined large-N groups add their
+// own phases after it). Coalescing never changes results: batched
+// execution is bit-identical per transform to a loop of single calls
+// (test_serve asserts this for both precisions).
+//
+// Failure is per group: when a group's plan entry cannot be built,
+// run_groups reports it in that group's error(), every request of the
+// group completes kError, and the round's other groups run and complete
+// normally. Only an error of the round's call as a whole (one its
+// run_groups throws) fails every request of the round.
 //
 // Admission control is reject-based backpressure: an exhausted slot pool
 // fails submit() with a typed SubmitStatus immediately — requests
@@ -85,8 +92,9 @@ const char* to_string(SubmitStatus s) noexcept;
 
 enum class RequestStatus : std::uint8_t {
   kOk,
-  /// Transform threw (shape errors are caught at submit, so this is
-  /// unexpected); the buffer contents are unspecified.
+  /// The request's group could not run (its plan build threw), or the
+  /// round's executor call threw; shape errors are caught at submit, so
+  /// this is unexpected. The buffer contents are unspecified.
   kError,
 };
 
@@ -152,10 +160,13 @@ struct ServerStats {
   std::uint64_t rejected_shutdown = 0;
   std::uint64_t rejected_tenant = 0;
   std::uint64_t rejected_plan_quota = 0;
-  /// Executor batch calls the dispatcher issued (one per coalesced
-  /// group); completed / batches is the realized coalescing factor.
+  /// Coalesced groups the dispatcher formed (one per exact (n, precision,
+  /// direction) key of a round); completed / batches is the realized
+  /// coalescing factor.
   std::uint64_t batches = 0;
   double coalescing_factor = 0.0;
+  /// Dispatch rounds: one drain and one executor call each.
+  std::uint64_t rounds = 0;
   /// Scheduler phases / codelets observed through the executor's phase
   /// hook.
   std::uint64_t phases = 0;
@@ -302,8 +313,10 @@ class FftServer {
                            fft::Precision precision, Direction dir, Lane lane,
                            CompletionFn cb, void* ctx);
   void dispatch_loop();
-  /// Returns the dispatcher thread's allocation count spent inside
-  /// executor calls (0 when no alloc_probe is configured).
+  /// Groups the round's `count` drained requests, runs them as one
+  /// executor call and completes them. Returns the dispatcher thread's
+  /// allocation count spent inside that call (0 when no alloc_probe is
+  /// configured).
   std::uint64_t process_batch(std::size_t count);
   void complete(std::uint32_t slot_idx, RequestStatus status);
   void recycle(std::uint32_t slot_idx);
@@ -332,12 +345,14 @@ class FftServer {
   // Dispatcher-thread scratch, sized once in the constructor.
   std::vector<std::uint32_t> batch_;      // drained slot indices
   std::vector<std::uint8_t> grouped_;     // per-batch "already grouped" marks
-  std::vector<std::uint32_t> group_;      // slot indices of current group
+  std::vector<std::uint32_t> round_;      // the round's slots, group by group
+  std::vector<fft::BatchGroup> groups_;   // the round's groups
   std::vector<std::span<fft::cplx>> spans64_;
   std::vector<std::span<fft::cplx32>> spans32_;
 
   std::atomic<std::uint64_t> completed_{0};
   std::atomic<std::uint64_t> batches_{0};
+  std::atomic<std::uint64_t> rounds_{0};
   std::atomic<std::uint64_t> dispatch_allocs_{0};
   std::atomic<std::uint64_t> executor_allocs_{0};
   std::atomic<std::uint64_t> phases_{0};

@@ -3,12 +3,12 @@
 // never picks for its size. Routing is a function of N alone, so a test
 // that needs the classic plan at 2^18+, the hierarchical pipeline below
 // 2^18, or Bluestein over a hierarchical convolution runs a plan entry of
-// that kind through the executor's own locked dispatch — the body, team,
-// scratch and stats counters a routed call would use. Classic and
-// hierarchical entries come from the executor's cache under their forced
-// key; a Bluestein entry is built outside the cache over a convolution
-// acquired under the forced key (the cache's own Bluestein entries pin
-// the routed convolution).
+// that kind through the executor's own locked dispatch (run_resolved) —
+// the body, team, scratch and stats counters a routed call would use.
+// Classic and hierarchical entries come from the executor's cache under
+// their forced key; a Bluestein entry is built outside the cache over a
+// convolution acquired under the forced key (the cache's own Bluestein
+// entries pin the routed convolution).
 
 #include <cstdint>
 #include <memory>
@@ -26,24 +26,22 @@ struct FftExecutorTestPeer {
     PlanKind conv = PlanKind::kClassic;
   };
 
-  /// forward_batch / inverse_batch (scaled by 1/N like the public
-  /// wrappers) over `route` on the executor's own team.
+  /// forward_batch / inverse_batch over `route` on the executor's own
+  /// team: one group whose entry is set before the executor's locked half
+  /// of run_groups runs it.
   template <typename T>
   static void run(FftExecutor& ex, std::span<const std::span<cplx_t<T>>> batch,
                   Route route, TwiddleDirection dir) {
     const std::uint64_t n = batch.front().size();
     const PlanKey key{n, route.kind, precision_of<T>};
-    const std::shared_ptr<const PlanEntry> entry =
+    BatchGroup group(batch, dir);
+    group.entry_ =
         route.kind == PlanKind::kBluestein
             ? std::make_shared<const PlanEntry>(
                   key, ex.cache_.acquire(PlanKey{bluestein_fft_size(n),
                                                  route.conv, precision_of<T>}))
             : ex.cache_.acquire(key);
-    ex.dispatch_t<T>(*entry, batch, ex.opts_.workers, dir);
-    if (dir == TwiddleDirection::kForward) return;
-    const T scale = static_cast<T>(1.0 / static_cast<double>(n));
-    for (const std::span<cplx_t<T>>& t : batch)
-      for (cplx_t<T>& v : t) v *= scale;
+    ex.run_resolved(std::span<BatchGroup>(&group, 1), ex.opts_.workers);
   }
 
   /// One transform: forward / inverse over `route`.

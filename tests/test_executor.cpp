@@ -21,6 +21,7 @@
 #include "executor_test_peer.hpp"
 #include "fft/api.hpp"
 #include "fft/fft2d.hpp"
+#include "fft/kernels/dispatch.hpp"
 #include "fft/mixed_radix.hpp"
 #include "paper/reference.hpp"
 #include "util/cpu_features.hpp"
@@ -535,6 +536,203 @@ TEST(Executor, ServeSmallMixRunsOnePhasePerBatch) {
   EXPECT_EQ(s.cache.misses, 5u);
   EXPECT_EQ(s.teams_created, 1u);
   EXPECT_EQ(s.batched, 4u * 2u * 4u * kBatch);
+}
+
+/// The buffers of one serve_small dispatch round: (N, precision) = (64,
+/// f64), (96, f64), (101, f32) and (128, f32), each in both directions,
+/// kServeBatch transforms per (N, precision, direction) group, the spans
+/// laid out group by group as the server lays them out.
+constexpr std::size_t kServeBatch = 8;
+constexpr std::uint64_t kServeSizes64[] = {64, 96};
+constexpr std::uint64_t kServeSizes32[] = {101, 128};
+
+struct ServeRound {
+  std::vector<std::vector<cplx>> bufs64;
+  std::vector<std::vector<cplx32>> bufs32;
+  std::vector<std::span<cplx>> spans64;
+  std::vector<std::span<cplx32>> spans32;
+
+  explicit ServeRound(std::uint64_t seed) {
+    for (std::size_t g = 0; g < 4; ++g)
+      for (std::size_t b = 0; b < kServeBatch; ++b) {
+        const std::uint64_t s = 1000 * seed + kServeBatch * g + b;
+        bufs64.push_back(random_signal_as<double>(kServeSizes64[g % 2], s));
+        bufs32.push_back(random_signal_as<float>(kServeSizes32[g % 2], s));
+      }
+    spans64.assign(bufs64.begin(), bufs64.end());
+    spans32.assign(bufs32.begin(), bufs32.end());
+  }
+
+  /// Group g of the round's eight: f64 groups 0-3, f32 groups 4-7; in
+  /// each precision its two sizes forward, then inverse.
+  static bool inverse(std::size_t g) { return g % 4 >= 2; }
+  std::span<const std::span<cplx>> f64(std::size_t g) const {
+    return std::span<const std::span<cplx>>(spans64).subspan(g * kServeBatch,
+                                                             kServeBatch);
+  }
+  std::span<const std::span<cplx32>> f32(std::size_t g) const {
+    return std::span<const std::span<cplx32>>(spans32).subspan(
+        (g - 4) * kServeBatch, kServeBatch);
+  }
+  BatchGroup group(std::size_t g) const {
+    const TwiddleDirection dir =
+        inverse(g) ? TwiddleDirection::kInverse : TwiddleDirection::kForward;
+    return g < 4 ? BatchGroup(f64(g), dir) : BatchGroup(f32(g), dir);
+  }
+
+  bool same_bytes(const ServeRound& other) const {
+    for (std::size_t i = 0; i < bufs64.size(); ++i)
+      if (std::memcmp(bufs64[i].data(), other.bufs64[i].data(),
+                      bufs64[i].size() * sizeof(cplx)) != 0)
+        return false;
+    for (std::size_t i = 0; i < bufs32.size(); ++i)
+      if (std::memcmp(bufs32[i].data(), other.bufs32[i].data(),
+                      bufs32[i].size() * sizeof(cplx32)) != 0)
+        return false;
+    return true;
+  }
+};
+
+/// Runs group g of `round` on its own as one forward_batch/inverse_batch
+/// call.
+void run_as_batch_call(FftExecutor& ex, const ServeRound& round,
+                       std::size_t g) {
+  if (g < 4)
+    ServeRound::inverse(g) ? ex.inverse_batch(round.f64(g))
+                           : ex.forward_batch(round.f64(g));
+  else
+    ServeRound::inverse(g) ? ex.inverse_batch(round.f32(g))
+                           : ex.forward_batch(round.f32(g));
+}
+
+TEST(Executor, ServeSmallMixRunsOnePhasePerRound) {
+  // The serve_small dispatch round as the server issues it: its eight
+  // groups in ONE run_groups call on a 2-worker executor. That is one
+  // `serial` phase of 64 codelets (1/64 phases per transform), the same 5
+  // plan-cache misses cold as the per-group calls and none warm, on one
+  // team. Every transform's bytes equal those of the eight per-group
+  // batch calls on a one-worker executor, under the active kernel tier and
+  // under the scalar one.
+  const util::IsaLevel saved = kernels::active_kernel_isa();
+  FftExecutor ex({.workers = 2});
+  FftExecutor ref({.workers = 1});
+  std::vector<std::string> labels;
+  std::uint64_t codelets = 0;
+  ex.set_phase_hook([&](const codelet::PhaseStats& ps) {
+    labels.emplace_back(ps.label);
+    codelets += ps.executed;
+  });
+  std::uint64_t seed = 1;
+  for (const util::IsaLevel isa : {saved, util::IsaLevel::kScalar}) {
+    kernels::set_kernel_isa(isa);
+    for (int pass = 0; pass < 3; ++pass, ++seed) {
+      const std::string at = std::string(util::to_string(isa)) +
+                             " pass " + std::to_string(pass);
+      ServeRound got(seed), want(seed);
+      std::vector<BatchGroup> groups;
+      for (std::size_t g = 0; g < 8; ++g) groups.push_back(got.group(g));
+      labels.clear();
+      codelets = 0;
+      ex.run_groups(groups);
+      for (const BatchGroup& g : groups) EXPECT_FALSE(g.error()) << at;
+      EXPECT_EQ(labels, std::vector<std::string>{"serial"}) << at;
+      EXPECT_EQ(codelets, 8 * kServeBatch) << at;
+      if (seed == 1) {
+        EXPECT_EQ(ex.stats().cache.misses, 5u);  // cold
+      }
+      for (std::size_t g = 0; g < 8; ++g) run_as_batch_call(ref, want, g);
+      EXPECT_TRUE(got.same_bytes(want)) << at;
+    }
+  }
+  kernels::set_kernel_isa(saved);
+  ex.set_phase_hook({});
+  const ExecutorStats s = ex.stats();
+  EXPECT_EQ(s.cache.misses, 5u);
+  EXPECT_EQ(s.teams_created, 1u);
+  EXPECT_EQ(s.batched, 6u * 8u * kServeBatch);
+  EXPECT_EQ(s.mixed_radix, 6u * 2u * kServeBatch);
+  EXPECT_EQ(s.bluestein, 6u * 2u * kServeBatch);
+}
+
+TEST(Executor, RunGroupsReportsAFailedGroupAndRunsTheRest) {
+  // A group that cannot run — lengths that differ, or a length no route
+  // runs — is reported in its own error() and the call's other groups
+  // run, in the one phase, byte-identical to their own batch calls.
+  FftExecutor ex({.workers = 2});
+  FftExecutor ref({.workers = 1});
+  auto a = random_signal(64, 1), b = random_signal(64, 2);
+  auto c = random_signal_as<float>(101, 3);
+  auto want_a = a, want_b = b;
+  auto want_c = c;
+  std::vector<cplx> short_one(32), long_one(64), one_point(1);
+  const std::span<cplx> good[2] = {a, b};
+  const std::span<cplx32> good32[1] = {c};
+  const std::span<cplx> mixed[2] = {short_one, long_one};
+  const std::span<cplx> too_small[1] = {one_point};
+  BatchGroup groups[4] = {{good, TwiddleDirection::kForward},
+                          {mixed, TwiddleDirection::kForward},
+                          {good32, TwiddleDirection::kInverse},
+                          {too_small, TwiddleDirection::kInverse}};
+  std::uint64_t phases = 0;
+  ex.set_phase_hook([&](const codelet::PhaseStats&) { ++phases; });
+  ex.run_groups(groups);
+  ex.set_phase_hook({});
+  EXPECT_FALSE(groups[0].error());
+  EXPECT_FALSE(groups[2].error());
+  for (const std::size_t bad : {1u, 3u}) {
+    ASSERT_TRUE(groups[bad].error()) << bad;
+    EXPECT_THROW(std::rethrow_exception(groups[bad].error()),
+                 std::invalid_argument)
+        << bad;
+  }
+  EXPECT_EQ(phases, 1u);
+  EXPECT_EQ(ex.stats().batched, 2u);
+  EXPECT_EQ(ex.stats().transforms, 1u);
+
+  const std::span<cplx> want_pair[2] = {want_a, want_b};
+  ref.forward_batch(want_pair);
+  ref.inverse(std::span<cplx32>(want_c));
+  EXPECT_EQ(0, std::memcmp(a.data(), want_a.data(), 64 * sizeof(cplx)));
+  EXPECT_EQ(0, std::memcmp(b.data(), want_b.data(), 64 * sizeof(cplx)));
+  EXPECT_EQ(0, std::memcmp(c.data(), want_c.data(), 101 * sizeof(cplx32)));
+}
+
+TEST(Executor, PhaseLabelsNameEachRoutesPhases) {
+  // Each route's phases by label, on a 2-worker executor: the serial body
+  // is one `serial` phase per call; a single mixed-radix transform is
+  // `mixed.permute`, then one `mixed.stage` per stage; a hierarchical
+  // transform's `hier.A` and `hier.B` (test_hierarchical pins them alone)
+  // run after the call's serial phase when the call also holds serial
+  // groups.
+  FftExecutor ex({.workers = 2});
+  std::vector<std::string> labels;
+  ex.set_phase_hook(
+      [&](const codelet::PhaseStats& ps) { labels.emplace_back(ps.label); });
+  const auto phases_of = [&](const auto& call) {
+    labels.clear();
+    call();
+    return labels;
+  };
+  using Labels = std::vector<std::string>;
+
+  auto pow2 = random_signal(256, 1);
+  EXPECT_EQ(phases_of([&] { ex.forward(std::span<cplx>(pow2)); }),
+            Labels{"serial"});
+  auto composite = random_signal(360, 2);
+  Labels mixed{"mixed.permute"};
+  mixed.insert(mixed.end(), MixedRadixPlan(360).stage_count(), "mixed.stage");
+  EXPECT_EQ(phases_of([&] { ex.inverse(std::span<cplx>(composite)); }),
+            mixed);
+  auto large = random_signal(std::uint64_t{1} << 18, 3);
+  const std::span<cplx> large_one[1] = {large};
+  const std::span<cplx> pow2_one[1] = {pow2};
+  const std::span<cplx> composite_one[1] = {composite};
+  BatchGroup groups[3] = {{large_one, TwiddleDirection::kInverse},
+                          {pow2_one, TwiddleDirection::kForward},
+                          {composite_one, TwiddleDirection::kForward}};
+  EXPECT_EQ(phases_of([&] { ex.run_groups(groups); }),
+            (Labels{"serial", "hier.A", "hier.B"}));
+  ex.set_phase_hook({});
 }
 
 }  // namespace

@@ -10,7 +10,8 @@
 //   * bit identity of the batch against a loop of single calls, against
 //     another team size (named per call, and as {} on an executor built
 //     with that size), against the other ISA tier, and against the same
-//     transforms served through an owned FftServer.
+//     transforms served through an owned FftServer, in a round beside a
+//     small transform of another shape and the other direction.
 // Draw i is a function of i alone, so the sequence is fixed. The default
 // run is the first kDefaultDraws draws, less the few whose Bluestein
 // convolution is above 2^21 points (soak_only); C64FFT_FUZZ_ITERS=<count>
@@ -455,24 +456,39 @@ void check_draw(const Draw& d, Rig& rig, util::IsaLevel other_isa,
       << util::to_string(d.isa) << " vs " << util::to_string(other_isa);
   kernels::set_kernel_isa(d.isa);
 
-  // Served through an owned server of the draw's team size.
+  // Served through an owned server of the draw's team size, beside a
+  // companion transform of another shape and the other direction, so the
+  // dispatch round's one executor call holds (at least) two groups.
+  static constexpr std::uint64_t kCompanionSizes[] = {64, 96, 101};
+  util::Xoshiro256 companion_rng(d.index);
+  Batch<T> companion;
+  companion.bufs.emplace_back(kCompanionSizes[d.index % 3]);
+  for (std::complex<T>& x : companion.bufs[0])
+    x = {static_cast<T>(companion_rng.next_double() * 2 - 1),
+         static_cast<T>(companion_rng.next_double() * 2 - 1)};
+  Batch<T> companion_ref = companion;
+  run(ex, companion_ref, !d.inverse);
   serve::FftServer& server = rig.server(w);
   serve::TenantQuota quota;
   quota.max_arena_bytes = 0;
-  quota.max_plan_shapes = 1;
+  quota.max_plan_shapes = 2;
   const serve::TenantId tenant = server.add_tenant(quota);
   work = input;
   std::vector<serve::Ticket> tickets;
-  for (std::span<std::complex<T>> t : work.spans()) {
+  const auto submit = [&](std::span<std::complex<T>> t, bool inverse) {
     serve::SubmitResult r = server.submit(
         tenant, t,
-        d.inverse ? serve::Direction::kInverse : serve::Direction::kForward);
+        inverse ? serve::Direction::kInverse : serve::Direction::kForward);
     ASSERT_EQ(r.status, serve::SubmitStatus::kAccepted);
     tickets.push_back(std::move(r.ticket));
-  }
+  };
+  for (std::span<std::complex<T>> t : work.spans()) submit(t, d.inverse);
+  submit(companion.bufs[0], !d.inverse);
   for (serve::Ticket& t : tickets)
     EXPECT_EQ(t.wait().status, serve::RequestStatus::kOk);
   EXPECT_TRUE(work.same_bytes(ref)) << "served vs direct";
+  EXPECT_TRUE(companion.same_bytes(companion_ref))
+      << "served companion n=" << companion.bufs[0].size() << " vs direct";
   if (large) {
     release(server.executor());
     release(ex);

@@ -124,10 +124,10 @@ TEST(Hierarchical, ExecutorRoutesOnlyLargeTransforms) {
 
 template <typename T>
 void check_pipeline_counts() {
-  // A hierarchical transform is exactly two phases on every team: B1
-  // column-block codelets (T1 gather + T2 column sweep each), then B2
-  // fused T4 row-block codelets, with B1/B2 the executor's grain at this
-  // host's L2. Bluestein over a hierarchical convolution runs two such
+  // A hierarchical transform is exactly two phases on every team: `hier.A`
+  // of B1 column-block codelets (T1 gather + T2 column sweep each), then
+  // `hier.B` of B2 fused T4 row-block codelets, with B1/B2 the executor's
+  // grain at this host's L2. Bluestein over a hierarchical convolution runs two such
   // pipelines: B1, B2, B1, B2. The static model (analysis/pipeline.hpp)
   // must show exactly those phases and tasks; Bluestein's modulate,
   // pointwise and demodulate passes run inline, outside any team phase.
@@ -173,6 +173,8 @@ void check_pipeline_counts() {
         ASSERT_EQ(phases.size(), 2 * pipelines) << label;
         for (std::size_t p = 0; p < phases.size(); ++p) {
           const std::uint64_t want = p % 2 == 0 ? g.blocks1 : g.blocks2;
+          EXPECT_STREQ(phases[p].label, p % 2 == 0 ? "hier.A" : "hier.B")
+              << label << " phase " << p;
           EXPECT_EQ(phases[p].seeds, want) << label << " phase " << p;
           EXPECT_EQ(phases[p].executed, want) << label << " phase " << p;
           EXPECT_EQ(model_tasks[p], want) << label << " model phase " << p;

@@ -202,9 +202,9 @@ TEST(Serve, CoalescedBatchBitIdenticalToSingleCallLoop) {
 TEST(Serve, MixedPow2AndCompositeTrafficCoalescesPerExactKey) {
   // One dispatch round of mixed traffic: a pow2 size, a 7-smooth
   // composite, and a prime, plus one f32 shape. Coalescing must group by
-  // the EXACT (n, precision, direction) key — one executor batch per key,
-  // never a padded or merged one — and every result must stay
-  // bit-identical to a loop of single executor calls.
+  // the EXACT (n, precision, direction) key — one group per key, never a
+  // padded or merged one — and every result must stay bit-identical to a
+  // loop of single executor calls.
   constexpr int kK = 4;
   const std::uint64_t sizes64[3] = {256, 96, 101};
   constexpr std::uint64_t kN32 = 96;
@@ -269,12 +269,16 @@ TEST(Serve, MixedPow2AndCompositeTrafficCoalescesPerExactKey) {
         << "f32 buffer " << i;
   }
 
-  // Exactly one executor batch per exact key: {256,f64}, {96,f64},
+  // Exactly one coalesced group per exact key: {256,f64}, {96,f64},
   // {101,f64}, {96,f32} — the pow2 and composite shapes coalesced side by
-  // side in one round, kK-deep each.
+  // side in one round, kK-deep each, and the round is ONE executor call
+  // of ONE phase.
   const ServerStats st = server.stats();
   EXPECT_EQ(st.completed, 4u * kK);
   EXPECT_EQ(st.batches, 4u);
+  EXPECT_EQ(st.rounds, 1u);
+  EXPECT_EQ(st.phases, 1u);
+  EXPECT_EQ(st.codelets, 4u * kK);
   EXPECT_GE(st.coalescing_factor, static_cast<double>(kK));
 }
 

@@ -257,5 +257,66 @@ TEST(ExecutorAllocs, WarmLargeCallsAllocateNothingF32) {
   EXPECT_GT(st.bluestein, 0u);
 }
 
+/// Appends `batch` random buffers of length n at precision T to `bufs`.
+template <typename T>
+void add_buffers(std::vector<std::vector<fft::cplx_t<T>>>& bufs,
+                 std::uint64_t n, std::size_t batch) {
+  util::Xoshiro256 rng(n + bufs.size());
+  for (std::size_t b = 0; b < batch; ++b) {
+    std::vector<fft::cplx_t<T>> v(n);
+    for (auto& x : v)
+      x = fft::cplx_t<T>(static_cast<T>(rng.next_double() * 2 - 1),
+                         static_cast<T>(rng.next_double() * 2 - 1));
+    bufs.push_back(std::move(v));
+  }
+}
+
+TEST(ExecutorAllocs, WarmMultiGroupCallAllocatesNothing) {
+  // One run_groups call as a server's dispatch round makes it, and more:
+  // a group per small size, precision and direction (each on its own
+  // buffers, all in the call's one phase) plus a 2^18 group, pipelined
+  // after the phase. Warm, it allocates nothing on 1, 2 and 4 workers.
+  constexpr std::size_t kBatch = 4;
+  for (const unsigned workers : {1u, 2u, 4u}) {
+    std::vector<std::vector<fft::cplx>> bufs64;
+    std::vector<std::vector<fft::cplx32>> bufs32;
+    for (const std::uint64_t n : kSmallSizes)
+      for (int dir = 0; dir < 2; ++dir) {
+        add_buffers<double>(bufs64, n, kBatch);
+        add_buffers<float>(bufs32, n, kBatch);
+      }
+    add_buffers<double>(bufs64, std::uint64_t{1} << 18, 1);
+    const std::vector<std::span<fft::cplx>> spans64(bufs64.begin(),
+                                                    bufs64.end());
+    const std::vector<std::span<fft::cplx32>> spans32(bufs32.begin(),
+                                                      bufs32.end());
+    std::vector<fft::BatchGroup> groups;
+    for (std::size_t g = 0; g < spans32.size() / kBatch; ++g) {
+      const fft::TwiddleDirection dir = g % 2 == 0
+                                            ? fft::TwiddleDirection::kForward
+                                            : fft::TwiddleDirection::kInverse;
+      groups.emplace_back(std::span<const std::span<fft::cplx>>(spans64)
+                              .subspan(g * kBatch, kBatch),
+                          dir);
+      groups.emplace_back(std::span<const std::span<fft::cplx32>>(spans32)
+                              .subspan(g * kBatch, kBatch),
+                          dir);
+    }
+    groups.emplace_back(
+        std::span<const std::span<fft::cplx>>(spans64).last(1),
+        fft::TwiddleDirection::kInverse);
+
+    fft::FftExecutor ex({.workers = workers});
+    for (int i = 0; i < 2; ++i) ex.run_groups(groups);  // warm
+    const std::uint64_t before = thread_alloc_count();
+    ex.run_groups(groups);
+    const std::uint64_t allocs = thread_alloc_count() - before;
+    EXPECT_EQ(allocs, 0u) << "workers=" << workers;
+    for (const fft::BatchGroup& g : groups)
+      EXPECT_FALSE(g.error()) << "workers=" << workers;
+    EXPECT_GT(ex.stats().hierarchical, 0u);
+  }
+}
+
 }  // namespace
 }  // namespace c64fft::serve

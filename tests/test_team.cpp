@@ -35,7 +35,7 @@ TEST(Team, EmptyCallRunsNothing) {
       EXPECT_EQ(ps.seeds, 0u);
       EXPECT_EQ(ps.executed, 0u);
     });
-    team.parallel_for(0, [](std::uint64_t, unsigned) {
+    team.parallel_for("test", 0, [](std::uint64_t, unsigned) {
       FAIL() << "no index should run";
     });
     EXPECT_EQ(phases, 1u) << workers;
@@ -49,11 +49,12 @@ TEST(Team, RunsEveryIndexExactlyOnce) {
     std::vector<std::atomic<int>> hits(kCount);
     PhaseStats last;
     team.set_phase_hook([&](const PhaseStats& ps) { last = ps; });
-    team.parallel_for(kCount, [&](std::uint64_t i, unsigned) {
+    team.parallel_for("test", kCount, [&](std::uint64_t i, unsigned) {
       hits[i].fetch_add(1, std::memory_order_relaxed);
     });
     for (std::uint64_t i = 0; i < kCount; ++i)
       ASSERT_EQ(hits[i].load(), 1) << "index " << i << " workers=" << workers;
+    EXPECT_STREQ(last.label, "test");
     EXPECT_EQ(last.seeds, kCount);
     EXPECT_EQ(last.executed, kCount);
   }
@@ -63,7 +64,7 @@ TEST(Team, WorkerIdsInRange) {
   for (const unsigned workers : {1u, 3u}) {
     Team team(workers);
     std::atomic<bool> ok{true};
-    team.parallel_for(200, [&](std::uint64_t, unsigned w) {
+    team.parallel_for("test", 200, [&](std::uint64_t, unsigned w) {
       if (w >= workers) ok.store(false);
     });
     EXPECT_TRUE(ok.load()) << workers;
@@ -73,10 +74,11 @@ TEST(Team, WorkerIdsInRange) {
 TEST(Team, CallIsABarrier) {
   Team team(4);
   std::atomic<int> first{0};
-  team.parallel_for(64, [&](std::uint64_t, unsigned) { first.fetch_add(1); });
+  team.parallel_for("test", 64,
+                    [&](std::uint64_t, unsigned) { first.fetch_add(1); });
   // When parallel_for returns, every index of the call has finished.
   EXPECT_EQ(first.load(), 64);
-  team.parallel_for(64, [&](std::uint64_t, unsigned) {
+  team.parallel_for("test", 64, [&](std::uint64_t, unsigned) {
     EXPECT_EQ(first.load(), 64);
   });
 }
@@ -86,7 +88,7 @@ TEST(Team, ExceptionPropagatesAndTeamKeepsWorking) {
     Team team(workers);
     PhaseStats last;
     team.set_phase_hook([&](const PhaseStats& ps) { last = ps; });
-    EXPECT_THROW(team.parallel_for(64,
+    EXPECT_THROW(team.parallel_for("test", 64,
                                    [](std::uint64_t i, unsigned) {
                                      if (i == 13)
                                        throw std::runtime_error("index 13");
@@ -100,7 +102,8 @@ TEST(Team, ExceptionPropagatesAndTeamKeepsWorking) {
     }
 
     std::atomic<int> ran{0};
-    team.parallel_for(64, [&](std::uint64_t, unsigned) { ran.fetch_add(1); });
+    team.parallel_for("test", 64,
+                      [&](std::uint64_t, unsigned) { ran.fetch_add(1); });
     EXPECT_EQ(ran.load(), 64) << workers;
     EXPECT_EQ(last.executed, 64u);
   }
@@ -111,7 +114,7 @@ TEST(Team, ManyCallsOnOnePersistentTeam) {
   Team team(4);
   std::atomic<std::uint64_t> bodies{0};
   for (int call = 0; call < 200; ++call)
-    team.parallel_for(4, [&](std::uint64_t, unsigned) {
+    team.parallel_for("test", 4, [&](std::uint64_t, unsigned) {
       bodies.fetch_add(1, std::memory_order_relaxed);
     });
   EXPECT_EQ(bodies.load(), 200u * 4u);
@@ -120,7 +123,7 @@ TEST(Team, ManyCallsOnOnePersistentTeam) {
 
 TEST(Team, CountBeyondTheClaimWordThrows) {
   Team team(2);
-  EXPECT_THROW(team.parallel_for(std::uint64_t{1} << 31,
+  EXPECT_THROW(team.parallel_for("test", std::uint64_t{1} << 31,
                                  [](std::uint64_t, unsigned) {
                                    FAIL() << "no index should run";
                                  }),

@@ -21,7 +21,7 @@ template <typename Body>
 void count_per_worker(Team& team, std::uint64_t count,
                       std::vector<double>& per_worker, const Body& body) {
   per_worker.resize(team.workers(), 0.0);
-  team.parallel_for(count, [&](std::uint64_t i, unsigned w) {
+  team.parallel_for("balance", count, [&](std::uint64_t i, unsigned w) {
     body(i);
     per_worker[w] += 1.0;
   });

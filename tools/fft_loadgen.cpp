@@ -12,15 +12,17 @@
 // run.
 //
 // Modes:
-//   --mode=compare     run BOTH a coalesced and an uncoalesced
-//                      (window=0, max-coalesce=1: one request per
-//                      executor phase) pass and report the speedup —
+//   --mode=compare     run BOTH a coalesced (each dispatch round one
+//                      executor call of one phase for all its groups)
+//                      and an uncoalesced (window=0, max-coalesce=1: one
+//                      request per round) pass and report the speedup —
 //                      the BENCH-gated configuration
 //   --mode=coalesced   one coalesced pass
 //   --mode=uncoalesced one baseline pass
 //
 // Reports per pass: transforms/sec, p50/p99/mean/max latency, realized
-// coalescing factor, peak queue depth, plan-cache and arena stats, and
+// coalescing factor (transforms per coalesced group), peak queue depth,
+// scheduler phases per dispatch round, plan-cache and arena stats, and
 // the steady-state allocation counts. They are measured, not asserted
 // from faith: this binary implements the serve/alloc_probe.hpp
 // operator-new counter and hands it to the server as
@@ -284,10 +286,16 @@ void print_pass(const PassResult& p) {
             << " mean=" << static_cast<std::uint64_t>(st.latency.mean_ns)
             << " max=" << st.latency.max_ns << "\n"
             << "  coalescing factor  " << st.coalescing_factor << "  ("
-            << st.completed << " transforms / " << st.batches << " executor batches)\n"
+            << st.completed << " transforms / " << st.batches
+            << " coalesced groups)\n"
             << "  queue depth        peak=" << p.queue_depth_max << "\n"
             << "  scheduler          phases=" << st.phases
-            << " codelets=" << st.codelets << "\n"
+            << " codelets=" << st.codelets << " rounds=" << st.rounds
+            << " phases/round="
+            << (st.rounds > 0 ? static_cast<double>(st.phases) /
+                                    static_cast<double>(st.rounds)
+                              : 0.0)
+            << "\n"
             << "  serve-layer allocs " << p.dispatch_allocs
             << " (submit->complete path, measured window; executor-internal "
             << p.executor_allocs << ")\n"

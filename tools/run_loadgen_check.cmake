@@ -1,7 +1,8 @@
 # Runner for the opt-in serving-throughput gate (see C64FFT_BENCH_CHECK):
-# run fft_loadgen's compare mode (a coalesced pass and a one-request-
-# per-phase baseline pass over the same mixed traffic), then gate the
-# emitted LG_* rows with bench_check:
+# run fft_loadgen's compare mode (a coalesced pass, whose every dispatch
+# round is one executor call of ONE phase for all its groups, and a
+# one-request-per-round baseline pass over the same mixed traffic), then
+# gate the emitted LG_* rows with bench_check:
 #
 #   cmake -DLOADGEN=<bin> -DBENCH_CHECK=<bin> -DBASELINE=<json> \
 #         -DOUT=<json> [-DTOLERANCE=0.50] [-DRATIO_MIN=1.5] \
@@ -20,10 +21,11 @@
 #
 # The traffic shape is pinned (8 clients x 4 tenants x 3 lanes, mixed
 # precision, N in {64, 96, 101, 128}, 8 outstanding each, workers=2): the
-# payoff being gated is phase-overhead amortization, so the executor must
-# actually run scheduler phases (workers >= 2 — a 1-worker team runs
-# inline, where there is no wake to amortize and per-buffer cache
-# locality dominates instead). The size mix deliberately
+# payoff being gated is phase-overhead amortization — one wake and one
+# barrier per round of up to 64 requests against one per request — so the
+# executor must actually run scheduler phases (workers >= 2 — a 1-worker
+# team runs inline, where there is no wake to amortize and per-buffer
+# cache locality dominates instead). The size mix deliberately
 # spans all three plan routes — pow2 classic, 7-smooth composite (96,
 # mixed-radix) and prime (101, Bluestein) — so the gate covers exact-N
 # serving, not just pow2.
