@@ -5,8 +5,9 @@
 // way balancing fixes the twiddles.
 //
 // A second table repeats the comparison on the REAL host: the naive
-// element loop against the cache-blocked transpose.hpp kernels that
-// fft2d.cpp and the hierarchical path actually use. On the host the strided
+// element loop against the cache-blocked harness transposes
+// (paper/transpose.hpp), built on the tile kernel the executor's tile
+// pipeline runs for fft2d and the hierarchical path. On the host the strided
 // stream folds onto a handful of L1 sets (the cache analogue of bank-0
 // hot-spotting — see fft_lint --cache-sets), so the same tiling fix
 // shows up as a wall-clock win instead of a bank-imbalance win.
@@ -19,7 +20,7 @@
 #include <vector>
 
 #include "bench/bench_common.hpp"
-#include "fft/transpose.hpp"
+#include "paper/transpose.hpp"
 #include "simfft/fft2d_sim.hpp"
 #include "util/prng.hpp"
 
@@ -59,7 +60,7 @@ void host_transpose_table(std::uint64_t rows, std::uint64_t cols,
                  util::TextTable::num(bytes / naive_ms / 1e6, 2)});
   const double blocked_ms = time_ms_best_of(
       reps, [&] { fft::transpose_blocked(src, dst, rows, cols); });
-  table.add_row({"blocked (transpose.hpp)", util::TextTable::num(blocked_ms, 3),
+  table.add_row({"blocked (paper/transpose.hpp)", util::TextTable::num(blocked_ms, 3),
                  util::TextTable::num(bytes / blocked_ms / 1e6, 2)});
   if (rows == cols) {
     const double inplace_ms = time_ms_best_of(

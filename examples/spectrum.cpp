@@ -1,15 +1,15 @@
 // Spectral analysis: find the tones hidden in a noisy synthetic signal.
-// Exercises the signal builder (util/signal.hpp), window functions
-// (fft/window.hpp) and the power_spectrum convenience API — the classic
+// Exercises the signal builder (util/signal.hpp), the window functions
+// and power spectrum of the harness util (util/window.hpp) — the classic
 // signal-processing workload the paper's introduction motivates.
 
 #include <cmath>
 #include <iostream>
 #include <vector>
 
-#include "fft/api.hpp"
-#include "fft/window.hpp"
+#include "fft/plan.hpp"
 #include "util/signal.hpp"
+#include "util/window.hpp"
 
 int main() {
   // Synthesize 8192 samples at a nominal 8192 Hz: tones at 440 Hz (A4,
@@ -29,9 +29,10 @@ int main() {
   // A Hann window keeps the off-bin 1320.5 Hz tone from leaking across
   // the spectrum; divide by the coherent gain to recover amplitudes.
   auto windowed = sig.real();
-  c64fft::fft::apply_window(c64fft::fft::WindowKind::kHann, windowed);
-  const auto spectrum = c64fft::fft::power_spectrum(windowed, opts);
-  const double gain = c64fft::fft::coherent_gain(c64fft::fft::WindowKind::kHann, n);
+  c64fft::util::apply_window(c64fft::util::WindowKind::kHann, windowed);
+  const auto spectrum = c64fft::util::power_spectrum(windowed, opts);
+  const double gain =
+      c64fft::util::coherent_gain(c64fft::util::WindowKind::kHann, n);
 
   double strongest = 0.0;
   for (double p : spectrum) strongest = std::max(strongest, p);

@@ -78,20 +78,22 @@ std::vector<LintBaselineRow> collect_lint_rows(unsigned workers) {
                "classic-hashed-n4096-r6" + suffix, workers);
     opts.layout = fft::TwiddleLayout::kLinear;
 
-    // The hierarchical row pins the L2: the builder's default derives the
-    // block grain from the host L2 via cache_info(), and baseline rows
-    // must stay pure plan algebra — identical on every machine that runs
-    // the gate. The grain is the executor's policy at a 2 MiB L2 over the
-    // balanced 512 x 512 split of 2^18.
-    PipelineBuildOptions hier = opts;
-    hier.l2_bytes = std::uint64_t{2} << 20;
-    append_row(rows, build_hierarchical_pipeline(std::uint64_t{1} << 18, hier),
+    // The tile-pipeline rows (hierarchical, fft2d) pin the L2: the
+    // builder's default derives the block grain from the host L2 via
+    // cache_info(), and baseline rows must stay pure plan algebra —
+    // identical on every machine that runs the gate. The grain is the
+    // executor's policy at a 2 MiB L2 (for 2^18, over the balanced
+    // 512 x 512 split).
+    PipelineBuildOptions pinned = opts;
+    pinned.l2_bytes = std::uint64_t{2} << 20;
+    append_row(rows,
+               build_hierarchical_pipeline(std::uint64_t{1} << 18, pinned),
                "hierarchical-n262144" + suffix, workers);
     append_row(rows, build_batch_pipeline(256, 8, opts),
                "batch8-n256" + suffix, workers);
-    append_row(rows, build_fft2d_pipeline(64, 64, opts),
+    append_row(rows, build_fft2d_pipeline(64, 64, pinned),
                "fft2d-64x64" + suffix, workers);
-    append_row(rows, build_fft2d_pipeline(32, 64, opts),
+    append_row(rows, build_fft2d_pipeline(32, 64, pinned),
                "fft2d-32x64" + suffix, workers);
     append_row(rows, build_real_fft_pipeline(4096, opts),
                "real-n4096" + suffix, workers);

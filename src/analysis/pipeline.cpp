@@ -8,7 +8,6 @@
 #include "fft/kernels/dispatch.hpp"
 #include "fft/mixed_radix.hpp"
 #include "fft/real_fft.hpp"
-#include "fft/transpose.hpp"
 #include "util/bit_ops.hpp"
 #include "util/cpu_features.hpp"
 
@@ -101,68 +100,6 @@ void append_batch_phase(PipelineModel& m, std::uint64_t n,
   m.phases.push_back(std::move(phase));
 }
 
-/// Out-of-place blocked transpose of an R x C row-major `src` into a
-/// C x R `dst`, one task per kTransposeTile tile; claims full coverage
-/// of `dst`.
-void append_transpose(PipelineModel& m, std::uint32_t src, std::uint32_t dst,
-                      std::uint64_t rows, std::uint64_t cols,
-                      std::string phase_name) {
-  PhaseModel phase;
-  phase.name = std::move(phase_name);
-  phase.full_coverage.push_back(dst);
-  std::uint64_t index = 0;
-  fft::for_each_transpose_tile(
-      rows, cols,
-      [&](std::uint64_t r0, std::uint64_t rmax, std::uint64_t c0,
-          std::uint64_t cmax) {
-        PipelineTask task;
-        task.index = index++;
-        for (std::uint64_t r = r0; r < rmax; ++r)
-          for (std::uint64_t c = c0; c < cmax; ++c) {
-            task.reads.push_back({src, r * cols + c});
-            task.writes.push_back({dst, c * rows + r});
-          }
-        phase.tasks.push_back(std::move(task));
-      });
-  m.phases.push_back(std::move(phase));
-}
-
-/// In-place square transpose, one task per diagonal tile or mirror tile
-/// pair (fft::for_each_transpose_tile_pair). No coverage claim: the
-/// diagonal is never touched, and the diagonal tiles' own diagonals stay
-/// in place — the check still proves the pair decomposition disjoint.
-void append_transpose_inplace(PipelineModel& m, std::uint32_t buf,
-                              std::uint64_t n, std::string phase_name) {
-  PhaseModel phase;
-  phase.name = std::move(phase_name);
-  std::uint64_t index = 0;
-  fft::for_each_transpose_tile_pair(
-      n, [&](std::uint64_t r0, std::uint64_t rmax, std::uint64_t c0,
-             std::uint64_t cmax) {
-        PipelineTask task;
-        task.index = index++;
-        auto touch = [&](std::uint64_t e) {
-          task.reads.push_back({buf, e});
-          task.writes.push_back({buf, e});
-        };
-        if (r0 == c0) {
-          for (std::uint64_t r = r0; r < rmax; ++r)
-            for (std::uint64_t c = r + 1; c < cmax; ++c) {
-              touch(r * n + c);
-              touch(c * n + r);
-            }
-        } else {
-          for (std::uint64_t r = r0; r < rmax; ++r)
-            for (std::uint64_t c = c0; c < cmax; ++c) {
-              touch(r * n + c);
-              touch(c * n + r);
-            }
-        }
-        phase.tasks.push_back(std::move(task));
-      });
-  m.phases.push_back(std::move(phase));
-}
-
 PipelineModel make_base(std::string name, std::uint64_t n,
                         const PipelineBuildOptions& opts) {
   PipelineModel m;
@@ -175,73 +112,93 @@ PipelineModel make_base(std::string name, std::uint64_t n,
   return m;
 }
 
+/// The executor's tile pipeline (FftExecutor::run_tile_pipeline) over
+/// the row-major h x w buffer `view`: its two phases, named `name_a` and
+/// `name_b`. Tasks are the blocks the executor's two parallel_for calls
+/// run, derived from the same hook (fft::hierarchical_grain(w, h, ...)),
+/// so they are the pipeline's actual schedulable units, not a finer
+/// fiction. `src` (kNoBuffer for none) is the w x h matrix phase A
+/// gathers the view from; `dst` is the h x w matrix phase B scatters the
+/// view's swept columns into; `twiddle` charges phase B's gather the
+/// inter-step multiply.
+constexpr std::uint32_t kNoBuffer = ~std::uint32_t{0};
+
+void append_tile_pipeline(PipelineModel& m, std::uint64_t h, std::uint64_t w,
+                          std::uint32_t view, std::uint32_t src,
+                          std::uint32_t dst, bool twiddle,
+                          const PipelineBuildOptions& opts,
+                          const std::string& name_a,
+                          const std::string& name_b) {
+  const fft::HierarchicalGrain grain = fft::hierarchical_grain(
+      w, h, opts.workers, opts.element_bytes,
+      opts.l2_bytes != 0 ? opts.l2_bytes : util::cache_info().l2_bytes);
+
+  // Phase A, one task per block of view rows [r0b, rend): with a source,
+  // a gather-transpose of its columns [r0b, rend) into those rows, then
+  // the in-place length-w FFTs over them — one whole-transform sweep per
+  // row. The footprint is the gather's; the sweep streams the written
+  // rows once more, so the task makes one movement pass and one sweep
+  // pass. Without a source the rows are swept where they lie.
+  const bool gather = src != kNoBuffer;
+  PhaseModel rows_phase;
+  rows_phase.name = name_a;
+  rows_phase.full_coverage.push_back(view);
+  for (std::uint64_t i = 0; i < grain.blocks1; ++i) {
+    const std::uint64_t r0b = i * grain.block_rows1;
+    const std::uint64_t rend = std::min(h, r0b + grain.block_rows1);
+    PipelineTask task;
+    task.index = i;
+    for (std::uint64_t c = 0; c < w; ++c)
+      for (std::uint64_t r = r0b; r < rend; ++r) {
+        task.reads.push_back(gather ? Access{src, c * h + r}
+                                    : Access{view, r * w + c});
+        task.writes.push_back({view, r * w + c});
+      }
+    task.flops = (rend - r0b) * transform_flops(w);
+    task.passes = gather ? 2 : 1;
+    task.movement_passes = gather ? 1 : 0;
+    rows_phase.tasks.push_back(std::move(task));
+  }
+  m.phases.push_back(std::move(rows_phase));
+
+  // Phase B, one task per block of view columns [c0b, cend): gather them
+  // into the worker panel (twiddled), length-h FFTs over the hot panel
+  // rows, scatter into the same columns of dst. One streaming pass for
+  // the sweeps plus the gather-in and the scatter-out.
+  PhaseModel cols_phase;
+  cols_phase.name = name_b;
+  cols_phase.full_coverage.push_back(dst);
+  const std::uint64_t per_col_flops =
+      (twiddle ? h * kCplxMulFlops : 0) + transform_flops(h);
+  for (std::uint64_t j = 0; j < grain.blocks2; ++j) {
+    const std::uint64_t c0b = j * grain.block_rows2;
+    const std::uint64_t cend = std::min(w, c0b + grain.block_rows2);
+    PipelineTask task;
+    task.index = j;
+    for (std::uint64_t r = 0; r < h; ++r)
+      for (std::uint64_t c = c0b; c < cend; ++c) {
+        task.reads.push_back({view, r * w + c});
+        task.writes.push_back({dst, r * w + c});
+      }
+    task.flops = (cend - c0b) * per_col_flops;
+    task.passes = 1 + 2;
+    task.movement_passes = 2;  // the gather-in and the scatter-out
+    cols_phase.tasks.push_back(std::move(task));
+  }
+  m.phases.push_back(std::move(cols_phase));
+}
+
 /// The two phases of one hierarchical transform of `n` points over
 /// `data`, with `s` (n elements) as its gather matrix; phase names carry
-/// `prefix`. Tasks are the blocks the executor's two parallel_for calls
-/// run, derived from the same hook (executor hierarchical_grain), so they
-/// are the pipeline's actual schedulable units, not a finer fiction.
+/// `prefix`: the tile pipeline over the n2 x n1 gather matrix, gathered
+/// from `data` and scattered back into it, twiddled.
 void append_hierarchical_phases(PipelineModel& m, std::uint64_t n,
                                 std::uint32_t data, std::uint32_t s,
                                 const PipelineBuildOptions& opts,
                                 const std::string& prefix) {
   const fft::HierarchicalSplit split = fft::hierarchical_split(n);
-  const std::uint64_t n1 = split.n1;
-  const std::uint64_t n2 = split.n2;
-  const fft::HierarchicalGrain grain = fft::hierarchical_grain(
-      n1, n2, opts.workers, opts.element_bytes,
-      opts.l2_bytes != 0 ? opts.l2_bytes : util::cache_info().l2_bytes);
-
-  // Phase A, one task per column block i: T1 gather-transposes data
-  // columns [c0b, cend) into contiguous rows of the gather matrix, then T2
-  // runs the in-place column FFTs over those rows — one whole-transform
-  // sweep per row. The footprint is T1's; T2 streams the written rows
-  // once more, so the task makes one movement pass and one sweep pass.
-  PhaseModel col;
-  col.name = prefix + "gather-col";
-  col.full_coverage.push_back(s);
-  for (std::uint64_t i = 0; i < grain.blocks1; ++i) {
-    const std::uint64_t c0b = i * grain.block_rows1;
-    const std::uint64_t cend = std::min(n2, c0b + grain.block_rows1);
-    PipelineTask task;
-    task.index = i;
-    for (std::uint64_t r = 0; r < n1; ++r)
-      for (std::uint64_t c = c0b; c < cend; ++c) {
-        task.reads.push_back({data, r * n2 + c});
-        task.writes.push_back({s, c * n1 + r});
-      }
-    task.flops = (cend - c0b) * transform_flops(n1);
-    task.passes = 2;
-    task.movement_passes = 1;  // the gather-in
-    col.tasks.push_back(std::move(task));
-  }
-  m.phases.push_back(std::move(col));
-
-  // Phase B, one task per row block j — T4, the fused tail:
-  // twiddle-gather the block's columns of the gather matrix into the
-  // worker panel, row FFTs over the hot panel, writeback-transpose into
-  // natural output order. One streaming pass for the row sweeps plus the
-  // gather-in and writeback-out.
-  PhaseModel fused;
-  fused.name = prefix + "fused-row";
-  fused.full_coverage.push_back(data);
-  const std::uint64_t per_row_flops = transform_flops(n2);
-  for (std::uint64_t j = 0; j < grain.blocks2; ++j) {
-    const std::uint64_t r0b = j * grain.block_rows2;
-    const std::uint64_t rend = std::min(n1, r0b + grain.block_rows2);
-    PipelineTask task;
-    task.index = j;
-    for (std::uint64_t r = 0; r < n2; ++r)
-      for (std::uint64_t c = r0b; c < rend; ++c)
-        task.reads.push_back({s, r * n1 + c});
-    for (std::uint64_t c = 0; c < n2; ++c)
-      for (std::uint64_t r = r0b; r < rend; ++r)
-        task.writes.push_back({data, c * n1 + r});
-    task.flops = (rend - r0b) * (n2 * kCplxMulFlops + per_row_flops);
-    task.passes = 1 + 2;
-    task.movement_passes = 2;  // the gather-in and the writeback-out
-    fused.tasks.push_back(std::move(task));
-  }
-  m.phases.push_back(std::move(fused));
+  append_tile_pipeline(m, split.n2, split.n1, s, data, data, true, opts,
+                       prefix + "gather-col", prefix + "fused-row");
 }
 
 }  // namespace
@@ -501,24 +458,13 @@ PipelineModel build_fft2d_pipeline(std::uint64_t rows, std::uint64_t cols,
                                    const PipelineBuildOptions& opts,
                                    std::string name) {
   const fft::Fft2dShape shape = fft::fft2d_shape(rows * cols, rows, cols);
-
   PipelineModel m =
       make_base(name.empty() ? "fft2d" : std::move(name), rows * cols, opts);
   const std::uint32_t data = m.add_buffer("data", rows * cols, /*input=*/true);
-
-  // Both sweeps are executor batches: one whole-transform task per row.
-  append_batch_phase(m, cols, data, rows, "rows");
-  if (shape.square) {
-    append_transpose_inplace(m, data, rows, "transpose");
-    append_batch_phase(m, rows, data, cols, "cols");
-    append_transpose_inplace(m, data, rows, "transpose-back");
-  } else {
-    const std::uint32_t scratch =
-        m.add_buffer("scratch", rows * cols, /*input=*/false);
-    append_transpose(m, data, scratch, rows, cols, "transpose");
-    append_batch_phase(m, rows, scratch, cols, "cols");
-    append_transpose(m, scratch, data, cols, rows, "transpose-back");
-  }
+  // The matrix is the view and the destination: rows in place, then the
+  // column blocks through the worker panels and back.
+  append_tile_pipeline(m, shape.rows, shape.cols, data, kNoBuffer, data,
+                       false, opts, "rows", "cols");
   return m;
 }
 

@@ -5,16 +5,16 @@
 // A PlanModel (model.hpp) describes ONE scheduled classic plan of the
 // paper; shipped execution paths are compositions: a batch (or a single
 // transform) is one phase of whole-transform tasks, the hierarchical path
-// is two phases over two buffers (gather + column sweep blocks, then fused
-// row-tail blocks), fft2d is row sweep + transpose + column sweep,
-// real_fft is pack + half-size FFT + untangle.
+// and fft2d are the executor's tile pipeline — two phases of blocks (row
+// blocks, then column blocks through the worker panels), over a gather
+// matrix for the hierarchical path and in place for fft2d — and real_fft
+// is pack + half-size FFT + untangle.
 // A PipelineModel makes that whole choreography explicit: an ordered list
 // of phases (separated by the barrier that ends each of the team's
 // parallel_for calls), each a set of unordered tasks with read/write
 // footprints across named buffers. The builders
 // below derive every footprint from the same hooks the runtime executes —
-// fft::for_each_transpose_tile{,_pair}, fft::hierarchical_grain,
-// fft::bitrev_sweep_grain, fft::fft2d_shape, fft::real_forward_shape,
+// fft::hierarchical_grain, fft::bitrev_sweep_grain, fft::fft2d_shape, fft::real_forward_shape,
 // fft::real_unpack_sources and, for the paper's phased hull, the FftPlan
 // index algebra — so the model is the barrier hull of what actually runs,
 // not a parallel description that can drift.
@@ -58,8 +58,8 @@ struct Access {
   std::uint64_t element = 0;
 };
 
-/// One schedulable unit of a phase (a codelet, a transpose tile, a block
-/// of rows of a sub-FFT sweep).
+/// One schedulable unit of a phase (a codelet, a whole transform, a block
+/// of rows or columns of the tile pipeline).
 struct PipelineTask {
   std::uint64_t index = 0;
   std::vector<Access> reads;
@@ -90,8 +90,7 @@ struct PhaseModel {
   /// Buffers this phase claims to write completely: the coverage check
   /// proves every element of each listed buffer is written by exactly one
   /// task. Phases with partial footprints (bit-reversal, which never
-  /// touches palindromic indices; the in-place square transpose, which
-  /// never touches the diagonal) list nothing and are still proved
+  /// touches palindromic indices) list nothing and are still proved
   /// overlap- and alias-free.
   std::vector<std::uint32_t> full_coverage;
 };
@@ -165,7 +164,7 @@ PipelineModel build_batch_pipeline(std::uint64_t n, std::uint64_t batch,
 /// natural order). Tasks are the blocks the team's two parallel_for calls
 /// run (fft::hierarchical_grain), footprints element-exact, so the
 /// coverage proof shows every data element written by exactly one fused
-/// tail task. The per-worker T4 panels are L2-resident by the grain
+/// tail task. The per-worker panels are L2-resident by the grain
 /// policy and not modelled.
 PipelineModel build_hierarchical_pipeline(std::uint64_t n,
                                           const PipelineBuildOptions& opts = {},
@@ -196,10 +195,13 @@ PipelineModel build_bluestein_pipeline(std::uint64_t n,
                                        const PipelineBuildOptions& opts = {},
                                        std::string name = {});
 
-/// 2-D row-column pipeline (fft::forward_2d): row sweep, transpose (in
-/// place when square, through scratch otherwise), column sweep, transpose
-/// back. Each sweep is one executor batch, modelled like
-/// build_batch_pipeline: one phase with one whole-transform task per row.
+/// 2-D pipeline (fft::forward_2d, FftExecutor::transform_2d): the
+/// executor's tile pipeline over the matrix itself — "rows", one task
+/// per block of rows swept in place, then "cols", one task per block of
+/// columns (gather into the worker panel, column FFTs, scatter back to
+/// the same columns). Tasks are the blocks of fft::hierarchical_grain(
+/// cols, rows, ...), the executor's grain, so the model reads the L2
+/// like build_hierarchical_pipeline.
 PipelineModel build_fft2d_pipeline(std::uint64_t rows, std::uint64_t cols,
                                    const PipelineBuildOptions& opts = {},
                                    std::string name = {});

@@ -1,10 +1,8 @@
 #include "fft/api.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "fft/executor.hpp"
-#include "util/bit_ops.hpp"
 
 namespace c64fft::fft {
 
@@ -50,20 +48,6 @@ std::vector<cplx32> inverse_copy(std::span<const cplx32> data,
                                  const HostFftOptions& opts) {
   std::vector<cplx32> out(data.begin(), data.end());
   inverse(out, opts);
-  return out;
-}
-
-std::vector<double> power_spectrum(std::span<const double> signal,
-                                   const HostFftOptions& opts) {
-  if (signal.empty()) return {};
-  std::uint64_t n = util::next_pow2(signal.size());
-  n = std::max<std::uint64_t>(n, 2);
-  std::vector<cplx> buf(n, cplx{0.0, 0.0});
-  for (std::size_t i = 0; i < signal.size(); ++i) buf[i] = cplx(signal[i], 0.0);
-  forward(buf, opts);
-  std::vector<double> out(n / 2 + 1);
-  for (std::size_t k = 0; k < out.size(); ++k)
-    out[k] = std::norm(buf[k]) / static_cast<double>(n);
   return out;
 }
 

@@ -1,7 +1,7 @@
 #pragma once
 // Public façade of the library: one-call forward/inverse transforms on
-// the host codelet runtime, plus convenience spectrum helpers used by the
-// examples. Include this (and fft/fft2d.hpp for 2-D) to consume the
+// the host codelet runtime, plus out-of-place forms and circular
+// convolution. Include this (and fft/fft2d.hpp for 2-D) to consume the
 // library; the lower-level headers stay available for research use.
 
 #include <span>
@@ -35,11 +35,6 @@ std::vector<cplx> inverse_copy(std::span<const cplx> data,
                                const HostFftOptions& opts = {});
 std::vector<cplx32> inverse_copy(std::span<const cplx32> data,
                                  const HostFftOptions& opts = {});
-
-/// Power spectrum |X[k]|^2 / N of a real-valued signal (returns N/2+1
-/// bins). Pads to the next power of two >= max(n, 2).
-std::vector<double> power_spectrum(std::span<const double> signal,
-                                   const HostFftOptions& opts = {});
 
 /// Circular convolution of two equal-length sequences via FFT (pointwise
 /// product in the frequency domain). Any length N >= 2 is accepted and

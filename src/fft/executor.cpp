@@ -5,6 +5,7 @@
 #include <string>
 #include <utility>
 
+#include "fft/fft2d.hpp"
 #include "fft/kernel.hpp"
 #include "fft/kernels/dispatch.hpp"
 #include "fft/mixed_radix.hpp"
@@ -62,7 +63,7 @@ SweepGrain bitrev_sweep_grain(std::uint64_t n, unsigned workers) {
 
 namespace {
 
-/// Rows per pipelined block of a hierarchical-level sweep over a matrix of
+/// Rows per pipelined block of a tile-pipeline sweep over a matrix of
 /// `rows` rows of `row_bytes` each (see hierarchical_grain's contract in
 /// the header).
 std::uint64_t block_rows_for(std::uint64_t rows, std::uint64_t row_bytes,
@@ -83,8 +84,8 @@ HierarchicalGrain hierarchical_grain(std::uint64_t n1, std::uint64_t n2,
                                      unsigned workers, unsigned element_bytes,
                                      std::uint64_t l2_bytes) {
   HierarchicalGrain g;
-  // Gather/column stages sweep the n2 x n1 gather matrix (n2 rows of n1
-  // points); scatter/row stages sweep its n1 x n2 mirror.
+  // Phase A sweeps the n2 rows of the n2 x n1 view (n1 points each),
+  // phase B its n1 columns (n2 points each).
   g.block_rows1 = block_rows_for(n2, n1 * element_bytes, workers, l2_bytes);
   g.blocks1 = g.block_rows1 != 0 ? util::ceil_div(n2, g.block_rows1) : 0;
   g.block_rows2 = block_rows_for(n1, n2 * element_bytes, workers, l2_bytes);
@@ -211,17 +212,17 @@ void FftExecutor::run_resolved(std::span<BatchGroup> groups,
 
   std::lock_guard lock(mutex_);
   codelet::Team& tm = team(workers);
-  // A hierarchical plan (direct, or as Bluestein's convolution) runs its
+  // A tile-pipelined plan (hierarchical, or Bluestein over it) runs its
   // own two phases, which cannot nest inside a phase, so it runs after
   // the serial phase, one transform at a time. So does the call's one
   // transform when it is mixed-radix on a multi-worker team: its
   // per-stage phases split it across the workers.
   const auto pipelined = [&](const PlanEntry& e) {
-    return e.kind() == PlanKind::kHierarchical ||
-           (e.kind() == PlanKind::kBluestein &&
-            e.conv_entry()->kind() == PlanKind::kHierarchical) ||
-           (e.kind() == PlanKind::kMixedRadix && total == 1 &&
-            tm.workers() > 1);
+    const PlanKind kind = e.kind();
+    return tile_pipelined(kind, kind == PlanKind::kBluestein
+                                    ? e.conv_entry()->kind()
+                                    : kind) ||
+           (kind == PlanKind::kMixedRadix && total == 1 && tm.workers() > 1);
   };
   f64_.groups.clear();
   f32_.groups.clear();
@@ -318,14 +319,19 @@ template <typename T>
 void FftExecutor::run_pipelined(const BatchGroup& group, codelet::Team& tm) {
   const PlanEntry& entry = *group.entry_;
   for (const std::span<cplx_t<T>>& data : group.spans<T>()) {
-    if (entry.kind() == PlanKind::kHierarchical)
-      run_hierarchical_locked<T>(entry, data, tm, group.dir_);
-    else if (entry.kind() == PlanKind::kMixedRadix)
+    const double scale = group.dir_ == TwiddleDirection::kInverse
+                             ? 1.0 / static_cast<double>(data.size())
+                             : 1.0;
+    if (entry.kind() == PlanKind::kHierarchical) {
+      // The pipeline folds the 1/N into its last sweep.
+      run_hierarchical_locked<T>(entry, data, tm, group.dir_, scale);
+      continue;
+    }
+    if (entry.kind() == PlanKind::kMixedRadix)
       run_mixed_radix_locked<T>(entry, data, tm, group.dir_);
     else
       run_bluestein_locked<T>(entry, data, tm, group.dir_);
-    if (group.dir_ == TwiddleDirection::kInverse)
-      scale_by<T>(data, 1.0 / static_cast<double>(data.size()));
+    if (scale != 1.0) scale_by<T>(data, scale);
   }
 }
 
@@ -386,7 +392,7 @@ void FftExecutor::run_bluestein_locked(const PlanEntry& entry,
   const std::span<cplx_t<T>> buf(st.work[0].data(), m);
   bluestein_chain<T>(data, entry.chirp<T>(dir), entry.chirp_fft<T>(dir), buf,
                      [&](TwiddleDirection inner) {
-                       run_hierarchical_locked<T>(conv, buf, tm, inner);
+                       run_hierarchical_locked<T>(conv, buf, tm, inner, 1.0);
                      });
 }
 
@@ -394,150 +400,225 @@ template <typename T>
 void FftExecutor::run_hierarchical_locked(const PlanEntry& entry,
                                           std::span<cplx_t<T>> data,
                                           codelet::Team& tm,
-                                          TwiddleDirection dir) {
+                                          TwiddleDirection dir, double scale) {
   // Index algebra (forward; kInverse conjugates every W below): with
   // j = j1*n2 + j2 and k = k2*n1 + k1,
   //   X[k2*n1 + k1] = sum_j2 W_n2^{j2*k2} * ( W_N^{j2*k1}
   //                   * sum_j1 x[j1*n2 + j2] * W_n1^{j1*k1} ).
-  // Over the n1 x n2 row-major view of `data` and its n2 x n1 mirror s:
-  // transpose data into s (columns become rows), n1-point FFTs over the
-  // rows of s (the inner sum), twiddle by W_N^{j2*k1} on the way back,
-  // n2-point FFTs over the n1 rows (the outer sum), and a final transpose
-  // into natural output order. Executed as two flat phases over tile
-  // BLOCKS instead of barrier-separated full-array passes:
-  //
-  //   A, i < B1:  T1[i] gather-transpose of block i    data -> s
-  //               T2[i] column FFTs of block i         s    -> s
-  //   B, j < B2:  T4[j] twiddle-gather + row FFTs      s    -> data
-  //                     + writeback
-  //
-  // T2[i] runs right after T1[i] on the same worker, which sweeps the
-  // panel it just gathered while it is cache-hot. Every T4[j] needs all B1
-  // column blocks — a T4 row is a twiddled COLUMN of s — so the barrier
-  // between the phases is the pipeline's one sync point.
-  //
-  // T4 is the fused heart of the path: the twiddled n1 x n2 matrix is
-  // never materialized. Each T4 twiddle-gathers its own block_rows2 rows
-  // into a per-worker L2-resident panel (transpose_twiddle_tile_panel —
-  // interleaved per-row recurrences, one strided walk of s), sweeps the
-  // panel rows while they are hot, and transposes the panel out to `data`
-  // in natural order. Against a barrier-phased pass sequence that saves a
-  // full strided matrix write + read-for-ownership + re-read, which is
-  // where the measured large-N win comes from on one core.
-  // Anti-dependence safety: T4 writes `data`, which T1 reads — but phase
-  // B starts only after every T1 of phase A has finished.
-  //
-  // Bit-identity: block boundaries are kTransposeTile-aligned and every
-  // twiddle is a fixed per-tile multiplication chain from the hoisted w1
-  // seed (transpose_twiddle_tile_panel's header contract), while each row
-  // FFT runs whole on one worker through the bit-exact kernel tables — so
-  // the output does not depend on the team size, the block grain, the
-  // schedule order or the kernel ISA tier. No pass scales: an inverse's
-  // 1/N runs after the pipeline (run_pipelined).
+  // The tile pipeline runs it over the n2 x n1 gather matrix s: phase A
+  // gathers s as the transpose of `data` (columns become rows) and runs
+  // the n1-point FFTs over its rows (the inner sum); phase B twiddles each
+  // column block of s by W_N^{j2*k1} on its way into the worker's panel,
+  // runs the n2-point FFTs over the panel rows (the outer sum) and
+  // scatters them into the columns of `data` viewed as n2 x n1: natural
+  // output order. Anti-dependence safety: phase B writes `data`, which
+  // phase A reads, but B starts only after every block of A has finished.
   const std::uint64_t n1 = entry.split().n1;
   const std::uint64_t n2 = entry.split().n2;
   const std::uint64_t n = n1 * n2;
-
-  const unsigned workers = tm.workers();
+  // The gather matrix s. A fresh allocation is advised toward huge pages:
+  // the strided side of every tile pass walks s one 16-element chunk per
+  // row.
   NumericState<T>& st = num<T>();
-
-  // The gather matrix s (n2 x n1). A fresh allocation is advised toward
-  // huge pages — the strided side of every tile pass walks s one
-  // 16-element chunk per row.
   if (st.hier_scratch.size() < n) {
     st.hier_scratch.resize(n);
     advise_huge_pages(st.hier_scratch.data(), n * sizeof(cplx_t<T>));
   }
-  const std::span<cplx_t<T>> s(st.hier_scratch.data(), n);
+  run_tile_pipeline<T>({.view = st.hier_scratch.data(),
+                        .h = n2,
+                        .w = n1,
+                        .src = data.data(),
+                        .dst = data.data(),
+                        .w_sweep = entry.col_entry().get(),
+                        .h_sweep = entry.row_entry().get(),
+                        .dir = dir,
+                        .twiddle = true,
+                        .scale = scale,
+                        .label_a = "hier.A",
+                        .label_b = "hier.B"},
+                       tm);
+}
 
-  // Every column and row FFT is one run_transform_split sweep on the
-  // worker's split scratch, over the twiddle planes and bit-reversal
-  // tables of the classic sub-entries.
-  const LevelTwiddles<T> row_tw = entry.row_entry()->level_twiddles<T>(dir);
-  const std::span<const std::uint32_t> brev2 = entry.row_entry()->bitrev();
-  const LevelTwiddles<T> col_tw = entry.col_entry()->level_twiddles<T>(dir);
-  const std::span<const std::uint32_t> brev1 = entry.col_entry()->bitrev();
-  size_per_worker(st.split, workers, 2 * std::max(n1, n2));
+template <typename T>
+void FftExecutor::run_tile_pipeline(const TilePipeline<T>& p,
+                                    codelet::Team& tm) {
+  // Two flat phases over tile BLOCKS instead of barrier-separated
+  // full-array passes:
+  //
+  //   A, i < B1:  [gather rows [r0, r1) of the view from src^T]
+  //               length-w FFTs over those rows, in place
+  //   B, j < B2:  gather view columns [c0, c1) into the worker's panel
+  //               [times the inter-step twiddles], length-h FFTs over the
+  //               panel rows [times the scale], scatter the panel rows into
+  //               columns [c0, c1) of dst
+  //
+  // A block's sweeps run right after its gather on the same worker, while
+  // the rows are cache-hot. Every phase-B column needs every row of phase
+  // A, so the barrier between the phases is the pipeline's one sync
+  // point. The view's columns are never materialized as rows: each B
+  // block gathers its own into a per-worker L2-resident panel and sweeps
+  // them there, which saves a strided matrix write, read-for-ownership and
+  // re-read against transpose passes.
+  //
+  // Bit-identity: every gather and scatter is a pure move, except that a
+  // twiddled gather multiplies by factors that are a fixed per-tile chain
+  // from the hoisted w1 seed (transpose_twiddle_tile_panel's header
+  // contract), and its blocks stay on the kTransposeTile grid; each row
+  // FFT runs whole on one worker through the bit-exact kernel tables. So
+  // the output does not depend on the team size, the block grain, the
+  // buffer's alignment, the schedule order or the kernel ISA tier.
+  const std::uint64_t h = p.h;
+  const std::uint64_t w = p.w;
+  const unsigned workers = tm.workers();
+  NumericState<T>& st = num<T>();
+  cplx_t<T>* const view = p.view;
 
-  const HierarchicalGrain grain =
-      hierarchical_grain(n1, n2, workers, sizeof(cplx_t<T>),
-                         util::cache_info().l2_bytes);
-  const std::uint64_t br1 = grain.block_rows1;
-  const std::uint64_t B1 = grain.blocks1;
-  const std::uint64_t br2 = grain.block_rows2;
-  const std::uint64_t B2 = grain.blocks2;
+  // Every row and panel FFT is one run_transform_split sweep on the
+  // worker's split scratch, over the classic entries' twiddle planes and
+  // bit-reversal tables.
+  const PlanEntry& w_sweep = *p.w_sweep;
+  const PlanEntry& h_sweep = *p.h_sweep;
+  const LevelTwiddles<T> w_tw = w_sweep.level_twiddles<T>(p.dir);
+  const std::span<const std::uint32_t> w_brev = w_sweep.bitrev();
+  const LevelTwiddles<T> h_tw = h_sweep.level_twiddles<T>(p.dir);
+  const std::span<const std::uint32_t> h_brev = h_sweep.bitrev();
+  size_per_worker(st.split, workers, 2 * std::max(h, w));
 
-  // Per-worker T4 panel: block_rows2 contiguous n2-point rows. Sized to
-  // the largest grain seen and huge-page advised like s.
-  if (st.hier_panel.size() < workers) st.hier_panel.resize(workers);
-  for (unsigned w = 0; w < workers; ++w)
-    if (st.hier_panel[w].size() < br2 * n2) {
-      st.hier_panel[w].resize(br2 * n2);
-      advise_huge_pages(st.hier_panel[w].data(),
-                        br2 * n2 * sizeof(cplx_t<T>));
+  const HierarchicalGrain grain = hierarchical_grain(
+      w, h, workers, sizeof(cplx_t<T>), util::cache_info().l2_bytes);
+  const std::uint64_t br = grain.block_rows1;
+  const std::uint64_t bc = grain.block_rows2;
+
+  // Phase B's column blocks start at multiples of bc, moved right by
+  // `shift` columns onto the view's first cache-line boundary when the
+  // gather is a plain move (the twiddled gather's factors are fixed by
+  // the tile grid): then no block shares a cache line of a view row with
+  // the next, which would fetch it again. Block 0 also takes the columns
+  // before the boundary.
+  constexpr std::uint64_t kLine = 64 / sizeof(cplx_t<T>);
+  const std::uint64_t shift =
+      p.twiddle || w % kLine != 0
+          ? 0
+          : (64 - reinterpret_cast<std::uintptr_t>(view) % 64) % 64 /
+                sizeof(cplx_t<T>);
+  const std::uint64_t panel_rows = bc + (p.twiddle ? 0 : kLine - 1);
+
+  // Per-worker panel: up to panel_rows contiguous h-point rows. Sized to
+  // the largest grain seen and huge-page advised like the gather matrix.
+  if (st.panel.size() < workers) st.panel.resize(workers);
+  for (unsigned k = 0; k < workers; ++k)
+    if (st.panel[k].size() < panel_rows * h) {
+      st.panel[k] = util::AlignedBuffer<cplx_t<T>>(panel_rows * h);
+      advise_huge_pages(st.panel[k].data(), panel_rows * h * sizeof(cplx_t<T>));
     }
 
-  const cplx_t<T> w1 = unit_root<T>(n, 1, dir);
+  const cplx_t<T> w1 =
+      p.twiddle ? unit_root<T>(h * w, 1, p.dir) : cplx_t<T>{};
+  const T scale = static_cast<T>(p.scale);
   const kernels::KernelDispatch<T>& K = kernels::active_kernels<T>();
 
-  tm.parallel_for("hier.A", B1, [&](std::uint64_t i, unsigned worker) {
-    // T1: gather-transpose the strided data columns of block i into
-    // contiguous rows of s. The src side reads one 16-element chunk per
-    // data row — a stride the hardware prefetcher never locks onto — so
-    // each tile software-prefetches the stripe below it one tile ahead of
-    // use (prefetch is a pure hint: no values change).
-    const std::uint64_t c0b = i * br1;
-    const std::uint64_t cend = std::min(n2, c0b + br1);
-    for (std::uint64_t r0 = 0; r0 < n1; r0 += kTransposeTile) {
-      const std::uint64_t rmax = std::min(n1, r0 + kTransposeTile);
-      for (std::uint64_t c0 = c0b; c0 < cend; c0 += kTransposeTile) {
-        const std::uint64_t cmax = std::min(cend, c0 + kTransposeTile);
-        for (std::uint64_t r = r0; r < rmax && r + kTransposeTile < n1; ++r)
-          __builtin_prefetch(data.data() + (r + kTransposeTile) * n2 + c0, 0,
-                             2);
-        K.transpose_tile(data.data() + r0 * n2 + c0, s.data() + c0 * n1 + r0,
-                         n2, n1, rmax - r0, cmax - c0);
+  tm.parallel_for(p.label_a, grain.blocks1, [&](std::uint64_t i, unsigned k) {
+    const std::uint64_t r0b = i * br;
+    const std::uint64_t rend = std::min(h, r0b + br);
+    // Gather-transpose the strided src columns [r0b, rend) into contiguous
+    // view rows. The src side reads one 16-element chunk per src row — a
+    // stride the hardware prefetcher never locks onto — so each tile
+    // software-prefetches the stripe below it one tile ahead of use
+    // (prefetch is a pure hint: no values change).
+    if (p.src != nullptr)
+      for (std::uint64_t a0 = 0; a0 < w; a0 += kTransposeTile) {
+        const std::uint64_t amax = std::min(w, a0 + kTransposeTile);
+        for (std::uint64_t r0 = r0b; r0 < rend; r0 += kTransposeTile) {
+          for (std::uint64_t a = a0; a < amax && a + kTransposeTile < w; ++a)
+            __builtin_prefetch(p.src + (a + kTransposeTile) * h + r0, 0, 2);
+          K.transpose_tile(p.src + a0 * h + r0, view + r0 * w + a0, h, w,
+                           amax - a0, std::min(rend, r0 + kTransposeTile) - r0);
+        }
       }
-    }
-    // T2: column FFTs over the block's rows of s, in place.
-    for (std::uint64_t r = c0b; r < cend; ++r)
-      run_transform_split(s.subspan(r * n1, n1), col_tw, brev1,
-                          st.split[worker].data());
+    for (std::uint64_t r = r0b; r < rend; ++r)
+      run_transform_split(std::span<cplx_t<T>>(view + r * w, w), w_tw, w_brev,
+                          st.split[k].data());
   });
 
-  tm.parallel_for("hier.B", B2, [&](std::uint64_t j, unsigned worker) {
-    // T4: twiddle-gather the block's rows — twiddled columns of s — into
-    // this worker's panel, sweep the panel rows while they are hot, then
-    // writeback-transpose into `data` in natural output order.
-    const std::uint64_t r0b = j * br2;
-    const std::uint64_t rend = std::min(n1, r0b + br2);
-    cplx_t<T>* const panel = st.hier_panel[worker].data();
-    for (std::uint64_t r0 = 0; r0 < n2; r0 += kTransposeTile) {
-      const std::uint64_t rmax = std::min(n2, r0 + kTransposeTile);
-      // Same strided-chunk walk as T1's src side: hint the stripe below
-      // into cache one tile ahead of its use.
-      for (std::uint64_t r = rmax; r < std::min(n2, rmax + kTransposeTile);
-           ++r)
-        __builtin_prefetch(s.data() + r * n1 + r0b, 0, 2);
-      for (std::uint64_t c0 = r0b; c0 < rend; c0 += kTransposeTile)
-        transpose_twiddle_tile_panel<T>(s.data(), panel, n2, n1, dir, r0,
-                                        rmax, c0,
-                                        std::min(rend, c0 + kTransposeTile),
-                                        w1, r0b);
-    }
-    for (std::uint64_t r = r0b; r < rend; ++r)
-      run_transform_split(std::span<cplx_t<T>>(panel + (r - r0b) * n2, n2),
-                          row_tw, brev2, st.split[worker].data());
-    for (std::uint64_t r0 = r0b; r0 < rend; r0 += kTransposeTile) {
-      const std::uint64_t rmax = std::min(rend, r0 + kTransposeTile);
-      for (std::uint64_t c0 = 0; c0 < n2; c0 += kTransposeTile) {
-        const std::uint64_t cmax = std::min(n2, c0 + kTransposeTile);
-        K.transpose_tile(panel + (r0 - r0b) * n2 + c0,
-                         data.data() + c0 * n1 + r0, n2, n1, rmax - r0,
-                         cmax - c0);
+  tm.parallel_for(p.label_b, grain.blocks2, [&](std::uint64_t j, unsigned k) {
+    const std::uint64_t c0b = j == 0 ? 0 : std::min(w, j * bc + shift);
+    const std::uint64_t cend =
+        j + 1 == grain.blocks2 ? w : std::min(w, (j + 1) * bc + shift);
+    cplx_t<T>* const panel = st.panel[k].data();
+    for (std::uint64_t r0 = 0; r0 < h; r0 += kTransposeTile) {
+      const std::uint64_t rmax = std::min(h, r0 + kTransposeTile);
+      // Same strided-chunk walk as phase A's src side: hint the stripe
+      // below into cache one tile ahead of its use.
+      for (std::uint64_t r = rmax; r < std::min(h, rmax + kTransposeTile); ++r)
+        __builtin_prefetch(view + r * w + c0b, 0, 2);
+      for (std::uint64_t c0 = c0b; c0 < cend; c0 += kTransposeTile) {
+        const std::uint64_t cmax = std::min(cend, c0 + kTransposeTile);
+        if (p.twiddle)
+          transpose_twiddle_tile_panel<T>(view, panel, h, w, p.dir, r0, rmax,
+                                          c0, cmax, w1, c0b);
+        else
+          K.transpose_tile(view + r0 * w + c0, panel + (c0 - c0b) * h + r0, w,
+                           h, rmax - r0, cmax - c0);
       }
     }
+    for (std::uint64_t c = c0b; c < cend; ++c) {
+      const std::span<cplx_t<T>> row(panel + (c - c0b) * h, h);
+      run_transform_split(row, h_tw, h_brev, st.split[k].data());
+      if (p.scale != 1.0)
+        for (cplx_t<T>& v : row) v *= scale;
+    }
+    for (std::uint64_t c0 = c0b; c0 < cend; c0 += kTransposeTile) {
+      const std::uint64_t cmax = std::min(cend, c0 + kTransposeTile);
+      for (std::uint64_t r0 = 0; r0 < h; r0 += kTransposeTile)
+        K.transpose_tile(panel + (c0 - c0b) * h + r0, p.dst + r0 * w + c0, h,
+                         w, cmax - c0, std::min(h, r0 + kTransposeTile) - r0);
+    }
   });
+}
+
+template <typename T>
+void FftExecutor::transform_2d_t(std::span<cplx_t<T>> data, std::uint64_t rows,
+                                 std::uint64_t cols, TwiddleDirection dir,
+                                 const HostFftOptions& opts) {
+  (void)fft2d_shape(data.size(), rows, cols);
+  // Each dimension runs its classic sweep, whatever its length.
+  const std::shared_ptr<const PlanEntry> row_sweep =
+      cache_.acquire(PlanKey{cols, PlanKind::kClassic, precision_of<T>});
+  const std::shared_ptr<const PlanEntry> col_sweep =
+      rows == cols
+          ? row_sweep
+          : cache_.acquire(PlanKey{rows, PlanKind::kClassic, precision_of<T>});
+  std::lock_guard lock(mutex_);
+  codelet::Team& tm = team(opts.workers != 0 ? opts.workers : opts_.workers);
+  // The matrix is the view: phase A sweeps its rows in place, phase B
+  // gathers, sweeps and scales its column blocks and scatters them back.
+  run_tile_pipeline<T>(
+      {.view = data.data(),
+       .h = rows,
+       .w = cols,
+       .dst = data.data(),
+       .w_sweep = row_sweep.get(),
+       .h_sweep = col_sweep.get(),
+       .dir = dir,
+       .scale = dir == TwiddleDirection::kInverse
+                    ? 1.0 / static_cast<double>(data.size())
+                    : 1.0,
+       .label_a = "fft2d.A",
+       .label_b = "fft2d.B"},
+      tm);
+  batched_ += rows + cols;
+}
+
+void FftExecutor::transform_2d(std::span<cplx> data, std::uint64_t rows,
+                               std::uint64_t cols, TwiddleDirection dir,
+                               const HostFftOptions& opts) {
+  transform_2d_t<double>(data, rows, cols, dir, opts);
+}
+
+void FftExecutor::transform_2d(std::span<cplx32> data, std::uint64_t rows,
+                               std::uint64_t cols, TwiddleDirection dir,
+                               const HostFftOptions& opts) {
+  transform_2d_t<float>(data, rows, cols, dir, opts);
 }
 
 void FftExecutor::run_group(BatchGroup group, const HostFftOptions& opts) {

@@ -24,25 +24,30 @@
 // codelet), so a single call is the B = 1 case of a batch, and a server's
 // dispatch round of many groups pays one wake and one barrier. A call of
 // one mixed-radix transform on a multi-worker team runs phased instead
-// (digit reversal, then one phase per stage), kept for the large
-// composites (N >= 10^5) where splitting one transform across workers
-// beats the serial body. Both bodies compute the same butterflies in the
-// same order, so a batch is bit-identical to a loop of single calls on
-// any team. The paper's Alg. 2 (dependency-counted radix-64 codelets)
-// runs only in the fft_host harness and the simulator.
+// (digit reversal, then one phase per stage). The rule has no size
+// floor: every lone mixed-radix transform on a multi-worker team takes
+// it, N = 96 included, though only the large composites (N >= 10^5) gain
+// from splitting one transform across workers. Both bodies compute the
+// same butterflies in the same order, so a batch is bit-identical to a
+// loop of single calls on any team. The paper's Alg. 2
+// (dependency-counted radix-64 codelets) runs only in the fft_host
+// harness and the simulator.
 //
-// Large transforms route through the hierarchical path
+// One tile pipeline (run_tile_pipeline) runs every transform that is
+// swept as a matrix: two flat team phases over tile blocks of an h x w
+// view — first each block of rows ([gathered and] swept in place), then
+// each block of columns, gathered into a per-worker panel, swept there
+// and scattered out. Every column needs every row, so the one barrier
+// between the phases is the pipeline's only sync point. It has two
+// clients. Large pow2 transforms route through the hierarchical path
 // (PlanKind::kHierarchical): Bailey's four-step algebra over the balanced
-// split N = n1*n2 — an n2-wide batch of n1-point column FFTs and an
-// n1-wide batch of n2-point row FFTs, both classic cache-resident
-// transforms, glued together by tile transposes that apply the
-// inter-step twiddles on the fly, so no O(N) table is ever built for the
-// large size — executed as two flat phases over tile blocks: first each
-// block's gather-transpose and column sweep, then each block's fused
-// twiddle-gather, row sweep and writeback. Every row block needs every
-// column sweep, so the one barrier between the phases is the pipeline's
-// only sync point. It has no serial body: the two phases run once per
-// transform on every team, after the call's serial phase. Routing is a
+// split N = n1*n2, whose n1- and n2-point sub-FFTs are classic
+// cache-resident sweeps, with the inter-step twiddles applied on the fly
+// by phase B's gather, so no O(N) table is ever built for the large size.
+// It has no serial body: the two phases run once per transform on every
+// team, after the call's serial phase. And transform_2d (fft2d.hpp) runs
+// the pipeline over the matrix itself: each dimension's classic sweep,
+// no transpose pass and no scratch of the matrix's size. Routing is a
 // function of N alone (routed_plan_kind, fft/plan.hpp): no option, env
 // var or setter moves a size between plans. See DESIGN.md "Hierarchical
 // large-N path".
@@ -91,14 +96,15 @@ struct SweepGrain {
 /// (analysis::build_classic_pipeline).
 SweepGrain bitrev_sweep_grain(std::uint64_t n, unsigned workers);
 
-/// Tile-block grain of the hierarchical pipeline (run_hierarchical_locked)
-/// for the split n1 x n2: the gather/column stages sweep the
-/// n2 x n1 scratch in `blocks1` blocks of `block_rows1` rows (the last
-/// block may be short), and the scatter/row stages sweep the n1 x n2
-/// scratch in `blocks2` blocks of `block_rows2` rows. Block rows are
-/// multiples of the transpose tile edge so no tile ever straddles two
-/// blocks — that alignment is what makes the pipelined per-block tile
-/// sweeps bit-identical to the full-matrix barrier passes.
+/// Tile-block grain of the tile pipeline (FftExecutor's
+/// run_tile_pipeline) over an n2 x n1 view, n2 rows of n1 points: phase
+/// A sweeps the view's n2 rows in `blocks1` blocks of `block_rows1` rows
+/// (the last block may be short), and phase B its n1 columns in
+/// `blocks2` blocks of `block_rows2` columns. The hierarchical route
+/// passes its split (n1, n2), the 2-D transform (cols, rows). Block
+/// sizes are multiples of the transpose tile edge so no tile ever
+/// straddles two blocks — that alignment is what makes the pipelined
+/// per-block tile sweeps bit-identical to the full-matrix barrier passes.
 struct HierarchicalGrain {
   std::uint64_t block_rows1 = 0;
   std::uint64_t blocks1 = 0;
@@ -106,12 +112,12 @@ struct HierarchicalGrain {
   std::uint64_t blocks2 = 0;
 };
 
-/// The grain policy, exported so the static pipeline model
-/// (analysis::build_hierarchical_pipeline) enumerates exactly the blocks
-/// the executor runs: a block's row panel targets half of `l2_bytes`
-/// (leaving the other half for the destination tiles streaming through),
-/// capped so at least workers*4 blocks exist to spread over the team,
-/// rounded down to a tile-edge multiple.
+/// The grain policy, exported so the static pipeline models
+/// (analysis::build_hierarchical_pipeline, build_fft2d_pipeline)
+/// enumerate exactly the blocks the executor runs: a block's panel
+/// targets half of `l2_bytes` (leaving the other half for the destination
+/// tiles streaming through), capped so at least workers*4 blocks exist to
+/// spread over the team, rounded down to a tile-edge multiple.
 HierarchicalGrain hierarchical_grain(std::uint64_t n1, std::uint64_t n2,
                                      unsigned workers, unsigned element_bytes,
                                      std::uint64_t l2_bytes);
@@ -128,7 +134,8 @@ struct ExecutorOptions {
 struct ExecutorStats {
   PlanCacheStats cache;
   /// Transforms dispatched one at a time / via batch submissions (both
-  /// precisions; the plan cache distinguishes them by key).
+  /// precisions; the plan cache distinguishes them by key). A 2-D call
+  /// counts its rows + cols sweeps as batched.
   std::uint64_t transforms = 0;
   std::uint64_t batched = 0;
   /// Transforms that took the hierarchical pipelined path.
@@ -245,6 +252,21 @@ class FftExecutor {
   void run_groups(std::span<BatchGroup> groups,
                   const HostFftOptions& opts = {});
 
+  /// In-place 2-D transform of the row-major rows x cols matrix `data`
+  /// (fft2d.hpp's forward_2d/inverse_2d), scaled by 1/(rows*cols) if
+  /// inverse: the tile pipeline over the matrix itself, each dimension's
+  /// classic sweep in its own phase — the rows in place, then the columns
+  /// in per-worker panels. Two team phases per call (`fft2d.A`,
+  /// `fft2d.B`), no transpose pass and no call-sized scratch. Throws
+  /// std::invalid_argument on a shape fft2d_shape rejects. Output does
+  /// not depend on the team size or the kernel ISA tier.
+  void transform_2d(std::span<cplx> data, std::uint64_t rows,
+                    std::uint64_t cols, TwiddleDirection dir,
+                    const HostFftOptions& opts = {});
+  void transform_2d(std::span<cplx32> data, std::uint64_t rows,
+                    std::uint64_t cols, TwiddleDirection dir,
+                    const HostFftOptions& opts = {});
+
   /// Join and destroy the worker team and drop the per-worker buffers
   /// (the plan cache survives). The next transform lazily spawns a fresh
   /// team — for tests, and for an owner quiescing before destruction.
@@ -302,19 +324,21 @@ class FftExecutor {
     /// hierarchical column and row FFTs. Cache-line aligned, so the
     /// sweep's SIMD loads of the planes never straddle two lines.
     std::vector<util::AlignedBuffer<T>> split;
-    /// Hierarchical-path gather matrix (the n2 x n1 `s`). There is no
-    /// second (n1 x n2) matrix: the fused row stage never materializes
-    /// the twiddled transpose — each T4 gathers its own block of it into
-    /// a per-worker panel (below). The buffer is madvise'd toward huge
-    /// pages: the strided side of every gather/scatter tile walks `s` in
-    /// 16-element chunks one row apart, and 2 MiB pages cut those walks'
-    /// TLB misses by the page-size ratio.
+    /// Hierarchical-path gather matrix (the n2 x n1 `s`), the view of its
+    /// tile pipeline. There is no second (n1 x n2) matrix: phase B never
+    /// materializes the twiddled transpose, it gathers each block of it
+    /// into a per-worker panel (below). The buffer is madvise'd toward
+    /// huge pages: the strided side of every gather/scatter tile walks `s`
+    /// in 16-element chunks one row apart, and 2 MiB pages cut those
+    /// walks' TLB misses by the page-size ratio.
     std::vector<cplx_t<T>> hier_scratch;
-    /// Per-worker row panel of the fused T4 stage: block_rows2 contiguous
-    /// n2-point rows, twiddle-gathered from `s`, swept in place, then
-    /// transposed out to `data`. Sized for the largest (block_rows2 x n2)
-    /// seen; L2-resident by the grain policy's construction.
-    std::vector<std::vector<cplx_t<T>>> hier_panel;
+    /// Per-worker panel of the tile pipeline's phase B (both clients):
+    /// one block's contiguous h-point rows (block_rows2, plus up to a
+    /// cache line's worth of columns on a plain gather), gathered from the
+    /// view's columns, swept in place, then scattered out to the
+    /// destination's columns. Sized for the largest block seen;
+    /// L2-resident by the grain policy's construction.
+    std::vector<util::AlignedBuffer<cplx_t<T>>> panel;
     /// Per-worker route buffer: the mixed-radix digit-reversal target
     /// (stage 0 reads it back into `data`) or the Bluestein convolution
     /// buffer of length M = next_pow2(2n-1). The phased mixed-radix and
@@ -361,18 +385,58 @@ class FftExecutor {
   void run_serial_transform(std::uint64_t i, unsigned w);
   /// A group with no serial body in this call (mutex_ held): one
   /// transform at a time, each on the phases of its own body below,
-  /// scaled by 1/N at its end if inverse.
+  /// scaled by 1/N if inverse (the hierarchical body folds it into its
+  /// last sweep, the others scale at the end).
   template <typename T>
   void run_pipelined(const BatchGroup& group, codelet::Team& team);
-  /// One hierarchical transform (mutex_ held), unscaled: two flat phases
-  /// of tile-block tasks — each column block's gather-transpose plus
-  /// column sweep, then each row block's fused twiddle-gather, row sweep
-  /// and writeback — instead of five barrier-separated full-array passes.
-  /// Output is bit-identical across team sizes, block grains and kernel
-  /// ISA tiers.
+  /// One run of the tile pipeline over the row-major h x w `view`
+  /// (run_tile_pipeline): phase A sweeps the view's rows (length w), phase
+  /// B its columns (length h) in per-worker panels.
+  template <typename T>
+  struct TilePipeline {
+    cplx_t<T>* view = nullptr;
+    std::uint64_t h = 0;
+    std::uint64_t w = 0;
+    /// When set, phase A first gathers the view as the transpose of this
+    /// row-major w x h matrix.
+    const cplx_t<T>* src = nullptr;
+    /// The row-major h x w matrix phase B scatters each swept panel row
+    /// into, as the column it was gathered from (the view itself for 2-D).
+    cplx_t<T>* dst = nullptr;
+    /// Classic entries of the length-w and length-h sweeps.
+    const PlanEntry* w_sweep = nullptr;
+    const PlanEntry* h_sweep = nullptr;
+    TwiddleDirection dir = TwiddleDirection::kForward;
+    /// Phase B multiplies view element (r, c) by the inter-step twiddle
+    /// W_{h*w}^(r*c) as it gathers it (transpose_twiddle_tile_panel).
+    bool twiddle = false;
+    /// Phase B multiplies each swept panel row by this; 1 skips the pass.
+    double scale = 1.0;
+    const char* label_a = "";
+    const char* label_b = "";
+  };
+  /// The tile pipeline (mutex_ held): two flat team phases of tile-block
+  /// tasks, blocked by hierarchical_grain(w, h, ...) — each phase-A block
+  /// [gathers and] sweeps its view rows, each phase-B block gathers its
+  /// view columns into the worker's panel, sweeps and scales them there
+  /// and scatters them into dst. Allocation-free once the per-worker
+  /// scratch has grown to the shape. Output is bit-identical across team
+  /// sizes, block grains and kernel ISA tiers.
+  template <typename T>
+  void run_tile_pipeline(const TilePipeline<T>& p, codelet::Team& team);
+  /// One hierarchical transform (mutex_ held), scaled by `scale`: the
+  /// tile pipeline over the n2 x n1 gather matrix, gathered from `data`
+  /// and scattered back into it in natural output order, with the
+  /// inter-step twiddles fused into phase B's gather.
   template <typename T>
   void run_hierarchical_locked(const PlanEntry& entry, std::span<cplx_t<T>> data,
-                               codelet::Team& team, TwiddleDirection dir);
+                               codelet::Team& team, TwiddleDirection dir,
+                               double scale);
+  /// transform_2d at precision T.
+  template <typename T>
+  void transform_2d_t(std::span<cplx_t<T>> data, std::uint64_t rows,
+                      std::uint64_t cols, TwiddleDirection dir,
+                      const HostFftOptions& opts);
   /// One phased mixed-radix transform (mutex_ held), unscaled:
   /// digit-reversal permutation into the ping buffer as a chunked phase,
   /// then one data-parallel phase per stage over its butterfly groups

@@ -1,10 +1,11 @@
 #pragma once
-// 2-D FFT (row-column decomposition) built on the 1-D codelet FFT —
-// the extension direction the paper inherits from Chen et al.'s 1-D/2-D
-// C64 study. Rows and columns are independent 1-D transforms, so each
-// pass is itself a pool of parallel codelets. Both precisions are served
-// by one template body in fft2d.cpp (the cplx32 overloads are the f32
-// path).
+// 2-D FFT of a row-major matrix — the extension direction the paper
+// inherits from Chen et al.'s 1-D/2-D C64 study. Each call is one
+// FftExecutor::transform_2d: the executor's tile pipeline over the matrix
+// itself, the row sweeps in one team phase and the column sweeps, in
+// per-worker panels, in the other, with no transpose pass and no scratch
+// of the matrix's size. Both precisions are served (the cplx32 overloads
+// are the f32 path).
 
 #include <cstdint>
 #include <span>
@@ -14,23 +15,21 @@
 
 namespace c64fft::fft {
 
-/// Validated shape of one 2-D transform: the dimensions and whether the
-/// column pass transposes in place (square) or bounces through a scratch
-/// buffer. This is the model-builder
-/// hook shared between forward_2d/inverse_2d and the static pipeline
+/// Validated shape of one 2-D transform. This is the model-builder hook
+/// shared between the executor's transform_2d and the static pipeline
 /// model (analysis::build_fft2d_pipeline), so the verifier analyzes
-/// exactly the pass structure the runtime executes. Throws
-/// std::invalid_argument on non-power-of-two dims or a size mismatch
-/// (a rows * cols product that wraps past 2^64 included).
+/// exactly the shapes the runtime accepts. Throws std::invalid_argument
+/// unless both dimensions are powers of two in [2, 2^kMaxSweepLog2] (each
+/// is one classic sweep, and their product cannot wrap) and
+/// size == rows * cols.
 struct Fft2dShape {
   std::uint64_t rows = 0;
   std::uint64_t cols = 0;
-  bool square = false;
 };
 Fft2dShape fft2d_shape(std::size_t size, std::uint64_t rows, std::uint64_t cols);
 
 /// In-place 2-D forward FFT of a row-major `rows x cols` matrix; both
-/// dimensions must be powers of two >= 2.
+/// dimensions must be powers of two in [2, 2^kMaxSweepLog2].
 void forward_2d(std::span<cplx> data, std::uint64_t rows, std::uint64_t cols,
                 const HostFftOptions& opts = {});
 void forward_2d(std::span<cplx32> data, std::uint64_t rows, std::uint64_t cols,

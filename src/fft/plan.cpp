@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "fft/mixed_radix.hpp"
 #include "util/bit_ops.hpp"
 
 namespace c64fft::fft {
@@ -28,6 +29,18 @@ PlanKind routed_plan_kind(std::uint64_t n) noexcept {
   return n >= 4 && util::ilog2(n) >= kHierarchicalThresholdLog2
              ? PlanKind::kHierarchical
              : PlanKind::kClassic;
+}
+
+bool tile_pipelined(PlanKind kind, PlanKind conv) noexcept {
+  return kind == PlanKind::kHierarchical ||
+         (kind == PlanKind::kBluestein && conv == PlanKind::kHierarchical);
+}
+
+bool tile_pipelined(std::uint64_t n) noexcept {
+  const PlanKind kind = routed_plan_kind(n);
+  if (kind != PlanKind::kBluestein) return tile_pipelined(kind, kind);
+  return n <= kMaxBluesteinSize &&
+         tile_pipelined(kind, routed_plan_kind(bluestein_fft_size(n)));
 }
 
 HierarchicalSplit hierarchical_split(std::uint64_t n) {

@@ -59,6 +59,18 @@ inline constexpr std::uint64_t kMaxBluesteinSize = std::uint64_t{1}
 /// --plan-kind=auto and the static models.
 PlanKind routed_plan_kind(std::uint64_t n) noexcept;
 
+/// True when a transform of route `kind` runs the tile pipeline's own
+/// team phases, after a call's serial phase, instead of inside it: the
+/// hierarchical route, or Bluestein over a hierarchical convolution
+/// (`conv` is a Bluestein route's convolution kind; the other kinds
+/// ignore it). The executor asks it of its plan entries, the server of a
+/// request's N (the overload below), so a round's serial groups can
+/// complete before its pipelined ones run.
+bool tile_pipelined(PlanKind kind, PlanKind conv) noexcept;
+/// tile_pipelined of the route routing picks for an n-point transform,
+/// Bluestein's convolution included. Never throws or allocates.
+bool tile_pipelined(std::uint64_t n) noexcept;
+
 /// The hierarchical decomposition: N = n1 * n2 viewed as an n1 x n2
 /// matrix, where n1 is the column sub-FFT and n2 the row sub-FFT, both
 /// classic.

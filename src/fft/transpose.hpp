@@ -1,5 +1,9 @@
 #pragma once
-// Cache-blocked matrix transpose kernels.
+// The tile kernel of the executor's tile pipeline (FftExecutor's
+// run_tile_pipeline): the tile edge every gather and scatter of the
+// pipeline blocks on, and the hierarchical route's fused inter-step
+// twiddle-transpose, which generates its factors per tile instead of
+// materializing an O(N) inter-step table.
 //
 // A naive element-loop transpose reads one array contiguously and writes
 // the other with a power-of-two column stride — on a set-associative cache
@@ -7,66 +11,21 @@
 // host analogue of the paper's bank-0 twiddle hotspot (every write evicts
 // the line the previous one brought in). Blocking the traversal into
 // square tiles keeps both the source and destination footprint of a tile
-// inside L1, so every fetched line is fully consumed before eviction.
-//
-// Three kernels, all row-major, each at both precisions (a 16 x 16 cplx32
-// tile is 2 KiB — still two cache lines per tile row, still L1-resident):
-//  * transpose_blocked        — out-of-place, any rows x cols shape.
-//  * transpose_inplace_square — in-place square transpose: off-diagonal
-//    tile *pairs* are swap-transposed; diagonal tiles run a dedicated
-//    micro-kernel (upper-triangle swaps within one tile).
-//  * transpose_twiddle_tile_panel — one tile of the hierarchical FFT's
-//    fused inter-step pass: dst[c*rows + r] = src[r*cols + c] * W_N^(r*c)
-//    with N = rows*cols (conjugated for kInverse), written into a panel
-//    of destination rows. The factors are generated per tile from the
-//    twiddle.hpp unit-root primitive (three roots + per-row geometric
-//    recurrences), so the O(N) inter-step twiddle array of a huge
-//    transform is never materialized. The recurrences run in the element
-//    precision from double-rounded seeds.
+// inside L1, so every fetched line is fully consumed before eviction. The
+// plain tile moves run through the active kernel table's transpose_tile;
+// the harness's whole-matrix transposes are in paper/transpose.hpp.
 
-#include <algorithm>
 #include <cstdint>
-#include <span>
 
 #include "fft/twiddle.hpp"
 #include "fft/types.hpp"
 
 namespace c64fft::fft {
 
-/// Tile edge of the blocked kernels: 16 x 16 cplx = 4 KiB per operand,
-/// four cache lines per tile row — both tiles stay L1-resident while each
-/// 64 B line is read/written whole.
+/// Tile edge of the pipeline's gathers and scatters: 16 x 16 cplx = 4 KiB
+/// per operand, four cache lines per tile row — both tiles stay
+/// L1-resident while each 64 B line is read/written whole.
 inline constexpr std::uint64_t kTransposeTile = 16;
-
-/// Invokes fn(r0, rmax, c0, cmax) once per tile of the blocked traversal,
-/// in kernel order. This is the single source of truth for the tiling:
-/// the kernels below iterate it to move data, and the static pipeline
-/// model (analysis::build_*_pipeline) iterates it to enumerate tile-task
-/// footprints — so the verifier proves properties of exactly the tiles
-/// the kernel executes, never a lookalike decomposition.
-template <typename Fn>
-inline void for_each_transpose_tile(std::uint64_t rows, std::uint64_t cols,
-                                    Fn&& fn) {
-  for (std::uint64_t r0 = 0; r0 < rows; r0 += kTransposeTile) {
-    const std::uint64_t rmax = std::min(rows, r0 + kTransposeTile);
-    for (std::uint64_t c0 = 0; c0 < cols; c0 += kTransposeTile)
-      fn(r0, rmax, c0, std::min(cols, c0 + kTransposeTile));
-  }
-}
-
-/// Tile traversal of the in-place square transpose: fn(r0, rmax, c0, cmax)
-/// with c0 == r0 for diagonal tiles (upper-triangle swaps within the tile)
-/// and c0 > r0 for off-diagonal mirror pairs (each pair visited once; the
-/// callee owns BOTH the (r0,c0) tile and its (c0,r0) mirror).
-template <typename Fn>
-inline void for_each_transpose_tile_pair(std::uint64_t n, Fn&& fn) {
-  for (std::uint64_t r0 = 0; r0 < n; r0 += kTransposeTile) {
-    const std::uint64_t rmax = std::min(n, r0 + kTransposeTile);
-    fn(r0, rmax, r0, rmax);
-    for (std::uint64_t c0 = r0 + kTransposeTile; c0 < n; c0 += kTransposeTile)
-      fn(r0, rmax, c0, std::min(n, c0 + kTransposeTile));
-  }
-}
 
 /// One tile of the fused twiddle-transpose, gathered into a panel: for
 /// the row-major rows x cols `src` (full-matrix base pointer), applies
@@ -121,17 +80,5 @@ inline void transpose_twiddle_tile_panel(const cplx_t<T>* src, cplx_t<T>* dst,
     }
   }
 }
-
-/// dst[c * rows + r] = src[r * cols + c] for a row-major rows x cols
-/// `src`. `dst` must not alias `src`. Throws std::invalid_argument on
-/// size mismatch.
-void transpose_blocked(std::span<const cplx> src, std::span<cplx> dst,
-                       std::uint64_t rows, std::uint64_t cols);
-void transpose_blocked(std::span<const cplx32> src, std::span<cplx32> dst,
-                       std::uint64_t rows, std::uint64_t cols);
-
-/// In-place transpose of a row-major n x n matrix.
-void transpose_inplace_square(std::span<cplx> data, std::uint64_t n);
-void transpose_inplace_square(std::span<cplx32> data, std::uint64_t n);
 
 }  // namespace c64fft::fft

@@ -20,8 +20,10 @@ namespace c64fft::fft {
 /// kInverse holds the exact conjugates W[t] = exp(+2*pi*i * t / N) of the
 /// forward entries. Running the forward stage kernels against conjugated
 /// twiddles computes conj(FFT(conj(x))) bit-identically (every rounding is
-/// sign-symmetric), which is how the executor's inverse path drops the
-/// input-conjugation pass.
+/// sign-symmetric) up to the sign of an exact zero — a difference of equal
+/// operands is +0 either way, so conj turns it to -0 on that route only —
+/// which is how the executor's inverse path drops the input-conjugation
+/// pass.
 enum class TwiddleDirection { kForward, kInverse };
 
 /// The N-th unit root W_N^t = exp(-2*pi*i * t / n) (conjugated for

@@ -1,10 +1,11 @@
-#include "fft/transpose.hpp"
+#include "paper/transpose.hpp"
 
 #include <algorithm>
 #include <stdexcept>
 #include <utility>
 
 #include "fft/kernels/dispatch.hpp"
+#include "fft/transpose.hpp"
 
 namespace c64fft::fft {
 
@@ -37,13 +38,13 @@ void blocked_impl(std::span<const cplx_t<T>> src, std::span<cplx_t<T>> dst,
   // doubly-nested copy on the scalar table). Pure element moves — the
   // result is the same permutation whatever the table.
   const kernels::KernelDispatch<T>& K = kernels::active_kernels<T>();
-  for_each_transpose_tile(
-      rows, cols,
-      [&](std::uint64_t r0, std::uint64_t rmax, std::uint64_t c0,
-          std::uint64_t cmax) {
-        K.transpose_tile(src.data() + r0 * cols + c0, dst.data() + c0 * rows + r0,
-                         cols, rows, rmax - r0, cmax - c0);
-      });
+  for (std::uint64_t r0 = 0; r0 < rows; r0 += kTransposeTile) {
+    const std::uint64_t rmax = std::min(rows, r0 + kTransposeTile);
+    for (std::uint64_t c0 = 0; c0 < cols; c0 += kTransposeTile)
+      K.transpose_tile(src.data() + r0 * cols + c0, dst.data() + c0 * rows + r0,
+                       cols, rows, rmax - r0,
+                       std::min(cols, c0 + kTransposeTile) - c0);
+  }
 }
 
 template <typename T>
@@ -51,17 +52,16 @@ void inplace_square_impl(std::span<cplx_t<T>> data, std::uint64_t n) {
   check_shape(data.size(), data.size(), n, n);
   // Off-diagonal tiles come in mirror pairs: swap-transpose (r0,c0)
   // with (c0,r0) in one pass so each pair is touched exactly once.
-  for_each_transpose_tile_pair(
-      n, [&](std::uint64_t r0, std::uint64_t rmax, std::uint64_t c0,
-             std::uint64_t cmax) {
-        if (r0 == c0) {
-          transpose_diag_tile<T>(data.data(), n, r0, rmax);
-          return;
-        }
-        for (std::uint64_t r = r0; r < rmax; ++r)
-          for (std::uint64_t c = c0; c < cmax; ++c)
-            std::swap(data[r * n + c], data[c * n + r]);
-      });
+  for (std::uint64_t r0 = 0; r0 < n; r0 += kTransposeTile) {
+    const std::uint64_t rmax = std::min(n, r0 + kTransposeTile);
+    transpose_diag_tile<T>(data.data(), n, r0, rmax);
+    for (std::uint64_t c0 = r0 + kTransposeTile; c0 < n; c0 += kTransposeTile) {
+      const std::uint64_t cmax = std::min(n, c0 + kTransposeTile);
+      for (std::uint64_t r = r0; r < rmax; ++r)
+        for (std::uint64_t c = c0; c < cmax; ++c)
+          std::swap(data[r * n + c], data[c * n + r]);
+    }
+  }
 }
 
 }  // namespace

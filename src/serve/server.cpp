@@ -222,70 +222,86 @@ void FftServer::dispatch_loop() {
 }
 
 std::uint64_t FftServer::process_batch(std::size_t count) {
-  // Group the round by exact (n, precision, direction), in drain order.
-  // Each group's spans sit contiguously in spans64_/spans32_ and its
-  // slots in round_; none of them outgrows the max_coalesce capacity
-  // reserved at construction, so the views taken here stay valid.
+  // Group the round by exact (n, precision, direction), in drain order,
+  // the groups with a serial body first and the tile-pipelined ones
+  // (fft::tile_pipelined) after them. Each group's spans sit contiguously
+  // in spans64_/spans32_ and its slots in round_; none of them outgrows
+  // the max_coalesce capacity reserved at construction, so the views
+  // taken here stay valid.
   std::fill_n(grouped_.begin(), count, std::uint8_t{0});
   groups_.clear();
   round_.clear();
   spans64_.clear();
   spans32_.clear();
-  for (std::size_t i = 0; i < count; ++i) {
-    if (grouped_[i] != 0) continue;
-    const Slot& lead = slots_[batch_[i]];
-    const std::size_t first64 = spans64_.size();
-    const std::size_t first32 = spans32_.size();
-    for (std::size_t j = i; j < count; ++j) {
-      if (grouped_[j] != 0) continue;
-      Slot& s = slots_[batch_[j]];
-      if (s.n != lead.n || s.precision != lead.precision || s.dir != lead.dir)
-        continue;
-      grouped_[j] = 1;
-      round_.push_back(batch_[j]);
-      if (s.precision == fft::Precision::kF64)
-        spans64_.emplace_back(static_cast<fft::cplx*>(s.data), s.n);
+  std::size_t serial_groups = 0;
+  for (const bool pipelined : {false, true}) {
+    for (std::size_t i = 0; i < count; ++i) {
+      if (grouped_[i] != 0) continue;
+      const Slot& lead = slots_[batch_[i]];
+      if (fft::tile_pipelined(lead.n) != pipelined) continue;
+      const std::size_t first64 = spans64_.size();
+      const std::size_t first32 = spans32_.size();
+      for (std::size_t j = i; j < count; ++j) {
+        if (grouped_[j] != 0) continue;
+        Slot& s = slots_[batch_[j]];
+        if (s.n != lead.n || s.precision != lead.precision || s.dir != lead.dir)
+          continue;
+        grouped_[j] = 1;
+        round_.push_back(batch_[j]);
+        if (s.precision == fft::Precision::kF64)
+          spans64_.emplace_back(static_cast<fft::cplx*>(s.data), s.n);
+        else
+          spans32_.emplace_back(static_cast<fft::cplx32*>(s.data), s.n);
+      }
+      const fft::TwiddleDirection dir = lead.dir == Direction::kForward
+                                            ? fft::TwiddleDirection::kForward
+                                            : fft::TwiddleDirection::kInverse;
+      if (lead.precision == fft::Precision::kF64)
+        groups_.emplace_back(std::span<const std::span<fft::cplx>>(
+                                 spans64_.data() + first64,
+                                 spans64_.size() - first64),
+                             dir);
       else
-        spans32_.emplace_back(static_cast<fft::cplx32*>(s.data), s.n);
+        groups_.emplace_back(std::span<const std::span<fft::cplx32>>(
+                                 spans32_.data() + first32,
+                                 spans32_.size() - first32),
+                             dir);
     }
-    const fft::TwiddleDirection dir = lead.dir == Direction::kForward
-                                          ? fft::TwiddleDirection::kForward
-                                          : fft::TwiddleDirection::kInverse;
-    if (lead.precision == fft::Precision::kF64)
-      groups_.emplace_back(std::span<const std::span<fft::cplx>>(
-                               spans64_.data() + first64,
-                               spans64_.size() - first64),
-                           dir);
-    else
-      groups_.emplace_back(std::span<const std::span<fft::cplx32>>(
-                               spans32_.data() + first32,
-                               spans32_.size() - first32),
-                           dir);
+    if (!pipelined) serial_groups = groups_.size();
   }
-
-  // The whole round is one executor call: one phase for every group.
-  bool round_failed = false;
-  const std::uint64_t probe0 =
-      opts_.alloc_probe != nullptr ? opts_.alloc_probe() : 0;
-  try {
-    exec_.run_groups(groups_);
-  } catch (const std::exception&) {
-    round_failed = true;
-  }
-  const std::uint64_t exec_allocs =
-      opts_.alloc_probe != nullptr ? opts_.alloc_probe() - probe0 : 0;
   batches_.fetch_add(groups_.size(), std::memory_order_relaxed);
   rounds_.fetch_add(1, std::memory_order_relaxed);
 
+  // One executor call runs `call` (one phase for all its serial groups),
+  // then its requests complete; returns the call's own allocations.
   std::size_t k = 0;
-  for (const fft::BatchGroup& g : groups_) {
-    const RequestStatus status = round_failed || g.error()
-                                     ? RequestStatus::kError
-                                     : RequestStatus::kOk;
-    for (const std::size_t end = k + g.size(); k < end; ++k)
-      complete(round_[k], status);
-  }
-  return exec_allocs;
+  const auto run = [&](std::span<fft::BatchGroup> call) {
+    bool call_failed = false;
+    const std::uint64_t probe0 =
+        opts_.alloc_probe != nullptr ? opts_.alloc_probe() : 0;
+    try {
+      exec_.run_groups(call);
+    } catch (const std::exception&) {
+      call_failed = true;
+    }
+    const std::uint64_t allocs =
+        opts_.alloc_probe != nullptr ? opts_.alloc_probe() - probe0 : 0;
+    for (const fft::BatchGroup& g : call) {
+      const RequestStatus status = call_failed || g.error()
+                                       ? RequestStatus::kError
+                                       : RequestStatus::kOk;
+      for (const std::size_t end = k + g.size(); k < end; ++k)
+        complete(round_[k], status);
+    }
+    return allocs;
+  };
+  // A round is one call, or two when it mixes serial and pipelined
+  // groups: the serial groups' requests then complete before the
+  // pipelined groups run, instead of waiting out the pipeline.
+  const std::span<fft::BatchGroup> groups(groups_);
+  if (serial_groups == 0 || serial_groups == groups.size()) return run(groups);
+  const std::uint64_t allocs = run(groups.first(serial_groups));
+  return allocs + run(groups.subspan(serial_groups));
 }
 
 void FftServer::complete(std::uint32_t slot_idx, RequestStatus status) {

@@ -11,16 +11,19 @@
 // window, groups the requests it drains by exact (n, precision,
 // direction), and runs the whole round as ONE FftExecutor::run_groups
 // call — one lock, one plan acquire per group, and one scheduler phase
-// for every transform of every group (pipelined large-N groups add their
-// own phases after it). Coalescing never changes results: batched
-// execution is bit-identical per transform to a loop of single calls
-// (test_serve asserts this for both precisions).
+// for every transform of every group. A round that also holds
+// tile-pipelined groups (fft::tile_pipelined: large-N groups with their
+// own phases) runs them in a second call, after the first call's
+// requests have completed, so they never hold up the round's small
+// requests. Coalescing never changes results: batched execution is
+// bit-identical per transform to a loop of single calls (test_serve
+// asserts this for both precisions).
 //
 // Failure is per group: when a group's plan entry cannot be built,
 // run_groups reports it in that group's error(), every request of the
 // group completes kError, and the round's other groups run and complete
-// normally. Only an error of the round's call as a whole (one its
-// run_groups throws) fails every request of the round.
+// normally. Only an error of a call as a whole (one its run_groups
+// throws) fails every request of that call.
 //
 // Admission control is reject-based backpressure: an exhausted slot pool
 // fails submit() with a typed SubmitStatus immediately — requests
@@ -314,9 +317,10 @@ class FftServer {
                            CompletionFn cb, void* ctx);
   void dispatch_loop();
   /// Groups the round's `count` drained requests, runs them as one
-  /// executor call and completes them. Returns the dispatcher thread's
-  /// allocation count spent inside that call (0 when no alloc_probe is
-  /// configured).
+  /// executor call (two when the round mixes serial and tile-pipelined
+  /// groups, the serial ones first) and completes each call's requests
+  /// as it returns. Returns the dispatcher thread's allocation count
+  /// spent inside the calls (0 when no alloc_probe is configured).
   std::uint64_t process_batch(std::size_t count);
   void complete(std::uint32_t slot_idx, RequestStatus status);
   void recycle(std::uint32_t slot_idx);

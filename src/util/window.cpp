@@ -1,10 +1,13 @@
-#include "fft/window.hpp"
+#include "util/window.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
-#include <stdexcept>
 
-namespace c64fft::fft {
+#include "fft/api.hpp"
+#include "util/bit_ops.hpp"
+
+namespace c64fft::util {
 
 std::vector<double> make_window(WindowKind kind, std::size_t n) {
   if (n == 0) return {};
@@ -55,4 +58,19 @@ std::string to_string(WindowKind kind) {
   return "?";
 }
 
-}  // namespace c64fft::fft
+std::vector<double> power_spectrum(std::span<const double> signal,
+                                   const fft::HostFftOptions& opts) {
+  if (signal.empty()) return {};
+  std::uint64_t n = next_pow2(signal.size());
+  n = std::max<std::uint64_t>(n, 2);
+  std::vector<fft::cplx> buf(n, fft::cplx{0.0, 0.0});
+  for (std::size_t i = 0; i < signal.size(); ++i)
+    buf[i] = fft::cplx(signal[i], 0.0);
+  fft::forward(buf, opts);
+  std::vector<double> out(n / 2 + 1);
+  for (std::size_t k = 0; k < out.size(); ++k)
+    out[k] = std::norm(buf[k]) / static_cast<double>(n);
+  return out;
+}
+
+}  // namespace c64fft::util

@@ -1,14 +1,17 @@
 #pragma once
-// Window functions for spectral analysis. Applied before the forward
-// transform they trade main-lobe width for side-lobe suppression —
-// standard companions to any FFT library's spectrum API.
+// Spectral-analysis helpers of the harness (examples/spectrum.cpp and
+// the tests): window functions, which applied before the forward
+// transform trade main-lobe width for side-lobe suppression, and the
+// power spectrum of a real signal through the production transform.
 
 #include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
 
-namespace c64fft::fft {
+#include "fft/plan.hpp"
+
+namespace c64fft::util {
 
 enum class WindowKind {
   kRectangular,  ///< no windowing (all ones)
@@ -30,4 +33,9 @@ double coherent_gain(WindowKind kind, std::size_t n);
 
 std::string to_string(WindowKind kind);
 
-}  // namespace c64fft::fft
+/// Power spectrum |X[k]|^2 / N of a real-valued signal (returns N/2+1
+/// bins) through fft::forward. Pads to the next power of two >= max(n, 2).
+std::vector<double> power_spectrum(std::span<const double> signal,
+                                   const fft::HostFftOptions& opts = {});
+
+}  // namespace c64fft::util

@@ -49,9 +49,12 @@ PhaseModel& phase_named(PipelineModel& m, const std::string& name) {
   throw std::logic_error("missing phase " + name);
 }
 
-/// A pipeline with an out-of-place tile transpose phase ("transpose",
-/// data -> scratch, full coverage of scratch): the rectangular fft2d.
-PipelineModel transpose_pipeline() { return build_fft2d_pipeline(32, 64); }
+/// A pipeline with an out-of-place gather phase ("gather-col", data ->
+/// the gather matrix s, full coverage of s): the hierarchical 2^13
+/// (64 x 128) transform, whose phase has one task per block of s rows.
+PipelineModel gather_pipeline() {
+  return build_hierarchical_pipeline(std::uint64_t{1} << 13);
+}
 
 PlanModel clean_model(std::uint64_t n = 4096, unsigned r = 6,
                       TwiddleLayout layout = TwiddleLayout::kLinear,
@@ -474,31 +477,31 @@ TEST(Pipeline, BluesteinModelsAHierarchicalConvolution) {
 // ---- Seeded pipeline defects ----
 
 TEST(Pipeline, SeededTileOverlapIsCaught) {
-  PipelineModel m = transpose_pipeline();
-  // A transpose tile that also writes its neighbour's first element — the
+  PipelineModel m = gather_pipeline();
+  // A gather block that also writes its neighbour's first element — the
   // tile-bounds off-by-one the coverage proof exists for.
-  PhaseModel& transpose = phase_named(m, "transpose");
-  ASSERT_GE(transpose.tasks.size(), 2u);
-  transpose.tasks[1].writes.push_back(transpose.tasks[0].writes.front());
+  PhaseModel& gather = phase_named(m, "gather-col");
+  ASSERT_GE(gather.tasks.size(), 2u);
+  gather.tasks[1].writes.push_back(gather.tasks[0].writes.front());
   const auto report = analyze_pipeline(m);
   EXPECT_TRUE(has_code(report, "coverage", "write-overlap")) << report.to_json();
   EXPECT_FALSE(report.passed());
 }
 
 TEST(Pipeline, SeededDroppedTileIsACoverageGap) {
-  PipelineModel m = transpose_pipeline();
-  phase_named(m, "transpose").tasks.pop_back();
+  PipelineModel m = gather_pipeline();
+  phase_named(m, "gather-col").tasks.pop_back();
   const auto report = analyze_pipeline(m);
   EXPECT_TRUE(has_code(report, "coverage", "coverage-gap")) << report.to_json();
   EXPECT_FALSE(report.passed());
 }
 
 TEST(Pipeline, SeededMissingProducerPhaseIsReadBeforeWrite) {
-  PipelineModel m = transpose_pipeline();
-  // Drop the transpose: the column sweep now reads scratch no phase ever
-  // wrote.
+  PipelineModel m = gather_pipeline();
+  // Drop the gather: the fused row phase now reads a gather matrix no
+  // phase ever wrote.
   std::erase_if(m.phases,
-                [](const PhaseModel& p) { return p.name == "transpose"; });
+                [](const PhaseModel& p) { return p.name == "gather-col"; });
   const auto report = analyze_pipeline(m);
   EXPECT_TRUE(has_code(report, "coverage", "read-before-write"))
       << report.to_json();
@@ -506,11 +509,11 @@ TEST(Pipeline, SeededMissingProducerPhaseIsReadBeforeWrite) {
 }
 
 TEST(Pipeline, SeededIntraPhaseAliasIsCaught) {
-  PipelineModel m = transpose_pipeline();
-  // A tile reading an element another tile of the same phase writes:
+  PipelineModel m = gather_pipeline();
+  // A block reading an element another block of the same phase writes:
   // unordered tasks, so the read races the write (fused-stage aliasing).
-  PhaseModel& transpose = phase_named(m, "transpose");
-  transpose.tasks[0].reads.push_back(transpose.tasks[1].writes.front());
+  PhaseModel& gather = phase_named(m, "gather-col");
+  gather.tasks[0].reads.push_back(gather.tasks[1].writes.front());
   const auto report = analyze_pipeline(m);
   EXPECT_TRUE(has_code(report, "coverage", "phase-aliasing")) << report.to_json();
   EXPECT_FALSE(report.passed());

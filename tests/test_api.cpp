@@ -8,6 +8,7 @@
 
 #include "paper/reference.hpp"
 #include "util/prng.hpp"
+#include "util/window.hpp"
 
 namespace c64fft::fft {
 namespace {
@@ -73,7 +74,7 @@ TEST(Api, PowerSpectrumFindsTone) {
   std::vector<double> signal(n);
   for (std::size_t i = 0; i < n; ++i)
     signal[i] = std::sin(2.0 * std::numbers::pi * tone * i / static_cast<double>(n));
-  const auto spec = power_spectrum(signal);
+  const auto spec = util::power_spectrum(signal);
   ASSERT_EQ(spec.size(), n / 2 + 1);
   std::size_t peak = 0;
   for (std::size_t k = 1; k < spec.size(); ++k)
@@ -83,9 +84,9 @@ TEST(Api, PowerSpectrumFindsTone) {
 
 TEST(Api, PowerSpectrumPadsToPow2) {
   std::vector<double> signal(1000, 1.0);
-  const auto spec = power_spectrum(signal);
+  const auto spec = util::power_spectrum(signal);
   EXPECT_EQ(spec.size(), 1024 / 2 + 1);
-  EXPECT_TRUE(power_spectrum({}).empty());
+  EXPECT_TRUE(util::power_spectrum({}).empty());
 }
 
 TEST(Api, CircularConvolutionMatchesDirect) {

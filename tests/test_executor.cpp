@@ -448,12 +448,17 @@ TEST(SizeLimits, EachRouteRejectsTheSizeAfterItsLargest) {
         (std::uint64_t{1} << 63) + 1})  // 2N - 1 wraps to 1
     EXPECT_THROW(bluestein_fft_size(n), std::invalid_argument) << n;
 
-  // A 2-D shape whose rows * cols wraps is a size mismatch, not the
-  // empty matrix.
-  EXPECT_EQ(fft2d_shape(std::size_t{1} << 63, std::uint64_t{1} << 31,
-                        std::uint64_t{1} << 32)
+  // Each 2-D dimension is one classic sweep, so the largest is 2^30 (and
+  // rows * cols cannot wrap); the shapes past it are rejected up front,
+  // the ones whose rows * cols would wrap included.
+  EXPECT_EQ(fft2d_shape(std::size_t{1} << 60, std::uint64_t{1} << 30,
+                        std::uint64_t{1} << 30)
                 .rows,
-            std::uint64_t{1} << 31);
+            std::uint64_t{1} << 30);
+  EXPECT_THROW(fft2d_shape(std::size_t{1} << 32, std::uint64_t{1} << 31, 2),
+               std::invalid_argument);
+  EXPECT_THROW(fft2d_shape(std::size_t{1} << 32, 2, std::uint64_t{1} << 31),
+               std::invalid_argument);
   EXPECT_THROW(fft2d_shape(0, std::uint64_t{1} << 32, std::uint64_t{1} << 32),
                std::invalid_argument);
   EXPECT_THROW(fft2d_shape(0, std::uint64_t{1} << 63, 2),
@@ -703,7 +708,8 @@ TEST(Executor, PhaseLabelsNameEachRoutesPhases) {
   // `mixed.permute`, then one `mixed.stage` per stage; a hierarchical
   // transform's `hier.A` and `hier.B` (test_hierarchical pins them alone)
   // run after the call's serial phase when the call also holds serial
-  // groups.
+  // groups; a 2-D transform is exactly `fft2d.A` and `fft2d.B`, square or
+  // not, in both directions.
   FftExecutor ex({.workers = 2});
   std::vector<std::string> labels;
   ex.set_phase_hook(
@@ -732,6 +738,18 @@ TEST(Executor, PhaseLabelsNameEachRoutesPhases) {
                           {composite_one, TwiddleDirection::kForward}};
   EXPECT_EQ(phases_of([&] { ex.run_groups(groups); }),
             (Labels{"serial", "hier.A", "hier.B"}));
+  auto image = random_signal(64 * 128, 4);
+  for (const auto dir : {TwiddleDirection::kForward, TwiddleDirection::kInverse}) {
+    EXPECT_EQ(phases_of([&] {
+                ex.transform_2d(std::span<cplx>(image).first(64 * 64), 64, 64,
+                                dir);
+              }),
+              (Labels{"fft2d.A", "fft2d.B"}));
+    EXPECT_EQ(phases_of([&] {
+                ex.transform_2d(std::span<cplx>(image), 64, 128, dir);
+              }),
+              (Labels{"fft2d.A", "fft2d.B"}));
+  }
   ex.set_phase_hook({});
 }
 

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <complex>
 #include <numbers>
+#include <span>
 #include <vector>
 
 #include "fft/executor.hpp"
@@ -99,8 +102,8 @@ TEST(Fft2d, WorkerCountDoesNotChangeResult) {
 
 template <typename T>
 void check_sides_miss_only_when_cold() {
-  // Both passes are batched row transforms on the default executor: a
-  // cold 16 x 32 transform acquires one classic entry per side, and warm
+  // Each dimension's sweeps read one classic entry of the default
+  // executor: a cold 16 x 32 transform acquires one per side, and warm
   // forward + inverse repeats acquire nothing and create no team.
   FftExecutor& ex = default_executor();
   ex.clear_cache();
@@ -122,6 +125,56 @@ void check_sides_miss_only_when_cold() {
 TEST(Fft2d, SidesMissOnlyWhenCold) {
   check_sides_miss_only_when_cold<double>();
   check_sides_miss_only_when_cold<float>();
+}
+
+TEST(Fft2d, DimensionFromThePipelineThresholdRunsItsClassicSweep) {
+  // A 2 x 2^18 f32 image: its rows are 2^18 points, the length a 1-D call
+  // routes hierarchical, and run as one classic sweep each. Sampled bins
+  // against the 2-D DFT summed in long double, and the round trip.
+  const std::uint64_t rows = 2, cols = std::uint64_t{1} << 18;
+  util::Xoshiro256 rng(7);
+  std::vector<cplx32> input(rows * cols);
+  for (auto& x : input)
+    x = cplx32(static_cast<float>(rng.next_double() * 2 - 1),
+               static_cast<float>(rng.next_double() * 2 - 1));
+  std::vector<cplx32> m = input;
+  forward_2d(std::span<cplx32>(m), rows, cols, {2});
+
+  // X[kr][kc] = A_0(kc) + (-1)^kr A_1(kc), A_r the DFT of row r at kc.
+  const auto row_bin = [&](std::uint64_t r, std::uint64_t kc) {
+    std::complex<long double> acc = 0;
+    const long double turn = -2 * std::numbers::pi_v<long double> / cols;
+    for (std::uint64_t c = 0; c < cols; ++c) {
+      const long double a = turn * static_cast<long double>((c * kc) % cols);
+      const cplx32 x = input[r * cols + c];
+      acc += std::complex<long double>(x.real(), x.imag()) *
+             std::complex<long double>(std::cos(a), std::sin(a));
+    }
+    return acc;
+  };
+  double peak = 0;
+  for (const cplx32& x : m)
+    peak = std::max({peak, std::abs(static_cast<double>(x.real())),
+                     std::abs(static_cast<double>(x.imag()))});
+  double worst = 0;
+  for (const std::uint64_t kc : {std::uint64_t{0}, std::uint64_t{1},
+                                 std::uint64_t{12345}, cols / 2, cols - 1}) {
+    const std::complex<long double> a0 = row_bin(0, kc), a1 = row_bin(1, kc);
+    for (std::uint64_t kr = 0; kr < rows; ++kr) {
+      const std::complex<long double> want = kr == 0 ? a0 + a1 : a0 - a1;
+      const cplx32 got = m[kr * cols + kc];
+      worst = std::max(
+          {worst, static_cast<double>(std::abs(got.real() - want.real())),
+           static_cast<double>(std::abs(got.imag() - want.imag()))});
+    }
+  }
+  EXPECT_LT(worst / peak, 2e-6);
+
+  inverse_2d(std::span<cplx32>(m), rows, cols, {2});
+  double rt = 0;
+  for (std::size_t i = 0; i < m.size(); ++i)
+    rt = std::max(rt, static_cast<double>(std::abs(m[i] - input[i])));
+  EXPECT_LT(rt, 4e-6);
 }
 
 }  // namespace

@@ -12,11 +12,21 @@
 //     with that size), against the other ISA tier, and against the same
 //     transforms served through an owned FftServer, in a round beside a
 //     small transform of another shape and the other direction.
-// Draw i is a function of i alone, so the sequence is fixed. The default
-// run is the first kDefaultDraws draws, less the few whose Bluestein
-// convolution is above 2^21 points (soak_only); C64FFT_FUZZ_ITERS=<count>
-// runs the first <count> draws, every one (the variable is read here
-// only). A failure names its draw index and parameters.
+// A second leg draws 2-D transforms: pow2 rows and cols up to 2^17 (the
+// product up to 2^22), precision, team size 1-4, ISA tier and direction.
+// Each checks sampled bins against a naive 2-D DFT in long double, the
+// round trip, and the bytes of a reference made of 1-D executor calls:
+// a batch over the rows, a transpose, a batch over the columns and a
+// transpose back (the inverse conjugates around that and scales by
+// 1/(rows*cols)) — the row-column algorithm forward_2d ran before its
+// tile pipeline, pinned byte for byte (an inverse's exact zeros may
+// carry either sign).
+// Draw i is a function of i alone, so each sequence is fixed. The default
+// run is the first kDefaultDraws (kDefault2dDraws) draws, less the few
+// whose Bluestein convolution is above 2^21 points (whose image is above
+// 2^20 points) — soak_only; C64FFT_FUZZ_ITERS=<count> runs the first
+// <count> draws of each leg, every one (the variable is read here only).
+// A failure names its draw index and parameters.
 
 #include <gtest/gtest.h>
 
@@ -34,6 +44,7 @@
 #include <vector>
 
 #include "fft/executor.hpp"
+#include "fft/fft2d.hpp"
 #include "fft/kernels/dispatch.hpp"
 #include "fft/mixed_radix.hpp"
 #include "fft/plan.hpp"
@@ -48,6 +59,13 @@ namespace {
 constexpr std::uint64_t kSeed = 0xF0225EEDC64FULL;
 constexpr std::uint64_t kDefaultDraws = 48;
 constexpr std::uint64_t kMaxN = std::uint64_t{1} << 22;
+constexpr std::uint64_t kSeed2d = 0x2D2D5EEDC64FULL;
+constexpr std::uint64_t kDefault2dDraws = 16;
+/// log2 of the largest 2-D dimension, of the largest image, and of the
+/// largest image of the default run.
+constexpr unsigned kMax2dDimLog2 = 17;
+constexpr unsigned kMax2dLog2 = 22;
+constexpr unsigned kDefault2dLog2 = 20;
 
 /// The tier the test found active, restored on scope exit like
 /// test_kernel's IsaGuard, so forcing one never leaks into later tests.
@@ -282,20 +300,21 @@ double peak_of(std::span<const std::complex<T>> v) {
   return peak;
 }
 
-/// Largest |got - want| component over `bins`, in precision-T ULPs of the
-/// binade of got's peak component over all N bins: util/ulp.hpp's unit,
-/// with the output's peak standing in for the reference's (the round-trip
-/// check bounds how far the output can stray from the true spectrum).
-template <typename T>
-double sampled_peak_ulps(std::span<const std::complex<T>> input,
-                         std::span<const std::complex<T>> got,
-                         std::span<const std::uint64_t> bins, bool inverse) {
+/// Largest |got - want(k)| component over the bins k of `bins`, in
+/// precision-T ULPs of the binade of got's peak component over all N
+/// bins: util/ulp.hpp's unit, with the output's peak standing in for the
+/// reference's (the round-trip check bounds how far the output can stray
+/// from the true spectrum).
+template <typename T, typename Want>
+double sampled_peak_ulps(std::span<const std::complex<T>> got,
+                         std::span<const std::uint64_t> bins,
+                         const Want& want_of) {
   const double peak = peak_of(got);
   if (!std::isfinite(peak)) return peak;
   const double ulp = util::ulp_at<T>(peak > 0 ? peak : 1.0);
   double worst = 0;
   for (const std::uint64_t k : bins) {
-    const std::complex<long double> want = naive_bin<T>(input, k, inverse);
+    const std::complex<long double> want = want_of(k);
     fold(worst, static_cast<double>(std::abs(got[k].real() - want.real())) / ulp);
     fold(worst, static_cast<double>(std::abs(got[k].imag() - want.imag())) / ulp);
   }
@@ -413,8 +432,10 @@ void check_draw(const Draw& d, Rig& rig, util::IsaLevel other_isa,
 
   // Accuracy: sampled bins of the first transform, and the round trip.
   const std::vector<std::uint64_t> bins = sampled_bins(d.n, rng);
-  const double dft = sampled_peak_ulps<T>(input.bufs[0], ref.bufs[0], bins,
-                                          d.inverse);
+  const double dft = sampled_peak_ulps<T>(
+      ref.bufs[0], bins, [&](std::uint64_t k) {
+        return naive_bin<T>(input.bufs[0], k, d.inverse);
+      });
   const Budget budget = budget_of(d.f32, route_of(d.n));
   EXPECT_LE(dft, budget.dft) << "naive DFT, peak-ULPs";
   Batch<T> work = ref;
@@ -530,6 +551,192 @@ TEST(Fuzz, DrawsMatchTheNaiveDftAndEveryRouteAgrees) {
               static_cast<unsigned long long>(draws),
               static_cast<unsigned long long>(skipped));
   for (const Worst& w : table)
+    std::printf("  %-28s %8.2f %8.2f\n", w.key.c_str(), w.dft, w.round_trip);
+}
+
+struct Draw2d {
+  std::uint64_t index = 0;
+  std::uint64_t rows = 0;
+  std::uint64_t cols = 0;
+  bool f32 = false;
+  unsigned workers = 1;
+  util::IsaLevel isa = util::IsaLevel::kScalar;
+  bool inverse = false;
+  /// Elements between the buffer's start and the image's.
+  std::uint64_t offset = 0;
+};
+
+Draw2d make_draw_2d(std::uint64_t index,
+                    std::span<const util::IsaLevel> tiers) {
+  util::Xoshiro256 rng(kSeed2d + index);
+  Draw2d d;
+  d.index = index;
+  // log2 of the image uniform over [2, kMax2dLog2], split uniformly over
+  // the dimension pairs it allows.
+  const auto total = static_cast<unsigned>(2 + rng.next_below(kMax2dLog2 - 1));
+  const unsigned lo = total > kMax2dDimLog2 ? total - kMax2dDimLog2 : 1;
+  const unsigned hi = std::min(kMax2dDimLog2, total - 1);
+  const auto r = static_cast<unsigned>(lo + rng.next_below(hi - lo + 1));
+  d.rows = std::uint64_t{1} << r;
+  d.cols = std::uint64_t{1} << (total - r);
+  d.f32 = rng.next_below(2) == 0;
+  d.workers = 1 + static_cast<unsigned>(rng.next_below(4));
+  d.isa = tiers[rng.next_below(tiers.size())];
+  d.inverse = rng.next_below(2) == 0;
+  d.offset = rng.next_below(8);
+  return d;
+}
+
+std::string describe(const Draw2d& d) {
+  return "2-D draw " + std::to_string(d.index) + ": " +
+         std::to_string(d.rows) + "x" + std::to_string(d.cols) + " " +
+         (d.f32 ? "f32" : "f64") + " workers=" + std::to_string(d.workers) +
+         " isa=" + util::to_string(d.isa) + (d.inverse ? " inverse" : " forward") +
+         " offset=" + std::to_string(d.offset);
+}
+
+/// Peak-ULP budgets {naive DFT, round trip} of the 2-D leg: twice the
+/// worst a 1,000-draw soak measured (f32 2.55 and 15, f64 5.91 and 19),
+/// rounded up to a power of two.
+Budget budget_2d(bool f32) { return f32 ? Budget{8, 32} : Budget{16, 64}; }
+
+/// Bin (kr, kc) of the naive 2-D DFT of the row-major rows x cols `x`,
+/// summed in long double: each row's bin kc, then bin kr over the rows.
+template <typename T>
+std::complex<long double> naive_bin_2d(std::span<const std::complex<T>> x,
+                                       std::uint64_t rows, std::uint64_t cols,
+                                       std::uint64_t kr, std::uint64_t kc,
+                                       bool inverse) {
+  std::vector<std::complex<long double>> col(rows);
+  for (std::uint64_t r = 0; r < rows; ++r)
+    col[r] = naive_bin<T>(x.subspan(r * cols, cols), kc, inverse);
+  return naive_bin<long double>(col, kr, inverse);
+}
+
+/// The row-column 2-D transform from 1-D executor calls: a batch over the
+/// rows, a transpose, a batch over the columns, a transpose back; the
+/// inverse is conj, that, conj times 1/(rows*cols).
+template <typename T>
+void reference_2d(FftExecutor& ex, std::vector<std::complex<T>>& m,
+                  std::uint64_t rows, std::uint64_t cols, bool inverse) {
+  const auto rows_pass = [&](std::vector<std::complex<T>>& a, std::uint64_t r,
+                             std::uint64_t c) {
+    std::vector<std::span<std::complex<T>>> spans;
+    for (std::uint64_t i = 0; i < r; ++i)
+      spans.push_back(std::span<std::complex<T>>(a).subspan(i * c, c));
+    ex.forward_batch(spans);
+  };
+  const auto transpose = [](const std::vector<std::complex<T>>& a,
+                            std::vector<std::complex<T>>& t, std::uint64_t r,
+                            std::uint64_t c) {
+    for (std::uint64_t i = 0; i < r; ++i)
+      for (std::uint64_t j = 0; j < c; ++j) t[j * r + i] = a[i * c + j];
+  };
+  if (inverse)
+    for (std::complex<T>& v : m) v = std::conj(v);
+  std::vector<std::complex<T>> t(m.size());
+  rows_pass(m, rows, cols);
+  transpose(m, t, rows, cols);
+  rows_pass(t, cols, rows);
+  transpose(t, m, cols, rows);
+  if (inverse) {
+    const T scale = static_cast<T>(1.0 / static_cast<double>(m.size()));
+    for (std::complex<T>& v : m) v = std::conj(v) * scale;
+  }
+}
+
+/// Bitwise equality, except that an exact zero may carry either sign:
+/// the reference's inverse computes conj(FFT(conj x)), whose exact zeros
+/// come out -0 where the inverse tables give +0 (the rest of every
+/// rounding is sign-symmetric, twiddle.hpp).
+template <typename T>
+bool same_bits_but_zero_signs(std::span<const std::complex<T>> a,
+                              std::span<const std::complex<T>> b) {
+  const auto same = [](T x, T y) {
+    return std::memcmp(&x, &y, sizeof(T)) == 0 || (x == 0 && y == 0);
+  };
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (!same(a[i].real(), b[i].real()) || !same(a[i].imag(), b[i].imag()))
+      return false;
+  return true;
+}
+
+template <typename T>
+void check_draw_2d(const Draw2d& d, FftExecutor& ex, Worst& worst) {
+  util::Xoshiro256 rng(kSeed2d ^ (d.index * 0x9E3779B97F4A7C15ULL));
+  const std::uint64_t n = d.rows * d.cols;
+  std::vector<std::complex<T>> input(n);
+  for (std::complex<T>& x : input)
+    x = {static_cast<T>(rng.next_double() * 2 - 1),
+         static_cast<T>(rng.next_double() * 2 - 1)};
+  kernels::set_kernel_isa(d.isa);
+  const auto run_2d = [&](std::span<std::complex<T>> m, bool inverse) {
+    if (inverse)
+      inverse_2d(m, d.rows, d.cols, {d.workers});
+    else
+      forward_2d(m, d.rows, d.cols, {d.workers});
+  };
+  // The image starts d.offset elements into its buffer, so the draws
+  // cover every alignment of its rows to cache lines.
+  std::vector<std::complex<T>> store(n + 7);
+  const std::span<std::complex<T>> got(store.data() + d.offset, n);
+  std::copy(input.begin(), input.end(), got.begin());
+  run_2d(got, d.inverse);
+
+  const std::vector<std::uint64_t> bins = sampled_bins(n, rng);
+  const double dft = sampled_peak_ulps<T>(
+      got, bins, [&](std::uint64_t k) {
+        return naive_bin_2d<T>(input, d.rows, d.cols, k / d.cols, k % d.cols,
+                               d.inverse);
+      });
+  const Budget budget = budget_2d(d.f32);
+  EXPECT_LE(dft, budget.dft) << "naive 2-D DFT, peak-ULPs";
+  std::vector<std::complex<T>> back(got.begin(), got.end());
+  run_2d(back, !d.inverse);
+  const double rt = peak_ulps<T>(back, input);
+  EXPECT_LE(rt, budget.round_trip) << "round trip, peak-ULPs";
+  worst.dft = std::max(worst.dft, dft);
+  worst.round_trip = std::max(worst.round_trip, rt);
+
+  std::vector<std::complex<T>> want = input;
+  reference_2d<T>(ex, want, d.rows, d.cols, d.inverse);
+  EXPECT_TRUE(d.inverse ? same_bits_but_zero_signs<T>(got, want)
+                        : std::memcmp(got.data(), want.data(),
+                                      n * sizeof(std::complex<T>)) == 0)
+      << "tile pipeline vs the row-column reference";
+}
+
+TEST(Fuzz, TwoDimensionalDrawsMatchTheNaiveDftAndTheRowColumnReference) {
+  IsaGuard guard;
+  std::vector<util::IsaLevel> tiers = {util::IsaLevel::kScalar};
+  if (util::best_supported_isa() != util::IsaLevel::kScalar)
+    tiers.push_back(util::best_supported_isa());
+  const std::uint64_t soak = soak_draws();
+  const std::uint64_t draws = soak != 0 ? soak : kDefault2dDraws;
+  FftExecutor ex(ExecutorOptions{2});
+  Worst worst64{"f64 2-D"}, worst32{"f32 2-D"};
+  std::uint64_t skipped = 0;
+  for (std::uint64_t i = 0; i < draws; ++i) {
+    const Draw2d d = make_draw_2d(i, tiers);
+    if (soak == 0 && d.rows * d.cols > (std::uint64_t{1} << kDefault2dLog2)) {
+      ++skipped;
+      continue;
+    }
+    SCOPED_TRACE(describe(d));
+    if (d.f32)
+      check_draw_2d<float>(d, ex, worst32);
+    else
+      check_draw_2d<double>(d, ex, worst64);
+    if (HasFailure()) {
+      std::printf("FAILED %s\n", describe(d).c_str());
+      break;
+    }
+  }
+  std::printf("%llu 2-D draws (%llu soak-only skipped); worst peak-ULPs "
+              "(naive DFT, round trip):\n",
+              static_cast<unsigned long long>(draws),
+              static_cast<unsigned long long>(skipped));
+  for (const Worst& w : {worst32, worst64})
     std::printf("  %-28s %8.2f %8.2f\n", w.key.c_str(), w.dft, w.round_trip);
 }
 

@@ -125,9 +125,9 @@ TEST(Hierarchical, ExecutorRoutesOnlyLargeTransforms) {
 template <typename T>
 void check_pipeline_counts() {
   // A hierarchical transform is exactly two phases on every team: `hier.A`
-  // of B1 column-block codelets (T1 gather + T2 column sweep each), then
-  // `hier.B` of B2 fused T4 row-block codelets, with B1/B2 the executor's
-  // grain at this host's L2. Bluestein over a hierarchical convolution runs two such
+  // of B1 block codelets (gather + column sweeps each), then `hier.B` of
+  // B2 fused block codelets (twiddle-gather, row sweeps, scatter), with
+  // B1/B2 the executor's grain at this host's L2. Bluestein over a hierarchical convolution runs two such
   // pipelines: B1, B2, B1, B2. The static model (analysis/pipeline.hpp)
   // must show exactly those phases and tasks; Bluestein's modulate,
   // pointwise and demodulate passes run inline, outside any team phase.

@@ -10,10 +10,10 @@
 #include "fft/kernels/dispatch.hpp"
 #include "fft/mixed_radix.hpp"
 #include "fft/plan_cache.hpp"
-#include "fft/transpose.hpp"
 #include "paper/bit_reversal.hpp"
 #include "paper/codelet_kernel.hpp"
 #include "paper/reference.hpp"
+#include "paper/transpose.hpp"
 #include "util/bit_ops.hpp"
 #include "util/cpu_features.hpp"
 #include "util/prng.hpp"

@@ -14,7 +14,9 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -280,6 +282,68 @@ TEST(Serve, MixedPow2AndCompositeTrafficCoalescesPerExactKey) {
   EXPECT_EQ(st.phases, 1u);
   EXPECT_EQ(st.codelets, 4u * kK);
   EXPECT_GE(st.coalescing_factor, static_cast<double>(kK));
+}
+
+/// Completion order of a round's requests, recorded by their callbacks.
+struct CompletionLog {
+  std::mutex m;
+  std::condition_variable cv;
+  std::vector<int> order;
+};
+
+struct LoggedRequest {
+  CompletionLog* log = nullptr;
+  int id = 0;
+  RequestStatus status = RequestStatus::kError;
+};
+
+void log_completion(void* ctx, const Completion& done) {
+  auto* r = static_cast<LoggedRequest*>(ctx);
+  r->status = done.status;
+  {
+    std::lock_guard lock(r->log->m);
+    r->log->order.push_back(r->id);
+  }
+  r->log->cv.notify_all();
+}
+
+TEST(Serve, RoundCompletesItsSerialGroupsBeforeItsPipelinedGroup) {
+  // One held-open round: a 2^18 request (the tile pipeline's route) is
+  // drained first, then 8 N = 64 requests. The round makes two executor
+  // calls, the serial groups' first, so the small requests complete
+  // before the pipeline runs instead of waiting it out.
+  constexpr int kSmall = 8;
+  ServerOptions so;
+  so.workers = 2;
+  so.coalesce_window_us = 200000;  // hold the round open...
+  so.max_coalesce = kSmall + 1;    // ...until all 9 requests are in
+  FftServer server(so);
+  const TenantId t = server.add_tenant(roomy_quota());
+
+  CompletionLog log;
+  std::vector<std::vector<fft::cplx>> bufs;
+  bufs.push_back(random_signal<double>(std::uint64_t{1} << 18, 1));
+  for (int i = 0; i < kSmall; ++i) bufs.push_back(random_signal<double>(64, 2 + i));
+  std::vector<LoggedRequest> requests(bufs.size());
+  for (std::size_t i = 0; i < bufs.size(); ++i) {
+    requests[i] = {&log, static_cast<int>(i)};
+    const SubmitResult r =
+        server.submit(t, std::span<fft::cplx>(bufs[i]), Direction::kForward,
+                      Lane::kNormal, log_completion, &requests[i]);
+    ASSERT_EQ(r.status, SubmitStatus::kAccepted);
+  }
+  {
+    std::unique_lock lock(log.m);
+    log.cv.wait(lock, [&] { return log.order.size() == bufs.size(); });
+  }
+
+  // Request 0 is the 2^18 one: it completes last, every small one first.
+  EXPECT_EQ(log.order.back(), 0);
+  for (const LoggedRequest& r : requests) EXPECT_EQ(r.status, RequestStatus::kOk);
+  const ServerStats st = server.stats();
+  EXPECT_EQ(st.rounds, 1u);
+  EXPECT_EQ(st.batches, 2u);
+  EXPECT_EQ(st.completed, static_cast<std::uint64_t>(kSmall + 1));
 }
 
 TEST(Serve, CallbackCompletionDeliversOnDispatcherThread) {

@@ -8,7 +8,8 @@
 // the serving layer's own drain/group/complete path. Steady state, both
 // must hold: client-side delta 0, serving-layer delta 0. The same probe
 // gates the executor on its own: a warm call of every entry point, per
-// route and team size, allocates nothing on the calling thread.
+// route and team size, 2-D included, allocates nothing on the calling
+// thread.
 
 #define C64FFT_ALLOC_PROBE_IMPLEMENT
 #include "serve/alloc_probe.hpp"
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "fft/executor.hpp"
+#include "fft/fft2d.hpp"
 #include "serve/server.hpp"
 #include "util/prng.hpp"
 
@@ -255,6 +257,44 @@ TEST(ExecutorAllocs, WarmLargeCallsAllocateNothingF32) {
       check_warm_calls_allocate_nothing<float>(kLargeSizes, 2);
   EXPECT_GT(st.hierarchical, 0u);
   EXPECT_GT(st.bluestein, 0u);
+}
+
+/// Warm forward_2d and inverse_2d calls (the tile pipeline over the
+/// matrix, on the default executor) allocate nothing on the calling
+/// thread, square and rectangular, on 1, 2 and 4 workers.
+template <typename T>
+void check_warm_2d_calls_allocate_nothing() {
+  for (const unsigned workers : {1u, 2u, 4u})
+    for (const std::uint64_t cols : {std::uint64_t{64}, std::uint64_t{128}}) {
+      const std::uint64_t rows = 64;
+      std::vector<fft::cplx_t<T>> image(rows * cols);
+      util::Xoshiro256 rng(cols);
+      for (auto& x : image)
+        x = fft::cplx_t<T>(static_cast<T>(rng.next_double() * 2 - 1),
+                           static_cast<T>(rng.next_double() * 2 - 1));
+      const std::span<fft::cplx_t<T>> m(image);
+      const fft::HostFftOptions opts{workers};
+      for (int i = 0; i < 2; ++i) {  // warm: plans, scratch and the team
+        fft::forward_2d(m, rows, cols, opts);
+        fft::inverse_2d(m, rows, cols, opts);
+      }
+      const std::string at = std::to_string(rows) + "x" + std::to_string(cols) +
+                             " workers=" + std::to_string(workers);
+      std::uint64_t before = thread_alloc_count();
+      fft::forward_2d(m, rows, cols, opts);
+      EXPECT_EQ(thread_alloc_count() - before, 0u) << "forward_2d " << at;
+      before = thread_alloc_count();
+      fft::inverse_2d(m, rows, cols, opts);
+      EXPECT_EQ(thread_alloc_count() - before, 0u) << "inverse_2d " << at;
+    }
+}
+
+TEST(ExecutorAllocs, Warm2dCallsAllocateNothingF64) {
+  check_warm_2d_calls_allocate_nothing<double>();
+}
+
+TEST(ExecutorAllocs, Warm2dCallsAllocateNothingF32) {
+  check_warm_2d_calls_allocate_nothing<float>();
 }
 
 /// Appends `batch` random buffers of length n at precision T to `bufs`.

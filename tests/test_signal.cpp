@@ -4,7 +4,7 @@
 
 #include <cmath>
 
-#include "fft/api.hpp"
+#include "util/window.hpp"
 
 namespace c64fft::util {
 namespace {
@@ -67,7 +67,7 @@ TEST(SignalBuilder, ChirpSweepsUpInFrequency) {
   auto centroid = [&](std::size_t offset) {
     std::vector<double> half(sig.real().begin() + offset,
                              sig.real().begin() + offset + n / 2);
-    const auto spec = fft::power_spectrum(half);
+    const auto spec = power_spectrum(half);
     double num = 0, den = 0;
     for (std::size_t k = 0; k < spec.size(); ++k) {
       num += static_cast<double>(k) * spec[k];

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "paper/reference.hpp"
+#include "paper/transpose.hpp"
 #include "util/prng.hpp"
 
 namespace c64fft::fft {

@@ -1,13 +1,12 @@
-#include "fft/window.hpp"
+#include "util/window.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "fft/api.hpp"
 #include "util/signal.hpp"
 
-namespace c64fft::fft {
+namespace c64fft::util {
 namespace {
 
 TEST(Window, RectangularIsAllOnes) {
@@ -54,7 +53,7 @@ TEST(Window, SuppressesSpectralLeakage) {
   // window concentrates it: energy two bins away from the peak must drop
   // by orders of magnitude.
   const std::size_t n = 1024;
-  util::SignalBuilder sig(n, static_cast<double>(n));
+  SignalBuilder sig(n, static_cast<double>(n));
   sig.tone({100.5, 1.0, 0.0});  // exactly between two bins
 
   auto rect = sig.real();
@@ -75,4 +74,4 @@ TEST(Window, Names) {
 }
 
 }  // namespace
-}  // namespace c64fft::fft
+}  // namespace c64fft::util

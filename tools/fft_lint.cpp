@@ -8,14 +8,14 @@
 // Whole-pipeline checks (--coverage / --critical-path, or any composite
 // --plan-kind): the write-coverage / single-assignment proof and the
 // critical-path & load cost model over the composite pipeline model
-// (transposes, sub-FFT sweeps, pack/untangle passes) built from the same
-// hooks the executor runs, plus the per-level tile-traffic report
-// (transpose vs butterfly bytes per phase). --all statically verifies the
-// full shipped matrix: every Table-I schedule/layout variant plus every
-// composite kind (classic, hierarchical, batch, 2-D, real, mixed-radix,
-// bluestein) at both precisions. --size lints an exact (possibly
-// composite) length, which the auto routing sends down the
-// factorization-driven paths.
+// (tile gathers and scatters, sub-FFT sweeps, pack/untangle passes)
+// built from the same hooks the executor runs, plus the per-level
+// tile-traffic report (transpose vs butterfly bytes per phase). --all
+// statically verifies the full shipped matrix: every Table-I
+// schedule/layout variant plus every composite kind (classic,
+// hierarchical, batch, 2-D, real, mixed-radix, bluestein) at both
+// precisions. --size lints an exact (possibly composite) length, which
+// the auto routing sends down the factorization-driven paths.
 //
 // Pipeline models record the kernel dispatch table ("scalar" / "avx2")
 // the runtime would execute with; the kernel check validates the id
@@ -282,11 +282,10 @@ int main(int argc, char** argv) {
             std::uint64_t{1} << cli.get_int("rows-log2"),
             std::uint64_t{1} << cli.get_int("cols-log2"), build,
             "seeded-overlap");
-        // Second transpose tile re-writes the first tile's first element.
-        auto phase = std::find_if(
-            m.phases.begin(), m.phases.end(),
-            [](const analysis::PhaseModel& p) { return p.name == "transpose"; });
-        phase->tasks.at(1).writes.push_back(phase->tasks.at(0).writes.front());
+        // In the tile pipeline's phase B, the second column block
+        // re-writes the first block's first element.
+        analysis::PhaseModel& phase = m.phases.back();
+        phase.tasks.at(1).writes.push_back(phase.tasks.at(0).writes.front());
         reports.push_back(analysis::analyze_pipeline(m, pipe_opts));
       } else if (defect == "skew") {
         analysis::PipelineModel m = analysis::build_classic_pipeline(
