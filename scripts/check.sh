@@ -48,7 +48,7 @@ if [[ $fast -eq 0 ]]; then
   cmake -B build-tsan -S . -DC64FFT_TSAN=ON >/dev/null
   cmake --build build-tsan -j "$(nproc)"
   ctest --test-dir build-tsan --output-on-failure -j "$(nproc)" \
-    -R 'test_team|test_worker_balance|test_executor|test_serve|test_hierarchical|test_variants'
+    -R 'test_team|test_worker_balance|test_executor|test_serve|test_serve_alloc|test_hierarchical|test_variants'
 fi
 
 echo "check.sh: all configurations passed"

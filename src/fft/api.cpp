@@ -25,32 +25,6 @@ void inverse(std::span<cplx32> data, const HostFftOptions& opts) {
   default_executor().inverse(data, opts);
 }
 
-std::vector<cplx> forward_copy(std::span<const cplx> data, const HostFftOptions& opts) {
-  std::vector<cplx> out(data.begin(), data.end());
-  forward(out, opts);
-  return out;
-}
-
-std::vector<cplx32> forward_copy(std::span<const cplx32> data,
-                                 const HostFftOptions& opts) {
-  std::vector<cplx32> out(data.begin(), data.end());
-  forward(out, opts);
-  return out;
-}
-
-std::vector<cplx> inverse_copy(std::span<const cplx> data, const HostFftOptions& opts) {
-  std::vector<cplx> out(data.begin(), data.end());
-  inverse(out, opts);
-  return out;
-}
-
-std::vector<cplx32> inverse_copy(std::span<const cplx32> data,
-                                 const HostFftOptions& opts) {
-  std::vector<cplx32> out(data.begin(), data.end());
-  inverse(out, opts);
-  return out;
-}
-
 std::vector<cplx> circular_convolve(std::span<const cplx> a, std::span<const cplx> b,
                                     const HostFftOptions& opts) {
   if (a.size() != b.size())

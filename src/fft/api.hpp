@@ -1,8 +1,8 @@
 #pragma once
 // Public façade of the library: one-call forward/inverse transforms on
-// the host codelet runtime, plus out-of-place forms and circular
-// convolution. Include this (and fft/fft2d.hpp for 2-D) to consume the
-// library; the lower-level headers stay available for research use.
+// the host codelet runtime, plus circular convolution. Include this (and
+// fft/fft2d.hpp for 2-D) to consume the library; the lower-level headers
+// stay available for research use.
 
 #include <span>
 #include <vector>
@@ -25,16 +25,6 @@ void forward(std::span<cplx32> data, const HostFftOptions& opts = {});
 /// In-place inverse FFT (unitary 1/N scaling), same engine.
 void inverse(std::span<cplx> data, const HostFftOptions& opts = {});
 void inverse(std::span<cplx32> data, const HostFftOptions& opts = {});
-
-/// Out-of-place convenience forms.
-std::vector<cplx> forward_copy(std::span<const cplx> data,
-                               const HostFftOptions& opts = {});
-std::vector<cplx32> forward_copy(std::span<const cplx32> data,
-                                 const HostFftOptions& opts = {});
-std::vector<cplx> inverse_copy(std::span<const cplx> data,
-                               const HostFftOptions& opts = {});
-std::vector<cplx32> inverse_copy(std::span<const cplx32> data,
-                                 const HostFftOptions& opts = {});
 
 /// Circular convolution of two equal-length sequences via FFT (pointwise
 /// product in the frequency domain). Any length N >= 2 is accepted and

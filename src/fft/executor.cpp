@@ -85,8 +85,14 @@ HierarchicalGrain hierarchical_grain(std::uint64_t n1, std::uint64_t n2,
                                      std::uint64_t l2_bytes) {
   HierarchicalGrain g;
   // Phase A sweeps the n2 rows of the n2 x n1 view (n1 points each),
-  // phase B its n1 columns (n2 points each).
-  g.block_rows1 = block_rows_for(n2, n1 * element_bytes, workers, l2_bytes);
+  // phase B its n1 columns (n2 points each). A phase-A gather is a pure
+  // move, so its blocks need no tile alignment: a view of at most one
+  // tile of rows, which block_rows_for makes one block, runs one row per
+  // block instead, so its few long rows spread over the team.
+  g.block_rows1 =
+      n2 <= kTransposeTile
+          ? std::min<std::uint64_t>(n2, 1)
+          : block_rows_for(n2, n1 * element_bytes, workers, l2_bytes);
   g.blocks1 = g.block_rows1 != 0 ? util::ceil_div(n2, g.block_rows1) : 0;
   g.block_rows2 = block_rows_for(n1, n2 * element_bytes, workers, l2_bytes);
   g.blocks2 = g.block_rows2 != 0 ? util::ceil_div(n1, g.block_rows2) : 0;
@@ -117,7 +123,7 @@ codelet::Team& FftExecutor::team(unsigned workers) {
     team_.reset();  // join the old team before spawning its replacement
     team_ = std::make_unique<codelet::Team>(workers);
     team_->set_phase_hook(phase_hook_);
-    ++teams_created_;
+    teams_created_.fetch_add(1, std::memory_order_relaxed);
   }
   return *team_;
 }
@@ -253,11 +259,15 @@ void FftExecutor::run_resolved(std::span<BatchGroup> groups,
   for (const BatchGroup& g : groups) {
     if (!g.entry_) continue;
     const std::uint64_t count = g.size();
-    (count == 1 ? transforms_ : batched_) += count;
+    (count == 1 ? transforms_ : batched_)
+        .fetch_add(count, std::memory_order_relaxed);
     const PlanKind kind = g.entry_->kind();
-    if (kind == PlanKind::kHierarchical) hierarchical_ += count;
-    if (kind == PlanKind::kMixedRadix) mixed_radix_ += count;
-    if (kind == PlanKind::kBluestein) bluestein_ += count;
+    if (kind == PlanKind::kHierarchical)
+      hierarchical_.fetch_add(count, std::memory_order_relaxed);
+    if (kind == PlanKind::kMixedRadix)
+      mixed_radix_.fetch_add(count, std::memory_order_relaxed);
+    if (kind == PlanKind::kBluestein)
+      bluestein_.fetch_add(count, std::memory_order_relaxed);
   }
 }
 
@@ -521,19 +531,13 @@ void FftExecutor::run_tile_pipeline(const TilePipeline<T>& p,
     const std::uint64_t r0b = i * br;
     const std::uint64_t rend = std::min(h, r0b + br);
     // Gather-transpose the strided src columns [r0b, rend) into contiguous
-    // view rows. The src side reads one 16-element chunk per src row — a
-    // stride the hardware prefetcher never locks onto — so each tile
-    // software-prefetches the stripe below it one tile ahead of use
-    // (prefetch is a pure hint: no values change).
+    // view rows.
     if (p.src != nullptr)
       for (std::uint64_t a0 = 0; a0 < w; a0 += kTransposeTile) {
         const std::uint64_t amax = std::min(w, a0 + kTransposeTile);
-        for (std::uint64_t r0 = r0b; r0 < rend; r0 += kTransposeTile) {
-          for (std::uint64_t a = a0; a < amax && a + kTransposeTile < w; ++a)
-            __builtin_prefetch(p.src + (a + kTransposeTile) * h + r0, 0, 2);
+        for (std::uint64_t r0 = r0b; r0 < rend; r0 += kTransposeTile)
           K.transpose_tile(p.src + a0 * h + r0, view + r0 * w + a0, h, w,
                            amax - a0, std::min(rend, r0 + kTransposeTile) - r0);
-        }
       }
     for (std::uint64_t r = r0b; r < rend; ++r)
       run_transform_split(std::span<cplx_t<T>>(view + r * w, w), w_tw, w_brev,
@@ -547,10 +551,6 @@ void FftExecutor::run_tile_pipeline(const TilePipeline<T>& p,
     cplx_t<T>* const panel = st.panel[k].data();
     for (std::uint64_t r0 = 0; r0 < h; r0 += kTransposeTile) {
       const std::uint64_t rmax = std::min(h, r0 + kTransposeTile);
-      // Same strided-chunk walk as phase A's src side: hint the stripe
-      // below into cache one tile ahead of its use.
-      for (std::uint64_t r = rmax; r < std::min(h, rmax + kTransposeTile); ++r)
-        __builtin_prefetch(view + r * w + c0b, 0, 2);
       for (std::uint64_t c0 = c0b; c0 < cend; c0 += kTransposeTile) {
         const std::uint64_t cmax = std::min(cend, c0 + kTransposeTile);
         if (p.twiddle)
@@ -606,7 +606,7 @@ void FftExecutor::transform_2d_t(std::span<cplx_t<T>> data, std::uint64_t rows,
        .label_a = "fft2d.A",
        .label_b = "fft2d.B"},
       tm);
-  batched_ += rows + cols;
+  batched_.fetch_add(rows + cols, std::memory_order_relaxed);
 }
 
 void FftExecutor::transform_2d(std::span<cplx> data, std::uint64_t rows,
@@ -684,13 +684,12 @@ void FftExecutor::clear_cache() { cache_.clear(); }
 ExecutorStats FftExecutor::stats() const {
   ExecutorStats s;
   s.cache = cache_.stats();
-  std::lock_guard lock(mutex_);
-  s.transforms = transforms_;
-  s.batched = batched_;
-  s.hierarchical = hierarchical_;
-  s.mixed_radix = mixed_radix_;
-  s.bluestein = bluestein_;
-  s.teams_created = teams_created_;
+  s.transforms = transforms_.load(std::memory_order_relaxed);
+  s.batched = batched_.load(std::memory_order_relaxed);
+  s.hierarchical = hierarchical_.load(std::memory_order_relaxed);
+  s.mixed_radix = mixed_radix_.load(std::memory_order_relaxed);
+  s.bluestein = bluestein_.load(std::memory_order_relaxed);
+  s.teams_created = teams_created_.load(std::memory_order_relaxed);
   return s;
 }
 

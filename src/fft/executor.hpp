@@ -62,9 +62,10 @@
 //
 // Concurrency: any number of caller threads may use one executor; a mutex
 // serializes the phases (Team::parallel_for is single-caller by
-// contract), while the PlanCache has its own finer lock. See DESIGN.md
-// "Executor & plan cache".
+// contract), while the PlanCache has its own finer lock and stats()
+// takes neither across a phase. See DESIGN.md "Executor & plan cache".
 
+#include <atomic>
 #include <cstdint>
 #include <exception>
 #include <memory>
@@ -101,10 +102,12 @@ SweepGrain bitrev_sweep_grain(std::uint64_t n, unsigned workers);
 /// A sweeps the view's n2 rows in `blocks1` blocks of `block_rows1` rows
 /// (the last block may be short), and phase B its n1 columns in
 /// `blocks2` blocks of `block_rows2` columns. The hierarchical route
-/// passes its split (n1, n2), the 2-D transform (cols, rows). Block
-/// sizes are multiples of the transpose tile edge so no tile ever
-/// straddles two blocks — that alignment is what makes the pipelined
+/// passes its split (n1, n2), the 2-D transform (cols, rows). Phase B's
+/// block sizes are multiples of the transpose tile edge (or the whole
+/// view) so no tile ever straddles two blocks: the twiddled gather seeds
+/// its factors per tile, and that alignment is what makes the pipelined
 /// per-block tile sweeps bit-identical to the full-matrix barrier passes.
+/// Phase A's gather is a pure move, so its blocks need no alignment.
 struct HierarchicalGrain {
   std::uint64_t block_rows1 = 0;
   std::uint64_t blocks1 = 0;
@@ -117,7 +120,8 @@ struct HierarchicalGrain {
 /// enumerate exactly the blocks the executor runs: a block's panel
 /// targets half of `l2_bytes` (leaving the other half for the destination
 /// tiles streaming through), capped so at least workers*4 blocks exist to
-/// spread over the team, rounded down to a tile-edge multiple.
+/// spread over the team, rounded down to a tile-edge multiple. A view of
+/// at most one tile edge of rows runs one row per phase-A block.
 HierarchicalGrain hierarchical_grain(std::uint64_t n1, std::uint64_t n2,
                                      unsigned workers, unsigned element_bytes,
                                      std::uint64_t l2_bytes);
@@ -280,6 +284,8 @@ class FftExecutor {
   void set_phase_hook(codelet::PhaseHook hook);
 
   void clear_cache();
+  /// Waits for no phase: the counters are relaxed atomics, read without
+  /// the lock a call holds across its phases.
   ExecutorStats stats() const;
 
  private:
@@ -457,17 +463,19 @@ class FftExecutor {
   PlanCache cache_;
 
   /// Guards the team, the per-worker buffers, and phase execution.
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::unique_ptr<codelet::Team> team_;
   NumericState<double> f64_;
   NumericState<float> f32_;
   codelet::PhaseHook phase_hook_;
-  std::uint64_t transforms_ = 0;
-  std::uint64_t batched_ = 0;
-  std::uint64_t hierarchical_ = 0;
-  std::uint64_t mixed_radix_ = 0;
-  std::uint64_t bluestein_ = 0;
-  std::uint64_t teams_created_ = 0;
+  /// ExecutorStats' counters, bumped under mutex_ and read by stats()
+  /// without it.
+  std::atomic<std::uint64_t> transforms_{0};
+  std::atomic<std::uint64_t> batched_{0};
+  std::atomic<std::uint64_t> hierarchical_{0};
+  std::atomic<std::uint64_t> mixed_radix_{0};
+  std::atomic<std::uint64_t> bluestein_{0};
+  std::atomic<std::uint64_t> teams_created_{0};
 };
 
 /// The process-wide executor the api.cpp wrappers dispatch through.

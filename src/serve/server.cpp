@@ -165,11 +165,6 @@ SubmitResult FftServer::submit_impl(TenantId tenant, void* data,
 }
 
 void FftServer::dispatch_loop() {
-  // Allocation accounting baseline for this thread (see
-  // ServerOptions::alloc_probe); everything the probe counts between
-  // samples is split into executor-internal vs serving-layer below.
-  std::uint64_t probe_prev =
-      opts_.alloc_probe != nullptr ? opts_.alloc_probe() : 0;
   std::unique_lock lock(admit_mutex_);
   for (;;) {
     dispatch_cv_.wait(lock, [this] {
@@ -205,23 +200,12 @@ void FftServer::dispatch_loop() {
     }
 
     lock.unlock();
-    const std::uint64_t exec_allocs = process_batch(k);
-    if (opts_.alloc_probe != nullptr) {
-      // Everything this thread allocated since the last sample, minus
-      // what happened inside executor calls, is the serving layer's own
-      // (drain, group, complete, client callbacks) — the count the
-      // steady-state zero-allocation contract gates on.
-      const std::uint64_t now = opts_.alloc_probe();
-      dispatch_allocs_.fetch_add(now - probe_prev - exec_allocs,
-                                 std::memory_order_relaxed);
-      executor_allocs_.fetch_add(exec_allocs, std::memory_order_relaxed);
-      probe_prev = now;
-    }
+    process_batch(k);
     lock.lock();
   }
 }
 
-std::uint64_t FftServer::process_batch(std::size_t count) {
+void FftServer::process_batch(std::size_t count) {
   // Group the round by exact (n, precision, direction), in drain order,
   // the groups with a serial body first and the tile-pipelined ones
   // (fft::tile_pipelined) after them. Each group's spans sit contiguously
@@ -253,19 +237,16 @@ std::uint64_t FftServer::process_batch(std::size_t count) {
         else
           spans32_.emplace_back(static_cast<fft::cplx32*>(s.data), s.n);
       }
-      const fft::TwiddleDirection dir = lead.dir == Direction::kForward
-                                            ? fft::TwiddleDirection::kForward
-                                            : fft::TwiddleDirection::kInverse;
       if (lead.precision == fft::Precision::kF64)
         groups_.emplace_back(std::span<const std::span<fft::cplx>>(
                                  spans64_.data() + first64,
                                  spans64_.size() - first64),
-                             dir);
+                             lead.dir);
       else
         groups_.emplace_back(std::span<const std::span<fft::cplx32>>(
                                  spans32_.data() + first32,
                                  spans32_.size() - first32),
-                             dir);
+                             lead.dir);
     }
     if (!pipelined) serial_groups = groups_.size();
   }
@@ -273,19 +254,15 @@ std::uint64_t FftServer::process_batch(std::size_t count) {
   rounds_.fetch_add(1, std::memory_order_relaxed);
 
   // One executor call runs `call` (one phase for all its serial groups),
-  // then its requests complete; returns the call's own allocations.
+  // then its requests complete.
   std::size_t k = 0;
   const auto run = [&](std::span<fft::BatchGroup> call) {
     bool call_failed = false;
-    const std::uint64_t probe0 =
-        opts_.alloc_probe != nullptr ? opts_.alloc_probe() : 0;
     try {
       exec_.run_groups(call);
     } catch (const std::exception&) {
       call_failed = true;
     }
-    const std::uint64_t allocs =
-        opts_.alloc_probe != nullptr ? opts_.alloc_probe() - probe0 : 0;
     for (const fft::BatchGroup& g : call) {
       const RequestStatus status = call_failed || g.error()
                                        ? RequestStatus::kError
@@ -293,15 +270,17 @@ std::uint64_t FftServer::process_batch(std::size_t count) {
       for (const std::size_t end = k + g.size(); k < end; ++k)
         complete(round_[k], status);
     }
-    return allocs;
   };
   // A round is one call, or two when it mixes serial and pipelined
   // groups: the serial groups' requests then complete before the
   // pipelined groups run, instead of waiting out the pipeline.
   const std::span<fft::BatchGroup> groups(groups_);
-  if (serial_groups == 0 || serial_groups == groups.size()) return run(groups);
-  const std::uint64_t allocs = run(groups.first(serial_groups));
-  return allocs + run(groups.subspan(serial_groups));
+  if (serial_groups == 0 || serial_groups == groups.size()) {
+    run(groups);
+    return;
+  }
+  run(groups.first(serial_groups));
+  run(groups.subspan(serial_groups));
 }
 
 void FftServer::complete(std::uint32_t slot_idx, RequestStatus status) {
@@ -377,8 +356,6 @@ ServerStats FftServer::stats() const {
   st.completed = completed_.load(std::memory_order_relaxed);
   st.batches = batches_.load(std::memory_order_relaxed);
   st.rounds = rounds_.load(std::memory_order_relaxed);
-  st.dispatch_allocs = dispatch_allocs_.load(std::memory_order_relaxed);
-  st.executor_allocs = executor_allocs_.load(std::memory_order_relaxed);
   st.coalescing_factor =
       st.batches > 0
           ? static_cast<double>(st.completed) / static_cast<double>(st.batches)

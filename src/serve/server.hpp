@@ -35,8 +35,10 @@
 //
 // The steady-state submit→complete path — submit(), lane push, drain,
 // group, batch call through the executor's cached plan, completion
-// callback/ticket wake — performs zero heap allocations and zero copies
-// of signal data (test_serve_alloc counts allocations to prove it). All
+// callback/ticket wake — performs zero heap allocations on any thread
+// (client, dispatcher, team workers) and zero copies of signal data.
+// test_serve_alloc and fft_loadgen count every thread's allocations to
+// prove it; the library itself carries no allocation accounting. All
 // queues, slots, span scratch, and histograms are sized once at
 // construction. See DESIGN.md "Serving front-end".
 //
@@ -68,7 +70,8 @@ namespace c64fft::serve {
 enum class Lane : std::uint8_t { kInteractive = 0, kNormal = 1, kBulk = 2 };
 inline constexpr std::size_t kLaneCount = 3;
 
-enum class Direction : std::uint8_t { kForward, kInverse };
+/// A request's direction: the executor's own enum.
+using Direction = fft::TwiddleDirection;
 
 /// Typed admission verdicts. Everything except kAccepted is an immediate
 /// reject — the request was NOT enqueued and the caller's buffer was not
@@ -139,19 +142,6 @@ struct ServerOptions {
   /// plain loop of whole transforms, which a single hardware thread
   /// wants; the coalescing win is then purely amortized dispatch.
   unsigned workers = 1;
-  /// Optional allocation-counter sampler (returns the CALLING thread's
-  /// count; see serve/alloc_probe.hpp). When set, the dispatcher
-  /// brackets every executor call with it and splits its own thread's
-  /// allocations into ServerStats::executor_allocs (inside the
-  /// executor: plan builds and first-use scratch, then nothing — a warm
-  /// call allocates on no route and no team size) and
-  /// ServerStats::dispatch_allocs (everything else: drain, group,
-  /// complete, callbacks — the serving layer's own count). The
-  /// zero-allocation contract says neither moves in steady state.
-  /// A function pointer, not the probe function itself, because the
-  /// probe is implemented by the BINARY (one TU defines
-  /// C64FFT_ALLOC_PROBE_IMPLEMENT), never by this library.
-  std::uint64_t (*alloc_probe)() noexcept = nullptr;
   ArenaOptions arena;
 };
 
@@ -176,11 +166,6 @@ struct ServerStats {
   std::uint64_t codelets = 0;
   std::uint64_t queue_depth = 0;  ///< requests queued right now
   std::array<std::uint64_t, kLaneCount> lane_depth{};
-  /// Dispatcher-thread allocations OUTSIDE executor calls (the serving
-  /// layer's own; 0 in steady state) and INSIDE them. Only counted when
-  /// ServerOptions::alloc_probe is set; 0 otherwise.
-  std::uint64_t dispatch_allocs = 0;
-  std::uint64_t executor_allocs = 0;
   LatencySnapshot latency;
   ArenaStats arena;
   fft::ExecutorStats executor;
@@ -319,9 +304,8 @@ class FftServer {
   /// Groups the round's `count` drained requests, runs them as one
   /// executor call (two when the round mixes serial and tile-pipelined
   /// groups, the serial ones first) and completes each call's requests
-  /// as it returns. Returns the dispatcher thread's allocation count
-  /// spent inside the calls (0 when no alloc_probe is configured).
-  std::uint64_t process_batch(std::size_t count);
+  /// as it returns.
+  void process_batch(std::size_t count);
   void complete(std::uint32_t slot_idx, RequestStatus status);
   void recycle(std::uint32_t slot_idx);
   Completion ticket_wait(std::uint32_t slot_idx);
@@ -357,8 +341,6 @@ class FftServer {
   std::atomic<std::uint64_t> completed_{0};
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::uint64_t> rounds_{0};
-  std::atomic<std::uint64_t> dispatch_allocs_{0};
-  std::atomic<std::uint64_t> executor_allocs_{0};
   std::atomic<std::uint64_t> phases_{0};
   std::atomic<std::uint64_t> codelets_{0};
   LatencyHistogram latency_;

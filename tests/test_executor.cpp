@@ -9,8 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <climits>
+#include <condition_variable>
 #include <cstring>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <utility>
@@ -352,6 +355,46 @@ TEST(Executor, SteadyStateSpawnsNoTeams) {
   const std::uint64_t before = codelet::Team::teams_created();
   for (int i = 0; i < 1000; ++i) ex.forward(data, opts);
   EXPECT_EQ(codelet::Team::teams_created(), before);
+}
+
+TEST(Executor, StatsWaitsForNoPhase) {
+  // A call holds the executor's lock across all its phases; stats() must
+  // not wait for it. The phase hook parks its call inside the call's
+  // first phase until a stats() call on this thread has returned, or 2 s
+  // pass, and records which came first.
+  FftExecutor ex({.workers = 1});
+  std::mutex m;
+  std::condition_variable cv;
+  bool parked = false;
+  bool returned = false;
+  bool returned_first = false;
+  ex.set_phase_hook([&](const codelet::PhaseStats&) {
+    std::unique_lock lock(m);
+    if (parked) return;
+    parked = true;
+    cv.notify_all();
+    returned_first =
+        cv.wait_for(lock, std::chrono::seconds(2), [&] { return returned; });
+  });
+  auto data = random_signal(256, 11);
+  std::thread caller([&] { ex.forward(std::span<cplx>(data)); });
+  {
+    std::unique_lock lock(m);
+    cv.wait(lock, [&] { return parked; });
+  }
+  const ExecutorStats during = ex.stats();
+  {
+    std::lock_guard lock(m);
+    returned = true;
+  }
+  cv.notify_all();
+  caller.join();
+  ex.set_phase_hook({});
+  EXPECT_TRUE(returned_first) << "stats() waited for the call's phase";
+  // The call counts its transform once its phases are done.
+  EXPECT_EQ(during.transforms, 0u);
+  EXPECT_EQ(during.teams_created, 1u);
+  EXPECT_EQ(ex.stats().transforms, 1u);
 }
 
 TEST(Executor, PublicApiLoopCreatesAtMostOneTeam) {

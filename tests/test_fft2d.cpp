@@ -5,8 +5,10 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <cstring>
 #include <numbers>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "fft/executor.hpp"
@@ -98,6 +100,31 @@ TEST(Fft2d, WorkerCountDoesNotChangeResult) {
   forward_2d(a, rows, cols, one);
   forward_2d(b, rows, cols, four);
   EXPECT_EQ(max_abs_error(a, b), 0.0);
+}
+
+TEST(Fft2d, FewLongRowsSpreadOverTheTeam) {
+  // A view of at most one transpose tile of rows runs one row per
+  // phase-A block (its rows need no tile alignment): an 8 x 4096 image
+  // on 4 workers runs 8 `fft2d.A` codelets, with the bytes of a 1-worker
+  // run.
+  const std::uint64_t rows = 8, cols = 4096;
+  const auto input = random_matrix(rows, cols, 9);
+  auto one = input, four = input;
+  FftExecutor& ex = default_executor();
+  std::uint64_t a_phases = 0;
+  std::uint64_t a_codelets = 0;
+  ex.set_phase_hook([&](const codelet::PhaseStats& ps) {
+    if (std::string_view(ps.label) != "fft2d.A") return;
+    ++a_phases;
+    a_codelets = ps.executed;
+  });
+  forward_2d(four, rows, cols, {4});
+  const std::uint64_t four_codelets = a_codelets;
+  forward_2d(one, rows, cols, {1});
+  ex.set_phase_hook({});
+  EXPECT_EQ(a_phases, 2u);
+  EXPECT_EQ(four_codelets, rows);
+  EXPECT_EQ(0, std::memcmp(one.data(), four.data(), one.size() * sizeof(cplx)));
 }
 
 template <typename T>

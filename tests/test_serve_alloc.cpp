@@ -1,34 +1,38 @@
-// The zero-allocation serving contract, measured: this binary implements
-// the serve/alloc_probe.hpp operator-new replacement (its OWN global
-// new/delete — which is why it is a separate test binary), warms a
-// server, then counts every heap allocation across a steady-state
-// submit→complete loop. The client thread's counter covers
-// submit()/Ticket::wait(); the ServerOptions::alloc_probe hook has the
-// dispatcher split its thread's count into executor-internal work and
-// the serving layer's own drain/group/complete path. Steady state, both
-// must hold: client-side delta 0, serving-layer delta 0. The same probe
-// gates the executor on its own: a warm call of every entry point, per
-// route and team size, 2-D included, allocates nothing on the calling
-// thread.
+// The zero-allocation contract, measured: this binary implements the
+// util/alloc_probe.hpp operator-new replacement (its OWN global
+// new/delete — which is why it is a separate test binary), whose one
+// count covers every thread of the process. Each check reads it across
+// its window, so the client, the server's dispatcher and every team
+// worker count. A warm server's steady-state submit→complete loops, on
+// one worker and on two, allocate nothing; so does a warm call of every
+// executor entry point, per route and team size, 2-D and the fft::
+// wrappers included; and the public entry points that build vectors
+// (real_forward, real_inverse, circular_convolve) allocate exactly those.
 
 #define C64FFT_ALLOC_PROBE_IMPLEMENT
-#include "serve/alloc_probe.hpp"
+#include "util/alloc_probe.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
+#include <mutex>
 #include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "fft/api.hpp"
 #include "fft/executor.hpp"
 #include "fft/fft2d.hpp"
+#include "fft/real_fft.hpp"
 #include "serve/server.hpp"
 #include "util/prng.hpp"
 
 namespace c64fft::serve {
 namespace {
+
+using util::alloc_count;
 
 std::vector<fft::cplx> random_signal(std::uint64_t n, std::uint64_t seed) {
   util::Xoshiro256 rng(seed);
@@ -39,59 +43,86 @@ std::vector<fft::cplx> random_signal(std::uint64_t n, std::uint64_t seed) {
 }
 
 TEST(ServeAllocProbe, CountsThisThreadsAllocations) {
-  const std::uint64_t before = thread_alloc_count();
+  const std::uint64_t before = alloc_count();
   auto* p = new int(7);
-  const std::uint64_t after = thread_alloc_count();
+  const std::uint64_t after = alloc_count();
   delete p;
   EXPECT_GT(after, before);  // the probe really is this binary's new
 }
 
+TEST(ServeAllocProbe, CountsEveryThreadsAllocations) {
+  // The thread exists before the window opens (constructing a
+  // std::thread allocates on this thread); inside the window only the
+  // other thread allocates, and this thread's count must see it.
+  std::mutex m;
+  std::condition_variable cv;
+  bool go = false;
+  int* p = nullptr;
+  std::thread other([&] {
+    std::unique_lock lock(m);
+    cv.wait(lock, [&] { return go; });
+    p = new int(7);
+  });
+  const std::uint64_t before = alloc_count();
+  {
+    std::lock_guard lock(m);
+    go = true;
+  }
+  cv.notify_one();
+  other.join();
+  const std::uint64_t after = alloc_count();
+  delete p;
+  EXPECT_GT(after, before) << "an allocation on another thread went uncounted";
+}
+
 TEST(ServeAllocProbe, SteadyStateSubmitCompletePathIsAllocationFree) {
-  ServerOptions so;
-  so.alloc_probe = &thread_alloc_count;
-  FftServer server(so);
-  TenantQuota quota;
-  quota.max_plan_shapes = 4;
-  const TenantId t = server.add_tenant(quota);
+  // On one worker the team runs its phases inline on the dispatcher; on
+  // two, every round's phase also runs on a team worker.
+  for (const unsigned workers : {1u, 2u}) {
+    ServerOptions so;
+    so.workers = workers;
+    FftServer server(so);
+    TenantQuota quota;
+    quota.max_plan_shapes = 4;
+    const TenantId t = server.add_tenant(quota);
 
-  constexpr std::uint64_t kN = 256;
-  auto data = random_signal(kN, 42);
-  const std::span<fft::cplx> span(data);
+    constexpr std::uint64_t kN = 256;
+    auto data = random_signal(kN, 42);
+    const std::span<fft::cplx> span(data);
 
-  // Warmup: first submissions build the plan (trig tables, bitrev
-  // tables — and, first time each DIRECTION runs, the conjugated
-  // twiddles of the inverse path) and fault in any lazy runtime state.
-  // Allocations here are expected and not the contract.
-  for (int i = 0; i < 16; ++i) {
-    auto s = server.submit(t, span,
-                           i % 2 == 0 ? Direction::kForward
-                                      : Direction::kInverse);
-    ASSERT_EQ(s.status, SubmitStatus::kAccepted);
-    ASSERT_EQ(s.ticket.wait().status, RequestStatus::kOk);
+    // Warmup: first submissions build the plan (trig tables, bitrev
+    // tables — and, first time each DIRECTION runs, the conjugated
+    // twiddles of the inverse path), spawn the team and fault in any
+    // lazy runtime state. Allocations here are expected and not the
+    // contract.
+    for (int i = 0; i < 16; ++i) {
+      auto s = server.submit(t, span,
+                             i % 2 == 0 ? Direction::kForward
+                                        : Direction::kInverse);
+      ASSERT_EQ(s.status, SubmitStatus::kAccepted);
+      ASSERT_EQ(s.ticket.wait().status, RequestStatus::kOk);
+    }
+
+    const ServerStats warm = server.stats();
+    const std::uint64_t before = alloc_count();
+    int ok = 0;
+    for (; ok < 100; ++ok) {
+      auto s = server.submit(t, span,
+                             ok % 2 == 0 ? Direction::kForward
+                                         : Direction::kInverse);
+      if (s.status != SubmitStatus::kAccepted) break;  // assert after loop
+      if (s.ticket.wait().status != RequestStatus::kOk) break;
+    }
+    const std::uint64_t allocs = alloc_count() - before;
+    // Assertions AFTER the measured loop: gtest machinery allocates.
+    const ServerStats steady = server.stats();
+    EXPECT_EQ(ok, 100) << "workers=" << workers;
+    EXPECT_EQ(allocs, 0u)
+        << "the submit->complete loop allocated (client, dispatcher or team "
+           "worker), workers="
+        << workers;
+    EXPECT_EQ(steady.completed - warm.completed, 100u) << "workers=" << workers;
   }
-
-  const ServerStats warm = server.stats();
-  const std::uint64_t client_before = thread_alloc_count();
-  std::uint64_t client_after = client_before;
-  for (int i = 0; i < 100; ++i) {
-    auto s = server.submit(t, span,
-                           i % 2 == 0 ? Direction::kForward
-                                      : Direction::kInverse);
-    if (s.status != SubmitStatus::kAccepted) break;  // assert after loop
-    if (s.ticket.wait().status != RequestStatus::kOk) break;
-    client_after = thread_alloc_count();
-  }
-  // Assertions AFTER the measured loop: gtest machinery allocates.
-  const ServerStats steady = server.stats();
-  EXPECT_EQ(client_after - client_before, 0u)
-      << "submit()/Ticket::wait() allocated on the client thread";
-  EXPECT_EQ(steady.dispatch_allocs - warm.dispatch_allocs, 0u)
-      << "the dispatcher's drain/group/complete path allocated";
-  // workers=1 rides the executor's serial fast path, whose steady state
-  // (cached plan, cached bitrev table, no team) is also allocation-free.
-  EXPECT_EQ(steady.executor_allocs - warm.executor_allocs, 0u)
-      << "the executor allocated on a cache-hit serial transform";
-  EXPECT_EQ(steady.completed - warm.completed, 100u);
 }
 
 // Self-resubmitting completion chain for the callback-mode test below
@@ -115,49 +146,54 @@ void chain_on_done(void* p, const Completion& done) {
 TEST(ServeAllocProbe, CallbackResubmitLoopIsAllocationFree) {
   // The async serving shape tools/fft_loadgen drives: completions
   // resubmit from the dispatcher thread, so the ENTIRE steady-state
-  // cycle (complete → callback → submit → drain → execute) runs on one
-  // thread under the serving layer's allocation accounting.
-  ServerOptions so;
-  so.alloc_probe = &thread_alloc_count;
-  FftServer server(so);
-  const TenantId t = server.add_tenant({});
+  // cycle (complete → callback → submit → drain → execute) runs on the
+  // dispatcher and, on two workers, the team.
+  for (const unsigned workers : {1u, 2u}) {
+    ServerOptions so;
+    so.workers = workers;
+    FftServer server(so);
+    const TenantId t = server.add_tenant({});
 
-  constexpr std::uint64_t kN = 128;
-  auto data = random_signal(kN, 7);
+    constexpr std::uint64_t kN = 128;
+    auto data = random_signal(kN, 7);
 
-  ChainCtx ctx;
-  ctx.server = &server;
-  ctx.tenant = t;
-  ctx.span = std::span<fft::cplx>(data);
+    ChainCtx ctx;
+    ctx.server = &server;
+    ctx.tenant = t;
+    ctx.span = std::span<fft::cplx>(data);
 
-  // Warmup round trip, then measure a 200-cycle self-sustaining chain.
-  ctx.remaining.store(8);
-  ASSERT_EQ(server
-                .submit(t, ctx.span, Direction::kForward, Lane::kNormal,
-                        &chain_on_done, &ctx)
-                .status,
-            SubmitStatus::kAccepted);
-  while (ctx.remaining.load(std::memory_order_acquire) > 0)
-    std::this_thread::yield();
+    // Warmup round trip, then measure a 200-cycle self-sustaining chain.
+    ctx.remaining.store(8);
+    ASSERT_EQ(server
+                  .submit(t, ctx.span, Direction::kForward, Lane::kNormal,
+                          &chain_on_done, &ctx)
+                  .status,
+              SubmitStatus::kAccepted);
+    while (ctx.remaining.load(std::memory_order_acquire) > 0)
+      std::this_thread::yield();
 
-  const ServerStats warm = server.stats();
-  ctx.remaining.store(200);
-  ASSERT_EQ(server
-                .submit(t, ctx.span, Direction::kForward, Lane::kNormal,
-                        &chain_on_done, &ctx)
-                .status,
-            SubmitStatus::kAccepted);
-  while (ctx.remaining.load(std::memory_order_acquire) > 0)
-    std::this_thread::yield();
-  const ServerStats steady = server.stats();
+    const ServerStats warm = server.stats();
+    ctx.remaining.store(200);
+    const std::uint64_t before = alloc_count();
+    const SubmitStatus first = server
+                                   .submit(t, ctx.span, Direction::kForward,
+                                           Lane::kNormal, &chain_on_done, &ctx)
+                                   .status;
+    while (first == SubmitStatus::kAccepted &&
+           ctx.remaining.load(std::memory_order_acquire) > 0)
+      std::this_thread::yield();
+    const std::uint64_t allocs = alloc_count() - before;
+    const ServerStats steady = server.stats();
 
-  EXPECT_EQ(ctx.errors.load(), 0);
-  EXPECT_EQ(steady.dispatch_allocs - warm.dispatch_allocs, 0u)
-      << "callback-resubmit steady state allocated in the serving layer";
-  EXPECT_EQ(steady.completed - warm.completed, 200u);
+    ASSERT_EQ(first, SubmitStatus::kAccepted);
+    EXPECT_EQ(ctx.errors.load(), 0);
+    EXPECT_EQ(allocs, 0u)
+        << "callback-resubmit steady state allocated, workers=" << workers;
+    EXPECT_EQ(steady.completed - warm.completed, 200u) << "workers=" << workers;
+  }
 }
 
-/// Calling-thread allocations of one warm call of each executor entry
+/// Allocations, on any thread, of one warm call of each executor entry
 /// point: forward and inverse on one transform, forward_batch and
 /// inverse_batch on `batch` transforms.
 struct CallAllocs {
@@ -189,24 +225,24 @@ CallAllocs warm_call_allocs(fft::FftExecutor& ex, std::uint64_t n,
     ex.inverse_batch(batch, opts);
   }
   CallAllocs c;
-  std::uint64_t before = thread_alloc_count();
+  std::uint64_t before = alloc_count();
   ex.forward(one, opts);
-  c.forward = thread_alloc_count() - before;
-  before = thread_alloc_count();
+  c.forward = alloc_count() - before;
+  before = alloc_count();
   ex.inverse(one, opts);
-  c.inverse = thread_alloc_count() - before;
-  before = thread_alloc_count();
+  c.inverse = alloc_count() - before;
+  before = alloc_count();
   ex.forward_batch(batch, opts);
-  c.forward_batch = thread_alloc_count() - before;
-  before = thread_alloc_count();
+  c.forward_batch = alloc_count() - before;
+  before = alloc_count();
   ex.inverse_batch(batch, opts);
-  c.inverse_batch = thread_alloc_count() - before;
+  c.inverse_batch = alloc_count() - before;
   return c;
 }
 
 /// Every warm call at every size of `sizes` on 1, 2 and 4 workers
-/// allocates nothing on the calling thread. Returns the last executor's
-/// stats so callers can check which routes ran.
+/// allocates nothing on any thread. Returns the last executor's stats so
+/// callers can check which routes ran.
 template <typename T>
 fft::ExecutorStats check_warm_calls_allocate_nothing(
     std::span<const std::uint64_t> sizes, std::size_t batch_size) {
@@ -260,8 +296,8 @@ TEST(ExecutorAllocs, WarmLargeCallsAllocateNothingF32) {
 }
 
 /// Warm forward_2d and inverse_2d calls (the tile pipeline over the
-/// matrix, on the default executor) allocate nothing on the calling
-/// thread, square and rectangular, on 1, 2 and 4 workers.
+/// matrix, on the default executor) allocate nothing on any thread,
+/// square and rectangular, on 1, 2 and 4 workers.
 template <typename T>
 void check_warm_2d_calls_allocate_nothing() {
   for (const unsigned workers : {1u, 2u, 4u})
@@ -280,12 +316,12 @@ void check_warm_2d_calls_allocate_nothing() {
       }
       const std::string at = std::to_string(rows) + "x" + std::to_string(cols) +
                              " workers=" + std::to_string(workers);
-      std::uint64_t before = thread_alloc_count();
+      std::uint64_t before = alloc_count();
       fft::forward_2d(m, rows, cols, opts);
-      EXPECT_EQ(thread_alloc_count() - before, 0u) << "forward_2d " << at;
-      before = thread_alloc_count();
+      EXPECT_EQ(alloc_count() - before, 0u) << "forward_2d " << at;
+      before = alloc_count();
       fft::inverse_2d(m, rows, cols, opts);
-      EXPECT_EQ(thread_alloc_count() - before, 0u) << "inverse_2d " << at;
+      EXPECT_EQ(alloc_count() - before, 0u) << "inverse_2d " << at;
     }
 }
 
@@ -348,13 +384,96 @@ TEST(ExecutorAllocs, WarmMultiGroupCallAllocatesNothing) {
 
     fft::FftExecutor ex({.workers = workers});
     for (int i = 0; i < 2; ++i) ex.run_groups(groups);  // warm
-    const std::uint64_t before = thread_alloc_count();
+    const std::uint64_t before = alloc_count();
     ex.run_groups(groups);
-    const std::uint64_t allocs = thread_alloc_count() - before;
+    const std::uint64_t allocs = alloc_count() - before;
     EXPECT_EQ(allocs, 0u) << "workers=" << workers;
     for (const fft::BatchGroup& g : groups)
       EXPECT_FALSE(g.error()) << "workers=" << workers;
     EXPECT_GT(ex.stats().hierarchical, 0u);
+  }
+}
+
+/// Allocations, on any thread, of the third of three calls of `call`.
+template <typename Call>
+std::uint64_t warm_allocs(const Call& call) {
+  call();
+  call();
+  const std::uint64_t before = alloc_count();
+  call();
+  return alloc_count() - before;
+}
+
+TEST(ExecutorAllocs, WarmPublicEntriesAllocateOnlyTheirVectors) {
+  // The public wrappers over the default executor, on 1, 2 and 4
+  // workers: warm, fft::forward and fft::inverse allocate nothing at a
+  // pow2, a Bluestein, a mixed-radix and a hierarchical length.
+  // real_forward and real_inverse allocate exactly their two vectors
+  // (the packed half-length transform and the result), and
+  // circular_convolve its two (the operands' spectra, the first of which
+  // it returns).
+  constexpr std::uint64_t kSizes[] = {64, 101, 96, std::uint64_t{1} << 18};
+  for (const unsigned workers : {1u, 2u, 4u}) {
+    const fft::HostFftOptions opts{workers};
+    for (const std::uint64_t n : kSizes) {
+      const std::string at =
+          "n=" + std::to_string(n) + " workers=" + std::to_string(workers);
+      auto x64 = random_signal(n, n);
+      const auto y64 = random_signal(n, n + 1);
+      std::vector<fft::cplx32> x32(n);
+      for (std::uint64_t i = 0; i < n; ++i)
+        x32[i] = fft::cplx32(static_cast<float>(x64[i].real()),
+                             static_cast<float>(x64[i].imag()));
+      EXPECT_EQ(warm_allocs([&] { fft::forward(std::span<fft::cplx>(x64), opts); }),
+                0u)
+          << at;
+      EXPECT_EQ(warm_allocs([&] { fft::inverse(std::span<fft::cplx>(x64), opts); }),
+                0u)
+          << at;
+      EXPECT_EQ(
+          warm_allocs([&] { fft::forward(std::span<fft::cplx32>(x32), opts); }),
+          0u)
+          << at;
+      EXPECT_EQ(
+          warm_allocs([&] { fft::inverse(std::span<fft::cplx32>(x32), opts); }),
+          0u)
+          << at;
+      EXPECT_EQ(
+          warm_allocs([&] { (void)fft::circular_convolve(x64, y64, opts); }), 2u)
+          << at;
+    }
+    // Packed half lengths 64 (classic) and 2^18 (hierarchical).
+    for (const std::uint64_t n : {std::uint64_t{128}, std::uint64_t{1} << 19}) {
+      const std::string at =
+          "n=" + std::to_string(n) + " workers=" + std::to_string(workers);
+      util::Xoshiro256 rng(n);
+      std::vector<double> sig64(n);
+      std::vector<float> sig32(n);
+      for (std::uint64_t i = 0; i < n; ++i) {
+        sig64[i] = rng.next_double() * 2 - 1;
+        sig32[i] = static_cast<float>(sig64[i]);
+      }
+      const std::span<const double> s64(sig64);
+      const std::span<const float> s32(sig32);
+      const auto half64 = fft::real_forward(s64, opts);
+      const auto half32 = fft::real_forward(s32, opts);
+      EXPECT_EQ(warm_allocs([&] { (void)fft::real_forward(s64, opts); }), 2u)
+          << at;
+      EXPECT_EQ(warm_allocs([&] { (void)fft::real_forward(s32, opts); }), 2u)
+          << at;
+      EXPECT_EQ(warm_allocs([&] {
+                  (void)fft::real_inverse(std::span<const fft::cplx>(half64),
+                                          opts);
+                }),
+                2u)
+          << at;
+      EXPECT_EQ(warm_allocs([&] {
+                  (void)fft::real_inverse(std::span<const fft::cplx32>(half32),
+                                          opts);
+                }),
+                2u)
+          << at;
+    }
   }
 }
 

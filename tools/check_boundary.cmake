@@ -38,7 +38,7 @@ foreach(src ${sources})
 endforeach()
 
 set(harness "(FftPlan|StageInfo|run_codelet|fft_host|run_pool_phase|DependencyCounters|CodeletGraph|FineOrdering|TrafficCensus|PaperFftOptions|BasicTwiddleTable|TwiddleLayout|fft_serial_inplace|fft_recursive|dft_reference|ifft_reference|bit_reverse_permute)")
-set(harness_util "c64fft::util::(RunningStats|WindowedSeries|TextTable|CliParser|ToneSpec|SignalBuilder|random_complex|Json|json_parse|BenchD|diff_benchmarks|has_regression|format_bench_report|benchmark_metric|metric_is_rate|percentile|mean|imbalance_ratio|geomean|WindowKind|make_window|apply_window|coherent_gain|power_spectrum)")
+set(harness_util "c64fft::util::(RunningStats|WindowedSeries|TextTable|CliParser|ToneSpec|SignalBuilder|random_complex|Json|json_parse|BenchD|diff_benchmarks|has_regression|format_bench_report|benchmark_metric|metric_is_rate|percentile|mean|imbalance_ratio|geomean|WindowKind|make_window|apply_window|coherent_gain|power_spectrum|alloc_count)")
 foreach(archive ${ARCHIVES})
   execute_process(COMMAND ${NM} -C ${archive}
     RESULT_VARIABLE code OUTPUT_VARIABLE symbols ERROR_VARIABLE err)

@@ -23,14 +23,13 @@
 // Reports per pass: transforms/sec, p50/p99/mean/max latency, realized
 // coalescing factor (transforms per coalesced group), peak queue depth,
 // scheduler phases per dispatch round, plan-cache and arena stats, and
-// the steady-state allocation counts. They are measured, not asserted
-// from faith: this binary implements the serve/alloc_probe.hpp
-// operator-new counter and hands it to the server as
-// ServerOptions::alloc_probe, so the dispatcher splits its thread's
-// allocations into executor-internal and the serving layer's own. Since
-// submit, drain, group, execute, and complete ALL run on the dispatcher
-// thread in callback mode, zero deltas of both across the measured
-// window (--assert-zero-alloc) certify the whole submit→complete path.
+// the steady-state allocation count. It is measured, not asserted from
+// faith: this binary implements the util/alloc_probe.hpp operator-new
+// counter, which counts every thread of the process — the dispatcher,
+// which runs submit, drain, group and complete in callback mode, every
+// team worker, and this thread's polling. A zero delta across the
+// measured window (--assert-zero-alloc) certifies the whole
+// submit→complete path.
 //
 // --json emits the passes as google-benchmark rows (LG_ServeCoalesced /
 // LG_ServeUncoalesced; real_time = wall ns per transform) so
@@ -40,7 +39,7 @@
 // Exit status: 0 ok, 1 failed assertion (--assert-*), 2 usage/setup.
 
 #define C64FFT_ALLOC_PROBE_IMPLEMENT
-#include "serve/alloc_probe.hpp"
+#include "util/alloc_probe.hpp"
 
 #include <algorithm>
 #include <atomic>
@@ -161,8 +160,7 @@ struct PassResult {
   std::uint64_t completed = 0;  // measured-window completions
   std::uint64_t rejected = 0;
   std::uint64_t errors = 0;
-  std::uint64_t dispatch_allocs = 0;  // serving-layer allocs in window
-  std::uint64_t executor_allocs = 0;  // executor-internal allocs in window
+  std::uint64_t allocs = 0;  // allocations on every thread in the window
   double wall_seconds = 0.0;
   double throughput = 0.0;  // transforms/sec over the measured window
   std::uint64_t queue_depth_max = 0;
@@ -180,10 +178,6 @@ PassResult run_pass(const std::string& name, const LoadConfig& cfg,
       *std::max_element(cfg.sizes.begin(), cfg.sizes.end());
   so.arena.slab_bytes = max_n * sizeof(fft::cplx);
   so.arena.slab_count = std::size_t{cfg.clients} * cfg.outstanding + 4;
-  // This binary implements the allocation probe; hand the sampler to the
-  // server so its stats split executor-internal allocations from the
-  // serving layer's own (the count gated at zero).
-  so.alloc_probe = &serve::thread_alloc_count;
   serve::FftServer server(so);
 
   // Every tenant gets room for all its flights' slabs and for every
@@ -246,7 +240,7 @@ PassResult run_pass(const std::string& name, const LoadConfig& cfg,
 
   std::this_thread::sleep_for(std::chrono::milliseconds(cfg.warmup_ms));
   const std::uint64_t c0 = shared.completed.load(std::memory_order_relaxed);
-  const serve::ServerStats st0 = server.stats();
+  const std::uint64_t allocs0 = util::alloc_count();
   const Clock::time_point t0 = Clock::now();
   const Clock::time_point deadline =
       t0 + std::chrono::milliseconds(cfg.duration_ms);
@@ -256,7 +250,7 @@ PassResult run_pass(const std::string& name, const LoadConfig& cfg,
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   const std::uint64_t c1 = shared.completed.load(std::memory_order_relaxed);
-  const serve::ServerStats st1 = server.stats();
+  pass.allocs = util::alloc_count() - allocs0;
   pass.wall_seconds = std::chrono::duration<double>(Clock::now() - t0).count();
 
   shared.stop.store(true, std::memory_order_relaxed);
@@ -264,8 +258,6 @@ PassResult run_pass(const std::string& name, const LoadConfig& cfg,
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
 
   pass.completed = c1 - c0;
-  pass.dispatch_allocs = st1.dispatch_allocs - st0.dispatch_allocs;
-  pass.executor_allocs = st1.executor_allocs - st0.executor_allocs;
   pass.rejected = shared.rejected.load(std::memory_order_relaxed);
   pass.errors += shared.errors.load(std::memory_order_relaxed);
   pass.throughput = pass.wall_seconds > 0.0
@@ -296,9 +288,8 @@ void print_pass(const PassResult& p) {
                                     static_cast<double>(st.rounds)
                               : 0.0)
             << "\n"
-            << "  serve-layer allocs " << p.dispatch_allocs
-            << " (submit->complete path, measured window; executor-internal "
-            << p.executor_allocs << ")\n"
+            << "  allocs             " << p.allocs
+            << " (every thread, measured window)\n"
             << "  rejected           " << p.rejected << "  errors " << p.errors << "\n"
             << "  plan cache         hits=" << st.executor.cache.hits
             << " misses=" << st.executor.cache.misses
@@ -326,8 +317,7 @@ void json_row(std::ostream& out, const PassResult& p, bool last) {
       << "      \"coalescing_factor\": " << p.stats.coalescing_factor << ",\n"
       << "      \"p50_ns\": " << p.stats.latency.p50_ns << ",\n"
       << "      \"p99_ns\": " << p.stats.latency.p99_ns << ",\n"
-      << "      \"dispatch_allocs\": " << p.dispatch_allocs << ",\n"
-      << "      \"executor_allocs\": " << p.executor_allocs << "\n"
+      << "      \"allocs\": " << p.allocs << "\n"
       << "    }" << (last ? "\n" : ",\n");
 }
 
@@ -373,8 +363,7 @@ int main(int argc, char** argv) {
                  "fail unless the coalesced pass's coalescing factor "
                  "reaches this");
   cli.add_flag("assert-zero-alloc",
-               "fail if the dispatcher allocated inside the measured "
-               "window, in the serving layer or inside executor calls "
+               "fail if any thread allocated inside the measured window "
                "(steady-state zero-allocation contract)");
 
   try {
@@ -500,11 +489,9 @@ int main(int argc, char** argv) {
                 << " < required " << min_coalesce << "\n";
       failed = true;
     }
-    if (cli.flag("assert-zero-alloc") &&
-        (p.dispatch_allocs > 0 || p.executor_allocs > 0)) {
-      std::cerr << "fft_loadgen: " << p.name << ": " << p.dispatch_allocs
-                << " serving-layer and " << p.executor_allocs
-                << " executor steady-state allocation(s)\n";
+    if (cli.flag("assert-zero-alloc") && p.allocs > 0) {
+      std::cerr << "fft_loadgen: " << p.name << ": " << p.allocs
+                << " steady-state allocation(s)\n";
       failed = true;
     }
   }

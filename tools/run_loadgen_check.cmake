@@ -9,7 +9,7 @@
 #         -P run_loadgen_check.cmake
 #
 # Three properties are asserted:
-#   1. zero steady-state dispatch-path allocations and a realized
+#   1. zero steady-state allocations on every thread and a realized
 #      coalescing factor (fft_loadgen --assert-* flags, exit status);
 #   2. per-row throughput vs the committed BENCH_baseline.json LG_ rows
 #      (tolerance is wide — serving throughput swings more than the
